@@ -25,6 +25,7 @@ from .quantum import (
     Unitary,
     apply,
     basis_ket,
+    check_densities,
     density_from_mixture,
     helstrom,
     identity,
@@ -35,6 +36,7 @@ from .quantum import (
     rotation,
     tensor,
     trace_distance,
+    trace_distances,
 )
 from .hybrid import (
     BasisKet,
@@ -53,6 +55,8 @@ from .hybrid import (
     box_output_state,
     distribute,
     pr_extend,
+    pr_extend_density,
+    rotated_inputs,
     signaling_witness,
 )
 from .protocol import (
@@ -63,6 +67,6 @@ from .protocol import (
     min_rounds,
     simulate,
 )
-from .audit import AuditReport, audit_dynamics, effective_box
+from .audit import AuditReport, audit_dynamics, audit_sweep, effective_box
 
 __version__ = "0.1.0"

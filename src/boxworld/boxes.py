@@ -113,16 +113,18 @@ class NoSignalingReport:
     Bob's outcome marginals across two Alice inputs, maximized over Bob's
     settings (and symmetrically for ``b_to_a_violation``).
     ``worst_settings`` is ``(direction, receiver_input, sender_input_pair)``
-    for the overall maximum.
+    for the overall maximum. ``tol`` is the tolerance the report was
+    computed with; the box signals when either violation exceeds it.
     """
 
     a_to_b_violation: float
     b_to_a_violation: float
     worst_settings: tuple[str, int, tuple[int, int]]
+    tol: float
 
     @property
     def signaling(self) -> bool:
-        return max(self.a_to_b_violation, self.b_to_a_violation) > 0.0
+        return max(self.a_to_b_violation, self.b_to_a_violation) > self.tol
 
 
 def pr_box() -> ConditionalBox:
@@ -182,7 +184,7 @@ def check_no_signaling(box: ConditionalBox, tol: float = DEFAULT_TOL) -> NoSigna
         worst = ("a_to_b", worst_ab[0], worst_ab[1])
     else:
         worst = ("b_to_a", worst_ba[0], worst_ba[1])
-    return NoSignalingReport(a_to_b, b_to_a, worst)
+    return NoSignalingReport(a_to_b, b_to_a, worst, tol)
 
 
 def _check_perm(perm: tuple[int, ...], size: int, what: str) -> None:

@@ -14,7 +14,8 @@ Grammar, loosest binding first::
 odot is accepted as an input alias. ``+`` binds tighter than ``(+)``, so
 ``a + b (+) c + d`` groups as ``(a+b) (+) (c+d)``. A scalar must be
 followed by a ket or a parenthesized expression (there is no scalar-only
-state). All reported offsets are byte offsets into the input.
+state). Parentheses nest at most MAX_NESTING deep. All reported offsets
+are byte offsets into the input.
 """
 
 from __future__ import annotations
@@ -32,9 +33,13 @@ from .hybrid import (
     SYM_S,
 )
 
-__all__ = ["Token", "ParseError", "tokenize", "parse", "format"]
+__all__ = ["MAX_NESTING", "Token", "ParseError", "tokenize", "parse", "format"]
 
 ODOT_GLYPH = "⊙"
+# Each level of parentheses costs a few stack frames here and in the
+# recursive evaluation and formatting of the tree; this keeps all of them
+# well inside Python's default recursion limit.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -184,6 +189,7 @@ class _Parser:
         self.pos = 0
         self.end_offset = len(text.encode("utf-8"))
         self.width: int | None = None
+        self.depth = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -246,11 +252,15 @@ class _Parser:
                 )
             return BasisKet(label)
         if tok.kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.offset)
+            self.depth += 1
             node = self.expr()
             closing = self.peek()
             if closing is None or closing.kind != "RPAREN":
                 raise ParseError("unbalanced parenthesis", tok.offset)
             self.take()
+            self.depth -= 1
             return node
         raise ParseError(f"expected a ket or '(', got {tok.lexeme!r}", tok.offset)
 

@@ -16,6 +16,8 @@ two admissible outputs, |0,(A AND B)> and |1,(1 XOR A AND B)>, entering
 as an equal-weight incoherent pair; amplitudes on the input distribute
 linearly across those pairs. A branch with k nonzero components therefore
 expands into 2^k output branches of relative weight 2^-k.
+`pr_extend_density` gives the density of that expansion in closed form,
+for a whole stack of pure inputs at once, without enumerating branches.
 """
 
 from __future__ import annotations
@@ -23,20 +25,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .quantum import (
     DensityOperator,
     Ket,
-    apply,
+    Unitary,
     basis_ket,
+    check_densities,
     density_from_mixture,
-    identity,
     partial_trace,
     rotation,
-    tensor,
     trace_distance,
 )
 
@@ -55,6 +56,8 @@ __all__ = [
     "HybridState",
     "distribute",
     "pr_extend",
+    "pr_extend_density",
+    "rotated_inputs",
     "box_output_state",
     "bob_state",
     "SignalingReport",
@@ -104,6 +107,8 @@ class Scalar:
         if self.kind == "sqrt":
             return complex(math.sqrt(self.a))
         if self.kind == "invsqrt":
+            if self.a == 0:
+                raise ExpressionError("1/sqrt(0) is undefined")
             return complex(1.0 / math.sqrt(self.a))
         if theta is None:
             raise ExpressionError(f"symbol {self.kind!r} needs an angle to resolve")
@@ -300,6 +305,32 @@ def _eval_expr(
     raise ExpressionError(f"not a state expression node: {node!r}")
 
 
+def _pr_output(i: int, choice: int) -> int:
+    """Index of the admissible output |a b> of input |AB> = i with a = choice.
+
+    The box relation a XOR b = A AND B fixes b once a is chosen.
+    """
+    return (choice << 1) | (((i >> 1) & (i & 1)) ^ choice)
+
+
+def _check_pairing(pairing: str) -> None:
+    if pairing not in ("independent", "correlated"):
+        raise ValueError(f"pairing must be 'independent' or 'correlated', got {pairing!r}")
+
+
+# The extension as linear maps. _EXT_OUT[s] sends |i> to (1/2)|o(i, s)>,
+# the amplitude-halved output of pair choice s; _EXT_MEAN is their mean
+# (1/2)(O_0 + O_1); _EXT_SPREAD[i] is (1/2) sum_s O_s|i><i|O_s^T minus
+# M|i><i|M^T, what a component's own pair choice adds beyond the mean.
+_EXT_OUT = np.array(
+    [[[0.5 * (o == _pr_output(i, s)) for i in range(4)] for o in range(4)] for s in (0, 1)]
+)
+_EXT_MEAN = 0.5 * (_EXT_OUT[0] + _EXT_OUT[1])
+_EXT_SPREAD = 0.5 * np.einsum("sji,ski->ijk", _EXT_OUT, _EXT_OUT) - np.einsum(
+    "ji,ki->ijk", _EXT_MEAN, _EXT_MEAN
+)
+
+
 def pr_extend(
     state: HybridState,
     *,
@@ -324,8 +355,7 @@ def pr_extend(
     """
     if state.width != 2:
         raise ExpressionError(f"the box extension acts on 2 qubits, got width {state.width}")
-    if pairing not in ("independent", "correlated"):
-        raise ValueError(f"pairing must be 'independent' or 'correlated', got {pairing!r}")
+    _check_pairing(pairing)
     out: list[tuple[float, Ket]] = []
     extrapolated = state.extrapolated
     for w, ket in state.branches:
@@ -345,12 +375,67 @@ def pr_extend(
         for sel in selectors:
             o = np.zeros(4, dtype=complex)
             for choice, i in zip(sel, nz):
-                prod = (i >> 1) & (i & 1)
-                o[(choice << 1) | (prod ^ choice)] += 0.5 * amps[i]
+                o[_pr_output(i, choice)] += 0.5 * amps[i]
             out.append((share, Ket(o)))
         if len(out) > max_branches:
             raise BranchLimitError(f"extension expands past the cap of {max_branches} branches")
     return HybridState(2, tuple(out), extrapolated=extrapolated)
+
+
+def pr_extend_density(psi: np.ndarray, *, pairing: str = "independent") -> np.ndarray:
+    """Output densities of :func:`pr_extend` for a stack of pure inputs, in closed form.
+
+    ``psi`` holds one two-qubit input per row, shape (T, 4), normalized or
+    not; the result, shape (T, 4, 4), is row by row the density that
+    ``pr_extend(HybridState.from_ket(Ket(row)), pairing=pairing)`` expands
+    into branches, without the expansion. With O_s the map of pair choice
+    s, M their mean and K_i the spread of component i (see the module
+    constants), the unnormalized densities are
+
+    * independent pairing: M psi psi^+ M^+ + sum_i |psi_i|^2 K_i, since
+      distinct components choose independently and only their means
+      interfere;
+    * correlated pairing: (1/2) sum_s O_s psi psi^+ O_s^+;
+
+    each then divided by its trace. Every matrix of the stack passes the
+    density-operator checks.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != 4:
+        raise ExpressionError(f"the box extension acts on rows of 2 qubits, got shape {psi.shape}")
+    if not np.all(np.isfinite(psi.view(float))):
+        raise ValueError("non-finite amplitudes")
+    _check_pairing(pairing)
+    if pairing == "independent":
+        mean = psi @ _EXT_MEAN.T
+        weights = psi.real**2 + psi.imag**2
+        rho = mean[:, :, None] * mean[:, None, :].conj()
+        rho += np.einsum("ti,ijk->tjk", weights, _EXT_SPREAD)
+    else:
+        out = np.einsum("sji,ti->tsj", _EXT_OUT, psi)
+        rho = 0.5 * np.einsum("tsj,tsk->tjk", out, out.conj())
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    if np.any(tr <= 0.0):
+        raise ExpressionError("state carries no mass")
+    rho /= tr[:, None, None]
+    check_densities(rho)
+    return rho
+
+
+def rotated_inputs(unitaries: Sequence[Unitary]) -> np.ndarray:
+    """The construction's inputs (U tensor 1)|01>, one row per single-qubit U.
+
+    Each row is U|0> on the first register and |1> on the second, the
+    stack :func:`pr_extend_density` takes.
+    """
+    psi = np.zeros((len(unitaries), 4), dtype=complex)
+    for row, u in zip(psi, unitaries):
+        if not isinstance(u, Unitary):
+            raise TypeError(f"expected a Unitary, got {type(u).__name__}")
+        if u.dim != 2:
+            raise ValueError(f"expected a single-qubit unitary, got dimension {u.dim}")
+        row[1::2] = u.matrix[:, 0]
+    return psi
 
 
 def box_output_state(theta: float, *, pairing: str = "independent") -> DensityOperator:
@@ -359,9 +444,8 @@ def box_output_state(theta: float, *, pairing: str = "independent") -> DensityOp
     The input is |01> with the first register rotated by ``theta``, i.e.
     (cos(theta)|0> + sin(theta)|1>) tensor |1>.
     """
-    u = tensor(rotation(theta), identity(2))
-    inp = apply(u, basis_ket("01"))
-    return pr_extend(HybridState.from_ket(inp), pairing=pairing).to_density()
+    psi = rotated_inputs([rotation(theta)])
+    return DensityOperator(pr_extend_density(psi, pairing=pairing)[0])
 
 
 def bob_state(theta: float) -> DensityOperator:

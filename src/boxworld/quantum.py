@@ -21,6 +21,7 @@ __all__ = [
     "Ket",
     "Unitary",
     "DensityOperator",
+    "check_densities",
     "basis_ket",
     "plus_ket",
     "minus_ket",
@@ -31,6 +32,7 @@ __all__ = [
     "density_from_mixture",
     "partial_trace",
     "trace_distance",
+    "trace_distances",
     "helstrom",
     "measure_probs",
     "dumps_density_csv",
@@ -118,22 +120,34 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = _frozen_complex(self.matrix, 2)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"density operator must be square, got shape {m.shape}")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > HERMITICITY_ATOL:
-            raise ValueError(f"not Hermitian (deviation {herm:.3g})")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace is {tr:.15g}, not 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {lo:.3g}")
+        check_densities(m)
         object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def check_densities(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of ``m`` is a density operator.
+
+    ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
+    stack is checked in one pass: Hermitian within HERMITICITY_ATOL, unit
+    trace within TRACE_ATOL, no eigenvalue below EIGENVALUE_FLOOR. The
+    message names the worst matrix's deviation.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density operator must be square, got shape {m.shape}")
+    herm = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))
+    if herm > HERMITICITY_ATOL:
+        raise ValueError(f"not Hermitian (deviation {herm:.3g})")
+    tr = np.trace(m, axis1=-2, axis2=-1).ravel()
+    worst = tr[np.argmax(np.abs(tr - 1.0))]
+    if abs(worst - 1.0) > TRACE_ATOL:
+        raise ValueError(f"trace is {worst:.15g}, not 1")
+    lo = float(np.linalg.eigvalsh(m).min())
+    if lo < EIGENVALUE_FLOOR:
+        raise ValueError(f"negative eigenvalue {lo:.3g}")
 
 
 def basis_ket(label: str) -> Ket:
@@ -238,8 +252,16 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Half the sum of absolute eigenvalues of rho - sigma; in [0, 1]."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    diff = rho.matrix - sigma.matrix
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return float(trace_distances(rho.matrix, sigma.matrix))
+
+
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace distance between matching Hermitian matrices of two stacks.
+
+    Shapes broadcast over the leading axes, (..., d, d); the result has
+    shape (...).
+    """
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
 def helstrom(

@@ -3,12 +3,60 @@ import math
 import numpy as np
 import pytest
 
-from boxworld.audit import audit_dynamics, effective_box
-from boxworld.boxes import check_no_signaling
-from boxworld.hybrid import bob_state
-from boxworld.quantum import trace_distance
+from boxworld.audit import SWEEP_CHUNK, audit_dynamics, audit_sweep, effective_box
+from boxworld.boxes import ConditionalBox, check_no_signaling
+from boxworld.cli import main
+from boxworld.hybrid import HybridState, bob_state, pr_extend
+from boxworld.quantum import (
+    Unitary,
+    apply,
+    basis_ket,
+    identity,
+    measure_probs,
+    minus_ket,
+    partial_trace,
+    plus_ket,
+    rotation,
+    tensor,
+    trace_distance,
+)
 
 QUARTER = math.pi / 4
+
+
+def _oracle_joint(theta, unitary_family=rotation):
+    """Joint output density by branch expansion of the rotated input."""
+    inp = apply(tensor(unitary_family(theta), identity(2)), basis_ket("01"))
+    return pr_extend(HybridState.from_ket(inp)).to_density()
+
+
+def _oracle_box(theta, unitary_family=rotation):
+    """The effective box measured basis ket by basis ket on branch-expanded densities."""
+    joint = {0: _oracle_joint(0.0, unitary_family), 1: _oracle_joint(theta, unitary_family)}
+    z_basis = (basis_ket("0"), basis_ket("1"))
+    bob_bases = {0: z_basis, 1: (plus_ket(), minus_ket())}
+    table = np.zeros((2, 2, 2, 2))
+    for x in (0, 1):
+        for y in (0, 1):
+            full_basis = [tensor(ka, kb) for ka in z_basis for kb in bob_bases[y]]
+            table[:, :, x, y] = measure_probs(joint[x], full_basis).reshape(2, 2)
+    return ConditionalBox(table)
+
+
+def _oracle_shift(theta, unitary_family=rotation):
+    bob = [
+        partial_trace(_oracle_joint(t, unitary_family), keep=1, dims=(2, 2)) for t in (theta, 0.0)
+    ]
+    return trace_distance(*bob)
+
+
+ORACLE_ANGLES = tuple(np.random.default_rng(7).uniform(-4.0, 4.0, 36)) + (
+    0.0,
+    math.pi / 2,
+    -math.pi / 2,
+    math.pi,
+    QUARTER,
+)
 
 
 class TestEffectiveBox:
@@ -26,6 +74,10 @@ class TestEffectiveBox:
         report = check_no_signaling(effective_box(0.0), tol=1e-12)
         assert report.a_to_b_violation == 0.0
         assert report.b_to_a_violation <= 1e-14
+
+    def test_signaling_verdict_uses_the_tolerance(self):
+        assert not check_no_signaling(effective_box(0.0)).signaling
+        assert check_no_signaling(effective_box(QUARTER)).signaling
 
     def test_z_measurement_never_sees_the_rotation(self):
         box = effective_box(1.1)
@@ -52,6 +104,12 @@ class TestAuditDynamics:
         assert report.positivity_ok and report.normalization_ok
         assert report.a_to_b_violation == pytest.approx(0.25, abs=1e-10)
         assert report.valid_but_signaling
+
+    def test_half_turn_residue_is_not_signaling(self):
+        report = audit_dynamics(math.pi)
+        assert 0.0 < report.a_to_b_violation <= 1e-15
+        assert report.tol == 1e-9
+        assert not report.valid_but_signaling
 
     def test_intermediate_angle_closed_form(self):
         report = audit_dynamics(0.3)
@@ -83,3 +141,67 @@ class TestAuditDynamics:
         assert doubled.a_to_b_violation == pytest.approx(math.sin(4 * theta) / 4, abs=1e-10)
         default = audit_dynamics(theta, unitary_family=rotation)
         assert default.a_to_b_violation == pytest.approx(math.sin(2 * theta) / 4, abs=1e-10)
+
+
+class TestSweepAgainstBranchExpansion:
+    """The closed-form sweep against the branch-by-branch construction."""
+
+    @staticmethod
+    def _assert_matches(reports, thetas, unitary_family=rotation):
+        assert [r.theta for r in reports] == [float(t) for t in thetas]
+        for rep in reports:
+            box = _oracle_box(rep.theta, unitary_family)
+            oracle = check_no_signaling(box)
+            np.testing.assert_allclose(
+                effective_box(rep.theta, unitary_family).table, box.table, rtol=0, atol=1e-15
+            )
+            assert abs(rep.a_to_b_violation - oracle.a_to_b_violation) <= 1e-15
+            assert abs(rep.b_to_a_violation - oracle.b_to_a_violation) <= 1e-15
+            assert rep.worst_setting == oracle.worst_settings
+            assert abs(rep.marginal_shift - _oracle_shift(rep.theta, unitary_family)) <= 1e-15
+            assert rep.positivity_ok and rep.normalization_ok
+
+    def test_default_rotation_across_chunks(self):
+        thetas = ORACLE_ANGLES
+        assert len(thetas) > SWEEP_CHUNK
+        self._assert_matches(list(audit_sweep(thetas)), thetas)
+
+    def test_other_unitary_family(self):
+        def family(t):  # a rotation about a tilted axis: complex amplitudes
+            c, s = math.cos(t), math.sin(t)
+            return Unitary(np.array([[c, -s * np.exp(-0.7j)], [s * np.exp(0.7j), c]]))
+
+        thetas = ORACLE_ANGLES[:10]
+        self._assert_matches(list(audit_sweep(thetas, unitary_family=family)), thetas, family)
+
+    def test_family_is_called_once_per_angle(self):
+        calls = []
+
+        def family(t):
+            calls.append(t)
+            return rotation(t)
+
+        list(audit_sweep([0.1, 0.2, 0.3], unitary_family=family))
+        assert sorted(calls) == [0.0, 0.1, 0.2, 0.3]
+
+    def test_family_must_give_a_qubit_unitary(self):
+        with pytest.raises(TypeError):
+            audit_dynamics(0.1, unitary_family=lambda t: np.eye(2))
+        with pytest.raises(ValueError):
+            audit_dynamics(0.1, unitary_family=lambda t: identity(4))
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    def test_cli_rows_match_oracle_rows(self, command, capsys):
+        assert main([command, "--theta-min", "-3.2", "--theta-max", "3.2", "--steps", "21"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 21
+        for row in rows:
+            theta = float(row[0])
+            oracle = check_no_signaling(_oracle_box(theta))
+            if command == "scan":
+                expected = [theta, _oracle_shift(theta), oracle.b_to_a_violation]
+            else:
+                assert row[1:3] == ["true", "true"]
+                row = [row[0], *row[3:]]
+                expected = [theta, oracle.a_to_b_violation, oracle.b_to_a_violation]
+            np.testing.assert_allclose([float(v) for v in row], expected, rtol=0, atol=1e-15)

@@ -223,6 +223,14 @@ class TestParse:
         assert code == 1
         assert "needs an angle" in err
 
+    @pytest.mark.parametrize(
+        "expr", ["1/sqrt(0) |0>", "(" * 300 + "|0>" + ")" * 300, "(" * 1000 + "|0>" + ")" * 1000]
+    )
+    def test_rejected_with_one_error_line(self, capsys, expr):
+        code, _, err = run(capsys, "parse", "--expr", expr)
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestOutputOptions:
     def test_output_file(self, capsys, tmp_path):
@@ -235,3 +243,9 @@ class TestOutputOptions:
     def test_digits(self, capsys):
         _, out, _ = run(capsys, "--digits", "3", "signal", "--theta", "0.1")
         assert "a->b violation = 0.0497" in out
+
+    @pytest.mark.parametrize("digits", ["-1", "0", "x"])
+    def test_digits_must_be_positive(self, capsys, digits):
+        code, out, err = run(capsys, "--digits", digits, "chsh")
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument --digits: expected a positive integer")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxworld.dsl import ParseError, format, parse, tokenize
+from boxworld.dsl import MAX_NESTING, ParseError, format, parse, tokenize
 from boxworld.hybrid import (
     BasisKet,
     CoherentSum,
@@ -148,6 +148,14 @@ class TestParse:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse("1/0 |0>")
+
+    def test_nesting_limit(self):
+        at_limit = "2 (" * MAX_NESTING + "|0> + |1>" + ")" * MAX_NESTING
+        assert format(parse(at_limit)) == at_limit
+        for depth in (MAX_NESTING + 1, 1000):
+            with pytest.raises(ParseError) as err:
+                parse("(" * depth + "|0>" + ")" * depth)
+            assert err.value.offset == MAX_NESTING
 
 
 class TestFormat:

@@ -20,6 +20,8 @@ from boxworld.hybrid import (
     dumps,
     loads,
     pr_extend,
+    pr_extend_density,
+    rotated_inputs,
     signaling_witness,
 )
 from boxworld.quantum import (
@@ -36,6 +38,7 @@ from boxworld.quantum import (
 )
 
 K00, K01, K10, K11 = (BasisKet(s) for s in ("00", "01", "10", "11"))
+QUARTER_TURN = math.pi / 4
 
 EQUAL_MIXTURE = Scaled(Scalar("frac", 1, 2), IncoherentSum((K00, K11)))
 SUPERPOSED_MIXTURE = CoherentSum(
@@ -107,6 +110,10 @@ class TestDistribute:
     def test_symbol_without_theta(self):
         with pytest.raises(ExpressionError):
             distribute(Scaled(SYM_C, BasisKet("0")))
+
+    def test_inverse_square_root_of_zero(self):
+        with pytest.raises(ExpressionError):
+            distribute(Scaled(Scalar("invsqrt", 0), BasisKet("0")))
 
     def test_unknown_symbol(self):
         with pytest.raises(ExpressionError):
@@ -212,6 +219,46 @@ class TestPrExtend:
         )
         with pytest.raises(BranchLimitError):
             pr_extend(both_sides, max_branches=8)
+
+
+class TestPrExtendDensity:
+    """The closed form against the branch expansion of :func:`pr_extend`."""
+
+    @staticmethod
+    def _random_inputs(rng, n):
+        psi = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+        psi[rng.random(size=(n, 4)) < 0.3] = 0.0  # some components absent
+        psi[np.all(psi == 0, axis=1), 0] = 1.0
+        return psi
+
+    @pytest.mark.parametrize("pairing", ["independent", "correlated"])
+    def test_matches_branch_expansion(self, pairing):
+        rng = np.random.default_rng(11)
+        thetas = list(rng.uniform(-4.0, 4.0, 20)) + [0.0, math.pi / 2, -math.pi / 2, math.pi]
+        psi = np.vstack(
+            [self._random_inputs(rng, 40), rotated_inputs([rotation(t) for t in thetas])]
+        )
+        rho = pr_extend_density(psi, pairing=pairing)
+        assert rho.shape == (len(psi), 4, 4)
+        for row, got in zip(psi, rho):
+            state = HybridState.from_ket(Ket(row))
+            expected = pr_extend(state, pairing=pairing, max_branches=32).to_density()
+            np.testing.assert_allclose(got, expected.matrix, rtol=0, atol=1e-15)
+
+    def test_box_output_state_is_bit_identical_to_expansion(self):
+        for theta in (0.0, 0.3, QUARTER_TURN, math.pi / 2, math.pi, -1.9):
+            expected = pr_extend(_rotated_input(theta)).to_density().matrix
+            assert np.array_equal(box_output_state(theta).matrix, expected)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ExpressionError):
+            pr_extend_density(np.ones((3, 2)))
+        with pytest.raises(ExpressionError):
+            pr_extend_density(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
+        with pytest.raises(ValueError):
+            pr_extend_density(np.array([[np.nan, 0, 0, 0]]))
+        with pytest.raises(ValueError):
+            pr_extend_density(np.eye(4), pairing="both")
 
 
 class TestBobState:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boxworld.quantum import (
+    check_densities,
     DensityOperator,
     Ket,
     Unitary,
@@ -279,6 +280,17 @@ class TestTypesValidation:
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             DensityOperator(np.diag([1.1, -0.1]))
+
+    def test_stack_check_finds_the_bad_matrix(self):
+        good = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
+        check_densities(good)
+        for bad, message in (
+            (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
+            (np.eye(2) * 0.6, "trace is 1.2"),
+            (np.diag([1.1, -0.1]), "negative eigenvalue"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check_densities(np.concatenate([good, bad[None]]))
 
     def test_ket_rejects_non_finite(self):
         with pytest.raises(ValueError):
