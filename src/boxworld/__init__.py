@@ -10,6 +10,7 @@ from .boxes import (
     BoxFormatError,
     BoxValidationError,
     ConditionalBox,
+    LocalityLPError,
     NoSignalingReport,
     Relabeling,
     check_no_signaling,

@@ -20,12 +20,12 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 __all__ = [
     "DEFAULT_TOL",
     "BoxValidationError",
     "BoxFormatError",
+    "LocalityLPError",
     "ConditionalBox",
     "NoSignalingReport",
     "Relabeling",
@@ -49,6 +49,10 @@ class BoxValidationError(ValueError):
 
 class BoxFormatError(ValueError):
     """Box CSV text does not conform to the ``A,B,a,b,p`` layout."""
+
+
+class LocalityLPError(RuntimeError):
+    """The locality LP solver stopped without an optimum, so no verdict exists."""
 
 
 @dataclass(frozen=True)
@@ -297,10 +301,13 @@ def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.nd
     Solves the LP minimizing the worst entrywise deviation t between the box
     and a convex combination of the 16 deterministic boxes. The box is local
     iff the optimum satisfies t <= tol. Weights follow the fixed vertex
-    ordering of :func:`deterministic_vertices`.
+    ordering of :func:`deterministic_vertices`. Raises
+    :class:`LocalityLPError` when the solver reports no optimum.
     """
     if box.table.shape != (2, 2, 2, 2):
         raise ValueError(f"locality LP needs a binary 2x2x2x2 box, got shape {box.table.shape}")
+    from scipy.optimize import linprog  # only here, so the package loads without scipy
+
     p = box.table.reshape(16)
     verts = deterministic_vertices()  # (16 vertices, 16 entries)
 
@@ -322,7 +329,7 @@ def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.nd
         method="highs",
     )
     if not res.success:
-        return False, None
+        raise LocalityLPError(f"locality LP failed (status {res.status}): {res.message}")
     if res.x[16] > tol:
         return False, None
     return True, np.array(res.x[:16])

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (including an audit that *finds* signaling, since
 the finding is the product), 2 when a verification fails (a box breaks
-its invariants or signals), 1 for usage errors (bad flags, malformed
-box CSV, unparseable expressions).
+its invariants or signals, or an angle carries no signal to repeat), 1
+for usage errors (bad flags, malformed box CSV, unparseable expressions,
+out-of-range values) and for a locality LP the solver could not finish.
 
 Angles are radians unless --degrees is given. Numeric output uses 17
 significant digits unless --digits overrides. The default Monte Carlo
@@ -13,10 +14,13 @@ seed comes from the BOXWORLD_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -61,14 +65,35 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _theta_grid(args) -> np.ndarray:
+def _theta_grid(args) -> Iterator[float]:
+    """The angles of ``np.linspace(theta_min, theta_max, steps)``, made lazily.
+
+    The flags are checked at the call. The angles then come in pieces of
+    ``audit.SWEEP_CHUNK``, each computed with linspace's own arithmetic
+    (``i * step + lo``, the last point set to ``hi``), so they are
+    bit-identical to linspace while memory stays bounded for any --steps.
+    """
     if args.steps < 1:
         raise _UsageError("--steps must be at least 1")
-    if args.steps == 1:
-        return np.array([_angle(args.theta_min, args.degrees)])
-    return np.linspace(
-        _angle(args.theta_min, args.degrees), _angle(args.theta_max, args.degrees), args.steps
-    )
+    lo = _angle(args.theta_min, args.degrees)
+    hi = _angle(args.theta_max, args.degrees)
+    return itertools.chain.from_iterable(_linspace_pieces(lo, hi, args.steps))
+
+
+def _linspace_pieces(lo: float, hi: float, num: int) -> Iterator[np.ndarray]:
+    if num == 1:
+        yield np.array([lo])
+        return
+    div = num - 1
+    delta = hi - lo
+    step = delta / div
+    for start in range(0, num, audit_mod.SWEEP_CHUNK):
+        i = np.arange(start, min(start + audit_mod.SWEEP_CHUNK, num), dtype=float)
+        # linspace divides first when the step underflows to zero (denormal spans)
+        piece = (i * step if step != 0 else i / div * delta) + lo
+        if start + len(piece) == num:
+            piece[-1] = hi
+        yield piece
 
 
 def _default_seed() -> int:
@@ -91,7 +116,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` keeps no state in it."""
     parser = _ArgumentParser(prog="boxworld", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--digits", type=_positive_int, default=17, help="significant digits in output"
@@ -200,8 +227,9 @@ def cmd_signal(args, out) -> int:
 
 
 def cmd_scan(args, out) -> int:
+    thetas = _theta_grid(args)
     print("theta,ab_violation,ba_violation", file=out)
-    for rep in audit_mod.audit_sweep(_theta_grid(args)):
+    for rep in audit_mod.audit_sweep(thetas):
         print(
             f"{_fmt(rep.theta, args.digits)},{_fmt(rep.marginal_shift, args.digits)},"
             f"{_fmt(rep.b_to_a_violation, args.digits)}",
@@ -254,15 +282,16 @@ def cmd_audit(args, out) -> int:
 def cmd_parse(args, out) -> int:
     expr = dsl.parse(args.expr)
     theta = _angle(args.theta, args.degrees) if args.theta is not None else None
-    print(f"canonical: {dsl.format(expr)}", file=out)
     state = hybrid.distribute(expr, theta)
+    rho = state.to_density() if args.dump_rho else None
+    print(f"canonical: {dsl.format(expr)}", file=out)
     print(f"branches ({len(state.branches)}):", file=out)
     out.write(hybrid.dumps(state, digits=args.digits))
-    if args.dump_rho:
+    if rho is not None:
         from .quantum import dumps_density_csv
 
         print("rho:", file=out)
-        out.write(dumps_density_csv(state.to_density(), digits=args.digits))
+        out.write(dumps_density_csv(rho, digits=args.digits))
     return 0
 
 
@@ -279,18 +308,25 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help and friends
-        return int(exc.code or 0)
+# Exit code of each error a command may raise; the first match wins, so
+# the exit-2 verification errors come before ValueError, their base class.
+_EXIT_CODES = (
+    (boxes.BoxValidationError, 2),
+    (protocol.ZeroSignalError, 2),
+    (_UsageError, 1),
+    (boxes.LocalityLPError, 1),
+    (ValueError, 1),  # BoxFormatError, ParseError, ExpressionError, bad values
+)
+_HANDLED = tuple(kind for kind, _ in _EXIT_CODES)
 
+
+def main(argv=None) -> int:
     handle = None
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help and friends
+            return int(exc.code or 0)
         out = sys.stdout
         if args.output is not None:
             try:
@@ -299,18 +335,9 @@ def main(argv=None) -> int:
                 raise _UsageError(f"cannot open output file: {exc}") from exc
             out = handle
         return _COMMANDS[args.command](args, out)
-    except _UsageError as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (boxes.BoxFormatError, dsl.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (boxes.BoxValidationError, protocol.ZeroSignalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, hybrid.ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     finally:
         if handle is not None:
             handle.close()

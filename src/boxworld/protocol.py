@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "DEFAULT_MAX_COPIES",
@@ -79,6 +78,8 @@ def copy_distance(cs: float, n: int) -> float:
         for k in range(n + 1):
             total += math.comb(n, k) * abs(lam_p**k * lam_m ** (n - k) - 0.5**n)
         return 0.5 * total
+    from scipy.special import gammaln  # only here, so the package loads without scipy
+
     k = np.arange(n + 1, dtype=float)
     logc = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
     signal = np.exp(logc + k * math.log(lam_p) + (n - k) * math.log(lam_m))
@@ -177,10 +178,14 @@ def simulate(theta: float, n: int, shots: int, seed: int) -> ProtocolResult:
     Per shot: Alice's bit is uniform; Bob samples the n-fold |+>/|->
     statistics of the matching marginal and thresholds the count. The
     contract is that identical (seed, shots, n, theta) give an identical
-    result no matter how the fixed-size chunks are evaluated.
+    result no matter how the fixed-size chunks are evaluated. ``n`` may
+    not exceed ``MIN_ROUNDS_MAX_COPIES``, the largest n that
+    :func:`min_rounds` returns.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n > MIN_ROUNDS_MAX_COPIES:
+        raise ValueError(f"n = {n} exceeds the cap of {MIN_ROUNDS_MAX_COPIES} copies")
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     if not 0 <= seed < 2**64:

@@ -7,6 +7,7 @@ from boxworld.boxes import (
     BoxFormatError,
     BoxValidationError,
     ConditionalBox,
+    LocalityLPError,
     Relabeling,
     check_no_signaling,
     chsh_value,
@@ -280,6 +281,18 @@ class TestIsLocal:
         _, w1 = is_local(uniform_box())
         _, w2 = is_local(uniform_box())
         assert np.array_equal(w1, w2)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        import scipy.optimize
+
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                success=False, status=4, message="Numerical difficulties encountered", x=None
+            )
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        with pytest.raises(LocalityLPError, match="status 4.*Numerical difficulties"):
+            is_local(uniform_box())
 
     def test_vertex_ordering(self):
         # Vertex 0: all outputs 0. Vertex 15: all outputs 1.

@@ -1,7 +1,16 @@
+import argparse
+import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import boxworld
+from boxworld import audit, cli, protocol
 from boxworld.audit import effective_box
 from boxworld.boxes import dumps_csv, pr_box
 from boxworld.cli import main
@@ -232,6 +241,15 @@ class TestParse:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+    @pytest.mark.parametrize(
+        "argv", [("--expr", "1/sqrt(0) |0>"), ("--expr", "c|0>"), ("--expr", "0 |0>", "--dump-rho")]
+    )
+    def test_rejected_expression_prints_nothing(self, capsys, argv):
+        code, out, err = run(capsys, "parse", *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 class TestOutputOptions:
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "out.txt"
@@ -249,3 +267,146 @@ class TestOutputOptions:
         code, out, err = run(capsys, "--digits", digits, "chsh")
         assert code == 1 and out == ""
         assert err.startswith("error: argument --digits: expected a positive integer")
+
+
+class TestErrorExits:
+    def test_lp_failure_is_one_error_line(self, capsys, monkeypatch):
+        import scipy.optimize
+
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(success=False, status=4, message="stalled", x=None)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        code, out, err = run(capsys, "local", "--box", "uniform")
+        assert code == 1 and out == ""
+        assert err == "error: locality LP failed (status 4): stalled\n"
+
+    @pytest.mark.parametrize("command", ["verify", "chsh", "local"])
+    def test_invalid_box_exits_two(self, capsys, tmp_path, command):
+        # BoxValidationError is a ValueError, which alone would give exit 1.
+        text = dumps_csv(pr_box()).replace("0,0,0,0,0.5\n", "0,0,0,0,0.75\n")
+        path = tmp_path / "neg.csv"
+        path.write_text(text.replace("0,0,0,1,0\n", "0,0,0,1,-0.25\n"))
+        code, out, err = run(capsys, command, "--box", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: negative probability")
+
+    def test_simulate_copy_cap(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(protocol, "_chunk_correct", no_work)
+        monkeypatch.setattr(protocol, "copy_distance", no_work)
+        code, out, err = run(
+            capsys, "simulate", "--theta", "0.3", "--n", str(10**10), "--shots", "10", "--seed", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: n = {10**10} exceeds the cap of {protocol.MIN_ROUNDS_MAX_COPIES} copies\n"
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    def test_bad_steps_prints_nothing(self, capsys, command):
+        code, out, err = run(capsys, command, "--theta-min", "0", "--theta-max", "1", "--steps", "0")
+        assert code == 1 and out == ""
+        assert err == "error: --steps must be at least 1\n"
+
+
+def _grid_args(lo, hi, steps, degrees=False):
+    return argparse.Namespace(theta_min=lo, theta_max=hi, steps=steps, degrees=degrees)
+
+
+class TestThetaGrid:
+    def test_bit_identical_to_linspace(self):
+        rng = np.random.default_rng(5)
+        ranges = [(0.0, 1.5707963), (0.0, math.pi), (1.0, -2.0), (0.3, 0.3), (0.0, 5e-324)]
+        ranges += [tuple(rng.uniform(-4.0, 4.0, size=2)) for _ in range(4)]
+        for steps in range(1, 201):
+            for lo, hi in ranges:
+                got = np.fromiter(cli._theta_grid(_grid_args(lo, hi, steps)), dtype=float)
+                assert got.tobytes() == np.linspace(lo, hi, steps).tobytes(), (lo, hi, steps)
+            lo_deg, hi_deg = -170.25, 95.5
+            got = np.fromiter(cli._theta_grid(_grid_args(lo_deg, hi_deg, steps, True)), dtype=float)
+            want = np.linspace(math.radians(lo_deg), math.radians(hi_deg), steps)
+            assert got.tobytes() == want.tobytes(), steps
+
+    def test_huge_grid_streams(self, monkeypatch):
+        def materialised(*args, **kwargs):
+            raise AssertionError("the whole grid was built")
+
+        monkeypatch.setattr(np, "linspace", materialised)
+        steps = 10**10
+        first = list(itertools.islice(cli._theta_grid(_grid_args(0.0, 1.0, steps)), 3))
+        assert first == [0.0, 1.0 / (steps - 1), 2.0 / (steps - 1)]
+        reports = audit.audit_sweep(cli._theta_grid(_grid_args(0.0, 1.0, steps)))
+        rows = list(itertools.islice(reports, audit.SWEEP_CHUNK + 2))
+        assert [r.theta for r in rows[-2:]] == [
+            (audit.SWEEP_CHUNK + i) * (1.0 / (steps - 1)) for i in range(2)
+        ]
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["verify", "--frobnicate"],
+        ["audit", "--theta", "0.3"],
+        ["--digits", "5", "signal", "--theta", "0.1"],
+        ["signal", "--theta", "0.1"],
+        ["--output", "OUT", "chsh", "--box", "pr"],
+        ["chsh", "--box", "uniform"],
+        ["--digits", "-1", "chsh"],
+        ["repeat", "--theta", "0", "--target", "0.9"],
+        ["scan", "--theta-min", "0", "--theta-max", "1", "--steps", "3", "--degrees"],
+        ["scan", "--theta-min", "0", "--theta-max", "1", "--steps", "3"],
+        ["--help"],
+        ["parse", "--expr", "c|0>", "--theta", "0.2"],
+        ["parse", "--expr", "|0>"],
+    ]
+
+    def _calls(self, capsys, tmp_path, fresh):
+        results = []
+        for i, argv in enumerate(self.ARGVS):
+            argv = [str(tmp_path / f"out{i}.txt") if a == "OUT" else a for a in argv]
+            if fresh:
+                cli.build_parser.cache_clear()
+            code, out, err = run(capsys, *argv)
+            written = [p.read_text() for p in sorted(tmp_path.iterdir())]
+            results.append((code, out, err, written))
+        return results
+
+    def test_one_process_matches_fresh_parsers(self, capsys, tmp_path):
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "reused").mkdir()
+        fresh = self._calls(capsys, tmp_path / "fresh", fresh=True)
+        reused = self._calls(capsys, tmp_path / "reused", fresh=False)
+        assert reused == fresh
+        assert [r[0] for r in reused] == [1, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0]
+        assert cli.build_parser() is cli.build_parser()
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(boxworld.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestColdImport:
+    def test_package_and_cli_import_no_scipy(self):
+        proc = _fresh_python(
+            "import sys, boxworld, boxworld.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_scipy_users_work_in_a_fresh_interpreter(self, capsys):
+        proc = _fresh_python(
+            "import sys\n"
+            "from boxworld import cli, protocol\n"
+            "code = cli.main(['local', '--box', 'uniform'])\n"
+            "print(repr(protocol.copy_distance(0.3, 500)))\n"
+            "sys.exit(code)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, local_out, _ = run(capsys, "local", "--box", "uniform")
+        assert proc.stdout == local_out + repr(protocol.copy_distance(0.3, 500)) + "\n"
+        assert proc.stdout.startswith("local: true\nweights: ")

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+from boxworld import protocol
 from boxworld.hybrid import bob_state
 from boxworld.protocol import (
     CHUNK_SHOTS,
+    MIN_ROUNDS_MAX_COPIES,
     ZeroSignalError,
     _chunk_correct,
     copy_distance,
@@ -192,6 +194,21 @@ class TestSimulate:
             simulate(QUARTER, 1, 10, -1)
         with pytest.raises(ValueError):
             simulate(QUARTER, 1, 10, 2**64)
+
+    def test_copy_cap_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before n was checked")
+
+        # Both would otherwise run: copy_distance would allocate n + 1 floats.
+        monkeypatch.setattr(protocol, "_chunk_correct", no_work)
+        monkeypatch.setattr(protocol, "copy_distance", no_work)
+        for n in (MIN_ROUNDS_MAX_COPIES + 1, 10**10):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                simulate(QUARTER, n, 10, 1)
+
+    def test_copy_cap_is_inclusive(self):
+        result = simulate(QUARTER, MIN_ROUNDS_MAX_COPIES, 10, 1)
+        assert result.n == MIN_ROUNDS_MAX_COPIES and result.exact_success == pytest.approx(1.0)
 
 
 def test_copy_distance_independent_of_cs_sign():
