@@ -332,7 +332,7 @@ def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.nd
         raise LocalityLPError(f"locality LP failed (status {res.status}): {res.message}")
     if res.x[16] > tol:
         return False, None
-    return True, np.array(res.x[:16])
+    return True, res.x[:16] + 0.0  # + 0.0 turns HiGHS's signed zeros into 0.0
 
 
 def dumps_csv(box: ConditionalBox, digits: int = 17) -> str:

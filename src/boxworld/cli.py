@@ -77,6 +77,8 @@ def _theta_grid(args) -> Iterator[float]:
         raise _UsageError("--steps must be at least 1")
     lo = _angle(args.theta_min, args.degrees)
     hi = _angle(args.theta_max, args.degrees)
+    if args.steps > 1 and not math.isfinite(hi - lo):
+        raise _UsageError("--theta-max minus --theta-min overflows a float")
     return itertools.chain.from_iterable(_linspace_pieces(lo, hi, args.steps))
 
 
@@ -116,6 +118,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a tolerance >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: ``parse_args`` keeps no state in it."""
@@ -127,27 +146,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_theta(p, required=True):
-        p.add_argument("--theta", type=float, required=required, help="angle (radians)")
+        p.add_argument("--theta", type=_finite_float, required=required, help="angle (radians)")
         p.add_argument("--degrees", action="store_true", help="interpret angles as degrees")
 
     p = sub.add_parser("verify", help="box invariants and the marginal-independence check")
     p.add_argument("--box", default="pr", help="builtin name (pr, uniform) or CSV path")
-    p.add_argument("--tol", type=float, default=boxes.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=boxes.DEFAULT_TOL)
 
     p = sub.add_parser("chsh", help="CHSH functional of a binary box")
     p.add_argument("--box", default="pr")
-    p.add_argument("--tol", type=float, default=boxes.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=boxes.DEFAULT_TOL)
 
     p = sub.add_parser("local", help="local-polytope membership by LP")
     p.add_argument("--box", default="pr")
-    p.add_argument("--tol", type=float, default=boxes.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=boxes.DEFAULT_TOL)
 
     p = sub.add_parser("signal", help="marginal shift and witness basis at one angle")
     add_theta(p)
 
     p = sub.add_parser("scan", help="sweep angles; CSV of signaling magnitudes")
-    p.add_argument("--theta-min", type=float, required=True)
-    p.add_argument("--theta-max", type=float, required=True)
+    p.add_argument("--theta-min", type=_finite_float, required=True)
+    p.add_argument("--theta-max", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--degrees", action="store_true")
 
@@ -163,15 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")
 
     p = sub.add_parser("audit", help="positivity/normalization/signaling of the effective box")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--theta-min", type=float, default=None)
-    p.add_argument("--theta-max", type=float, default=None)
+    p.add_argument("--theta", type=_finite_float, default=None)
+    p.add_argument("--theta-min", type=_finite_float, default=None)
+    p.add_argument("--theta-max", type=_finite_float, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.add_argument("--degrees", action="store_true")
 
     p = sub.add_parser("parse", help="parse a state expression and evaluate it")
     p.add_argument("--expr", required=True)
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--theta", type=_finite_float, default=None)
     p.add_argument("--degrees", action="store_true")
     p.add_argument("--dump-rho", action="store_true", help="emit the density operator as CSV")
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -303,11 +304,103 @@ class TestErrorExits:
         assert code == 1 and out == ""
         assert err == f"error: n = {10**10} exceeds the cap of {protocol.MIN_ROUNDS_MAX_COPIES} copies\n"
 
+    def test_repeat_max_n_ceiling(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("copy_distance ran before --max-n was checked")
+
+        monkeypatch.setattr(protocol, "copy_distance", no_work)
+        for max_n in (str(10**10), str(protocol.MIN_ROUNDS_MAX_COPIES + 1), "0"):
+            code, out, err = run(
+                capsys, "repeat", "--theta", "1e-6", "--target", "0.99", "--max-n", max_n
+            )
+            assert code == 1 and out == ""
+            assert err == f"error: max_n must lie in [1, 1000000], got {max_n}\n"
+
+    def test_simulate_shot_ceiling(self, capsys, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("simulation started")
+
+        monkeypatch.setattr(protocol, "_chunk_correct", no_work)
+        monkeypatch.setattr(protocol, "copy_distance", no_work)
+        shots = protocol.MAX_SHOTS + 1
+        code, out, err = run(
+            capsys, "simulate", "--theta", "0.3", "--n", "5", "--shots", str(shots), "--seed", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: shots = {shots} exceeds the cap of {protocol.MAX_SHOTS}\n"
+
     @pytest.mark.parametrize("command", ["scan", "audit"])
     def test_bad_steps_prints_nothing(self, capsys, command):
         code, out, err = run(capsys, command, "--theta-min", "0", "--theta-max", "1", "--steps", "0")
         assert code == 1 and out == ""
         assert err == "error: --steps must be at least 1\n"
+
+
+def _one_error_line(err: str, start: str) -> bool:
+    return err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("command", ["verify", "chsh", "local"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "x"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, command, tol):
+        code, out, err = run(capsys, command, "--box", "pr", f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert _one_error_line(err, "error: argument --tol: ")
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "verify", "--box", "pr", "--tol", "0")
+        assert code == 0 and out.startswith("no-signaling: OK")
+
+    ANGLE_ARGVS = [
+        ["scan", "--theta-min", "0", "--theta-max", "inf", "--steps", "3"],
+        ["scan", "--theta-min", "nan", "--theta-max", "1", "--steps", "3"],
+        ["audit", "--theta", "nan"],
+        ["audit", "--theta-min=-inf", "--theta-max", "0", "--steps", "3"],
+        ["audit", "--theta", "1e400", "--degrees"],
+        ["signal", "--theta", "inf"],
+        ["repeat", "--theta", "nan", "--target", "0.9"],
+        ["simulate", "--theta=-inf", "--n", "3", "--shots", "10"],
+        ["parse", "--expr", "c|0>", "--theta", "nan"],
+    ]
+
+    @pytest.mark.parametrize("argv", ANGLE_ARGVS, ids=lambda a: " ".join(a))
+    def test_non_finite_angles_rejected_while_parsing(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert _one_error_line(err, "error: argument --theta")
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    def test_overflowing_angle_span_rejected(self, capsys, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, command, "--theta-min=-1e308", "--theta-max=1e308", "--steps", "3"
+            )
+        assert code == 1 and out == ""
+        assert err == "error: --theta-max minus --theta-min overflows a float\n"
+        code, out, _ = run(capsys, command, "--theta-min=-1e308", "--theta-max=1e308", "--steps", "1")
+        assert code == 0 and out.splitlines()[1].startswith("-1e+308,")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--theta-min", "0", "--theta-max", "inf", "--steps", "3"],
+            ["audit", "--theta-min=-1e308", "--theta-max=1e308", "--steps", "3"],
+        ],
+    )
+    def test_fresh_interpreter_prints_one_line(self, argv):
+        proc = _fresh_python(f"import sys\nfrom boxworld import cli\nsys.exit(cli.main({argv!r}))")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert _one_error_line(proc.stderr, "error: ")
+
+    def test_local_weights_print_no_negative_zero(self, capsys):
+        code, out, _ = run(capsys, "local", "--box", "uniform")
+        assert code == 0
+        fields = out.splitlines()[1].removeprefix("weights: ").split(",")
+        assert len(fields) == 16 and not any(f.startswith("-") for f in fields)
 
 
 def _grid_args(lo, hi, steps, degrees=False):
@@ -410,3 +503,18 @@ class TestColdImport:
         _, local_out, _ = run(capsys, "local", "--box", "uniform")
         assert proc.stdout == local_out + repr(protocol.copy_distance(0.3, 500)) + "\n"
         assert proc.stdout.startswith("local: true\nweights: ")
+
+    def test_repetition_at_large_n_loads_no_scipy(self, capsys):
+        repeat = ["repeat", "--theta", "0.0081", "--target", "0.9"]
+        simulate = ["simulate", "--theta", "0.0081", "--n", "100000", "--shots", "2000", "--seed", "3"]
+        proc = _fresh_python(
+            "import sys\n"
+            "from boxworld import cli\n"
+            f"codes = [cli.main({repeat!r}), cli.main({simulate!r})]\n"
+            "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, repeat_out, _ = run(capsys, *repeat)
+        _, simulate_out, _ = run(capsys, *simulate)
+        assert proc.stdout == repeat_out + simulate_out + "[0, 0] []\n"
+        assert 50_000 < int(repeat_out.removeprefix("n = ")) < 200_000

@@ -1,14 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import binom
 
 from boxworld import protocol
 from boxworld.hybrid import bob_state
 from boxworld.protocol import (
     CHUNK_SHOTS,
+    MAX_SHOTS,
     MIN_ROUNDS_MAX_COPIES,
     ZeroSignalError,
     _chunk_correct,
@@ -214,3 +219,131 @@ class TestSimulate:
 def test_copy_distance_independent_of_cs_sign():
     for n in (1, 5, 20):
         assert copy_distance(0.3, n) == pytest.approx(copy_distance(-0.3, n), abs=1e-15)
+
+
+# The float sum and the doubling-and-bisection search that the windowed sum
+# and the bracketed search replaced, kept as references.
+def _float_sum_distance(cs: float, n: int) -> float:
+    lam_p = (1.0 + cs) / 2.0
+    lam_m = (1.0 - cs) / 2.0
+    if n <= 170:
+        total = 0.0
+        for k in range(n + 1):
+            total += math.comb(n, k) * abs(lam_p**k * lam_m ** (n - k) - 0.5**n)
+        return 0.5 * total
+    k = np.arange(n + 1, dtype=float)
+    logc = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    signal = np.exp(logc + k * math.log(lam_p) + (n - k) * math.log(lam_m))
+    flat = np.exp(logc - n * math.log(2.0))
+    return 0.5 * float(np.abs(signal - flat).sum())
+
+
+def _doubling_min_rounds(cs: float, target: float) -> int:
+    def success(n: int) -> float:
+        return 0.5 + 0.5 * _float_sum_distance(cs, n)
+
+    hi = 1
+    while success(hi) < target:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if success(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestWindowedDistance:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        x=st.floats(min_value=-0.5, max_value=0.5),
+        n=st.integers(min_value=1, max_value=200),
+    )
+    def test_relative_error_against_rational_oracle(self, x, n):
+        # cs on a 2^-40 grid keeps the rational oracle's denominators small
+        cs = round(x * 2**40) / 2**40
+        exact = float(2 * (exact_success_fraction(Fraction(cs), n) - Fraction(1, 2)))
+        assert abs(copy_distance(cs, n) - exact) <= 1e-12 * exact
+
+    def test_rational_oracle_beyond_the_window_edge(self):
+        # at n = 1000 the window leaves out about 300 counts on each side
+        for cs in (Fraction(1, 16), Fraction(3, 100)):
+            exact = float(2 * (exact_success_fraction(cs, 1000) - Fraction(1, 2)))
+            assert copy_distance(float(cs), 1000) == pytest.approx(exact, rel=1e-12)
+
+    def test_matches_float_sum_up_to_a_million_copies(self):
+        for cs in (1e-4, 1e-3, 0.01, 0.0998, 0.3, 0.5):
+            for n in (1, 2, 3, 10, 64, 170, 171, 500, 2186, 10**4, 10**5, 10**6):
+                got, ref = copy_distance(cs, n), _float_sum_distance(cs, n)
+                # The float sum's log-gamma terms drift by up to 1.2e-9 in D at
+                # n = 10^6 (against 40-digit arithmetic), so there the bound is
+                # the success column's 1e-9, i.e. 2e-9 in D.
+                assert abs(got - ref) <= (1e-9 if n <= 10**5 else 2e-9), (cs, n)
+
+    def test_far_separated_channels_round_to_one(self):
+        # n cs^2 >= 320 leaves 1 - D_n below 2 exp(-40); just below, the
+        # window sum carries its own rounding, about 1e-13 relative
+        for cs, n in ((0.5, 1280), (0.3, 10**6), (0.02, 800_000)):
+            assert copy_distance(cs, n) == 1.0
+            assert copy_distance(cs, n - 1) == pytest.approx(1.0, abs=1e-13)
+
+    def test_rejects_coherence_outside_the_disc(self):
+        for cs in (1.0, -1.5, float("nan")):
+            with pytest.raises(ValueError, match="coherence"):
+                copy_distance(cs, 3)
+
+
+class TestBracketedMinRounds:
+    def test_equals_doubling_search_on_seeded_pairs(self):
+        rng = random.Random(20261018)
+        checked = 0
+        while checked < 300:
+            goal = round(10 ** rng.uniform(0.0, 4.3))
+            theta = 0.5 * math.asin(min(2.0 * rng.uniform(0.3, 2.5) / math.sqrt(goal), 1.0))
+            theta = rng.choice((theta, -theta, math.pi / 2 - theta))
+            target = rng.uniform(0.5001, 0.9999)
+            cs = 0.5 * math.sin(2.0 * theta)
+            want = _doubling_min_rounds(cs, target)
+            below = 0.5 + 0.5 * _float_sum_distance(cs, want - 1) if want > 1 else 0.5
+            if 0.5 + 0.5 * _float_sum_distance(cs, want) - target < 1e-9 or target - below < 1e-9:
+                continue  # too close to a step for two float sums to agree on it
+            assert min_rounds(theta, target) == want, (theta, target)
+            checked += 1
+
+    def test_unreachable_target_costs_one_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(cs, n):
+            calls.append(n)
+            return copy_distance(cs, n)
+
+        monkeypatch.setattr(protocol, "copy_distance", counted)
+        with pytest.raises(ValueError, match="not reached within 100 copies"):
+            min_rounds(0.001, 0.999, max_n=100)
+        assert calls == [100]
+
+    def test_max_n_ceiling_checked_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("copy_distance ran before max_n was checked")
+
+        monkeypatch.setattr(protocol, "copy_distance", no_work)
+        for max_n in (MIN_ROUNDS_MAX_COPIES + 1, 10**10, 0, -5):
+            with pytest.raises(ValueError, match=r"max_n must lie in \[1, 1000000\]"):
+                min_rounds(1e-6, 0.99, max_n=max_n)
+
+    def test_max_n_bounds_are_inclusive(self):
+        assert min_rounds(QUARTER, 0.6, max_n=1) == 1
+        assert min_rounds(0.01, 0.99, max_n=MIN_ROUNDS_MAX_COPIES) == 216497
+
+
+def test_shot_ceiling_checked_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before shots was checked")
+
+    monkeypatch.setattr(protocol, "_chunk_correct", no_work)
+    monkeypatch.setattr(protocol, "copy_distance", no_work)
+    for shots in (MAX_SHOTS + 1, 10**12):
+        with pytest.raises(ValueError, match="exceeds the cap of 10000000"):
+            simulate(QUARTER, 1, shots, 1)
