@@ -11,7 +11,11 @@ with x: a dynamics that keeps probabilities valid while breaking the
 marginal-independence requirement.
 
 A sweep evaluates the closed-form output densities of a whole chunk of
-angles at once and reads every table of the chunk off them in one array.
+angles at once, reads every table of the chunk off them in one array, and
+checks that array in one pass: positivity and normalization with
+:func:`~boxworld.boxes.table_deviations`, signaling with
+:func:`~boxworld.boxes.no_signaling_violations`. The figures are reported,
+never raised: the audit's job is to say which property fails.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .boxes import DEFAULT_TOL, ConditionalBox, check_no_signaling
+from .boxes import DEFAULT_TOL, ConditionalBox, no_signaling_violations, table_deviations
 from .hybrid import pr_extend_density, rotated_inputs
 from .quantum import Unitary, rotation, trace_distances
 
@@ -112,8 +116,9 @@ def audit_sweep(
 
     ``unitary_family`` is called once per angle, plus once at 0 for the
     x = 0 setting. Each chunk's densities come from one closed-form call
-    and its tables from one array; each table then becomes a
-    :class:`ConditionalBox` and goes through :func:`check_no_signaling`.
+    and its tables from one array, which is checked as a whole: the
+    reports are rows of :func:`~boxworld.boxes.table_deviations` and
+    :func:`~boxworld.boxes.no_signaling_violations` on that array.
     """
     rho0 = _densities([0.0], unitary_family)[0]
     bob0 = _bob_marginals(rho0)
@@ -121,18 +126,19 @@ def audit_sweep(
     while chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:
         rho = _densities(chunk, unitary_family)
         shifts = trace_distances(_bob_marginals(rho), bob0)
-        for theta, table, shift in zip(chunk, _tables(rho0, rho), shifts):
-            box = ConditionalBox(table)
-            sums = box.table.sum(axis=(0, 1))
-            report = check_no_signaling(box, tol=tol)
+        tables = _tables(rho0, rho)
+        lowest, worst = table_deviations(tables)
+        a_to_b, b_to_a, settings = no_signaling_violations(tables)
+        rows = zip(lowest.tolist(), worst.tolist(), a_to_b.tolist(), b_to_a.tolist(), settings)
+        for theta, (low, off, ab, ba, setting), shift in zip(chunk, rows, shifts.tolist()):
             yield AuditReport(
                 theta=theta,
-                positivity_ok=bool(box.table.min() >= -POSITIVITY_ATOL),
-                normalization_ok=bool(np.max(np.abs(sums - 1.0)) <= NORMALIZATION_ATOL),
-                a_to_b_violation=report.a_to_b_violation,
-                b_to_a_violation=report.b_to_a_violation,
-                worst_setting=report.worst_settings,
-                marginal_shift=float(shift),
+                positivity_ok=low >= -POSITIVITY_ATOL,
+                normalization_ok=off <= NORMALIZATION_ATOL,
+                a_to_b_violation=ab,
+                b_to_a_violation=ba,
+                worst_setting=setting,
+                marginal_shift=shift,
                 tol=tol,
             )
 

@@ -10,6 +10,13 @@ evaluates the CHSH functional, and decides membership in the local
 
 Violation magnitudes are total-variation distances (half L1) so they sit
 on the same scale as trace distances elsewhere in the package.
+
+Validity and no-signaling are computed by two array functions,
+:func:`table_deviations` and :func:`no_signaling_violations`. Each takes
+one table or a stack of tables, shape ``(..., a, b, A, B)``, and gives
+every table of a stack exactly the figures it gets on its own;
+:class:`ConditionalBox` and :func:`check_no_signaling` are their one-table
+callers.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ __all__ = [
     "Relabeling",
     "pr_box",
     "uniform_box",
+    "table_deviations",
+    "no_signaling_violations",
     "check_no_signaling",
     "relabel",
     "chsh_value",
@@ -75,12 +84,11 @@ class ConditionalBox:
             )
         if not np.all(np.isfinite(t)):
             raise BoxValidationError("box table contains non-finite entries")
-        if t.min() < -self.tol:
+        lowest, worst = table_deviations(t)
+        if lowest < -self.tol:
             raise BoxValidationError(
-                f"negative probability {t.min():.3g} below -tol={-self.tol:.3g}"
+                f"negative probability {lowest:.3g} below -tol={-self.tol:.3g}"
             )
-        sums = t.sum(axis=(0, 1))
-        worst = np.max(np.abs(sums - 1.0))
         if worst > self.tol:
             raise BoxValidationError(
                 f"setting normalization off by {worst:.3g} (tol {self.tol:.3g})"
@@ -146,8 +154,55 @@ def uniform_box(nA_out: int = 2, nB_out: int = 2, nA_in: int = 2, nB_in: int = 2
     return ConditionalBox(t)
 
 
-def _tv(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
+def table_deviations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest entry and worst setting-normalization error of each table.
+
+    ``t`` is one table or a stack, shape ``(..., a, b, A, B)``; both results
+    have shape ``t.shape[:-4]``. The normalization error is the largest
+    ``|sum over (a, b) - 1|`` over the settings (A, B).
+    """
+    t = np.ascontiguousarray(t)
+    return t.min(axis=(-4, -3, -2, -1)), np.abs(t.sum(axis=(-4, -3)) - 1.0).max(axis=(-2, -1))
+
+
+def no_signaling_violations(
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[str, int, tuple[int, int]]]]:
+    """A-to-b and b-to-a violations and the worst setting of each table.
+
+    ``t`` is one table or a stack, shape ``(..., a, b, A, B)``. The two
+    violations have shape ``t.shape[:-4]``; the worst settings are a list
+    with one ``(direction, receiver_input, sender_input_pair)`` per table,
+    in C order of the leading axes. See :class:`NoSignalingReport`.
+    """
+    t = np.ascontiguousarray(t)
+    # Each marginal indexed [..., receiver input, sender input, outcome].
+    a_to_b, ab_at = _max_shift(t.sum(axis=-4).swapaxes(-3, -1))
+    b_to_a, ba_at = _max_shift(t.sum(axis=-3).swapaxes(-3, -1).swapaxes(-3, -2))
+    worst = [
+        ("a_to_b", *at1) if d1 >= d2 else ("b_to_a", *at2)
+        for d1, d2, at1, at2 in zip(a_to_b.ravel().tolist(), b_to_a.ravel().tolist(), ab_at, ba_at)
+    ]
+    return a_to_b, b_to_a, worst
+
+
+def _max_shift(marg: np.ndarray) -> tuple[np.ndarray, list[tuple[int, tuple[int, int]]]]:
+    """Largest total-variation gap between two sender inputs' marginals, and where.
+
+    The first maximum in receiver-major order, sender pairs in
+    :func:`itertools.combinations` order, wins; when no gap is > 0 the
+    place is receiver 0, pair (0, 0).
+    """
+    n = marg.shape[-2]
+    # With the outcome axis last and contiguous, each gap is summed in the
+    # same order as the sum of one 1-D marginal difference.
+    marg = np.ascontiguousarray(marg)
+    gaps = 0.5 * np.abs(marg[..., :, None, :] - marg[..., None, :, :]).sum(axis=-1)
+    # A C-order scan of the symmetric [receiver, i, j] gaps meets the first
+    # maximum at i < j, in the order above, or at the zero at (0, 0, 0).
+    gaps = gaps.reshape(gaps.shape[:-3] + (gaps.shape[-3] * n * n,))
+    places = [(k // (n * n), divmod(k % (n * n), n)) for k in gaps.argmax(axis=-1).ravel().tolist()]
+    return gaps.max(axis=-1), places
 
 
 def check_no_signaling(box: ConditionalBox, tol: float = DEFAULT_TOL) -> NoSignalingReport:
@@ -158,37 +213,13 @@ def check_no_signaling(box: ConditionalBox, tol: float = DEFAULT_TOL) -> NoSigna
     tolerance). A box satisfies the no-signaling condition exactly when
     both reported violations are zero.
     """
-    t = box.table
-    if t.min() < -tol or np.max(np.abs(t.sum(axis=(0, 1)) - 1.0)) > tol:
+    lowest, worst = table_deviations(box.table)
+    if lowest < -tol or worst > tol:
         raise BoxValidationError(
             "box table breaks positivity/normalization beyond the requested tolerance"
         )
-
-    # Bob's marginal for each setting: marg_b[b, A, B]; Alice's: marg_a[a, A, B].
-    marg_b = t.sum(axis=0)
-    marg_a = t.sum(axis=1)
-
-    a_to_b = 0.0
-    worst_ab = (0, (0, 0))
-    for B in range(box.nB_in):
-        for A1, A2 in itertools.combinations(range(box.nA_in), 2):
-            d = _tv(marg_b[:, A1, B], marg_b[:, A2, B])
-            if d > a_to_b:
-                a_to_b, worst_ab = d, (B, (A1, A2))
-
-    b_to_a = 0.0
-    worst_ba = (0, (0, 0))
-    for A in range(box.nA_in):
-        for B1, B2 in itertools.combinations(range(box.nB_in), 2):
-            d = _tv(marg_a[:, A, B1], marg_a[:, A, B2])
-            if d > b_to_a:
-                b_to_a, worst_ba = d, (A, (B1, B2))
-
-    if a_to_b >= b_to_a:
-        worst = ("a_to_b", worst_ab[0], worst_ab[1])
-    else:
-        worst = ("b_to_a", worst_ba[0], worst_ba[1])
-    return NoSignalingReport(a_to_b, b_to_a, worst, tol)
+    a_to_b, b_to_a, (setting,) = no_signaling_violations(box.table)
+    return NoSignalingReport(float(a_to_b), float(b_to_a), setting, tol)
 
 
 def _check_perm(perm: tuple[int, ...], size: int, what: str) -> None:

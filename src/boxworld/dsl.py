@@ -9,17 +9,19 @@ Grammar, loosest binding first::
     ket     := "|" [01]+ ">"
     scalar  := number | number "/" number | "sqrt(" number ")"
              | "1/sqrt(" number ")" | "c" | "s"
+    number  := [0-9]+ ( "." [0-9]+ )?
 
 ``(+)`` is the ASCII spelling of the mixing operator; the UTF-8 glyph
 odot is accepted as an input alias. ``+`` binds tighter than ``(+)``, so
 ``a + b (+) c + d`` groups as ``(a+b) (+) (c+d)``. A scalar must be
 followed by a ket or a parenthesized expression (there is no scalar-only
-state). Parentheses nest at most MAX_NESTING deep. All reported offsets
-are byte offsets into the input.
+state). Parentheses nest at most MAX_NESTING deep, and a number must fit
+in a float. All reported offsets are byte offsets into the input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .hybrid import (
@@ -165,22 +167,31 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+def _number(text: str, offset: int) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ParseError("number too large for a float", offset)
+    return value
+
+
 def _scalar_from_token(tok: Token) -> Scalar:
     if tok.kind == "SYMBOL_C":
         return SYM_C
     if tok.kind == "SYMBOL_S":
         return SYM_S
-    lex = tok.lexeme
+    lex, off = tok.lexeme, tok.offset  # an ASCII lexeme: its characters are bytes
     if lex.startswith("1/sqrt("):
-        return Scalar("invsqrt", float(lex[7:-1]))
+        return Scalar("invsqrt", _number(lex[7:-1], off + 7))
     if lex.startswith("sqrt("):
-        return Scalar("sqrt", float(lex[5:-1]))
+        return Scalar("sqrt", _number(lex[5:-1], off + 5))
     if "/" in lex:
         num, den = lex.split("/")
-        if float(den) == 0.0:
-            raise ParseError("fraction with zero denominator", tok.offset)
-        return Scalar("frac", float(num), float(den))
-    return Scalar("num", float(lex))
+        numerator = _number(num, off)
+        denominator = _number(den, off + len(num) + 1)
+        if denominator == 0.0:
+            raise ParseError("fraction with zero denominator", off)
+        return Scalar("frac", numerator, denominator)
+    return Scalar("num", _number(lex, off))
 
 
 class _Parser:
@@ -308,10 +319,7 @@ def _render_scalar(scalar) -> str:
     if isinstance(scalar, str) and scalar in ("c", "s"):
         return scalar
     if isinstance(scalar, (int, float)):
-        value = float(scalar)
-        if value == int(value) and abs(value) < 1e15:
-            return str(int(value))
-        return repr(value)
+        return Scalar("num", scalar).render()
     if isinstance(scalar, complex) and scalar.imag == 0.0:
         return _render_scalar(scalar.real)
     raise ValueError(f"scalar {scalar!r} has no text form in this notation")

@@ -127,9 +127,22 @@ class Scalar:
 
 
 def _render_number(x: float) -> str:
+    """Text for a number: the shortest digits that read back as ``x``, positional.
+
+    Integers below 1e15 print without a fraction; no exponent is ever
+    written, since the expression grammar has none.
+    """
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"number {x!r} has no text form in this notation")
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
-    return repr(float(x))
+    text = repr(x)
+    if "e" in text:  # repr's exponent form, for |x| >= 1e16 or < 1e-4
+        from decimal import Decimal
+
+        text = f"{Decimal(text):f}"
+    return text
 
 
 SYM_C = Scalar("c")

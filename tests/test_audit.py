@@ -126,6 +126,17 @@ class TestAuditDynamics:
         for theta in np.linspace(0.0, math.pi / 2, 17):
             assert audit_dynamics(float(theta)).b_to_a_violation <= 1e-10
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-16])
+    def test_rounding_residue_is_reported_not_raised(self, tol):
+        # Normalization is off by ~4.4e-16 at most angles; a tolerance below
+        # that still gets a report, judged by the audit's own 1e-12 limits.
+        thetas = [float(t) for t in np.linspace(0.0, math.pi, 33)] + [0.3, -math.pi / 2]
+        assert {0.0, math.pi / 2, math.pi} <= set(thetas)
+        reports = list(audit_sweep(thetas, tol=tol)) + [audit_dynamics(0.3, tol=tol)]
+        for rep in reports:
+            assert rep.positivity_ok and rep.normalization_ok and rep.tol == tol
+            assert abs(rep.a_to_b_violation - abs(math.sin(2 * rep.theta)) / 4) <= 1e-15
+
     def test_worst_setting_is_the_x_detector(self):
         direction, receiver, senders = audit_dynamics(QUARTER).worst_setting
         assert direction == "a_to_b"

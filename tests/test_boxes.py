@@ -15,8 +15,10 @@ from boxworld.boxes import (
     dumps_csv,
     is_local,
     loads_csv,
+    no_signaling_violations,
     pr_box,
     relabel,
+    table_deviations,
     uniform_box,
 )
 
@@ -136,6 +138,102 @@ class TestNoSignaling:
         rep = check_no_signaling(ConditionalBox(t))
         assert rep.a_to_b_violation == 0.0
         assert rep.b_to_a_violation == 0.0
+
+
+def _reference_no_signaling(t):
+    """The per-pair loops that computed no-signaling one box at a time."""
+
+    def tv(p, q):
+        return 0.5 * float(np.abs(p - q).sum())
+
+    marg_b = t.sum(axis=0)
+    marg_a = t.sum(axis=1)
+    a_to_b, worst_ab = 0.0, (0, (0, 0))
+    for B in range(t.shape[3]):
+        for A1, A2 in itertools.combinations(range(t.shape[2]), 2):
+            d = tv(marg_b[:, A1, B], marg_b[:, A2, B])
+            if d > a_to_b:
+                a_to_b, worst_ab = d, (B, (A1, A2))
+    b_to_a, worst_ba = 0.0, (0, (0, 0))
+    for A in range(t.shape[2]):
+        for B1, B2 in itertools.combinations(range(t.shape[3]), 2):
+            d = tv(marg_a[:, A, B1], marg_a[:, A, B2])
+            if d > b_to_a:
+                b_to_a, worst_ba = d, (A, (B1, B2))
+    if a_to_b >= b_to_a:
+        return a_to_b, b_to_a, ("a_to_b", *worst_ab)
+    return a_to_b, b_to_a, ("b_to_a", *worst_ba)
+
+
+def _table_stacks():
+    """Per shape, a stack of random, tied (two distinct entries) and constant tables."""
+    rng = np.random.default_rng(11)
+    shapes = list(itertools.product(range(1, 4), repeat=4))
+    # Nine outcomes: past the eight-element block of numpy's pairwise sum.
+    shapes += [(9, 2, 2, 3), (2, 9, 3, 2), (9, 9, 2, 2), (9, 1, 3, 3)]
+    for shape in shapes:
+        t = np.concatenate(
+            [
+                rng.random((4, *shape)),
+                rng.integers(1, 3, size=(4, *shape)).astype(float),
+                np.ones((2, *shape)),
+            ]
+        )
+        yield t / t.sum(axis=(1, 2), keepdims=True)
+
+
+class TestArrayChecks:
+    """``table_deviations`` and ``no_signaling_violations`` on one table and on stacks."""
+
+    def test_match_the_reference_loops_exactly(self):
+        for stack in _table_stacks():
+            a_to_b, b_to_a, worst = no_signaling_violations(stack)
+            assert a_to_b.shape == b_to_a.shape == (len(stack),) and len(worst) == len(stack)
+            for i, t in enumerate(stack):
+                expected = _reference_no_signaling(t)
+                rep = check_no_signaling(ConditionalBox(t))
+                assert (rep.a_to_b_violation, rep.b_to_a_violation, rep.worst_settings) == expected
+                assert (a_to_b[i], b_to_a[i], worst[i]) == expected
+                assert no_signaling_violations(t)[2] == [expected[2]]
+                _, receiver, senders = worst[i]
+                assert all(type(k) is int for k in (receiver, *senders))
+
+    def test_tables_reach_every_kind_of_worst_setting(self):
+        worst = [w for stack in _table_stacks() for w in no_signaling_violations(stack)[2]]
+        assert {w[0] for w in worst} == {"a_to_b", "b_to_a"}
+        assert ("a_to_b", 0, (0, 0)) in worst  # the no-signal sentinel
+        assert any(w[1] > 0 and w[2] != (0, 1) for w in worst)
+
+    def test_deviations_are_the_per_table_reductions(self):
+        for stack in _table_stacks():
+            stack = stack - 0.01 * np.arange(len(stack)).reshape(-1, 1, 1, 1, 1)
+            lowest, worst = table_deviations(stack)
+            for i, t in enumerate(stack):
+                assert lowest[i] == t.min()
+                assert worst[i] == np.max(np.abs(t.sum(axis=(0, 1)) - 1.0))
+                assert table_deviations(t) == (lowest[i], worst[i])
+
+    def test_leading_axes(self):
+        stack = next(s for s in _table_stacks() if s.shape[1:] == (9, 2, 2, 3))
+        flat = no_signaling_violations(stack)
+        grid = no_signaling_violations(stack.reshape(2, -1, 9, 2, 2, 3))
+        assert grid[0].shape == (2, len(stack) // 2)
+        assert grid[0].ravel().tolist() == flat[0].tolist()
+        assert grid[1].ravel().tolist() == flat[1].tolist()
+        assert grid[2] == flat[2]
+
+    def test_memory_layout_does_not_change_the_figures(self):
+        # Layouts in which numpy would order the sums differently: the
+        # stack axis innermost, or Alice's outcome axis innermost.
+        for stack in _table_stacks():
+            expected = no_signaling_violations(stack)
+            outcome_inner = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 1, -1)), -1, 1)
+            for view in (np.asfortranarray(stack), outcome_inner):
+                for x, y in zip(table_deviations(view), table_deviations(stack)):
+                    assert np.array_equal(x, y)
+                a_to_b, b_to_a, worst = no_signaling_violations(view)
+                assert np.array_equal(a_to_b, expected[0]) and np.array_equal(b_to_a, expected[1])
+                assert worst == expected[2]
 
 
 class TestRelabel:

@@ -243,7 +243,14 @@ class TestParse:
 
 
     @pytest.mark.parametrize(
-        "argv", [("--expr", "1/sqrt(0) |0>"), ("--expr", "c|0>"), ("--expr", "0 |0>", "--dump-rho")]
+        "argv",
+        [
+            ("--expr", "1/sqrt(0) |0>"),
+            ("--expr", "c|0>"),
+            ("--expr", "0 |0>", "--dump-rho"),
+            ("--expr", "1" + "0" * 400 + " |0>"),
+            ("--expr", "sqrt(1" + "0" * 400 + ") |0>"),
+        ],
     )
     def test_rejected_expression_prints_nothing(self, capsys, argv):
         code, out, err = run(capsys, "parse", *argv)

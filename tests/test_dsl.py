@@ -149,6 +149,15 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("1/0 |0>")
 
+    @pytest.mark.parametrize(
+        "template, offset",
+        [("{} |0>", 0), ("sqrt({}) |0>", 5), ("|0> + 1/sqrt({}) |1>", 13), ("3/{} |0>", 2)],
+    )
+    def test_overflowing_literal_rejected_at_its_offset(self, template, offset):
+        with pytest.raises(ParseError) as err:
+            parse(template.format("1" + "0" * 400))
+        assert err.value.offset == offset
+
     def test_nesting_limit(self):
         at_limit = "2 (" * MAX_NESTING + "|0> + |1>" + ")" * MAX_NESTING
         assert format(parse(at_limit)) == at_limit
@@ -188,19 +197,26 @@ class TestFormat:
         assert format(Scaled(0.25, BasisKet("0"))) == "0.25 |0>"
 
     def test_complex_scalar_unrepresentable(self):
-        with pytest.raises(ValueError):
-            format(Scaled(1j, BasisKet("0")))
+        for scalar in (1j, math.inf, math.nan, Scalar("sqrt", math.inf)):
+            with pytest.raises(ValueError):
+                format(Scaled(scalar, BasisKet("0")))
 
 
 # --- property-based round trip ------------------------------------------------
 
+# Small integers, and every non-negative finite float: exponent-sized ones
+# such as 1e-05 and 1e+16 must print in a form the grammar reads back.
+_numbers = st.one_of(
+    st.integers(min_value=0, max_value=9).map(float),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+_denominators = _numbers.filter(lambda x: x > 0.0)
+
 _scalars = st.one_of(
-    st.integers(min_value=0, max_value=9).map(lambda n: Scalar("num", float(n))),
-    st.tuples(
-        st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=9)
-    ).map(lambda ab: Scalar("frac", float(ab[0]), float(ab[1]))),
-    st.integers(min_value=1, max_value=9).map(lambda n: Scalar("sqrt", float(n))),
-    st.integers(min_value=1, max_value=9).map(lambda n: Scalar("invsqrt", float(n))),
+    _numbers.map(lambda x: Scalar("num", x)),
+    st.tuples(_numbers, _denominators).map(lambda ab: Scalar("frac", *ab)),
+    _numbers.map(lambda x: Scalar("sqrt", x)),
+    _numbers.map(lambda x: Scalar("invsqrt", x)),
     st.just(SYM_C),
     st.just(SYM_S),
 )
