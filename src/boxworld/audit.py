@@ -10,10 +10,12 @@ probability box, nonnegative and normalized, yet its Bob marginal moves
 with x: a dynamics that keeps probabilities valid while breaking the
 marginal-independence requirement.
 
-A sweep evaluates the closed-form output densities of a whole chunk of
-angles at once, reads every table of the chunk off them in one array, and
-checks that array in one pass: positivity and normalization with
-:func:`~boxworld.boxes.table_deviations`, signaling with
+A sweep forms the inputs of a whole chunk of angles at once (by default
+Alice's plane rotations, as one stack checked unitary in one pass), evaluates
+their closed-form output densities in one call, with the x = 0 density
+riding in the first chunk, reads every table of the chunk off them in one
+array, and checks that array in one pass: positivity and normalization
+with :func:`~boxworld.boxes.table_deviations`, signaling with
 :func:`~boxworld.boxes.no_signaling_violations`. The figures are reported,
 never raised: the audit's job is to say which property fails.
 """
@@ -28,8 +30,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .boxes import DEFAULT_TOL, ConditionalBox, no_signaling_violations, table_deviations
-from .hybrid import pr_extend_density, rotated_inputs
-from .quantum import Unitary, rotation, trace_distances
+from .hybrid import _rotated_rows, pr_extend_density, rotated_inputs
+from .quantum import Unitary, rotations, trace_distances
 
 __all__ = [
     "POSITIVITY_ATOL",
@@ -77,8 +79,15 @@ class AuditReport:
         return self.positivity_ok and self.normalization_ok and self.a_to_b_violation > self.tol
 
 
-def _densities(thetas: list[float], unitary_family: Callable[[float], Unitary]) -> np.ndarray:
-    return pr_extend_density(rotated_inputs([unitary_family(t) for t in thetas]))
+UnitaryFamily = Callable[[float], Unitary]
+
+
+def _densities(thetas: list[float], unitary_family: UnitaryFamily | None) -> np.ndarray:
+    if unitary_family is None:
+        psi = _rotated_rows(rotations(thetas))
+    else:
+        psi = rotated_inputs([unitary_family(t) for t in thetas])
+    return pr_extend_density(psi)
 
 
 def _tables(rho0: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -94,14 +103,14 @@ def _bob_marginals(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...abac->...bc", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
 
 
-def effective_box(
-    theta: float, unitary_family: Callable[[float], Unitary] = rotation
-) -> ConditionalBox:
+def effective_box(theta: float, unitary_family: UnitaryFamily | None = None) -> ConditionalBox:
     """The construction as a 2-input/2-output box; entries from joint measurement.
 
-    ``unitary_family`` maps an angle to the local unitary Alice applies;
-    the default is the plane rotation. Swapping in another one-parameter
-    family is an exploration hook, audited on the same footing.
+    ``unitary_family`` maps an angle to the local qubit ``Unitary`` Alice
+    applies; ``None`` (the default) is the plane rotation, formed for all
+    angles at once by :func:`~boxworld.quantum.rotations`. Swapping in
+    another one-parameter family is an exploration hook, audited on the
+    same footing.
     """
     rho = _densities([0.0, theta], unitary_family)
     return ConditionalBox(_tables(rho[0], rho[1:])[0])
@@ -110,21 +119,26 @@ def effective_box(
 def audit_sweep(
     thetas: Iterable[float],
     tol: float = DEFAULT_TOL,
-    unitary_family: Callable[[float], Unitary] = rotation,
+    unitary_family: UnitaryFamily | None = None,
 ) -> Iterator[AuditReport]:
     """Audit every angle of a grid, in order, SWEEP_CHUNK angles at a time.
 
-    ``unitary_family`` is called once per angle, plus once at 0 for the
-    x = 0 setting. Each chunk's densities come from one closed-form call
-    and its tables from one array, which is checked as a whole: the
-    reports are rows of :func:`~boxworld.boxes.table_deviations` and
+    With ``unitary_family=None`` (the default) each chunk's inputs come
+    from the stack of plane rotations, checked unitary once per chunk; a
+    given ``unitary_family`` is called once per angle, plus once at 0 for
+    the x = 0 setting, and must return a qubit ``Unitary``. The x = 0
+    input leads the first chunk, so each chunk's densities come from one
+    closed-form call and its tables from one array, which is checked as a
+    whole: the reports are rows of
+    :func:`~boxworld.boxes.table_deviations` and
     :func:`~boxworld.boxes.no_signaling_violations` on that array.
     """
-    rho0 = _densities([0.0], unitary_family)[0]
-    bob0 = _bob_marginals(rho0)
     angles = iter(thetas)
-    while chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:
-        rho = _densities(chunk, unitary_family)
+    chunk = [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]
+    first = _densities([0.0, *chunk], unitary_family)
+    rho0, rho = first[0], first[1:]
+    bob0 = _bob_marginals(rho0)
+    while chunk:
         shifts = trace_distances(_bob_marginals(rho), bob0)
         tables = _tables(rho0, rho)
         lowest, worst = table_deviations(tables)
@@ -141,12 +155,14 @@ def audit_sweep(
                 marginal_shift=shift,
                 tol=tol,
             )
+        if chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:
+            rho = _densities(chunk, unitary_family)
 
 
 def audit_dynamics(
     theta: float,
     tol: float = DEFAULT_TOL,
-    unitary_family: Callable[[float], Unitary] = rotation,
+    unitary_family: UnitaryFamily | None = None,
 ) -> AuditReport:
     """Build the effective box and report positivity, normalization, signaling.
 

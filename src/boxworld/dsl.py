@@ -16,13 +16,17 @@ odot is accepted as an input alias. ``+`` binds tighter than ``(+)``, so
 ``a + b (+) c + d`` groups as ``(a+b) (+) (c+d)``. A scalar must be
 followed by a ket or a parenthesized expression (there is no scalar-only
 state). Parentheses nest at most MAX_NESTING deep, and a number must fit
-in a float. All reported offsets are byte offsets into the input.
+in a float; its digits are ASCII 0-9 only. All reported offsets are byte
+offsets into the input. The parser pulls tokens one at a time, only as
+the grammar asks for them, so the first error in reading order is the one
+reported and a rejected input costs work only up to that error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .hybrid import (
     BasisKet,
@@ -61,22 +65,33 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     """Split input into tokens; offsets are byte positions."""
-    # byte offset of each character index (the input may contain the odot glyph)
-    offsets = [0]
-    for ch in text:
-        offsets.append(offsets[-1] + len(ch.encode("utf-8")))
+    return list(_tokens(text))
 
-    tokens: list[Token] = []
-    i = 0
+
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
+def _tokens(text: str) -> Iterator[Token]:
+    """The tokens of ``text`` in order, read only as far as they are pulled.
+
+    Raises :class:`ParseError` at the first character that starts no token.
+    """
     n = len(text)
+    i = 0  # the next character to read
+    mark, mark_byte = 0, 0  # the start of the latest token and its byte offset
+
+    def byte_at(j: int) -> int:
+        # byte offset of character j >= mark; only the characters since mark are encoded
+        return mark_byte + len(text[mark:j].encode("utf-8"))
 
     def _number_end(j: int) -> int:
         k = j
-        while k < n and text[k].isdigit():
+        while k < n and _is_digit(text[k]):
             k += 1
-        if k < n and text[k] == "." and k + 1 < n and text[k + 1].isdigit():
+        if k < n and text[k] == "." and k + 1 < n and _is_digit(text[k + 1]):
             k += 1
-            while k < n and text[k].isdigit():
+            while k < n and _is_digit(text[k]):
                 k += 1
         return k
 
@@ -85,9 +100,9 @@ def tokenize(text: str) -> list[Token]:
         k = j + 5
         end = _number_end(k)
         if end == k:
-            raise ParseError("expected a number inside sqrt(...)", offsets[min(k, n - 1)] if n else 0)
+            raise ParseError("expected a number inside sqrt(...)", byte_at(min(k, n - 1)))
         if end >= n or text[end] != ")":
-            raise ParseError("unterminated sqrt(...)", offsets[j])
+            raise ParseError("unterminated sqrt(...)", byte_at(j))
         return end + 1
 
     while i < n:
@@ -95,24 +110,25 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        off = offsets[i]
+        off = mark_byte = byte_at(i)
+        mark = i
         if ch == ODOT_GLYPH:
-            tokens.append(Token("ODOT", ch, off))
+            yield Token("ODOT", ch, off)
             i += 1
         elif text.startswith("(+)", i):
-            tokens.append(Token("ODOT", "(+)", off))
+            yield Token("ODOT", "(+)", off)
             i += 3
         elif ch == "(":
-            tokens.append(Token("LPAREN", ch, off))
+            yield Token("LPAREN", ch, off)
             i += 1
         elif ch == ")":
-            tokens.append(Token("RPAREN", ch, off))
+            yield Token("RPAREN", ch, off)
             i += 1
         elif ch == "+":
-            tokens.append(Token("PLUS", ch, off))
+            yield Token("PLUS", ch, off)
             i += 1
         elif ch == "*":
-            tokens.append(Token("STAR", ch, off))
+            yield Token("STAR", ch, off)
             i += 1
         elif ch == "|":
             j = i + 1
@@ -122,49 +138,43 @@ def tokenize(text: str) -> list[Token]:
                 raise ParseError("unterminated ket", off)
             if text[j] != ">":
                 if j == i + 1:
-                    raise ParseError(f"bad ket label character {text[j]!r}", offsets[j])
-                raise ParseError("expected '>' to close the ket", offsets[j])
+                    raise ParseError(f"bad ket label character {text[j]!r}", byte_at(j))
+                raise ParseError("expected '>' to close the ket", byte_at(j))
             if j == i + 1:
-                raise ParseError("empty ket label", offsets[j])
-            tokens.append(Token("KET", text[i : j + 1], off))
+                raise ParseError("empty ket label", byte_at(j))
+            yield Token("KET", text[i : j + 1], off)
             i = j + 1
-        elif ch.isdigit():
+        elif _is_digit(ch):
             j = _number_end(i)
             if j < n and text[j] == "/":
                 k = j + 1
-                if k < n and text[k].isdigit():
+                if k < n and _is_digit(text[k]):
                     k = _number_end(k)
-                    tokens.append(Token("SCALAR", text[i:k], off))
-                    i = k
                 elif text.startswith("sqrt(", k):
                     if text[i:j] != "1":
                         raise ParseError(
                             "only 1/sqrt(...) is supported for square-root fractions", off
                         )
                     k = _sqrt_end(k)
-                    tokens.append(Token("SCALAR", text[i:k], off))
-                    i = k
                 else:
                     raise ParseError(
-                        "expected digits or sqrt( after '/'",
-                        offsets[k] if k < n else offsets[j],
+                        "expected digits or sqrt( after '/'", byte_at(k if k < n else j)
                     )
-            else:
-                tokens.append(Token("SCALAR", text[i:j], off))
-                i = j
+                j = k
+            yield Token("SCALAR", text[i:j], off)
+            i = j
         elif text.startswith("sqrt(", i):
             j = _sqrt_end(i)
-            tokens.append(Token("SCALAR", text[i:j], off))
+            yield Token("SCALAR", text[i:j], off)
             i = j
         elif ch == "c":
-            tokens.append(Token("SYMBOL_C", ch, off))
+            yield Token("SYMBOL_C", ch, off)
             i += 1
         elif ch == "s":
-            tokens.append(Token("SYMBOL_S", ch, off))
+            yield Token("SYMBOL_S", ch, off)
             i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", off)
-    return tokens
 
 
 def _number(text: str, offset: int) -> float:
@@ -196,20 +206,24 @@ def _scalar_from_token(tok: Token) -> Scalar:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
+        self.tokens = _tokens(text)
+        self.next: Token | None = None
+        self.pulled = False  # whether self.next holds the token after the last one taken
         self.end_offset = len(text.encode("utf-8"))
         self.width: int | None = None
         self.depth = 0
 
     def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        # a token is read only when the grammar asks for it, so the first error wins
+        if not self.pulled:
+            self.next, self.pulled = next(self.tokens, None), True
+        return self.next
 
     def take(self) -> Token:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.end_offset)
-        self.pos += 1
+        self.pulled = False
         return tok
 
     def parse(self) -> StateExpr:

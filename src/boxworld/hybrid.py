@@ -37,7 +37,7 @@ from .quantum import (
     check_densities,
     density_from_mixture,
     partial_trace,
-    rotation,
+    rotations,
     trace_distance,
 )
 
@@ -210,7 +210,7 @@ class HybridState:
         if not self.branches:
             raise ExpressionError("a hybrid state needs at least one branch")
         dim = 2**self.width
-        mass = 0.0
+        massive = False
         for w, ket in self.branches:
             if not math.isfinite(w) or w < 0.0:
                 raise ExpressionError(f"branch weight must be finite and >= 0, got {w}")
@@ -218,8 +218,8 @@ class HybridState:
                 raise ExpressionError(
                     f"branch dimension {ket.dim} does not match width {self.width}"
                 )
-            mass += w * ket.norm() ** 2
-        if mass <= 0.0:
+            massive = massive or (w > 0.0 and bool(np.any(ket.amplitudes)))
+        if not massive:
             raise ExpressionError("state carries no mass")
 
     @classmethod
@@ -262,9 +262,12 @@ def distribute(
       adding amplitudes.
 
     ``theta`` binds the named symbols c and s. Exceeding ``max_branches``
-    raises :class:`BranchLimitError`.
+    raises :class:`BranchLimitError`. An amplitude that overflows a float
+    (a scalar like 10^300/10^-300, or nested large prefactors) is rejected
+    as non-finite, without a floating-point warning.
     """
-    width, raw = _eval_expr(expr, theta, max_branches)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width, raw = _eval_expr(expr, theta, max_branches)
     return HybridState(width, tuple((w, Ket(a)) for w, a in raw))
 
 
@@ -441,13 +444,18 @@ def rotated_inputs(unitaries: Sequence[Unitary]) -> np.ndarray:
     Each row is U|0> on the first register and |1> on the second, the
     stack :func:`pr_extend_density` takes.
     """
-    psi = np.zeros((len(unitaries), 4), dtype=complex)
-    for row, u in zip(psi, unitaries):
+    for u in unitaries:
         if not isinstance(u, Unitary):
             raise TypeError(f"expected a Unitary, got {type(u).__name__}")
         if u.dim != 2:
             raise ValueError(f"expected a single-qubit unitary, got dimension {u.dim}")
-        row[1::2] = u.matrix[:, 0]
+    return _rotated_rows(np.array([u.matrix for u in unitaries]).reshape(-1, 2, 2))
+
+
+def _rotated_rows(unitaries: np.ndarray) -> np.ndarray:
+    """:func:`rotated_inputs` for a checked stack of qubit unitaries, shape (T, 2, 2)."""
+    psi = np.zeros((len(unitaries), 4), dtype=complex)
+    psi[:, 1::2] = unitaries[:, :, 0]
     return psi
 
 
@@ -457,7 +465,7 @@ def box_output_state(theta: float, *, pairing: str = "independent") -> DensityOp
     The input is |01> with the first register rotated by ``theta``, i.e.
     (cos(theta)|0> + sin(theta)|1>) tensor |1>.
     """
-    psi = rotated_inputs([rotation(theta)])
+    psi = _rotated_rows(rotations([theta]))
     return DensityOperator(pr_extend_density(psi, pairing=pairing)[0])
 
 

@@ -22,11 +22,13 @@ __all__ = [
     "Unitary",
     "DensityOperator",
     "check_densities",
+    "check_unitaries",
     "basis_ket",
     "plus_ket",
     "minus_ket",
     "identity",
     "rotation",
+    "rotations",
     "tensor",
     "apply",
     "density_from_mixture",
@@ -100,11 +102,7 @@ class Unitary:
 
     def __post_init__(self) -> None:
         m = _frozen_complex(self.matrix, 2)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError(f"unitary must be square, got shape {m.shape}")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-        if dev > UNITARITY_ATOL:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
+        check_unitaries(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -150,6 +148,23 @@ def check_densities(m: np.ndarray) -> None:
         raise ValueError(f"negative eigenvalue {lo:.3g}")
 
 
+def check_unitaries(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of ``m`` is unitary.
+
+    ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
+    stack is checked in one pass: finite entries and max|U^dagger U - I|
+    within UNITARITY_ATOL. The message names the worst matrix's deviation.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"unitary must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite amplitudes")
+    gram = np.swapaxes(m, -1, -2).conj() @ m
+    dev = np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0)
+    if dev > UNITARITY_ATOL:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
+
+
 def basis_ket(label: str) -> Ket:
     """Computational-basis ket for a binary label, e.g. ``basis_ket("01")``."""
     if not label or any(ch not in "01" for ch in label):
@@ -171,12 +186,28 @@ def identity(dim: int) -> Unitary:
     return Unitary(np.eye(dim))
 
 
-def rotation(theta: float) -> Unitary:
-    """Single-qubit rotation taking |0> to cos(theta)|0> + sin(theta)|1>."""
+def _cos_sin(theta: float) -> tuple[float, float]:
     if not math.isfinite(theta):
         raise ValueError("rotation angle must be finite")
-    c, s = math.cos(theta), math.sin(theta)
+    return math.cos(theta), math.sin(theta)
+
+
+def rotation(theta: float) -> Unitary:
+    """Single-qubit rotation taking |0> to cos(theta)|0> + sin(theta)|1>."""
+    c, s = _cos_sin(theta)
     return Unitary(np.array([[c, -s], [s, c]]))
+
+
+def rotations(thetas: Sequence[float]) -> np.ndarray:
+    """The matrices of ``rotation(theta)`` for every angle, as one stack (T, 2, 2).
+
+    Entry for entry the same floats as :func:`rotation`, checked in one
+    pass by :func:`check_unitaries` instead of one ``Unitary`` per angle.
+    """
+    c, s = np.array([_cos_sin(t) for t in thetas], dtype=float).reshape(-1, 2).T
+    m = np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1)
+    check_unitaries(m)
+    return m
 
 
 def tensor(x, y):
@@ -211,25 +242,41 @@ def density_from_mixture(branches) -> DensityOperator:
     be unnormalized. The result is sum_i w_i |psi_i><psi_i| divided by its
     trace, which is the defined semantics (any overall weight or amplitude
     scale drops out). At least one branch must carry positive mass.
+
+    Each weight and each ket is scaled by the power of two of its largest
+    component before anything is squared, and the terms are summed in the
+    frame of the largest one. Powers of two scale exactly, so finite
+    inputs of any size neither overflow nor underflow, and inputs that
+    did neither before give the same bits as the plain sum.
     """
-    acc = None
-    dim = None
+    weights, kets = [], []
     for w, ket in branches:
         w = float(w)
         if not math.isfinite(w) or w < 0.0:
             raise ValueError(f"branch weight must be finite and >= 0, got {w}")
-        if dim is None:
-            dim = ket.dim
-            acc = np.zeros((dim, dim), dtype=complex)
-        elif ket.dim != dim:
+        if kets and ket.dim != len(kets[0]):
             raise ValueError("mixture branches have mismatched dimensions")
-        acc += w * ket.outer()
-    if acc is None:
+        weights.append(w)
+        kets.append(ket.amplitudes)
+    if not kets:
         raise ValueError("mixture needs at least one branch")
-    tr = float(acc.trace().real)
-    if tr <= 0.0:
+    amps = np.array(kets)
+    shifts, frames = [], []  # per branch: its ket's scale, its term's exponent and mantissa
+    for w, peak in zip(weights, np.abs(amps.view(float)).max(axis=1).tolist()):
+        a_exp = math.frexp(peak)[1]
+        w_frac, w_exp = math.frexp(w)
+        shifts.append(-a_exp)
+        frames.append((w_exp + 2 * a_exp, w_frac if peak > 0.0 else 0.0))
+    top = max((exp for exp, frac in frames if frac > 0.0), default=None)
+    if top is None:
         raise ValueError("mixture has zero total mass")
-    return DensityOperator(acc / tr)
+    coefs = np.array([math.ldexp(frac, exp - top) for exp, frac in frames])
+    v = np.ldexp(amps.view(float), np.array(shifts)[:, None]).view(complex)
+    terms = coefs[:, None, None] * (v[:, :, None] * v[:, None, :].conj())
+    acc = np.zeros(terms.shape[1:], dtype=complex)
+    for term in terms:
+        acc += term
+    return DensityOperator(acc / float(acc.trace().real))
 
 
 def partial_trace(rho: DensityOperator, keep: int, dims: Sequence[int]) -> DensityOperator:

@@ -1,12 +1,22 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import boxworld.audit as audit_mod
+from boxworld import quantum
 from boxworld.audit import SWEEP_CHUNK, audit_dynamics, audit_sweep, effective_box
 from boxworld.boxes import ConditionalBox, check_no_signaling
 from boxworld.cli import main
-from boxworld.hybrid import HybridState, bob_state, pr_extend
+from boxworld.hybrid import (
+    HybridState,
+    bob_state,
+    box_output_state,
+    pr_extend,
+    pr_extend_density,
+    rotated_inputs,
+)
 from boxworld.quantum import (
     Unitary,
     apply,
@@ -194,6 +204,10 @@ class TestSweepAgainstBranchExpansion:
 
         list(audit_sweep([0.1, 0.2, 0.3], unitary_family=family))
         assert sorted(calls) == [0.0, 0.1, 0.2, 0.3]
+        calls.clear()
+        thetas = [0.01 * k for k in range(1, 2 * SWEEP_CHUNK + 2)]
+        assert len(list(audit_sweep(thetas, unitary_family=family))) == len(thetas)
+        assert Counter(calls) == Counter([0.0, *thetas])
 
     def test_family_must_give_a_qubit_unitary(self):
         with pytest.raises(TypeError):
@@ -216,3 +230,70 @@ class TestSweepAgainstBranchExpansion:
                 row = [row[0], *row[3:]]
                 expected = [theta, oracle.a_to_b_violation, oracle.b_to_a_violation]
             np.testing.assert_allclose([float(v) for v in row], expected, rtol=0, atol=1e-15)
+
+
+def _grid(count, seed):
+    """``count`` random angles with 0, pi/2 and pi among them."""
+    rng = np.random.default_rng(seed)
+    thetas = [float(t) for t in rng.uniform(-4.0, 4.0, count)]
+    for pos, special in zip(rng.permutation(count), (0.0, math.pi / 2, math.pi)):
+        thetas[pos] = special
+    return thetas
+
+
+class TestDefaultRotationStack:
+    """The default sweep forms its inputs from one checked stack of rotations."""
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
+    def test_default_equals_explicit_rotation_family_bit_for_bit(self, count):
+        for thetas in (_grid(count, count), [float(t) for t in np.linspace(0.0, math.pi, count)]):
+            default = list(audit_sweep(thetas))
+            assert len(default) == count
+            assert repr(default) == repr(list(audit_sweep(thetas, unitary_family=rotation)))
+            assert repr(default) == repr(list(audit_sweep(thetas, unitary_family=None)))
+
+    def test_one_angle_wrappers_equal_the_rotation_family(self):
+        for theta in (0.0, 0.3, QUARTER, math.pi / 2, math.pi, -1.9, 7.5):
+            box = effective_box(theta)
+            assert box.table.tobytes() == effective_box(theta, rotation).table.tobytes()
+            explicit = audit_dynamics(theta, unitary_family=rotation)
+            assert repr(audit_dynamics(theta)) == repr(explicit)
+            expected = pr_extend_density(rotated_inputs([rotation(theta)]))[0]
+            assert box_output_state(theta).matrix.tobytes() == expected.tobytes()
+
+    def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):
+        built, rows = [], []
+        init, densities = quantum.Unitary.__post_init__, audit_mod.pr_extend_density
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        def counting_densities(psi, **kwargs):
+            rows.append(len(psi))
+            return densities(psi, **kwargs)
+
+        monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
+        monkeypatch.setattr(audit_mod, "pr_extend_density", counting_densities)
+        thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
+        assert len(list(audit_sweep(thetas))) == len(thetas)
+        assert rows == [SWEEP_CHUNK + 1, SWEEP_CHUNK, 1]
+        for argv in (
+            ["scan", "--theta-min", "0", "--theta-max", "3.2", "--steps", "40"],
+            ["audit", "--theta", "0.3"],
+            ["signal", "--theta", "0.7"],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert built == []
+        rotation(0.1)  # the counter itself works
+        assert len(built) == 1
+
+    def test_non_finite_angle_rejected_like_rotation(self):
+        for call in (
+            lambda: list(audit_sweep([0.1, math.nan])),
+            lambda: effective_box(math.inf),
+            lambda: box_output_state(-math.inf),
+        ):
+            with pytest.raises(ValueError, match="^rotation angle must be finite$"):
+                call()

@@ -2,6 +2,8 @@ import argparse
 import itertools
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -250,12 +252,31 @@ class TestParse:
             ("--expr", "0 |0>", "--dump-rho"),
             ("--expr", "1" + "0" * 400 + " |0>"),
             ("--expr", "sqrt(1" + "0" * 400 + ") |0>"),
+            ("--expr", "² |0>"),
+            ("--expr", "٣ |0>"),
+            ("--expr", f"1{'0' * 300}/0.{'0' * 300}1 |0>", "--dump-rho"),
+            ("--expr", f"1{'0' * 200} (1{'0' * 200} |0>)", "--dump-rho"),
         ],
     )
     def test_rejected_expression_prints_nothing(self, capsys, argv):
         code, out, err = run(capsys, "parse", *argv)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "expr, rho",
+        [
+            (f"1{'0' * 200} |0> + 1{'0' * 200} |1>", ["0.5,0,0.5,0", "0.5,0,0.5,0"]),
+            (f"1{'0' * 200} |0>", ["1,0,0,0", "0,0,0,0"]),
+            (f"0.{'0' * 199}1 |0>", ["1,0,0,0", "0,0,0,0"]),
+            (f"0.{'0' * 199}1 |0> (+) 0.{'0' * 199}1 |1>", ["0.5,0,0,0", "0,0,0.5,0"]),
+        ],
+        ids=["huge-sum", "huge", "tiny", "tiny-mixture"],
+    )
+    def test_amplitude_scale_drops_out(self, capsys, expr, rho):
+        code, out, err = run(capsys, "parse", "--expr", expr, "--dump-rho")
+        assert code == 0 and err == ""
+        assert out.split("rho:\n", 1)[1].splitlines() == rho
 
 
 class TestOutputOptions:
@@ -399,7 +420,9 @@ class TestFlagValues:
         ],
     )
     def test_fresh_interpreter_prints_one_line(self, argv):
-        proc = _fresh_python(f"import sys\nfrom boxworld import cli\nsys.exit(cli.main({argv!r}))")
+        proc = _fresh_python(
+            "-c", f"import sys\nfrom boxworld import cli\nsys.exit(cli.main({argv!r}))"
+        )
         assert proc.returncode == 1 and proc.stdout == ""
         assert _one_error_line(proc.stderr, "error: ")
 
@@ -481,17 +504,18 @@ class TestParserReuse:
         assert cli.build_parser() is cli.build_parser()
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     src = str(Path(boxworld.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
 
 
 class TestColdImport:
     def test_package_and_cli_import_no_scipy(self):
         proc = _fresh_python(
+            "-c",
             "import sys, boxworld, boxworld.cli\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
         )
@@ -500,6 +524,7 @@ class TestColdImport:
 
     def test_scipy_users_work_in_a_fresh_interpreter(self, capsys):
         proc = _fresh_python(
+            "-c",
             "import sys\n"
             "from boxworld import cli, protocol\n"
             "code = cli.main(['local', '--box', 'uniform'])\n"
@@ -515,6 +540,7 @@ class TestColdImport:
         repeat = ["repeat", "--theta", "0.0081", "--target", "0.9"]
         simulate = ["simulate", "--theta", "0.0081", "--n", "100000", "--shots", "2000", "--seed", "3"]
         proc = _fresh_python(
+            "-c",
             "import sys\n"
             "from boxworld import cli\n"
             f"codes = [cli.main({repeat!r}), cli.main({simulate!r})]\n"
@@ -525,3 +551,23 @@ class TestColdImport:
         _, simulate_out, _ = run(capsys, *simulate)
         assert proc.stdout == repeat_out + simulate_out + "[0, 0] []\n"
         assert 50_000 < int(repeat_out.removeprefix("n = ")) < 200_000
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("boxworld ")]
+
+
+class TestReadmeCommands:
+    def test_each_documented_line_runs_clean_with_warnings_as_errors(self):
+        # pytest's warning filter sees only in-process calls; a fresh interpreter
+        # under -W error also catches warnings at import and on the real CLI path
+        lines = _readme_commands()
+        assert len(lines) >= 9
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "boxworld"
+            proc = _fresh_python("-W", "error", "-m", "boxworld", *argv[1:])
+            assert (proc.returncode, proc.stderr) == (0, ""), line
+            assert proc.stdout, line

@@ -74,6 +74,17 @@ class TestTokenize:
             tokenize("|>")
         assert err.value.offset == 1
 
+    @pytest.mark.parametrize(
+        "text, offset",
+        [("² |0>", 0), ("٣ |0>", 0), ("|0> + 1٣ |1>", 7), ("sqrt(٣) |0>", 5), ("3/٣ |0>", 2)],
+    )
+    def test_only_ascii_digits_make_numbers(self, text, offset):
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert err.value.offset == offset
+        with pytest.raises(ParseError):
+            parse(text)
+
     def test_sqrt_fraction_requires_unit_numerator(self):
         with pytest.raises(ParseError):
             tokenize("2/sqrt(2)")
@@ -140,6 +151,22 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("|0> |1>")
         assert err.value.offset == 4
+
+    def test_first_error_in_reading_order_wins(self):
+        # tokens are read only as the grammar asks, so a later bad character is never reached
+        with pytest.raises(ParseError, match="trailing input") as err:
+            parse("|0> |1> @")
+        assert err.value.offset == 4
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            tokenize("|0> |1> @")
+        assert err.value.offset == 8
+        for tail in ("@", "²", "|2>", ")" * 5, "(" * 10**5):
+            with pytest.raises(ParseError, match="nested deeper") as err:
+                parse("(" * (MAX_NESTING + 1) + tail)
+            assert err.value.offset == MAX_NESTING
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse("|0> ⊙ (" + "(" * MAX_NESTING + "@")  # the glyph is 3 bytes
+        assert err.value.offset == 8 + MAX_NESTING
 
     def test_empty_input(self):
         with pytest.raises(ParseError):

@@ -5,6 +5,7 @@ import pytest
 
 from boxworld.quantum import (
     check_densities,
+    check_unitaries,
     DensityOperator,
     Ket,
     Unitary,
@@ -19,6 +20,7 @@ from boxworld.quantum import (
     partial_trace,
     plus_ket,
     rotation,
+    rotations,
     tensor,
     trace_distance,
 )
@@ -59,6 +61,63 @@ class TestRotation:
             rotation(float("nan"))
         with pytest.raises(ValueError):
             rotation(float("inf"))
+
+
+class TestRotationStack:
+    THETAS = (0.0, 0.37, -1.9, math.pi / 2, math.pi, -math.pi, 1e-300, 7.5, 123456.789)
+
+    def test_rows_are_the_rotation_matrices_bit_for_bit(self):
+        stack = rotations(self.THETAS)
+        assert stack.shape == (len(self.THETAS), 2, 2) and stack.dtype == complex
+        for theta, m in zip(self.THETAS, stack):
+            assert m.tobytes() == rotation(theta).matrix.tobytes()
+        assert rotations([]).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_like_rotation(self, bad):
+        with pytest.raises(ValueError, match="^rotation angle must be finite$"):
+            rotation(bad)
+        with pytest.raises(ValueError, match="^rotation angle must be finite$"):
+            rotations([0.1, bad, 0.2])
+
+
+class TestCheckUnitaries:
+    def test_accepts_one_matrix_and_stacks(self):
+        stack = rotations([0.1, 0.2, 0.3, 0.4])
+        check_unitaries(stack[0])
+        check_unitaries(stack)
+        check_unitaries(stack.reshape(2, 2, 2, 2))
+        check_unitaries(np.eye(4)[None])
+
+    def test_names_the_worst_deviation(self):
+        good = rotations([0.1, 0.2])
+        bad = np.stack([good[0] * (1 + 1e-9), good[1], good[0] * (1 + 1e-6), good[1]])
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 2e-06\)$"):
+            check_unitaries(bad)
+        with pytest.raises(ValueError, match=r"\(deviation 2e-06\)$"):
+            check_unitaries(bad.reshape(2, 2, 2, 2))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.ones(2), "unitary must be square, got shape \\(2,\\)"),
+            (np.ones((3, 2, 3)), "unitary must be square, got shape \\(3, 2, 3\\)"),
+            (np.array([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]]), "non-finite amplitudes"),
+            (np.array([np.eye(2), [[1.0, 0.0], [0.0, np.inf * 1j]]]), "non-finite amplitudes"),
+        ],
+    )
+    def test_rejects_non_square_and_non_finite(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_unitaries(bad)
+
+    def test_unitary_gives_the_same_messages(self):
+        for bad, message in (
+            (np.ones((2, 3)), "^unitary must be square, got shape \\(2, 3\\)$"),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), "^non-finite amplitudes$"),
+            (np.diag([1.0, 2.0]), "^matrix is not unitary \\(deviation 3\\)$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Unitary(bad)
 
 
 class TestTensor:
@@ -116,6 +175,48 @@ class TestDensityFromMixture:
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             density_from_mixture([(-0.5, basis_ket("0")), (1.5, basis_ket("1"))])
+
+    @staticmethod
+    def _plain_sum(branches):
+        """The unscaled sum, as computed before scaling: the reference for ordinary inputs."""
+        acc = sum(w * k.outer() for w, k in branches)
+        return acc / float(acc.trace().real)
+
+    def test_ordinary_inputs_give_the_plain_sum_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            dim = int(rng.choice([2, 4, 8]))
+            count = int(rng.integers(1, 6))
+            branches = []
+            for _ in range(count):
+                amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                amps[rng.random(dim) < 0.3] = 0.0
+                amps *= 10.0 ** rng.uniform(-3, 3)
+                branches.append((float(rng.uniform(0.0, 2.0)), Ket(amps)))
+            branches.append((1.0, Ket(np.eye(dim)[0])))
+            got = density_from_mixture(branches).matrix
+            assert got.tobytes() == self._plain_sum(branches).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300, 5e-324, 1.7e308])
+    def test_amplitude_scale_drops_out(self, scale):
+        # scale and its mantissa differ by a power of two: the same bits, whatever the size
+        unit = math.frexp(scale)[0]
+        for branches, expected in (
+            ([(1.0, [1.0, 0.0])], np.diag([1.0, 0.0])),
+            ([(1.0, [1.0, 1.0])], np.full((2, 2), 0.5)),
+            ([(0.5, [1.0, 0.0]), (0.5, [0.0, 1j])], np.diag([0.5, 0.5])),
+        ):
+            got = density_from_mixture([(w, Ket(np.multiply(a, scale))) for w, a in branches])
+            ref = density_from_mixture([(w, Ket(np.multiply(a, unit))) for w, a in branches])
+            assert got.matrix.tobytes() == ref.matrix.tobytes()
+            np.testing.assert_allclose(got.matrix, expected, rtol=0, atol=2e-16)
+
+    def test_weight_scale_drops_out_and_tiny_branches_vanish(self):
+        for w in (5e-324, 1e-300, 1e300, 1.7e308):
+            rho = density_from_mixture([(w, Ket([0.0, 1e200])), (w, Ket([1e200, 0.0]))])
+            assert np.array_equal(rho.matrix, np.diag([0.5, 0.5]).astype(complex))
+        rho = density_from_mixture([(1.0, Ket([1e-200, 0.0])), (1.0, Ket([0.0, 1.0]))])
+        assert np.array_equal(rho.matrix, np.diag([0.0, 1.0]).astype(complex))
 
 
 class TestPartialTrace:
