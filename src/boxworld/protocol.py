@@ -34,10 +34,21 @@ means within 18 sqrt(n)/2 of each other. Beyond that the same
 inequality at the midpoint gives 1 - D_n <= 2 exp(-n cs^2/8) < 2^-54,
 and 1.0 is D_n correctly rounded.
 
-The optimal decoder is therefore classical: measure every copy in
+The miss probability 1 - D_n = sum_k min(B(k), B(k) e^llr_k) is summed
+over the same window as exp(log B(k) + min(llr_k, 0)), which keeps its
+relative accuracy where it is tiny. :func:`min_rounds` decides on it:
+success 1/2 + D_n/2 would round a miss near 1e-12 away, and the answer
+would depend on the search path. The search starts from the normal
+estimate, takes one secant step on the normal quantile of the success,
+and closes the bracket from there in about four evaluations.
+
+The optimal decoder is classical: measure every copy in
 |+>/|->, count, and threshold the likelihood ratio. Ties at the
 threshold decide "bit 1" (this matches the tie-neutral absolute-value
-form of D_n at the 2^-n scale).
+form of D_n at the 2^-n scale). The floating-point rule is monotone in
+the count, so :func:`simulate` finds its one integer threshold once and
+compares counts with it; the decisions are those of the per-count rule
+bit for bit.
 
 Sampling uses the numpy Philox4x64-10 counter-based generator. Shots are
 grouped into fixed chunks of ``CHUNK_SHOTS``; chunk c draws from the
@@ -105,6 +116,22 @@ def copy_distance(cs: float, n: int) -> float:
         raise ValueError(f"coherence must satisfy |cs| < 1, got {cs}")
     if n * a * a >= _CERTAIN_NCS2:
         return 1.0
+    log_b, llr = _window(a, n)
+    terms = np.exp(log_b + np.maximum(llr, 0.0)) * -np.expm1(-np.abs(llr))
+    return 0.5 * float(terms.sum())
+
+
+def _miss(a: float, n: int) -> float:
+    """1 - D_n = sum_k min(B_1/2(k), B_p(k)) for |cs| = a in (0, 1), summed
+    termwise, so it keeps its relative accuracy when it is tiny."""
+    if n * a * a >= _CERTAIN_NCS2:
+        return 0.0  # below 2 exp(-40), under every budget 2 (1 - target) >= 2^-52
+    log_b, llr = _window(a, n)
+    return float(np.exp(log_b + np.minimum(llr, 0.0)).sum())
+
+
+def _window(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """log B(k) and llr_k over the summed window of counts, for |cs| = a."""
     half = 0.5 * _WINDOW_SIGMAS * math.sqrt(n)
     lo = max(0, math.ceil(0.5 * n - half))
     hi = min(n, math.floor(0.5 * n * (1.0 + a) + half))
@@ -114,8 +141,7 @@ def copy_distance(cs: float, n: int) -> float:
     log_b -= log_b.max()
     log_b -= math.log(np.exp(log_b).sum())
     llr = (2.0 * k - n) * math.atanh(a) + 0.5 * n * math.log1p(-a * a)
-    terms = np.exp(log_b + np.maximum(llr, 0.0)) * -np.expm1(-np.abs(llr))
-    return 0.5 * float(terms.sum())
+    return log_b, llr
 
 
 def exact_success(theta: float, n: int, *, max_n: int = DEFAULT_MAX_COPIES) -> float:
@@ -149,11 +175,18 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     """Smallest n whose exact success reaches ``target``.
 
     ``target`` must lie strictly between 1/2 and 1, and ``max_n`` in
-    [1, ``MIN_ROUNDS_MAX_COPIES``]. Success is nondecreasing in n, so one
-    evaluation at ``max_n`` decides whether the target is reachable, and
-    the threshold is then bracketed around the normal estimate
-    n0 = ceil((2 z / |cs|)^2), z the standard normal quantile of
-    ``target``, with steps from sqrt(n0) up that double, and bisected.
+    [1, ``MIN_ROUNDS_MAX_COPIES``]. Success 1/2 + D_n/2 reaches the
+    target exactly when the miss probability 1 - D_n is at most
+    2 (1 - target); both sides are compared as computed, the miss summed
+    termwise and the budget exact in floats, so the decision stays sharp
+    near target 1, where 1/2 + D_n/2 would round the miss away. The miss
+    is nonincreasing in n, so one evaluation at ``max_n`` decides whether
+    the target is reachable. The search then starts from the normal
+    estimate n0 = ceil((2 z / |cs|)^2), z the standard normal quantile of
+    ``target``, and takes one secant step on that quantile,
+    n1 = ceil(n0 (z / z(s(n0)))^2), with z(s) = -z(miss / 2). From n1,
+    which is usually within one of the answer, steps 1, 2, 4, ... bracket
+    the threshold and bisection closes it: about four evaluations in all.
     Raises :class:`ZeroSignalError` when cs vanishes, where no number of
     repetitions helps. Coherences below 1e-12 count as zero so that the
     floating-point images of 0, pi/2, pi, ... are treated as the
@@ -166,25 +199,38 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     cs = _cs(theta)
     if abs(cs) < 1e-12:
         raise ZeroSignalError(f"no signaling at theta = {theta}: cs = {cs:.3g}")
+    a = abs(cs)
+    budget = 2.0 * (1.0 - target)  # both steps exact for target in [1/2, 1)
+    misses: dict[int, float] = {}
+
+    def miss(n: int) -> float:
+        if n not in misses:
+            misses[n] = _miss(a, n)
+        return misses[n]
 
     def reached(n: int) -> bool:
-        return 0.5 + 0.5 * copy_distance(cs, n) >= target
+        return miss(n) <= budget
 
     if not reached(max_n):
         raise ValueError(f"target {target} not reached within {max_n} copies at theta = {theta}")
     from statistics import NormalDist  # only here, so importing the package does not load it
 
-    n0 = min(max_n, math.ceil((2.0 * NormalDist().inv_cdf(target) / abs(cs)) ** 2))
-    step = math.isqrt(n0) + 1
-    # grow lo < n* <= hi around n0; success(0) = 1/2 never reaches the target
-    if reached(n0):
-        lo, hi = max(0, n0 - step), n0
+    z_of = NormalDist().inv_cdf
+    z = -z_of(0.5 * budget)
+    n1 = n0 = min(max_n, math.ceil((2.0 * z / a) ** 2))
+    tail = 0.5 * miss(n0)
+    if 0.0 < tail < 0.5:  # s(n0) strictly between 1/2 and 1
+        n1 = max(1, math.ceil(min(n0 * (z / z_of(tail)) ** 2, max_n)))
+    # grow lo < n* <= hi around n1; success(0) = 1/2 never reaches the target
+    step = 1
+    if reached(n1):
+        lo, hi = n1 - step, n1
         while lo > 0 and reached(lo):
             step *= 2
             lo, hi = max(0, lo - step), lo
-    else:
-        lo, hi = n0, min(max_n, n0 + step)
-        while hi < max_n and not reached(hi):
+    else:  # reached(max_n) holds, so the loop stops there at the latest
+        lo, hi = n1, n1 + step
+        while not reached(hi):
             step *= 2
             lo, hi = hi, min(max_n, hi + step)
     while hi - lo > 1:
@@ -196,24 +242,51 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     return hi
 
 
-def _decide_bit_one(counts: np.ndarray, n: int, lam_p: float, lam_m: float) -> np.ndarray:
-    # log-likelihood ratio of "rotated" against "flat"; >= 0 (ties) decides 1
-    llr = counts * math.log(2.0 * lam_p) + (n - counts) * math.log(2.0 * lam_m)
-    return llr >= 0.0
+def _decoder(theta: float, n: int) -> tuple[float, int, bool]:
+    """lam_p, and the counts c that decide "bit 1": c >= k if ``up``, else c <= k.
 
-
-def _chunk_correct(theta: float, n: int, seed: int, chunk: int, m: int) -> int:
-    """Number of correctly decoded shots in one fixed-substream chunk."""
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=chunk << 64))
-    alice = rng.integers(0, 2, size=m)
+    The likelihood rule c log(2 lam_p) + (n - c) log(2 lam_m) >= 0 (ties
+    decide 1) is monotone in c even in floats, since each product and
+    their sum round monotonically. Its "bit 1" counts are therefore one
+    interval: [k, n] when cs > 0, [0, k] when cs < 0 and every count when
+    cs = 0 (both logs vanish). Bisection on the same scalar expression,
+    evaluated in the same order as an array of counts would be, finds k.
+    """
     lam_p = (1.0 + _cs(theta)) / 2.0
     lam_m = 1.0 - lam_p
-    counts = np.empty(m, dtype=np.int64)
-    zero = alice == 0
-    counts[zero] = rng.binomial(n, 0.5, size=int(zero.sum()))
-    counts[~zero] = rng.binomial(n, lam_p, size=int((~zero).sum()))
-    guess = _decide_bit_one(counts, n, lam_p, lam_m).astype(alice.dtype)
-    return int((guess == alice).sum())
+    log_p, log_m = math.log(2.0 * lam_p), math.log(2.0 * lam_m)
+    up = log_p >= log_m
+
+    def one(c: int) -> bool:
+        return c * log_p + (n - c) * log_m >= 0.0
+
+    # the first c with one(c) == up; -1 and n + 1 stand in for the two ends
+    lo, hi = -1, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if one(mid) == up:
+            hi = mid
+        else:
+            lo = mid
+    return lam_p, (hi if up else lo), up
+
+
+def _chunk_correct(
+    theta: float, n: int, seed: int, chunk: int, m: int, decoder: tuple[float, int, bool] | None = None
+) -> int:
+    """Number of correctly decoded shots in one fixed-substream chunk.
+
+    ``decoder`` is :func:`_decoder` of (theta, n), computed here if not given.
+    """
+    lam_p, k, up = decoder or _decoder(theta, n)
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=chunk << 64))
+    m1 = int(np.count_nonzero(rng.integers(0, 2, size=m)))  # shots where Alice sends 1
+    flat = rng.binomial(n, 0.5, size=m - m1)
+    rotated = rng.binomial(n, lam_p, size=m1)
+    # correct: the rotated counts that decide 1 and the flat counts that do not
+    if up:
+        return m - m1 + int(np.count_nonzero(rotated >= k)) - int(np.count_nonzero(flat >= k))
+    return m1 - int(np.count_nonzero(rotated > k)) + int(np.count_nonzero(flat > k))
 
 
 def simulate(theta: float, n: int, shots: int, seed: int) -> ProtocolResult:
@@ -236,12 +309,13 @@ def simulate(theta: float, n: int, shots: int, seed: int) -> ProtocolResult:
         raise ValueError(f"shots = {shots} exceeds the cap of {MAX_SHOTS}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit an unsigned 64-bit integer")
+    decoder = _decoder(theta, n)
     correct = 0
     done = 0
     chunk = 0
     while done < shots:
         m = min(CHUNK_SHOTS, shots - done)
-        correct += _chunk_correct(theta, n, seed, chunk, m)
+        correct += _chunk_correct(theta, n, seed, chunk, m, decoder)
         done += m
         chunk += 1
     exact = 0.5 + 0.5 * copy_distance(_cs(theta), n)

@@ -70,14 +70,26 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
+    def _scaled(self) -> tuple[np.ndarray, int]:
+        """The amplitudes times 2^-e, e the exponent of the largest component.
+
+        Powers of two scale exactly, so squaring the scaled amplitudes
+        neither overflows nor underflows whatever the size of the input.
+        """
+        peak = float(np.abs(self.amplitudes.view(float)).max(initial=0.0))
+        e = math.frexp(peak)[1]
+        return np.ldexp(self.amplitudes.view(float), -e).view(complex), e
+
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        scaled, e = self._scaled()
+        return math.ldexp(float(np.linalg.norm(scaled)), e)
 
     def normalized(self) -> Ket:
-        n = self.norm()
+        scaled, _ = self._scaled()
+        n = float(np.linalg.norm(scaled))
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
-        return Ket(self.amplitudes / n)
+        return Ket(scaled / n)
 
     def outer(self) -> np.ndarray:
         """The rank-one matrix |psi><psi| as a plain array."""
@@ -136,14 +148,14 @@ def check_densities(m: np.ndarray) -> None:
     """
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density operator must be square, got shape {m.shape}")
-    herm = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()))
+    herm = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)
     if herm > HERMITICITY_ATOL:
         raise ValueError(f"not Hermitian (deviation {herm:.3g})")
     tr = np.trace(m, axis1=-2, axis2=-1).ravel()
-    worst = tr[np.argmax(np.abs(tr - 1.0))]
-    if abs(worst - 1.0) > TRACE_ATOL:
-        raise ValueError(f"trace is {worst:.15g}, not 1")
-    lo = float(np.linalg.eigvalsh(m).min())
+    off = np.abs(tr - 1.0)
+    if np.max(off, initial=0.0) > TRACE_ATOL:
+        raise ValueError(f"trace is {tr[np.argmax(off)]:.15g}, not 1")
+    lo = float(np.linalg.eigvalsh(m).min(initial=np.inf))
     if lo < EIGENVALUE_FLOOR:
         raise ValueError(f"negative eigenvalue {lo:.3g}")
 

@@ -334,9 +334,10 @@ class TestErrorExits:
 
     def test_repeat_max_n_ceiling(self, capsys, monkeypatch):
         def no_work(*args):
-            raise AssertionError("copy_distance ran before --max-n was checked")
+            raise AssertionError("the curve was evaluated before --max-n was checked")
 
         monkeypatch.setattr(protocol, "copy_distance", no_work)
+        monkeypatch.setattr(protocol, "_miss", no_work)
         for max_n in (str(10**10), str(protocol.MIN_ROUNDS_MAX_COPIES + 1), "0"):
             code, out, err = run(
                 capsys, "repeat", "--theta", "1e-6", "--target", "0.99", "--max-n", max_n

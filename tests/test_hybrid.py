@@ -250,6 +250,11 @@ class TestPrExtendDensity:
             expected = pr_extend(_rotated_input(theta)).to_density().matrix
             assert np.array_equal(box_output_state(theta).matrix, expected)
 
+    @pytest.mark.parametrize("pairing", ["independent", "correlated"])
+    def test_empty_stack(self, pairing):
+        rho = pr_extend_density(np.zeros((0, 4)), pairing=pairing)
+        assert rho.shape == (0, 4, 4)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ExpressionError):
             pr_extend_density(np.ones((3, 2)))

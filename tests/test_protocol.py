@@ -313,22 +313,29 @@ class TestBracketedMinRounds:
             checked += 1
 
     def test_unreachable_target_costs_one_evaluation(self, monkeypatch):
+        # The search evaluates the miss probability 1 - D_n, not copy_distance.
         calls = []
+        miss = protocol._miss
 
-        def counted(cs, n):
+        def counted(a, n):
             calls.append(n)
-            return copy_distance(cs, n)
+            return miss(a, n)
 
-        monkeypatch.setattr(protocol, "copy_distance", counted)
+        def no_work(*args):
+            raise AssertionError("the search evaluated copy_distance")
+
+        monkeypatch.setattr(protocol, "_miss", counted)
+        monkeypatch.setattr(protocol, "copy_distance", no_work)
         with pytest.raises(ValueError, match="not reached within 100 copies"):
             min_rounds(0.001, 0.999, max_n=100)
         assert calls == [100]
 
     def test_max_n_ceiling_checked_before_any_work(self, monkeypatch):
         def no_work(*args):
-            raise AssertionError("copy_distance ran before max_n was checked")
+            raise AssertionError("the curve was evaluated before max_n was checked")
 
         monkeypatch.setattr(protocol, "copy_distance", no_work)
+        monkeypatch.setattr(protocol, "_miss", no_work)
         for max_n in (MIN_ROUNDS_MAX_COPIES + 1, 10**10, 0, -5):
             with pytest.raises(ValueError, match=r"max_n must lie in \[1, 1000000\]"):
                 min_rounds(1e-6, 0.99, max_n=max_n)
@@ -347,3 +354,139 @@ def test_shot_ceiling_checked_before_any_work(monkeypatch):
     for shots in (MAX_SHOTS + 1, 10**12):
         with pytest.raises(ValueError, match="exceeds the cap of 10000000"):
             simulate(QUARTER, 1, shots, 1)
+
+
+def _likelihood_rule(counts: np.ndarray, n: int, lam_p: float, lam_m: float) -> np.ndarray:
+    """The per-shot decoder that the one-threshold decoder replaced, kept as
+    the reference: log-likelihood ratio of "rotated" against "flat", and
+    ties (>= 0) decide 1."""
+    llr = counts * math.log(2.0 * lam_p) + (n - counts) * math.log(2.0 * lam_m)
+    return llr >= 0.0
+
+
+class TestThresholdDecoder:
+    @pytest.mark.parametrize("theta", [-0.7, -1e-3, 0.0, math.pi / 2, 1e-17, 0.3, QUARTER, 2.5])
+    def test_threshold_equals_likelihood_rule_on_every_count(self, theta):
+        rng = random.Random(hash(theta) % 2**32)
+        for n in (1, 2, 3, 20, 1001, rng.randint(1, 10**4), rng.randint(1, 10**6), 10**6):
+            lam_p, k, up = protocol._decoder(theta, n)
+            assert lam_p == (1.0 + 0.5 * math.sin(2.0 * theta)) / 2.0
+            counts = np.arange(n + 1)
+            want = _likelihood_rule(counts, n, lam_p, 1.0 - lam_p)
+            got = counts >= k if up else counts <= k
+            assert np.array_equal(got, want), (theta, n, k, up)
+
+    def test_threshold_on_random_channels(self):
+        rng = random.Random(20261019)
+        for _ in range(200):
+            theta = rng.uniform(-4.0, 4.0) * 10 ** -rng.uniform(0, 6)
+            n = round(10 ** rng.uniform(0, 6))
+            lam_p, k, up = protocol._decoder(theta, n)
+            counts = np.arange(n + 1)
+            got = counts >= k if up else counts <= k
+            assert np.array_equal(got, _likelihood_rule(counts, n, lam_p, 1.0 - lam_p)), (theta, n)
+
+    # (theta, n, shots, seed, correct shots), frozen from the per-shot decoder;
+    # 12289 shots end in a partial chunk of one shot, 8197 in one of five.
+    FROZEN = (
+        (QUARTER, 1, 10000, 1, 6242),
+        (0.3, 2, 8197, 7, 4759),
+        (-0.4, 20, 5000, 2**63 + 11, 3928),
+        (0.0, 50, 3000, 5, 1488),
+        (0.05, 1000, 9000, 123, 7045),
+        (0.001, 10**6, 4100, 99, 2790),
+        (-0.002, 10**6, 3000, 8, 2539),
+        (math.pi / 2, 7, 100, 3, 46),
+        (2.5, 5, 3 * CHUNK_SHOTS + 1, 2**64 - 1, 8772),
+    )
+
+    @pytest.mark.parametrize("theta, n, shots, seed, correct", FROZEN)
+    def test_simulate_reproduces_frozen_streams(self, theta, n, shots, seed, correct):
+        result = simulate(theta, n, shots, seed)
+        assert result.empirical_success == correct / shots
+        assert result.exact_success == exact_success(theta, n, max_n=n)
+
+    def test_chunk_takes_the_decoder_or_computes_it(self):
+        decoder = protocol._decoder(-0.4, 20)
+        for chunk, m in ((0, CHUNK_SHOTS), (3, 17)):
+            assert _chunk_correct(-0.4, 20, 9, chunk, m) == _chunk_correct(-0.4, 20, 9, chunk, m, decoder)
+
+
+def _reached(theta: float, target: float, n: int) -> bool:
+    """The decision min_rounds makes at n: miss 1 - D_n within 2 (1 - target)."""
+    return protocol._miss(abs(0.5 * math.sin(2.0 * theta)), n) <= 2.0 * (1.0 - target)
+
+
+class TestSecantMinRounds:
+    def test_equals_linear_scan(self):
+        rng = random.Random(20261020)
+        checked = 0
+        while checked < 100:
+            goal = 10 ** rng.uniform(0.0, 3.4)
+            theta = 0.5 * math.asin(min(2.0 * rng.uniform(0.3, 2.5) / math.sqrt(goal), 1.0))
+            theta = rng.choice((theta, -theta, math.pi / 2 - theta, theta + math.pi))
+            target = rng.choice((rng.uniform(0.5001, 0.9999), 1.0 - 10 ** -rng.uniform(1.0, 12.0)))
+            if not _reached(theta, target, 3000):
+                continue
+            want = next(n for n in range(1, 3001) if _reached(theta, target, n))
+            max_n = rng.randint(1, 4000)
+            if want <= max_n:
+                assert min_rounds(theta, target, max_n=max_n) == want, (theta, target, max_n)
+            else:
+                with pytest.raises(ValueError, match="not reached"):
+                    min_rounds(theta, target, max_n=max_n)
+            checked += 1
+
+    def test_few_evaluations_on_benchmark_like_channels(self, monkeypatch):
+        # Channels as the repetition benchmark draws them: n* from 20 to
+        # 20000, target halfway between the successes at n* - 1 and n*.
+        rng = random.Random(11)
+        calls = []
+        miss = protocol._miss
+
+        def counted(a, n):
+            calls.append(n)
+            return miss(a, n)
+
+        monkeypatch.setattr(protocol, "_miss", counted)
+        for _ in range(4):
+            for goal in (round(20 * 1000 ** (i / 24)) for i in range(25)):
+                while True:
+                    base = 0.5 * math.asin(2.0 * min(rng.uniform(0.8, 2.0) / math.sqrt(goal), 0.45))
+                    theta = rng.choice((base, math.pi / 2 - base, -base, base + math.pi))
+                    lo, hi = exact_success(theta, goal - 1, max_n=goal), exact_success(theta, goal, max_n=goal)
+                    if hi - lo > 4e-9 and hi < 1.0 - 1e-6:
+                        break
+                calls.clear()
+                assert min_rounds(theta, 0.5 * (lo + hi)) == goal
+                assert len(calls) <= 6, (goal, calls)
+
+    def test_one_flip_near_target_one(self, monkeypatch):
+        # 1/2 + D_n/2 rounds the miss away here; the miss itself flips once.
+        # The normal estimate is up to 6 % off this close to 1, and the
+        # secant step still keeps the search short.
+        rng = random.Random(5)
+        calls = []
+        miss = protocol._miss
+
+        def counted(a, n):
+            calls.append(n)
+            return miss(a, n)
+
+        for _ in range(30):
+            target = 1.0 - 10 ** -rng.uniform(9.0, 13.0)
+            theta = 0.5 * math.asin(2.0 * 10 ** rng.uniform(math.log10(0.02), math.log10(0.45)))
+            theta = rng.choice((theta, -theta, math.pi / 2 - theta))
+            with monkeypatch.context() as patch:
+                patch.setattr(protocol, "_miss", counted)
+                calls.clear()
+                n = min_rounds(theta, target)
+            assert len(calls) <= 6, (theta, target, calls)
+            lo = max(1, n - 64)
+            decisions = [_reached(theta, target, m) for m in range(lo, n + 65)]
+            flips = [lo + i + 1 for i in range(len(decisions) - 1) if decisions[i] != decisions[i + 1]]
+            assert flips == ([n] if n > 1 else []) and decisions[n - lo], (theta, target, n)
+
+    def test_near_one_case_is_minimal(self):
+        # 40-digit arithmetic gives n* = 98431; the success form said 98441
+        assert min_rounds(-3.1856063812250373, 0.9999999999973623) == 98431

@@ -393,6 +393,11 @@ class TestTypesValidation:
             with pytest.raises(ValueError, match=message):
                 check_densities(np.concatenate([good, bad[None]]))
 
+    def test_stack_check_accepts_an_empty_stack(self):
+        for empty in (np.zeros((0, 2, 2)), np.zeros((0, 3, 4, 4), dtype=complex)):
+            check_densities(empty)
+        check_unitaries(np.zeros((0, 2, 2)))
+
     def test_ket_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Ket([float("nan"), 0.0])
@@ -406,6 +411,34 @@ class TestTypesValidation:
     def test_ket_algebra(self):
         k = 2.0 * basis_ket("0") + 3.0 * basis_ket("1")
         assert np.array_equal(k.amplitudes, np.array([2.0, 3.0], dtype=complex))
+
+
+@pytest.mark.filterwarnings("error")
+class TestKetScale:
+    def test_huge_amplitudes_do_not_overflow(self):
+        k = Ket([1e200, 1e200])
+        assert k.norm() == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert np.allclose(k.normalized().amplitudes, [1 / math.sqrt(2.0)] * 2, rtol=0, atol=1e-15)
+
+    def test_tiny_amplitudes_do_not_underflow(self):
+        k = Ket([1e-200, 0.0])
+        assert k.norm() == 1e-200
+        assert np.array_equal(k.normalized().amplitudes, [1.0, 0.0])
+        assert Ket([5e-324, 5e-324j]).normalized().amplitudes[1] == pytest.approx(1j / math.sqrt(2.0))
+
+    def test_ordinary_amplitudes_give_the_plain_result_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+            k = Ket(amps * 10.0 ** rng.uniform(-5, 5))
+            plain = k.amplitudes / np.linalg.norm(k.amplitudes)
+            assert k.norm() == float(np.linalg.norm(k.amplitudes))
+            assert np.array_equal(k.normalized().amplitudes, plain)
+
+    def test_zero_vector_still_rejected(self):
+        assert Ket([0.0, 0.0]).norm() == 0.0
+        with pytest.raises(ValueError, match="zero vector"):
+            Ket([0.0, 0.0]).normalized()
 
 
 def test_density_csv_dump():
