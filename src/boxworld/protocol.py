@@ -36,19 +36,25 @@ and 1.0 is D_n correctly rounded.
 
 The miss probability 1 - D_n = sum_k min(B(k), B(k) e^llr_k) is summed
 over the same window as exp(log B(k) + min(llr_k, 0)), which keeps its
-relative accuracy where it is tiny. :func:`min_rounds` decides on it:
-success 1/2 + D_n/2 would round a miss near 1e-12 away, and the answer
-would depend on the search path. The search starts from the normal
-estimate, takes one secant step on the normal quantile of the success,
-and closes the bracket from there in about four evaluations.
+relative accuracy where it is tiny. :func:`min_rounds` decides on it.
+D_n itself, a sum of terms up to 1, carries an absolute error of about
+1e-13, a sizable part of a miss near 1e-12: near target 1 the float
+success 1/2 + D_n/2 can cross the target many times, and an answer
+decided on it would depend on the search path. :func:`exact_success`
+and the exact column of :func:`simulate` keep the D_n form, so within
+about 1e-13 of the target they can disagree with :func:`min_rounds`
+(the exact success at its answer may fall just short of the target).
+The search starts from the normal estimate, takes one secant step on
+the normal quantile of the success, and closes the bracket from there
+in about four evaluations.
 
 The optimal decoder is classical: measure every copy in
 |+>/|->, count, and threshold the likelihood ratio. Ties at the
 threshold decide "bit 1" (this matches the tie-neutral absolute-value
 form of D_n at the 2^-n scale). The floating-point rule is monotone in
-the count, so :func:`simulate` finds its one integer threshold once and
-compares counts with it; the decisions are those of the per-count rule
-bit for bit.
+the count, so each chunk of :func:`simulate` finds its one integer
+threshold by bisection and compares counts with it; the decisions are
+those of the per-count rule bit for bit.
 
 Sampling uses the numpy Philox4x64-10 counter-based generator. Shots are
 grouped into fixed chunks of ``CHUNK_SHOTS``; chunk c draws from the
@@ -172,14 +178,17 @@ def exact_success_fraction(cs: Fraction, n: int) -> Fraction:
 
 
 def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIES) -> int:
-    """Smallest n whose exact success reaches ``target``.
+    """Smallest n whose optimal success reaches ``target``.
 
     ``target`` must lie strictly between 1/2 and 1, and ``max_n`` in
     [1, ``MIN_ROUNDS_MAX_COPIES``]. Success 1/2 + D_n/2 reaches the
     target exactly when the miss probability 1 - D_n is at most
     2 (1 - target); both sides are compared as computed, the miss summed
     termwise and the budget exact in floats, so the decision stays sharp
-    near target 1, where 1/2 + D_n/2 would round the miss away. The miss
+    near target 1, where the absolute error of about 1e-13 in D_n is a
+    sizable part of the miss. :func:`exact_success` is computed from D_n,
+    so within about 1e-13 of the target it can disagree with this
+    decision, and its value at the answer may fall just short. The miss
     is nonincreasing in n, so one evaluation at ``max_n`` decides whether
     the target is reachable. The search then starts from the normal
     estimate n0 = ceil((2 z / |cs|)^2), z the standard normal quantile of
@@ -271,14 +280,9 @@ def _decoder(theta: float, n: int) -> tuple[float, int, bool]:
     return lam_p, (hi if up else lo), up
 
 
-def _chunk_correct(
-    theta: float, n: int, seed: int, chunk: int, m: int, decoder: tuple[float, int, bool] | None = None
-) -> int:
-    """Number of correctly decoded shots in one fixed-substream chunk.
-
-    ``decoder`` is :func:`_decoder` of (theta, n), computed here if not given.
-    """
-    lam_p, k, up = decoder or _decoder(theta, n)
+def _chunk_correct(theta: float, n: int, seed: int, chunk: int, m: int) -> int:
+    """Number of correctly decoded shots in one fixed-substream chunk."""
+    lam_p, k, up = _decoder(theta, n)
     rng = np.random.Generator(np.random.Philox(key=seed, counter=chunk << 64))
     m1 = int(np.count_nonzero(rng.integers(0, 2, size=m)))  # shots where Alice sends 1
     flat = rng.binomial(n, 0.5, size=m - m1)
@@ -309,13 +313,12 @@ def simulate(theta: float, n: int, shots: int, seed: int) -> ProtocolResult:
         raise ValueError(f"shots = {shots} exceeds the cap of {MAX_SHOTS}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit an unsigned 64-bit integer")
-    decoder = _decoder(theta, n)
     correct = 0
     done = 0
     chunk = 0
     while done < shots:
         m = min(CHUNK_SHOTS, shots - done)
-        correct += _chunk_correct(theta, n, seed, chunk, m, decoder)
+        correct += _chunk_correct(theta, n, seed, chunk, m)
         done += m
         chunk += 1
     exact = 0.5 + 0.5 * copy_distance(_cs(theta), n)

@@ -57,6 +57,18 @@ def _frozen_complex(value: np.ndarray | Sequence, ndim: int) -> np.ndarray:
     return arr
 
 
+def _pow2_scaled(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each amplitude vector (the last axis) times 2^-e, e the exponent of
+    its largest component (0 for a zero vector), and the exponents e.
+
+    Powers of two scale exactly, so squaring the scaled amplitudes
+    neither overflows nor underflows whatever the size of the input.
+    """
+    parts = amps.view(float)
+    e = np.frexp(np.abs(parts).max(axis=-1, initial=0.0))[1]
+    return np.ldexp(parts, -e[..., None]).view(complex), e
+
+
 @dataclass(frozen=True)
 class Ket:
     """Complex amplitude vector; not necessarily normalized."""
@@ -70,22 +82,15 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    def _scaled(self) -> tuple[np.ndarray, int]:
-        """The amplitudes times 2^-e, e the exponent of the largest component.
-
-        Powers of two scale exactly, so squaring the scaled amplitudes
-        neither overflows nor underflows whatever the size of the input.
-        """
-        peak = float(np.abs(self.amplitudes.view(float)).max(initial=0.0))
-        e = math.frexp(peak)[1]
-        return np.ldexp(self.amplitudes.view(float), -e).view(complex), e
-
     def norm(self) -> float:
-        scaled, e = self._scaled()
-        return math.ldexp(float(np.linalg.norm(scaled)), e)
+        """Euclidean norm; ``math.inf`` where it exceeds the largest float."""
+        scaled, e = _pow2_scaled(self.amplitudes)
+        frac, exp = math.frexp(float(np.linalg.norm(scaled)))
+        exp += int(e)
+        return math.ldexp(frac, exp) if exp <= 1024 else math.inf
 
     def normalized(self) -> Ket:
-        scaled, _ = self._scaled()
+        scaled, _ = _pow2_scaled(self.amplitudes)
         n = float(np.linalg.norm(scaled))
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
@@ -272,18 +277,15 @@ def density_from_mixture(branches) -> DensityOperator:
         kets.append(ket.amplitudes)
     if not kets:
         raise ValueError("mixture needs at least one branch")
-    amps = np.array(kets)
-    shifts, frames = [], []  # per branch: its ket's scale, its term's exponent and mantissa
-    for w, peak in zip(weights, np.abs(amps.view(float)).max(axis=1).tolist()):
-        a_exp = math.frexp(peak)[1]
+    v, a_exps = _pow2_scaled(np.array(kets))
+    frames = []  # per branch: its term's exponent and mantissa
+    for w, a_exp, nonzero in zip(weights, a_exps.tolist(), v.any(axis=1).tolist()):
         w_frac, w_exp = math.frexp(w)
-        shifts.append(-a_exp)
-        frames.append((w_exp + 2 * a_exp, w_frac if peak > 0.0 else 0.0))
+        frames.append((w_exp + 2 * a_exp, w_frac if nonzero else 0.0))
     top = max((exp for exp, frac in frames if frac > 0.0), default=None)
     if top is None:
         raise ValueError("mixture has zero total mass")
     coefs = np.array([math.ldexp(frac, exp - top) for exp, frac in frames])
-    v = np.ldexp(amps.view(float), np.array(shifts)[:, None]).view(complex)
     terms = coefs[:, None, None] * (v[:, :, None] * v[:, None, :].conj())
     acc = np.zeros(terms.shape[1:], dtype=complex)
     for term in terms:

@@ -406,11 +406,6 @@ class TestThresholdDecoder:
         assert result.empirical_success == correct / shots
         assert result.exact_success == exact_success(theta, n, max_n=n)
 
-    def test_chunk_takes_the_decoder_or_computes_it(self):
-        decoder = protocol._decoder(-0.4, 20)
-        for chunk, m in ((0, CHUNK_SHOTS), (3, 17)):
-            assert _chunk_correct(-0.4, 20, 9, chunk, m) == _chunk_correct(-0.4, 20, 9, chunk, m, decoder)
-
 
 def _reached(theta: float, target: float, n: int) -> bool:
     """The decision min_rounds makes at n: miss 1 - D_n within 2 (1 - target)."""

@@ -435,6 +435,12 @@ class TestKetScale:
             assert k.norm() == float(np.linalg.norm(k.amplitudes))
             assert np.array_equal(k.normalized().amplitudes, plain)
 
+    def test_norm_beyond_the_largest_float_is_inf(self):
+        k = Ket([1.5e308, 1.5e308])
+        assert k.norm() == math.inf
+        assert Ket([1.2e308, 1.2e308]).norm() == pytest.approx(math.sqrt(2.0) * 1.2e308, rel=1e-15)
+        assert np.allclose(k.normalized().amplitudes, [1 / math.sqrt(2.0)] * 2, rtol=0, atol=1e-15)
+
     def test_zero_vector_still_rejected(self):
         assert Ket([0.0, 0.0]).norm() == 0.0
         with pytest.raises(ValueError, match="zero vector"):
