@@ -8,6 +8,25 @@ box lets one side's input leak into the other side's output marginal,
 evaluates the CHSH functional, and decides membership in the local
 (deterministic-strategy) polytope by linear programming.
 
+The LP's optimum t is the box's L-infinity distance to the local polytope.
+:func:`is_local` first computes two lower bounds on t that hold for any
+real binary table, and answers "not local" without the LP when one of
+them clears ``tol`` by :data:`LP_SLACK`:
+
+- (largest of the 8 CHSH variants - 2) / 16: each variant weights all 16
+  entries by +-1, so moving every entry by at most t moves it by at most
+  16 t, and a local box scores at most 2;
+- (largest no-signaling violation) / 4: each marginal entry sums 2
+  entries, so a violation (half the L1 gap of two marginals of 2 entries)
+  moves by at most 4 t, and a local box has none.
+
+HiGHS meets constraints only to its feasibility tolerance of 1e-7, so its
+t may fall short of the true optimum by about that much; the slack of
+1e-6 keeps every verdict the bound gives equal to the LP's. Every other
+box, the local ones included, goes to the LP, which stays the only judge
+of membership (Fine's criterion, CHSH <= 2 for no-signaling boxes, is an
+oracle in the tests, not a decider here).
+
 Violation magnitudes are total-variation distances (half L1) so they sit
 on the same scale as trace distances elsewhere in the package.
 
@@ -22,6 +41,7 @@ callers.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 from dataclasses import dataclass
@@ -30,6 +50,8 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
+    "LP_SLACK",
+    "MAX_CSV_BYTES",
     "BoxValidationError",
     "BoxFormatError",
     "LocalityLPError",
@@ -50,6 +72,12 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# How far the lower bound on the locality LP's t must clear tol before the
+# LP is skipped; it covers HiGHS's primal feasibility tolerance of 1e-7.
+LP_SLACK = 1e-6
+# The longest box CSV the command line reads; a binary box at 17 digits
+# takes under 500 bytes.
+MAX_CSV_BYTES = 1 << 20
 
 
 class BoxValidationError(ValueError):
@@ -296,6 +324,12 @@ def relabel(box: ConditionalBox, r: Relabeling) -> ConditionalBox:
     return ConditionalBox(out, tol=box.tol)
 
 
+def _correlators(t: np.ndarray) -> np.ndarray:
+    """E(A, B) = P(a = b) - P(a != b) of a binary table, indexed [A, B]."""
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(a xor b)
+    return np.einsum("ab,abAB->AB", sign, t)
+
+
 def chsh_value(box: ConditionalBox) -> float:
     """E(0,0) + E(0,1) + E(1,0) - E(1,1) with E = P(a=b) - P(a!=b) per setting.
 
@@ -304,9 +338,21 @@ def chsh_value(box: ConditionalBox) -> float:
     """
     if box.table.shape != (2, 2, 2, 2):
         raise ValueError(f"CHSH needs a binary 2x2x2x2 box, got shape {box.table.shape}")
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(a xor b)
-    corr = np.einsum("ab,abAB->AB", sign, box.table)
+    corr = _correlators(box.table)
     return float(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1])
+
+
+def _distance_lower_bound(t: np.ndarray) -> float:
+    """A lower bound on a binary table's L-infinity distance to the local polytope.
+
+    The larger of (best CHSH variant - 2) / 16 and (worst no-signaling
+    violation) / 4; the module docstring says why each holds.
+    """
+    corr = _correlators(t)
+    # The variant with the minus sign on E(A, B), either overall sign.
+    best_chsh = float(np.abs(corr.sum() - 2.0 * corr).max())
+    a_to_b, b_to_a, _ = no_signaling_violations(t)
+    return max((best_chsh - 2.0) / 16.0, max(float(a_to_b), float(b_to_a)) / 4.0)
 
 
 def deterministic_vertices() -> np.ndarray:
@@ -326,37 +372,57 @@ def deterministic_vertices() -> np.ndarray:
     return verts.reshape(16, 16)
 
 
-def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
-    """Decide local-polytope membership; return convex weights when inside.
+@functools.cache
+def _lp_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective, inequality and equality matrices of the locality LP.
 
-    Solves the LP minimizing the worst entrywise deviation t between the box
-    and a convex combination of the 16 deterministic boxes. The box is local
-    iff the optimum satisfies t <= tol. Weights follow the fixed vertex
-    ordering of :func:`deterministic_vertices`. Raises
-    :class:`LocalityLPError` when the solver reports no optimum.
+    Variables are the 16 vertex weights then the deviation bound t. None
+    of the three depends on the box, so they are built once per process
+    and kept read-only.
     """
-    if box.table.shape != (2, 2, 2, 2):
-        raise ValueError(f"locality LP needs a binary 2x2x2x2 box, got shape {box.table.shape}")
-    from scipy.optimize import linprog  # only here, so the package loads without scipy
-
-    p = box.table.reshape(16)
     verts = deterministic_vertices()  # (16 vertices, 16 entries)
-
-    # Variables: 16 weights then the deviation bound t; minimize t.
     c = np.zeros(17)
     c[16] = 1.0
     ones = np.ones((16, 1))
     a_ub = np.vstack([np.hstack([verts.T, -ones]), np.hstack([-verts.T, -ones])])
-    b_ub = np.concatenate([p, -p])
     a_eq = np.zeros((1, 17))
     a_eq[0, :16] = 1.0
+    for array in (c, a_ub, a_eq):
+        array.setflags(write=False)
+    return c, a_ub, a_eq
+
+
+def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
+    """Decide local-polytope membership; return convex weights when inside.
+
+    The LP minimizes the worst entrywise deviation t between the box and a
+    convex combination of the 16 deterministic boxes; the box is local iff
+    the optimum satisfies t <= tol. Weights follow the fixed vertex
+    ordering of :func:`deterministic_vertices`.
+
+    Before the LP, t is bounded from below by the larger of
+    (best CHSH variant - 2) / 16 and (worst no-signaling violation) / 4.
+    When that bound exceeds ``tol + LP_SLACK`` the answer is
+    ``(False, None)`` with no LP and no scipy import; the slack covers
+    HiGHS's feasibility tolerance of 1e-7, so the LP could not have
+    answered otherwise. Every other box is decided by the LP. Raises
+    :class:`LocalityLPError` when the solver reports no optimum.
+    """
+    if box.table.shape != (2, 2, 2, 2):
+        raise ValueError(f"locality LP needs a binary 2x2x2x2 box, got shape {box.table.shape}")
+    if _distance_lower_bound(box.table) > tol + LP_SLACK:
+        return False, None
+    from scipy.optimize import linprog  # only here, so the package loads without scipy
+
+    c, a_ub, a_eq = _lp_data()
+    p = box.table.reshape(16)
     res = linprog(
         c,
         A_ub=a_ub,
-        b_ub=b_ub,
+        b_ub=np.concatenate([p, -p]),
         A_eq=a_eq,
         b_eq=[1.0],
-        bounds=[(0.0, None)] * 17,
+        bounds=(0.0, None),
         method="highs",
     )
     if not res.success:
@@ -379,8 +445,14 @@ def dumps_csv(box: ConditionalBox, digits: int = 17) -> str:
 
 
 def loads_csv(text: str, tol: float = DEFAULT_TOL) -> ConditionalBox:
-    """Parse the ``A,B,a,b,p`` CSV format; every index combination must appear once."""
-    rows = list(csv.reader(io.StringIO(text)))
+    """Parse the ``A,B,a,b,p`` CSV format; every index combination must appear once.
+
+    Lines may end in LF, CRLF or CR, as in a file read in text mode.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline=None)))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise BoxFormatError(str(exc)) from exc
     rows = [r for r in rows if r and any(field.strip() for field in r)]
     if not rows or [f.strip() for f in rows[0]] != ["A", "B", "a", "b", "p"]:
         raise BoxFormatError("expected header 'A,B,a,b,p'")

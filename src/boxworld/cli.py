@@ -55,10 +55,13 @@ def _load_box(source: str, tol: float) -> boxes.ConditionalBox:
     if not path.exists():
         raise _UsageError(f"unknown box {source!r}: not a builtin {BUILTIN_BOXES} or a file")
     try:
-        text = path.read_text()
+        with path.open("rb") as handle:
+            data = handle.read(boxes.MAX_CSV_BYTES + 1)  # bounded, even for /dev/zero
     except OSError as exc:
         raise _UsageError(f"cannot read box file {source!r}: {exc}") from exc
-    return boxes.loads_csv(text, tol=tol)
+    if len(data) > boxes.MAX_CSV_BYTES:
+        raise _UsageError(f"box file {source!r} is longer than {boxes.MAX_CSV_BYTES} bytes")
+    return boxes.loads_csv(data.decode(), tol=tol)
 
 
 def _angle(value: float, degrees: bool) -> float:

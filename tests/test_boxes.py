@@ -2,8 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from boxworld import boxes
+from boxworld.audit import effective_box
 from boxworld.boxes import (
+    DEFAULT_TOL,
+    LP_SLACK,
     BoxFormatError,
     BoxValidationError,
     ConditionalBox,
@@ -53,6 +59,65 @@ def _all_chsh_values(box) -> np.ndarray:
             s += (-1 if idx == flipped else 1) * corr[A, B]
         values.extend([s, -s])
     return np.array(values)
+
+
+def _pr_variant(k: int) -> np.ndarray:
+    """Relabeled PR box k = 4 alpha + 2 beta + gamma: a XOR b = AB ^ alpha A ^ beta B ^ gamma."""
+    alpha, beta, gamma = k >> 2 & 1, k >> 1 & 1, k & 1
+    t = np.zeros((2, 2, 2, 2))
+    for a, b, A, B in itertools.product(range(2), repeat=4):
+        if a ^ b == (A & B) ^ (alpha & A) ^ (beta & B) ^ gamma:
+            t[a, b, A, B] = 0.5
+    return t
+
+
+def _correlators(t: np.ndarray) -> np.ndarray:
+    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return np.einsum("ab,abAB->AB", sign, t)
+
+
+def _chsh_variant(t: np.ndarray, k: int) -> float:
+    """The CHSH variant that relabeled PR box k takes to 4; the 8 of them are all variants.
+
+    Its signs are the PR box's own correlators, each +-1.
+    """
+    return float((_correlators(_pr_variant(k)) * _correlators(t)).sum())
+
+
+def _violations(t: np.ndarray) -> tuple[float, float]:
+    """(a->b, b->a): the largest total-variation shift of the other side's marginal."""
+    bob, alice = t.sum(axis=0), t.sum(axis=1)
+    ab = max(0.5 * float(np.abs(bob[:, 0, B] - bob[:, 1, B]).sum()) for B in (0, 1))
+    ba = max(0.5 * float(np.abs(alice[:, A, 0] - alice[:, A, 1]).sum()) for A in (0, 1))
+    return ab, ba
+
+
+def _lp_distance(t: np.ndarray) -> float:
+    """The L-infinity distance to the local polytope, by a direct HiGHS solve."""
+    from scipy.optimize import linprog
+
+    verts = deterministic_vertices()
+    p = t.reshape(16)
+    c = np.r_[np.zeros(16), 1.0]
+    a_ub = np.block([[verts.T, -np.ones((16, 1))], [-verts.T, -np.ones((16, 1))]])
+    a_eq = np.r_[np.ones(16), 0.0][None, :]
+    res = linprog(c, A_ub=a_ub, b_ub=np.r_[p, -p], A_eq=a_eq, b_eq=[1.0], method="highs")
+    assert res.success
+    return float(res.x[16])
+
+
+def _local_table(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    w = w / w.sum() if w.sum() > 0 else np.full(16, 1 / 16)
+    return (w @ deterministic_vertices()).reshape(2, 2, 2, 2)
+
+
+def _move_bob_outcome(t: np.ndarray, delta: float) -> np.ndarray:
+    """Move delta of P(0, 0 | 1, 0) to P(0, 1 | 1, 0): a->b violation exactly delta, Alice's marginal kept."""
+    t = t.copy()
+    t[0, 0, 1, 0] -= delta
+    t[0, 1, 1, 0] += delta
+    return t
 
 
 class TestPrBox:
@@ -392,6 +457,20 @@ class TestIsLocal:
         with pytest.raises(LocalityLPError, match="status 4.*Numerical difficulties"):
             is_local(uniform_box())
 
+    def test_bound_settles_nonlocal_boxes_without_the_lp(self, monkeypatch):
+        import scipy.optimize
+
+        def failing(*args, **kwargs):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        for box in (pr_box(), effective_box(0.3), ConditionalBox(_pr_variant(5))):
+            assert is_local(box) == (False, None)
+
+    def test_lp_data_is_built_once_and_read_only(self):
+        assert boxes._lp_data() is boxes._lp_data()
+        assert not any(a.flags.writeable for a in boxes._lp_data())
+
     def test_vertex_ordering(self):
         # Vertex 0: all outputs 0. Vertex 15: all outputs 1.
         verts = deterministic_vertices()
@@ -402,6 +481,97 @@ class TestIsLocal:
         # Vertex 4 = strategy a(0)=0, a(1)=1, b(0)=0, b(1)=0.
         v4 = verts[4].reshape(2, 2, 2, 2)
         assert v4[1, 0, 1, 1] == 1.0 and v4[0, 0, 0, 0] == 1.0
+
+
+# Fine's theorem decides binary no-signaling boxes exactly; the LP verdict
+# may differ from it only where the best CHSH variant is within this band of
+# 2. Past it the bound (variant - 2) / 16 alone exceeds tol + LP_SLACK.
+FINE_BAND = 16 * (DEFAULT_TOL + LP_SLACK)
+
+
+@st.composite
+def _facet_straddling_boxes(draw) -> np.ndarray:
+    """A relabeled PR box mixed into a local box, near where its CHSH variant crosses 2."""
+    local = _local_table(draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16)))
+    k = draw(st.integers(0, 7))
+    s = _chsh_variant(local, k)  # in [-2, 2]; the PR box scores 4
+    crossing = (2.0 - s) / (4.0 - s)
+    # Log-uniform distances 1e-5 .. 0.1 from the crossing, on either side.
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-5.0, -1.0))
+    lam = min(max(crossing + offset, 0.0), 1.0)
+    return lam * _pr_variant(k) + (1.0 - lam) * local
+
+
+class TestFineTheorem:
+    @settings(max_examples=300, deadline=None)
+    @given(_facet_straddling_boxes())
+    def test_is_local_agrees_with_the_chsh_criterion(self, t):
+        # Mirrors the benchmark's oracle: no-signaling and every variant <= 2.
+        box = ConditionalBox(t)
+        assert max(_violations(t)) <= 1e-12
+        best = _all_chsh_values(box).max()
+        assume(abs(best - 2.0) > FINE_BAND)
+        local, weights = is_local(box)
+        assert local == (best <= 2.0)
+        if local:
+            recon = (weights @ deterministic_vertices()).reshape(2, 2, 2, 2)
+            np.testing.assert_allclose(recon, t, atol=1e-9)
+
+
+class TestDistanceBound:
+    """The lower bound on the LP's t never overshoots it, and skips the LP only when safe."""
+
+    @staticmethod
+    def _tables():
+        rng = np.random.default_rng(29)
+        threshold = DEFAULT_TOL + LP_SLACK
+        for _ in range(60):
+            local = _local_table(rng.random(16) ** 3)
+            k = int(rng.integers(8))
+            yield local
+            lam = rng.uniform(0, 1)
+            yield lam * _pr_variant(k) + (1 - lam) * 0.25
+            lam = rng.uniform(0, 1)
+            yield lam * _pr_variant(k) + (1 - lam) * local
+            yield _move_bob_outcome(local, rng.uniform(0, 1) * local[0, 0, 1, 0])
+            # Bounds within 10 slacks of tol + slack, from either kind of excess.
+            target = threshold + rng.uniform(-1, 10) * LP_SLACK
+            s = _chsh_variant(local, k)
+            facet = (2.0 - s) / (4.0 - s) * _pr_variant(k) + 2.0 / (4.0 - s) * local
+            yield (1 - 8 * target) * facet + 8 * target * _pr_variant(k)  # variant 2 + 16 target
+            interior = 0.5 * local + 0.125  # half local, half uniform: every P >= 1/8
+            yield _move_bob_outcome(interior, 4 * target)
+
+    def test_never_exceeds_the_lp_optimum(self):
+        near = 0
+        for t in self._tables():
+            bound, lp = boxes._distance_lower_bound(t), _lp_distance(t)
+            assert bound <= lp + 1e-7
+            near += abs(bound - (DEFAULT_TOL + LP_SLACK)) <= 10 * LP_SLACK
+        assert near >= 120
+
+    def test_skips_the_lp_only_where_it_would_say_not_local(self, monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        real = scipy.optimize.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        skipped = solved = 0
+        for t in self._tables():
+            before = len(calls)
+            local, _ = is_local(ConditionalBox(t))
+            if len(calls) == before:
+                skipped += 1
+                assert not local
+                assert _lp_distance(t) > DEFAULT_TOL
+            else:
+                solved += 1
+        assert skipped and solved
 
 
 class TestCsv:
@@ -434,6 +604,15 @@ class TestCsv:
     def test_non_numeric_field(self):
         with pytest.raises(BoxFormatError):
             loads_csv("A,B,a,b,p\n0,0,0,0,x\n")
+
+    def test_any_line_ending(self):
+        text = dumps_csv(pr_box())
+        for ending in ("\r\n", "\r"):
+            assert np.array_equal(loads_csv(text.replace("\n", ending)).table, pr_box().table)
+
+    def test_overlong_field_is_a_format_error(self):
+        with pytest.raises(BoxFormatError, match="field larger than field limit"):
+            loads_csv("A,B,a,b,p\n" + "1" * 200_000)
 
     def test_invalid_probabilities_fail_validation(self):
         rows = ["A,B,a,b,p"]

@@ -15,7 +15,7 @@ import pytest
 import boxworld
 from boxworld import audit, cli, protocol
 from boxworld.audit import effective_box
-from boxworld.boxes import dumps_csv, pr_box
+from boxworld.boxes import MAX_CSV_BYTES, dumps_csv, pr_box
 from boxworld.cli import main
 
 
@@ -310,6 +310,58 @@ class TestErrorExits:
         assert code == 1 and out == ""
         assert err == "error: locality LP failed (status 4): stalled\n"
 
+    def test_nonlocal_boxes_need_no_lp(self, capsys, monkeypatch, tmp_path):
+        import scipy.optimize
+
+        def failing(*args, **kwargs):
+            return scipy.optimize.OptimizeResult(success=False, status=4, message="stalled", x=None)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        path = tmp_path / "construction.csv"
+        path.write_text(dumps_csv(effective_box(0.3)))
+        for box in ("pr", str(path)):
+            assert run(capsys, "local", "--box", box) == (0, "local: false\n", "")
+
+    @pytest.mark.parametrize("command", ["verify", "chsh", "local"])
+    def test_box_file_is_read_up_to_a_cap(self, capsys, tmp_path, command):
+        # A valid box padded with blank lines to exactly the cap, then one byte more.
+        text = dumps_csv(pr_box())
+        lines, rest = divmod(MAX_CSV_BYTES - len(text), 1 << 16)
+        path = tmp_path / "padded.csv"
+        path.write_text(text + (" " * ((1 << 16) - 1) + "\n") * lines + " " * rest)
+        assert path.stat().st_size == MAX_CSV_BYTES
+        code, out, err = run(capsys, command, "--box", str(path))
+        assert code == 0 and out and err == ""
+        with path.open("a") as handle:
+            handle.write(" ")
+        sparse = tmp_path / "sparse.csv"
+        with sparse.open("wb") as handle:
+            handle.truncate(64 << 20)  # 64 MiB of zero bytes, mostly never read
+        for big in (path, sparse):
+            code, out, err = run(capsys, command, "--box", str(big))
+            assert code == 1 and out == ""
+            assert err == f"error: box file {str(big)!r} is longer than {MAX_CSV_BYTES} bytes\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc and /dev")
+    def test_endless_box_file_is_read_only_up_to_the_cap(self):
+        # The child may map only 256 MiB more than it has after importing, so
+        # an unbounded read of /dev/zero ends in MemoryError instead of growing.
+        proc = _fresh_python(
+            "-c",
+            "import re, resource, sys\n"
+            "from boxworld import cli\n"
+            "status = open('/proc/self/status').read()\n"
+            "mapped = int(re.search(r'VmSize:\\s+(\\d+) kB', status)[1]) << 10\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = mapped + (256 << 20)\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    soft = min(soft, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "sys.exit(cli.main(['verify', '--box', '/dev/zero']))",
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: box file '/dev/zero' is longer than {MAX_CSV_BYTES} bytes\n"
+
     @pytest.mark.parametrize("command", ["verify", "chsh", "local"])
     def test_invalid_box_exits_two(self, capsys, tmp_path, command):
         # BoxValidationError is a ValueError, which alone would give exit 1.
@@ -536,6 +588,13 @@ class TestColdImport:
         _, local_out, _ = run(capsys, "local", "--box", "uniform")
         assert proc.stdout == local_out + repr(protocol.copy_distance(0.3, 500)) + "\n"
         assert proc.stdout.startswith("local: true\nweights: ")
+
+    def test_local_on_a_nonlocal_box_loads_no_scipy(self):
+        # -X importtime lists every module the run imports on stderr
+        proc = _fresh_python("-X", "importtime", "-m", "boxworld", "local", "--box", "pr")
+        assert (proc.returncode, proc.stdout) == (0, "local: false\n")
+        assert "import time:" in proc.stderr and "numpy" in proc.stderr
+        assert "scipy" not in proc.stderr
 
     def test_repetition_at_large_n_loads_no_scipy(self, capsys):
         repeat = ["repeat", "--theta", "0.0081", "--target", "0.9"]
