@@ -12,30 +12,22 @@ from .boxes import (
     ConditionalBox,
     LocalityLPError,
     NoSignalingReport,
-    Relabeling,
     check_no_signaling,
     chsh_value,
     is_local,
     pr_box,
-    relabel,
     uniform_box,
 )
 from .quantum import (
     DensityOperator,
     Ket,
     Unitary,
-    apply,
     basis_ket,
     check_densities,
     density_from_mixture,
     helstrom,
-    identity,
     measure_probs,
-    minus_ket,
     partial_trace,
-    plus_ket,
-    rotation,
-    tensor,
     trace_distance,
     trace_distances,
 )
@@ -55,9 +47,7 @@ from .hybrid import (
     bob_state,
     box_output_state,
     distribute,
-    pr_extend,
     pr_extend_density,
-    rotated_inputs,
     signaling_witness,
 )
 from .protocol import (

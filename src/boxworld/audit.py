@@ -10,8 +10,8 @@ probability box, nonnegative and normalized, yet its Bob marginal moves
 with x: a dynamics that keeps probabilities valid while breaking the
 marginal-independence requirement.
 
-A sweep forms the inputs of a whole chunk of angles at once (by default
-Alice's plane rotations, as one stack checked unitary in one pass), evaluates
+A sweep forms the inputs of a whole chunk of angles at once (Alice's
+plane rotations, as one stack checked unitary in one pass), evaluates
 their closed-form output densities in one call, with the x = 0 density
 riding in the first chunk, reads every table of the chunk off them in one
 array, and checks that array in one pass: positivity and normalization
@@ -25,13 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .boxes import DEFAULT_TOL, ConditionalBox, no_signaling_violations, table_deviations
-from .hybrid import _rotated_rows, pr_extend_density, rotated_inputs
-from .quantum import Unitary, rotations, trace_distances
+from .hybrid import _rotated_rows, pr_extend_density
+from .quantum import rotations, trace_distances
 
 __all__ = [
     "POSITIVITY_ATOL",
@@ -79,15 +79,8 @@ class AuditReport:
         return self.positivity_ok and self.normalization_ok and self.a_to_b_violation > self.tol
 
 
-UnitaryFamily = Callable[[float], Unitary]
-
-
-def _densities(thetas: list[float], unitary_family: UnitaryFamily | None) -> np.ndarray:
-    if unitary_family is None:
-        psi = _rotated_rows(rotations(thetas))
-    else:
-        psi = rotated_inputs([unitary_family(t) for t in thetas])
-    return pr_extend_density(psi)
+def _densities(thetas: list[float]) -> np.ndarray:
+    return pr_extend_density(_rotated_rows(rotations(thetas)))
 
 
 def _tables(rho0: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -103,39 +96,25 @@ def _bob_marginals(rho: np.ndarray) -> np.ndarray:
     return np.einsum("...abac->...bc", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
 
 
-def effective_box(theta: float, unitary_family: UnitaryFamily | None = None) -> ConditionalBox:
-    """The construction as a 2-input/2-output box; entries from joint measurement.
-
-    ``unitary_family`` maps an angle to the local qubit ``Unitary`` Alice
-    applies; ``None`` (the default) is the plane rotation, formed for all
-    angles at once by :func:`~boxworld.quantum.rotations`. Swapping in
-    another one-parameter family is an exploration hook, audited on the
-    same footing.
-    """
-    rho = _densities([0.0, theta], unitary_family)
+def effective_box(theta: float) -> ConditionalBox:
+    """The construction as a 2-input/2-output box; entries from joint measurement."""
+    rho = _densities([0.0, theta])
     return ConditionalBox(_tables(rho[0], rho[1:])[0])
 
 
-def audit_sweep(
-    thetas: Iterable[float],
-    tol: float = DEFAULT_TOL,
-    unitary_family: UnitaryFamily | None = None,
-) -> Iterator[AuditReport]:
+def audit_sweep(thetas: Iterable[float], tol: float = DEFAULT_TOL) -> Iterator[AuditReport]:
     """Audit every angle of a grid, in order, SWEEP_CHUNK angles at a time.
 
-    With ``unitary_family=None`` (the default) each chunk's inputs come
-    from the stack of plane rotations, checked unitary once per chunk; a
-    given ``unitary_family`` is called once per angle, plus once at 0 for
-    the x = 0 setting, and must return a qubit ``Unitary``. The x = 0
-    input leads the first chunk, so each chunk's densities come from one
-    closed-form call and its tables from one array, which is checked as a
-    whole: the reports are rows of
+    Each chunk's inputs come from the stack of plane rotations, checked
+    unitary once per chunk. The x = 0 input leads the first chunk, so each
+    chunk's densities come from one closed-form call and its tables from
+    one array, which is checked as a whole: the reports are rows of
     :func:`~boxworld.boxes.table_deviations` and
     :func:`~boxworld.boxes.no_signaling_violations` on that array.
     """
     angles = iter(thetas)
     chunk = [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]
-    first = _densities([0.0, *chunk], unitary_family)
+    first = _densities([0.0, *chunk])
     rho0, rho = first[0], first[1:]
     bob0 = _bob_marginals(rho0)
     while chunk:
@@ -156,14 +135,10 @@ def audit_sweep(
                 tol=tol,
             )
         if chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:
-            rho = _densities(chunk, unitary_family)
+            rho = _densities(chunk)
 
 
-def audit_dynamics(
-    theta: float,
-    tol: float = DEFAULT_TOL,
-    unitary_family: UnitaryFamily | None = None,
-) -> AuditReport:
+def audit_dynamics(theta: float, tol: float = DEFAULT_TOL) -> AuditReport:
     """Build the effective box and report positivity, normalization, signaling.
 
     For any theta with cs != 0 the expected outcome is: positivity and
@@ -171,4 +146,4 @@ def audit_dynamics(
     sin(2 theta)/4 (achieved at Bob's y = 1 setting), and the reverse
     direction stays at zero.
     """
-    return next(audit_sweep([theta], tol, unitary_family))
+    return next(audit_sweep([theta], tol))

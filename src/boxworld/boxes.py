@@ -3,9 +3,9 @@
 A box is a table P(a, b | A, B) over finite input alphabets (A for Alice,
 B for Bob) and finite output alphabets (a, b). The canonical example is
 the PR box, whose outputs satisfy a XOR b = A AND B with uniform local
-marginals. This module builds boxes, relabels them, measures how badly a
-box lets one side's input leak into the other side's output marginal,
-evaluates the CHSH functional, and decides membership in the local
+marginals. This module builds boxes, measures how badly a box lets one
+side's input leak into the other side's output marginal, evaluates the
+CHSH functional, and decides membership in the local
 (deterministic-strategy) polytope by linear programming.
 
 The LP's optimum t is the box's L-infinity distance to the local polytope.
@@ -52,18 +52,17 @@ __all__ = [
     "DEFAULT_TOL",
     "LP_SLACK",
     "MAX_CSV_BYTES",
+    "MAX_PAIR_ENTRIES",
     "BoxValidationError",
     "BoxFormatError",
     "LocalityLPError",
     "ConditionalBox",
     "NoSignalingReport",
-    "Relabeling",
     "pr_box",
     "uniform_box",
     "table_deviations",
     "no_signaling_violations",
     "check_no_signaling",
-    "relabel",
     "chsh_value",
     "deterministic_vertices",
     "is_local",
@@ -78,6 +77,11 @@ LP_SLACK = 1e-6
 # The longest box CSV the command line reads; a binary box at 17 digits
 # takes under 500 bytes.
 MAX_CSV_BYTES = 1 << 20
+# The most gaps the no-signaling check may form in one direction, receiver
+# inputs x sender inputs^2 x receiver outputs (32 MiB of floats). loads_csv
+# refuses larger tables: within MAX_CSV_BYTES, 60000 inputs on one side
+# would ask for 28.8 GB.
+MAX_PAIR_ENTRIES = 1 << 22
 
 
 class BoxValidationError(ValueError):
@@ -250,80 +254,6 @@ def check_no_signaling(box: ConditionalBox, tol: float = DEFAULT_TOL) -> NoSigna
     return NoSignalingReport(float(a_to_b), float(b_to_a), setting, tol)
 
 
-def _check_perm(perm: tuple[int, ...], size: int, what: str) -> None:
-    if sorted(perm) != list(range(size)):
-        raise ValueError(f"{what} is not a permutation of range({size}): {perm}")
-
-
-@dataclass(frozen=True)
-class Relabeling:
-    """Local input and per-input output permutations for the two sides.
-
-    ``a_in[A]`` is the input fed to the underlying box when the new Alice
-    input is ``A``; ``a_out[A]`` maps the underlying box's Alice output to
-    the reported one, conditioned on the new input ``A``. Same for Bob.
-    """
-
-    a_in: tuple[int, ...]
-    b_in: tuple[int, ...]
-    a_out: tuple[tuple[int, ...], ...]
-    b_out: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        _check_perm(self.a_in, len(self.a_in), "a_in")
-        _check_perm(self.b_in, len(self.b_in), "b_in")
-        if len(self.a_out) != len(self.a_in) or len(self.b_out) != len(self.b_in):
-            raise ValueError("need one output permutation per input label")
-        for A, p in enumerate(self.a_out):
-            _check_perm(p, len(p), f"a_out[{A}]")
-        for B, p in enumerate(self.b_out):
-            _check_perm(p, len(p), f"b_out[{B}]")
-
-    @classmethod
-    def identity(cls, nA_in: int, nB_in: int, nA_out: int, nB_out: int) -> Relabeling:
-        ida = tuple(range(nA_out))
-        idb = tuple(range(nB_out))
-        return cls(
-            a_in=tuple(range(nA_in)),
-            b_in=tuple(range(nB_in)),
-            a_out=(ida,) * nA_in,
-            b_out=(idb,) * nB_in,
-        )
-
-    def inverse(self) -> Relabeling:
-        inv_a_in = _inv_perm(self.a_in)
-        inv_b_in = _inv_perm(self.b_in)
-        a_out = tuple(_inv_perm(self.a_out[inv_a_in[A]]) for A in range(len(self.a_in)))
-        b_out = tuple(_inv_perm(self.b_out[inv_b_in[B]]) for B in range(len(self.b_in)))
-        return Relabeling(inv_a_in, inv_b_in, a_out, b_out)
-
-
-def _inv_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-def relabel(box: ConditionalBox, r: Relabeling) -> ConditionalBox:
-    """Apply a local relabeling; a symmetry of both no-signaling and locality."""
-    if (
-        len(r.a_in) != box.nA_in
-        or len(r.b_in) != box.nB_in
-        or any(len(p) != box.nA_out for p in r.a_out)
-        or any(len(p) != box.nB_out for p in r.b_out)
-    ):
-        raise ValueError("relabeling alphabets do not match the box")
-    out = np.zeros_like(box.table)
-    for A in range(box.nA_in):
-        for B in range(box.nB_in):
-            src = box.table[:, :, r.a_in[A], r.b_in[B]]
-            for a0 in range(box.nA_out):
-                for b0 in range(box.nB_out):
-                    out[r.a_out[A][a0], r.b_out[B][b0], A, B] = src[a0, b0]
-    return ConditionalBox(out, tol=box.tol)
-
-
 def _correlators(t: np.ndarray) -> np.ndarray:
     """E(A, B) = P(a = b) - P(a != b) of a binary table, indexed [A, B]."""
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(a xor b)
@@ -479,6 +409,11 @@ def loads_csv(text: str, tol: float = DEFAULT_TOL) -> ConditionalBox:
     nB_out = max(k[3] for k in entries) + 1
     if len(entries) != nA_in * nB_in * nA_out * nB_out:
         raise BoxFormatError("incomplete table: some (A,B,a,b) combinations are missing")
+    if max(nB_in * nA_in**2 * nB_out, nA_in * nB_in**2 * nA_out) > MAX_PAIR_ENTRIES:
+        raise BoxFormatError(
+            f"table with {nA_in}x{nB_in} inputs and {nA_out}x{nB_out} outputs is too large:"
+            f" its no-signaling check compares more than {MAX_PAIR_ENTRIES} entries"
+        )
     t = np.zeros((nA_out, nB_out, nA_in, nB_in))
     for (A, B, a, b), p in entries.items():
         t[a, b, A, B] = p

@@ -55,7 +55,12 @@ def _load_box(source: str, tol: float) -> boxes.ConditionalBox:
     if not path.exists():
         raise _UsageError(f"unknown box {source!r}: not a builtin {BUILTIN_BOXES} or a file")
     try:
-        with path.open("rb") as handle:
+        # O_NONBLOCK: a named pipe with no writer opens at once and reads as
+        # empty, instead of waiting in open for a writer.
+        with open(
+            path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)
+        ) as handle:
+            os.set_blocking(handle.fileno(), True)
             data = handle.read(boxes.MAX_CSV_BYTES + 1)  # bounded, even for /dev/zero
     except OSError as exc:
         raise _UsageError(f"cannot read box file {source!r}: {exc}") from exc

@@ -10,29 +10,28 @@ rules yields a :class:`HybridState`, a weighted list of coherent
 branches whose trace-normalized density operator is the observable
 content.
 
-The box extension (`pr_extend`) feeds such states through the binary
-relation a XOR b = A AND B. Each input basis component |AB> has exactly
-two admissible outputs, |0,(A AND B)> and |1,(1 XOR A AND B)>, entering
-as an equal-weight incoherent pair; amplitudes on the input distribute
-linearly across those pairs. A branch with k nonzero components therefore
-expands into 2^k output branches of relative weight 2^-k.
-`pr_extend_density` gives the density of that expansion in closed form,
-for a whole stack of pure inputs at once, without enumerating branches.
+The linearly extended box feeds a pure two-qubit input through the
+binary relation a XOR b = A AND B. Each input basis component |AB> has
+exactly two admissible outputs, |0,(A AND B)> and |1,(1 XOR A AND B)>,
+entering as an equal-weight incoherent pair; amplitudes on the input
+distribute linearly across those pairs, and distinct components choose
+independently. An input with k nonzero components therefore expands into
+2^k output branches of relative weight 2^-k. `pr_extend_density` gives
+the density of that expansion in closed form, for a whole stack of
+inputs at once, without enumerating branches.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .quantum import (
     DensityOperator,
     Ket,
-    Unitary,
     basis_ket,
     check_densities,
     density_from_mixture,
@@ -55,15 +54,12 @@ __all__ = [
     "StateExpr",
     "HybridState",
     "distribute",
-    "pr_extend",
     "pr_extend_density",
-    "rotated_inputs",
     "box_output_state",
     "bob_state",
     "SignalingReport",
     "signaling_witness",
     "dumps",
-    "loads",
 ]
 
 DEFAULT_BRANCH_CAP = 16
@@ -192,16 +188,11 @@ class HybridState:
     """Weighted list of coherent branches over ``width`` qubits.
 
     Branch kets may be unnormalized; :meth:`to_density` trace-normalizes,
-    so only relative weight times squared amplitude matters. The
-    ``extrapolated`` flag marks states produced by feeding the box
-    extension an input whose branches were superposed on both sides at
-    once, where the extension rule is applied per branch beyond anything
-    the source construction pins down.
+    so only relative weight times squared amplitude matters.
     """
 
     width: int
     branches: tuple[tuple[float, Ket], ...]
-    extrapolated: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "branches", tuple((float(w), k) for w, k in self.branches))
@@ -329,11 +320,6 @@ def _pr_output(i: int, choice: int) -> int:
     return (choice << 1) | (((i >> 1) & (i & 1)) ^ choice)
 
 
-def _check_pairing(pairing: str) -> None:
-    if pairing not in ("independent", "correlated"):
-        raise ValueError(f"pairing must be 'independent' or 'correlated', got {pairing!r}")
-
-
 # The extension as linear maps. _EXT_OUT[s] sends |i> to (1/2)|o(i, s)>,
 # the amplitude-halved output of pair choice s; _EXT_MEAN is their mean
 # (1/2)(O_0 + O_1); _EXT_SPREAD[i] is (1/2) sum_s O_s|i><i|O_s^T minus
@@ -347,73 +333,17 @@ _EXT_SPREAD = 0.5 * np.einsum("sji,ski->ijk", _EXT_OUT, _EXT_OUT) - np.einsum(
 )
 
 
-def pr_extend(
-    state: HybridState,
-    *,
-    pairing: str = "independent",
-    max_branches: int = DEFAULT_BRANCH_CAP,
-) -> HybridState:
-    """Act with the linearly extended binary box on a two-qubit state.
-
-    Every input component |AB> is sent to the equal-weight incoherent pair
-    of its two admissible outputs |a b| with a XOR b = A AND B, carrying
-    the component's amplitude times 1/2. With ``pairing="independent"``
-    (the default) the pair choices of distinct components are expanded
-    independently, so a branch with k nonzero components becomes 2^k
-    branches of relative weight 2^-k. ``pairing="correlated"`` instead
-    locks all components to the same choice (2 branches per input branch);
-    it is exposed for exploration only and doubles the off-diagonal
-    coherence the default produces.
-
-    Inputs whose branches are superposed on both registers at once are
-    processed by the same per-branch rule but the result is flagged
-    ``extrapolated``.
-    """
-    if state.width != 2:
-        raise ExpressionError(f"the box extension acts on 2 qubits, got width {state.width}")
-    _check_pairing(pairing)
-    out: list[tuple[float, Ket]] = []
-    extrapolated = state.extrapolated
-    for w, ket in state.branches:
-        amps = ket.amplitudes
-        nz = [i for i in range(4) if amps[i] != 0]
-        if not nz:
-            out.append((w, ket))
-            continue
-        if len({i >> 1 for i in nz}) > 1 and len({i & 1 for i in nz}) > 1:
-            extrapolated = True
-        if pairing == "independent":
-            selectors = itertools.product((0, 1), repeat=len(nz))
-            share = w / 2 ** len(nz)
-        else:
-            selectors = ((choice,) * len(nz) for choice in (0, 1))
-            share = w / 2.0
-        for sel in selectors:
-            o = np.zeros(4, dtype=complex)
-            for choice, i in zip(sel, nz):
-                o[_pr_output(i, choice)] += 0.5 * amps[i]
-            out.append((share, Ket(o)))
-        if len(out) > max_branches:
-            raise BranchLimitError(f"extension expands past the cap of {max_branches} branches")
-    return HybridState(2, tuple(out), extrapolated=extrapolated)
-
-
-def pr_extend_density(psi: np.ndarray, *, pairing: str = "independent") -> np.ndarray:
-    """Output densities of :func:`pr_extend` for a stack of pure inputs, in closed form.
+def pr_extend_density(psi: np.ndarray) -> np.ndarray:
+    """Output densities of the extended box for a stack of pure inputs, in closed form.
 
     ``psi`` holds one two-qubit input per row, shape (T, 4), normalized or
-    not; the result, shape (T, 4, 4), is row by row the density that
-    ``pr_extend(HybridState.from_ket(Ket(row)), pairing=pairing)`` expands
-    into branches, without the expansion. With O_s the map of pair choice
-    s, M their mean and K_i the spread of component i (see the module
-    constants), the unnormalized densities are
-
-    * independent pairing: M psi psi^+ M^+ + sum_i |psi_i|^2 K_i, since
-      distinct components choose independently and only their means
-      interfere;
-    * correlated pairing: (1/2) sum_s O_s psi psi^+ O_s^+;
-
-    each then divided by its trace. Every matrix of the stack passes the
+    not; the result, shape (T, 4, 4), is row by row the density of the
+    branch expansion the module docstring describes, without the
+    expansion. With O_s the map of pair choice s, M their mean and K_i the
+    spread of component i (see the module constants), the unnormalized
+    density is M psi psi^+ M^+ + sum_i |psi_i|^2 K_i, since distinct
+    components choose independently and only their means interfere; each
+    is then divided by its trace. Every matrix of the stack passes the
     density-operator checks.
     """
     psi = np.asarray(psi, dtype=complex)
@@ -421,15 +351,10 @@ def pr_extend_density(psi: np.ndarray, *, pairing: str = "independent") -> np.nd
         raise ExpressionError(f"the box extension acts on rows of 2 qubits, got shape {psi.shape}")
     if not np.all(np.isfinite(psi.view(float))):
         raise ValueError("non-finite amplitudes")
-    _check_pairing(pairing)
-    if pairing == "independent":
-        mean = psi @ _EXT_MEAN.T
-        weights = psi.real**2 + psi.imag**2
-        rho = mean[:, :, None] * mean[:, None, :].conj()
-        rho += np.einsum("ti,ijk->tjk", weights, _EXT_SPREAD)
-    else:
-        out = np.einsum("sji,ti->tsj", _EXT_OUT, psi)
-        rho = 0.5 * np.einsum("tsj,tsk->tjk", out, out.conj())
+    mean = psi @ _EXT_MEAN.T
+    weights = psi.real**2 + psi.imag**2
+    rho = mean[:, :, None] * mean[:, None, :].conj()
+    rho += np.einsum("ti,ijk->tjk", weights, _EXT_SPREAD)
     tr = np.trace(rho, axis1=1, axis2=2).real
     if np.any(tr <= 0.0):
         raise ExpressionError("state carries no mass")
@@ -438,35 +363,24 @@ def pr_extend_density(psi: np.ndarray, *, pairing: str = "independent") -> np.nd
     return rho
 
 
-def rotated_inputs(unitaries: Sequence[Unitary]) -> np.ndarray:
-    """The construction's inputs (U tensor 1)|01>, one row per single-qubit U.
-
-    Each row is U|0> on the first register and |1> on the second, the
-    stack :func:`pr_extend_density` takes.
-    """
-    for u in unitaries:
-        if not isinstance(u, Unitary):
-            raise TypeError(f"expected a Unitary, got {type(u).__name__}")
-        if u.dim != 2:
-            raise ValueError(f"expected a single-qubit unitary, got dimension {u.dim}")
-    return _rotated_rows(np.array([u.matrix for u in unitaries]).reshape(-1, 2, 2))
-
-
 def _rotated_rows(unitaries: np.ndarray) -> np.ndarray:
-    """:func:`rotated_inputs` for a checked stack of qubit unitaries, shape (T, 2, 2)."""
+    """The construction's inputs (U tensor 1)|01>, one row per U of a checked
+    stack of qubit unitaries, shape (T, 2, 2): U|0> on the first register
+    and |1> on the second, the stack :func:`pr_extend_density` takes.
+    """
     psi = np.zeros((len(unitaries), 4), dtype=complex)
     psi[:, 1::2] = unitaries[:, :, 0]
     return psi
 
 
-def box_output_state(theta: float, *, pairing: str = "independent") -> DensityOperator:
+def box_output_state(theta: float) -> DensityOperator:
     """Joint output density after the extended box eats the rotated input.
 
     The input is |01> with the first register rotated by ``theta``, i.e.
     (cos(theta)|0> + sin(theta)|1>) tensor |1>.
     """
     psi = _rotated_rows(rotations([theta]))
-    return DensityOperator(pr_extend_density(psi, pairing=pairing)[0])
+    return DensityOperator(pr_extend_density(psi)[0])
 
 
 def bob_state(theta: float) -> DensityOperator:
@@ -520,31 +434,3 @@ def dumps(state: HybridState, digits: int = 17) -> str:
         lines.append(f"{w:.{digits}g}; {amps}")
     return "\n".join(lines) + "\n"
 
-
-def loads(text: str) -> HybridState:
-    """Inverse of :func:`dumps`; the extrapolation flag is not serialized."""
-    branches = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            w_part, amp_part = line.split(";")
-            w = float(w_part)
-            vals = [float(tok) for tok in amp_part.split()]
-        except ValueError as exc:
-            raise ExpressionError(f"line {lineno}: {exc}") from exc
-        if len(vals) % 2:
-            raise ExpressionError(f"line {lineno}: odd number of amplitude components")
-        amps = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-        w_bits = int(round(math.log2(len(amps)))) if len(amps) else 0
-        if 2**w_bits != len(amps):
-            raise ExpressionError(f"line {lineno}: amplitude count is not a power of two")
-        if width is None:
-            width = w_bits
-        elif w_bits != width:
-            raise ExpressionError(f"line {lineno}: mixed register widths")
-        branches.append((w, Ket(amps)))
-    if not branches:
-        raise ExpressionError("no branches found")
-    return HybridState(width, tuple(branches))

@@ -24,13 +24,7 @@ __all__ = [
     "check_densities",
     "check_unitaries",
     "basis_ket",
-    "plus_ket",
-    "minus_ket",
-    "identity",
-    "rotation",
     "rotations",
-    "tensor",
-    "apply",
     "density_from_mixture",
     "partial_trace",
     "trace_distance",
@@ -191,65 +185,23 @@ def basis_ket(label: str) -> Ket:
     return Ket(amps)
 
 
-def plus_ket() -> Ket:
-    return Ket(np.array([1.0, 1.0]) / math.sqrt(2.0))
-
-
-def minus_ket() -> Ket:
-    return Ket(np.array([1.0, -1.0]) / math.sqrt(2.0))
-
-
-def identity(dim: int) -> Unitary:
-    return Unitary(np.eye(dim))
-
-
 def _cos_sin(theta: float) -> tuple[float, float]:
     if not math.isfinite(theta):
         raise ValueError("rotation angle must be finite")
     return math.cos(theta), math.sin(theta)
 
 
-def rotation(theta: float) -> Unitary:
-    """Single-qubit rotation taking |0> to cos(theta)|0> + sin(theta)|1>."""
-    c, s = _cos_sin(theta)
-    return Unitary(np.array([[c, -s], [s, c]]))
-
-
 def rotations(thetas: Sequence[float]) -> np.ndarray:
-    """The matrices of ``rotation(theta)`` for every angle, as one stack (T, 2, 2).
+    """The plane rotations [[c, -s], [s, c]] of every angle, as one stack (T, 2, 2).
 
-    Entry for entry the same floats as :func:`rotation`, checked in one
+    Each takes |0> to cos(theta)|0> + sin(theta)|1>, with c and s from one
+    ``math.cos``/``math.sin`` call per angle; the stack is checked in one
     pass by :func:`check_unitaries` instead of one ``Unitary`` per angle.
     """
     c, s = np.array([_cos_sin(t) for t in thetas], dtype=float).reshape(-1, 2).T
     m = np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1)
     check_unitaries(m)
     return m
-
-
-def tensor(x, y):
-    """Kronecker product of two values of the same kind; left factor is most significant."""
-    for kind in (Ket, Unitary, DensityOperator):
-        if isinstance(x, kind) and isinstance(y, kind):
-            field = "amplitudes" if kind is Ket else "matrix"
-            return kind(np.kron(getattr(x, field), getattr(y, field)))
-    raise TypeError(
-        f"tensor requires two kets, two unitaries, or two density operators, "
-        f"got {type(x).__name__} and {type(y).__name__}"
-    )
-
-
-def apply(u: Unitary, state: Ket | DensityOperator):
-    """U|psi> for kets, U rho U^dagger for density operators."""
-    if isinstance(state, Ket):
-        if u.dim != state.dim:
-            raise ValueError("dimension mismatch")
-        return Ket(u.matrix @ state.amplitudes)
-    if isinstance(state, DensityOperator):
-        if u.dim != state.dim:
-            raise ValueError("dimension mismatch")
-        return DensityOperator(u.matrix @ state.matrix @ u.matrix.conj().T)
-    raise TypeError(f"cannot apply a unitary to {type(state).__name__}")
 
 
 def density_from_mixture(branches) -> DensityOperator:

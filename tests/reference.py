@@ -1,0 +1,258 @@
+"""Reference implementations that the tests check the package against.
+
+No command runs any of this. Each definition reaches a quantity the
+package computes by a shorter path, or builds inputs for such a check:
+
+- single-qubit ``Unitary`` objects, kets and the tensor product, from
+  which the tests build the construction's input (U tensor 1)|01> one
+  angle at a time;
+- local relabelings of a box, a symmetry of no-signaling and locality;
+- :func:`pr_extend`, the linearly extended box applied branch by branch
+  (2^k output branches for an input with k nonzero components), the
+  expansion whose density :func:`boxworld.hybrid.pr_extend_density`
+  gives in closed form. It derives each admissible output from the
+  relation a XOR b = A AND B itself, so the two are separate derivations;
+- a reader for :func:`boxworld.hybrid.dumps`.
+
+pytest puts both ``tests/`` and ``bench/`` on ``sys.path`` and imports
+their modules by bare name, so this one must not share a name with
+``bench/oracles.py``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from boxworld.boxes import ConditionalBox
+from boxworld.hybrid import (
+    DEFAULT_BRANCH_CAP,
+    BranchLimitError,
+    ExpressionError,
+    HybridState,
+    _rotated_rows,
+)
+from boxworld.quantum import DensityOperator, Ket, Unitary, _cos_sin
+
+# ---------------------------------------------------------------- quantum
+
+
+def plus_ket() -> Ket:
+    return Ket(np.array([1.0, 1.0]) / math.sqrt(2.0))
+
+
+def minus_ket() -> Ket:
+    return Ket(np.array([1.0, -1.0]) / math.sqrt(2.0))
+
+
+def identity(dim: int) -> Unitary:
+    return Unitary(np.eye(dim))
+
+
+def rotation(theta: float) -> Unitary:
+    """Single-qubit rotation taking |0> to cos(theta)|0> + sin(theta)|1>."""
+    c, s = _cos_sin(theta)
+    return Unitary(np.array([[c, -s], [s, c]]))
+
+
+def tensor(x, y):
+    """Kronecker product of two values of the same kind; left factor is most significant."""
+    for kind in (Ket, Unitary, DensityOperator):
+        if isinstance(x, kind) and isinstance(y, kind):
+            field = "amplitudes" if kind is Ket else "matrix"
+            return kind(np.kron(getattr(x, field), getattr(y, field)))
+    raise TypeError(
+        f"tensor requires two kets, two unitaries, or two density operators, "
+        f"got {type(x).__name__} and {type(y).__name__}"
+    )
+
+
+def apply(u: Unitary, state: Ket | DensityOperator):
+    """U|psi> for kets, U rho U^dagger for density operators."""
+    if isinstance(state, Ket):
+        if u.dim != state.dim:
+            raise ValueError("dimension mismatch")
+        return Ket(u.matrix @ state.amplitudes)
+    if isinstance(state, DensityOperator):
+        if u.dim != state.dim:
+            raise ValueError("dimension mismatch")
+        return DensityOperator(u.matrix @ state.matrix @ u.matrix.conj().T)
+    raise TypeError(f"cannot apply a unitary to {type(state).__name__}")
+
+
+# ---------------------------------------------------------------- boxes
+
+
+def _check_perm(perm: tuple[int, ...], size: int, what: str) -> None:
+    if sorted(perm) != list(range(size)):
+        raise ValueError(f"{what} is not a permutation of range({size}): {perm}")
+
+
+@dataclass(frozen=True)
+class Relabeling:
+    """Local input and per-input output permutations for the two sides.
+
+    ``a_in[A]`` is the input fed to the underlying box when the new Alice
+    input is ``A``; ``a_out[A]`` maps the underlying box's Alice output to
+    the reported one, conditioned on the new input ``A``. Same for Bob.
+    """
+
+    a_in: tuple[int, ...]
+    b_in: tuple[int, ...]
+    a_out: tuple[tuple[int, ...], ...]
+    b_out: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        _check_perm(self.a_in, len(self.a_in), "a_in")
+        _check_perm(self.b_in, len(self.b_in), "b_in")
+        if len(self.a_out) != len(self.a_in) or len(self.b_out) != len(self.b_in):
+            raise ValueError("need one output permutation per input label")
+        for A, p in enumerate(self.a_out):
+            _check_perm(p, len(p), f"a_out[{A}]")
+        for B, p in enumerate(self.b_out):
+            _check_perm(p, len(p), f"b_out[{B}]")
+
+    @classmethod
+    def identity(cls, nA_in: int, nB_in: int, nA_out: int, nB_out: int) -> Relabeling:
+        ida = tuple(range(nA_out))
+        idb = tuple(range(nB_out))
+        return cls(
+            a_in=tuple(range(nA_in)),
+            b_in=tuple(range(nB_in)),
+            a_out=(ida,) * nA_in,
+            b_out=(idb,) * nB_in,
+        )
+
+    def inverse(self) -> Relabeling:
+        inv_a_in = _inv_perm(self.a_in)
+        inv_b_in = _inv_perm(self.b_in)
+        a_out = tuple(_inv_perm(self.a_out[inv_a_in[A]]) for A in range(len(self.a_in)))
+        b_out = tuple(_inv_perm(self.b_out[inv_b_in[B]]) for B in range(len(self.b_in)))
+        return Relabeling(inv_a_in, inv_b_in, a_out, b_out)
+
+
+def _inv_perm(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def relabel(box: ConditionalBox, r: Relabeling) -> ConditionalBox:
+    """Apply a local relabeling; a symmetry of both no-signaling and locality."""
+    if (
+        len(r.a_in) != box.nA_in
+        or len(r.b_in) != box.nB_in
+        or any(len(p) != box.nA_out for p in r.a_out)
+        or any(len(p) != box.nB_out for p in r.b_out)
+    ):
+        raise ValueError("relabeling alphabets do not match the box")
+    out = np.zeros_like(box.table)
+    for A in range(box.nA_in):
+        for B in range(box.nB_in):
+            src = box.table[:, :, r.a_in[A], r.b_in[B]]
+            for a0 in range(box.nA_out):
+                for b0 in range(box.nB_out):
+                    out[r.a_out[A][a0], r.b_out[B][b0], A, B] = src[a0, b0]
+    return ConditionalBox(out, tol=box.tol)
+
+
+# ---------------------------------------------------------------- hybrid
+
+
+def _admissible_outputs(i: int) -> list[int]:
+    """Indices 2a + b of the two outputs |ab> of input |AB> = i, in order of a.
+
+    They are the outputs with a XOR b = A AND B.
+    """
+    A, B = divmod(i, 2)
+    return [2 * a + b for a in (0, 1) for b in (0, 1) if a ^ b == A & B]
+
+
+def extrapolated(state: HybridState) -> bool:
+    """Whether a branch of a two-qubit input is superposed on both registers at once.
+
+    :func:`pr_extend` applies the extension rule to such a branch too,
+    beyond anything the source construction pins down.
+    """
+    for _, ket in state.branches:
+        nz = [i for i in range(4) if ket.amplitudes[i] != 0]
+        if len({i >> 1 for i in nz}) > 1 and len({i & 1 for i in nz}) > 1:
+            return True
+    return False
+
+
+def pr_extend(state: HybridState, *, max_branches: int = DEFAULT_BRANCH_CAP) -> HybridState:
+    """Act with the linearly extended binary box on a two-qubit state.
+
+    Every input component |AB> is sent to the equal-weight incoherent pair
+    of its two admissible outputs |a b> with a XOR b = A AND B, carrying
+    the component's amplitude times 1/2. The pair choices of distinct
+    components are expanded independently, so a branch with k nonzero
+    components becomes 2^k branches of relative weight 2^-k.
+    """
+    if state.width != 2:
+        raise ExpressionError(f"the box extension acts on 2 qubits, got width {state.width}")
+    out: list[tuple[float, Ket]] = []
+    for w, ket in state.branches:
+        amps = ket.amplitudes
+        nz = [i for i in range(4) if amps[i] != 0]
+        if not nz:
+            out.append((w, ket))
+            continue
+        share = w / 2 ** len(nz)
+        for sel in itertools.product((0, 1), repeat=len(nz)):
+            o = np.zeros(4, dtype=complex)
+            for choice, i in zip(sel, nz):
+                o[_admissible_outputs(i)[choice]] += 0.5 * amps[i]
+            out.append((share, Ket(o)))
+        if len(out) > max_branches:
+            raise BranchLimitError(f"extension expands past the cap of {max_branches} branches")
+    return HybridState(2, tuple(out))
+
+
+def rotated_inputs(unitaries: Sequence[Unitary]) -> np.ndarray:
+    """The construction's inputs (U tensor 1)|01>, one row per single-qubit U.
+
+    Each row is U|0> on the first register and |1> on the second, the
+    stack :func:`boxworld.hybrid.pr_extend_density` takes.
+    """
+    for u in unitaries:
+        if not isinstance(u, Unitary):
+            raise TypeError(f"expected a Unitary, got {type(u).__name__}")
+        if u.dim != 2:
+            raise ValueError(f"expected a single-qubit unitary, got dimension {u.dim}")
+    return _rotated_rows(np.array([u.matrix for u in unitaries]).reshape(-1, 2, 2))
+
+
+def loads(text: str) -> HybridState:
+    """Inverse of :func:`boxworld.hybrid.dumps`."""
+    branches = []
+    width = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            w_part, amp_part = line.split(";")
+            w = float(w_part)
+            vals = [float(tok) for tok in amp_part.split()]
+        except ValueError as exc:
+            raise ExpressionError(f"line {lineno}: {exc}") from exc
+        if len(vals) % 2:
+            raise ExpressionError(f"line {lineno}: odd number of amplitude components")
+        amps = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+        w_bits = int(round(math.log2(len(amps)))) if len(amps) else 0
+        if 2**w_bits != len(amps):
+            raise ExpressionError(f"line {lineno}: amplitude count is not a power of two")
+        if width is None:
+            width = w_bits
+        elif w_bits != width:
+            raise ExpressionError(f"line {lineno}: mixed register widths")
+        branches.append((w, Ket(amps)))
+    if not branches:
+        raise ExpressionError("no branches found")
+    return HybridState(width, tuple(branches))

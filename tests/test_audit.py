@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,40 +8,31 @@ from boxworld import quantum
 from boxworld.audit import SWEEP_CHUNK, audit_dynamics, audit_sweep, effective_box
 from boxworld.boxes import ConditionalBox, check_no_signaling
 from boxworld.cli import main
-from boxworld.hybrid import (
-    HybridState,
-    bob_state,
-    box_output_state,
-    pr_extend,
-    pr_extend_density,
-    rotated_inputs,
-)
-from boxworld.quantum import (
-    Unitary,
+from boxworld.hybrid import HybridState, bob_state, box_output_state, pr_extend_density
+from boxworld.quantum import basis_ket, measure_probs, partial_trace, trace_distance
+from reference import (
     apply,
-    basis_ket,
     identity,
-    measure_probs,
     minus_ket,
-    partial_trace,
     plus_ket,
+    pr_extend,
+    rotated_inputs,
     rotation,
     tensor,
-    trace_distance,
 )
 
 QUARTER = math.pi / 4
 
 
-def _oracle_joint(theta, unitary_family=rotation):
+def _oracle_joint(theta):
     """Joint output density by branch expansion of the rotated input."""
-    inp = apply(tensor(unitary_family(theta), identity(2)), basis_ket("01"))
+    inp = apply(tensor(rotation(theta), identity(2)), basis_ket("01"))
     return pr_extend(HybridState.from_ket(inp)).to_density()
 
 
-def _oracle_box(theta, unitary_family=rotation):
+def _oracle_box(theta):
     """The effective box measured basis ket by basis ket on branch-expanded densities."""
-    joint = {0: _oracle_joint(0.0, unitary_family), 1: _oracle_joint(theta, unitary_family)}
+    joint = {0: _oracle_joint(0.0), 1: _oracle_joint(theta)}
     z_basis = (basis_ket("0"), basis_ket("1"))
     bob_bases = {0: z_basis, 1: (plus_ket(), minus_ket())}
     table = np.zeros((2, 2, 2, 2))
@@ -53,10 +43,8 @@ def _oracle_box(theta, unitary_family=rotation):
     return ConditionalBox(table)
 
 
-def _oracle_shift(theta, unitary_family=rotation):
-    bob = [
-        partial_trace(_oracle_joint(t, unitary_family), keep=1, dims=(2, 2)) for t in (theta, 0.0)
-    ]
+def _oracle_shift(theta):
+    bob = [partial_trace(_oracle_joint(t), keep=1, dims=(2, 2)) for t in (theta, 0.0)]
     return trace_distance(*bob)
 
 
@@ -153,67 +141,28 @@ class TestAuditDynamics:
         assert receiver == 1  # Bob's |+>/|-> setting
         assert senders == (0, 1)
 
-    def test_alternative_unitary_family_hook(self):
-        from boxworld.quantum import rotation
-
-        theta = 0.2
-        doubled = audit_dynamics(theta, unitary_family=lambda t: rotation(2 * t))
-        assert doubled.positivity_ok and doubled.normalization_ok
-        assert doubled.a_to_b_violation == pytest.approx(math.sin(4 * theta) / 4, abs=1e-10)
-        default = audit_dynamics(theta, unitary_family=rotation)
-        assert default.a_to_b_violation == pytest.approx(math.sin(2 * theta) / 4, abs=1e-10)
-
 
 class TestSweepAgainstBranchExpansion:
     """The closed-form sweep against the branch-by-branch construction."""
 
     @staticmethod
-    def _assert_matches(reports, thetas, unitary_family=rotation):
+    def _assert_matches(reports, thetas):
         assert [r.theta for r in reports] == [float(t) for t in thetas]
         for rep in reports:
-            box = _oracle_box(rep.theta, unitary_family)
+            box = _oracle_box(rep.theta)
             oracle = check_no_signaling(box)
-            np.testing.assert_allclose(
-                effective_box(rep.theta, unitary_family).table, box.table, rtol=0, atol=1e-15
-            )
+            table = effective_box(rep.theta).table
+            np.testing.assert_allclose(table, box.table, rtol=0, atol=1e-15)
             assert abs(rep.a_to_b_violation - oracle.a_to_b_violation) <= 1e-15
             assert abs(rep.b_to_a_violation - oracle.b_to_a_violation) <= 1e-15
             assert rep.worst_setting == oracle.worst_settings
-            assert abs(rep.marginal_shift - _oracle_shift(rep.theta, unitary_family)) <= 1e-15
+            assert abs(rep.marginal_shift - _oracle_shift(rep.theta)) <= 1e-15
             assert rep.positivity_ok and rep.normalization_ok
 
     def test_default_rotation_across_chunks(self):
         thetas = ORACLE_ANGLES
         assert len(thetas) > SWEEP_CHUNK
         self._assert_matches(list(audit_sweep(thetas)), thetas)
-
-    def test_other_unitary_family(self):
-        def family(t):  # a rotation about a tilted axis: complex amplitudes
-            c, s = math.cos(t), math.sin(t)
-            return Unitary(np.array([[c, -s * np.exp(-0.7j)], [s * np.exp(0.7j), c]]))
-
-        thetas = ORACLE_ANGLES[:10]
-        self._assert_matches(list(audit_sweep(thetas, unitary_family=family)), thetas, family)
-
-    def test_family_is_called_once_per_angle(self):
-        calls = []
-
-        def family(t):
-            calls.append(t)
-            return rotation(t)
-
-        list(audit_sweep([0.1, 0.2, 0.3], unitary_family=family))
-        assert sorted(calls) == [0.0, 0.1, 0.2, 0.3]
-        calls.clear()
-        thetas = [0.01 * k for k in range(1, 2 * SWEEP_CHUNK + 2)]
-        assert len(list(audit_sweep(thetas, unitary_family=family))) == len(thetas)
-        assert Counter(calls) == Counter([0.0, *thetas])
-
-    def test_family_must_give_a_qubit_unitary(self):
-        with pytest.raises(TypeError):
-            audit_dynamics(0.1, unitary_family=lambda t: np.eye(2))
-        with pytest.raises(ValueError):
-            audit_dynamics(0.1, unitary_family=lambda t: identity(4))
 
     @pytest.mark.parametrize("command", ["scan", "audit"])
     def test_cli_rows_match_oracle_rows(self, command, capsys):
@@ -241,24 +190,31 @@ def _grid(count, seed):
     return thetas
 
 
+def _rotation_family_densities(thetas):
+    """Output densities from input rows built one ``Unitary`` per angle."""
+    return pr_extend_density(rotated_inputs([rotation(t) for t in thetas]))
+
+
 class TestDefaultRotationStack:
-    """The default sweep forms its inputs from one checked stack of rotations."""
+    """The sweep forms its inputs from one checked stack of rotations."""
 
     @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
-    def test_default_equals_explicit_rotation_family_bit_for_bit(self, count):
+    def test_default_equals_explicit_rotation_family_bit_for_bit(self, count, monkeypatch):
         for thetas in (_grid(count, count), [float(t) for t in np.linspace(0.0, math.pi, count)]):
             default = list(audit_sweep(thetas))
             assert len(default) == count
-            assert repr(default) == repr(list(audit_sweep(thetas, unitary_family=rotation)))
-            assert repr(default) == repr(list(audit_sweep(thetas, unitary_family=None)))
+            with monkeypatch.context() as patch:
+                patch.setattr(audit_mod, "_densities", _rotation_family_densities)
+                assert repr(default) == repr(list(audit_sweep(thetas)))
 
-    def test_one_angle_wrappers_equal_the_rotation_family(self):
+    def test_one_angle_wrappers_equal_the_rotation_family(self, monkeypatch):
         for theta in (0.0, 0.3, QUARTER, math.pi / 2, math.pi, -1.9, 7.5):
-            box = effective_box(theta)
-            assert box.table.tobytes() == effective_box(theta, rotation).table.tobytes()
-            explicit = audit_dynamics(theta, unitary_family=rotation)
-            assert repr(audit_dynamics(theta)) == repr(explicit)
-            expected = pr_extend_density(rotated_inputs([rotation(theta)]))[0]
+            box, report = effective_box(theta), audit_dynamics(theta)
+            with monkeypatch.context() as patch:
+                patch.setattr(audit_mod, "_densities", _rotation_family_densities)
+                assert box.table.tobytes() == effective_box(theta).table.tobytes()
+                assert repr(report) == repr(audit_dynamics(theta))
+            expected = _rotation_family_densities([theta])[0]
             assert box_output_state(theta).matrix.tobytes() == expected.tobytes()
 
     def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):

@@ -10,11 +10,11 @@ from boxworld.audit import effective_box
 from boxworld.boxes import (
     DEFAULT_TOL,
     LP_SLACK,
+    MAX_PAIR_ENTRIES,
     BoxFormatError,
     BoxValidationError,
     ConditionalBox,
     LocalityLPError,
-    Relabeling,
     check_no_signaling,
     chsh_value,
     deterministic_vertices,
@@ -23,10 +23,10 @@ from boxworld.boxes import (
     loads_csv,
     no_signaling_violations,
     pr_box,
-    relabel,
     table_deviations,
     uniform_box,
 )
+from reference import Relabeling, relabel
 
 
 def _random_relabeling(rng) -> Relabeling:
@@ -609,6 +609,23 @@ class TestCsv:
         text = dumps_csv(pr_box())
         for ending in ("\r\n", "\r"):
             assert np.array_equal(loads_csv(text.replace("\n", ending)).table, pr_box().table)
+
+    @pytest.mark.parametrize(
+        "shape", [(2048, 1, 1, 1), (1, 2048, 1, 1), (1024, 1, 1, 4), (1, 1024, 4, 1)]
+    )
+    def test_no_signaling_pairs_are_bounded(self, shape):
+        # (A inputs, B inputs, a outputs, b outputs) with exactly MAX_PAIR_ENTRIES
+        # receiver inputs x sender inputs^2 x receiver outputs; one more sender is refused.
+        def text(nA_in, nB_in, nA_out, nB_out):
+            p = 1 / (nA_out * nB_out)
+            cells = itertools.product(range(nA_in), range(nB_in), range(nA_out), range(nB_out))
+            return "A,B,a,b,p\n" + "".join(f"{A},{B},{a},{b},{p}\n" for A, B, a, b in cells)
+
+        nA_in, nB_in, nA_out, nB_out = shape
+        assert loads_csv(text(*shape)).table.shape == (nA_out, nB_out, nA_in, nB_in)
+        wider = (nA_in + (nA_in > 1), nB_in + (nB_in > 1), nA_out, nB_out)
+        with pytest.raises(BoxFormatError, match=f"compares more than {MAX_PAIR_ENTRIES} entries$"):
+            loads_csv(text(*wider))
 
     def test_overlong_field_is_a_format_error(self):
         with pytest.raises(BoxFormatError, match="field larger than field limit"):

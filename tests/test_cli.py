@@ -15,7 +15,7 @@ import pytest
 import boxworld
 from boxworld import audit, cli, protocol
 from boxworld.audit import effective_box
-from boxworld.boxes import MAX_CSV_BYTES, dumps_csv, pr_box
+from boxworld.boxes import MAX_CSV_BYTES, MAX_PAIR_ENTRIES, dumps_csv, pr_box
 from boxworld.cli import main
 
 
@@ -361,6 +361,57 @@ class TestErrorExits:
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: box file '/dev/zero' is longer than {MAX_CSV_BYTES} bytes\n"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_without_a_writer_reads_as_empty(self, tmp_path):
+        # A blocking open would wait for a writer forever; the child's timeout bounds the test.
+        fifo = tmp_path / "box.fifo"
+        os.mkfifo(fifo)
+        proc = _fresh_python("-m", "boxworld", "verify", "--box", str(fifo))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: expected header 'A,B,a,b,p'\n"
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    def test_pipe_with_a_writer_is_read_to_its_end(self, capsys):
+        # The writer stays open for a while after the data, so the read must wait for its end.
+        proc = _fresh_python(
+            "-c",
+            "import os, sys, threading\n"
+            "from boxworld import cli\n"
+            "from boxworld.boxes import dumps_csv, pr_box\n"
+            "r, w = os.pipe()\n"
+            "os.write(w, dumps_csv(pr_box()).encode())\n"
+            "threading.Timer(0.2, os.close, (w,)).start()\n"
+            "sys.exit(cli.main(['verify', '--box', f'/dev/fd/{r}']))",
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run(capsys, "verify", "--box", "pr")[1]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+    def test_wide_box_is_refused_before_its_signaling_check(self, tmp_path):
+        # 60000 Alice inputs fit in the byte cap, but comparing every pair of them
+        # takes 28.8 GB; the child may map only 256 MiB more than it has after importing.
+        path = tmp_path / "wide.csv"
+        path.write_text("A,B,a,b,p\n" + "".join(f"{A},0,0,0,1\n" for A in range(60000)))
+        assert path.stat().st_size <= MAX_CSV_BYTES
+        proc = _fresh_python(
+            "-c",
+            "import re, resource, sys\n"
+            "from boxworld import cli\n"
+            "status = open('/proc/self/status').read()\n"
+            "mapped = int(re.search(r'VmSize:\\s+(\\d+) kB', status)[1]) << 10\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = mapped + (256 << 20)\n"
+            "if hard != resource.RLIM_INFINITY:\n"
+            "    soft = min(soft, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            f"sys.exit(cli.main(['verify', '--box', {str(path)!r}]))",
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: table with 60000x1 inputs and 1x1 outputs is too large:"
+            f" its no-signaling check compares more than {MAX_PAIR_ENTRIES} entries\n"
+        )
 
     @pytest.mark.parametrize("command", ["verify", "chsh", "local"])
     def test_invalid_box_exits_two(self, capsys, tmp_path, command):

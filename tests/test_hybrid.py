@@ -18,21 +18,19 @@ from boxworld.hybrid import (
     box_output_state,
     distribute,
     dumps,
-    loads,
-    pr_extend,
     pr_extend_density,
-    rotated_inputs,
     signaling_witness,
 )
-from boxworld.quantum import (
-    Ket,
+from boxworld.quantum import Ket, basis_ket, measure_probs, partial_trace
+from reference import (
     apply,
-    basis_ket,
+    extrapolated,
     identity,
-    measure_probs,
+    loads,
     minus_ket,
-    partial_trace,
     plus_ket,
+    pr_extend,
+    rotated_inputs,
     rotation,
     tensor,
 )
@@ -182,21 +180,13 @@ class TestPrExtend:
             assert evals.min() >= -1e-10
             assert abs(rho.matrix.trace() - 1.0) < 1e-12
 
-    def test_correlated_pairing_doubles_coherence(self):
-        theta = 0.45
-        cs = math.cos(theta) * math.sin(theta)
-        out = pr_extend(_rotated_input(theta), pairing="correlated")
-        assert len(out.branches) == 2
-        marginal = partial_trace(out.to_density(), keep=1, dims=(2, 2))
-        assert marginal.matrix[0, 1].real == pytest.approx(cs, abs=1e-14)
-
     def test_extrapolation_flag(self):
         both_sides = HybridState.from_ket(
             Ket(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
         )
-        assert pr_extend(both_sides).extrapolated
-        assert not pr_extend(_rotated_input(0.3)).extrapolated
-        assert not pr_extend(HybridState.from_ket(basis_ket("11"))).extrapolated
+        assert extrapolated(both_sides)
+        assert not extrapolated(_rotated_input(0.3))
+        assert not extrapolated(HybridState.from_ket(basis_ket("11")))
 
     def test_extrapolated_output_still_valid(self):
         both_sides = HybridState.from_ket(
@@ -209,10 +199,6 @@ class TestPrExtend:
         with pytest.raises(ExpressionError):
             pr_extend(HybridState.from_ket(basis_ket("0")))
 
-    def test_bad_pairing_name(self):
-        with pytest.raises(ValueError):
-            pr_extend(_rotated_input(0.1), pairing="both")
-
     def test_branch_cap(self):
         both_sides = HybridState.from_ket(
             Ket(np.array([0.5, 0.5, 0.5, 0.5], dtype=complex))
@@ -222,7 +208,10 @@ class TestPrExtend:
 
 
 class TestPrExtendDensity:
-    """The closed form against the branch expansion of :func:`pr_extend`."""
+    """The closed form against the branch expansion of :func:`reference.pr_extend`.
+
+    The two derive the box's outputs from a XOR b = A AND B separately.
+    """
 
     @staticmethod
     def _random_inputs(rng, n):
@@ -231,18 +220,17 @@ class TestPrExtendDensity:
         psi[np.all(psi == 0, axis=1), 0] = 1.0
         return psi
 
-    @pytest.mark.parametrize("pairing", ["independent", "correlated"])
-    def test_matches_branch_expansion(self, pairing):
+    def test_matches_branch_expansion(self):
         rng = np.random.default_rng(11)
         thetas = list(rng.uniform(-4.0, 4.0, 20)) + [0.0, math.pi / 2, -math.pi / 2, math.pi]
         psi = np.vstack(
             [self._random_inputs(rng, 40), rotated_inputs([rotation(t) for t in thetas])]
         )
-        rho = pr_extend_density(psi, pairing=pairing)
+        rho = pr_extend_density(psi)
         assert rho.shape == (len(psi), 4, 4)
         for row, got in zip(psi, rho):
             state = HybridState.from_ket(Ket(row))
-            expected = pr_extend(state, pairing=pairing, max_branches=32).to_density()
+            expected = pr_extend(state, max_branches=32).to_density()
             np.testing.assert_allclose(got, expected.matrix, rtol=0, atol=1e-15)
 
     def test_box_output_state_is_bit_identical_to_expansion(self):
@@ -250,9 +238,8 @@ class TestPrExtendDensity:
             expected = pr_extend(_rotated_input(theta)).to_density().matrix
             assert np.array_equal(box_output_state(theta).matrix, expected)
 
-    @pytest.mark.parametrize("pairing", ["independent", "correlated"])
-    def test_empty_stack(self, pairing):
-        rho = pr_extend_density(np.zeros((0, 4)), pairing=pairing)
+    def test_empty_stack(self):
+        rho = pr_extend_density(np.zeros((0, 4)))
         assert rho.shape == (0, 4, 4)
 
     def test_rejects_bad_input(self):
@@ -262,8 +249,6 @@ class TestPrExtendDensity:
             pr_extend_density(np.array([[1.0, 0, 0, 0], [0, 0, 0, 0]]))
         with pytest.raises(ValueError):
             pr_extend_density(np.array([[np.nan, 0, 0, 0]]))
-        with pytest.raises(ValueError):
-            pr_extend_density(np.eye(4), pairing="both")
 
 
 class TestBobState:

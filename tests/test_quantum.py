@@ -9,21 +9,16 @@ from boxworld.quantum import (
     DensityOperator,
     Ket,
     Unitary,
-    apply,
     basis_ket,
     density_from_mixture,
     dumps_density_csv,
     helstrom,
-    identity,
     measure_probs,
-    minus_ket,
     partial_trace,
-    plus_ket,
-    rotation,
     rotations,
-    tensor,
     trace_distance,
 )
+from reference import apply, identity, minus_ket, plus_ket, rotation, tensor
 
 
 def _random_density(rng, dim: int) -> DensityOperator:
