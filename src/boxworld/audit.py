@@ -10,14 +10,17 @@ probability box, nonnegative and normalized, yet its Bob marginal moves
 with x: a dynamics that keeps probabilities valid while breaking the
 marginal-independence requirement.
 
-A sweep forms the inputs of a whole chunk of angles at once (Alice's
-plane rotations, as one stack checked unitary in one pass), evaluates
-their closed-form output densities in one call, with the x = 0 density
-riding in the first chunk, reads every table of the chunk off them in one
-array, and checks that array in one pass: positivity and normalization
-with :func:`~boxworld.boxes.table_deviations`, signaling with
+A sweep evaluates the paper's chain, :func:`boxworld.hybrid._densities`,
+on a whole chunk of angles at once (Alice's plane rotations as one stack
+checked unitary in one pass, then the closed-form output densities in one
+call), with the x = 0 density riding in the first chunk. It reads every
+table of the chunk off them in one array and checks that array in one
+pass: positivity and normalization with
+:func:`~boxworld.boxes.table_deviations`, signaling with
 :func:`~boxworld.boxes.no_signaling_violations`. The figures are reported,
 never raised: the audit's job is to say which property fails.
+:func:`~boxworld.hybrid.signaling_witness` reads the same two-row stack
+as a one-angle sweep, so ``signal`` and ``scan`` print the same figure.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .boxes import DEFAULT_TOL, ConditionalBox, no_signaling_violations, table_deviations
-from .hybrid import _rotated_rows, pr_extend_density
-from .quantum import rotations, trace_distances
+from .hybrid import _bob_marginals, _densities
+from .quantum import trace_distances
 
 __all__ = [
     "POSITIVITY_ATOL",
@@ -79,10 +82,6 @@ class AuditReport:
         return self.positivity_ok and self.normalization_ok and self.a_to_b_violation > self.tol
 
 
-def _densities(thetas: list[float]) -> np.ndarray:
-    return pr_extend_density(_rotated_rows(rotations(thetas)))
-
-
 def _tables(rho0: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Box tables [t, a, b, x, y] from the x = 0 density and a stack of x = 1 densities."""
     joint = np.stack([np.broadcast_to(rho0, rho.shape), rho], axis=1)
@@ -90,10 +89,6 @@ def _tables(rho0: np.ndarray, rho: np.ndarray) -> np.ndarray:
         [np.einsum("ik,txij,jk->txk", b.conj(), joint, b).real for b in _BASES], axis=2
     )
     return probs.reshape(len(rho), 2, 2, 2, 2).transpose(0, 3, 4, 1, 2)
-
-
-def _bob_marginals(rho: np.ndarray) -> np.ndarray:
-    return np.einsum("...abac->...bc", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
 
 
 def effective_box(theta: float) -> ConditionalBox:

@@ -7,7 +7,7 @@ for usage errors (bad flags, malformed box CSV, unparseable expressions,
 out-of-range values) and for a locality LP the solver could not finish.
 
 Angles are radians unless --degrees is given. Numeric output uses 17
-significant digits unless --digits overrides. The default Monte Carlo
+significant digits unless --digits asks for fewer. The default Monte Carlo
 seed comes from the BOXWORLD_SEED environment variable.
 """
 
@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +27,10 @@ from . import boxes, dsl, hybrid, protocol
 
 SEED_ENV_VAR = "BOXWORLD_SEED"
 BUILTIN_BOXES = ("pr", "uniform")
+# Largest --steps: 8 MB of angles and about 30 s of sweep.
+MAX_STEPS = 10**6
+# Largest --digits: 17 significant digits identify any float64.
+MAX_DIGITS = 17
 
 
 class _UsageError(Exception):
@@ -73,37 +75,25 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _theta_grid(args) -> Iterator[float]:
-    """The angles of ``np.linspace(theta_min, theta_max, steps)``, made lazily.
+def _theta_grid(args) -> np.ndarray:
+    """``np.linspace(theta_min, theta_max, steps)``, after checking the flags.
 
-    The flags are checked at the call. The angles then come in pieces of
-    ``audit.SWEEP_CHUNK``, each computed with linspace's own arithmetic
-    (``i * step + lo``, the last point set to ``hi``), so they are
-    bit-identical to linspace while memory stays bounded for any --steps.
+    --steps must lie in [1, MAX_STEPS], so the grid is at most 8 MB. One
+    step is ``[theta_min]``, without linspace's arithmetic, which would
+    overflow on a span that does not fit a float; a longer grid needs a
+    finite span.
     """
     if args.steps < 1:
         raise _UsageError("--steps must be at least 1")
+    if args.steps > MAX_STEPS:
+        raise _UsageError(f"--steps must be at most {MAX_STEPS}")
     lo = _angle(args.theta_min, args.degrees)
     hi = _angle(args.theta_max, args.degrees)
-    if args.steps > 1 and not math.isfinite(hi - lo):
+    if args.steps == 1:
+        return np.array([lo])
+    if not math.isfinite(hi - lo):
         raise _UsageError("--theta-max minus --theta-min overflows a float")
-    return itertools.chain.from_iterable(_linspace_pieces(lo, hi, args.steps))
-
-
-def _linspace_pieces(lo: float, hi: float, num: int) -> Iterator[np.ndarray]:
-    if num == 1:
-        yield np.array([lo])
-        return
-    div = num - 1
-    delta = hi - lo
-    step = delta / div
-    for start in range(0, num, audit_mod.SWEEP_CHUNK):
-        i = np.arange(start, min(start + audit_mod.SWEEP_CHUNK, num), dtype=float)
-        # linspace divides first when the step underflows to zero (denormal spans)
-        piece = (i * step if step != 0 else i / div * delta) + lo
-        if start + len(piece) == num:
-            piece[-1] = hi
-        yield piece
+    return np.linspace(lo, hi, args.steps)
 
 
 def _default_seed() -> int:
@@ -116,13 +106,15 @@ def _default_seed() -> int:
         raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _positive_int(text: str) -> int:
+def _digits(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_DIGITS} digits, got {value}")
     return value
 
 
@@ -148,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: ``parse_args`` keeps no state in it."""
     parser = _ArgumentParser(prog="boxworld", description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--digits", type=_positive_int, default=17, help="significant digits in output"
+        "--digits", type=_digits, default=MAX_DIGITS, help="significant digits in output"
     )
     parser.add_argument("--output", type=Path, default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)

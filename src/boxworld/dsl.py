@@ -316,9 +316,9 @@ def _format(node: StateExpr) -> tuple[str, int]:
     if isinstance(node, BasisKet):
         return f"|{node.label}>", 3
     if isinstance(node, Scaled):
-        stext = _render_scalar(node.scalar)
+        stext = node.scalar.render()
         ctext = _wrap(node.child, 3)
-        symbolic = isinstance(node.scalar, Scalar) and node.scalar.kind in ("c", "s")
+        symbolic = node.scalar.kind in ("c", "s")
         return f"{stext}{'' if symbolic else ' '}{ctext}", 2
     if isinstance(node, CoherentSum):
         return " + ".join(_wrap(ch, 2) for ch in node.children), 1
@@ -326,14 +326,3 @@ def _format(node: StateExpr) -> tuple[str, int]:
         return " (+) ".join(_wrap(ch, 1) for ch in node.children), 0
     raise ValueError(f"not a state expression node: {node!r}")
 
-
-def _render_scalar(scalar) -> str:
-    if isinstance(scalar, Scalar):
-        return scalar.render()
-    if isinstance(scalar, str) and scalar in ("c", "s"):
-        return scalar
-    if isinstance(scalar, (int, float)):
-        return Scalar("num", scalar).render()
-    if isinstance(scalar, complex) and scalar.imag == 0.0:
-        return _render_scalar(scalar.real)
-    raise ValueError(f"scalar {scalar!r} has no text form in this notation")

@@ -19,6 +19,12 @@ independently. An input with k nonzero components therefore expands into
 2^k output branches of relative weight 2^-k. `pr_extend_density` gives
 the density of that expansion in closed form, for a whole stack of
 inputs at once, without enumerating branches.
+
+The paper's chain, Alice's rotation of |01> by theta followed by the
+extended box, is `_densities`, evaluated on a stack of angles. Every
+figure the package prints reads that stack: the audit's sweep a chunk
+at a time, `signaling_witness` the two rows [0, theta], and
+`box_output_state` and `bob_state` one row.
 """
 
 from __future__ import annotations
@@ -35,9 +41,8 @@ from .quantum import (
     basis_ket,
     check_densities,
     density_from_mixture,
-    partial_trace,
     rotations,
-    trace_distance,
+    trace_distances,
 )
 
 __all__ = [
@@ -144,8 +149,6 @@ def _render_number(x: float) -> str:
 SYM_C = Scalar("c")
 SYM_S = Scalar("s")
 
-ScalarLike = Union[Scalar, complex, float, int, str]
-
 
 @dataclass(frozen=True)
 class BasisKet:
@@ -156,8 +159,12 @@ class BasisKet:
 
 @dataclass(frozen=True)
 class Scaled:
-    scalar: ScalarLike
+    scalar: Scalar
     child: "StateExpr"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.scalar, Scalar):
+            raise ExpressionError(f"a prefactor must be a Scalar, got {self.scalar!r}")
 
 
 @dataclass(frozen=True)
@@ -224,18 +231,6 @@ class HybridState:
         return density_from_mixture(self.branches)
 
 
-def _resolve_scalar(scalar: ScalarLike, theta: float | None) -> complex:
-    if isinstance(scalar, Scalar):
-        return scalar.value(theta)
-    if isinstance(scalar, str):
-        if scalar in ("c", "s"):
-            return Scalar(scalar).value(theta)
-        raise ExpressionError(f"unresolvable scalar symbol {scalar!r}")
-    if isinstance(scalar, (int, float, complex)):
-        return complex(scalar)
-    raise ExpressionError(f"unresolvable scalar {scalar!r}")
-
-
 def distribute(
     expr: StateExpr, theta: float | None = None, *, max_branches: int = DEFAULT_BRANCH_CAP
 ) -> HybridState:
@@ -269,7 +264,7 @@ def _eval_expr(
         ket = basis_ket(node.label)
         return len(node.label), [(1.0, np.array(ket.amplitudes))]
     if isinstance(node, Scaled):
-        factor = _resolve_scalar(node.scalar, theta)
+        factor = node.scalar.value(theta)
         width, branches = _eval_expr(node.child, theta, cap)
         return width, [(w, factor * a) for w, a in branches]
     if isinstance(node, IncoherentSum):
@@ -373,14 +368,28 @@ def _rotated_rows(unitaries: np.ndarray) -> np.ndarray:
     return psi
 
 
+def _densities(thetas) -> np.ndarray:
+    """The paper's chain for a whole stack of angles: the output densities
+    of the extended box, shape (T, 4, 4), for the inputs (U tensor 1)|01>
+    with U the plane rotation by each angle. The rotations are checked in
+    one pass, and the densities in one pass by :func:`pr_extend_density`.
+    """
+    return pr_extend_density(_rotated_rows(rotations(thetas)))
+
+
+def _bob_marginals(rho: np.ndarray) -> np.ndarray:
+    """Second-register marginals of two-qubit densities, shape (..., 2, 2)."""
+    return np.einsum("...abac->...bc", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
+
+
 def box_output_state(theta: float) -> DensityOperator:
     """Joint output density after the extended box eats the rotated input.
 
     The input is |01> with the first register rotated by ``theta``, i.e.
-    (cos(theta)|0> + sin(theta)|1>) tensor |1>.
+    (cos(theta)|0> + sin(theta)|1>) tensor |1>: the one row of
+    :func:`_densities` at ``theta``.
     """
-    psi = _rotated_rows(rotations([theta]))
-    return DensityOperator(pr_extend_density(psi)[0])
+    return DensityOperator(_densities([theta])[0])
 
 
 def bob_state(theta: float) -> DensityOperator:
@@ -390,7 +399,7 @@ def bob_state(theta: float) -> DensityOperator:
     mixed state, so any dependence on theta is a marginal Bob can see
     without ever hearing from Alice.
     """
-    return partial_trace(box_output_state(theta), keep=1, dims=(2, 2))
+    return DensityOperator(_bob_marginals(_densities([theta]))[0])
 
 
 @dataclass(frozen=True)
@@ -410,12 +419,15 @@ class SignalingReport:
 
 
 def signaling_witness(theta: float) -> SignalingReport:
-    """Quantify the one-bit signal Alice's local rotation hands to Bob."""
-    rho_theta = bob_state(theta)
-    rho_zero = bob_state(0.0)
-    violation = trace_distance(rho_theta, rho_zero)
-    diff = rho_theta.matrix - rho_zero.matrix
-    evals, evecs = np.linalg.eigh(diff)
+    """Quantify the one-bit signal Alice's local rotation hands to Bob.
+
+    Bob's marginals without and with the rotation are the two rows of one
+    :func:`_densities` call on [0, theta], the stack a sweep starts with,
+    so the violation is bit for bit the sweep's figure at ``theta``.
+    """
+    bob_zero, bob_theta = _bob_marginals(_densities([0.0, theta]))
+    violation = float(trace_distances(bob_theta, bob_zero))
+    evals, evecs = np.linalg.eigh(bob_theta - bob_zero)
     order = np.argsort(evals)[::-1]
     vectors = []
     for idx in order:

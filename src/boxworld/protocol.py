@@ -38,15 +38,13 @@ The miss probability 1 - D_n = sum_k min(B(k), B(k) e^llr_k) is summed
 over the same window as exp(log B(k) + min(llr_k, 0)), which keeps its
 relative accuracy where it is tiny. :func:`min_rounds` decides on it.
 D_n itself, a sum of terms up to 1, carries an absolute error of about
-1e-13, a sizable part of a miss near 1e-12: near target 1 the float
-success 1/2 + D_n/2 can cross the target many times, and an answer
-decided on it would depend on the search path. :func:`exact_success`
-and the exact column of :func:`simulate` keep the D_n form, so within
-about 1e-13 of the target they can disagree with :func:`min_rounds`
-(the exact success at its answer may fall just short of the target).
-The search starts from the normal estimate, takes one secant step on
-the normal quantile of the success, and closes the bracket from there
-in about four evaluations.
+1e-13, a sizable part of a miss near 1e-12. So the success that
+:func:`exact_success` and :func:`simulate` report is 1 - miss/2 while
+the miss is below 1/2, and 1/2 + D_n/2 only beyond, where D_n is small
+and its own termwise sum keeps its relative accuracy. The search
+starts from the normal estimate, takes one secant step on the normal
+quantile of the success, and closes the bracket from there in about
+four evaluations.
 
 The optimal decoder is classical: measure every copy in
 |+>/|->, count, and threshold the likelihood ratio. Ties at the
@@ -128,7 +126,7 @@ def copy_distance(cs: float, n: int) -> float:
 
 
 def _miss(a: float, n: int) -> float:
-    """1 - D_n = sum_k min(B_1/2(k), B_p(k)) for |cs| = a in (0, 1), summed
+    """1 - D_n = sum_k min(B_1/2(k), B_p(k)) for |cs| = a in [0, 1), summed
     termwise, so it keeps its relative accuracy when it is tiny."""
     if n * a * a >= _CERTAIN_NCS2:
         return 0.0  # below 2 exp(-40), under every budget 2 (1 - target) >= 2^-52
@@ -150,6 +148,15 @@ def _window(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return log_b, llr
 
 
+def _success(a: float, n: int) -> float:
+    """Optimal n-copy success for |cs| = a: 1 - miss/2 while the miss is
+    below 1/2, where it is the accurate figure, else 1/2 + D_n/2."""
+    miss = _miss(a, n)
+    if miss < 0.5:
+        return 1.0 - 0.5 * miss
+    return 0.5 + 0.5 * copy_distance(a, n)
+
+
 def exact_success(theta: float, n: int, *, max_n: int = DEFAULT_MAX_COPIES) -> float:
     """Optimal probability of decoding Alice's bit from n channel uses."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -159,7 +166,7 @@ def exact_success(theta: float, n: int, *, max_n: int = DEFAULT_MAX_COPIES) -> f
         raise ValueError(f"n must be positive, got {n}")
     if n > max_n:
         raise ValueError(f"n = {n} exceeds the cap of {max_n} copies")
-    return 0.5 + 0.5 * copy_distance(_cs(theta), n)
+    return _success(abs(_cs(theta)), n)
 
 
 def exact_success_fraction(cs: Fraction, n: int) -> Fraction:
@@ -186,13 +193,11 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     2 (1 - target); both sides are compared as computed, the miss summed
     termwise and the budget exact in floats, so the decision stays sharp
     near target 1, where the absolute error of about 1e-13 in D_n is a
-    sizable part of the miss. :func:`exact_success` is computed from D_n,
-    so within about 1e-13 of the target it can disagree with this
-    decision, and its value at the answer may fall just short. The miss
-    is nonincreasing in n, so one evaluation at ``max_n`` decides whether
-    the target is reachable. The search then starts from the normal
-    estimate n0 = ceil((2 z / |cs|)^2), z the standard normal quantile of
-    ``target``, and takes one secant step on that quantile,
+    sizable part of the miss. The miss is nonincreasing in n, so one
+    evaluation at ``max_n`` decides whether the target is reachable. The
+    search then starts from the normal estimate n0 = ceil((2 z / |cs|)^2),
+    z the standard normal quantile of ``target``, and takes one secant
+    step on that quantile,
     n1 = ceil(n0 (z / z(s(n0)))^2), with z(s) = -z(miss / 2). From n1,
     which is usually within one of the answer, steps 1, 2, 4, ... bracket
     the threshold and bisection closes it: about four evaluations in all.
@@ -321,5 +326,5 @@ def simulate(theta: float, n: int, shots: int, seed: int) -> ProtocolResult:
         correct += _chunk_correct(theta, n, seed, chunk, m)
         done += m
         chunk += 1
-    exact = 0.5 + 0.5 * copy_distance(_cs(theta), n)
+    exact = _success(abs(_cs(theta)), n)
     return ProtocolResult(theta, n, exact, correct / shots, shots, seed)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import boxworld.audit as audit_mod
-from boxworld import quantum
+from boxworld import hybrid, quantum
 from boxworld.audit import SWEEP_CHUNK, audit_dynamics, audit_sweep, effective_box
 from boxworld.boxes import ConditionalBox, check_no_signaling
 from boxworld.cli import main
@@ -219,7 +219,7 @@ class TestDefaultRotationStack:
 
     def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):
         built, rows = [], []
-        init, densities = quantum.Unitary.__post_init__, audit_mod.pr_extend_density
+        init, densities = quantum.Unitary.__post_init__, hybrid.pr_extend_density
 
         def counting_init(self):
             built.append(self)
@@ -230,7 +230,7 @@ class TestDefaultRotationStack:
             return densities(psi, **kwargs)
 
         monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
-        monkeypatch.setattr(audit_mod, "pr_extend_density", counting_densities)
+        monkeypatch.setattr(hybrid, "pr_extend_density", counting_densities)
         thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
         assert len(list(audit_sweep(thetas))) == len(thetas)
         assert rows == [SWEEP_CHUNK + 1, SWEEP_CHUNK, 1]

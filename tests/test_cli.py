@@ -1,5 +1,4 @@
 import argparse
-import itertools
 import math
 import os
 import re
@@ -137,6 +136,21 @@ class TestSignalScan:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    @pytest.mark.parametrize("degrees", [False, True])
+    def test_signal_prints_the_one_step_scan_figure(self, capsys, degrees):
+        # signal and a one-angle scan read the same stack, so the figures agree byte for byte
+        rng = np.random.default_rng(13 + degrees)
+        flags = ["--degrees"] if degrees else []
+        span = 400.0 if degrees else 7.0
+        for theta in [0.0, 45.0 if degrees else math.pi / 4, *rng.uniform(-span, span, 40)]:
+            text = repr(float(theta))
+            _, out, _ = run(capsys, "signal", f"--theta={text}", *flags)
+            line = next(l for l in out.splitlines() if l.startswith("a->b violation = "))
+            _, grid, _ = run(
+                capsys, "scan", f"--theta-min={text}", f"--theta-max={text}", "--steps", "1", *flags
+            )
+            assert line.removeprefix("a->b violation = ") == grid.splitlines()[1].split(",")[1]
 
 
 class TestRepeatSimulate:
@@ -297,6 +311,26 @@ class TestOutputOptions:
         assert code == 1 and out == ""
         assert err.startswith("error: argument --digits: expected a positive integer")
 
+    @pytest.mark.parametrize("digits", [str(cli.MAX_DIGITS + 1), "2147483648"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify"],
+            ["chsh"],
+            ["local"],
+            ["signal", "--theta", "0.3"],
+            ["scan", "--theta-min", "0", "--theta-max", "1", "--steps", "2"],
+            ["audit", "--theta", "0.3"],
+            ["repeat", "--theta", "0.3", "--target", "0.9"],
+            ["simulate", "--theta", "0.3", "--n", "5", "--shots", "10", "--seed", "1"],
+            ["parse", "--expr", "|0> + |1>", "--dump-rho"],
+        ],
+    )
+    def test_digits_past_a_float64_print_nothing(self, capsys, argv, digits):
+        code, out, err = run(capsys, "--digits", digits, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: argument --digits: expected at most 17 digits, got {digits}\n"
+
 
 class TestErrorExits:
     def test_lp_failure_is_one_error_line(self, capsys, monkeypatch):
@@ -429,6 +463,7 @@ class TestErrorExits:
 
         monkeypatch.setattr(protocol, "_chunk_correct", no_work)
         monkeypatch.setattr(protocol, "copy_distance", no_work)
+        monkeypatch.setattr(protocol, "_miss", no_work)
         code, out, err = run(
             capsys, "simulate", "--theta", "0.3", "--n", str(10**10), "--shots", "10", "--seed", "1"
         )
@@ -454,6 +489,7 @@ class TestErrorExits:
 
         monkeypatch.setattr(protocol, "_chunk_correct", no_work)
         monkeypatch.setattr(protocol, "copy_distance", no_work)
+        monkeypatch.setattr(protocol, "_miss", no_work)
         shots = protocol.MAX_SHOTS + 1
         code, out, err = run(
             capsys, "simulate", "--theta", "0.3", "--n", "5", "--shots", str(shots), "--seed", "1"
@@ -466,6 +502,21 @@ class TestErrorExits:
         code, out, err = run(capsys, command, "--theta-min", "0", "--theta-max", "1", "--steps", "0")
         assert code == 1 and out == ""
         assert err == "error: --steps must be at least 1\n"
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    @pytest.mark.parametrize("steps", [cli.MAX_STEPS + 1, 10**10])
+    def test_steps_past_the_bound_print_nothing_and_do_no_work(
+        self, capsys, monkeypatch, command, steps
+    ):
+        def no_work(*args):
+            raise AssertionError("the sweep started before --steps was checked")
+
+        monkeypatch.setattr(audit, "_densities", no_work)
+        code, out, err = run(
+            capsys, command, "--theta-min", "0", "--theta-max", "1", "--steps", str(steps)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: --steps must be at most {cli.MAX_STEPS}\n"
 
 
 def _one_error_line(err: str, start: str) -> bool:
@@ -548,26 +599,18 @@ class TestThetaGrid:
         ranges += [tuple(rng.uniform(-4.0, 4.0, size=2)) for _ in range(4)]
         for steps in range(1, 201):
             for lo, hi in ranges:
-                got = np.fromiter(cli._theta_grid(_grid_args(lo, hi, steps)), dtype=float)
+                got = cli._theta_grid(_grid_args(lo, hi, steps))
                 assert got.tobytes() == np.linspace(lo, hi, steps).tobytes(), (lo, hi, steps)
             lo_deg, hi_deg = -170.25, 95.5
-            got = np.fromiter(cli._theta_grid(_grid_args(lo_deg, hi_deg, steps, True)), dtype=float)
+            got = cli._theta_grid(_grid_args(lo_deg, hi_deg, steps, True))
             want = np.linspace(math.radians(lo_deg), math.radians(hi_deg), steps)
             assert got.tobytes() == want.tobytes(), steps
 
-    def test_huge_grid_streams(self, monkeypatch):
-        def materialised(*args, **kwargs):
-            raise AssertionError("the whole grid was built")
-
-        monkeypatch.setattr(np, "linspace", materialised)
-        steps = 10**10
-        first = list(itertools.islice(cli._theta_grid(_grid_args(0.0, 1.0, steps)), 3))
-        assert first == [0.0, 1.0 / (steps - 1), 2.0 / (steps - 1)]
-        reports = audit.audit_sweep(cli._theta_grid(_grid_args(0.0, 1.0, steps)))
-        rows = list(itertools.islice(reports, audit.SWEEP_CHUNK + 2))
-        assert [r.theta for r in rows[-2:]] == [
-            (audit.SWEEP_CHUNK + i) * (1.0 / (steps - 1)) for i in range(2)
-        ]
+    def test_grid_at_the_bound(self):
+        # the largest grid is built whole (8 MB); its sweep is left out here
+        grid = cli._theta_grid(_grid_args(0.0, 1.0, cli.MAX_STEPS))
+        assert grid.shape == (cli.MAX_STEPS,)
+        assert grid.tobytes() == np.linspace(0.0, 1.0, cli.MAX_STEPS).tobytes()
 
 
 class TestParserReuse:

@@ -219,10 +219,6 @@ class TestFormat:
     def test_glyph_normalizes_to_ascii(self):
         assert format(parse("|0> ⊙ |1>")) == "|0> (+) |1>"
 
-    def test_plain_number_scalars_renderable(self):
-        assert format(Scaled(2, BasisKet("0"))) == "2 |0>"
-        assert format(Scaled(0.25, BasisKet("0"))) == "0.25 |0>"
-
     def test_complex_scalar_unrepresentable(self):
         for scalar in (1j, math.inf, math.nan, Scalar("sqrt", math.inf)):
             with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boxworld import hybrid, quantum
 from boxworld.hybrid import (
     BasisKet,
     BranchLimitError,
@@ -96,14 +97,6 @@ class TestDistribute:
         r = 1 / math.sqrt(2)
         np.testing.assert_allclose(state.branches[0][1].amplitudes, [r, 0, r, 0])
         np.testing.assert_allclose(state.branches[1][1].amplitudes, [0, r, 0, r])
-
-    def test_plain_number_scalars(self):
-        state = distribute(Scaled(0.5, BasisKet("0")))
-        np.testing.assert_allclose(state.branches[0][1].amplitudes, [0.5, 0.0])
-
-    def test_string_symbols_resolve(self):
-        state = distribute(Scaled("s", BasisKet("1")), math.pi / 2)
-        np.testing.assert_allclose(state.branches[0][1].amplitudes, [0.0, 1.0])
 
     def test_symbol_without_theta(self):
         with pytest.raises(ExpressionError):
@@ -314,6 +307,24 @@ class TestSignalingWitness:
             np.testing.assert_allclose(
                 rep.witness_basis[0].amplitudes, plus_ket().amplitudes, atol=1e-10
             )
+
+    def test_one_stacked_chain_and_no_density_objects(self, monkeypatch):
+        stacks, built = [], []
+        densities, init = hybrid.pr_extend_density, quantum.DensityOperator.__post_init__
+
+        def counting_densities(psi):
+            stacks.append(len(psi))
+            return densities(psi)
+
+        def counting_init(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(hybrid, "pr_extend_density", counting_densities)
+        monkeypatch.setattr(quantum.DensityOperator, "__post_init__", counting_init)
+        rep = signaling_witness(0.7)
+        assert stacks == [2] and built == []
+        assert rep.a_to_b_violation == pytest.approx(math.sin(1.4) / 4, abs=1e-12)
 
 
 class TestHybridStateValidation:

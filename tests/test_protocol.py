@@ -204,9 +204,10 @@ class TestSimulate:
         def no_work(*args):
             raise AssertionError("work started before n was checked")
 
-        # Both would otherwise run: copy_distance would allocate n + 1 floats.
+        # All would otherwise run: the exact column sums a window of the curve.
         monkeypatch.setattr(protocol, "_chunk_correct", no_work)
         monkeypatch.setattr(protocol, "copy_distance", no_work)
+        monkeypatch.setattr(protocol, "_miss", no_work)
         for n in (MIN_ROUNDS_MAX_COPIES + 1, 10**10):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 simulate(QUARTER, n, 10, 1)
@@ -351,6 +352,7 @@ def test_shot_ceiling_checked_before_any_work(monkeypatch):
 
     monkeypatch.setattr(protocol, "_chunk_correct", no_work)
     monkeypatch.setattr(protocol, "copy_distance", no_work)
+    monkeypatch.setattr(protocol, "_miss", no_work)
     for shots in (MAX_SHOTS + 1, 10**12):
         with pytest.raises(ValueError, match="exceeds the cap of 10000000"):
             simulate(QUARTER, 1, shots, 1)
@@ -484,4 +486,21 @@ class TestSecantMinRounds:
 
     def test_near_one_case_is_minimal(self):
         # 40-digit arithmetic gives n* = 98431; the success form said 98441
-        assert min_rounds(-3.1856063812250373, 0.9999999999973623) == 98431
+        theta, target = -3.1856063812250373, 0.9999999999973623
+        assert min_rounds(theta, target) == 98431
+        assert exact_success(theta, 98431, max_n=98431) >= target
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cs=st.floats(min_value=0.02, max_value=0.5),
+        mirror=st.sampled_from([1.0, -1.0]),
+        gap=st.floats(min_value=math.log10(3e-13), max_value=-9.0),
+    )
+    def test_exact_success_agrees_with_the_answer_near_target_one(self, cs, mirror, gap):
+        # The reported success reaches the target at n* and does not pass it
+        # at n* - 1: it is read off the termwise miss min_rounds decides on.
+        theta = mirror * 0.5 * math.asin(2.0 * cs)
+        target = 1.0 - 10.0**gap
+        n = min_rounds(theta, target)
+        assert exact_success(theta, n, max_n=n) >= target
+        assert n == 1 or exact_success(theta, n - 1, max_n=n) <= target
