@@ -40,7 +40,6 @@ callers.
 
 from __future__ import annotations
 
-import csv
 import functools
 import io
 import itertools
@@ -379,6 +378,8 @@ def loads_csv(text: str, tol: float = DEFAULT_TOL) -> ConditionalBox:
 
     Lines may end in LF, CRLF or CR, as in a file read in text mode.
     """
+    import csv  # only here, as only a --box file is read as CSV
+
     try:
         rows = list(csv.reader(io.StringIO(text, newline=None)))
     except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
-from . import boxes, dsl, hybrid, protocol
+from . import boxes, dsl, hybrid, protocol, quantum
 
 SEED_ENV_VAR = "BOXWORLD_SEED"
 BUILTIN_BOXES = ("pr", "uniform")
@@ -151,15 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="box invariants and the marginal-independence check")
     p.add_argument("--box", default="pr", help="builtin name (pr, uniform) or CSV path")
-    p.add_argument("--tol", type=_tolerance, default=boxes.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=None)
 
     p = sub.add_parser("chsh", help="CHSH functional of a binary box")
     p.add_argument("--box", default="pr")
-    p.add_argument("--tol", type=_tolerance, default=boxes.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=None)
 
     p = sub.add_parser("local", help="local-polytope membership by LP")
     p.add_argument("--box", default="pr")
-    p.add_argument("--tol", type=_tolerance, default=boxes.DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=None)
 
     p = sub.add_parser("signal", help="marginal shift and witness basis at one angle")
     add_theta(p)
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repeat", help="rounds needed to reach a target success")
     add_theta(p)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--max-n", type=int, default=protocol.MIN_ROUNDS_MAX_COPIES)
+    p.add_argument("--max-n", type=int, default=None)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo of the repetition protocol")
     add_theta(p)
@@ -197,9 +197,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tol(args) -> float:
+    # --tol defaults to None, so building the parser reads nothing from boxes.
+    return boxes.DEFAULT_TOL if args.tol is None else args.tol
+
+
 def cmd_verify(args, out) -> int:
-    box = _load_box(args.box, args.tol)
-    report = boxes.check_no_signaling(box, tol=args.tol)
+    tol = _tol(args)
+    box = _load_box(args.box, tol)
+    report = boxes.check_no_signaling(box, tol=tol)
     ok = not report.signaling
     chsh_text = ""
     if box.table.shape == (2, 2, 2, 2):
@@ -218,14 +224,15 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_chsh(args, out) -> int:
-    box = _load_box(args.box, args.tol)
+    box = _load_box(args.box, _tol(args))
     print(_fmt(boxes.chsh_value(box), args.digits), file=out)
     return 0
 
 
 def cmd_local(args, out) -> int:
-    box = _load_box(args.box, args.tol)
-    local, weights = boxes.is_local(box, tol=args.tol)
+    tol = _tol(args)
+    box = _load_box(args.box, tol)
+    local, weights = boxes.is_local(box, tol=tol)
     print(f"local: {'true' if local else 'false'}", file=out)
     if local:
         print("weights: " + ",".join(_fmt(w, args.digits) for w in weights), file=out)
@@ -259,7 +266,8 @@ def cmd_scan(args, out) -> int:
 
 def cmd_repeat(args, out) -> int:
     theta = _angle(args.theta, args.degrees)
-    n = protocol.min_rounds(theta, args.target, max_n=args.max_n)
+    max_n = protocol.MIN_ROUNDS_MAX_COPIES if args.max_n is None else args.max_n
+    n = protocol.min_rounds(theta, args.target, max_n=max_n)
     print(f"n = {n}", file=out)
     return 0
 
@@ -307,10 +315,8 @@ def cmd_parse(args, out) -> int:
     print(f"branches ({len(state.branches)}):", file=out)
     out.write(hybrid.dumps(state, digits=args.digits))
     if rho is not None:
-        from .quantum import dumps_density_csv
-
         print("rho:", file=out)
-        out.write(dumps_density_csv(rho, digits=args.digits))
+        out.write(quantum.dumps_density_csv(rho, digits=args.digits))
     return 0
 
 
@@ -327,16 +333,22 @@ _COMMANDS = {
 }
 
 
-# Exit code of each error a command may raise; the first match wins, so
-# the exit-2 verification errors come before ValueError, their base class.
-_EXIT_CODES = (
-    (boxes.BoxValidationError, 2),
-    (protocol.ZeroSignalError, 2),
-    (_UsageError, 1),
-    (boxes.LocalityLPError, 1),
-    (ValueError, 1),  # BoxFormatError, ParseError, ExpressionError, bad values
-)
-_HANDLED = tuple(kind for kind, _ in _EXIT_CODES)
+def _exit_code(exc: Exception) -> int | None:
+    """Exit code of an error a command may raise, or None for any other error.
+
+    The first match wins, so the exit-2 verification errors come before
+    ValueError, their base class. The layers' classes are read only here,
+    once an error has happened, so a successful run loads no layer it
+    does not use.
+    """
+    exit_codes = (
+        (boxes.BoxValidationError, 2),
+        (protocol.ZeroSignalError, 2),
+        (_UsageError, 1),
+        (boxes.LocalityLPError, 1),
+        (ValueError, 1),  # BoxFormatError, ParseError, ExpressionError, bad values
+    )
+    return next((code for kind, code in exit_codes if isinstance(exc, kind)), None)
 
 
 def main(argv=None) -> int:
@@ -354,9 +366,12 @@ def main(argv=None) -> int:
                 raise _UsageError(f"cannot open output file: {exc}") from exc
             out = handle
         return _COMMANDS[args.command](args, out)
-    except _HANDLED as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:  # a defect, not an input error: keep its traceback
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return code
     finally:
         if handle is not None:
             handle.close()

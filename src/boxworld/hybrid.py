@@ -39,6 +39,7 @@ from .quantum import (
     DensityOperator,
     Ket,
     basis_ket,
+    _pow2_scaled,
     check_densities,
     density_from_mixture,
     rotations,
@@ -248,38 +249,69 @@ def distribute(
       adding amplitudes.
 
     ``theta`` binds the named symbols c and s. Exceeding ``max_branches``
-    raises :class:`BranchLimitError`. An amplitude that overflows a float
-    (a scalar like 10^300/10^-300, or nested large prefactors) is rejected
-    as non-finite, without a floating-point warning.
+    raises :class:`BranchLimitError`. A scalar that itself overflows a
+    float (10^300/10^-300) is an error. Amplitudes are the products and
+    sums of the scalars as written, unless one of those overflows or
+    underflows (nested prefactors of 10^200, or of 10^-200, or branches
+    2^600 apart): then each branch carries a power of two besides its
+    amplitudes, and is divided at the end by the power of two that brings
+    the largest amplitude into [1/2, 1). Powers of two scale exactly, so
+    the density does not change, whatever the scale.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        width, raw = _eval_expr(expr, theta, max_branches)
-    return HybridState(width, tuple((w, Ket(a)) for w, a in raw))
+    try:
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            width, raw = _eval_expr(expr, theta, max_branches, split=False)
+    except FloatingPointError:
+        width, raw = _eval_expr(expr, theta, max_branches, split=True)
+        raw = _unscaled(raw)
+    return HybridState(width, tuple((w, Ket(m)) for w, m, _ in raw))
+
+
+def _unscaled(raw: list[tuple[float, np.ndarray, int]]) -> list[tuple[float, np.ndarray, int]]:
+    """Branches (weight, m, e), amplitudes m 2^e, with every e made 0 after
+    dividing all of them by the power of two that brings the largest
+    amplitude into [1/2, 1).
+    """
+    amps = np.array([m for _, m, _ in raw])
+    exps = np.array([e for _, _, e in raw])
+    tops = (exps + _pow2_scaled(amps)[1])[amps.any(axis=1)]
+    shift = int(tops.max()) if tops.size else 0
+    scaled = np.ldexp(amps.view(float), (exps - shift)[:, None]).view(complex)
+    return [(w, m, 0) for (w, _, _), m in zip(raw, scaled)]
 
 
 def _eval_expr(
-    node: StateExpr, theta: float | None, cap: int
-) -> tuple[int, list[tuple[float, np.ndarray]]]:
+    node: StateExpr, theta: float | None, cap: int, split: bool
+) -> tuple[int, list[tuple[float, np.ndarray, int]]]:
+    """Width and branches (weight, m, e) of an expression, the amplitudes
+    of a branch being m 2^e. With ``split``, each scalar's power of two
+    goes to e and only its mantissa, in [1/2, 1), multiplies m; without,
+    every e is 0 and the arithmetic is that of the scalars as written.
+    """
     if isinstance(node, BasisKet):
         ket = basis_ket(node.label)
-        return len(node.label), [(1.0, np.array(ket.amplitudes))]
+        return len(node.label), [(1.0, np.array(ket.amplitudes), 0)]
     if isinstance(node, Scaled):
         factor = node.scalar.value(theta)
-        width, branches = _eval_expr(node.child, theta, cap)
-        return width, [(w, factor * a) for w, a in branches]
+        if not (math.isfinite(factor.real) and math.isfinite(factor.imag)):
+            raise ExpressionError("a prefactor overflows a float")
+        k = math.frexp(max(abs(factor.real), abs(factor.imag)))[1] if split else 0
+        factor = complex(math.ldexp(factor.real, -k), math.ldexp(factor.imag, -k))
+        width, branches = _eval_expr(node.child, theta, cap, split)
+        return width, [(w, factor * m, e + k) for w, m, e in branches]
     if isinstance(node, IncoherentSum):
         share = 1.0 / len(node.children)
         width = None
-        out: list[tuple[float, np.ndarray]] = []
+        out: list[tuple[float, np.ndarray, int]] = []
         for child in node.children:
-            w_child, branches = _eval_expr(child, theta, cap)
+            w_child, branches = _eval_expr(child, theta, cap, split)
             if width is None:
                 width = w_child
             elif w_child != width:
                 raise ExpressionError(
                     f"mixed register widths ({width} and {w_child}) in one expression"
                 )
-            out.extend((share * w, a) for w, a in branches)
+            out.extend((share * w, m, e) for w, m, e in branches)
             if len(out) > cap:
                 raise BranchLimitError(
                     f"expression expands past the cap of {cap} branches"
@@ -287,9 +319,9 @@ def _eval_expr(
         return width, out
     if isinstance(node, CoherentSum):
         width = None
-        acc: list[tuple[float, np.ndarray]] | None = None
+        acc: list[tuple[float, np.ndarray, int]] | None = None
         for child in node.children:
-            w_child, branches = _eval_expr(child, theta, cap)
+            w_child, branches = _eval_expr(child, theta, cap, split)
             if width is None:
                 width, acc = w_child, branches
                 continue
@@ -297,7 +329,9 @@ def _eval_expr(
                 raise ExpressionError(
                     f"mixed register widths ({width} and {w_child}) in one expression"
                 )
-            combined = [(wl * wr, al + ar) for wl, al in acc for wr, ar in branches]
+            combined = [
+                (wl * wr, *_add(ml, el, mr, er)) for wl, ml, el in acc for wr, mr, er in branches
+            ]
             if len(combined) > cap:
                 raise BranchLimitError(
                     f"expression expands past the cap of {cap} branches"
@@ -305,6 +339,19 @@ def _eval_expr(
             acc = combined
         return width, acc
     raise ExpressionError(f"not a state expression node: {node!r}")
+
+
+def _add(ml: np.ndarray, el: int, mr: np.ndarray, er: int) -> tuple[np.ndarray, int]:
+    """ml 2^el + mr 2^er as (m, e), in the frame of the larger exponent."""
+    if el == er:
+        return ml + mr, el
+    e = max(el, er)
+    return _pow2_times(ml, el - e) + _pow2_times(mr, er - e), e
+
+
+def _pow2_times(m: np.ndarray, k: int) -> np.ndarray:
+    """m 2^k, exactly wherever the result is a normal float."""
+    return np.ldexp(m.view(float), k).view(complex)
 
 
 def _pr_output(i: int, choice: int) -> int:

@@ -64,9 +64,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DEFAULT_MAX_COPIES",
@@ -171,6 +174,8 @@ def exact_success(theta: float, n: int, *, max_n: int = DEFAULT_MAX_COPIES) -> f
 
 def exact_success_fraction(cs: Fraction, n: int) -> Fraction:
     """Exact rational n-copy success for a rational coherence cs."""
+    from fractions import Fraction  # only here, as no command needs exact rationals
+
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     cs = Fraction(cs)

@@ -129,6 +129,23 @@ class TestDistribute:
         with pytest.raises(BranchLimitError):
             distribute(expr)
 
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_coherent_branches_2_to_the_600_apart(self, k):
+        # 2^k (2^k |0> + |1>): amplitudes 2^2k and 2^k, the first beyond a
+        # float. The state is 2^k |0> + |1>, scaled by a power of two.
+        big = Scalar("num", 2.0**k)
+        near = CoherentSum((Scaled(big, BasisKet("0")), BasisKet("1")))
+        far = Scaled(big, near)
+        rho = distribute(far).to_density().matrix
+        assert np.array_equal(rho, distribute(near).to_density().matrix)
+        assert rho[0, 1] == rho[1, 0] == 2.0 ** -abs(k)
+        assert (rho[0, 0], rho[1, 1]) == ((1.0, 2.0**-1200) if k > 0 else (2.0**-1200, 1.0))
+
+    def test_overflowing_prefactor_rejected(self):
+        huge = Scalar("frac", 1e300, 1e-300)
+        with pytest.raises(ExpressionError, match="overflows a float"):
+            distribute(Scaled(huge, BasisKet("0")))
+
 
 class TestPrExtend:
     def test_basis_input_01(self):
