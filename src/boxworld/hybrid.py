@@ -30,6 +30,7 @@ at a time, `signaling_witness` the two rows [0, theta], and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,7 +40,6 @@ from .quantum import (
     DensityOperator,
     Ket,
     basis_ket,
-    _pow2_scaled,
     check_densities,
     density_from_mixture,
     rotations,
@@ -250,61 +250,54 @@ def distribute(
 
     ``theta`` binds the named symbols c and s. Exceeding ``max_branches``
     raises :class:`BranchLimitError`. A scalar that itself overflows a
-    float (10^300/10^-300) is an error. Amplitudes are the products and
-    sums of the scalars as written, unless one of those overflows or
-    underflows (nested prefactors of 10^200, or of 10^-200, or branches
-    2^600 apart): then each branch carries a power of two besides its
-    amplitudes, and is divided at the end by the power of two that brings
-    the largest amplitude into [1/2, 1). Powers of two scale exactly, so
-    the density does not change, whatever the scale.
+    float (10^300/10^-300) is an error. Each branch carries a power of two
+    besides its amplitudes, so nested prefactors of 10^200 or 10^-200, or
+    branches 2^600 apart, neither overflow nor underflow. Where every
+    amplitude is a normal float the branches come out at the scale
+    written, with the bits of the plain products and sums (powers of two
+    scale exactly), save that an amplitude about 2^1021 or more below the
+    largest of its branch may lose bits: it enters the density only below
+    the smallest normal float. Otherwise every branch is divided by the
+    power of two that brings the largest amplitude into [1/2, 1): the
+    density is the same, and an amplitude that the plain products would
+    leave subnormal, as 10^-320 in ``1e-160 (1e-160 |0> + |1>)``, keeps
+    its full precision.
     """
-    try:
-        with np.errstate(over="raise", under="raise", invalid="raise"):
-            width, raw = _eval_expr(expr, theta, max_branches, split=False)
-    except FloatingPointError:
-        width, raw = _eval_expr(expr, theta, max_branches, split=True)
-        raw = _unscaled(raw)
-    return HybridState(width, tuple((w, Ket(m)) for w, m, _ in raw))
-
-
-def _unscaled(raw: list[tuple[float, np.ndarray, int]]) -> list[tuple[float, np.ndarray, int]]:
-    """Branches (weight, m, e), amplitudes m 2^e, with every e made 0 after
-    dividing all of them by the power of two that brings the largest
-    amplitude into [1/2, 1).
-    """
+    width, raw = _eval_expr(expr, theta, max_branches)
     amps = np.array([m for _, m, _ in raw])
-    exps = np.array([e for _, _, e in raw])
-    tops = (exps + _pow2_scaled(amps)[1])[amps.any(axis=1)]
-    shift = int(tops.max()) if tops.size else 0
-    scaled = np.ldexp(amps.view(float), (exps - shift)[:, None]).view(complex)
-    return [(w, m, 0) for (w, _, _), m in zip(raw, scaled)]
+    exps = np.array([[e] for _, _, e in raw])
+    frac, tops = np.frexp(amps.view(float))
+    tops = (tops + exps)[frac != 0.0].tolist()
+    fl = sys.float_info
+    normal = not tops or (min(tops) >= fl.min_exp and max(tops) <= fl.max_exp)
+    scaled = _pow2_times(amps, exps if normal else exps - max(tops))
+    return HybridState(width, tuple((w, Ket(m)) for (w, _, _), m in zip(raw, scaled)))
 
 
 def _eval_expr(
-    node: StateExpr, theta: float | None, cap: int, split: bool
+    node: StateExpr, theta: float | None, cap: int
 ) -> tuple[int, list[tuple[float, np.ndarray, int]]]:
     """Width and branches (weight, m, e) of an expression, the amplitudes
-    of a branch being m 2^e. With ``split``, each scalar's power of two
-    goes to e and only its mantissa, in [1/2, 1), multiplies m; without,
-    every e is 0 and the arithmetic is that of the scalars as written.
+    of a branch being m 2^e: each scalar's power of two goes to e and only
+    its mantissa, in [1/2, 1), multiplies m.
     """
     if isinstance(node, BasisKet):
         ket = basis_ket(node.label)
-        return len(node.label), [(1.0, np.array(ket.amplitudes), 0)]
+        return len(node.label), [(1.0, ket.amplitudes, 0)]
     if isinstance(node, Scaled):
         factor = node.scalar.value(theta)
         if not (math.isfinite(factor.real) and math.isfinite(factor.imag)):
             raise ExpressionError("a prefactor overflows a float")
-        k = math.frexp(max(abs(factor.real), abs(factor.imag)))[1] if split else 0
+        k = math.frexp(max(abs(factor.real), abs(factor.imag)))[1]
         factor = complex(math.ldexp(factor.real, -k), math.ldexp(factor.imag, -k))
-        width, branches = _eval_expr(node.child, theta, cap, split)
+        width, branches = _eval_expr(node.child, theta, cap)
         return width, [(w, factor * m, e + k) for w, m, e in branches]
     if isinstance(node, IncoherentSum):
         share = 1.0 / len(node.children)
         width = None
         out: list[tuple[float, np.ndarray, int]] = []
         for child in node.children:
-            w_child, branches = _eval_expr(child, theta, cap, split)
+            w_child, branches = _eval_expr(child, theta, cap)
             if width is None:
                 width = w_child
             elif w_child != width:
@@ -321,7 +314,7 @@ def _eval_expr(
         width = None
         acc: list[tuple[float, np.ndarray, int]] | None = None
         for child in node.children:
-            w_child, branches = _eval_expr(child, theta, cap, split)
+            w_child, branches = _eval_expr(child, theta, cap)
             if width is None:
                 width, acc = w_child, branches
                 continue
@@ -342,14 +335,21 @@ def _eval_expr(
 
 
 def _add(ml: np.ndarray, el: int, mr: np.ndarray, er: int) -> tuple[np.ndarray, int]:
-    """ml 2^el + mr 2^er as (m, e), in the frame of the larger exponent."""
+    """ml 2^el + mr 2^er as (m, e), in the frame of the larger exponent,
+    unless that operand is zero (as after a prefactor 0): a zero sets no
+    scale, lest it flush the other operand.
+    """
     if el == er:
         return ml + mr, el
-    e = max(el, er)
-    return _pow2_times(ml, el - e) + _pow2_times(mr, er - e), e
+    e = max(el, er) if (ml if el > er else mr).any() else min(el, er)
+    if el != e:
+        ml = _pow2_times(ml, el - e)
+    if er != e:
+        mr = _pow2_times(mr, er - e)
+    return ml + mr, e
 
 
-def _pow2_times(m: np.ndarray, k: int) -> np.ndarray:
+def _pow2_times(m: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     """m 2^k, exactly wherever the result is a normal float."""
     return np.ldexp(m.view(float), k).view(complex)
 

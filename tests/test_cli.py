@@ -285,8 +285,19 @@ class TestParse:
             (f"0.{'0' * 199}1 |0> (+) 0.{'0' * 199}1 |1>", ["0.5,0,0,0", "0,0,0.5,0"]),
             (f"1{'0' * 200} (1{'0' * 200} |0>)", ["1,0,0,0", "0,0,0,0"]),
             (f"1/1{'0' * 200} (1/1{'0' * 200} |0>)", ["1,0,0,0", "0,0,0,0"]),
+            # 10^-320 is subnormal as a plain product; rho[0, 1] is 10^-160 all the same
+            (
+                f"0.{'0' * 159}1 (0.{'0' * 159}1 |0> + |1>)",
+                [
+                    "9.9998886718268301e-321,0,9.9999999999999999e-161,0",
+                    "9.9999999999999999e-161,0,0.99999999999999989,0",
+                ],
+            ),
         ],
-        ids=["huge-sum", "huge", "tiny", "tiny-mixture", "nested-huge", "nested-tiny"],
+        ids=[
+            "huge-sum", "huge", "tiny", "tiny-mixture", "nested-huge", "nested-tiny",
+            "nested-subnormal",
+        ],
     )
     def test_amplitude_scale_drops_out(self, capsys, expr, rho):
         code, out, err = run(capsys, "parse", "--expr", expr, "--dump-rho")

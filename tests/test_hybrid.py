@@ -141,6 +141,24 @@ class TestDistribute:
         assert rho[0, 1] == rho[1, 0] == 2.0 ** -abs(k)
         assert (rho[0, 0], rho[1, 1]) == ((1.0, 2.0**-1200) if k > 0 else (2.0**-1200, 1.0))
 
+    def test_written_scale_kept_where_every_amplitude_is_normal(self):
+        # 10^300 |0> + |1>: the branch lists the amplitudes as written.
+        expr = CoherentSum((Scaled(Scalar("num", 1e300), BasisKet("0")), BasisKet("1")))
+        (weight, ket), = distribute(expr).branches
+        assert weight == 1.0 and ket.amplitudes.tolist() == [1e300, 1.0]
+
+    def test_zero_prefactor_sets_no_scale(self):
+        # 10^-160 |0> + 0 (|0> + 10^300 |0>): the zero operand must not
+        # align the sum to 10^300, which would flush 10^-160 to zero.
+        tiny = Scaled(Scalar("num", 1e-160), BasisKet("0"))
+        zero = Scaled(
+            Scalar("num", 0.0),
+            CoherentSum((BasisKet("0"), Scaled(Scalar("num", 1e300), BasisKet("0")))),
+        )
+        rho = distribute(CoherentSum((tiny, zero))).to_density().matrix
+        assert np.array_equal(rho, distribute(tiny).to_density().matrix)
+        assert rho[0, 0] == pytest.approx(1.0) and rho[1, 1] == 0.0
+
     def test_overflowing_prefactor_rejected(self):
         huge = Scalar("frac", 1e300, 1e-300)
         with pytest.raises(ExpressionError, match="overflows a float"):
