@@ -32,13 +32,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boxes import DEFAULT_TOL, ConditionalBox, no_signaling_violations, table_deviations
+from .boxes import ConditionalBox, no_signaling_violations, table_deviations
 from .hybrid import _bob_marginals, _densities
 from .quantum import trace_distances
+from .tolerance import DEFAULT_TOL, ROUNDING
 
 __all__ = [
-    "POSITIVITY_ATOL",
-    "NORMALIZATION_ATOL",
     "SWEEP_CHUNK",
     "AuditReport",
     "effective_box",
@@ -46,8 +45,6 @@ __all__ = [
     "audit_sweep",
 ]
 
-POSITIVITY_ATOL = 1e-12
-NORMALIZATION_ATOL = 1e-12
 # Angles evaluated together by a sweep: a grid of any length holds at most
 # this many densities and tables at a time.
 SWEEP_CHUNK = 32
@@ -65,7 +62,9 @@ class AuditReport:
     ``marginal_shift`` is the trace distance between Bob's reduced states
     for x = 1 and x = 0: the largest gap any measurement of Bob's can show,
     which ``a_to_b_violation`` (the box's total-variation figure) reaches
-    in his X basis. ``tol`` is the tolerance the verdicts applied.
+    in his X basis. Positivity and normalization hold within
+    :data:`~boxworld.tolerance.ROUNDING`; the box signals when
+    ``a_to_b_violation`` exceeds :data:`~boxworld.tolerance.DEFAULT_TOL`.
     """
 
     theta: float
@@ -75,11 +74,10 @@ class AuditReport:
     b_to_a_violation: float
     worst_setting: tuple[str, int, tuple[int, int]]
     marginal_shift: float
-    tol: float
 
     @property
     def valid_but_signaling(self) -> bool:
-        return self.positivity_ok and self.normalization_ok and self.a_to_b_violation > self.tol
+        return self.positivity_ok and self.normalization_ok and self.a_to_b_violation > DEFAULT_TOL
 
 
 def _tables(rho0: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -97,7 +95,7 @@ def effective_box(theta: float) -> ConditionalBox:
     return ConditionalBox(_tables(rho[0], rho[1:])[0])
 
 
-def audit_sweep(thetas: Iterable[float], tol: float = DEFAULT_TOL) -> Iterator[AuditReport]:
+def audit_sweep(thetas: Iterable[float]) -> Iterator[AuditReport]:
     """Audit every angle of a grid, in order, SWEEP_CHUNK angles at a time.
 
     Each chunk's inputs come from the stack of plane rotations, checked
@@ -121,24 +119,23 @@ def audit_sweep(thetas: Iterable[float], tol: float = DEFAULT_TOL) -> Iterator[A
         for theta, (low, off, ab, ba, setting), shift in zip(chunk, rows, shifts.tolist()):
             yield AuditReport(
                 theta=theta,
-                positivity_ok=low >= -POSITIVITY_ATOL,
-                normalization_ok=off <= NORMALIZATION_ATOL,
+                positivity_ok=low >= -ROUNDING,
+                normalization_ok=off <= ROUNDING,
                 a_to_b_violation=ab,
                 b_to_a_violation=ba,
                 worst_setting=setting,
                 marginal_shift=shift,
-                tol=tol,
             )
         if chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:
             rho = _densities(chunk)
 
 
-def audit_dynamics(theta: float, tol: float = DEFAULT_TOL) -> AuditReport:
+def audit_dynamics(theta: float) -> AuditReport:
     """Build the effective box and report positivity, normalization, signaling.
 
     For any theta with cs != 0 the expected outcome is: positivity and
-    normalization hold to 1e-12, the Alice-to-Bob violation equals
+    normalization hold within ROUNDING, the Alice-to-Bob violation equals
     sin(2 theta)/4 (achieved at Bob's y = 1 setting), and the reverse
     direction stays at zero.
     """
-    return next(audit_sweep([theta], tol))
+    return next(audit_sweep([theta]))

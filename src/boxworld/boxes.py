@@ -20,12 +20,13 @@ them clears ``tol`` by :data:`LP_SLACK`:
   entries, so a violation (half the L1 gap of two marginals of 2 entries)
   moves by at most 4 t, and a local box has none.
 
-HiGHS meets constraints only to its feasibility tolerance of 1e-7, so its
-t may fall short of the true optimum by about that much; the slack of
-1e-6 keeps every verdict the bound gives equal to the LP's. Every other
-box, the local ones included, goes to the LP, which stays the only judge
-of membership (Fine's criterion, CHSH <= 2 for no-signaling boxes, is an
-oracle in the tests, not a decider here).
+HiGHS meets constraints only to its primal feasibility tolerance, set to
+:data:`~boxworld.tolerance.LP_FEASIBILITY` (1e-10, the smallest it
+accepts), so its t may fall short of the true optimum by about that much;
+the slack of 1e-6 keeps every verdict the bound gives equal to the LP's.
+Every other box, the local ones included, goes to the LP, which stays the
+only judge of membership (Fine's criterion, CHSH <= 2 for no-signaling
+boxes, is an oracle in the tests, not a decider here).
 
 Violation magnitudes are total-variation distances (half L1) so they sit
 on the same scale as trace distances elsewhere in the package.
@@ -46,6 +47,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tolerance import DEFAULT_TOL, LP_FEASIBILITY, LP_SLACK
 
 __all__ = [
     "DEFAULT_TOL",
@@ -69,10 +72,6 @@ __all__ = [
     "loads_csv",
 ]
 
-DEFAULT_TOL = 1e-9
-# How far the lower bound on the locality LP's t must clear tol before the
-# LP is skipped; it covers HiGHS's primal feasibility tolerance of 1e-7.
-LP_SLACK = 1e-6
 # The longest box CSV the command line reads; a binary box at 17 digits
 # takes under 500 bytes.
 MAX_CSV_BYTES = 1 << 20
@@ -333,9 +332,11 @@ def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.nd
     (best CHSH variant - 2) / 16 and (worst no-signaling violation) / 4.
     When that bound exceeds ``tol + LP_SLACK`` the answer is
     ``(False, None)`` with no LP and no scipy import; the slack covers
-    HiGHS's feasibility tolerance of 1e-7, so the LP could not have
-    answered otherwise. Every other box is decided by the LP. Raises
-    :class:`LocalityLPError` when the solver reports no optimum.
+    the LP's feasibility tolerance, LP_FEASIBILITY, so the LP could not
+    have answered otherwise. Every other box is decided by the LP, and
+    the weights of a local verdict rebuild the box within
+    t + LP_FEASIBILITY. Raises :class:`LocalityLPError` when the solver
+    reports no optimum.
     """
     if box.table.shape != (2, 2, 2, 2):
         raise ValueError(f"locality LP needs a binary 2x2x2x2 box, got shape {box.table.shape}")
@@ -353,6 +354,7 @@ def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.nd
         b_eq=[1.0],
         bounds=(0.0, None),
         method="highs",
+        options={"primal_feasibility_tolerance": LP_FEASIBILITY},
     )
     if not res.success:
         raise LocalityLPError(f"locality LP failed (status {res.status}): {res.message}")

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import boxes, dsl, hybrid, protocol, quantum
+from .tolerance import DEFAULT_TOL
 
 SEED_ENV_VAR = "BOXWORLD_SEED"
 BUILTIN_BOXES = ("pr", "uniform")
@@ -151,15 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="box invariants and the marginal-independence check")
     p.add_argument("--box", default="pr", help="builtin name (pr, uniform) or CSV path")
-    p.add_argument("--tol", type=_tolerance, default=None)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("chsh", help="CHSH functional of a binary box")
     p.add_argument("--box", default="pr")
-    p.add_argument("--tol", type=_tolerance, default=None)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("local", help="local-polytope membership by LP")
     p.add_argument("--box", default="pr")
-    p.add_argument("--tol", type=_tolerance, default=None)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("signal", help="marginal shift and witness basis at one angle")
     add_theta(p)
@@ -197,15 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tol(args) -> float:
-    # --tol defaults to None, so building the parser reads nothing from boxes.
-    return boxes.DEFAULT_TOL if args.tol is None else args.tol
-
-
 def cmd_verify(args, out) -> int:
-    tol = _tol(args)
-    box = _load_box(args.box, tol)
-    report = boxes.check_no_signaling(box, tol=tol)
+    box = _load_box(args.box, args.tol)
+    report = boxes.check_no_signaling(box, tol=args.tol)
     ok = not report.signaling
     chsh_text = ""
     if box.table.shape == (2, 2, 2, 2):
@@ -224,15 +219,14 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_chsh(args, out) -> int:
-    box = _load_box(args.box, _tol(args))
+    box = _load_box(args.box, args.tol)
     print(_fmt(boxes.chsh_value(box), args.digits), file=out)
     return 0
 
 
 def cmd_local(args, out) -> int:
-    tol = _tol(args)
-    box = _load_box(args.box, tol)
-    local, weights = boxes.is_local(box, tol=tol)
+    box = _load_box(args.box, args.tol)
+    local, weights = boxes.is_local(box, tol=args.tol)
     print(f"local: {'true' if local else 'false'}", file=out)
     if local:
         print("weights: " + ",".join(_fmt(w, args.digits) for w in weights), file=out)
@@ -287,12 +281,13 @@ def cmd_simulate(args, out) -> int:
 
 
 def cmd_audit(args, out) -> int:
-    if args.theta is not None:
+    grid = (args.theta_min, args.theta_max, args.steps)
+    if args.theta is not None and grid == (None, None, None):
         thetas = [_angle(args.theta, args.degrees)]
-    elif args.theta_min is not None and args.theta_max is not None and args.steps is not None:
+    elif args.theta is None and None not in grid:
         thetas = _theta_grid(args)
     else:
-        raise _UsageError("audit needs --theta or all of --theta-min/--theta-max/--steps")
+        raise _UsageError("audit needs --theta alone or all of --theta-min/--theta-max/--steps")
     print("theta,pos_ok,norm_ok,ab_violation,ba_violation", file=out)
     for rep in audit_mod.audit_sweep(thetas):
         print(

@@ -68,6 +68,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .tolerance import ROUNDING
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -207,7 +209,7 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     which is usually within one of the answer, steps 1, 2, 4, ... bracket
     the threshold and bisection closes it: about four evaluations in all.
     Raises :class:`ZeroSignalError` when cs vanishes, where no number of
-    repetitions helps. Coherences below 1e-12 count as zero so that the
+    repetitions helps. Coherences below ROUNDING count as zero so that the
     floating-point images of 0, pi/2, pi, ... are treated as the
     signal-free angles they represent.
     """
@@ -216,7 +218,7 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     if not 1 <= max_n <= MIN_ROUNDS_MAX_COPIES:
         raise ValueError(f"max_n must lie in [1, {MIN_ROUNDS_MAX_COPIES}], got {max_n}")
     cs = _cs(theta)
-    if abs(cs) < 1e-12:
+    if abs(cs) < ROUNDING:
         raise ZeroSignalError(f"no signaling at theta = {theta}: cs = {cs:.3g}")
     a = abs(cs)
     budget = 2.0 * (1.0 - target)  # both steps exact for target in [1/2, 1)

@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .tolerance import EIGEN_ROUNDING, ROUNDING
+
 __all__ = [
     "Ket",
     "Unitary",
@@ -33,12 +35,6 @@ __all__ = [
     "measure_probs",
     "dumps_density_csv",
 ]
-
-HERMITICITY_ATOL = 1e-12
-TRACE_ATOL = 1e-12
-UNITARITY_ATOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
-ORTHONORMALITY_ATOL = 1e-10
 
 
 def _frozen_complex(value: np.ndarray | Sequence, ndim: int) -> np.ndarray:
@@ -107,7 +103,7 @@ class Ket:
 
 @dataclass(frozen=True)
 class Unitary:
-    """Square matrix with U^dagger U = I within 1e-12."""
+    """Square matrix with U^dagger U = I within :data:`~boxworld.tolerance.ROUNDING`."""
 
     matrix: np.ndarray
 
@@ -141,21 +137,22 @@ def check_densities(m: np.ndarray) -> None:
     """Raise ValueError unless every matrix of ``m`` is a density operator.
 
     ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
-    stack is checked in one pass: Hermitian within HERMITICITY_ATOL, unit
-    trace within TRACE_ATOL, no eigenvalue below EIGENVALUE_FLOOR. The
-    message names the worst matrix's deviation.
+    stack is checked in one pass: Hermitian and of unit trace within
+    :data:`~boxworld.tolerance.ROUNDING`, no eigenvalue below
+    -:data:`~boxworld.tolerance.EIGEN_ROUNDING`. The message names the
+    worst matrix's deviation.
     """
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density operator must be square, got shape {m.shape}")
     herm = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)
-    if herm > HERMITICITY_ATOL:
+    if herm > ROUNDING:
         raise ValueError(f"not Hermitian (deviation {herm:.3g})")
     tr = np.trace(m, axis1=-2, axis2=-1).ravel()
     off = np.abs(tr - 1.0)
-    if np.max(off, initial=0.0) > TRACE_ATOL:
+    if np.max(off, initial=0.0) > ROUNDING:
         raise ValueError(f"trace is {tr[np.argmax(off)]:.15g}, not 1")
     lo = float(np.linalg.eigvalsh(m).min(initial=np.inf))
-    if lo < EIGENVALUE_FLOOR:
+    if lo < -EIGEN_ROUNDING:
         raise ValueError(f"negative eigenvalue {lo:.3g}")
 
 
@@ -164,7 +161,8 @@ def check_unitaries(m: np.ndarray) -> None:
 
     ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
     stack is checked in one pass: finite entries and max|U^dagger U - I|
-    within UNITARITY_ATOL. The message names the worst matrix's deviation.
+    within :data:`~boxworld.tolerance.ROUNDING`. The message names the
+    worst matrix's deviation.
     """
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"unitary must be square, got shape {m.shape}")
@@ -172,7 +170,7 @@ def check_unitaries(m: np.ndarray) -> None:
         raise ValueError("non-finite amplitudes")
     gram = np.swapaxes(m, -1, -2).conj() @ m
     dev = np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0)
-    if dev > UNITARITY_ATOL:
+    if dev > ROUNDING:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
 
 
@@ -305,7 +303,7 @@ def measure_probs(rho: DensityOperator, basis: Sequence[Ket]) -> np.ndarray:
         raise ValueError(f"basis has {len(basis)} kets but the space has dimension {rho.dim}")
     b = np.column_stack([k.amplitudes for k in basis])
     gram_dev = np.max(np.abs(b.conj().T @ b - np.eye(rho.dim)))
-    if gram_dev > ORTHONORMALITY_ATOL:
+    if gram_dev > EIGEN_ROUNDING:
         raise ValueError(f"basis is not orthonormal (deviation {gram_dev:.3g})")
     return np.real(np.einsum("ik,ij,jk->k", b.conj(), rho.matrix, b))
 

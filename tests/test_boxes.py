@@ -440,6 +440,24 @@ class TestIsLocal:
             recon = (weights @ deterministic_vertices()).reshape(2, 2, 2, 2)
             np.testing.assert_allclose(recon, box.table, atol=1e-9)
 
+    def test_sparse_table_near_the_facet_is_rebuilt_within_tol(self):
+        # A local table with two entries of 8.2e-9, mixed toward a relabeled
+        # PR box to just short of its CHSH facet. At HiGHS's default
+        # feasibility tolerance (1e-7) its weights missed it by 8.2e-9.
+        t = np.array(
+            [
+                0.7871612670614466, 0.680821233467147, 0.8623769718943933, 0.7871612631152897,
+                0.03128298630864138, 0.13762301990294107, 0.03128298630864138,
+                0.10649869508774504, 0.07521571303561236, 0.10634003785080838,
+                8.202665603347044e-09, 8.202665603347044e-09, 0.10634003359429968,
+                0.07521570877910365, 0.10634003359429968, 0.10634003359429968,
+            ]
+        ).reshape(2, 2, 2, 2)  # fmt: skip
+        local, weights = is_local(ConditionalBox(t))
+        assert local
+        recon = (weights @ deterministic_vertices()).reshape(2, 2, 2, 2)
+        assert np.abs(recon - t).max() <= DEFAULT_TOL
+
     def test_deterministic_weights(self):
         _, w1 = is_local(uniform_box())
         _, w2 = is_local(uniform_box())

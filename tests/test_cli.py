@@ -543,6 +543,21 @@ class TestFlagValues:
         assert code == 1 and out == ""
         assert _one_error_line(err, "error: argument --tol: ")
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--theta-min", "0", "--theta-max", "1", "--steps", "99999999999"],
+            ["--theta-min", "0", "--theta-max", "1", "--steps", "5"],
+            ["--steps", "5"],
+            ["--theta-max", "1"],
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_audit_theta_mixed_with_grid_flags_rejected(self, capsys, grid):
+        code, out, err = run(capsys, "audit", "--theta", "0.3", *grid)
+        assert code == 1 and out == ""
+        assert _one_error_line(err, "error: audit needs --theta alone or all of ")
+
     def test_zero_tolerance_is_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "--box", "pr", "--tol", "0")
         assert code == 0 and out.startswith("no-signaling: OK")
