@@ -138,12 +138,17 @@ class TestAuditDynamics:
         for theta in np.linspace(0.0, math.pi / 2, 17):
             assert audit_dynamics(float(theta)).b_to_a_violation <= 1e-10
 
-    def test_rounding_residue_is_reported_not_raised(self):
+    @pytest.mark.parametrize("shift", [0.0, 1e-16])
+    def test_rounding_residue_is_reported_not_raised(self, shift):
         # Normalization is off by ~4.4e-16 at most angles; the audit reports
-        # it, judged by its ROUNDING limits, instead of raising.
-        thetas = [float(t) for t in np.linspace(0.0, math.pi, 33)] + [0.3, -math.pi / 2]
-        assert {0.0, math.pi / 2, math.pi} <= set(thetas)
-        reports = list(audit_sweep(thetas)) + [audit_dynamics(0.3)]
+        # it, judged by its ROUNDING limits, instead of raising. A shift below
+        # that residue turns 0 into a tiny angle and moves the rest by an ulp
+        # at most.
+        grid = [float(t) for t in np.linspace(0.0, math.pi, 33)] + [0.3, -math.pi / 2]
+        assert {0.0, math.pi / 2, math.pi} <= set(grid)
+        thetas = [t + shift for t in grid]
+        reports = list(audit_sweep(thetas)) + [audit_dynamics(0.3 + shift)]
+        assert [rep.theta for rep in reports[:-1]] == thetas
         for rep in reports:
             assert rep.positivity_ok and rep.normalization_ok
             assert abs(rep.a_to_b_violation - abs(math.sin(2 * rep.theta)) / 4) <= 1e-15
