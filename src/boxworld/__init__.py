@@ -39,11 +39,11 @@ _EXPORTS = {
         "BoxFormatError",
         "BoxValidationError",
         "ConditionalBox",
-        "LocalityLPError",
         "NoSignalingReport",
         "check_no_signaling",
         "chsh_value",
         "is_local",
+        "locality_distance",
         "pr_box",
         "uniform_box",
     ),

@@ -6,27 +6,31 @@ the PR box, whose outputs satisfy a XOR b = A AND B with uniform local
 marginals. This module builds boxes, measures how badly a box lets one
 side's input leak into the other side's output marginal, evaluates the
 CHSH functional, and decides membership in the local
-(deterministic-strategy) polytope by linear programming.
+(deterministic-strategy) polytope with an exact certificate.
 
-The LP's optimum t is the box's L-infinity distance to the local polytope.
-:func:`is_local` first computes two lower bounds on t that hold for any
-real binary table, and answers "not local" without the LP when one of
-them clears ``tol`` by :data:`LP_SLACK`:
+The locality LP's optimum t is the box's L-infinity distance to the
+local polytope: the least worst-entry deviation between the table p and
+a convex combination V^T w of the 16 deterministic boxes. Its matrices
+do not depend on the box, so :func:`is_local` solves it with a small
+dense tableau simplex (:func:`_simplex`) and no solver library. It never
+trusts the float solve alone; each verdict rests on one of two bounds on
+t, each decided exactly on the float table as given:
 
-- (largest of the 8 CHSH variants - 2) / 16: each variant weights all 16
-  entries by +-1, so moving every entry by at most t moves it by at most
-  16 t, and a local box scores at most 2;
-- (largest no-signaling violation) / 4: each marginal entry sums 2
-  entries, so a violation (half the L1 gap of two marginals of 2 entries)
-  moves by at most 4 t, and a local box has none.
+- an upper bound t+ = |V^T w - p|_inf + |sum w - 1| from any weights
+  w >= 0, since w / sum w is a point of the polytope within t+ of p;
+- a lower bound t- = (g.p - max over vertices v of g.v) / |g|_1 from any
+  Bell functional g, since moving every entry by at most t moves g.p by
+  at most |g|_1 t, and no local box scores above max g.v.
 
-HiGHS meets constraints only to its primal feasibility tolerance, set to
-:data:`~boxworld.tolerance.LP_FEASIBILITY` (1e-10, the smallest it
-accepts), so its t may fall short of the true optimum by about that much;
-the slack of 1e-6 keeps every verdict the bound gives equal to the LP's.
-Every other box, the local ones included, goes to the LP, which stays the
-only judge of membership (Fine's criterion, CHSH <= 2 for no-signaling
-boxes, is an oracle in the tests, not a decider here).
+The box is local when t+ <= tol and not local when t- > tol. The first g
+tried, before any pivot, is the best of the 8 CHSH variants (|g|_1 = 16,
+local maximum 2) and the 16 no-signaling gaps (|g|_1 = 4, local maximum
+0); by Fine's theorem (PRL 48, 291, 1982) a CHSH facet is the optimal g
+of a no-signaling box. Its entries are integers, so math.fsum decides its
+bound. Then the float simplex gives w and, from its reduced costs, the
+dual g, and Fractions decide their bounds. If neither decides, t is within
+rounding of tol, and the simplex reruns in Fractions, where it is exact
+and always ends; :func:`locality_distance` returns that exact t.
 
 Violation magnitudes are total-variation distances (half L1) so they sit
 on the same scale as trace distances elsewhere in the package.
@@ -44,20 +48,23 @@ from __future__ import annotations
 import functools
 import io
 import itertools
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tolerance import DEFAULT_TOL, LP_FEASIBILITY, LP_SLACK
+from .tolerance import DEFAULT_TOL, ROUNDING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DEFAULT_TOL",
-    "LP_SLACK",
     "MAX_CSV_BYTES",
     "MAX_PAIR_ENTRIES",
     "BoxValidationError",
     "BoxFormatError",
-    "LocalityLPError",
     "ConditionalBox",
     "NoSignalingReport",
     "pr_box",
@@ -68,6 +75,7 @@ __all__ = [
     "chsh_value",
     "deterministic_vertices",
     "is_local",
+    "locality_distance",
     "dumps_csv",
     "loads_csv",
 ]
@@ -88,10 +96,6 @@ class BoxValidationError(ValueError):
 
 class BoxFormatError(ValueError):
     """Box CSV text does not conform to the ``A,B,a,b,p`` layout."""
-
-
-class LocalityLPError(RuntimeError):
-    """The locality LP solver stopped without an optimum, so no verdict exists."""
 
 
 @dataclass(frozen=True)
@@ -270,19 +274,6 @@ def chsh_value(box: ConditionalBox) -> float:
     return float(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1])
 
 
-def _distance_lower_bound(t: np.ndarray) -> float:
-    """A lower bound on a binary table's L-infinity distance to the local polytope.
-
-    The larger of (best CHSH variant - 2) / 16 and (worst no-signaling
-    violation) / 4; the module docstring says why each holds.
-    """
-    corr = _correlators(t)
-    # The variant with the minus sign on E(A, B), either overall sign.
-    best_chsh = float(np.abs(corr.sum() - 2.0 * corr).max())
-    a_to_b, b_to_a, _ = no_signaling_violations(t)
-    return max((best_chsh - 2.0) / 16.0, max(float(a_to_b), float(b_to_a)) / 4.0)
-
-
 def deterministic_vertices() -> np.ndarray:
     """The 16 deterministic binary boxes, flattened, shape (16, 16).
 
@@ -301,66 +292,199 @@ def deterministic_vertices() -> np.ndarray:
 
 
 @functools.cache
-def _lp_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective, inequality and equality matrices of the locality LP.
+def _lp_data() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The locality LP's tableau and the index tables its certificates read.
 
-    Variables are the 16 vertex weights then the deviation bound t. None
-    of the three depends on the box, so they are built once per process
-    and kept read-only.
+    None depends on the box, so all four are built once per process and
+    kept read-only:
+
+    - the 34 x 50 tableau with a zero right-hand side. Its columns are the
+      16 vertex weights w, the deviation t, the slacks of the 16 rows
+      ``V^T w - t <= p`` (rows 0-15) and of the 16 rows ``-V^T w - t <= -p``
+      (rows 16-31), then the right-hand side. Row 32 is ``sum w = 1`` and
+      row 33 the objective t;
+    - ``support``, shape (16, 4): the entries at which each vertex is 1;
+    - ``members``, shape (16, 4): the vertices that are 1 at each entry;
+    - ``bell``, shape (24, 16): the functionals g tried before any pivot,
+      the 8 CHSH variants and the 16 no-signaling gaps.
     """
-    verts = deterministic_vertices()  # (16 vertices, 16 entries)
-    c = np.zeros(17)
-    c[16] = 1.0
-    ones = np.ones((16, 1))
-    a_ub = np.vstack([np.hstack([verts.T, -ones]), np.hstack([-verts.T, -ones])])
-    a_eq = np.zeros((1, 17))
-    a_eq[0, :16] = 1.0
-    for array in (c, a_ub, a_eq):
+    verts = deterministic_vertices()
+    tableau = np.zeros((34, 50))
+    tableau[:16, :16], tableau[16:32, :16] = verts.T, -verts.T
+    tableau[:32, 16] = -1.0
+    tableau[:32, 17:49] = np.eye(32)
+    tableau[32, :16] = tableau[33, 16] = 1.0
+    support = np.nonzero(verts)[1].reshape(16, 4)
+    members = np.nonzero(verts.T)[1].reshape(16, 4)
+    a, b, A, B = np.indices((2, 2, 2, 2))
+    parity = 1.0 - 2.0 * (a ^ b)
+    bell = [
+        sign * parity * np.where((A == x) & (B == y), -1.0, 1.0)
+        for x, y, sign in itertools.product((0, 1), (0, 1), (1.0, -1.0))
+    ]
+    for setting, outcome, sign in itertools.product((0, 1), (0, 1), (1.0, -1.0)):
+        # The shift of P(b = outcome | B = setting) with A, and its mirror image.
+        bell.append(sign * (1.0 - 2.0 * A) * ((B == setting) & (b == outcome)))
+        bell.append(sign * (1.0 - 2.0 * B) * ((A == setting) & (a == outcome)))
+    bell = np.reshape(bell, (24, 16))
+    for array in (tableau, support, members, bell):
         array.setflags(write=False)
-    return c, a_ub, a_eq
+    return tableau, support, members, bell
+
+
+def _bell_bounds(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(g.p - max over vertices v of g.v) / |g|_1, for each functional g (last axis).
+
+    A lower bound on the table p's distance t to the local polytope for
+    any nonzero g. Exact when g and p hold Fractions.
+    """
+    top = g[..., _lp_data()[1]].sum(axis=-1).max(axis=-1)
+    return (g @ p - top) / np.abs(g).sum(axis=-1)
+
+
+def _bell_clears(g: np.ndarray, p: np.ndarray, tol: float) -> bool:
+    """Whether a functional of the Bell family bounds t past tol, decided exactly.
+
+    Its entries are -1, 0 or 1, its local maximum is an integer and |g|_1
+    is 16 or 4, so g.p - max_v g.v - |g|_1 tol is a sum of floats, and the
+    correctly rounded sum that math.fsum returns has the exact sum's sign.
+    """
+    top = g[_lp_data()[1]].sum(axis=1).max()
+    return math.fsum([*(g * p).tolist(), -top, -np.abs(g).sum() * tol]) > 0.0
+
+
+def _fractions(a: np.ndarray) -> np.ndarray:
+    """The floats of ``a`` as exact Fractions, in an object array."""
+    from fractions import Fraction  # only here, as only the locality verdict needs them
+
+    return np.frompyfunc(Fraction, 1, 1)(a)
+
+
+def _upper_bound(w: np.ndarray, p: np.ndarray) -> Fraction:
+    """|V^T w - p|_inf + |sum w - 1|, exactly: w / sum w is within it of p."""
+    w, p = _fractions(w), _fractions(p)
+    return np.abs(w[_lp_data()[2]].sum(axis=1) - p).max() + abs(w.sum() - 1)
+
+
+# Most pivots a float run may take before the exact run decides; the boxes
+# tried took at most 20.
+_FLOAT_PIVOTS = 200
+
+
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Make column ``col`` basic in ``row``, touching only nonzero entries."""
+    tableau[row] /= tableau[row, col]
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    cols = np.flatnonzero(tableau[row])
+    tableau[np.ix_(rows, cols)] -= np.multiply.outer(tableau[rows, col], tableau[row, cols])
+    basis[row] = col
+
+
+def _simplex(p: np.ndarray, exact: bool) -> tuple[np.ndarray, float | Fraction, np.ndarray] | None:
+    """Minimize t over the locality LP of the flat table p by Bland's rule.
+
+    The run starts at vertex 0 with t = max |V_0 - p|, a feasible basis,
+    so it needs no phase 1. Pivots enter the lowest-index column with a
+    negative reduced cost and leave the tied row of lowest basic index,
+    which cannot cycle (Bland, Math. Oper. Res. 2, 103, 1977). In
+    Fractions (``exact``) every step is exact and the run always ends at
+    the optimum. In floats a reduced cost or pivot counts only past
+    :data:`~boxworld.tolerance.ROUNDING`, and a run still going after
+    ``_FLOAT_PIVOTS`` pivots gives None.
+
+    Returns the weights w, the optimum t and the dual functional g, the
+    lower rows' slack reduced costs minus the upper rows': the LP dual
+    whose bound :func:`_bell_bounds` evaluates.
+    """
+    tableau = _lp_data()[0]
+    rhs = np.concatenate([p, -p, [1.0]])
+    if exact:
+        tableau, rhs, eps = _fractions(tableau), _fractions(rhs), 0
+    else:
+        tableau, eps = tableau.copy(), ROUNDING
+    tableau[:33, -1] = rhs
+    basis = np.arange(17, 50)  # row 32 has no slack; its placeholder goes at once
+    _pivot(tableau, basis, 32, 0)
+    _pivot(tableau, basis, int(np.argmin(tableau[:32, -1])), 16)
+    for _ in itertools.count() if exact else range(_FLOAT_PIVOTS):
+        entering = np.flatnonzero(tableau[-1, :-1] < -eps)
+        if entering.size == 0:
+            x = np.zeros(49, dtype=tableau.dtype)
+            x[basis] = tableau[:-1, -1]
+            return x[:16], -tableau[-1, -1], tableau[-1, 33:49] - tableau[-1, 17:33]
+        col = entering[0]
+        rows = np.flatnonzero(tableau[:-1, col] > eps)
+        if rows.size == 0:  # unbounded: a float run's rounding, never an exact one
+            return None
+        ratios = tableau[rows, -1] / tableau[rows, col]
+        tied = rows[ratios == ratios.min()]
+        _pivot(tableau, basis, int(tied[np.argmin(basis[tied])]), col)
+    return None
+
+
+def _binary_table(box: ConditionalBox) -> np.ndarray:
+    if box.table.shape != (2, 2, 2, 2):
+        raise ValueError(f"locality LP needs a binary 2x2x2x2 box, got shape {box.table.shape}")
+    return box.table.reshape(16)
+
+
+def _distance_lower_bound(p: np.ndarray) -> tuple[float, np.ndarray]:
+    """The best float bound on the flat table p's t among the 24 functionals
+    of :func:`_lp_data` (CHSH variants and no-signaling gaps), and its g."""
+    bell = _lp_data()[3]
+    bounds = _bell_bounds(bell, p)
+    best = int(np.argmax(bounds))
+    return float(bounds[best]), bell[best]
+
+
+def locality_distance(box: ConditionalBox) -> Fraction:
+    """The box's exact L-infinity distance t to the local polytope, as a Fraction.
+
+    The optimum of the locality LP on the float table as given, from the
+    simplex run in Fractions.
+    """
+    return _simplex(_binary_table(box), exact=True)[1]
 
 
 def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
     """Decide local-polytope membership; return convex weights when inside.
 
-    The LP minimizes the worst entrywise deviation t between the box and a
-    convex combination of the 16 deterministic boxes; the box is local iff
-    the optimum satisfies t <= tol. Weights follow the fixed vertex
-    ordering of :func:`deterministic_vertices`.
+    The box is local iff its L-infinity distance t to the local polytope
+    (the least worst-entry deviation from a convex combination of the 16
+    deterministic boxes) is at most ``tol``. Weights follow the vertex
+    ordering of :func:`deterministic_vertices`. Every verdict rests on a
+    certificate checked exactly on the float table as given:
 
-    Before the LP, t is bounded from below by the larger of
-    (best CHSH variant - 2) / 16 and (worst no-signaling violation) / 4.
-    When that bound exceeds ``tol + LP_SLACK`` the answer is
-    ``(False, None)`` with no LP and no scipy import; the slack covers
-    the LP's feasibility tolerance, LP_FEASIBILITY, so the LP could not
-    have answered otherwise. Every other box is decided by the LP, and
-    the weights of a local verdict rebuild the box within
-    t + LP_FEASIBILITY. Raises :class:`LocalityLPError` when the solver
-    reports no optimum.
+    - "not local" when some functional g bounds t from below past tol.
+      The CHSH variant or no-signaling gap with the best float bound is
+      tried first, so the PR box and its like need no simplex; its
+      integer entries let math.fsum decide its bound exactly;
+    - otherwise the simplex runs in floats. "Local" when its weights w,
+      clipped at 0 and renormalized, rebuild the box within tol, so the
+      returned weights rebuild it within tol; "not local" when its dual
+      functional bounds t past tol;
+    - when neither holds, t lies within rounding of tol, and the simplex
+      reruns in Fractions and compares its exact t. A local verdict's
+      weights are then the exact optimum's, rounded to floats.
     """
-    if box.table.shape != (2, 2, 2, 2):
-        raise ValueError(f"locality LP needs a binary 2x2x2x2 box, got shape {box.table.shape}")
-    if _distance_lower_bound(box.table) > tol + LP_SLACK:
+    p = _binary_table(box)
+    bound, first = _distance_lower_bound(p)
+    if bound > tol and _bell_clears(first, p, tol):
         return False, None
-    from scipy.optimize import linprog  # only here, so the package loads without scipy
-
-    c, a_ub, a_eq = _lp_data()
-    p = box.table.reshape(16)
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.concatenate([p, -p]),
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=(0.0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": LP_FEASIBILITY},
-    )
-    if not res.success:
-        raise LocalityLPError(f"locality LP failed (status {res.status}): {res.message}")
-    if res.x[16] > tol:
+    solved = _simplex(p, exact=False)
+    if solved is not None:
+        w, _, g = solved
+        w = np.maximum(w, 0.0)
+        w = w / w.sum() + 0.0  # + 0.0 turns signed zeros into 0.0
+        if _upper_bound(w, p) <= tol:
+            return True, w
+        if g.any() and _bell_bounds(_fractions(g), _fractions(p)) > tol:
+            return False, None
+    w, t, _ = _simplex(p, exact=True)
+    if t > tol:
         return False, None
-    return True, res.x[:16] + 0.0  # + 0.0 turns HiGHS's signed zeros into 0.0
+    return True, w.astype(float)
 
 
 def dumps_csv(box: ConditionalBox, digits: int = 17) -> str:

@@ -4,7 +4,8 @@ Exit codes: 0 success (including an audit that *finds* signaling, since
 the finding is the product), 2 when a verification fails (a box breaks
 its invariants or signals, or an angle carries no signal to repeat), 1
 for usage errors (bad flags, malformed box CSV, unparseable expressions,
-out-of-range values) and for a locality LP the solver could not finish.
+out-of-range values), for output that cannot be written, and for a
+reader that closed the pipe early, which ends the run without a message.
 
 Angles are radians unless --degrees is given. Numeric output uses 17
 significant digits unless --digits asks for fewer. The default Monte Carlo
@@ -74,6 +75,14 @@ def _load_box(source: str, tol: float) -> boxes.ConditionalBox:
 
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
+
+
+def _protocol_angle(args) -> float:
+    """--theta in radians for ``repeat`` and ``simulate``, whose protocol reads sin 2 theta."""
+    theta = _angle(args.theta, args.degrees)
+    if not math.isfinite(2.0 * theta):
+        raise _UsageError(f"--theta {args.theta:g} is too large: twice it overflows a float")
+    return theta
 
 
 def _theta_grid(args) -> np.ndarray:
@@ -259,7 +268,7 @@ def cmd_scan(args, out) -> int:
 
 
 def cmd_repeat(args, out) -> int:
-    theta = _angle(args.theta, args.degrees)
+    theta = _protocol_angle(args)
     max_n = protocol.MIN_ROUNDS_MAX_COPIES if args.max_n is None else args.max_n
     n = protocol.min_rounds(theta, args.target, max_n=max_n)
     print(f"n = {n}", file=out)
@@ -267,7 +276,7 @@ def cmd_repeat(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
-    theta = _angle(args.theta, args.degrees)
+    theta = _protocol_angle(args)
     seed = args.seed if args.seed is not None else _default_seed()
     result = protocol.simulate(theta, args.n, args.shots, seed)
     print("theta,n,exact,empirical,shots,seed", file=out)
@@ -340,36 +349,54 @@ def _exit_code(exc: Exception) -> int | None:
         (boxes.BoxValidationError, 2),
         (protocol.ZeroSignalError, 2),
         (_UsageError, 1),
-        (boxes.LocalityLPError, 1),
         (ValueError, 1),  # BoxFormatError, ParseError, ExpressionError, bad values
     )
     return next((code for kind, code in exit_codes if isinstance(exc, kind)), None)
 
 
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at /dev/null, so that the interpreter's
+    last flush of what a failed write left in it cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # a replaced stdout, as under a test's capture
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
-    handle = None
+    args = None
     try:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help and friends
+            sys.stdout.flush()
             return int(exc.code or 0)
-        out = sys.stdout
-        if args.output is not None:
-            try:
-                handle = open(args.output, "w")
-            except OSError as exc:
-                raise _UsageError(f"cannot open output file: {exc}") from exc
-            out = handle
-        return _COMMANDS[args.command](args, out)
+        if args.output is None:
+            code = _COMMANDS[args.command](args, sys.stdout)
+            sys.stdout.flush()  # here, so that a failed write is reported below
+            return code
+        try:
+            handle = open(args.output, "w")
+        except OSError as exc:
+            raise _UsageError(f"cannot open output file: {exc}") from exc
+        with handle:  # closed inside the try, so that a failed last write is reported
+            return _COMMANDS[args.command](args, handle)
+    except OSError as exc:  # writing the output failed; reading a box is a usage error
+        if args is None or args.output is None:
+            _discard_stdout()
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # else the reader left early, as `| head` does: stop quietly
+        return 1
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:  # a defect, not an input error: keep its traceback
             raise
         print(f"error: {exc}", file=sys.stderr)
         return code
-    finally:
-        if handle is not None:
-            handle.close()
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from .quantum import (
 
 __all__ = [
     "DEFAULT_BRANCH_CAP",
+    "MAX_WIDTH",
     "ExpressionError",
     "BranchLimitError",
     "Scalar",
@@ -69,6 +70,9 @@ __all__ = [
 ]
 
 DEFAULT_BRANCH_CAP = 16
+# The widest register a basis ket may name: a state has 2^w amplitudes and
+# its density 4^w entries, 16 MiB of complex numbers at w = 10.
+MAX_WIDTH = 10
 
 
 class ExpressionError(ValueError):
@@ -282,6 +286,8 @@ def _eval_expr(
     its mantissa, in [1/2, 1), multiplies m.
     """
     if isinstance(node, BasisKet):
+        if len(node.label) > MAX_WIDTH:
+            raise ExpressionError(f"ket width {len(node.label)} exceeds the largest, {MAX_WIDTH}")
         ket = basis_ket(node.label)
         return len(node.label), [(1.0, ket.amplitudes, 0)]
     if isinstance(node, Scaled):

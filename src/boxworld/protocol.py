@@ -112,8 +112,8 @@ class ProtocolResult:
 
 
 def _cs(theta: float) -> float:
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    if not math.isfinite(2.0 * theta):  # also rules out a theta that is not finite
+        raise ValueError(f"theta must be finite and so must 2 theta, got {theta!r}")
     return 0.5 * math.sin(2.0 * theta)
 
 

@@ -7,12 +7,13 @@ other module states a tolerance of its own. This module imports nothing,
 so the command line can read :data:`DEFAULT_TOL` without loading numpy.
 """
 
-__all__ = ["ROUNDING", "EIGEN_ROUNDING", "DEFAULT_TOL", "LP_SLACK", "LP_FEASIBILITY"]
+__all__ = ["ROUNDING", "EIGEN_ROUNDING", "DEFAULT_TOL"]
 
 # Rounding of an O(1) figure formed by a few float64 sums and products
 # (about 4.4e-16 in the audit's tables): the hermiticity, trace and
-# unitarity checks, the audit's positivity and normalization verdicts, and
-# the coherence below which min_rounds treats an angle as signal-free.
+# unitarity checks, the audit's positivity and normalization verdicts, the
+# coherence below which min_rounds treats an angle as signal-free, and the
+# least reduced cost or pivot entry the float locality simplex acts on.
 ROUNDING = 1e-12
 # Rounding of an eigen-decomposition or a Gram matrix, a few hundred ulps:
 # the lowest eigenvalue a density may have is -EIGEN_ROUNDING, and a
@@ -21,10 +22,3 @@ EIGEN_ROUNDING = 1e-10
 # The default --tol: box validity, the no-signaling verdicts, the audit's
 # valid-but-signaling verdict and the largest locality-LP t that is local.
 DEFAULT_TOL = 1e-9
-# How far the lower bound on the locality LP's t must clear tol before the
-# LP is skipped; far above the t the solver can lose to LP_FEASIBILITY.
-LP_SLACK = 1e-6
-# HiGHS's primal feasibility tolerance for the locality LP, the smallest it
-# accepts (its default, 1e-7, lets a local verdict's weights miss the box
-# by far more than tol).
-LP_FEASIBILITY = 1e-10

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,18 +10,17 @@ from boxworld import boxes
 from boxworld.audit import effective_box
 from boxworld.boxes import (
     DEFAULT_TOL,
-    LP_SLACK,
     MAX_PAIR_ENTRIES,
     BoxFormatError,
     BoxValidationError,
     ConditionalBox,
-    LocalityLPError,
     check_no_signaling,
     chsh_value,
     deterministic_vertices,
     dumps_csv,
     is_local,
     loads_csv,
+    locality_distance,
     no_signaling_violations,
     pr_box,
     table_deviations,
@@ -93,7 +93,11 @@ def _violations(t: np.ndarray) -> tuple[float, float]:
 
 
 def _lp_distance(t: np.ndarray) -> float:
-    """The L-infinity distance to the local polytope, by a direct HiGHS solve."""
+    """The L-infinity distance to the local polytope, by a direct HiGHS solve.
+
+    At HiGHS's default primal feasibility tolerance, 1e-7, a table at
+    distance 1e-8 may come out at 0; 1e-10 is the smallest it accepts.
+    """
     from scipy.optimize import linprog
 
     verts = deterministic_vertices()
@@ -101,9 +105,40 @@ def _lp_distance(t: np.ndarray) -> float:
     c = np.r_[np.zeros(16), 1.0]
     a_ub = np.block([[verts.T, -np.ones((16, 1))], [-verts.T, -np.ones((16, 1))]])
     a_eq = np.r_[np.ones(16), 0.0][None, :]
-    res = linprog(c, A_ub=a_ub, b_ub=np.r_[p, -p], A_eq=a_eq, b_eq=[1.0], method="highs")
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.r_[p, -p],
+        A_eq=a_eq,
+        b_eq=[1.0],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
+    )
     assert res.success
     return float(res.x[16])
+
+
+def _rebuild_error(weights: np.ndarray, t: np.ndarray) -> Fraction:
+    """max |sum_v w_v V_v - p| over the entries, in exact arithmetic."""
+    verts = deterministic_vertices()
+    return max(
+        abs(sum(Fraction(w) for w, v in zip(weights, verts[:, e]) if v) - Fraction(p))
+        for e, p in enumerate(t.reshape(16))
+    )
+
+
+class _SimplexRuns:
+    """Records whether each run of ``boxes._simplex`` was exact."""
+
+    def __init__(self, monkeypatch):
+        self.exact: list[bool] = []
+        real = boxes._simplex
+
+        def recording(p, exact):
+            self.exact.append(exact)
+            return real(p, exact)
+
+        monkeypatch.setattr(boxes, "_simplex", recording)
 
 
 def _local_table(weights) -> np.ndarray:
@@ -118,6 +153,14 @@ def _move_bob_outcome(t: np.ndarray, delta: float) -> np.ndarray:
     t[0, 0, 1, 0] -= delta
     t[0, 1, 1, 0] += delta
     return t
+
+
+# Half PR box, half vertex 0, with a quarter of P(0, 0 | 1, 0) moved: its
+# distance to the local polytope is 1/12, and its best CHSH variant and
+# no-signaling gap bound it only by 1/16.
+_SIGNALING_PAST_ITS_BOUNDS = _move_bob_outcome(
+    0.5 * _pr_variant(0) + 0.5 * deterministic_vertices()[0].reshape(2, 2, 2, 2), 0.25
+)
 
 
 class TestPrBox:
@@ -463,27 +506,94 @@ class TestIsLocal:
         _, w2 = is_local(uniform_box())
         assert np.array_equal(w1, w2)
 
-    def test_solver_failure_raises(self, monkeypatch):
-        import scipy.optimize
-
-        def failing(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(
-                success=False, status=4, message="Numerical difficulties encountered", x=None
-            )
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing)
-        with pytest.raises(LocalityLPError, match="status 4.*Numerical difficulties"):
-            is_local(uniform_box())
+    def test_failed_float_run_falls_back_to_fractions(self, monkeypatch):
+        # With no float pivots allowed, the float run gives no certificate.
+        cases = [
+            (uniform_box().table, DEFAULT_TOL, True),
+            (0.5 * pr_box().table + 0.125, DEFAULT_TOL, True),
+            # t = 1/12, past the best CHSH or no-signaling bound, 1/16.
+            (_SIGNALING_PAST_ITS_BOUNDS, 0.07, False),
+        ]
+        runs = _SimplexRuns(monkeypatch)
+        for t, tol, local in cases:
+            assert is_local(ConditionalBox(t), tol=tol)[0] is local
+        assert runs.exact == [False] * 3
+        runs.exact.clear()
+        monkeypatch.setattr(boxes, "_FLOAT_PIVOTS", 0)
+        for t, tol, local in cases:
+            verdict, weights = is_local(ConditionalBox(t), tol=tol)
+            assert verdict is local
+            if local:
+                assert _rebuild_error(weights, t) <= DEFAULT_TOL
+        assert runs.exact == [False, True] * 3
 
     def test_bound_settles_nonlocal_boxes_without_the_lp(self, monkeypatch):
-        import scipy.optimize
-
         def failing(*args, **kwargs):
             raise AssertionError("the LP ran")
 
-        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        monkeypatch.setattr(boxes, "_simplex", failing)
         for box in (pr_box(), effective_box(0.3), ConditionalBox(_pr_variant(5))):
             assert is_local(box) == (False, None)
+
+    def test_weights_rebuild_the_box_within_tol_in_fractions(self):
+        rng = np.random.default_rng(41)
+        tables = [uniform_box().table, 0.5 * pr_box().table + 0.125]
+        for _ in range(40):
+            local = _local_table(rng.random(16) ** 3)
+            k = int(rng.integers(8))
+            s = _chsh_variant(local, k)
+            lam = (2.0 - s) / (4.0 - s) - 10.0 ** rng.uniform(-9, -2)  # short of the CHSH facet
+            tables.append(local)
+            tables.append(lam * _pr_variant(k) + (1 - lam) * local)
+        seen = 0
+        for t in tables:
+            local, weights = is_local(ConditionalBox(t))
+            if local:
+                seen += 1
+                assert weights.min() >= 0.0
+                assert abs(sum(map(Fraction, weights)) - 1) <= Fraction(2) ** -50
+                assert _rebuild_error(weights, t) <= DEFAULT_TOL
+        assert seen >= 60
+
+    def test_exact_rerun_decides_only_within_rounding_of_tol(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        tables = [0.5 * pr_box().table + 0.125]
+        for _ in range(8):
+            local = _local_table(rng.random(16) ** 3)
+            lam = rng.uniform(0, 1)
+            tables.append(lam * _pr_variant(int(rng.integers(8))) + (1 - lam) * local)
+        distances = [locality_distance(ConditionalBox(t)) for t in tables]
+        runs = _SimplexRuns(monkeypatch)
+        for t, exact_t in zip(tables, distances):
+            # tol at the float nearest t and one ulp either side: only rounding separates them.
+            near = float(exact_t)
+            for tol in (np.nextafter(near, -1.0), near, np.nextafter(near, 2.0)):
+                if tol >= 0.0:
+                    assert is_local(ConditionalBox(t), tol=float(tol))[0] == (exact_t <= tol)
+        assert True in runs.exact
+        runs.exact.clear()
+        for t, exact_t in zip(tables, distances):
+            # Far from tol, on either side, the float certificates decide alone.
+            for tol in (float(exact_t) - 1e-12, float(exact_t) + DEFAULT_TOL):
+                if tol >= 0.0:
+                    assert is_local(ConditionalBox(t), tol=tol)[0] == (exact_t <= tol)
+        assert True not in runs.exact
+
+    def test_locality_distance_is_the_lp_optimum(self):
+        assert locality_distance(pr_box()) == Fraction(1, 8)  # (4 - 2) / 16, all 16 entries off
+        assert locality_distance(uniform_box()) == 0
+        assert locality_distance(ConditionalBox(_SIGNALING_PAST_ITS_BOUNDS)) == Fraction(1, 12)
+        assert boxes._distance_lower_bound(_SIGNALING_PAST_ITS_BOUNDS.reshape(16))[0] == 1 / 16
+        rng = np.random.default_rng(47)
+        for _ in range(15):
+            local = _local_table(rng.random(16) ** 3)
+            lam = rng.uniform(0, 1)
+            t = lam * _pr_variant(int(rng.integers(8))) + (1 - lam) * local
+            exact_t = locality_distance(ConditionalBox(t))
+            assert isinstance(exact_t, Fraction)
+            assert abs(float(exact_t) - _lp_distance(t)) <= 1e-12
+            signaling = _move_bob_outcome(t, rng.uniform(0, 1) * t[0, 0, 1, 0])
+            assert abs(float(locality_distance(ConditionalBox(signaling))) - _lp_distance(signaling)) <= 1e-12
 
     def test_lp_data_is_built_once_and_read_only(self):
         assert boxes._lp_data() is boxes._lp_data()
@@ -503,8 +613,9 @@ class TestIsLocal:
 
 # Fine's theorem decides binary no-signaling boxes exactly; the LP verdict
 # may differ from it only where the best CHSH variant is within this band of
-# 2. Past it the bound (variant - 2) / 16 alone exceeds tol + LP_SLACK.
-FINE_BAND = 16 * (DEFAULT_TOL + LP_SLACK)
+# 2. Past it the bound (variant - 2) / 16 alone exceeds tol; the 1e-12 covers
+# the rounding of the variant and the tables' no-signaling residue.
+FINE_BAND = 16 * DEFAULT_TOL + 1e-12
 
 
 @st.composite
@@ -514,8 +625,8 @@ def _facet_straddling_boxes(draw) -> np.ndarray:
     k = draw(st.integers(0, 7))
     s = _chsh_variant(local, k)  # in [-2, 2]; the PR box scores 4
     crossing = (2.0 - s) / (4.0 - s)
-    # Log-uniform distances 1e-5 .. 0.1 from the crossing, on either side.
-    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-5.0, -1.0))
+    # Log-uniform distances 1e-9 .. 0.1 from the crossing, on either side.
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -1.0))
     lam = min(max(crossing + offset, 0.0), 1.0)
     return lam * _pr_variant(k) + (1.0 - lam) * local
 
@@ -542,7 +653,6 @@ class TestDistanceBound:
     @staticmethod
     def _tables():
         rng = np.random.default_rng(29)
-        threshold = DEFAULT_TOL + LP_SLACK
         for _ in range(60):
             local = _local_table(rng.random(16) ** 3)
             k = int(rng.integers(8))
@@ -552,8 +662,8 @@ class TestDistanceBound:
             lam = rng.uniform(0, 1)
             yield lam * _pr_variant(k) + (1 - lam) * local
             yield _move_bob_outcome(local, rng.uniform(0, 1) * local[0, 0, 1, 0])
-            # Bounds within 10 slacks of tol + slack, from either kind of excess.
-            target = threshold + rng.uniform(-1, 10) * LP_SLACK
+            # Bounds from 0 to 11 tol, from either kind of excess.
+            target = rng.uniform(0, 11) * DEFAULT_TOL
             s = _chsh_variant(local, k)
             facet = (2.0 - s) / (4.0 - s) * _pr_variant(k) + 2.0 / (4.0 - s) * local
             yield (1 - 8 * target) * facet + 8 * target * _pr_variant(k)  # variant 2 + 16 target
@@ -563,22 +673,24 @@ class TestDistanceBound:
     def test_never_exceeds_the_lp_optimum(self):
         near = 0
         for t in self._tables():
-            bound, lp = boxes._distance_lower_bound(t), _lp_distance(t)
+            bound, lp = boxes._distance_lower_bound(t.reshape(16))[0], _lp_distance(t)
             assert bound <= lp + 1e-7
-            near += abs(bound - (DEFAULT_TOL + LP_SLACK)) <= 10 * LP_SLACK
+            near += abs(bound - DEFAULT_TOL) <= 10 * DEFAULT_TOL
         assert near >= 120
 
+    def test_fsum_decides_each_bell_bound_as_fractions_do(self):
+        bell = boxes._lp_data()[3]
+        for t in itertools.islice(self._tables(), 60):
+            p = t.reshape(16)
+            exact = boxes._bell_bounds(boxes._fractions(bell), boxes._fractions(p))
+            for g, bound in zip(bell, exact):
+                # tol at the float nearest the bound and one ulp either side
+                for tol in (np.nextafter(float(bound), -1.0), float(bound), np.nextafter(float(bound), 1.0)):
+                    if tol >= 0.0:
+                        assert boxes._bell_clears(g, p, float(tol)) == (bound > tol)
+
     def test_skips_the_lp_only_where_it_would_say_not_local(self, monkeypatch):
-        import scipy.optimize
-
-        calls = []
-        real = scipy.optimize.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", counting)
+        calls = _SimplexRuns(monkeypatch).exact
         skipped = solved = 0
         for t in self._tables():
             before = len(calls)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import boxworld
-from boxworld import audit, cli, protocol
+from boxworld import audit, boxes, cli, hybrid, protocol
 from boxworld.audit import effective_box
 from boxworld.boxes import MAX_CSV_BYTES, MAX_PAIR_ENTRIES, dumps_csv, pr_box
 from boxworld.cli import main
@@ -345,24 +345,11 @@ class TestOutputOptions:
 
 
 class TestErrorExits:
-    def test_lp_failure_is_one_error_line(self, capsys, monkeypatch):
-        import scipy.optimize
-
-        def failing(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(success=False, status=4, message="stalled", x=None)
-
-        monkeypatch.setattr(scipy.optimize, "linprog", failing)
-        code, out, err = run(capsys, "local", "--box", "uniform")
-        assert code == 1 and out == ""
-        assert err == "error: locality LP failed (status 4): stalled\n"
-
     def test_nonlocal_boxes_need_no_lp(self, capsys, monkeypatch, tmp_path):
-        import scipy.optimize
-
         def failing(*args, **kwargs):
-            return scipy.optimize.OptimizeResult(success=False, status=4, message="stalled", x=None)
+            raise AssertionError("the LP ran")
 
-        monkeypatch.setattr(scipy.optimize, "linprog", failing)
+        monkeypatch.setattr(boxes, "_simplex", failing)
         path = tmp_path / "construction.csv"
         path.write_text(dumps_csv(effective_box(0.3)))
         for box in ("pr", str(path)):
@@ -392,19 +379,7 @@ class TestErrorExits:
     def test_endless_box_file_is_read_only_up_to_the_cap(self):
         # The child may map only 256 MiB more than it has after importing, so
         # an unbounded read of /dev/zero ends in MemoryError instead of growing.
-        proc = _fresh_python(
-            "-c",
-            "import re, resource, sys\n"
-            "from boxworld import cli\n"
-            "status = open('/proc/self/status').read()\n"
-            "mapped = int(re.search(r'VmSize:\\s+(\\d+) kB', status)[1]) << 10\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "soft = mapped + (256 << 20)\n"
-            "if hard != resource.RLIM_INFINITY:\n"
-            "    soft = min(soft, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
-            "sys.exit(cli.main(['verify', '--box', '/dev/zero']))",
-        )
+        proc = _capped_cli(["verify", "--box", "/dev/zero"])
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: box file '/dev/zero' is longer than {MAX_CSV_BYTES} bytes\n"
 
@@ -440,24 +415,22 @@ class TestErrorExits:
         path = tmp_path / "wide.csv"
         path.write_text("A,B,a,b,p\n" + "".join(f"{A},0,0,0,1\n" for A in range(60000)))
         assert path.stat().st_size <= MAX_CSV_BYTES
-        proc = _fresh_python(
-            "-c",
-            "import re, resource, sys\n"
-            "from boxworld import cli\n"
-            "status = open('/proc/self/status').read()\n"
-            "mapped = int(re.search(r'VmSize:\\s+(\\d+) kB', status)[1]) << 10\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "soft = mapped + (256 << 20)\n"
-            "if hard != resource.RLIM_INFINITY:\n"
-            "    soft = min(soft, hard)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
-            f"sys.exit(cli.main(['verify', '--box', {str(path)!r}]))",
-        )
+        proc = _capped_cli(["verify", "--box", str(path)])
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (
             "error: table with 60000x1 inputs and 1x1 outputs is too large:"
             f" its no-signaling check compares more than {MAX_PAIR_ENTRIES} entries\n"
         )
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+    @pytest.mark.parametrize("width", [hybrid.MAX_WIDTH + 1, 40])
+    def test_wide_ket_is_refused_before_its_amplitudes(self, capsys, width):
+        # Its density has 4^width entries: 64 MiB at MAX_WIDTH + 1, 2^80 at 40.
+        proc = _capped_cli(["parse", "--expr", "|" + "0" * width + ">", "--dump-rho"])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: ket width {width} exceeds the largest, {hybrid.MAX_WIDTH}\n"
+        code, out, err = run(capsys, "parse", "--expr", "|" + "1" * hybrid.MAX_WIDTH + ">")
+        assert (code, err) == (0, "") and "branches (1):" in out
 
     @pytest.mark.parametrize("command", ["verify", "chsh", "local"])
     def test_invalid_box_exits_two(self, capsys, tmp_path, command):
@@ -531,6 +504,24 @@ class TestErrorExits:
         assert err == f"error: --steps must be at most {cli.MAX_STEPS}\n"
 
 
+def _capped_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """``cli.main(argv)`` in a child that may map only 256 MiB more than it
+    has after importing, so an unbounded allocation fails instead of growing."""
+    return _fresh_python(
+        "-c",
+        "import re, resource, sys\n"
+        "from boxworld import cli\n"
+        "status = open('/proc/self/status').read()\n"
+        "mapped = int(re.search(r'VmSize:\\s+(\\d+) kB', status)[1]) << 10\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "soft = mapped + (256 << 20)\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    soft = min(soft, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        f"sys.exit(cli.main({argv!r}))",
+    )
+
+
 def _one_error_line(err: str, start: str) -> bool:
     return err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
 
@@ -557,6 +548,20 @@ class TestFlagValues:
         code, out, err = run(capsys, "audit", "--theta", "0.3", *grid)
         assert code == 1 and out == ""
         assert _one_error_line(err, "error: audit needs --theta alone or all of ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repeat", "--theta", "1e308", "--target", "0.9"],
+            ["simulate", "--theta=-1e308", "--n", "3", "--shots", "10"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_theta_whose_double_overflows_is_named(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert _one_error_line(err, "error: --theta ")
+        assert "overflows a float" in err
 
     def test_zero_tolerance_is_accepted(self, capsys):
         code, out, _ = run(capsys, "verify", "--box", "pr", "--tol", "0")
@@ -678,12 +683,57 @@ class TestParserReuse:
         assert cli.build_parser() is cli.build_parser()
 
 
-def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("boxworld ")]
+
+
+def _fresh_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's package."""
     src = str(Path(boxworld.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=_fresh_env(), capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+class TestWriteErrors:
+    """Output that cannot be written is one error line; a reader that leaves ends the run quietly."""
+
+    FULL = "error: cannot write output: [Errno 28] No space left on device\n"
+
+    def test_output_file_on_a_full_device(self):
+        proc = _fresh_python("-m", "boxworld", "--output", "/dev/full", "verify", "--box", "pr")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", self.FULL)
+
+    def test_stdout_on_a_full_device(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "boxworld", "verify", "--box", "pr"],
+                env=_fresh_env(), stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        assert (proc.returncode, proc.stderr) == (1, self.FULL)
+
+    def test_closed_pipe_ends_quietly(self):
+        # About 6 MB of rows: far more than a pipe holds, so a write meets the closed end.
+        argv = ["scan", "--theta-min", "0", "--theta-max", "1", "--steps", "100000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "boxworld", *argv],
+            env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline() == b"theta,ab_violation,ba_violation\n"
+            proc.stdout.close()
+            assert (proc.stderr.read(), proc.wait(timeout=120)) == (b"", 1)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
 
 
 class TestColdImport:
@@ -714,6 +764,16 @@ class TestColdImport:
         # -X importtime lists every module the run imports on stderr
         proc = _fresh_python("-X", "importtime", "-m", "boxworld", "local", "--box", "pr")
         assert (proc.returncode, proc.stdout) == (0, "local: false\n")
+        assert "import time:" in proc.stderr and "numpy" in proc.stderr
+        assert "scipy" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv", [shlex.split(line, comments=True)[1:] for line in _readme_commands()], ids=" ".join
+    )
+    def test_readme_command_loads_no_scipy(self, argv):
+        # -X importtime lists every module the run imports on stderr
+        proc = _fresh_python("-X", "importtime", "-m", "boxworld", *argv)
+        assert proc.returncode == 0 and proc.stdout
         assert "import time:" in proc.stderr and "numpy" in proc.stderr
         assert "scipy" not in proc.stderr
 
@@ -760,12 +820,6 @@ _LAYER_PROBE = (
     f"ran = [l for l in {LAYERS!r} if type(sys.modules['boxworld.' + l]) is types.ModuleType]\n"
     "print(code, ' '.join(ran))\n"
 )
-
-
-def _readme_commands() -> list[str]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
-    return [line for block in blocks for line in block.splitlines() if line.startswith("boxworld ")]
 
 
 class TestReadmeCommands:
@@ -827,16 +881,15 @@ class TestLazyLayers:
             ("", ["parse", "--expr", "|0> + |11>"], 1, "error: ket width 2 differs from 1"),
             ("", ["verify", "--box", "nosuch"], 1, "error: unknown box 'nosuch'"),
             ("", ["repeat", "--theta", "0.5", "--target", "0.9", "--max-n", "0"], 1, "error: "),
-            (
-                "import scipy.optimize, types\n"
-                "scipy.optimize.linprog = lambda *a, **k: types.SimpleNamespace("
-                "success=False, status=4, message='patched')\n",
-                ["local", "--box", "uniform"],
+            pytest.param(
+                "",
+                ["--output", "/dev/full", "verify"],
                 1,
-                "error: locality LP failed (status 4): patched",
+                "error: cannot write output: ",
+                marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full"),
             ),
         ],
-        ids=["BoxValidationError", "ZeroSignalError", "ParseError", "usage", "ValueError", "LocalityLPError"],
+        ids=["BoxValidationError", "ZeroSignalError", "ParseError", "usage", "ValueError", "OSError"],
     )
     def test_each_error_keeps_its_exit_code(self, tmp_path, prelude, argv, code, message):
         negative = tmp_path / "neg.csv"

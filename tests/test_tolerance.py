@@ -34,13 +34,11 @@ def test_every_tolerance_lives_in_the_tolerance_module():
     assert stray == {}
 
 
-def test_five_values_and_no_imports():
+def test_three_values_and_no_imports():
     assert {name: getattr(tolerance, name) for name in tolerance.__all__} == {
         "ROUNDING": 1e-12,
         "EIGEN_ROUNDING": 1e-10,
         "DEFAULT_TOL": 1e-9,
-        "LP_SLACK": 1e-6,
-        "LP_FEASIBILITY": 1e-10,
     }
     # So the command line reads DEFAULT_TOL without loading numpy or a layer.
     tree = _tree("tolerance.py")
