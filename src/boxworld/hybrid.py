@@ -391,14 +391,21 @@ def pr_extend_density(psi: np.ndarray) -> np.ndarray:
     spread of component i (see the module constants), the unnormalized
     density is M psi psi^+ M^+ + sum_i |psi_i|^2 K_i, since distinct
     components choose independently and only their means interfere; each
-    is then divided by its trace. Every matrix of the stack passes the
-    density-operator checks.
+    is then divided by its trace. A row whose largest real or imaginary
+    part lies outside [2^-500, 2^500] is first scaled by the power of two
+    that brings that part into [1/2, 1), exactly, so its squares neither
+    overflow nor underflow; the trace undoes the scale. Every matrix of
+    the stack passes the density-operator checks.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != 4:
         raise ExpressionError(f"the box extension acts on rows of 2 qubits, got shape {psi.shape}")
-    if not np.all(np.isfinite(psi.view(float))):
+    top = np.abs(psi.view(float)).max(axis=1, initial=0.0)  # NaN or inf where a part is
+    if not np.all(np.isfinite(top)):
         raise ValueError("non-finite amplitudes")
+    far = (top > 2.0**500) | (top < 2.0**-500)
+    if far.any():
+        psi = _pow2_times(psi, np.where(far, -np.frexp(top)[1], 0)[:, None])
     mean = psi @ _EXT_MEAN.T
     weights = psi.real**2 + psi.imag**2
     rho = mean[:, :, None] * mean[:, None, :].conj()

@@ -34,17 +34,17 @@ means within 18 sqrt(n)/2 of each other. Beyond that the same
 inequality at the midpoint gives 1 - D_n <= 2 exp(-n cs^2/8) < 2^-54,
 and 1.0 is D_n correctly rounded.
 
-The miss probability 1 - D_n = sum_k min(B(k), B(k) e^llr_k) is summed
-over the same window as exp(log B(k) + min(llr_k, 0)), which keeps its
-relative accuracy where it is tiny. :func:`min_rounds` decides on it.
-D_n itself, a sum of terms up to 1, carries an absolute error of about
-1e-13, a sizable part of a miss near 1e-12. So the success that
-:func:`exact_success` and :func:`simulate` report is 1 - miss/2 while
-the miss is below 1/2, and 1/2 + D_n/2 only beyond, where D_n is small
-and its own termwise sum keeps its relative accuracy. The search
-starts from the normal estimate, takes one secant step on the normal
-quantile of the success, and closes the bracket from there in about
-four evaluations.
+One window serves each (|cs|, n), built once, by :func:`_channel`. Over
+it the miss probability 1 - D_n = sum_k min(B(k), B(k) e^llr_k) is
+summed termwise as exp(log B(k) + min(llr_k, 0)), which keeps its
+relative accuracy where it is tiny; :func:`min_rounds` decides on it.
+While the miss is below 1/2, D_n is taken as 1 - miss and the success as
+1 - miss/2: the termwise D_n above, a sum of terms up to 1, carries an
+absolute error of about 1e-13, a sizable part of a miss near 1e-12.
+Beyond, D_n is small, its termwise sum keeps its relative accuracy, and
+the success is 1/2 + D_n/2. The search starts from the normal estimate,
+takes one secant step on the normal quantile of the success, and closes
+the bracket from there in about four evaluations.
 
 The optimal decoder is classical: measure every copy in
 |+>/|->, count, and threshold the likelihood ratio. Ties at the
@@ -62,6 +62,8 @@ only on (seed, shots, n, theta), never on how chunks are scheduled.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -111,6 +113,14 @@ class ProtocolResult:
     seed: int
 
 
+def _count(name: str, value: object, lo: int, hi: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) in [lo, hi]:
+    the one check every integer argument of this module passes."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
+
+
 def _cs(theta: float) -> float:
     if not math.isfinite(2.0 * theta):  # also rules out a theta that is not finite
         raise ValueError(f"theta must be finite and so must 2 theta, got {theta!r}")
@@ -118,29 +128,31 @@ def _cs(theta: float) -> float:
 
 
 def copy_distance(cs: float, n: int) -> float:
-    """n-copy trace distance D_n for coherence cs, summed termwise over a
-    window of O(sqrt(n)) counts (see the module docstring for the bound)."""
+    """n-copy trace distance D_n for coherence cs, from a window of
+    O(sqrt(n)) counts (see the module docstring for the bound); ``n`` lies
+    in [1, ``MIN_ROUNDS_MAX_COPIES``]."""
     a = abs(cs)
     if not a < 1.0:
         raise ValueError(f"coherence must satisfy |cs| < 1, got {cs}")
+    return _channel(a, _count("n", n, 1, MIN_ROUNDS_MAX_COPIES))[0]
+
+
+def _channel(a: float, n: int) -> tuple[float, float]:
+    """(D_n, miss) for |cs| = a in [0, 1), from one window: the miss
+    1 - D_n summed termwise, and D_n as 1 - miss while the miss is below
+    1/2, else as its own termwise sum."""
     if n * a * a >= _CERTAIN_NCS2:
-        return 1.0
-    log_b, llr = _window(a, n)
+        return 1.0, 0.0  # miss below 2 exp(-40), under every budget 2 (1 - target) >= 2^-52
+    _, log_b, llr = _window(a, n)
+    miss = float(np.exp(log_b + np.minimum(llr, 0.0)).sum())
+    if miss < 0.5:
+        return 1.0 - miss, miss
     terms = np.exp(log_b + np.maximum(llr, 0.0)) * -np.expm1(-np.abs(llr))
-    return 0.5 * float(terms.sum())
+    return 0.5 * float(terms.sum()), miss
 
 
-def _miss(a: float, n: int) -> float:
-    """1 - D_n = sum_k min(B_1/2(k), B_p(k)) for |cs| = a in [0, 1), summed
-    termwise, so it keeps its relative accuracy when it is tiny."""
-    if n * a * a >= _CERTAIN_NCS2:
-        return 0.0  # below 2 exp(-40), under every budget 2 (1 - target) >= 2^-52
-    log_b, llr = _window(a, n)
-    return float(np.exp(log_b + np.minimum(llr, 0.0)).sum())
-
-
-def _window(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """log B(k) and llr_k over the summed window of counts, for |cs| = a."""
+def _window(a: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The summed window of counts k, with log B(k) and llr_k, for |cs| = a."""
     half = 0.5 * _WINDOW_SIGMAS * math.sqrt(n)
     lo = max(0, math.ceil(0.5 * n - half))
     hi = min(n, math.floor(0.5 * n * (1.0 + a) + half))
@@ -150,27 +162,20 @@ def _window(a: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     log_b -= log_b.max()
     log_b -= math.log(np.exp(log_b).sum())
     llr = (2.0 * k - n) * math.atanh(a) + 0.5 * n * math.log1p(-a * a)
-    return log_b, llr
+    return k, log_b, llr
 
 
 def _success(a: float, n: int) -> float:
     """Optimal n-copy success for |cs| = a: 1 - miss/2 while the miss is
     below 1/2, where it is the accurate figure, else 1/2 + D_n/2."""
-    miss = _miss(a, n)
-    if miss < 0.5:
-        return 1.0 - 0.5 * miss
-    return 0.5 + 0.5 * copy_distance(a, n)
+    d, miss = _channel(a, n)
+    return 1.0 - 0.5 * miss if miss < 0.5 else 0.5 + 0.5 * d
 
 
 def exact_success(theta: float, n: int, *, max_n: int = DEFAULT_MAX_COPIES) -> float:
-    """Optimal probability of decoding Alice's bit from n channel uses."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > max_n:
-        raise ValueError(f"n = {n} exceeds the cap of {max_n} copies")
+    """Optimal probability of decoding Alice's bit from n channel uses;
+    ``n`` lies in [1, ``max_n``], ``max_n`` in [1, ``MIN_ROUNDS_MAX_COPIES``]."""
+    n = _count("n", n, 1, _count("max_n", max_n, 1, MIN_ROUNDS_MAX_COPIES))
     return _success(abs(_cs(theta)), n)
 
 
@@ -178,8 +183,7 @@ def exact_success_fraction(cs: Fraction, n: int) -> Fraction:
     """Exact rational n-copy success for a rational coherence cs."""
     from fractions import Fraction  # only here, as no command needs exact rationals
 
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = _count("n", n, 1, MIN_ROUNDS_MAX_COPIES)
     cs = Fraction(cs)
     lam_p = (1 + cs) / 2
     lam_m = (1 - cs) / 2
@@ -215,19 +219,16 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     """
     if not 0.5 < target < 1.0:
         raise ValueError(f"target must lie in (1/2, 1), got {target}")
-    if not 1 <= max_n <= MIN_ROUNDS_MAX_COPIES:
-        raise ValueError(f"max_n must lie in [1, {MIN_ROUNDS_MAX_COPIES}], got {max_n}")
+    max_n = _count("max_n", max_n, 1, MIN_ROUNDS_MAX_COPIES)
     cs = _cs(theta)
     if abs(cs) < ROUNDING:
         raise ZeroSignalError(f"no signaling at theta = {theta}: cs = {cs:.3g}")
     a = abs(cs)
     budget = 2.0 * (1.0 - target)  # both steps exact for target in [1/2, 1)
-    misses: dict[int, float] = {}
 
+    @functools.cache
     def miss(n: int) -> float:
-        if n not in misses:
-            misses[n] = _miss(a, n)
-        return misses[n]
+        return _channel(a, n)[1]
 
     def reached(n: int) -> bool:
         return miss(n) <= budget
@@ -254,13 +255,8 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
         while not reached(hi):
             step *= 2
             lo, hi = hi, min(max_n, hi + step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reached(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    bracket = range(lo + 1, hi + 1)
+    return bracket[bisect.bisect_left(bracket, True, key=reached)]
 
 
 def _decoder(theta: float, n: int) -> tuple[float, int, bool]:
@@ -272,6 +268,13 @@ def _decoder(theta: float, n: int) -> tuple[float, int, bool]:
     interval: [k, n] when cs > 0, [0, k] when cs < 0 and every count when
     cs = 0 (both logs vanish). Bisection on the same scalar expression,
     evaluated in the same order as an array of counts would be, finds k.
+
+    This rule, not the sign change of the window's llr_k, defines k. The
+    two are the same function of c in exact arithmetic and agree in
+    floats for |cs| >= 1e-7, oriented by the sign of cs; below about 1e-8
+    they can differ at the tie count, where llr_k is a rounding residue.
+    The decoder keeps the rule of the channel it samples, so seeded
+    :func:`simulate` output does not hinge on the window's rounding.
     """
     lam_p = (1.0 + _cs(theta)) / 2.0
     lam_m = 1.0 - lam_p
@@ -279,17 +282,10 @@ def _decoder(theta: float, n: int) -> tuple[float, int, bool]:
     up = log_p >= log_m
 
     def one(c: int) -> bool:
-        return c * log_p + (n - c) * log_m >= 0.0
+        return (c * log_p + (n - c) * log_m >= 0.0) == up
 
-    # the first c with one(c) == up; -1 and n + 1 stand in for the two ends
-    lo, hi = -1, n + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if one(mid) == up:
-            hi = mid
-        else:
-            lo = mid
-    return lam_p, (hi if up else lo), up
+    first = bisect.bisect_left(range(n + 1), True, key=one)  # n + 1 if no count qualifies
+    return lam_p, (first if up else first - 1), up
 
 
 def _chunk_correct(theta: float, n: int, seed: int, chunk: int, m: int) -> int:
@@ -311,27 +307,16 @@ def simulate(theta: float, n: int, shots: int, seed: int) -> ProtocolResult:
     Per shot: Alice's bit is uniform; Bob samples the n-fold |+>/|->
     statistics of the matching marginal and thresholds the count. The
     contract is that identical (seed, shots, n, theta) give an identical
-    result no matter how the fixed-size chunks are evaluated. ``n`` may
-    not exceed ``MIN_ROUNDS_MAX_COPIES``, the largest n that
-    :func:`min_rounds` returns, nor ``shots`` ``MAX_SHOTS``.
+    result no matter how the fixed-size chunks are evaluated. ``n`` lies
+    in [1, ``MIN_ROUNDS_MAX_COPIES``], the range :func:`min_rounds`
+    returns, ``shots`` in [1, ``MAX_SHOTS``] and ``seed`` in [0, 2^64).
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > MIN_ROUNDS_MAX_COPIES:
-        raise ValueError(f"n = {n} exceeds the cap of {MIN_ROUNDS_MAX_COPIES} copies")
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
-    if shots > MAX_SHOTS:
-        raise ValueError(f"shots = {shots} exceeds the cap of {MAX_SHOTS}")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit an unsigned 64-bit integer")
-    correct = 0
-    done = 0
-    chunk = 0
-    while done < shots:
-        m = min(CHUNK_SHOTS, shots - done)
-        correct += _chunk_correct(theta, n, seed, chunk, m)
-        done += m
-        chunk += 1
+    n = _count("n", n, 1, MIN_ROUNDS_MAX_COPIES)
+    shots = _count("shots", shots, 1, MAX_SHOTS)
+    seed = _count("seed", seed, 0, 2**64 - 1)
+    correct = sum(
+        _chunk_correct(theta, n, seed, chunk, min(CHUNK_SHOTS, shots - start))
+        for chunk, start in enumerate(range(0, shots, CHUNK_SHOTS))
+    )
     exact = _success(abs(_cs(theta)), n)
     return ProtocolResult(theta, n, exact, correct / shots, shots, seed)

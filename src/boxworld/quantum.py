@@ -137,13 +137,15 @@ def check_densities(m: np.ndarray) -> None:
     """Raise ValueError unless every matrix of ``m`` is a density operator.
 
     ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
-    stack is checked in one pass: Hermitian and of unit trace within
-    :data:`~boxworld.tolerance.ROUNDING`, no eigenvalue below
+    stack is checked in one pass: finite entries, Hermitian and of unit
+    trace within :data:`~boxworld.tolerance.ROUNDING`, no eigenvalue below
     -:data:`~boxworld.tolerance.EIGEN_ROUNDING`. The message names the
     worst matrix's deviation.
     """
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"density operator must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite entries")
     herm = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)
     if herm > ROUNDING:
         raise ValueError(f"not Hermitian (deviation {herm:.3g})")

@@ -448,25 +448,25 @@ class TestErrorExits:
 
         monkeypatch.setattr(protocol, "_chunk_correct", no_work)
         monkeypatch.setattr(protocol, "copy_distance", no_work)
-        monkeypatch.setattr(protocol, "_miss", no_work)
+        monkeypatch.setattr(protocol, "_channel", no_work)
         code, out, err = run(
             capsys, "simulate", "--theta", "0.3", "--n", str(10**10), "--shots", "10", "--seed", "1"
         )
         assert code == 1 and out == ""
-        assert err == f"error: n = {10**10} exceeds the cap of {protocol.MIN_ROUNDS_MAX_COPIES} copies\n"
+        assert err == f"error: n must be an integer in [1, {protocol.MIN_ROUNDS_MAX_COPIES}], got {10**10}\n"
 
     def test_repeat_max_n_ceiling(self, capsys, monkeypatch):
         def no_work(*args):
             raise AssertionError("the curve was evaluated before --max-n was checked")
 
         monkeypatch.setattr(protocol, "copy_distance", no_work)
-        monkeypatch.setattr(protocol, "_miss", no_work)
+        monkeypatch.setattr(protocol, "_channel", no_work)
         for max_n in (str(10**10), str(protocol.MIN_ROUNDS_MAX_COPIES + 1), "0"):
             code, out, err = run(
                 capsys, "repeat", "--theta", "1e-6", "--target", "0.99", "--max-n", max_n
             )
             assert code == 1 and out == ""
-            assert err == f"error: max_n must lie in [1, 1000000], got {max_n}\n"
+            assert err == f"error: max_n must be an integer in [1, 1000000], got {max_n}\n"
 
     def test_simulate_shot_ceiling(self, capsys, monkeypatch):
         def no_work(*args):
@@ -474,13 +474,13 @@ class TestErrorExits:
 
         monkeypatch.setattr(protocol, "_chunk_correct", no_work)
         monkeypatch.setattr(protocol, "copy_distance", no_work)
-        monkeypatch.setattr(protocol, "_miss", no_work)
+        monkeypatch.setattr(protocol, "_channel", no_work)
         shots = protocol.MAX_SHOTS + 1
         code, out, err = run(
             capsys, "simulate", "--theta", "0.3", "--n", "5", "--shots", str(shots), "--seed", "1"
         )
         assert code == 1 and out == ""
-        assert err == f"error: shots = {shots} exceeds the cap of {protocol.MAX_SHOTS}\n"
+        assert err == f"error: shots must be an integer in [1, {protocol.MAX_SHOTS}], got {shots}\n"
 
     @pytest.mark.parametrize("command", ["scan", "audit"])
     def test_bad_steps_prints_nothing(self, capsys, command):

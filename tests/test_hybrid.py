@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxworld import hybrid, quantum
 from boxworld.hybrid import (
@@ -269,6 +272,29 @@ class TestPrExtendDensity:
     def test_empty_stack(self):
         rho = pr_extend_density(np.zeros((0, 4)))
         assert rho.shape == (0, 4, 4)
+
+    def test_rows_far_from_unit_scale(self):
+        # Squared, 1e200 overflowed (eigenvalues did not converge) and
+        # 1e-200 underflowed (the row carried no mass).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = pr_extend_density(np.array([[1e200, 0, 0, 0], [1e-200, 0, 0, 0], [5e-324, 0, 0, 0]]))
+        assert np.array_equal(rho, np.broadcast_to(np.diag([0.5, 0.0, 0.0, 0.5]), (3, 4, 4)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(st.integers(-(2**20), 2**20), min_size=8, max_size=8).filter(any),
+        k=st.integers(-1000, 1000),
+    )
+    def test_a_power_of_two_leaves_the_density(self, parts, k):
+        # Every nonzero part is at least 2^-20 of the largest, so 2^k psi
+        # stays normal; where the squares of 2^k psi are subnormal, their
+        # rounding lies far below that of the trace.
+        psi = (np.array(parts, dtype=float) / 2**20).view(complex)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = pr_extend_density(np.ldexp(psi.view(float), k).view(complex))
+        np.testing.assert_allclose(scaled, pr_extend_density(psi), rtol=0, atol=1e-15)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ExpressionError):

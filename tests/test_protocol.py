@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from boxworld import protocol
 from boxworld.hybrid import bob_state
 from boxworld.protocol import (
     CHUNK_SHOTS,
+    DEFAULT_MAX_COPIES,
     MAX_SHOTS,
     MIN_ROUNDS_MAX_COPIES,
     ZeroSignalError,
@@ -207,9 +209,9 @@ class TestSimulate:
         # All would otherwise run: the exact column sums a window of the curve.
         monkeypatch.setattr(protocol, "_chunk_correct", no_work)
         monkeypatch.setattr(protocol, "copy_distance", no_work)
-        monkeypatch.setattr(protocol, "_miss", no_work)
+        monkeypatch.setattr(protocol, "_channel", no_work)
         for n in (MIN_ROUNDS_MAX_COPIES + 1, 10**10):
-            with pytest.raises(ValueError, match="exceeds the cap"):
+            with pytest.raises(ValueError, match=rf"^n must be an integer in \[1, 1000000\], got {n}$"):
                 simulate(QUARTER, n, 10, 1)
 
     def test_copy_cap_is_inclusive(self):
@@ -316,16 +318,16 @@ class TestBracketedMinRounds:
     def test_unreachable_target_costs_one_evaluation(self, monkeypatch):
         # The search evaluates the miss probability 1 - D_n, not copy_distance.
         calls = []
-        miss = protocol._miss
+        channel = protocol._channel
 
         def counted(a, n):
             calls.append(n)
-            return miss(a, n)
+            return channel(a, n)
 
         def no_work(*args):
             raise AssertionError("the search evaluated copy_distance")
 
-        monkeypatch.setattr(protocol, "_miss", counted)
+        monkeypatch.setattr(protocol, "_channel", counted)
         monkeypatch.setattr(protocol, "copy_distance", no_work)
         with pytest.raises(ValueError, match="not reached within 100 copies"):
             min_rounds(0.001, 0.999, max_n=100)
@@ -336,9 +338,9 @@ class TestBracketedMinRounds:
             raise AssertionError("the curve was evaluated before max_n was checked")
 
         monkeypatch.setattr(protocol, "copy_distance", no_work)
-        monkeypatch.setattr(protocol, "_miss", no_work)
+        monkeypatch.setattr(protocol, "_channel", no_work)
         for max_n in (MIN_ROUNDS_MAX_COPIES + 1, 10**10, 0, -5):
-            with pytest.raises(ValueError, match=r"max_n must lie in \[1, 1000000\]"):
+            with pytest.raises(ValueError, match=rf"^max_n must be an integer in \[1, 1000000\], got {max_n}$"):
                 min_rounds(1e-6, 0.99, max_n=max_n)
 
     def test_max_n_bounds_are_inclusive(self):
@@ -352,10 +354,101 @@ def test_shot_ceiling_checked_before_any_work(monkeypatch):
 
     monkeypatch.setattr(protocol, "_chunk_correct", no_work)
     monkeypatch.setattr(protocol, "copy_distance", no_work)
-    monkeypatch.setattr(protocol, "_miss", no_work)
+    monkeypatch.setattr(protocol, "_channel", no_work)
     for shots in (MAX_SHOTS + 1, 10**12):
-        with pytest.raises(ValueError, match="exceeds the cap of 10000000"):
+        with pytest.raises(ValueError, match=rf"^shots must be an integer in \[1, 10000000\], got {shots}$"):
             simulate(QUARTER, 1, shots, 1)
+
+
+CAP = MIN_ROUNDS_MAX_COPIES
+# Each integer argument of the public functions: a call that takes it, its
+# name and its range.
+COUNT_ARGUMENTS = {
+    "copy_distance n": (lambda v: copy_distance(1e-10, v), "n", 1, CAP),
+    "exact_success n": (lambda v: exact_success(0.3, v), "n", 1, DEFAULT_MAX_COPIES),
+    "exact_success max_n": (lambda v: exact_success(0.3, 1, max_n=v), "max_n", 1, CAP),
+    "exact_success_fraction n": (lambda v: exact_success_fraction(Fraction(1, 4), v), "n", 1, CAP),
+    "min_rounds max_n": (lambda v: min_rounds(0.3, 0.9, max_n=v), "max_n", 1, CAP),
+    "simulate n": (lambda v: simulate(0.3, v, 100, 1), "n", 1, CAP),
+    "simulate shots": (lambda v: simulate(0.3, 1, v, 1), "shots", 1, MAX_SHOTS),
+    "simulate seed": (lambda v: simulate(0.3, 1, 100, v), "seed", 0, 2**64 - 1),
+}
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("argument", COUNT_ARGUMENTS)
+    def test_rejected_before_any_work(self, monkeypatch, argument):
+        # 2.5 as simulate's n once gave a result with n = 2.5, and as
+        # min_rounds' max_n a miss at a fractional n; copy_distance took
+        # 2.5, failed on -1 with a math domain error, and had no cap: at
+        # cs = 1e-10 and n = 10^14 its window would hold 1.2e8 counts.
+        call, name, lo, hi = COUNT_ARGUMENTS[argument]
+
+        def no_work(*args):
+            raise AssertionError(f"work started before {name} was checked")
+
+        monkeypatch.setattr(protocol, "_channel", no_work)
+        monkeypatch.setattr(protocol, "_chunk_correct", no_work)
+        for value in (True, 2.5, 1.5, lo - 1, -1, hi + 1, hi * 10**8):
+            line = f"{name} must be an integer in [{lo}, {hi}], got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+                call(value)
+
+    @pytest.mark.parametrize("argument", COUNT_ARGUMENTS)
+    def test_bounds_are_inclusive_and_numpy_integers_pass(self, monkeypatch, argument):
+        call, _, lo, hi = COUNT_ARGUMENTS[argument]
+        monkeypatch.setattr(protocol, "_channel", lambda a, n: (1.0, 0.0))
+        monkeypatch.setattr(protocol, "_chunk_correct", lambda theta, n, seed, chunk, m: m)
+        if argument != "exact_success_fraction n":  # an exact sum over 10^6 counts is far too slow
+            call(hi)
+        call(lo)
+        call(np.uint64(lo))
+
+    def test_simulate_reports_plain_integers(self):
+        result = simulate(0.3, np.int64(3), np.int32(100), np.uint64(5))
+        assert result == simulate(0.3, 3, 100, 5)
+        assert type(result.n) is type(result.shots) is type(result.seed) is int
+
+
+@pytest.mark.parametrize("theta, n", [(QUARTER, 64), (0.3, 5), (0.01, 10), (0.0, 7)])
+def test_one_channel_evaluation_per_success(monkeypatch, theta, n):
+    # (0.01, 10) and (0.0, 7) have a miss of 1/2 or more, where the success
+    # is 1/2 + D_n/2; it comes from the same window as the miss.
+    calls = []
+    channel = protocol._channel
+
+    def counted(a, m):
+        calls.append(m)
+        return channel(a, m)
+
+    monkeypatch.setattr(protocol, "_channel", counted)
+    exact_success(theta, n)
+    assert calls == [n]
+    calls.clear()
+    simulate(theta, n, 10, 1)
+    assert calls == [n]
+
+
+def test_window_sign_change_is_the_decoder_threshold():
+    # In exact arithmetic llr_k = k log(2 lam_p) + (n - k) log(2 lam_m), the
+    # decoder's rule, so its first count with llr_k >= 0 is k* for cs > 0
+    # and n - k* (the mirror count) for cs < 0. In floats the two agree from
+    # |cs| = 1e-7 on; below about 1e-8 they can differ at the tie count.
+    rng = random.Random(20261021)
+    checked = 0
+    while checked < 3000:
+        theta = rng.choice((1.0, -1.0)) * 10 ** -rng.uniform(0.0, 7.3)
+        theta += rng.choice((0.0, math.pi / 2, math.pi))
+        n = round(10 ** rng.uniform(0.0, 6.0))
+        cs = 0.5 * math.sin(2.0 * theta)
+        if not (abs(cs) >= 1e-7 and n * cs * cs < 320.0):
+            continue
+        k, _, llr = protocol._window(abs(cs), n)
+        first = int(k[np.argmax(llr >= 0.0)])
+        _, k_star, up = protocol._decoder(theta, n)
+        assert llr[-1] >= 0.0 and up == (cs > 0.0), (theta, n)
+        assert first == (k_star if up else n - k_star), (theta, n)
+        checked += 1
 
 
 def _likelihood_rule(counts: np.ndarray, n: int, lam_p: float, lam_m: float) -> np.ndarray:
@@ -411,7 +504,7 @@ class TestThresholdDecoder:
 
 def _reached(theta: float, target: float, n: int) -> bool:
     """The decision min_rounds makes at n: miss 1 - D_n within 2 (1 - target)."""
-    return protocol._miss(abs(0.5 * math.sin(2.0 * theta)), n) <= 2.0 * (1.0 - target)
+    return protocol._channel(abs(0.5 * math.sin(2.0 * theta)), n)[1] <= 2.0 * (1.0 - target)
 
 
 class TestSecantMinRounds:
@@ -439,13 +532,13 @@ class TestSecantMinRounds:
         # 20000, target halfway between the successes at n* - 1 and n*.
         rng = random.Random(11)
         calls = []
-        miss = protocol._miss
+        channel = protocol._channel
 
         def counted(a, n):
             calls.append(n)
-            return miss(a, n)
+            return channel(a, n)
 
-        monkeypatch.setattr(protocol, "_miss", counted)
+        monkeypatch.setattr(protocol, "_channel", counted)
         for _ in range(4):
             for goal in (round(20 * 1000 ** (i / 24)) for i in range(25)):
                 while True:
@@ -464,18 +557,18 @@ class TestSecantMinRounds:
         # secant step still keeps the search short.
         rng = random.Random(5)
         calls = []
-        miss = protocol._miss
+        channel = protocol._channel
 
         def counted(a, n):
             calls.append(n)
-            return miss(a, n)
+            return channel(a, n)
 
         for _ in range(30):
             target = 1.0 - 10 ** -rng.uniform(9.0, 13.0)
             theta = 0.5 * math.asin(2.0 * 10 ** rng.uniform(math.log10(0.02), math.log10(0.45)))
             theta = rng.choice((theta, -theta, math.pi / 2 - theta))
             with monkeypatch.context() as patch:
-                patch.setattr(protocol, "_miss", counted)
+                patch.setattr(protocol, "_channel", counted)
                 calls.clear()
                 n = min_rounds(theta, target)
             assert len(calls) <= 6, (theta, target, calls)

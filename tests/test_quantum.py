@@ -388,6 +388,20 @@ class TestTypesValidation:
             with pytest.raises(ValueError, match=message):
                 check_densities(np.concatenate([good, bad[None]]))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.full((2, 2), np.nan),
+            np.stack([np.eye(2) / 2, np.diag([np.inf, 0.0])]),
+            np.stack([np.eye(2) / 2, [[0.5, -np.inf * 1j], [np.inf * 1j, 0.5]]]),
+            np.full((3, 2, 4, 4), np.nan + 0j),
+        ],
+    )
+    def test_stack_check_rejects_non_finite_entries(self, bad):
+        # NaN once passed: every comparison with it is false
+        with pytest.raises(ValueError, match="^non-finite entries$"):
+            check_densities(bad)
+
     def test_stack_check_accepts_an_empty_stack(self):
         for empty in (np.zeros((0, 2, 2)), np.zeros((0, 3, 4, 4), dtype=complex)):
             check_densities(empty)
