@@ -73,6 +73,14 @@ def _load_box(source: str, tol: float) -> boxes.ConditionalBox:
     return boxes.loads_csv(data.decode(), tol=tol)
 
 
+def _output_is_box(args) -> bool:
+    """Whether --output names the file --box reads, which opening it would empty."""
+    box = getattr(args, "box", None)
+    if box in (None, *BUILTIN_BOXES) or not all(map(os.path.exists, (box, args.output))):
+        return False
+    return os.path.samefile(box, args.output)
+
+
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
@@ -378,6 +386,9 @@ def main(argv=None) -> int:
             code = _COMMANDS[args.command](args, sys.stdout)
             sys.stdout.flush()  # here, so that a failed write is reported below
             return code
+        if _output_is_box(args):
+            name = str(args.output)
+            raise _UsageError(f"--output {name!r} is the --box file; writing would empty it")
         try:
             handle = open(args.output, "w")
         except OSError as exc:

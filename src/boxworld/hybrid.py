@@ -41,7 +41,6 @@ from .quantum import (
     Ket,
     basis_ket,
     check_densities,
-    density_from_mixture,
     rotations,
     trace_distances,
 )
@@ -73,6 +72,9 @@ DEFAULT_BRANCH_CAP = 16
 # The widest register a basis ket may name: a state has 2^w amplitudes and
 # its density 4^w entries, 16 MiB of complex numbers at w = 10.
 MAX_WIDTH = 10
+# The most density entries a state's branch terms take up at once: a term
+# has 4^w entries, so at w >= 8 the terms are formed one at a time.
+_TERM_ENTRIES = 2**16
 
 
 class ExpressionError(ValueError):
@@ -225,20 +227,36 @@ class HybridState:
         if not massive:
             raise ExpressionError("state carries no mass")
 
-    @classmethod
-    def from_ket(cls, ket: Ket) -> "HybridState":
-        width = int(round(math.log2(ket.dim)))
-        if 2**width != ket.dim:
-            raise ExpressionError(f"ket dimension {ket.dim} is not a power of two")
-        return cls(width, ((1.0, ket),))
-
     def to_density(self) -> DensityOperator:
-        return density_from_mixture(self.branches)
+        """The branches' sum of w |psi><psi|, divided by its trace.
+
+        Each ket is first divided by the power of two of its largest real
+        or imaginary part, and its term scaled into the frame of the
+        largest term; powers of two scale exactly, so no square overflows
+        or underflows, and inputs that did neither give the bits of the
+        plain sum. The terms are summed in branch order, at most
+        ``_TERM_ENTRIES`` entries of them at a time.
+        """
+        amps = np.array([ket.amplitudes for _, ket in self.branches])
+        a_exps = np.frexp(np.abs(amps.view(float)).max(axis=1))[1]
+        v = _pow2_times(amps, -a_exps[:, None])
+        frames = []  # per branch: its term's exponent, and its mantissa or 0 without mass
+        for (w, _), a_exp, nonzero in zip(self.branches, a_exps.tolist(), v.any(axis=1).tolist()):
+            w_frac, w_exp = math.frexp(w)
+            frames.append((w_exp + 2 * a_exp, w_frac if nonzero else 0.0))
+        top = max(exp for exp, frac in frames if frac)  # a branch has mass, by the constructor
+        coefs = np.array([math.ldexp(frac, exp - top) for exp, frac in frames])
+        dim = v.shape[1]
+        step = max(1, _TERM_ENTRIES // dim**2)
+        acc = np.zeros((dim, dim), dtype=complex)
+        for lo in range(0, len(v), step):
+            u = v[lo : lo + step]
+            for term in coefs[lo : lo + step, None, None] * (u[:, :, None] * u[:, None, :].conj()):
+                acc += term
+        return DensityOperator(acc / float(acc.trace().real))
 
 
-def distribute(
-    expr: StateExpr, theta: float | None = None, *, max_branches: int = DEFAULT_BRANCH_CAP
-) -> HybridState:
+def distribute(expr: StateExpr, theta: float | None = None) -> HybridState:
     """Normal-form an expression into a weighted list of coherent branches.
 
     Semantics, expanded left to right:
@@ -252,22 +270,22 @@ def distribute(
     * a coherent sum combines branches pairwise, multiplying weights and
       adding amplitudes.
 
-    ``theta`` binds the named symbols c and s. Exceeding ``max_branches``
-    raises :class:`BranchLimitError`. A scalar that itself overflows a
-    float (10^300/10^-300) is an error. Each branch carries a power of two
-    besides its amplitudes, so nested prefactors of 10^200 or 10^-200, or
-    branches 2^600 apart, neither overflow nor underflow. Where every
-    amplitude is a normal float the branches come out at the scale
+    ``theta`` binds the named symbols c and s. Past ``DEFAULT_BRANCH_CAP``
+    branches it raises :class:`BranchLimitError`. A scalar that itself
+    overflows a float (10^300/10^-300) is an error. Each branch carries a
+    power of two besides its amplitudes, so nested prefactors of 10^200 or
+    10^-200, or branches 2^600 apart, neither overflow nor underflow. Where
+    every amplitude is a normal float the branches come out at the scale
     written, with the bits of the plain products and sums (powers of two
     scale exactly), save that an amplitude about 2^1021 or more below the
     largest of its branch may lose bits: it enters the density only below
     the smallest normal float. Otherwise every branch is divided by the
     power of two that brings the largest amplitude into [1/2, 1): the
     density is the same, and an amplitude that the plain products would
-    leave subnormal, as 10^-320 in ``1e-160 (1e-160 |0> + |1>)``, keeps
-    its full precision.
+    leave subnormal, as 10^-320 in ``1e-160 (1e-160 |0> + |1>)``, keeps its
+    full precision.
     """
-    width, raw = _eval_expr(expr, theta, max_branches)
+    width, raw = _eval_expr(expr, theta)
     amps = np.array([m for _, m, _ in raw])
     exps = np.array([[e] for _, _, e in raw])
     frac, tops = np.frexp(amps.view(float))
@@ -279,7 +297,7 @@ def distribute(
 
 
 def _eval_expr(
-    node: StateExpr, theta: float | None, cap: int
+    node: StateExpr, theta: float | None
 ) -> tuple[int, list[tuple[float, np.ndarray, int]]]:
     """Width and branches (weight, m, e) of an expression, the amplitudes
     of a branch being m 2^e: each scalar's power of two goes to e and only
@@ -296,14 +314,14 @@ def _eval_expr(
             raise ExpressionError("a prefactor overflows a float")
         k = math.frexp(max(abs(factor.real), abs(factor.imag)))[1]
         factor = complex(math.ldexp(factor.real, -k), math.ldexp(factor.imag, -k))
-        width, branches = _eval_expr(node.child, theta, cap)
+        width, branches = _eval_expr(node.child, theta)
         return width, [(w, factor * m, e + k) for w, m, e in branches]
     if isinstance(node, IncoherentSum):
         share = 1.0 / len(node.children)
         width = None
         out: list[tuple[float, np.ndarray, int]] = []
         for child in node.children:
-            w_child, branches = _eval_expr(child, theta, cap)
+            w_child, branches = _eval_expr(child, theta)
             if width is None:
                 width = w_child
             elif w_child != width:
@@ -311,16 +329,16 @@ def _eval_expr(
                     f"mixed register widths ({width} and {w_child}) in one expression"
                 )
             out.extend((share * w, m, e) for w, m, e in branches)
-            if len(out) > cap:
+            if len(out) > DEFAULT_BRANCH_CAP:
                 raise BranchLimitError(
-                    f"expression expands past the cap of {cap} branches"
+                    f"expression expands past the cap of {DEFAULT_BRANCH_CAP} branches"
                 )
         return width, out
     if isinstance(node, CoherentSum):
         width = None
         acc: list[tuple[float, np.ndarray, int]] | None = None
         for child in node.children:
-            w_child, branches = _eval_expr(child, theta, cap)
+            w_child, branches = _eval_expr(child, theta)
             if width is None:
                 width, acc = w_child, branches
                 continue
@@ -331,9 +349,9 @@ def _eval_expr(
             combined = [
                 (wl * wr, *_add(ml, el, mr, er)) for wl, ml, el in acc for wr, mr, er in branches
             ]
-            if len(combined) > cap:
+            if len(combined) > DEFAULT_BRANCH_CAP:
                 raise BranchLimitError(
-                    f"expression expands past the cap of {cap} branches"
+                    f"expression expands past the cap of {DEFAULT_BRANCH_CAP} branches"
                 )
             acc = combined
         return width, acc

@@ -76,10 +76,8 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 __all__ = [
-    "DEFAULT_MAX_COPIES",
     "MIN_ROUNDS_MAX_COPIES",
     "MAX_SHOTS",
-    "PRNG_NAME",
     "CHUNK_SHOTS",
     "ZeroSignalError",
     "ProtocolResult",
@@ -90,10 +88,8 @@ __all__ = [
     "simulate",
 ]
 
-DEFAULT_MAX_COPIES = 64
 MIN_ROUNDS_MAX_COPIES = 1_000_000
 MAX_SHOTS = 10_000_000  # about a second of sampling at any n <= MIN_ROUNDS_MAX_COPIES
-PRNG_NAME = "numpy Philox4x64-10, per-chunk counters"
 CHUNK_SHOTS = 4096
 _WINDOW_SIGMAS = 12.0  # half-width of the summed window in sqrt(n)/2 units
 _CERTAIN_NCS2 = 320.0  # n cs^2 from which D_n rounds to 1.0
@@ -172,10 +168,10 @@ def _success(a: float, n: int) -> float:
     return 1.0 - 0.5 * miss if miss < 0.5 else 0.5 + 0.5 * d
 
 
-def exact_success(theta: float, n: int, *, max_n: int = DEFAULT_MAX_COPIES) -> float:
+def exact_success(theta: float, n: int) -> float:
     """Optimal probability of decoding Alice's bit from n channel uses;
-    ``n`` lies in [1, ``max_n``], ``max_n`` in [1, ``MIN_ROUNDS_MAX_COPIES``]."""
-    n = _count("n", n, 1, _count("max_n", max_n, 1, MIN_ROUNDS_MAX_COPIES))
+    ``n`` lies in [1, ``MIN_ROUNDS_MAX_COPIES``]."""
+    n = _count("n", n, 1, MIN_ROUNDS_MAX_COPIES)
     return _success(abs(_cs(theta)), n)
 
 

@@ -6,6 +6,9 @@ package computes by a shorter path, or builds inputs for such a check:
 - single-qubit ``Unitary`` objects, kets and the tensor product, from
   which the tests build the construction's input (U tensor 1)|01> one
   angle at a time;
+- the partial trace, Helstrom discrimination and basis measurement on
+  plain matrices, the textbook forms of what the package reads off its
+  densities by shorter paths;
 - local relabelings of a box, a symmetry of no-signaling and locality;
 - :func:`pr_extend`, the linearly extended box applied branch by branch
   (2^k output branches for an input with k nonzero components), the
@@ -82,6 +85,34 @@ def apply(u: Unitary, state: Ket | DensityOperator):
             raise ValueError("dimension mismatch")
         return DensityOperator(u.matrix @ state.matrix @ u.matrix.conj().T)
     raise TypeError(f"cannot apply a unitary to {type(state).__name__}")
+
+
+def partial_trace(rho: np.ndarray, keep: int, dims: Sequence[int]) -> np.ndarray:
+    """The ``keep``-th factor of a matrix on a tensor product of spaces of ``dims``."""
+    n = len(dims)
+    if not 0 <= keep < n:
+        raise ValueError(f"keep index {keep} out of range for {n} factors")
+    cols = [n if k == keep else k for k in range(n)]
+    return np.einsum(np.reshape(rho, (*dims, *dims)), [*range(n), *cols], [keep, n])
+
+
+def helstrom(rho0: np.ndarray, rho1: np.ndarray, prior0: float = 0.5) -> tuple[float, np.ndarray]:
+    """Optimal single-shot success 1/2 + (1/2) tr|p1 rho1 - p0 rho0| of telling
+    rho0 from rho1, and the projector that attains it: the positive
+    eigenspace of p1 rho1 - p0 rho0, on which the answer is "rho1"."""
+    if not 0.0 <= prior0 <= 1.0:
+        raise ValueError(f"prior must lie in [0, 1], got {prior0}")
+    evals, evecs = np.linalg.eigh((1.0 - prior0) * rho1 - prior0 * rho0)
+    pos = evecs[:, evals > 0.0]
+    return 0.5 + 0.5 * float(np.abs(evals).sum()), pos @ pos.conj().T
+
+
+def measure_probs(rho: np.ndarray, basis: Sequence[Ket]) -> np.ndarray:
+    """Outcome probabilities <b_k| rho |b_k> of an orthonormal basis of kets."""
+    b = np.column_stack([k.amplitudes for k in basis])
+    if b.shape != np.shape(rho) or np.abs(b.conj().T @ b - np.eye(len(b))).max() > 1e-10:
+        raise ValueError("not an orthonormal basis of the space")
+    return np.einsum("ik,ij,jk->k", b.conj(), rho, b).real
 
 
 # ---------------------------------------------------------------- boxes

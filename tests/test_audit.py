@@ -9,11 +9,13 @@ from boxworld.audit import SWEEP_CHUNK, audit_dynamics, audit_sweep, effective_b
 from boxworld.boxes import ConditionalBox, check_no_signaling
 from boxworld.cli import main
 from boxworld.hybrid import HybridState, bob_state, box_output_state, pr_extend_density
-from boxworld.quantum import basis_ket, measure_probs, partial_trace, trace_distance
+from boxworld.quantum import basis_ket, trace_distances
 from reference import (
     apply,
     identity,
+    measure_probs,
     minus_ket,
+    partial_trace,
     plus_ket,
     pr_extend,
     rotated_inputs,
@@ -27,7 +29,7 @@ QUARTER = math.pi / 4
 def _oracle_joint(theta):
     """Joint output density by branch expansion of the rotated input."""
     inp = apply(tensor(rotation(theta), identity(2)), basis_ket("01"))
-    return pr_extend(HybridState.from_ket(inp)).to_density()
+    return pr_extend(HybridState(2, ((1.0, inp),))).to_density().matrix
 
 
 def _oracle_box(theta):
@@ -45,7 +47,7 @@ def _oracle_box(theta):
 
 def _oracle_shift(theta):
     bob = [partial_trace(_oracle_joint(t), keep=1, dims=(2, 2)) for t in (theta, 0.0)]
-    return trace_distance(*bob)
+    return float(trace_distances(*bob))
 
 
 ORACLE_ANGLES = tuple(np.random.default_rng(7).uniform(-4.0, 4.0, 36)) + (
@@ -131,7 +133,7 @@ class TestAuditDynamics:
     def test_violation_equals_marginal_trace_distance(self):
         for theta in np.linspace(0.0, math.pi / 2, 17):
             report = audit_dynamics(float(theta))
-            expected = trace_distance(bob_state(float(theta)), bob_state(0.0))
+            expected = trace_distances(bob_state(float(theta)).matrix, bob_state(0.0).matrix)
             assert report.a_to_b_violation == pytest.approx(expected, abs=1e-10)
 
     def test_no_reverse_signaling_anywhere(self):

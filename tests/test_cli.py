@@ -313,6 +313,19 @@ class TestOutputOptions:
         assert out == ""
         assert path.read_text().strip() == "4"
 
+    def test_output_naming_the_box_file_is_refused(self, capsys, tmp_path):
+        # Opening --output once emptied the box file before the command read it.
+        box = tmp_path / "box.csv"
+        box.write_text(dumps_csv(pr_box()))
+        (tmp_path / "link.csv").symlink_to(box)
+        for output in (box, tmp_path / "link.csv"):
+            code, out, err = run(capsys, "--output", str(output), "verify", "--box", str(box))
+            assert (code, out) == (1, "")
+            assert err == f"error: --output {str(output)!r} is the --box file; writing would empty it\n"
+        assert box.read_text() == dumps_csv(pr_box())
+        code, _, _ = run(capsys, "--output", str(tmp_path / "out.txt"), "verify", "--box", str(box))
+        assert code == 0 and (tmp_path / "out.txt").read_text().startswith("no-signaling: OK")
+
     def test_digits(self, capsys):
         _, out, _ = run(capsys, "--digits", "3", "signal", "--theta", "0.1")
         assert "a->b violation = 0.0497" in out
@@ -431,6 +444,17 @@ class TestErrorExits:
         assert proc.stderr == f"error: ket width {width} exceeds the largest, {hybrid.MAX_WIDTH}\n"
         code, out, err = run(capsys, "parse", "--expr", "|" + "1" * hybrid.MAX_WIDTH + ">")
         assert (code, err) == (0, "") and "branches (1):" in out
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+    def test_density_of_many_wide_branches_is_summed_within_the_cap(self):
+        # 16 branches of width 10 once formed all their 16 MiB terms at once, and
+        # the peak memory of --dump-rho grew with the branch count.
+        expr = " (+) ".join(f"|{k:010b}>" for k in range(16))
+        proc = _capped_cli(["parse", "--expr", expr, "--dump-rho"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = proc.stdout.split("rho:\n", 1)[1].splitlines()
+        assert len(rows) == 1024
+        assert rows[15].split(",")[30:33] == ["0.0625", "0", "0"]
 
     @pytest.mark.parametrize("command", ["verify", "chsh", "local"])
     def test_invalid_box_exits_two(self, capsys, tmp_path, command):
@@ -796,6 +820,38 @@ class TestColdImport:
 
 LAYERS = ("quantum", "boxes", "hybrid", "protocol", "dsl", "audit")
 
+# After importing the CLI, bench/tracer.py reads each layer from sys.modules,
+# wraps every public function of it wherever the package holds one, and
+# wraps the methods in its METHODS table; uninstall puts all of them back.
+TRACER_ROUND_TRIP = """
+import sys
+sys.path.insert(0, {bench!r})
+import boxworld.cli
+from tracer import METHODS, Tracer
+
+def hooks():
+    found = {{}}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "boxworld":
+            for attr, obj in vars(module).items():
+                found[name, attr] = obj
+                if isinstance(obj, dict):
+                    found.update(((name, attr, key), value) for key, value in obj.items())
+    for layer, cls, method in METHODS:
+        found[layer, cls, method] = vars(getattr(sys.modules["boxworld." + layer], cls))[method]
+    return found
+
+hooks()  # runs every lazy layer, so both snapshots see the same modules
+before = hooks()
+tracer = Tracer()
+tracer.install()
+patched = len(tracer._patched)
+tracer.uninstall()
+after = hooks()
+same = after.keys() == before.keys() and all(after[k] is v for k, v in before.items())
+print(patched > len(METHODS), same)
+"""
+
 # The layers each README command runs; the others must stay unexecuted.
 CHAINS = {
     "verify": {"boxes"},
@@ -854,11 +910,10 @@ class TestLazyLayers:
             "-c",
             "import sys, boxworld\n"
             "print('numpy' in sys.modules)\n"
-            "print(boxworld.pr_box().table.shape, 'numpy' in sys.modules)\n"
-            "print(boxworld.audit.effective_box is boxworld.effective_box)"
+            "print(boxworld.boxes.pr_box().table.shape, 'numpy' in sys.modules)"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n(2, 2, 2, 2) True\nTrue\n"
+        assert proc.stdout == "False\n(2, 2, 2, 2) True\n"
 
     def test_every_layer_is_registered_once_the_cli_is_imported(self):
         # The benchmark's tracer reads sys.modules for each layer, then vars()
@@ -872,6 +927,11 @@ class TestLazyLayers:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "True\n1e-09\n"
+
+    def test_the_benchmark_tracer_installs_and_restores_its_hooks(self):
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        proc = _fresh_python("-c", TRACER_ROUND_TRIP.format(bench=str(bench)))
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True True\n")
 
     @pytest.mark.parametrize(
         "prelude, argv, code, message",

@@ -14,7 +14,6 @@ from boxworld import protocol
 from boxworld.hybrid import bob_state
 from boxworld.protocol import (
     CHUNK_SHOTS,
-    DEFAULT_MAX_COPIES,
     MAX_SHOTS,
     MIN_ROUNDS_MAX_COPIES,
     ZeroSignalError,
@@ -25,7 +24,7 @@ from boxworld.protocol import (
     min_rounds,
     simulate,
 )
-from boxworld.quantum import helstrom
+from reference import helstrom
 
 QUARTER = math.pi / 4
 
@@ -73,7 +72,7 @@ class TestExactSuccess:
     def test_matches_single_shot_discrimination(self):
         for theta in (0.15, 0.6, QUARTER):
             rho0, rho1 = bob_state(0.0), bob_state(theta)
-            optimal, _ = helstrom(rho0, rho1, 0.5)
+            optimal, _ = helstrom(rho0.matrix, rho1.matrix, 0.5)
             assert exact_success(theta, 1) == pytest.approx(optimal, abs=1e-12)
 
     def test_binomial_tv_identity(self):
@@ -99,12 +98,17 @@ class TestExactSuccess:
         with pytest.raises(ValueError):
             exact_success(QUARTER, 0)
         with pytest.raises(ValueError):
-            exact_success(QUARTER, 65)
+            exact_success(QUARTER, MIN_ROUNDS_MAX_COPIES + 1)
         with pytest.raises(ValueError):
             exact_success(QUARTER, 1.5)
         with pytest.raises(ValueError):
             exact_success(float("nan"), 1)
-        assert exact_success(QUARTER, 128, max_n=128) > 0.99
+        assert exact_success(QUARTER, 128) > 0.99
+
+    def test_any_n_simulate_takes(self):
+        # n once stopped at 64, while simulate printed the same figure past it
+        for n in (65, 1000, MIN_ROUNDS_MAX_COPIES):
+            assert exact_success(0.3, n) == simulate(0.3, n, 1, 0).exact_success
 
 
 class TestMinRounds:
@@ -115,9 +119,9 @@ class TestMinRounds:
     def test_threshold_is_tight(self):
         for theta, target in ((QUARTER, 0.99), (0.3, 0.9), (0.1, 0.8)):
             n = min_rounds(theta, target)
-            assert exact_success(theta, n, max_n=n) >= target
+            assert exact_success(theta, n) >= target
             if n > 1:
-                assert exact_success(theta, n - 1, max_n=n) < target
+                assert exact_success(theta, n - 1) < target
 
     def test_small_angle_frozen_value(self):
         # frozen from the binomial-TV oracle sweep
@@ -365,8 +369,7 @@ CAP = MIN_ROUNDS_MAX_COPIES
 # name and its range.
 COUNT_ARGUMENTS = {
     "copy_distance n": (lambda v: copy_distance(1e-10, v), "n", 1, CAP),
-    "exact_success n": (lambda v: exact_success(0.3, v), "n", 1, DEFAULT_MAX_COPIES),
-    "exact_success max_n": (lambda v: exact_success(0.3, 1, max_n=v), "max_n", 1, CAP),
+    "exact_success n": (lambda v: exact_success(0.3, v), "n", 1, CAP),
     "exact_success_fraction n": (lambda v: exact_success_fraction(Fraction(1, 4), v), "n", 1, CAP),
     "min_rounds max_n": (lambda v: min_rounds(0.3, 0.9, max_n=v), "max_n", 1, CAP),
     "simulate n": (lambda v: simulate(0.3, v, 100, 1), "n", 1, CAP),
@@ -499,7 +502,7 @@ class TestThresholdDecoder:
     def test_simulate_reproduces_frozen_streams(self, theta, n, shots, seed, correct):
         result = simulate(theta, n, shots, seed)
         assert result.empirical_success == correct / shots
-        assert result.exact_success == exact_success(theta, n, max_n=n)
+        assert result.exact_success == exact_success(theta, n)
 
 
 def _reached(theta: float, target: float, n: int) -> bool:
@@ -544,7 +547,7 @@ class TestSecantMinRounds:
                 while True:
                     base = 0.5 * math.asin(2.0 * min(rng.uniform(0.8, 2.0) / math.sqrt(goal), 0.45))
                     theta = rng.choice((base, math.pi / 2 - base, -base, base + math.pi))
-                    lo, hi = exact_success(theta, goal - 1, max_n=goal), exact_success(theta, goal, max_n=goal)
+                    lo, hi = exact_success(theta, goal - 1), exact_success(theta, goal)
                     if hi - lo > 4e-9 and hi < 1.0 - 1e-6:
                         break
                 calls.clear()
@@ -581,7 +584,7 @@ class TestSecantMinRounds:
         # 40-digit arithmetic gives n* = 98431; the success form said 98441
         theta, target = -3.1856063812250373, 0.9999999999973623
         assert min_rounds(theta, target) == 98431
-        assert exact_success(theta, 98431, max_n=98431) >= target
+        assert exact_success(theta, 98431) >= target
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -595,5 +598,5 @@ class TestSecantMinRounds:
         theta = mirror * 0.5 * math.asin(2.0 * cs)
         target = 1.0 - 10.0**gap
         n = min_rounds(theta, target)
-        assert exact_success(theta, n, max_n=n) >= target
-        assert n == 1 or exact_success(theta, n - 1, max_n=n) <= target
+        assert exact_success(theta, n) >= target
+        assert n == 1 or exact_success(theta, n - 1) <= target
