@@ -13,12 +13,15 @@ marginal-independence requirement.
 A sweep evaluates the paper's chain, :func:`boxworld.hybrid._densities`,
 on a whole chunk of angles at once (Alice's plane rotations as one stack
 checked unitary in one pass, then the closed-form output densities in one
-call), with the x = 0 density riding in the first chunk. It reads every
-table of the chunk off them in one array and checks that array in one
-pass: positivity and normalization with
-:func:`~boxworld.boxes.table_deviations`, signaling with
-:func:`~boxworld.boxes.no_signaling_violations`. The figures are reported,
-never raised: the audit's job is to say which property fails.
+call), with the x = 0 density riding in the first chunk. It yields each
+chunk as columns, one array per figure, computed when first read: the
+chunk's tables in one array, positivity and normalization from
+:func:`~boxworld.boxes.table_deviations`, the two signaling directions
+from their no-signaling gaps, and Bob's marginal shift, so a caller pays
+only for the figures it prints. The figures are reported, never raised:
+the audit's job is to say which property fails. :func:`audit_dynamics`
+and :func:`effective_box` read one angle of that sweep, and only
+:func:`audit_dynamics` locates the worst setting.
 :func:`~boxworld.hybrid.signaling_witness` reads the same two-row stack
 as a one-angle sweep, so ``signal`` and ``scan`` print the same figure.
 """
@@ -28,11 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boxes import ConditionalBox, no_signaling_violations, table_deviations
+from .boxes import ConditionalBox, _a_to_b_gaps, _b_to_a_gaps, _worst_setting, table_deviations
 from .hybrid import _bob_marginals, _densities
 from .quantum import trace_distances
 from .tolerance import DEFAULT_TOL, ROUNDING
@@ -40,6 +44,7 @@ from .tolerance import DEFAULT_TOL, ROUNDING
 __all__ = [
     "SWEEP_CHUNK",
     "AuditReport",
+    "SweepChunk",
     "effective_box",
     "audit_dynamics",
     "audit_sweep",
@@ -53,6 +58,7 @@ SWEEP_CHUNK = 32
 # Z outcome a times Bob's outcome b in Z (y = 0) or |+>/|-> (y = 1).
 _BOB_BASES = (np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
 _BASES = np.array([np.kron(np.eye(2), bob) for bob in _BOB_BASES], dtype=complex)
+_BASES_CONJ = _BASES.conj()
 
 
 @dataclass(frozen=True)
@@ -80,54 +86,97 @@ class AuditReport:
         return self.positivity_ok and self.normalization_ok and self.a_to_b_violation > DEFAULT_TOL
 
 
-def _tables(rho0: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Box tables [t, a, b, x, y] from the x = 0 density and a stack of x = 1 densities."""
-    joint = np.stack([np.broadcast_to(rho0, rho.shape), rho], axis=1)
-    probs = np.stack(
-        [np.einsum("ik,txij,jk->txk", b.conj(), joint, b).real for b in _BASES], axis=2
-    )
-    return probs.reshape(len(rho), 2, 2, 2, 2).transpose(0, 3, 4, 1, 2)
+def _probabilities(rho: np.ndarray) -> np.ndarray:
+    """Outcome probabilities [t, y, k] of a stack of densities in the joint bases."""
+    return np.einsum("yik,tij,yjk->tyk", _BASES_CONJ, rho, _BASES).real
 
 
-def effective_box(theta: float) -> ConditionalBox:
-    """The construction as a 2-input/2-output box; entries from joint measurement."""
-    rho = _densities([0.0, theta])
-    return ConditionalBox(_tables(rho[0], rho[1:])[0])
+class SweepChunk:
+    """Up to SWEEP_CHUNK consecutive angles of a sweep and their figures, as columns.
+
+    ``theta`` lists the angles. Every other column is an array indexed by
+    angle first: ``tables``, and each figure named as the
+    :class:`AuditReport` field it fills. A column is computed when first
+    read, from the chunk's x = 1 densities and the sweep's x = 0 figures,
+    so a caller pays only for the columns it reads.
+    """
+
+    def __init__(self, theta: list[float], rho: np.ndarray, zero: tuple[np.ndarray, np.ndarray]):
+        self.theta = theta
+        self._rho = rho
+        self._zero = zero  # the x = 0 probabilities and Bob's marginal, shared by the sweep
+
+    @cached_property
+    def tables(self) -> np.ndarray:
+        """Box tables [t, a, b, x, y]."""
+        probs = np.empty((len(self._rho), 2, 2, 4))  # [t, x, y, k], k = 2a + b
+        probs[:, 0] = self._zero[0]
+        probs[:, 1] = _probabilities(self._rho)
+        return probs.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 4, 1, 2)
+
+    @cached_property
+    def marginal_shift(self) -> np.ndarray:
+        return trace_distances(_bob_marginals(self._rho), self._zero[1])
+
+    @cached_property
+    def _deviations(self) -> tuple[np.ndarray, np.ndarray]:
+        return table_deviations(self.tables)
+
+    @property
+    def positivity_ok(self) -> np.ndarray:
+        return self._deviations[0] >= -ROUNDING
+
+    @property
+    def normalization_ok(self) -> np.ndarray:
+        return self._deviations[1] <= ROUNDING
+
+    @cached_property
+    def a_to_b_violation(self) -> np.ndarray:
+        return _a_to_b_gaps(self.tables).max(axis=(-3, -2, -1))
+
+    @cached_property
+    def b_to_a_violation(self) -> np.ndarray:
+        return _b_to_a_gaps(self.tables).max(axis=(-3, -2, -1))
+
+    def report(self, i: int) -> AuditReport:
+        """The figures of the chunk's ``i``-th angle, with its worst setting."""
+        table = self.tables[i]
+        return AuditReport(
+            theta=self.theta[i],
+            positivity_ok=bool(self.positivity_ok[i]),
+            normalization_ok=bool(self.normalization_ok[i]),
+            a_to_b_violation=float(self.a_to_b_violation[i]),
+            b_to_a_violation=float(self.b_to_a_violation[i]),
+            worst_setting=_worst_setting(_a_to_b_gaps(table), _b_to_a_gaps(table)),
+            marginal_shift=float(self.marginal_shift[i]),
+        )
 
 
-def audit_sweep(thetas: Iterable[float]) -> Iterator[AuditReport]:
-    """Audit every angle of a grid, in order, SWEEP_CHUNK angles at a time.
+def audit_sweep(thetas: Iterable[float]) -> Iterator[SweepChunk]:
+    """The figures of every angle of a grid, in order, one :class:`SweepChunk`
+    of SWEEP_CHUNK angles at a time.
 
     Each chunk's inputs come from the stack of plane rotations, checked
-    unitary once per chunk. The x = 0 input leads the first chunk, so each
-    chunk's densities come from one closed-form call and its tables from
-    one array, which is checked as a whole: the reports are rows of
-    :func:`~boxworld.boxes.table_deviations` and
-    :func:`~boxworld.boxes.no_signaling_violations` on that array.
+    unitary once per chunk, and its densities from one closed-form call,
+    checked as a whole. The x = 0 input leads the first chunk, and its
+    probabilities and Bob's marginal are formed once per sweep. A chunk's
+    tables are one array, read by :func:`~boxworld.boxes.table_deviations`
+    and the no-signaling gaps as a whole.
     """
     angles = iter(thetas)
     chunk = [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]
     first = _densities([0.0, *chunk])
-    rho0, rho = first[0], first[1:]
-    bob0 = _bob_marginals(rho0)
+    zero = (_probabilities(first[:1])[0], _bob_marginals(first[0]))
+    rho = first[1:]
     while chunk:
-        shifts = trace_distances(_bob_marginals(rho), bob0)
-        tables = _tables(rho0, rho)
-        lowest, worst = table_deviations(tables)
-        a_to_b, b_to_a, settings = no_signaling_violations(tables)
-        rows = zip(lowest.tolist(), worst.tolist(), a_to_b.tolist(), b_to_a.tolist(), settings)
-        for theta, (low, off, ab, ba, setting), shift in zip(chunk, rows, shifts.tolist()):
-            yield AuditReport(
-                theta=theta,
-                positivity_ok=low >= -ROUNDING,
-                normalization_ok=off <= ROUNDING,
-                a_to_b_violation=ab,
-                b_to_a_violation=ba,
-                worst_setting=setting,
-                marginal_shift=shift,
-            )
+        yield SweepChunk(chunk, rho, zero)
         if chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:
             rho = _densities(chunk)
+
+
+def effective_box(theta: float) -> ConditionalBox:
+    """The construction as a 2-input/2-output box; entries from joint measurement."""
+    return ConditionalBox(next(audit_sweep([theta])).tables[0])
 
 
 def audit_dynamics(theta: float) -> AuditReport:
@@ -138,4 +187,4 @@ def audit_dynamics(theta: float) -> AuditReport:
     sin(2 theta)/4 (achieved at Bob's y = 1 setting), and the reverse
     direction stays at zero.
     """
-    return next(audit_sweep([theta]))
+    return next(audit_sweep([theta])).report(0)

@@ -35,12 +35,13 @@ and always ends; :func:`locality_distance` returns that exact t.
 Violation magnitudes are total-variation distances (half L1) so they sit
 on the same scale as trace distances elsewhere in the package.
 
-Validity and no-signaling are computed by two array functions,
-:func:`table_deviations` and :func:`no_signaling_violations`. Each takes
-one table or a stack of tables, shape ``(..., a, b, A, B)``, and gives
-every table of a stack exactly the figures it gets on its own;
-:class:`ConditionalBox` and :func:`check_no_signaling` are their one-table
-callers.
+Validity and no-signaling are computed by array functions:
+:func:`table_deviations` and the two directions' gap arrays behind
+:func:`no_signaling_violations`. Each takes one table or a stack of
+tables, shape ``(..., a, b, A, B)``, and gives every table of a stack
+exactly the figures it gets on its own; :class:`ConditionalBox` and
+:func:`check_no_signaling` are their one-table callers, and only the
+latter locates the worst setting.
 """
 
 from __future__ import annotations
@@ -199,44 +200,47 @@ def table_deviations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t.min(axis=(-4, -3, -2, -1)), np.abs(t.sum(axis=(-4, -3)) - 1.0).max(axis=(-2, -1))
 
 
-def no_signaling_violations(
-    t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[str, int, tuple[int, int]]]]:
-    """A-to-b and b-to-a violations and the worst setting of each table.
+def no_signaling_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A-to-b and b-to-a violations of each table.
 
-    ``t`` is one table or a stack, shape ``(..., a, b, A, B)``. The two
-    violations have shape ``t.shape[:-4]``; the worst settings are a list
-    with one ``(direction, receiver_input, sender_input_pair)`` per table,
-    in C order of the leading axes. See :class:`NoSignalingReport`.
+    ``t`` is one table or a stack, shape ``(..., a, b, A, B)``; both
+    violations have shape ``t.shape[:-4]``. See :class:`NoSignalingReport`.
     """
-    t = np.ascontiguousarray(t)
-    # Each marginal indexed [..., receiver input, sender input, outcome].
-    a_to_b, ab_at = _max_shift(t.sum(axis=-4).swapaxes(-3, -1))
-    b_to_a, ba_at = _max_shift(t.sum(axis=-3).swapaxes(-3, -1).swapaxes(-3, -2))
-    worst = [
-        ("a_to_b", *at1) if d1 >= d2 else ("b_to_a", *at2)
-        for d1, d2, at1, at2 in zip(a_to_b.ravel().tolist(), b_to_a.ravel().tolist(), ab_at, ba_at)
-    ]
-    return a_to_b, b_to_a, worst
+    return _a_to_b_gaps(t).max(axis=(-3, -2, -1)), _b_to_a_gaps(t).max(axis=(-3, -2, -1))
 
 
-def _max_shift(marg: np.ndarray) -> tuple[np.ndarray, list[tuple[int, tuple[int, int]]]]:
-    """Largest total-variation gap between two sender inputs' marginals, and where.
+def _a_to_b_gaps(t: np.ndarray) -> np.ndarray:
+    """Gaps of Bob's marginals across Alice's inputs, indexed [..., B, A, A']."""
+    return _gaps(np.ascontiguousarray(t).sum(axis=-4).swapaxes(-3, -1))
 
-    The first maximum in receiver-major order, sender pairs in
-    :func:`itertools.combinations` order, wins; when no gap is > 0 the
-    place is receiver 0, pair (0, 0).
+
+def _b_to_a_gaps(t: np.ndarray) -> np.ndarray:
+    """Gaps of Alice's marginals across Bob's inputs, indexed [..., A, B, B']."""
+    return _gaps(np.ascontiguousarray(t).sum(axis=-3).swapaxes(-3, -1).swapaxes(-3, -2))
+
+
+def _gaps(marg: np.ndarray) -> np.ndarray:
+    """Total-variation gaps [..., receiver, i, j] between the marginals of
+    sender inputs i and j, from marginals [..., receiver, sender, outcome].
     """
-    n = marg.shape[-2]
     # With the outcome axis last and contiguous, each gap is summed in the
     # same order as the sum of one 1-D marginal difference.
     marg = np.ascontiguousarray(marg)
-    gaps = 0.5 * np.abs(marg[..., :, None, :] - marg[..., None, :, :]).sum(axis=-1)
+    return 0.5 * np.abs(marg[..., :, None, :] - marg[..., None, :, :]).sum(axis=-1)
+
+
+def _worst_setting(a_to_b: np.ndarray, b_to_a: np.ndarray) -> tuple[str, int, tuple[int, int]]:
+    """Where one table's largest gap lies, from its two gap arrays.
+
+    The a-to-b direction wins a tie; within a direction the first maximum
+    in receiver-major order, sender pairs in :func:`itertools.combinations`
+    order, wins; when no gap is > 0 the place is receiver 0, pair (0, 0).
+    """
+    direction, gaps = ("a_to_b", a_to_b) if a_to_b.max() >= b_to_a.max() else ("b_to_a", b_to_a)
     # A C-order scan of the symmetric [receiver, i, j] gaps meets the first
     # maximum at i < j, in the order above, or at the zero at (0, 0, 0).
-    gaps = gaps.reshape(gaps.shape[:-3] + (gaps.shape[-3] * n * n,))
-    places = [(k // (n * n), divmod(k % (n * n), n)) for k in gaps.argmax(axis=-1).ravel().tolist()]
-    return gaps.max(axis=-1), places
+    receiver, i, j = np.unravel_index(gaps.argmax(), gaps.shape)
+    return direction, int(receiver), (int(i), int(j))
 
 
 def check_no_signaling(box: ConditionalBox, tol: float = DEFAULT_TOL) -> NoSignalingReport:
@@ -252,8 +256,10 @@ def check_no_signaling(box: ConditionalBox, tol: float = DEFAULT_TOL) -> NoSigna
         raise BoxValidationError(
             "box table breaks positivity/normalization beyond the requested tolerance"
         )
-    a_to_b, b_to_a, (setting,) = no_signaling_violations(box.table)
-    return NoSignalingReport(float(a_to_b), float(b_to_a), setting, tol)
+    a_to_b, b_to_a = _a_to_b_gaps(box.table), _b_to_a_gaps(box.table)
+    return NoSignalingReport(
+        float(a_to_b.max()), float(b_to_a.max()), _worst_setting(a_to_b, b_to_a), tol
+    )
 
 
 def _correlators(t: np.ndarray) -> np.ndarray:

@@ -29,7 +29,8 @@ from .tolerance import DEFAULT_TOL
 
 SEED_ENV_VAR = "BOXWORLD_SEED"
 BUILTIN_BOXES = ("pr", "uniform")
-# Largest --steps: 8 MB of angles and about 30 s of sweep.
+# Largest --steps: 8 MB of angles; a 10**6-angle scan or audit took 11-18 s,
+# cold, on a shared 2-vCPU VM.
 MAX_STEPS = 10**6
 # Largest --digits: 17 significant digits identify any float64.
 MAX_DIGITS = 17
@@ -265,13 +266,11 @@ def cmd_signal(args, out) -> int:
 
 def cmd_scan(args, out) -> int:
     thetas = _theta_grid(args)
-    print("theta,ab_violation,ba_violation", file=out)
-    for rep in audit_mod.audit_sweep(thetas):
-        print(
-            f"{_fmt(rep.theta, args.digits)},{_fmt(rep.marginal_shift, args.digits)},"
-            f"{_fmt(rep.b_to_a_violation, args.digits)}",
-            file=out,
-        )
+    spec = f".{args.digits}g"
+    out.write("theta,ab_violation,ba_violation\n")
+    for chunk in audit_mod.audit_sweep(thetas):
+        rows = zip(chunk.theta, chunk.marginal_shift.tolist(), chunk.b_to_a_violation.tolist())
+        out.write("".join(f"{t:{spec}},{ab:{spec}},{ba:{spec}}\n" for t, ab, ba in rows))
     return 0
 
 
@@ -305,15 +304,22 @@ def cmd_audit(args, out) -> int:
         thetas = _theta_grid(args)
     else:
         raise _UsageError("audit needs --theta alone or all of --theta-min/--theta-max/--steps")
-    print("theta,pos_ok,norm_ok,ab_violation,ba_violation", file=out)
-    for rep in audit_mod.audit_sweep(thetas):
-        print(
-            f"{_fmt(rep.theta, args.digits)},"
-            f"{'true' if rep.positivity_ok else 'false'},"
-            f"{'true' if rep.normalization_ok else 'false'},"
-            f"{_fmt(rep.a_to_b_violation, args.digits)},"
-            f"{_fmt(rep.b_to_a_violation, args.digits)}",
-            file=out,
+    spec = f".{args.digits}g"
+    verdict = ("false", "true")
+    out.write("theta,pos_ok,norm_ok,ab_violation,ba_violation\n")
+    for chunk in audit_mod.audit_sweep(thetas):
+        rows = zip(
+            chunk.theta,
+            chunk.positivity_ok.tolist(),
+            chunk.normalization_ok.tolist(),
+            chunk.a_to_b_violation.tolist(),
+            chunk.b_to_a_violation.tolist(),
+        )
+        out.write(
+            "".join(
+                f"{t:{spec}},{verdict[pos]},{verdict[norm]},{ab:{spec}},{ba:{spec}}\n"
+                for t, pos, norm, ab, ba in rows
+            )
         )
     return 0
 

@@ -39,7 +39,7 @@ from boxworld.hybrid import (
     HybridState,
     _rotated_rows,
 )
-from boxworld.quantum import DensityOperator, Ket, Unitary, _cos_sin
+from boxworld.quantum import DensityOperator, Ket, Unitary
 
 # ---------------------------------------------------------------- quantum
 
@@ -58,7 +58,9 @@ def identity(dim: int) -> Unitary:
 
 def rotation(theta: float) -> Unitary:
     """Single-qubit rotation taking |0> to cos(theta)|0> + sin(theta)|1>."""
-    c, s = _cos_sin(theta)
+    if not math.isfinite(theta):
+        raise ValueError("rotation angle must be finite")
+    c, s = math.cos(theta), math.sin(theta)
     return Unitary(np.array([[c, -s], [s, c]]))
 
 

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import boxworld.audit as audit_mod
-from boxworld import hybrid, quantum
+from boxworld import cli, hybrid, quantum
 from boxworld.audit import SWEEP_CHUNK, audit_dynamics, audit_sweep, effective_box
 from boxworld.boxes import ConditionalBox, check_no_signaling
 from boxworld.cli import main
@@ -86,7 +87,7 @@ class TestEffectiveBox:
         rng = np.random.default_rng(15)
         thetas = [*special, *rng.uniform(-4.0, 4.0, 200), *10.0 ** rng.uniform(-10.0, -7.0, 66)]
         verdicts = set()
-        for rep in audit_sweep(thetas):
+        for rep in _reports(thetas):
             report = check_no_signaling(effective_box(rep.theta))
             assert rep.a_to_b_violation == report.a_to_b_violation
             box_verdict = rep.positivity_ok and rep.normalization_ok and report.signaling
@@ -149,7 +150,7 @@ class TestAuditDynamics:
         grid = [float(t) for t in np.linspace(0.0, math.pi, 33)] + [0.3, -math.pi / 2]
         assert {0.0, math.pi / 2, math.pi} <= set(grid)
         thetas = [t + shift for t in grid]
-        reports = list(audit_sweep(thetas)) + [audit_dynamics(0.3 + shift)]
+        reports = _reports(thetas) + [audit_dynamics(0.3 + shift)]
         assert [rep.theta for rep in reports[:-1]] == thetas
         for rep in reports:
             assert rep.positivity_ok and rep.normalization_ok
@@ -182,7 +183,7 @@ class TestSweepAgainstBranchExpansion:
     def test_default_rotation_across_chunks(self):
         thetas = ORACLE_ANGLES
         assert len(thetas) > SWEEP_CHUNK
-        self._assert_matches(list(audit_sweep(thetas)), thetas)
+        self._assert_matches(_reports(thetas), thetas)
 
     @pytest.mark.parametrize("command", ["scan", "audit"])
     def test_cli_rows_match_oracle_rows(self, command, capsys):
@@ -201,13 +202,46 @@ class TestSweepAgainstBranchExpansion:
             np.testing.assert_allclose([float(v) for v in row], expected, rtol=0, atol=1e-15)
 
 
-def _grid(count, seed):
-    """``count`` random angles with 0, pi/2 and pi among them."""
+class TestChunkColumns:
+    """The CLI writes a sweep a chunk of columns at a time."""
+
+    SPECIALS = (0.0, -0.0, math.pi / 2, math.pi, 5e-324, -5e-324)
+
+    @pytest.mark.parametrize("digits", [17, 5])
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
+    def test_each_row_is_its_angles_own_sweep(self, count, digits, monkeypatch, capsys):
+        if count == 1:
+            grids = [[t] for t in self.SPECIALS]
+        else:
+            grids = [_grid(count, count, self.SPECIALS)]
+        for thetas, command in itertools.product(grids, ("scan", "audit")):
+            flags = ["--theta-min", "0", "--theta-max", "1", "--steps", str(count)]
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_theta_grid", lambda args: np.array(thetas))
+                assert main(["--digits", str(digits), command, *flags]) == 0
+            header, *rows = capsys.readouterr().out.splitlines()
+            assert len(rows) == count
+            for theta, row in zip(thetas, rows):
+                if command == "scan":
+                    one = ["scan", f"--theta-min={theta!r}", f"--theta-max={theta!r}", "--steps", "1"]
+                else:
+                    one = ["audit", f"--theta={theta!r}"]
+                assert main(["--digits", str(digits), *one]) == 0
+                assert capsys.readouterr().out == f"{header}\n{row}\n"
+
+
+def _grid(count, seed, specials=(0.0, math.pi / 2, math.pi)):
+    """``count`` random angles with as many of ``specials`` among them as fit."""
     rng = np.random.default_rng(seed)
     thetas = [float(t) for t in rng.uniform(-4.0, 4.0, count)]
-    for pos, special in zip(rng.permutation(count), (0.0, math.pi / 2, math.pi)):
+    for pos, special in zip(rng.permutation(count), specials):
         thetas[pos] = special
     return thetas
+
+
+def _reports(thetas):
+    """Every angle's :class:`AuditReport`, read off the sweep's chunks in order."""
+    return [chunk.report(i) for chunk in audit_sweep(thetas) for i in range(len(chunk.theta))]
 
 
 def _rotation_family_densities(thetas):
@@ -221,11 +255,11 @@ class TestDefaultRotationStack:
     @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
     def test_default_equals_explicit_rotation_family_bit_for_bit(self, count, monkeypatch):
         for thetas in (_grid(count, count), [float(t) for t in np.linspace(0.0, math.pi, count)]):
-            default = list(audit_sweep(thetas))
+            default = _reports(thetas)
             assert len(default) == count
             with monkeypatch.context() as patch:
                 patch.setattr(audit_mod, "_densities", _rotation_family_densities)
-                assert repr(default) == repr(list(audit_sweep(thetas)))
+                assert repr(default) == repr(_reports(thetas))
 
     def test_one_angle_wrappers_equal_the_rotation_family(self, monkeypatch):
         for theta in (0.0, 0.3, QUARTER, math.pi / 2, math.pi, -1.9, 7.5):
@@ -238,8 +272,9 @@ class TestDefaultRotationStack:
             assert box_output_state(theta).matrix.tobytes() == expected.tobytes()
 
     def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):
-        built, rows = [], []
+        built, rows, reports, settings = [], [], [], []
         init, densities = quantum.Unitary.__post_init__, hybrid.pr_extend_density
+        report_class, worst_setting = audit_mod.AuditReport, audit_mod._worst_setting
 
         def counting_init(self):
             built.append(self)
@@ -249,25 +284,39 @@ class TestDefaultRotationStack:
             rows.append(len(psi))
             return densities(psi, **kwargs)
 
+        def counting_report(**fields):
+            reports.append(fields["theta"])
+            return report_class(**fields)
+
+        def counting_setting(*gaps):
+            settings.append(gaps)
+            return worst_setting(*gaps)
+
         monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
         monkeypatch.setattr(hybrid, "pr_extend_density", counting_densities)
+        monkeypatch.setattr(audit_mod, "AuditReport", counting_report)
+        monkeypatch.setattr(audit_mod, "_worst_setting", counting_setting)
         thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
-        assert len(list(audit_sweep(thetas))) == len(thetas)
+        assert [len(chunk.theta) for chunk in audit_sweep(thetas)] == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
         assert rows == [SWEEP_CHUNK + 1, SWEEP_CHUNK, 1]
         for argv in (
             ["scan", "--theta-min", "0", "--theta-max", "3.2", "--steps", "40"],
+            ["audit", "--theta-min", "0", "--theta-max", "3.2", "--steps", "40"],
             ["audit", "--theta", "0.3"],
             ["signal", "--theta", "0.7"],
         ):
             assert main(argv) == 0
         capsys.readouterr()
-        assert built == []
+        assert built == [] and reports == [] and settings == []
+        # The one-angle view still builds its report and locates its worst setting.
+        assert audit_dynamics(QUARTER).worst_setting == ("a_to_b", 1, (0, 1))
+        assert reports == [QUARTER] and len(settings) == 1
         rotation(0.1)  # the counter itself works
         assert len(built) == 1
 
     def test_non_finite_angle_rejected_like_rotation(self):
         for call in (
-            lambda: list(audit_sweep([0.1, math.nan])),
+            lambda: next(audit_sweep([0.1, math.nan])),
             lambda: effective_box(math.inf),
             lambda: box_output_state(-math.inf),
         ):

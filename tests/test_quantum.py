@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boxworld.hybrid import HybridState
+from boxworld.tolerance import EIGEN_ROUNDING
 from boxworld.quantum import (
     check_densities,
     check_unitaries,
@@ -411,6 +412,33 @@ class TestTypesValidation:
         ):
             with pytest.raises(ValueError, match=message):
                 check_densities(np.concatenate([good, bad[None]]))
+
+    @pytest.mark.parametrize(
+        "lowest", [-EIGEN_ROUNDING * (1 + 1e-3), -EIGEN_ROUNDING * (1 - 1e-3), 0.0, -1e-16]
+    )
+    def test_certificate_agrees_with_the_eigenvalue_rule(self, lowest, monkeypatch):
+        rng = np.random.default_rng(7)
+        q = np.linalg.qr(rng.normal(size=(64, 4, 4)) + 1j * rng.normal(size=(64, 4, 4)))[0]
+        spectrum = np.concatenate([np.full((64, 1), lowest), rng.dirichlet(np.ones(3), 64)], axis=1)
+        spectrum[:, 1:] *= 1.0 - lowest
+        m = q @ (spectrum[:, :, None] * q.conj().swapaxes(-1, -2))
+        m = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        passes = np.linalg.eigvalsh(m).min(axis=-1) >= -EIGEN_ROUNDING
+        assert passes.all() if lowest > -EIGEN_ROUNDING else not passes.any()
+        good = np.eye(4, dtype=complex) / 4
+        decomposed, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: decomposed.append(a) or eigvalsh(a))
+        for one, ok in zip(m, passes.tolist()):
+            stack = np.stack([good, one, good])
+            if ok:  # decided by the certificate alone
+                check_densities(one)
+                check_densities(stack)
+                assert decomposed == []
+            else:
+                for bad in (one, stack):
+                    with pytest.raises(ValueError, match="^negative eigenvalue -1e-10$"):
+                        check_densities(bad)
+                    assert decomposed.pop() is bad
 
     @pytest.mark.parametrize(
         "bad",
