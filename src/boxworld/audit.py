@@ -11,23 +11,23 @@ with x: a dynamics that keeps probabilities valid while breaking the
 marginal-independence requirement.
 
 A sweep evaluates the paper's chain, :func:`boxworld.hybrid._densities`,
-on a whole chunk of angles at once (Alice's plane rotations as one stack
-checked unitary in one pass, then the closed-form output densities in one
-call), with the x = 0 density riding in the first chunk. It yields each
-chunk as columns, one array per figure, computed when first read: the
-chunk's tables in one array, positivity and normalization from
+on a whole chunk of angles at once, in one closed-form call; the x = 0
+figures are formed once per process. It yields each chunk as columns, one
+array per figure, computed when first read: the chunk's tables in one
+C-contiguous array, positivity and normalization from
 :func:`~boxworld.boxes.table_deviations`, the two signaling directions
 from their no-signaling gaps, and Bob's marginal shift, so a caller pays
 only for the figures it prints. The figures are reported, never raised:
 the audit's job is to say which property fails. :func:`audit_dynamics`
 and :func:`effective_box` read one angle of that sweep, and only
 :func:`audit_dynamics` locates the worst setting.
-:func:`~boxworld.hybrid.signaling_witness` reads the same two-row stack
-as a one-angle sweep, so ``signal`` and ``scan`` print the same figure.
+:func:`~boxworld.hybrid.signaling_witness` reads the same rows as a
+one-angle sweep, so ``signal`` and ``scan`` print the same figure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .boxes import ConditionalBox, _a_to_b_gaps, _b_to_a_gaps, _worst_setting, table_deviations
-from .hybrid import _bob_marginals, _densities
+from .hybrid import _bob_marginals, _densities, _zero_densities
 from .quantum import trace_distances
 from .tolerance import DEFAULT_TOL, ROUNDING
 
@@ -91,32 +91,43 @@ def _probabilities(rho: np.ndarray) -> np.ndarray:
     return np.einsum("yik,tij,yjk->tyk", _BASES_CONJ, rho, _BASES).real
 
 
+@functools.cache
+def _zero_figures() -> tuple[np.ndarray, np.ndarray]:
+    """The x = 0 half of every table, [a, b, y], and Bob's x = 0 marginal:
+    formed once per process, read-only."""
+    rho = _zero_densities()
+    half = _probabilities(rho)[0].reshape(2, 2, 2).transpose(1, 2, 0).copy()
+    bob = _bob_marginals(rho[0])
+    half.setflags(write=False)
+    bob.setflags(write=False)
+    return half, bob
+
+
 class SweepChunk:
     """Up to SWEEP_CHUNK consecutive angles of a sweep and their figures, as columns.
 
     ``theta`` lists the angles. Every other column is an array indexed by
     angle first: ``tables``, and each figure named as the
     :class:`AuditReport` field it fills. A column is computed when first
-    read, from the chunk's x = 1 densities and the sweep's x = 0 figures,
-    so a caller pays only for the columns it reads.
+    read, from the chunk's x = 1 densities and the x = 0 figures, so a
+    caller pays only for the columns it reads.
     """
 
-    def __init__(self, theta: list[float], rho: np.ndarray, zero: tuple[np.ndarray, np.ndarray]):
+    def __init__(self, theta: list[float], rho: np.ndarray):
         self.theta = theta
         self._rho = rho
-        self._zero = zero  # the x = 0 probabilities and Bob's marginal, shared by the sweep
 
     @cached_property
     def tables(self) -> np.ndarray:
-        """Box tables [t, a, b, x, y]."""
-        probs = np.empty((len(self._rho), 2, 2, 4))  # [t, x, y, k], k = 2a + b
-        probs[:, 0] = self._zero[0]
-        probs[:, 1] = _probabilities(self._rho)
-        return probs.reshape(-1, 2, 2, 2, 2).transpose(0, 3, 4, 1, 2)
+        """Box tables [t, a, b, x, y], one C-contiguous array."""
+        tables = np.empty((len(self._rho), 2, 2, 2, 2))
+        tables[:, :, :, 0] = _zero_figures()[0]
+        tables[:, :, :, 1] = _probabilities(self._rho).reshape(-1, 2, 2, 2).transpose(0, 2, 3, 1)
+        return tables
 
     @cached_property
     def marginal_shift(self) -> np.ndarray:
-        return trace_distances(_bob_marginals(self._rho), self._zero[1])
+        return trace_distances(_bob_marginals(self._rho), _zero_figures()[1])
 
     @cached_property
     def _deviations(self) -> tuple[np.ndarray, np.ndarray]:
@@ -156,22 +167,15 @@ def audit_sweep(thetas: Iterable[float]) -> Iterator[SweepChunk]:
     """The figures of every angle of a grid, in order, one :class:`SweepChunk`
     of SWEEP_CHUNK angles at a time.
 
-    Each chunk's inputs come from the stack of plane rotations, checked
-    unitary once per chunk, and its densities from one closed-form call,
-    checked as a whole. The x = 0 input leads the first chunk, and its
-    probabilities and Bob's marginal are formed once per sweep. A chunk's
-    tables are one array, read by :func:`~boxworld.boxes.table_deviations`
+    Each chunk's densities come from one call of the checked chain,
+    :func:`~boxworld.hybrid._densities`; the x = 0 figures, from the
+    process's one evaluation at theta = 0. A chunk's tables are one
+    C-contiguous array, read by :func:`~boxworld.boxes.table_deviations`
     and the no-signaling gaps as a whole.
     """
     angles = iter(thetas)
-    chunk = [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]
-    first = _densities([0.0, *chunk])
-    zero = (_probabilities(first[:1])[0], _bob_marginals(first[0]))
-    rho = first[1:]
-    while chunk:
-        yield SweepChunk(chunk, rho, zero)
-        if chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:
-            rho = _densities(chunk)
+    while chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:
+        yield SweepChunk(chunk, _densities(chunk))
 
 
 def effective_box(theta: float) -> ConditionalBox:

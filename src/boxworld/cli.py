@@ -29,7 +29,7 @@ from .tolerance import DEFAULT_TOL
 
 SEED_ENV_VAR = "BOXWORLD_SEED"
 BUILTIN_BOXES = ("pr", "uniform")
-# Largest --steps: 8 MB of angles; a 10**6-angle scan or audit took 11-18 s,
+# Largest --steps: 8 MB of angles; a 10**6-angle scan or audit took 12-19 s,
 # cold, on a shared 2-vCPU VM.
 MAX_STEPS = 10**6
 # Largest --digits: 17 significant digits identify any float64.
@@ -266,11 +266,11 @@ def cmd_signal(args, out) -> int:
 
 def cmd_scan(args, out) -> int:
     thetas = _theta_grid(args)
-    spec = f".{args.digits}g"
+    row = "%.{0}g,%.{0}g,%.{0}g\n".format(args.digits)
     out.write("theta,ab_violation,ba_violation\n")
     for chunk in audit_mod.audit_sweep(thetas):
         rows = zip(chunk.theta, chunk.marginal_shift.tolist(), chunk.b_to_a_violation.tolist())
-        out.write("".join(f"{t:{spec}},{ab:{spec}},{ba:{spec}}\n" for t, ab, ba in rows))
+        out.write("".join(row % r for r in rows))
     return 0
 
 
@@ -304,7 +304,7 @@ def cmd_audit(args, out) -> int:
         thetas = _theta_grid(args)
     else:
         raise _UsageError("audit needs --theta alone or all of --theta-min/--theta-max/--steps")
-    spec = f".{args.digits}g"
+    row = "%.{0}g,%s,%s,%.{0}g,%.{0}g\n".format(args.digits)
     verdict = ("false", "true")
     out.write("theta,pos_ok,norm_ok,ab_violation,ba_violation\n")
     for chunk in audit_mod.audit_sweep(thetas):
@@ -316,10 +316,7 @@ def cmd_audit(args, out) -> int:
             chunk.b_to_a_violation.tolist(),
         )
         out.write(
-            "".join(
-                f"{t:{spec}},{verdict[pos]},{verdict[norm]},{ab:{spec}},{ba:{spec}}\n"
-                for t, pos, norm, ab, ba in rows
-            )
+            "".join(row % (t, verdict[pos], verdict[norm], ab, ba) for t, pos, norm, ab, ba in rows)
         )
     return 0
 

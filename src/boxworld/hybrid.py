@@ -21,14 +21,17 @@ the density of that expansion in closed form, for a whole stack of
 inputs at once, without enumerating branches.
 
 The paper's chain, Alice's rotation of |01> by theta followed by the
-extended box, is `_densities`, evaluated on a stack of angles. Every
-figure the package prints reads that stack: the audit's sweep a chunk
-at a time, `signaling_witness` the two rows [0, theta], and
-`box_output_state` and `bob_state` one row.
+extended box, is `_densities`, evaluated on a stack of angles: each input
+row is (0, cos theta, 0, sin theta), formed without a rotation matrix.
+Every figure the package prints reads that stack: the audit's sweep a
+chunk at a time, and `signaling_witness`, `box_output_state` and
+`bob_state` one row. The theta = 0 row, which every signaling figure is
+measured against, is evaluated once per process by `_zero_densities`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -36,14 +39,8 @@ from typing import Union
 
 import numpy as np
 
-from .quantum import (
-    DensityOperator,
-    Ket,
-    basis_ket,
-    check_densities,
-    rotations,
-    trace_distances,
-)
+from .quantum import DensityOperator, Ket, basis_ket, check_densities, trace_distances
+from .tolerance import ROUNDING
 
 __all__ = [
     "DEFAULT_BRANCH_CAP",
@@ -436,28 +433,41 @@ def pr_extend_density(psi: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _rotated_rows(unitaries: np.ndarray) -> np.ndarray:
-    """The construction's inputs (U tensor 1)|01>, one row per U of a checked
-    stack of qubit unitaries, shape (T, 2, 2): U|0> on the first register
-    and |1> on the second, the stack :func:`pr_extend_density` takes.
-    """
-    psi = np.zeros((len(unitaries), 4), dtype=complex)
-    psi[:, 1::2] = unitaries[:, :, 0]
-    return psi
-
-
 def _densities(thetas) -> np.ndarray:
     """The paper's chain for a whole stack of angles: the output densities
     of the extended box, shape (T, 4, 4), for the inputs (U tensor 1)|01>
-    with U the plane rotation by each angle. The rotations are checked in
-    one pass, and the densities in one pass by :func:`pr_extend_density`.
+    = (0, c, 0, s), with U = [[c, -s], [s, c]] the rotation by each angle.
+
+    The angles are checked finite and each U unitary, which it is exactly
+    when c^2 + s^2 = 1, as U^dagger U - I = (c^2 + s^2 - 1) I; the
+    densities are checked in one pass by :func:`pr_extend_density`.
     """
-    return pr_extend_density(_rotated_rows(rotations(thetas)))
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError("rotation angle must be finite")
+    c = [math.cos(t) for t in thetas]
+    s = [math.sin(t) for t in thetas]
+    dev = max([abs(x * x + y * y - 1.0) for x, y in zip(c, s)], default=0.0)
+    if dev > ROUNDING:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
+    psi = np.zeros((len(c), 4), dtype=complex)
+    psi.real[:, 1] = c
+    psi.real[:, 3] = s
+    return pr_extend_density(psi)
 
 
 def _bob_marginals(rho: np.ndarray) -> np.ndarray:
-    """Second-register marginals of two-qubit densities, shape (..., 2, 2)."""
-    return np.einsum("...abac->...bc", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
+    """Second-register marginals of two-qubit densities, shape (..., 2, 2):
+    the sum of the two diagonal blocks."""
+    return rho[..., :2, :2] + rho[..., 2:, 2:]
+
+
+@functools.cache
+def _zero_densities() -> np.ndarray:
+    """The chain at theta = 0, shape (1, 4, 4), which every signaling figure
+    is measured against: checked and evaluated once per process, read-only."""
+    rho = _densities([0.0])
+    rho.setflags(write=False)
+    return rho
 
 
 def box_output_state(theta: float) -> DensityOperator:
@@ -499,11 +509,13 @@ class SignalingReport:
 def signaling_witness(theta: float) -> SignalingReport:
     """Quantify the one-bit signal Alice's local rotation hands to Bob.
 
-    Bob's marginals without and with the rotation are the two rows of one
-    :func:`_densities` call on [0, theta], the stack a sweep starts with,
-    so the violation is bit for bit the sweep's figure at ``theta``.
+    Bob's marginals without and with the rotation are those of
+    :func:`_zero_densities` and of the one row of :func:`_densities` at
+    ``theta``, as in a sweep, so the violation is bit for bit the sweep's
+    figure at ``theta``.
     """
-    bob_zero, bob_theta = _bob_marginals(_densities([0.0, theta]))
+    bob_zero = _bob_marginals(_zero_densities()[0])
+    bob_theta = _bob_marginals(_densities([theta])[0])
     violation = float(trace_distances(bob_theta, bob_zero))
     evals, evecs = np.linalg.eigh(bob_theta - bob_zero)
     order = np.argsort(evals)[::-1]

@@ -11,7 +11,6 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,6 @@ __all__ = [
     "check_densities",
     "check_unitaries",
     "basis_ket",
-    "rotations",
     "trace_distances",
     "dumps_density_csv",
 ]
@@ -147,24 +145,6 @@ def basis_ket(label: str) -> Ket:
     amps = np.zeros(2 ** len(label), dtype=complex)
     amps[int(label, 2)] = 1.0
     return Ket(amps)
-
-
-def rotations(thetas: Sequence[float]) -> np.ndarray:
-    """The plane rotations [[c, -s], [s, c]] of every angle, as one stack (T, 2, 2).
-
-    Each takes |0> to cos(theta)|0> + sin(theta)|1>, with c and s from one
-    ``math.cos``/``math.sin`` call per angle. The angles are checked finite
-    in one pass and the stack unitary in one more, by :func:`check_unitaries`,
-    instead of one ``Unitary`` per angle.
-    """
-    if not np.all(np.isfinite(np.asarray(thetas, dtype=float))):
-        raise ValueError("rotation angle must be finite")
-    m = np.zeros((len(thetas), 2, 2), dtype=complex)
-    m.real[:, 0, 0] = m.real[:, 1, 1] = [math.cos(t) for t in thetas]
-    m.real[:, 1, 0] = [math.sin(t) for t in thetas]
-    m.real[:, 0, 1] = -m.real[:, 1, 0]
-    check_unitaries(m)
-    return m
 
 
 def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

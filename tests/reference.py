@@ -15,6 +15,8 @@ package computes by a shorter path, or builds inputs for such a check:
   expansion whose density :func:`boxworld.hybrid.pr_extend_density`
   gives in closed form. It derives each admissible output from the
   relation a XOR b = A AND B itself, so the two are separate derivations;
+- :func:`exact_chain`, the whole construction at an angle with rational
+  cosine and sine, in ``Fraction`` arithmetic, from the same relation;
 - a reader for :func:`boxworld.hybrid.dumps`.
 
 pytest puts both ``tests/`` and ``bench/`` on ``sys.path`` and imports
@@ -27,7 +29,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from boxworld.hybrid import (
     BranchLimitError,
     ExpressionError,
     HybridState,
-    _rotated_rows,
 )
 from boxworld.quantum import DensityOperator, Ket, Unitary
 
@@ -259,7 +261,99 @@ def rotated_inputs(unitaries: Sequence[Unitary]) -> np.ndarray:
             raise TypeError(f"expected a Unitary, got {type(u).__name__}")
         if u.dim != 2:
             raise ValueError(f"expected a single-qubit unitary, got dimension {u.dim}")
-    return _rotated_rows(np.array([u.matrix for u in unitaries]).reshape(-1, 2, 2))
+    psi = np.zeros((len(unitaries), 4), dtype=complex)
+    psi[:, 1::2] = np.array([u.matrix[:, 0] for u in unitaries]).reshape(-1, 2)
+    return psi
+
+
+class ExactFigures(NamedTuple):
+    """The construction's figures at one angle, exactly.
+
+    ``density`` is the output density [i][j] of the rotated input,
+    ``table`` the effective box [a][b][x][y] and ``bob`` Bob's marginal
+    [b][b'] of ``density``; the rest are the :class:`~boxworld.audit.AuditReport`
+    figures of the same names.
+    """
+
+    density: list[list[Fraction]]
+    table: list[list[list[list[Fraction]]]]
+    bob: list[list[Fraction]]
+    marginal_shift: Fraction
+    a_to_b_violation: Fraction
+    b_to_a_violation: Fraction
+
+
+def _exact_density(c: Fraction, s: Fraction) -> list[list[Fraction]]:
+    """Output density of the input c|01> + s|11>, by branch expansion."""
+    psi = [Fraction(0), c, Fraction(0), s]
+    nz = [i for i in range(4) if psi[i]]
+    rho = [[Fraction(0)] * 4 for _ in range(4)]
+    for sel in itertools.product((0, 1), repeat=len(nz)):
+        out = [Fraction(0)] * 4
+        for choice, i in zip(sel, nz):
+            out[_admissible_outputs(i)[choice]] += psi[i] / 2
+        for j, k in itertools.product(range(4), repeat=2):
+            rho[j][k] += out[j] * out[k] / 2 ** len(nz)
+    trace = sum(rho[i][i] for i in range(4))
+    return [[v / trace for v in row] for row in rho]
+
+
+def _exact_sqrt(q: Fraction) -> Fraction:
+    """The square root of a rational square; anything else is an error."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if Fraction(num, den) ** 2 != q:
+        raise ValueError(f"{q} is not the square of a rational")
+    return Fraction(num, den)
+
+
+def _max_gap(marginals: list[list[list[Fraction]]]) -> Fraction:
+    """The largest total-variation gap between the marginals [r][i] (over
+    outcomes) of two sender inputs i, over receiver inputs r."""
+    return max(sum(abs(p - q) for p, q in zip(m[0], m[1])) / 2 for m in marginals)
+
+
+def exact_chain(c: Fraction, s: Fraction) -> ExactFigures:
+    """The construction at the angle whose cosine is ``c`` and sine ``s``.
+
+    The inputs are c|01> + s|11> (x = 1) and |01> (x = 0), each sent
+    through the extension branch by branch with the outputs of
+    a XOR b = A AND B. Alice reads her register in Z and Bob in Z (y = 0)
+    or in |+>/|-> (y = 1); the 1/sqrt(2) of that basis enters squared, so
+    every probability is rational. The marginal shift is the trace
+    distance of Bob's two marginals, whose difference is a traceless real
+    2x2 matrix [[d, e], [e, -d]] with eigenvalues +-sqrt(d^2 + e^2); the
+    square root must be rational, as it is whenever c^2 + s^2 = 1.
+    """
+    if c * c + s * s != 1:
+        raise ValueError(f"({c}, {s}) is not on the unit circle")
+    densities = (_exact_density(Fraction(1), Fraction(0)), _exact_density(c, s))
+    # Bob's basis vectors, unnormalized, and their squared norms, by y.
+    bob_bases = (((1, 0), (0, 1)), ((1, 1), (1, -1)))
+    norms = (1, 2)
+    table = [[[[Fraction(0)] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    for a, b, x, y in itertools.product((0, 1), repeat=4):
+        v = [0] * 4
+        v[2 * a], v[2 * a + 1] = bob_bases[y][b]
+        rho = densities[x]
+        quad = sum(v[i] * v[j] * rho[i][j] for i in range(4) for j in range(4))
+        table[a][b][x][y] = quad / norms[y]
+    bobs = [
+        [[sum(rho[2 * a + b][2 * a + b2] for a in (0, 1)) for b2 in (0, 1)] for b in (0, 1)]
+        for rho in densities
+    ]
+    d = bobs[1][0][0] - bobs[0][0][0]
+    e = bobs[1][0][1] - bobs[0][0][1]
+    bits = (0, 1)
+    bob_marg = [[[sum(table[a][b][x][y] for a in bits) for b in bits] for x in bits] for y in bits]
+    alice_marg = [[[sum(table[a][b][x][y] for b in bits) for a in bits] for y in bits] for x in bits]
+    return ExactFigures(
+        density=densities[1],
+        table=table,
+        bob=bobs[1],
+        marginal_shift=_exact_sqrt(d * d + e * e),
+        a_to_b_violation=_max_gap(bob_marg),
+        b_to_a_violation=_max_gap(alice_marg),
+    )
 
 
 def loads(text: str) -> HybridState:

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +11,17 @@ from boxworld import cli, hybrid, quantum
 from boxworld.audit import SWEEP_CHUNK, audit_dynamics, audit_sweep, effective_box
 from boxworld.boxes import ConditionalBox, check_no_signaling
 from boxworld.cli import main
-from boxworld.hybrid import HybridState, bob_state, box_output_state, pr_extend_density
+from boxworld.hybrid import (
+    HybridState,
+    bob_state,
+    box_output_state,
+    pr_extend_density,
+    signaling_witness,
+)
 from boxworld.quantum import basis_ket, trace_distances
 from reference import (
     apply,
+    exact_chain,
     identity,
     measure_probs,
     minus_ket,
@@ -250,7 +259,8 @@ def _rotation_family_densities(thetas):
 
 
 class TestDefaultRotationStack:
-    """The sweep forms its inputs from one checked stack of rotations."""
+    """The sweep's inputs, formed from cos and sin without a rotation matrix,
+    give the figures of the rotation family bit for bit."""
 
     @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
     def test_default_equals_explicit_rotation_family_bit_for_bit(self, count, monkeypatch):
@@ -292,13 +302,14 @@ class TestDefaultRotationStack:
             settings.append(gaps)
             return worst_setting(*gaps)
 
+        audit_mod._zero_figures()  # the theta = 0 row, evaluated once per process
         monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
         monkeypatch.setattr(hybrid, "pr_extend_density", counting_densities)
         monkeypatch.setattr(audit_mod, "AuditReport", counting_report)
         monkeypatch.setattr(audit_mod, "_worst_setting", counting_setting)
         thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
         assert [len(chunk.theta) for chunk in audit_sweep(thetas)] == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
-        assert rows == [SWEEP_CHUNK + 1, SWEEP_CHUNK, 1]
+        assert rows == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
         for argv in (
             ["scan", "--theta-min", "0", "--theta-max", "3.2", "--steps", "40"],
             ["audit", "--theta-min", "0", "--theta-max", "3.2", "--steps", "40"],
@@ -322,3 +333,79 @@ class TestDefaultRotationStack:
         ):
             with pytest.raises(ValueError, match="^rotation angle must be finite$"):
                 call()
+
+
+# Pythagorean triples (a, b, h): (a/h, b/h) is a rational point of the unit circle.
+TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
+# Each (cos, sin) with both signs and both orders: 32 points, one per octant and triple.
+PYTHAGOREAN = [
+    pair
+    for a, b, h in TRIPLES
+    for c, s in ((Fraction(a, h), Fraction(b, h)), (Fraction(b, h), Fraction(a, h)))
+    for pair in ((c, s), (-c, s), (c, -s), (-c, -s))
+]
+
+
+class TestRationalOracle:
+    """The float chain at theta = atan2(s, c) against the exact chain at (c, s)."""
+
+    # Every figure is O(1) and formed by a handful of roundings from
+    # math.cos/math.sin of a rounded angle; the worst seen is 0.75 ulp of 1.
+    BOUND = 4 * sys.float_info.epsilon
+
+    def test_exact_figures(self):
+        for c, s in PYTHAGOREAN:
+            fig = exact_chain(c, s)
+            table = np.array(fig.table, dtype=object)
+            assert all(p >= 0 for p in table.flat)
+            assert all(v == 1 for v in table.sum(axis=(0, 1)).flat)
+            assert fig.b_to_a_violation == 0
+            assert fig.a_to_b_violation == abs(2 * c * s) / 4  # |sin 2 theta| / 4
+            assert fig.marginal_shift == fig.a_to_b_violation
+            assert fig.bob == [[Fraction(1, 2), c * s / 2], [c * s / 2, Fraction(1, 2)]]
+        assert exact_chain(Fraction(3, 5), Fraction(4, 5)).a_to_b_violation == Fraction(6, 25)
+
+    def test_float_chain_within_the_bound(self):
+        thetas = [math.atan2(s, c) for c, s in PYTHAGOREAN]
+        exact = [exact_chain(c, s) for c, s in PYTHAGOREAN]
+        rows = np.array([[0.0, c, 0.0, s] for c, s in PYTHAGOREAN], dtype=float)
+        names = ("tables", "marginal_shift", "a_to_b_violation", "b_to_a_violation")
+        columns = {name: [] for name in names}
+        for chunk in audit_sweep(thetas):
+            for name, values in columns.items():
+                values.extend(getattr(chunk, name))
+        got = {
+            "density": pr_extend_density(rows),
+            "chain density": hybrid._densities(thetas),
+            **{name: np.array(values) for name, values in columns.items()},
+        }
+        want = {
+            "density": [fig.density for fig in exact],
+            "chain density": [fig.density for fig in exact],
+            "tables": [fig.table for fig in exact],
+            "marginal_shift": [fig.marginal_shift for fig in exact],
+            "a_to_b_violation": [fig.a_to_b_violation for fig in exact],
+            "b_to_a_violation": [fig.b_to_a_violation for fig in exact],
+        }
+        for name, values in got.items():
+            error = np.abs(values - np.array(want[name], dtype=float)).max()
+            assert error <= self.BOUND, (name, error)
+
+
+class TestMovedChecks:
+    """The checks of the rotation stack still run on every path to a density."""
+
+    # At angles whose sine is 0 a cosine of 1 + 1e-9 puts c^2 + s^2 - 1 at 2e-9.
+    CALLS = {
+        "audit_sweep": lambda: next(audit_sweep([0.0, -0.0])),
+        "effective_box": lambda: effective_box(0.0),
+        "box_output_state": lambda: box_output_state(0.0),
+        "bob_state": lambda: bob_state(-0.0),
+        "signaling_witness": lambda: signaling_witness(0.0),
+    }
+
+    @pytest.mark.parametrize("call", CALLS, ids=str)
+    def test_an_input_off_the_unit_circle_is_refused(self, monkeypatch, call):
+        monkeypatch.setattr(hybrid.math, "cos", lambda theta: 1.0 + 1e-9)
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 2e-09\)$"):
+            self.CALLS[call]()

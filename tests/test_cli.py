@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import hashlib
+import io
 import math
 import os
 import re
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxworld
 from boxworld import audit, boxes, cli, hybrid, protocol
@@ -933,6 +938,29 @@ class TestLazyLayers:
         proc = _fresh_python("-c", TRACER_ROUND_TRIP.format(bench=str(bench)))
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True True\n")
 
+    def test_two_sweeps_evaluate_the_zero_row_once(self):
+        # Two sweeps and a witness, none of whose own angles is 0, send 45
+        # input rows through the chain, the theta = 0 row among them once.
+        proc = _fresh_python(
+            "-W",
+            "error",
+            "-c",
+            "import numpy as np\n"
+            "from boxworld import audit, hybrid\n"
+            "rows = []\n"
+            "densities = hybrid.pr_extend_density\n"
+            "def counting(psi):\n"
+            "    rows.extend(psi.tolist())\n"
+            "    return densities(psi)\n"
+            "hybrid.pr_extend_density = counting\n"
+            "for grid in ([0.1, 0.2, 0.3], np.linspace(0.5, 3.0, 40)):\n"
+            "    for chunk in audit.audit_sweep(grid):\n"
+            "        chunk.tables, chunk.marginal_shift\n"
+            "hybrid.signaling_witness(0.7)\n"
+            "print(len(rows), rows.count([0j, 1 + 0j, 0j, 0j]))\n",
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "45 1\n")
+
     @pytest.mark.parametrize(
         "prelude, argv, code, message",
         [
@@ -968,3 +996,141 @@ class TestLazyLayers:
         monkeypatch.setitem(cli._COMMANDS, "chsh", overflowing)
         with pytest.raises(RecursionError):
             main(["chsh"])
+
+
+def _sweep_corpus() -> dict[str, list[list[str]]]:
+    """Groups of ``scan``, ``audit`` and ``signal`` argv whose stdout is pinned."""
+    pi, half = "3.141592653589793", "1.5707963267948966"
+    ends = [
+        ("0", pi),
+        ("-0.0", half),
+        (f"-{half}", "5e-324"),
+        ("-5e-324", "1e-300"),
+        (half, "-5e-324"),
+        ("5e-324", f"-{half}"),
+        ("1e-300", "0"),
+        (pi, "-0.0"),
+    ]
+    singles = ["0", "-0.0", "0.3", half, f"-{half}", pi, "5e-324", "-5e-324", "1e-300"]
+    groups = {}
+    for command in ("scan", "audit"):
+        for steps in (1, 13, 31, 32, 33, 65):
+            groups[f"{command} steps={steps}"] = [
+                [command, f"--theta-min={lo}", f"--theta-max={hi}", "--steps", str(steps)]
+                for lo, hi in ends
+            ]
+        groups[f"{command} one step at 1e308"] = [
+            [command, f"--theta-min={t}", f"--theta-max={t}", "--steps", "1"]
+            for t in ("1e308", "-1e308")
+        ]
+        groups[f"{command} degrees"] = [
+            [command, "--theta-min=-90", "--theta-max", "180", "--steps", "13", "--degrees"],
+            [command, "--theta-min", "0", "--theta-max", "45", "--steps", "33", "--degrees"],
+        ]
+        groups[f"{command} digits"] = [
+            ["--digits", digits, command, "--theta-min", "0", "--theta-max", pi, "--steps", "33"]
+            for digits in ("1", "5", "17")
+        ]
+    for command in ("audit", "signal"):
+        groups[f"{command} theta"] = [[command, f"--theta={t}"] for t in singles] + [
+            [command, "--theta", "90", "--degrees"],
+            ["--digits", "5", command, "--theta", "0.3"],
+        ]
+    return groups
+
+
+# sha256 of each group's stdouts, concatenated in order, as the sweep printed
+# them before its inputs were formed from cos and sin directly.
+SWEEP_BYTES = {
+    "scan steps=1": "5cb76bde9b694156b02edcffa452a560f1b0c77e691bb97e6c5bcb77431fb962",
+    "scan steps=13": "b932e65e52a589dfd1664ada56a245fefcad4d5efab8ef3468b42802217e61d9",
+    "scan steps=31": "58b262ae0bc5320e27b90673bf45f0300a03a2c81b7c8561f022a733bf657ac9",
+    "scan steps=32": "2f6280e904c1d6c682eabf83e3a2bc547b3cabd4d5e09461df8f0e73b17d1272",
+    "scan steps=33": "6d1ae8c3a9f9e0ab74f27aa62843df71755582d69bbcb5f5b48f1779cbcf3e25",
+    "scan steps=65": "822dc20a16519158bf1690efcda57b4200067ed29f398815cca5e24bae6d5571",
+    "scan one step at 1e308": "8c728a0f33806bf5cb12cbe6cdded422569211dcecacd7b705d70e255f192b41",
+    "scan degrees": "5944af0d5bd12af474819a9920943587cf928d1e7d3e189975d26d3b771c448a",
+    "scan digits": "0e43c1ca119c649432a2892a68cadb044bf8b1b24dcd4185cf05c6a00df27849",
+    "audit steps=1": "f17968f73eed04f42de454005c5e51181a60364a9ef3189be70bdef87e658369",
+    "audit steps=13": "3918e9337ffc8d77f83c21dd97039cebc72798cb2a1f3c0d8b96c0c350688841",
+    "audit steps=31": "028b5a87222f91b632983e4bc37a5f4c6bd070239ba1c2ccf04b3f11629cc622",
+    "audit steps=32": "24666d33393f363bd8671c2906155aa456052bcb9835e98574b9905afec7fcaa",
+    "audit steps=33": "41f5114b299f718c55ed5091a8dcf395be9117701e9166821d6d541a7cfb5821",
+    "audit steps=65": "f8b201c45edfbd1e0d159f72b4d6fe41b0b95bb7abcb0db66b0f0511c1d97e4e",
+    "audit one step at 1e308": "df74e4fbdc37ef48244673f315bf8d648d1ab2290897d2fcc0d4c4fa16c6d018",
+    "audit degrees": "921bc4fdd98cb87046217d51eecf7e640e3f834cdc651242c20b356d2d9ab4d1",
+    "audit digits": "a0094dc74361e35c5c73c8de9c0e3b6499ff3303b0bb6047d631c021b5b68769",
+    "audit theta": "a04e9b34ff0f84cb152ddd2f536907fcb3dd45991513ec9097dfa541916a9772",
+    "signal theta": "fcf248bbf422b14f3885a2f9533aa0f1f807eac53f9b52e9d1b4732f0304742e",
+}
+
+
+class TestSweepBytes:
+    """The sweep commands print the bytes they printed when these were recorded."""
+
+    def test_the_corpus_is_the_pinned_one(self):
+        assert list(_sweep_corpus()) == list(SWEEP_BYTES)
+
+    @pytest.mark.parametrize("group", SWEEP_BYTES)
+    def test_stdout_is_unchanged(self, capsys, group):
+        digest = hashlib.sha256()
+        for argv in _sweep_corpus()[group]:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == SWEEP_BYTES[group]
+
+
+# Flag values at and around the bounds the sweep commands check. No accepted
+# --steps exceeds 33, so no drawn grid is long.
+FLAG_VALUES = [
+    "0", "1", "2", "33", str(cli.MAX_STEPS + 1), str(2**31), "-1", "0.0", "-0.0",
+    "5e-324", "1e308", "-1e308", "nan", "inf", "1e999",
+]
+
+
+def _subcommand_flags(command: str) -> list[argparse.Action]:
+    """The optional actions of one subcommand of the CLI's parser, but --help."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"]
+
+
+@st.composite
+def sweep_argvs(draw) -> list[str]:
+    """argv of ``scan``, ``audit`` or ``signal`` with flags drawn from the parser."""
+    command = draw(st.sampled_from(["scan", "audit", "signal"]))
+    actions = _subcommand_flags(command)
+    required = [a for a in actions if a.required] if draw(st.booleans()) else []
+    chosen = required + draw(st.lists(st.sampled_from(actions), max_size=len(actions)))
+    flags = []
+    for action in draw(st.permutations(chosen)):
+        option = action.option_strings[0]
+        if action.nargs == 0:  # --degrees
+            flags.append([option])
+        elif draw(st.booleans()):
+            flags.append([f"{option}={draw(st.sampled_from(FLAG_VALUES))}"])
+        else:
+            flags.append([option, draw(st.sampled_from(FLAG_VALUES))])
+    argv = [command, *(token for flag in flags for token in flag)]
+    digits = draw(st.sampled_from([None, "0", "1", "17", "18"]))
+    if digits is not None:
+        before = draw(st.booleans())
+        argv = ["--digits", digits, *argv] if before else [*argv, "--digits", digits]
+    return argv
+
+
+class TestGeneratedSweepArgv:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_argvs())
+    def test_exit_code_and_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # a defect raises here, with its traceback
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        if code:
+            assert out == "" and _one_error_line(err, "error: "), (argv, err)
+        else:
+            assert err == "" and out, argv
+            assert len(out.splitlines()) <= 101 or argv[0] == "signal"

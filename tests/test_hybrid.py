@@ -378,10 +378,11 @@ class TestSignalingWitness:
             built.append(self)
             init(self)
 
+        hybrid._zero_densities()  # the theta = 0 row, evaluated once per process
         monkeypatch.setattr(hybrid, "pr_extend_density", counting_densities)
         monkeypatch.setattr(quantum.DensityOperator, "__post_init__", counting_init)
         rep = signaling_witness(0.7)
-        assert stacks == [2] and built == []
+        assert stacks == [1] and built == []
         assert rep.a_to_b_violation == pytest.approx(math.sin(1.4) / 4, abs=1e-12)
 
 

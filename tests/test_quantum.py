@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boxworld import hybrid
 from boxworld.hybrid import HybridState
 from boxworld.tolerance import EIGEN_ROUNDING
 from boxworld.quantum import (
@@ -13,7 +14,6 @@ from boxworld.quantum import (
     Unitary,
     basis_ket,
     dumps_density_csv,
-    rotations,
     trace_distances,
 )
 from reference import (
@@ -24,6 +24,7 @@ from reference import (
     minus_ket,
     partial_trace,
     plus_ket,
+    rotated_inputs,
     rotation,
     tensor,
 )
@@ -73,34 +74,44 @@ class TestRotation:
             rotation(float("inf"))
 
 
+def _rotation_stack(thetas) -> np.ndarray:
+    """The rotations of ``thetas`` as one stack (T, 2, 2), one ``reference.rotation`` each."""
+    return np.array([rotation(t).matrix for t in thetas]).reshape(-1, 2, 2)
+
+
 class TestRotationStack:
     THETAS = (0.0, 0.37, -1.9, math.pi / 2, math.pi, -math.pi, 1e-300, 7.5, 123456.789)
 
-    def test_rows_are_the_rotation_matrices_bit_for_bit(self):
-        stack = rotations(self.THETAS)
+    def test_rows_are_the_rotation_matrices_bit_for_bit(self, monkeypatch):
+        inputs = []
+        monkeypatch.setattr(hybrid, "pr_extend_density", lambda psi: inputs.append(psi))
+        hybrid._densities(self.THETAS)
+        hybrid._densities([])
+        stack = _rotation_stack(self.THETAS)
         assert stack.shape == (len(self.THETAS), 2, 2) and stack.dtype == complex
-        for theta, m in zip(self.THETAS, stack):
-            assert m.tobytes() == rotation(theta).matrix.tobytes()
-        assert rotations([]).shape == (0, 2, 2)
+        expected = rotated_inputs([rotation(t) for t in self.THETAS])
+        assert np.array_equal(expected[:, 1::2], stack[:, :, 0])
+        assert inputs[0].dtype == complex and inputs[0].tobytes() == expected.tobytes()
+        assert inputs[1].shape == (0, 4)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_like_rotation(self, bad):
         with pytest.raises(ValueError, match="^rotation angle must be finite$"):
             rotation(bad)
         with pytest.raises(ValueError, match="^rotation angle must be finite$"):
-            rotations([0.1, bad, 0.2])
+            hybrid._densities([0.1, bad, 0.2])
 
 
 class TestCheckUnitaries:
     def test_accepts_one_matrix_and_stacks(self):
-        stack = rotations([0.1, 0.2, 0.3, 0.4])
+        stack = _rotation_stack([0.1, 0.2, 0.3, 0.4])
         check_unitaries(stack[0])
         check_unitaries(stack)
         check_unitaries(stack.reshape(2, 2, 2, 2))
         check_unitaries(np.eye(4)[None])
 
     def test_names_the_worst_deviation(self):
-        good = rotations([0.1, 0.2])
+        good = _rotation_stack([0.1, 0.2])
         bad = np.stack([good[0] * (1 + 1e-9), good[1], good[0] * (1 + 1e-6), good[1]])
         with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 2e-06\)$"):
             check_unitaries(bad)
