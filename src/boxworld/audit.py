@@ -11,16 +11,17 @@ with x: a dynamics that keeps probabilities valid while breaking the
 marginal-independence requirement.
 
 A sweep evaluates the paper's chain, :func:`boxworld.hybrid._densities`,
-on a whole chunk of angles at once, in one closed-form call; the x = 0
-figures are formed once per process. It yields each chunk as columns, one
-array per figure, computed when first read: the chunk's tables in one
-C-contiguous array, positivity and normalization from
-:func:`~boxworld.boxes.table_deviations`, the two signaling directions
-from their no-signaling gaps, and Bob's marginal shift, so a caller pays
-only for the figures it prints. The figures are reported, never raised:
-the audit's job is to say which property fails. :func:`audit_dynamics`
-and :func:`effective_box` read one angle of that sweep, and only
-:func:`audit_dynamics` locates the worst setting.
+on a whole chunk of angles at once, in one call that fills each density
+from three fixed terms in (cos theta, sin theta) and checks it by its
+closed-form spectrum; the x = 0 figures are formed once per process. It
+yields each chunk as columns, one array per figure, computed when first
+read: the chunk's tables in one C-contiguous array, positivity and
+normalization from :func:`~boxworld.boxes.table_deviations`, the two
+signaling directions from their no-signaling gaps, and Bob's marginal
+shift, so a caller pays only for the figures it prints. The figures are
+reported, never raised: the audit's job is to say which property fails.
+:func:`audit_dynamics` and :func:`effective_box` read one angle of that
+sweep, and only :func:`audit_dynamics` locates the worst setting.
 :func:`~boxworld.hybrid.signaling_witness` reads the same rows as a
 one-angle sweep, so ``signal`` and ``scan`` print the same figure.
 """

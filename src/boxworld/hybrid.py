@@ -16,17 +16,20 @@ exactly two admissible outputs, |0,(A AND B)> and |1,(1 XOR A AND B)>,
 entering as an equal-weight incoherent pair; amplitudes on the input
 distribute linearly across those pairs, and distinct components choose
 independently. An input with k nonzero components therefore expands into
-2^k output branches of relative weight 2^-k. `pr_extend_density` gives
-the density of that expansion in closed form, for a whole stack of
-inputs at once, without enumerating branches.
+2^k output branches of relative weight 2^-k.
 
 The paper's chain, Alice's rotation of |01> by theta followed by the
-extended box, is `_densities`, evaluated on a stack of angles: each input
-row is (0, cos theta, 0, sin theta), formed without a rotation matrix.
-Every figure the package prints reads that stack: the audit's sweep a
-chunk at a time, and `signaling_witness`, `box_output_state` and
-`bob_state` one row. The theta = 0 row, which every signaling figure is
-measured against, is evaluated once per process by `_zero_densities`.
+extended box, is `_densities`, evaluated on a stack of angles. The
+rotated input (0, cos theta, 0, sin theta) has two nonzero components, so
+its output density is a quadratic form in (c, s) = (cos theta, sin theta):
+three fixed terms with weights c^2, s^2 and cs, filled in straight from
+(c, s) without a rotation matrix or an expansion. Each density is checked
+by its own spectrum, which the form gives in closed form: (c^2 + s^2)/2,
+c^2/2, s^2/2 and 0, over c^2 + s^2. Every figure the package prints reads
+that stack: the audit's sweep a chunk at a time, and `signaling_witness`,
+`box_output_state` and `bob_state` one row. The theta = 0 row, which every
+signaling figure is measured against, is evaluated once per process by
+`_zero_densities`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from typing import Union
 
 import numpy as np
 
-from .quantum import DensityOperator, Ket, basis_ket, check_densities, trace_distances
-from .tolerance import ROUNDING
+from .quantum import DensityOperator, Ket, basis_ket, trace_distances
+from .tolerance import EIGEN_ROUNDING, ROUNDING
 
 __all__ = [
     "DEFAULT_BRANCH_CAP",
@@ -57,7 +60,6 @@ __all__ = [
     "StateExpr",
     "HybridState",
     "distribute",
-    "pr_extend_density",
     "box_output_state",
     "bob_state",
     "SignalingReport",
@@ -375,62 +377,8 @@ def _pow2_times(m: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     return np.ldexp(m.view(float), k).view(complex)
 
 
-def _pr_output(i: int, choice: int) -> int:
-    """Index of the admissible output |a b> of input |AB> = i with a = choice.
-
-    The box relation a XOR b = A AND B fixes b once a is chosen.
-    """
-    return (choice << 1) | (((i >> 1) & (i & 1)) ^ choice)
-
-
-# The extension as linear maps. _EXT_OUT[s] sends |i> to (1/2)|o(i, s)>,
-# the amplitude-halved output of pair choice s; _EXT_MEAN is their mean
-# (1/2)(O_0 + O_1); _EXT_SPREAD[i] is (1/2) sum_s O_s|i><i|O_s^T minus
-# M|i><i|M^T, what a component's own pair choice adds beyond the mean.
-_EXT_OUT = np.array(
-    [[[0.5 * (o == _pr_output(i, s)) for i in range(4)] for o in range(4)] for s in (0, 1)]
-)
-_EXT_MEAN = 0.5 * (_EXT_OUT[0] + _EXT_OUT[1])
-_EXT_SPREAD = 0.5 * np.einsum("sji,ski->ijk", _EXT_OUT, _EXT_OUT) - np.einsum(
-    "ji,ki->ijk", _EXT_MEAN, _EXT_MEAN
-)
-
-
-def pr_extend_density(psi: np.ndarray) -> np.ndarray:
-    """Output densities of the extended box for a stack of pure inputs, in closed form.
-
-    ``psi`` holds one two-qubit input per row, shape (T, 4), normalized or
-    not; the result, shape (T, 4, 4), is row by row the density of the
-    branch expansion the module docstring describes, without the
-    expansion. With O_s the map of pair choice s, M their mean and K_i the
-    spread of component i (see the module constants), the unnormalized
-    density is M psi psi^+ M^+ + sum_i |psi_i|^2 K_i, since distinct
-    components choose independently and only their means interfere; each
-    is then divided by its trace. A row whose largest real or imaginary
-    part lies outside [2^-500, 2^500] is first scaled by the power of two
-    that brings that part into [1/2, 1), exactly, so its squares neither
-    overflow nor underflow; the trace undoes the scale. Every matrix of
-    the stack passes the density-operator checks.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 2 or psi.shape[1] != 4:
-        raise ExpressionError(f"the box extension acts on rows of 2 qubits, got shape {psi.shape}")
-    top = np.abs(psi.view(float)).max(axis=1, initial=0.0)  # NaN or inf where a part is
-    if not np.all(np.isfinite(top)):
-        raise ValueError("non-finite amplitudes")
-    far = (top > 2.0**500) | (top < 2.0**-500)
-    if far.any():
-        psi = _pow2_times(psi, np.where(far, -np.frexp(top)[1], 0)[:, None])
-    mean = psi @ _EXT_MEAN.T
-    weights = psi.real**2 + psi.imag**2
-    rho = mean[:, :, None] * mean[:, None, :].conj()
-    rho += np.einsum("ti,ijk->tjk", weights, _EXT_SPREAD)
-    tr = np.trace(rho, axis1=1, axis2=2).real
-    if np.any(tr <= 0.0):
-        raise ExpressionError("state carries no mass")
-    rho /= tr[:, None, None]
-    check_densities(rho)
-    return rho
+# The entries of a sweep density, row major, as columns of (a, b, g, 0).
+_SWEEP_LAYOUT = [0, 2, 2, 3, 2, 1, 3, 2, 2, 3, 1, 2, 3, 2, 2, 0]
 
 
 def _densities(thetas) -> np.ndarray:
@@ -439,8 +387,21 @@ def _densities(thetas) -> np.ndarray:
     = (0, c, 0, s), with U = [[c, -s], [s, c]] the rotation by each angle.
 
     The angles are checked finite and each U unitary, which it is exactly
-    when c^2 + s^2 = 1, as U^dagger U - I = (c^2 + s^2 - 1) I; the
-    densities are checked in one pass by :func:`pr_extend_density`.
+    when c^2 + s^2 = 1, as U^dagger U - I = (c^2 + s^2 - 1) I. The box
+    sends c|01> + s|11> to c(|00> (+) |11>) + s(|01> (+) |10>), whose
+    density is three fixed terms in (c, s), over its trace 2(a + b):
+
+        a (|00><00| + |11><11|) + b (|01><01| + |10><10|)
+            + g ((|00> + |11>)(<01| + <10|) + h.c.),
+
+    with a = c^2/8, b = s^2/8 and g = cs/16. a and b are formed as the
+    squared mean of the two pair choices plus their spread, (c/4)^2 +
+    c^2/16, and g as the product of the means, (c/4)(s/4), which is how
+    the branch expansion rounds them where they are subnormal; the trace
+    divides as a product by its reciprocal. Adding 0.0 turns the g of
+    s = -0.0 into +0.0. The matrix is real and symmetric, so Hermitian,
+    and finite, as its trace (c^2 + s^2)/4 is within ROUNDING of 1/4; its
+    spectrum is checked by :func:`_check_spectrum`.
     """
     if not all(map(math.isfinite, thetas)):
         raise ValueError("rotation angle must be finite")
@@ -449,10 +410,42 @@ def _densities(thetas) -> np.ndarray:
     dev = max([abs(x * x + y * y - 1.0) for x, y in zip(c, s)], default=0.0)
     if dev > ROUNDING:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
-    psi = np.zeros((len(c), 4), dtype=complex)
-    psi.real[:, 1] = c
-    psi.real[:, 3] = s
-    return pr_extend_density(psi)
+    terms = []
+    for x, y in zip(c, s):
+        qc, qs = 0.25 * x, 0.25 * y
+        a, b, g = qc * qc + 0.0625 * (x * x), qs * qs + 0.0625 * (y * y), qc * qs
+        r = 1.0 / ((a + b) + (a + b))
+        terms.append((a * r, b * r, g * r + 0.0))
+    _check_spectrum(terms)
+    abg = np.zeros((len(terms), 4))
+    abg[:, :3] = np.reshape(terms, (-1, 3))
+    rho = np.zeros((len(terms), 16), dtype=complex)
+    rho.real = abg[:, _SWEEP_LAYOUT]
+    return rho.reshape(-1, 4, 4)
+
+
+def _check_spectrum(terms) -> None:
+    """Raise ValueError unless each (a, b, g) of ``terms`` fills a density
+    operator in the layout of :func:`_densities`.
+
+    That matrix's eigenvalues are a on Phi- = |00> - |11>, b on Psi- =
+    |01> - |10>, and (a + b)/2 +- hypot((a - b)/2, 2g) on the span of
+    Phi+ and Psi+, where it reads [[a, 2g], [2g, b]]: its spectrum exactly,
+    with no decomposition. The checks and messages are those of
+    :func:`~boxworld.quantum.check_densities`: a trace 2(a + b) within
+    ROUNDING of 1, and no eigenvalue below -EIGEN_ROUNDING, the lowest
+    being negative when 4g^2 > ab. In the chain 4g^2 = ab up to rounding,
+    so the lowest eigenvalue is 0 up to rounding.
+    """
+    trace = max([(a + b) + (a + b) for a, b, _ in terms], key=lambda t: abs(t - 1.0), default=1.0)
+    if abs(trace - 1.0) > ROUNDING:
+        raise ValueError(f"trace is {trace:.15g}, not 1")
+    lo = min(
+        [min(a, b, 0.5 * (a + b) - math.hypot(0.5 * (a - b), g + g)) for a, b, g in terms],
+        default=0.0,
+    )
+    if lo < -EIGEN_ROUNDING:
+        raise ValueError(f"negative eigenvalue {lo:.3g}")
 
 
 def _bob_marginals(rho: np.ndarray) -> np.ndarray:

@@ -157,9 +157,10 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dumps_density_csv(rho: DensityOperator, digits: int = 17) -> str:
-    """CSV dump, one line per matrix row, entries as re,im pairs."""
-    spec = f".{digits}g"
-    return "".join(
-        ",".join(f"{z.real:{spec}},{z.imag:{spec}}" for z in row.tolist()) + "\n"
-        for row in rho.matrix
-    )
+    """CSV dump, one line per matrix row, entries as re,im pairs.
+
+    Each row is formatted by one ``%`` pattern from its real and imaginary
+    parts in order, the float view of the row.
+    """
+    row = ",".join([f"%.{digits}g"] * (2 * rho.dim)) + "\n"
+    return "".join([row % tuple(parts) for parts in rho.matrix.view(float).tolist()])

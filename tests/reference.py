@@ -11,10 +11,13 @@ package computes by a shorter path, or builds inputs for such a check:
   densities by shorter paths;
 - local relabelings of a box, a symmetry of no-signaling and locality;
 - :func:`pr_extend`, the linearly extended box applied branch by branch
-  (2^k output branches for an input with k nonzero components), the
-  expansion whose density :func:`boxworld.hybrid.pr_extend_density`
-  gives in closed form. It derives each admissible output from the
-  relation a XOR b = A AND B itself, so the two are separate derivations;
+  (2^k output branches for an input with k nonzero components), and
+  :func:`pr_extend_density`, the density of that expansion in closed form
+  for a stack of any inputs, as mean plus spread of the pair choices.
+  :func:`pr_extend` derives each admissible output from the relation
+  a XOR b = A AND B itself, so the two are separate derivations; the
+  sweep's three-term density, :func:`boxworld.hybrid._densities`, is a
+  third;
 - :func:`exact_chain`, the whole construction at an angle with rational
   cosine and sine, in ``Fraction`` arithmetic, from the same relation;
 - a reader for :func:`boxworld.hybrid.dumps`.
@@ -40,8 +43,9 @@ from boxworld.hybrid import (
     BranchLimitError,
     ExpressionError,
     HybridState,
+    _pow2_times,
 )
-from boxworld.quantum import DensityOperator, Ket, Unitary
+from boxworld.quantum import DensityOperator, Ket, Unitary, check_densities
 
 # ---------------------------------------------------------------- quantum
 
@@ -208,6 +212,13 @@ def _admissible_outputs(i: int) -> list[int]:
     return [2 * a + b for a in (0, 1) for b in (0, 1) if a ^ b == A & B]
 
 
+def _branch_outputs(nz: list[int]):
+    """The branches of an input whose nonzero components are ``nz``, one per
+    combination of pair choices: each a list of (output index, component)."""
+    for sel in itertools.product((0, 1), repeat=len(nz)):
+        yield [(_admissible_outputs(i)[choice], i) for choice, i in zip(sel, nz)]
+
+
 def extrapolated(state: HybridState) -> bool:
     """Whether a branch of a two-qubit input is superposed on both registers at once.
 
@@ -240,21 +251,79 @@ def pr_extend(state: HybridState, *, max_branches: int = DEFAULT_BRANCH_CAP) -> 
             out.append((w, ket))
             continue
         share = w / 2 ** len(nz)
-        for sel in itertools.product((0, 1), repeat=len(nz)):
+        for branch in _branch_outputs(nz):
             o = np.zeros(4, dtype=complex)
-            for choice, i in zip(sel, nz):
-                o[_admissible_outputs(i)[choice]] += 0.5 * amps[i]
+            for j, i in branch:
+                o[j] += 0.5 * amps[i]
             out.append((share, Ket(o)))
         if len(out) > max_branches:
             raise BranchLimitError(f"extension expands past the cap of {max_branches} branches")
     return HybridState(2, tuple(out))
 
 
+def _pr_output(i: int, choice: int) -> int:
+    """Index of the admissible output |a b> of input |AB> = i with a = choice.
+
+    The box relation a XOR b = A AND B fixes b once a is chosen.
+    """
+    return (choice << 1) | (((i >> 1) & (i & 1)) ^ choice)
+
+
+# The extension as linear maps. _EXT_OUT[s] sends |i> to (1/2)|o(i, s)>,
+# the amplitude-halved output of pair choice s; _EXT_MEAN is their mean
+# (1/2)(O_0 + O_1); _EXT_SPREAD[i] is (1/2) sum_s O_s|i><i|O_s^T minus
+# M|i><i|M^T, what a component's own pair choice adds beyond the mean.
+_EXT_OUT = np.array(
+    [[[0.5 * (o == _pr_output(i, s)) for i in range(4)] for o in range(4)] for s in (0, 1)]
+)
+_EXT_MEAN = 0.5 * (_EXT_OUT[0] + _EXT_OUT[1])
+_EXT_SPREAD = 0.5 * np.einsum("sji,ski->ijk", _EXT_OUT, _EXT_OUT) - np.einsum(
+    "ji,ki->ijk", _EXT_MEAN, _EXT_MEAN
+)
+
+
+def pr_extend_density(psi: np.ndarray) -> np.ndarray:
+    """Output densities of the extended box for a stack of pure inputs, in closed form.
+
+    ``psi`` holds one two-qubit input per row, shape (T, 4), normalized or
+    not; the result, shape (T, 4, 4), is row by row the density of the
+    branch expansion of :func:`pr_extend`, without the
+    expansion. With O_s the map of pair choice s, M their mean and K_i the
+    spread of component i (see the module constants), the unnormalized
+    density is M psi psi^+ M^+ + sum_i |psi_i|^2 K_i, since distinct
+    components choose independently and only their means interfere; each
+    is then divided by its trace. A row whose largest real or imaginary
+    part lies outside [2^-500, 2^500] is first scaled by the power of two
+    that brings that part into [1/2, 1), exactly, so its squares neither
+    overflow nor underflow; the trace undoes the scale. Every matrix of
+    the stack passes the density-operator checks.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != 4:
+        raise ExpressionError(f"the box extension acts on rows of 2 qubits, got shape {psi.shape}")
+    top = np.abs(psi.view(float)).max(axis=1, initial=0.0)  # NaN or inf where a part is
+    if not np.all(np.isfinite(top)):
+        raise ValueError("non-finite amplitudes")
+    far = (top > 2.0**500) | (top < 2.0**-500)
+    if far.any():
+        psi = _pow2_times(psi, np.where(far, -np.frexp(top)[1], 0)[:, None])
+    mean = psi @ _EXT_MEAN.T
+    weights = psi.real**2 + psi.imag**2
+    rho = mean[:, :, None] * mean[:, None, :].conj()
+    rho += np.einsum("ti,ijk->tjk", weights, _EXT_SPREAD)
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    if np.any(tr <= 0.0):
+        raise ExpressionError("state carries no mass")
+    rho /= tr[:, None, None]
+    check_densities(rho)
+    return rho
+
+
 def rotated_inputs(unitaries: Sequence[Unitary]) -> np.ndarray:
     """The construction's inputs (U tensor 1)|01>, one row per single-qubit U.
 
     Each row is U|0> on the first register and |1> on the second, the
-    stack :func:`boxworld.hybrid.pr_extend_density` takes.
+    stack :func:`pr_extend_density` takes.
     """
     for u in unitaries:
         if not isinstance(u, Unitary):
@@ -283,15 +352,16 @@ class ExactFigures(NamedTuple):
     b_to_a_violation: Fraction
 
 
-def _exact_density(c: Fraction, s: Fraction) -> list[list[Fraction]]:
-    """Output density of the input c|01> + s|11>, by branch expansion."""
+def exact_density(c: Fraction, s: Fraction) -> list[list[Fraction]]:
+    """Output density of the input c|01> + s|11>, by the branch expansion of
+    :func:`pr_extend` in ``Fraction`` arithmetic."""
     psi = [Fraction(0), c, Fraction(0), s]
     nz = [i for i in range(4) if psi[i]]
     rho = [[Fraction(0)] * 4 for _ in range(4)]
-    for sel in itertools.product((0, 1), repeat=len(nz)):
+    for branch in _branch_outputs(nz):
         out = [Fraction(0)] * 4
-        for choice, i in zip(sel, nz):
-            out[_admissible_outputs(i)[choice]] += psi[i] / 2
+        for j, i in branch:
+            out[j] += psi[i] / 2
         for j, k in itertools.product(range(4), repeat=2):
             rho[j][k] += out[j] * out[k] / 2 ** len(nz)
     trace = sum(rho[i][i] for i in range(4))
@@ -326,7 +396,7 @@ def exact_chain(c: Fraction, s: Fraction) -> ExactFigures:
     """
     if c * c + s * s != 1:
         raise ValueError(f"({c}, {s}) is not on the unit circle")
-    densities = (_exact_density(Fraction(1), Fraction(0)), _exact_density(c, s))
+    densities = (exact_density(Fraction(1), Fraction(0)), exact_density(c, s))
     # Bob's basis vectors, unnormalized, and their squared norms, by y.
     bob_bases = (((1, 0), (0, 1)), ((1, 1), (1, -1)))
     norms = (1, 2)

@@ -15,19 +15,22 @@ from boxworld.hybrid import (
     HybridState,
     bob_state,
     box_output_state,
-    pr_extend_density,
     signaling_witness,
 )
 from boxworld.quantum import basis_ket, trace_distances
 from reference import (
+    _EXT_MEAN,
+    _EXT_SPREAD,
     apply,
     exact_chain,
+    exact_density,
     identity,
     measure_probs,
     minus_ket,
     partial_trace,
     plus_ket,
     pr_extend,
+    pr_extend_density,
     rotated_inputs,
     rotation,
     tensor,
@@ -272,7 +275,7 @@ class TestDefaultRotationStack:
                 assert repr(default) == repr(_reports(thetas))
 
     def test_one_angle_wrappers_equal_the_rotation_family(self, monkeypatch):
-        for theta in (0.0, 0.3, QUARTER, math.pi / 2, math.pi, -1.9, 7.5):
+        for theta in (0.0, -0.0, 0.3, QUARTER, math.pi / 2, math.pi, -1.9, 7.5):
             box, report = effective_box(theta), audit_dynamics(theta)
             with monkeypatch.context() as patch:
                 patch.setattr(audit_mod, "_densities", _rotation_family_densities)
@@ -283,16 +286,16 @@ class TestDefaultRotationStack:
 
     def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):
         built, rows, reports, settings = [], [], [], []
-        init, densities = quantum.Unitary.__post_init__, hybrid.pr_extend_density
+        init, densities = quantum.Unitary.__post_init__, hybrid._densities
         report_class, worst_setting = audit_mod.AuditReport, audit_mod._worst_setting
 
         def counting_init(self):
             built.append(self)
             init(self)
 
-        def counting_densities(psi, **kwargs):
-            rows.append(len(psi))
-            return densities(psi, **kwargs)
+        def counting_densities(thetas):
+            rows.append(len(thetas))
+            return densities(thetas)
 
         def counting_report(**fields):
             reports.append(fields["theta"])
@@ -304,7 +307,8 @@ class TestDefaultRotationStack:
 
         audit_mod._zero_figures()  # the theta = 0 row, evaluated once per process
         monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
-        monkeypatch.setattr(hybrid, "pr_extend_density", counting_densities)
+        for module in (hybrid, audit_mod):  # every name the chain is looked up under
+            monkeypatch.setattr(module, "_densities", counting_densities)
         monkeypatch.setattr(audit_mod, "AuditReport", counting_report)
         monkeypatch.setattr(audit_mod, "_worst_setting", counting_setting)
         thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
@@ -344,6 +348,89 @@ PYTHAGOREAN = [
     for c, s in ((Fraction(a, h), Fraction(b, h)), (Fraction(b, h), Fraction(a, h)))
     for pair in ((c, s), (-c, s), (c, -s), (-c, -s))
 ]
+
+
+# The 31 primitive triples (m^2 - n^2, 2mn, m^2 + n^2) with m <= 12, in the
+# same eight variants, and the four points on the axes.
+EUCLID = [
+    pair
+    for m in range(2, 13)
+    for n in range(1, m)
+    if (m - n) % 2 and math.gcd(m, n) == 1
+    for a, b, h in [(m * m - n * n, 2 * m * n, m * m + n * n)]
+    for c, s in ((Fraction(a, h), Fraction(b, h)), (Fraction(b, h), Fraction(a, h)))
+    for pair in ((c, s), (-c, s), (c, -s), (-c, -s))
+] + [(Fraction(c), Fraction(s)) for c, s in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+
+
+def _outer(u, v, weight):
+    return [[weight * x * y for y in v] for x in u]
+
+
+def _plus(*terms):
+    return [[sum(t[j][k] for t in terms) for k in range(4)] for j in range(4)]
+
+
+class TestThreeTermsExactly:
+    """At rational points of the unit circle, in ``Fraction`` arithmetic, the
+    sweep's three terms are the extension's density and its eigen-decomposition."""
+
+    @staticmethod
+    def three_terms(c, s):
+        """The layout of :func:`hybrid._densities` filled with a = c^2/8,
+        b = s^2/8 and g = cs/16, over the trace 2(a + b)."""
+        a, b, g = c * c / 8, s * s / 8, c * s / 16
+        terms = (a / (2 * (a + b)), b / (2 * (a + b)), g / (2 * (a + b)), Fraction(0))
+        return [[terms[hybrid._SWEEP_LAYOUT[4 * j + k]] for k in range(4)] for j in range(4)]
+
+    @staticmethod
+    def closed_form(c, s):
+        """:func:`reference.pr_extend_density`'s formula, M psi psi^T M^T +
+        sum_i psi_i^2 K_i over its trace, with its dyadic constants exactly."""
+        psi = (0, c, 0, s)
+        mean = [sum(Fraction(_EXT_MEAN[o, i]) * psi[i] for i in range(4)) for o in range(4)]
+        spreads = [
+            [[Fraction(_EXT_SPREAD[i, j, k]) * psi[i] ** 2 for k in range(4)] for j in range(4)]
+            for i in range(4)
+        ]
+        rho = _plus(_outer(mean, mean, 1), *spreads)
+        trace = sum(rho[i][i] for i in range(4))
+        return [[x / trace for x in row] for row in rho]
+
+    @staticmethod
+    def eigen_decomposition(c, s):
+        """(1/2)|v><v| + (1/2)c^2|Phi-><Phi-| + (1/2)s^2|Psi-><Psi-|, with
+        v = c|Phi+> + s|Psi+>; each Bell projector is (1/2) u u^T."""
+        v, phi_minus, psi_minus = (c, s, s, c), (1, 0, 0, -1), (0, 1, -1, 0)
+        return _plus(
+            _outer(v, v, Fraction(1, 4)),
+            _outer(phi_minus, phi_minus, c * c / 4),
+            _outer(psi_minus, psi_minus, s * s / 4),
+        )
+
+    @pytest.mark.parametrize("points", ["PYTHAGOREAN", "EUCLID"])
+    def test_four_derivations_agree(self, points):
+        for c, s in {"PYTHAGOREAN": PYTHAGOREAN, "EUCLID": EUCLID}[points]:
+            assert c * c + s * s == 1
+            rho = self.three_terms(c, s)
+            assert rho == exact_density(c, s)  # reference.pr_extend's branches
+            assert rho == self.closed_form(c, s)
+            assert rho == self.eigen_decomposition(c, s)
+
+    def test_the_spectrum_is_the_checked_one(self):
+        for c, s in PYTHAGOREAN + EUCLID:
+            rho = self.three_terms(c, s)
+            a, b, g = rho[0][0], rho[1][1], rho[0][1]
+            assert (a, b, g) == (c * c / 2, s * s / 2, c * s / 4)
+            assert a * b == 4 * g * g  # the lowest eigenvalue of [[a, 2g], [2g, b]] is 0
+            for vector, value in (
+                ((1, 0, 0, -1), a),  # Phi-
+                ((0, 1, -1, 0), b),  # Psi-
+                ((c, s, s, c), Fraction(1, 2)),  # v
+                ((s, -c, -c, s), 0),  # its orthogonal complement in span{Phi+, Psi+}
+            ):
+                image = [sum(rho[j][k] * vector[k] for k in range(4)) for j in range(4)]
+                assert image == [value * x for x in vector]
 
 
 class TestRationalOracle:

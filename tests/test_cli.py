@@ -940,7 +940,8 @@ class TestLazyLayers:
 
     def test_two_sweeps_evaluate_the_zero_row_once(self):
         # Two sweeps and a witness, none of whose own angles is 0, send 45
-        # input rows through the chain, the theta = 0 row among them once.
+        # angles through the chain, under either name it is looked up by,
+        # theta = 0 among them once.
         proc = _fresh_python(
             "-W",
             "error",
@@ -948,16 +949,16 @@ class TestLazyLayers:
             "import numpy as np\n"
             "from boxworld import audit, hybrid\n"
             "rows = []\n"
-            "densities = hybrid.pr_extend_density\n"
-            "def counting(psi):\n"
-            "    rows.extend(psi.tolist())\n"
-            "    return densities(psi)\n"
-            "hybrid.pr_extend_density = counting\n"
+            "densities = hybrid._densities\n"
+            "def counting(thetas):\n"
+            "    rows.extend(thetas)\n"
+            "    return densities(thetas)\n"
+            "hybrid._densities = audit._densities = counting\n"
             "for grid in ([0.1, 0.2, 0.3], np.linspace(0.5, 3.0, 40)):\n"
             "    for chunk in audit.audit_sweep(grid):\n"
             "        chunk.tables, chunk.marginal_shift\n"
             "hybrid.signaling_witness(0.7)\n"
-            "print(len(rows), rows.count([0j, 1 + 0j, 0j, 0j]))\n",
+            "print(len(rows), rows.count(0.0))\n",
         )
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "45 1\n")
 
@@ -1079,6 +1080,46 @@ class TestSweepBytes:
             assert (code, err) == (0, ""), argv
             digest.update(out.encode())
         assert digest.hexdigest() == SWEEP_BYTES[group]
+
+
+def _dump_rho_corpus() -> dict[str, list[list[str]]]:
+    """``parse --dump-rho`` argv whose stdout is pinned: the README example and
+    one mixed, superposed state of each width 1 to 6, per ``--digits``."""
+    readme = ["parse", "--expr", "c(|00> (+) |11>) + s(|01> (+) |10>)", "--theta", "0.4"]
+    groups = {}
+    for digits in ("17", "5", "1"):
+        argvs = [["--digits", digits, *readme, "--dump-rho"]]
+        for w in range(1, 7):
+            zeros, ones, alt, tla = "0" * w, "1" * w, ("01" * w)[:w], ("10" * w)[:w]
+            expr = (
+                f"1/sqrt(3) (|{zeros}> + c |{alt}> + s |{ones}>) (+) 2/7 (|{ones}> + s |{tla}>)"
+                f" (+) 0.3 |{alt}>"
+            )
+            argvs.append(["--digits", digits, "parse", "--expr", expr, "--theta", "2.5", "--dump-rho"])
+        groups[f"digits={digits}"] = argvs
+    return groups
+
+
+# sha256 of each group's stdouts, concatenated in order, as `parse --dump-rho`
+# printed them when each entry of rho was formatted on its own.
+DUMP_RHO_BYTES = {
+    "digits=17": "f4f1cb4056544d72444978003cfee0f7a7c2b44ca5aff20800f77e32c802d572",
+    "digits=5": "87af130bb3a31f184f7f1fea041f303b3ae58a980538fb031e3109c8ecef4e62",
+    "digits=1": "e4c55b6773b65a80de40982e4f95c1518d5f8f3022eaf45fc04e1fa8c182588f",
+}
+
+
+class TestDumpRhoBytes:
+    """``parse --dump-rho`` prints the bytes it printed when these were recorded."""
+
+    @pytest.mark.parametrize("group", DUMP_RHO_BYTES)
+    def test_stdout_is_unchanged(self, capsys, group):
+        digest = hashlib.sha256()
+        for argv in _dump_rho_corpus()[group]:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == DUMP_RHO_BYTES[group]
 
 
 # Flag values at and around the bounds the sweep commands check. No accepted

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxworld.audit as audit_mod
 from boxworld import hybrid, quantum
 from boxworld.hybrid import (
     BasisKet,
@@ -22,7 +23,6 @@ from boxworld.hybrid import (
     box_output_state,
     distribute,
     dumps,
-    pr_extend_density,
     signaling_witness,
 )
 from boxworld.quantum import Ket, basis_ket
@@ -36,6 +36,7 @@ from reference import (
     partial_trace,
     plus_ket,
     pr_extend,
+    pr_extend_density,
     rotated_inputs,
     rotation,
     tensor,
@@ -302,6 +303,72 @@ class TestPrExtendDensity:
             pr_extend_density(np.array([[np.nan, 0, 0, 0]]))
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The float64 parts of ``a`` as integers, so that -0.0 differs from +0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestSweepDensities:
+    """The sweep's three-term densities, :func:`hybrid._densities`, against the
+    closed form of the extension for any input, and their spectrum check."""
+
+    @staticmethod
+    def _closed_form(thetas):
+        return pr_extend_density(rotated_inputs([rotation(t) for t in thetas]))
+
+    def test_bit_for_bit_equal_to_the_closed_form(self):
+        rng = np.random.default_rng(21)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi / 2, -math.pi / 2, math.pi]
+        thetas = specials + [1e300, -1e300, 3e-162] + [float(t) for t in rng.uniform(-4, 4, 2000)]
+        got = hybrid._densities(thetas)
+        assert got.shape == (len(thetas), 4, 4) and got.dtype == complex
+        assert got.flags.c_contiguous
+        # np.array_equal would take -0.0 for +0.0; the bits do not.
+        assert np.array_equal(_bits(got), _bits(self._closed_form(thetas)))
+
+    def test_subnormal_sines_differ_only_where_the_closed_form_leaves_a_residue(self):
+        # Where s^2/16 is subnormal, the closed form's mean and spread of
+        # |01><10| round apart instead of cancelling; the three terms put
+        # there the exact 0, and every other entry has the same bits.
+        rng = np.random.default_rng(22)
+        thetas = [float(t) for t in np.exp(rng.uniform(math.log(1e-163), math.log(1e-152), 3000))]
+        thetas += [1e-160, -1e-160] + [k * 5e-324 for k in range(1, 300)]
+        got, want = hybrid._densities(thetas), self._closed_form(thetas)
+        residue = np.zeros((4, 4), dtype=bool)
+        residue[1, 2] = residue[2, 1] = True
+        assert np.array_equal(_bits(got[:, ~residue]), _bits(want[:, ~residue]))
+        assert not _bits(got[:, residue]).any()
+        assert np.abs(want[:, residue]).max() < np.finfo(float).tiny
+        assert np.abs(want[:, residue]).max() > 0.0  # the corpus reaches the residue
+
+    def test_empty_grid(self):
+        assert hybrid._densities([]).shape == (0, 4, 4)
+        hybrid._check_spectrum([])
+
+    def test_the_checked_spectrum_is_the_matrix_spectrum(self):
+        thetas = [float(t) for t in np.random.default_rng(23).uniform(-4, 4, 200)]
+        rho = hybrid._densities(thetas)
+        a, b, g = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real
+        mid, half = 0.5 * (a + b), np.hypot(0.5 * (a - b), 2 * g)
+        closed = np.sort(np.stack([a, b, mid - half, mid + half], axis=1), axis=1)
+        np.testing.assert_allclose(closed, np.linalg.eigvalsh(rho), rtol=0, atol=1e-15)
+        # ab = 4g^2, so the lowest is 0 up to rounding; the worst seen is 5.6e-17.
+        assert np.abs(mid - half).max() < 1e-16
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([(0.5, 0.0, 0.0), (0.25, 0.25, 0.2)], r"^negative eigenvalue -0\.15$"),
+            ([(0.7, -0.2, 0.0)], r"^negative eigenvalue -0\.2$"),
+            ([(0.5, 0.0, 0.0), (0.3, 0.3, 0.0), (0.25, 0.25, 0.0)], r"^trace is 1\.2, not 1$"),
+        ],
+    )
+    def test_a_term_off_the_spectrum_is_refused(self, terms, message):
+        # 4g^2 > ab puts an eigenvalue of the (Phi+, Psi+) block below 0.
+        with pytest.raises(ValueError, match=message):
+            hybrid._check_spectrum(terms)
+
+
 class TestBobState:
     def test_zero_angle_maximally_mixed(self):
         assert np.array_equal(bob_state(0.0).matrix, (np.eye(2) / 2).astype(complex))
@@ -368,18 +435,19 @@ class TestSignalingWitness:
 
     def test_one_stacked_chain_and_no_density_objects(self, monkeypatch):
         stacks, built = [], []
-        densities, init = hybrid.pr_extend_density, quantum.DensityOperator.__post_init__
+        densities, init = hybrid._densities, quantum.DensityOperator.__post_init__
 
-        def counting_densities(psi):
-            stacks.append(len(psi))
-            return densities(psi)
+        def counting_densities(thetas):
+            stacks.append(len(thetas))
+            return densities(thetas)
 
         def counting_init(self):
             built.append(self)
             init(self)
 
         hybrid._zero_densities()  # the theta = 0 row, evaluated once per process
-        monkeypatch.setattr(hybrid, "pr_extend_density", counting_densities)
+        for module in (hybrid, audit_mod):  # every name the chain is looked up under
+            monkeypatch.setattr(module, "_densities", counting_densities)
         monkeypatch.setattr(quantum.DensityOperator, "__post_init__", counting_init)
         rep = signaling_witness(0.7)
         assert stacks == [1] and built == []

@@ -24,6 +24,7 @@ from reference import (
     minus_ket,
     partial_trace,
     plus_ket,
+    pr_extend_density,
     rotated_inputs,
     rotation,
     tensor,
@@ -82,17 +83,18 @@ def _rotation_stack(thetas) -> np.ndarray:
 class TestRotationStack:
     THETAS = (0.0, 0.37, -1.9, math.pi / 2, math.pi, -math.pi, 1e-300, 7.5, 123456.789)
 
-    def test_rows_are_the_rotation_matrices_bit_for_bit(self, monkeypatch):
-        inputs = []
-        monkeypatch.setattr(hybrid, "pr_extend_density", lambda psi: inputs.append(psi))
-        hybrid._densities(self.THETAS)
-        hybrid._densities([])
+    def test_rows_are_the_rotation_matrices_bit_for_bit(self):
+        # The chain forms no input rows; its densities are, bit for bit, the
+        # closed form's on the rows (U tensor 1)|01> of each rotation matrix.
+        got = hybrid._densities(self.THETAS)
+        empty = hybrid._densities([])
         stack = _rotation_stack(self.THETAS)
         assert stack.shape == (len(self.THETAS), 2, 2) and stack.dtype == complex
         expected = rotated_inputs([rotation(t) for t in self.THETAS])
         assert np.array_equal(expected[:, 1::2], stack[:, :, 0])
-        assert inputs[0].dtype == complex and inputs[0].tobytes() == expected.tobytes()
-        assert inputs[1].shape == (0, 4)
+        want = pr_extend_density(expected)
+        assert got.dtype == complex and got.tobytes() == want.tobytes()
+        assert empty.shape == (0, 4, 4)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_like_rotation(self, bad):
