@@ -20,8 +20,11 @@ normalization from :func:`~boxworld.boxes.table_deviations`, the two
 signaling directions from their no-signaling gaps, and Bob's marginal
 shift, so a caller pays only for the figures it prints. The figures are
 reported, never raised: the audit's job is to say which property fails.
-:func:`audit_dynamics` and :func:`effective_box` read one angle of that
-sweep, and only :func:`audit_dynamics` locates the worst setting.
+A box is valid but signaling when ``positivity_ok`` and
+``normalization_ok`` hold and ``a_to_b_violation`` exceeds
+:data:`~boxworld.tolerance.DEFAULT_TOL`, as an ``audit`` row reads.
+:func:`effective_box` is one angle of that sweep as a box, whose worst
+setting :func:`~boxworld.boxes.check_no_signaling` locates.
 :func:`~boxworld.hybrid.signaling_witness` reads the same rows as a
 one-angle sweep, so ``signal`` and ``scan`` print the same figure.
 """
@@ -31,23 +34,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boxes import ConditionalBox, _a_to_b_gaps, _b_to_a_gaps, _worst_setting, table_deviations
+from .boxes import ConditionalBox, _a_to_b_gaps, _b_to_a_gaps, table_deviations
 from .hybrid import _bob_marginals, _densities, _zero_densities
 from .quantum import trace_distances
-from .tolerance import DEFAULT_TOL, ROUNDING
+from .tolerance import ROUNDING
 
 __all__ = [
     "SWEEP_CHUNK",
-    "AuditReport",
     "SweepChunk",
     "effective_box",
-    "audit_dynamics",
     "audit_sweep",
 ]
 
@@ -60,31 +60,6 @@ SWEEP_CHUNK = 32
 _BOB_BASES = (np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
 _BASES = np.array([np.kron(np.eye(2), bob) for bob in _BOB_BASES], dtype=complex)
 _BASES_CONJ = _BASES.conj()
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """Validity and signaling figures for the boxed-up construction at one angle.
-
-    ``marginal_shift`` is the trace distance between Bob's reduced states
-    for x = 1 and x = 0: the largest gap any measurement of Bob's can show,
-    which ``a_to_b_violation`` (the box's total-variation figure) reaches
-    in his X basis. Positivity and normalization hold within
-    :data:`~boxworld.tolerance.ROUNDING`; the box signals when
-    ``a_to_b_violation`` exceeds :data:`~boxworld.tolerance.DEFAULT_TOL`.
-    """
-
-    theta: float
-    positivity_ok: bool
-    normalization_ok: bool
-    a_to_b_violation: float
-    b_to_a_violation: float
-    worst_setting: tuple[str, int, tuple[int, int]]
-    marginal_shift: float
-
-    @property
-    def valid_but_signaling(self) -> bool:
-        return self.positivity_ok and self.normalization_ok and self.a_to_b_violation > DEFAULT_TOL
 
 
 def _probabilities(rho: np.ndarray) -> np.ndarray:
@@ -108,8 +83,12 @@ class SweepChunk:
     """Up to SWEEP_CHUNK consecutive angles of a sweep and their figures, as columns.
 
     ``theta`` lists the angles. Every other column is an array indexed by
-    angle first: ``tables``, and each figure named as the
-    :class:`AuditReport` field it fills. A column is computed when first
+    angle first: ``tables``; ``positivity_ok`` and ``normalization_ok``,
+    judged within :data:`~boxworld.tolerance.ROUNDING`;
+    ``a_to_b_violation`` and ``b_to_a_violation``, the box's
+    total-variation gaps; and ``marginal_shift``, the trace distance
+    between Bob's x = 1 and x = 0 marginals, which ``a_to_b_violation``
+    reaches in his X basis. A column is computed when first
     read, from the chunk's x = 1 densities and the x = 0 figures, so a
     caller pays only for the columns it reads.
     """
@@ -150,19 +129,6 @@ class SweepChunk:
     def b_to_a_violation(self) -> np.ndarray:
         return _b_to_a_gaps(self.tables).max(axis=(-3, -2, -1))
 
-    def report(self, i: int) -> AuditReport:
-        """The figures of the chunk's ``i``-th angle, with its worst setting."""
-        table = self.tables[i]
-        return AuditReport(
-            theta=self.theta[i],
-            positivity_ok=bool(self.positivity_ok[i]),
-            normalization_ok=bool(self.normalization_ok[i]),
-            a_to_b_violation=float(self.a_to_b_violation[i]),
-            b_to_a_violation=float(self.b_to_a_violation[i]),
-            worst_setting=_worst_setting(_a_to_b_gaps(table), _b_to_a_gaps(table)),
-            marginal_shift=float(self.marginal_shift[i]),
-        )
-
 
 def audit_sweep(thetas: Iterable[float]) -> Iterator[SweepChunk]:
     """The figures of every angle of a grid, in order, one :class:`SweepChunk`
@@ -183,13 +149,3 @@ def effective_box(theta: float) -> ConditionalBox:
     """The construction as a 2-input/2-output box; entries from joint measurement."""
     return ConditionalBox(next(audit_sweep([theta])).tables[0])
 
-
-def audit_dynamics(theta: float) -> AuditReport:
-    """Build the effective box and report positivity, normalization, signaling.
-
-    For any theta with cs != 0 the expected outcome is: positivity and
-    normalization hold within ROUNDING, the Alice-to-Bob violation equals
-    sin(2 theta)/4 (achieved at Bob's y = 1 setting), and the reverse
-    direction stays at zero.
-    """
-    return next(audit_sweep([theta])).report(0)

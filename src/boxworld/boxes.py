@@ -30,18 +30,19 @@ of a no-signaling box. Its entries are integers, so math.fsum decides its
 bound. Then the float simplex gives w and, from its reduced costs, the
 dual g, and Fractions decide their bounds. If neither decides, t is within
 rounding of tol, and the simplex reruns in Fractions, where it is exact
-and always ends; :func:`locality_distance` returns that exact t.
+and always ends.
 
 Violation magnitudes are total-variation distances (half L1) so they sit
 on the same scale as trace distances elsewhere in the package.
 
 Validity and no-signaling are computed by array functions:
-:func:`table_deviations` and the two directions' gap arrays behind
-:func:`no_signaling_violations`. Each takes one table or a stack of
-tables, shape ``(..., a, b, A, B)``, and gives every table of a stack
-exactly the figures it gets on its own; :class:`ConditionalBox` and
-:func:`check_no_signaling` are their one-table callers, and only the
-latter locates the worst setting.
+:func:`table_deviations` and the two directions' gap arrays,
+:func:`_a_to_b_gaps` and :func:`_b_to_a_gaps`. Each takes one table or a
+stack of tables, shape ``(..., a, b, A, B)``, and gives every table of a
+stack exactly the figures it gets on its own. The audit's sweep reads
+them on a stack; :class:`ConditionalBox` and :func:`check_no_signaling`
+are their one-table callers, and only the latter locates the worst
+setting.
 """
 
 from __future__ import annotations
@@ -71,13 +72,10 @@ __all__ = [
     "pr_box",
     "uniform_box",
     "table_deviations",
-    "no_signaling_violations",
     "check_no_signaling",
     "chsh_value",
     "deterministic_vertices",
     "is_local",
-    "locality_distance",
-    "dumps_csv",
     "loads_csv",
 ]
 
@@ -131,26 +129,6 @@ class ConditionalBox:
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
-    @property
-    def nA_out(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def nB_out(self) -> int:
-        return self.table.shape[1]
-
-    @property
-    def nA_in(self) -> int:
-        return self.table.shape[2]
-
-    @property
-    def nB_in(self) -> int:
-        return self.table.shape[3]
-
-    def setting(self, A: int, B: int) -> np.ndarray:
-        """Joint outcome distribution for one input pair, indexed [a, b]."""
-        return np.array(self.table[:, :, A, B])
-
 
 @dataclass(frozen=True)
 class NoSignalingReport:
@@ -183,10 +161,9 @@ def pr_box() -> ConditionalBox:
     return ConditionalBox(t)
 
 
-def uniform_box(nA_out: int = 2, nB_out: int = 2, nA_in: int = 2, nB_in: int = 2) -> ConditionalBox:
-    """Box with the uniform outcome distribution at every setting."""
-    t = np.full((nA_out, nB_out, nA_in, nB_in), 1.0 / (nA_out * nB_out))
-    return ConditionalBox(t)
+def uniform_box() -> ConditionalBox:
+    """The binary box with the uniform outcome distribution, 1/4, at every setting."""
+    return ConditionalBox(np.full((2, 2, 2, 2), 0.25))
 
 
 def table_deviations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,15 +175,6 @@ def table_deviations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     t = np.ascontiguousarray(t)
     return t.min(axis=(-4, -3, -2, -1)), np.abs(t.sum(axis=(-4, -3)) - 1.0).max(axis=(-2, -1))
-
-
-def no_signaling_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A-to-b and b-to-a violations of each table.
-
-    ``t`` is one table or a stack, shape ``(..., a, b, A, B)``; both
-    violations have shape ``t.shape[:-4]``. See :class:`NoSignalingReport`.
-    """
-    return _a_to_b_gaps(t).max(axis=(-3, -2, -1)), _b_to_a_gaps(t).max(axis=(-3, -2, -1))
 
 
 def _a_to_b_gaps(t: np.ndarray) -> np.ndarray:
@@ -444,15 +412,6 @@ def _distance_lower_bound(p: np.ndarray) -> tuple[float, np.ndarray]:
     return float(bounds[best]), bell[best]
 
 
-def locality_distance(box: ConditionalBox) -> Fraction:
-    """The box's exact L-infinity distance t to the local polytope, as a Fraction.
-
-    The optimum of the locality LP on the float table as given, from the
-    simplex run in Fractions.
-    """
-    return _simplex(_binary_table(box), exact=True)[1]
-
-
 def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
     """Decide local-polytope membership; return convex weights when inside.
 
@@ -491,18 +450,6 @@ def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.nd
     if t > tol:
         return False, None
     return True, w.astype(float)
-
-
-def dumps_csv(box: ConditionalBox, digits: int = 17) -> str:
-    """Serialize to CSV with header ``A,B,a,b,p``, rows lexicographic in (A, B, a, b)."""
-    buf = io.StringIO()
-    buf.write("A,B,a,b,p\n")
-    for A in range(box.nA_in):
-        for B in range(box.nB_in):
-            for a in range(box.nA_out):
-                for b in range(box.nB_out):
-                    buf.write(f"{A},{B},{a},{b},{box.table[a, b, A, B]:.{digits}g}\n")
-    return buf.getvalue()
 
 
 def loads_csv(text: str, tol: float = DEFAULT_TOL) -> ConditionalBox:

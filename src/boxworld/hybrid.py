@@ -26,9 +26,9 @@ three fixed terms with weights c^2, s^2 and cs, filled in straight from
 (c, s) without a rotation matrix or an expansion. Each density is checked
 by its own spectrum, which the form gives in closed form: (c^2 + s^2)/2,
 c^2/2, s^2/2 and 0, over c^2 + s^2. Every figure the package prints reads
-that stack: the audit's sweep a chunk at a time, and `signaling_witness`,
-`box_output_state` and `bob_state` one row. The theta = 0 row, which every
-signaling figure is measured against, is evaluated once per process by
+that stack: the audit's sweep a chunk at a time, and `signaling_witness`
+one row, as `bob_state` does. The theta = 0 row, which every signaling
+figure is measured against, is evaluated once per process by
 `_zero_densities`.
 """
 
@@ -60,7 +60,6 @@ __all__ = [
     "StateExpr",
     "HybridState",
     "distribute",
-    "box_output_state",
     "bob_state",
     "SignalingReport",
     "signaling_witness",
@@ -461,16 +460,6 @@ def _zero_densities() -> np.ndarray:
     rho = _densities([0.0])
     rho.setflags(write=False)
     return rho
-
-
-def box_output_state(theta: float) -> DensityOperator:
-    """Joint output density after the extended box eats the rotated input.
-
-    The input is |01> with the first register rotated by ``theta``, i.e.
-    (cos(theta)|0> + sin(theta)|1>) tensor |1>: the one row of
-    :func:`_densities` at ``theta``.
-    """
-    return DensityOperator(_densities([theta])[0])
 
 
 def bob_state(theta: float) -> DensityOperator:

@@ -66,14 +66,10 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .tolerance import ROUNDING
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "MIN_ROUNDS_MAX_COPIES",
@@ -83,7 +79,6 @@ __all__ = [
     "ProtocolResult",
     "copy_distance",
     "exact_success",
-    "exact_success_fraction",
     "min_rounds",
     "simulate",
 ]
@@ -161,34 +156,13 @@ def _window(a: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k, log_b, llr
 
 
-def _success(a: float, n: int) -> float:
-    """Optimal n-copy success for |cs| = a: 1 - miss/2 while the miss is
-    below 1/2, where it is the accurate figure, else 1/2 + D_n/2."""
-    d, miss = _channel(a, n)
-    return 1.0 - 0.5 * miss if miss < 0.5 else 0.5 + 0.5 * d
-
-
 def exact_success(theta: float, n: int) -> float:
     """Optimal probability of decoding Alice's bit from n channel uses;
-    ``n`` lies in [1, ``MIN_ROUNDS_MAX_COPIES``]."""
-    n = _count("n", n, 1, MIN_ROUNDS_MAX_COPIES)
-    return _success(abs(_cs(theta)), n)
-
-
-def exact_success_fraction(cs: Fraction, n: int) -> Fraction:
-    """Exact rational n-copy success for a rational coherence cs."""
-    from fractions import Fraction  # only here, as no command needs exact rationals
-
-    n = _count("n", n, 1, MIN_ROUNDS_MAX_COPIES)
-    cs = Fraction(cs)
-    lam_p = (1 + cs) / 2
-    lam_m = (1 - cs) / 2
-    flat = Fraction(1, 2**n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += math.comb(n, k) * abs(lam_p**k * lam_m ** (n - k) - flat)
-    # success = 1/2 + D_n/2 with D_n = total/2
-    return Fraction(1, 2) + total / 4
+    ``n`` lies in [1, ``MIN_ROUNDS_MAX_COPIES``]. It is 1 - miss/2 while
+    the miss is below 1/2, where that is the accurate figure, else
+    1/2 + D_n/2."""
+    d, miss = _channel(abs(_cs(theta)), _count("n", n, 1, MIN_ROUNDS_MAX_COPIES))
+    return 1.0 - 0.5 * miss if miss < 0.5 else 0.5 + 0.5 * d
 
 
 def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIES) -> int:
@@ -314,5 +288,4 @@ def simulate(theta: float, n: int, shots: int, seed: int) -> ProtocolResult:
         _chunk_correct(theta, n, seed, chunk, min(CHUNK_SHOTS, shots - start))
         for chunk, start in enumerate(range(0, shots, CHUNK_SHOTS))
     )
-    exact = _success(abs(_cs(theta)), n)
-    return ProtocolResult(theta, n, exact, correct / shots, shots, seed)
+    return ProtocolResult(theta, n, exact_success(theta, n), correct / shots, shots, seed)

@@ -9,7 +9,8 @@ package computes by a shorter path, or builds inputs for such a check:
 - the partial trace, Helstrom discrimination and basis measurement on
   plain matrices, the textbook forms of what the package reads off its
   densities by shorter paths;
-- local relabelings of a box, a symmetry of no-signaling and locality;
+- local relabelings of a box, a symmetry of no-signaling and locality,
+  and :func:`dumps_csv`, the ``A,B,a,b,p`` writer for box files;
 - :func:`pr_extend`, the linearly extended box applied branch by branch
   (2^k output branches for an input with k nonzero components), and
   :func:`pr_extend_density`, the density of that expansion in closed form
@@ -20,7 +21,9 @@ package computes by a shorter path, or builds inputs for such a check:
   third;
 - :func:`exact_chain`, the whole construction at an angle with rational
   cosine and sine, in ``Fraction`` arithmetic, from the same relation;
-- a reader for :func:`boxworld.hybrid.dumps`.
+- a reader for :func:`boxworld.hybrid.dumps`;
+- :func:`exact_success_fraction`, the optimal n-copy success of the
+  repetition channel as an exact sum over all n + 1 counts.
 
 pytest puts both ``tests/`` and ``bench/`` on ``sys.path`` and imports
 their modules by bare name, so this one must not share a name with
@@ -29,6 +32,7 @@ their modules by bare name, so this one must not share a name with
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,6 +49,7 @@ from boxworld.hybrid import (
     HybridState,
     _pow2_times,
 )
+from boxworld.protocol import MIN_ROUNDS_MAX_COPIES, _count
 from boxworld.quantum import DensityOperator, Ket, Unitary, check_densities
 
 # ---------------------------------------------------------------- quantum
@@ -183,21 +188,35 @@ def _inv_perm(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def relabel(box: ConditionalBox, r: Relabeling) -> ConditionalBox:
     """Apply a local relabeling; a symmetry of both no-signaling and locality."""
+    nA_out, nB_out, nA_in, nB_in = box.table.shape
     if (
-        len(r.a_in) != box.nA_in
-        or len(r.b_in) != box.nB_in
-        or any(len(p) != box.nA_out for p in r.a_out)
-        or any(len(p) != box.nB_out for p in r.b_out)
+        len(r.a_in) != nA_in
+        or len(r.b_in) != nB_in
+        or any(len(p) != nA_out for p in r.a_out)
+        or any(len(p) != nB_out for p in r.b_out)
     ):
         raise ValueError("relabeling alphabets do not match the box")
     out = np.zeros_like(box.table)
-    for A in range(box.nA_in):
-        for B in range(box.nB_in):
+    for A in range(nA_in):
+        for B in range(nB_in):
             src = box.table[:, :, r.a_in[A], r.b_in[B]]
-            for a0 in range(box.nA_out):
-                for b0 in range(box.nB_out):
+            for a0 in range(nA_out):
+                for b0 in range(nB_out):
                     out[r.a_out[A][a0], r.b_out[B][b0], A, B] = src[a0, b0]
     return ConditionalBox(out, tol=box.tol)
+
+
+def dumps_csv(box: ConditionalBox, digits: int = 17) -> str:
+    """Serialize to CSV with header ``A,B,a,b,p``, rows lexicographic in (A, B, a, b)."""
+    nA_out, nB_out, nA_in, nB_in = box.table.shape
+    buf = io.StringIO()
+    buf.write("A,B,a,b,p\n")
+    for A in range(nA_in):
+        for B in range(nB_in):
+            for a in range(nA_out):
+                for b in range(nB_out):
+                    buf.write(f"{A},{B},{a},{b},{box.table[a, b, A, B]:.{digits}g}\n")
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------- hybrid
@@ -340,8 +359,8 @@ class ExactFigures(NamedTuple):
 
     ``density`` is the output density [i][j] of the rotated input,
     ``table`` the effective box [a][b][x][y] and ``bob`` Bob's marginal
-    [b][b'] of ``density``; the rest are the :class:`~boxworld.audit.AuditReport`
-    figures of the same names.
+    [b][b'] of ``density``; the rest are the :class:`~boxworld.audit.SweepChunk`
+    columns of the same names.
     """
 
     density: list[list[Fraction]]
@@ -453,3 +472,20 @@ def loads(text: str) -> HybridState:
     if not branches:
         raise ExpressionError("no branches found")
     return HybridState(width, tuple(branches))
+
+
+# ---------------------------------------------------------------- protocol
+
+
+def exact_success_fraction(cs: Fraction, n: int) -> Fraction:
+    """Exact rational n-copy success for a rational coherence cs."""
+    n = _count("n", n, 1, MIN_ROUNDS_MAX_COPIES)
+    cs = Fraction(cs)
+    lam_p = (1 + cs) / 2
+    lam_m = (1 - cs) / 2
+    flat = Fraction(1, 2**n)
+    total = Fraction(0)
+    for k in range(n + 1):
+        total += math.comb(n, k) * abs(lam_p**k * lam_m ** (n - k) - flat)
+    # success = 1/2 + D_n/2 with D_n = total/2
+    return Fraction(1, 2) + total / 4

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 go by. Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
+import contextlib
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -12,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxworld.audit import audit_dynamics, effective_box
+from boxworld.audit import audit_sweep, effective_box
 from boxworld.boxes import (
     ConditionalBox,
     check_no_signaling,
@@ -22,20 +24,21 @@ from boxworld.boxes import (
     pr_box,
     uniform_box,
 )
+from boxworld.cli import main
 from boxworld.dsl import format as format_expr
 from boxworld.dsl import parse
 from boxworld.hybrid import HybridState, bob_state, distribute, signaling_witness
 from boxworld.protocol import (
     copy_distance,
     exact_success,
-    exact_success_fraction,
     min_rounds,
     simulate,
     _chunk_correct,
     CHUNK_SHOTS,
 )
 from boxworld.quantum import DensityOperator, Ket, basis_ket, trace_distances
-from reference import helstrom, measure_probs, partial_trace
+from boxworld.tolerance import DEFAULT_TOL
+from reference import exact_success_fraction, helstrom, measure_probs, partial_trace
 
 QUARTER = math.pi / 4
 
@@ -109,14 +112,12 @@ def test_criterion_4_signaling_curve():
     grid = np.linspace(0.0, math.pi / 2, 65)
     values = []
     curve_ok = True
-    reverse_ok = True
     for theta in grid:
         rep = signaling_witness(float(theta))
         values.append(rep.a_to_b_violation)
         if abs(rep.a_to_b_violation - math.sin(2 * theta) / 4) > 1e-10:
             curve_ok = False
-        if audit_dynamics(float(theta)).b_to_a_violation > 1e-10:
-            reverse_ok = False
+    reverse_ok = all(chunk.b_to_a_violation.max() <= 1e-10 for chunk in audit_sweep(grid))
     values = np.array(values)
     c.check(curve_ok, "matches sin(2 theta)/4 to 1e-10 on 65 points")
     c.check(
@@ -128,10 +129,22 @@ def test_criterion_4_signaling_curve():
     c.finish()
 
 
+def _audit_row(theta):
+    """The row ``boxworld audit --theta`` prints: pos_ok, norm_ok, ab_violation, ba_violation."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["audit", f"--theta={theta!r}"])
+    header, row = out.getvalue().splitlines()
+    assert (code, header) == (0, "theta,pos_ok,norm_ok,ab_violation,ba_violation")
+    theta_text, pos_ok, norm_ok, ab, ba = row.split(",")
+    assert float(theta_text) == theta
+    return pos_ok, norm_ok, float(ab), float(ba)
+
+
 def test_criterion_5_audit():
     c = Criterion("5 dynamics audit")
     for theta in (0.1, 0.3, QUARTER):
-        rep = audit_dynamics(theta)
+        pos_ok, norm_ok, ab, _ = _audit_row(theta)
         box = effective_box(theta)
         c.check(box.table.min() >= -1e-12, f"positivity at theta={theta:.4g}")
         c.check(
@@ -139,10 +152,19 @@ def test_criterion_5_audit():
             f"normalization at theta={theta:.4g}",
         )
         c.check(
-            abs(rep.a_to_b_violation - math.sin(2 * theta) / 4) <= 1e-10,
+            abs(ab - math.sin(2 * theta) / 4) <= 1e-10,
             f"violation = sin(2 theta)/4 at theta={theta:.4g}",
         )
-        c.check(rep.positivity_ok and rep.normalization_ok, f"report flags at theta={theta:.4g}")
+        c.check((pos_ok, norm_ok) == ("true", "true"), f"report flags at theta={theta:.4g}")
+    # Valid yet signaling, as the printed row reads: positive and normalized,
+    # with a violation past the tolerance; the signal-free angles stay within it.
+    pos_ok, norm_ok, ab, _ = _audit_row(0.3)
+    c.check(
+        (pos_ok, norm_ok) == ("true", "true") and ab > DEFAULT_TOL,
+        "valid but signaling at theta=0.3",
+    )
+    for theta in (0.0, math.pi / 2, math.pi):
+        c.check(_audit_row(theta)[2] <= DEFAULT_TOL, f"no signal at theta={theta:.4g}")
     c.finish()
 
 

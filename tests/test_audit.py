@@ -2,22 +2,19 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 import boxworld.audit as audit_mod
-from boxworld import cli, hybrid, quantum
-from boxworld.audit import SWEEP_CHUNK, audit_dynamics, audit_sweep, effective_box
+from boxworld import boxes, cli, hybrid, quantum
+from boxworld.audit import SWEEP_CHUNK, audit_sweep, effective_box
 from boxworld.boxes import ConditionalBox, check_no_signaling
 from boxworld.cli import main
-from boxworld.hybrid import (
-    HybridState,
-    bob_state,
-    box_output_state,
-    signaling_witness,
-)
+from boxworld.hybrid import HybridState, bob_state, signaling_witness
 from boxworld.quantum import basis_ket, trace_distances
+from boxworld.tolerance import DEFAULT_TOL
 from reference import (
     _EXT_MEAN,
     _EXT_SPREAD,
@@ -75,12 +72,12 @@ ORACLE_ANGLES = tuple(np.random.default_rng(7).uniform(-4.0, 4.0, 36)) + (
 class TestEffectiveBox:
     def test_no_rotation_setting_reproduces_plain_statistics(self):
         box = effective_box(0.7)  # theta only enters at x = 1
-        joint = box.setting(0, 0)
+        joint = box.table[:, :, 0, 0]
         np.testing.assert_allclose(joint, [[0.5, 0.0], [0.0, 0.5]], atol=1e-14)
 
     def test_rotated_x_measurement_marginal(self):
         box = effective_box(QUARTER)
-        bob = box.setting(1, 1).sum(axis=0)
+        bob = box.table[:, :, 1, 1].sum(axis=0)
         np.testing.assert_allclose(bob, [0.75, 0.25], atol=1e-12)
 
     def test_zero_angle_box_does_not_signal(self):
@@ -99,18 +96,18 @@ class TestEffectiveBox:
         rng = np.random.default_rng(15)
         thetas = [*special, *rng.uniform(-4.0, 4.0, 200), *10.0 ** rng.uniform(-10.0, -7.0, 66)]
         verdicts = set()
-        for rep in _reports(thetas):
-            report = check_no_signaling(effective_box(rep.theta))
-            assert rep.a_to_b_violation == report.a_to_b_violation
-            box_verdict = rep.positivity_ok and rep.normalization_ok and report.signaling
-            assert rep.valid_but_signaling == box_verdict
+        for row in _rows(thetas):
+            report = check_no_signaling(effective_box(row.theta))
+            assert row.a_to_b_violation == report.a_to_b_violation
+            box_verdict = row.positivity_ok and row.normalization_ok and report.signaling
+            assert _valid_but_signaling(row) == box_verdict
             verdicts.add(box_verdict)
         assert verdicts == {True, False}
 
     def test_z_measurement_never_sees_the_rotation(self):
         box = effective_box(1.1)
-        bob_y0_x0 = box.setting(0, 0).sum(axis=0)
-        bob_y0_x1 = box.setting(1, 0).sum(axis=0)
+        bob_y0_x0 = box.table[:, :, 0, 0].sum(axis=0)
+        bob_y0_x1 = box.table[:, :, 1, 0].sum(axis=0)
         np.testing.assert_allclose(bob_y0_x0, bob_y0_x1, atol=1e-12)
 
     def test_well_formed_for_many_angles(self):
@@ -121,37 +118,39 @@ class TestEffectiveBox:
 
 
 class TestAuditDynamics:
+    """The audit's figures at one angle, as its chunk columns hold them."""
+
     def test_zero_angle_all_clear(self):
-        report = audit_dynamics(0.0)
-        assert report.positivity_ok and report.normalization_ok
-        assert report.a_to_b_violation == 0.0
-        assert not report.valid_but_signaling
+        row = _row(0.0)
+        assert row.positivity_ok and row.normalization_ok
+        assert row.a_to_b_violation == 0.0
+        assert not _valid_but_signaling(row)
 
     def test_quarter_angle(self):
-        report = audit_dynamics(QUARTER)
-        assert report.positivity_ok and report.normalization_ok
-        assert report.a_to_b_violation == pytest.approx(0.25, abs=1e-10)
-        assert report.valid_but_signaling
+        row = _row(QUARTER)
+        assert row.positivity_ok and row.normalization_ok
+        assert row.a_to_b_violation == pytest.approx(0.25, abs=1e-10)
+        assert _valid_but_signaling(row)
 
     def test_half_turn_residue_is_not_signaling(self):
-        report = audit_dynamics(math.pi)
-        assert 0.0 < report.a_to_b_violation <= 1e-15
-        assert not report.valid_but_signaling
+        row = _row(math.pi)
+        assert 0.0 < row.a_to_b_violation <= 1e-15
+        assert not _valid_but_signaling(row)
 
     def test_intermediate_angle_closed_form(self):
-        report = audit_dynamics(0.3)
-        assert report.a_to_b_violation == pytest.approx(math.sin(0.6) / 4, abs=1e-10)
-        assert report.a_to_b_violation == pytest.approx(0.1411606, abs=1e-7)
+        row = _row(0.3)
+        assert row.a_to_b_violation == pytest.approx(math.sin(0.6) / 4, abs=1e-10)
+        assert row.a_to_b_violation == pytest.approx(0.1411606, abs=1e-7)
 
     def test_violation_equals_marginal_trace_distance(self):
         for theta in np.linspace(0.0, math.pi / 2, 17):
-            report = audit_dynamics(float(theta))
+            row = _row(float(theta))
             expected = trace_distances(bob_state(float(theta)).matrix, bob_state(0.0).matrix)
-            assert report.a_to_b_violation == pytest.approx(expected, abs=1e-10)
+            assert row.a_to_b_violation == pytest.approx(expected, abs=1e-10)
 
     def test_no_reverse_signaling_anywhere(self):
         for theta in np.linspace(0.0, math.pi / 2, 17):
-            assert audit_dynamics(float(theta)).b_to_a_violation <= 1e-10
+            assert _row(float(theta)).b_to_a_violation <= 1e-10
 
     @pytest.mark.parametrize("shift", [0.0, 1e-16])
     def test_rounding_residue_is_reported_not_raised(self, shift):
@@ -162,14 +161,14 @@ class TestAuditDynamics:
         grid = [float(t) for t in np.linspace(0.0, math.pi, 33)] + [0.3, -math.pi / 2]
         assert {0.0, math.pi / 2, math.pi} <= set(grid)
         thetas = [t + shift for t in grid]
-        reports = _reports(thetas) + [audit_dynamics(0.3 + shift)]
-        assert [rep.theta for rep in reports[:-1]] == thetas
-        for rep in reports:
-            assert rep.positivity_ok and rep.normalization_ok
-            assert abs(rep.a_to_b_violation - abs(math.sin(2 * rep.theta)) / 4) <= 1e-15
+        rows = _rows(thetas) + [_row(0.3 + shift)]
+        assert [row.theta for row in rows[:-1]] == thetas
+        for row in rows:
+            assert row.positivity_ok and row.normalization_ok
+            assert abs(row.a_to_b_violation - abs(math.sin(2 * row.theta)) / 4) <= 1e-15
 
     def test_worst_setting_is_the_x_detector(self):
-        direction, receiver, senders = audit_dynamics(QUARTER).worst_setting
+        direction, receiver, senders = check_no_signaling(effective_box(QUARTER)).worst_settings
         assert direction == "a_to_b"
         assert receiver == 1  # Bob's |+>/|-> setting
         assert senders == (0, 1)
@@ -179,23 +178,23 @@ class TestSweepAgainstBranchExpansion:
     """The closed-form sweep against the branch-by-branch construction."""
 
     @staticmethod
-    def _assert_matches(reports, thetas):
-        assert [r.theta for r in reports] == [float(t) for t in thetas]
-        for rep in reports:
-            box = _oracle_box(rep.theta)
+    def _assert_matches(rows, thetas):
+        assert [r.theta for r in rows] == [float(t) for t in thetas]
+        for row in rows:
+            box = _oracle_box(row.theta)
             oracle = check_no_signaling(box)
-            table = effective_box(rep.theta).table
-            np.testing.assert_allclose(table, box.table, rtol=0, atol=1e-15)
-            assert abs(rep.a_to_b_violation - oracle.a_to_b_violation) <= 1e-15
-            assert abs(rep.b_to_a_violation - oracle.b_to_a_violation) <= 1e-15
-            assert rep.worst_setting == oracle.worst_settings
-            assert abs(rep.marginal_shift - _oracle_shift(rep.theta)) <= 1e-15
-            assert rep.positivity_ok and rep.normalization_ok
+            effective = effective_box(row.theta)
+            np.testing.assert_allclose(effective.table, box.table, rtol=0, atol=1e-15)
+            assert abs(row.a_to_b_violation - oracle.a_to_b_violation) <= 1e-15
+            assert abs(row.b_to_a_violation - oracle.b_to_a_violation) <= 1e-15
+            assert check_no_signaling(effective).worst_settings == oracle.worst_settings
+            assert abs(row.marginal_shift - _oracle_shift(row.theta)) <= 1e-15
+            assert row.positivity_ok and row.normalization_ok
 
     def test_default_rotation_across_chunks(self):
         thetas = ORACLE_ANGLES
         assert len(thetas) > SWEEP_CHUNK
-        self._assert_matches(_reports(thetas), thetas)
+        self._assert_matches(_rows(thetas), thetas)
 
     @pytest.mark.parametrize("command", ["scan", "audit"])
     def test_cli_rows_match_oracle_rows(self, command, capsys):
@@ -251,9 +250,39 @@ def _grid(count, seed, specials=(0.0, math.pi / 2, math.pi)):
     return thetas
 
 
-def _reports(thetas):
-    """Every angle's :class:`AuditReport`, read off the sweep's chunks in order."""
-    return [chunk.report(i) for chunk in audit_sweep(thetas) for i in range(len(chunk.theta))]
+class Row(NamedTuple):
+    """One angle's figures, named as the sweep's chunk columns."""
+
+    theta: float
+    positivity_ok: bool
+    normalization_ok: bool
+    a_to_b_violation: float
+    b_to_a_violation: float
+    marginal_shift: float
+
+
+def _rows(thetas):
+    """Every angle's :class:`Row`, read off the sweep's chunk columns in order."""
+    return [
+        Row(*row)
+        for chunk in audit_sweep(thetas)
+        for row in zip(chunk.theta, *(getattr(chunk, name).tolist() for name in Row._fields[1:]))
+    ]
+
+
+def _row(theta):
+    return _rows([theta])[0]
+
+
+def _valid_but_signaling(row):
+    """The audit's verdict as its printed row reads: positive, normalized and
+    signaling past DEFAULT_TOL."""
+    return row.positivity_ok and row.normalization_ok and row.a_to_b_violation > DEFAULT_TOL
+
+
+def _tables(thetas):
+    """The bytes of every angle's effective-box table, chunk by chunk."""
+    return b"".join(chunk.tables.tobytes() for chunk in audit_sweep(thetas))
 
 
 def _rotation_family_densities(thetas):
@@ -268,26 +297,27 @@ class TestDefaultRotationStack:
     @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
     def test_default_equals_explicit_rotation_family_bit_for_bit(self, count, monkeypatch):
         for thetas in (_grid(count, count), [float(t) for t in np.linspace(0.0, math.pi, count)]):
-            default = _reports(thetas)
+            default, tables = _rows(thetas), _tables(thetas)
             assert len(default) == count
             with monkeypatch.context() as patch:
                 patch.setattr(audit_mod, "_densities", _rotation_family_densities)
-                assert repr(default) == repr(_reports(thetas))
+                assert repr(default) == repr(_rows(thetas))
+                assert tables == _tables(thetas)
 
     def test_one_angle_wrappers_equal_the_rotation_family(self, monkeypatch):
         for theta in (0.0, -0.0, 0.3, QUARTER, math.pi / 2, math.pi, -1.9, 7.5):
-            box, report = effective_box(theta), audit_dynamics(theta)
+            box, row = effective_box(theta), _row(theta)
             with monkeypatch.context() as patch:
                 patch.setattr(audit_mod, "_densities", _rotation_family_densities)
                 assert box.table.tobytes() == effective_box(theta).table.tobytes()
-                assert repr(report) == repr(audit_dynamics(theta))
+                assert repr(row) == repr(_row(theta))
             expected = _rotation_family_densities([theta])[0]
-            assert box_output_state(theta).matrix.tobytes() == expected.tobytes()
+            assert hybrid._densities([theta])[0].tobytes() == expected.tobytes()
 
     def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):
-        built, rows, reports, settings = [], [], [], []
+        built, rows, settings = [], [], []
         init, densities = quantum.Unitary.__post_init__, hybrid._densities
-        report_class, worst_setting = audit_mod.AuditReport, audit_mod._worst_setting
+        worst_setting = boxes._worst_setting
 
         def counting_init(self):
             built.append(self)
@@ -297,10 +327,6 @@ class TestDefaultRotationStack:
             rows.append(len(thetas))
             return densities(thetas)
 
-        def counting_report(**fields):
-            reports.append(fields["theta"])
-            return report_class(**fields)
-
         def counting_setting(*gaps):
             settings.append(gaps)
             return worst_setting(*gaps)
@@ -309,8 +335,7 @@ class TestDefaultRotationStack:
         monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
         for module in (hybrid, audit_mod):  # every name the chain is looked up under
             monkeypatch.setattr(module, "_densities", counting_densities)
-        monkeypatch.setattr(audit_mod, "AuditReport", counting_report)
-        monkeypatch.setattr(audit_mod, "_worst_setting", counting_setting)
+        monkeypatch.setattr(boxes, "_worst_setting", counting_setting)
         thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
         assert [len(chunk.theta) for chunk in audit_sweep(thetas)] == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
         assert rows == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
@@ -322,10 +347,11 @@ class TestDefaultRotationStack:
         ):
             assert main(argv) == 0
         capsys.readouterr()
-        assert built == [] and reports == [] and settings == []
-        # The one-angle view still builds its report and locates its worst setting.
-        assert audit_dynamics(QUARTER).worst_setting == ("a_to_b", 1, (0, 1))
-        assert reports == [QUARTER] and len(settings) == 1
+        assert built == [] and settings == []
+        # The one-angle box still has its worst setting located by the box check.
+        report = check_no_signaling(effective_box(QUARTER))
+        assert report.worst_settings == ("a_to_b", 1, (0, 1))
+        assert len(settings) == 1
         rotation(0.1)  # the counter itself works
         assert len(built) == 1
 
@@ -333,7 +359,7 @@ class TestDefaultRotationStack:
         for call in (
             lambda: next(audit_sweep([0.1, math.nan])),
             lambda: effective_box(math.inf),
-            lambda: box_output_state(-math.inf),
+            lambda: signaling_witness(-math.inf),
         ):
             with pytest.raises(ValueError, match="^rotation angle must be finite$"):
                 call()
@@ -486,7 +512,6 @@ class TestMovedChecks:
     CALLS = {
         "audit_sweep": lambda: next(audit_sweep([0.0, -0.0])),
         "effective_box": lambda: effective_box(0.0),
-        "box_output_state": lambda: box_output_state(0.0),
         "bob_state": lambda: bob_state(-0.0),
         "signaling_witness": lambda: signaling_witness(0.0),
     }

@@ -17,16 +17,13 @@ from boxworld.boxes import (
     check_no_signaling,
     chsh_value,
     deterministic_vertices,
-    dumps_csv,
     is_local,
     loads_csv,
-    locality_distance,
-    no_signaling_violations,
     pr_box,
     table_deviations,
     uniform_box,
 )
-from reference import Relabeling, relabel
+from reference import Relabeling, dumps_csv, relabel
 
 
 def _random_relabeling(rng) -> Relabeling:
@@ -116,6 +113,12 @@ def _lp_distance(t: np.ndarray) -> float:
     )
     assert res.success
     return float(res.x[16])
+
+
+def locality_distance(t: np.ndarray) -> Fraction:
+    """The table's exact distance to the local polytope: the optimum of the
+    simplex run in Fractions."""
+    return boxes._simplex(t.reshape(16), exact=True)[1]
 
 
 def _rebuild_error(weights: np.ndarray, t: np.ndarray) -> Fraction:
@@ -290,8 +293,14 @@ def _table_stacks():
         yield t / t.sum(axis=(1, 2), keepdims=True)
 
 
+def no_signaling_violations(t):
+    """The a-to-b and b-to-a violations of each table of ``t``, from the gap
+    arrays, as the audit's sweep reduces them."""
+    return boxes._a_to_b_gaps(t).max(axis=(-3, -2, -1)), boxes._b_to_a_gaps(t).max(axis=(-3, -2, -1))
+
+
 class TestArrayChecks:
-    """``table_deviations`` and ``no_signaling_violations`` on one table and on stacks."""
+    """``table_deviations`` and the no-signaling gap arrays on one table and on stacks."""
 
     def test_match_the_reference_loops_exactly(self):
         for stack in _table_stacks():
@@ -567,7 +576,7 @@ class TestIsLocal:
             local = _local_table(rng.random(16) ** 3)
             lam = rng.uniform(0, 1)
             tables.append(lam * _pr_variant(int(rng.integers(8))) + (1 - lam) * local)
-        distances = [locality_distance(ConditionalBox(t)) for t in tables]
+        distances = [locality_distance(t) for t in tables]
         runs = _SimplexRuns(monkeypatch)
         for t, exact_t in zip(tables, distances):
             # tol at the float nearest t and one ulp either side: only rounding separates them.
@@ -585,20 +594,20 @@ class TestIsLocal:
         assert True not in runs.exact
 
     def test_locality_distance_is_the_lp_optimum(self):
-        assert locality_distance(pr_box()) == Fraction(1, 8)  # (4 - 2) / 16, all 16 entries off
-        assert locality_distance(uniform_box()) == 0
-        assert locality_distance(ConditionalBox(_SIGNALING_PAST_ITS_BOUNDS)) == Fraction(1, 12)
+        assert locality_distance(pr_box().table) == Fraction(1, 8)  # (4 - 2) / 16, all 16 entries off
+        assert locality_distance(uniform_box().table) == 0
+        assert locality_distance(_SIGNALING_PAST_ITS_BOUNDS) == Fraction(1, 12)
         assert boxes._distance_lower_bound(_SIGNALING_PAST_ITS_BOUNDS.reshape(16))[0] == 1 / 16
         rng = np.random.default_rng(47)
         for _ in range(15):
             local = _local_table(rng.random(16) ** 3)
             lam = rng.uniform(0, 1)
             t = lam * _pr_variant(int(rng.integers(8))) + (1 - lam) * local
-            exact_t = locality_distance(ConditionalBox(t))
+            exact_t = locality_distance(t)
             assert isinstance(exact_t, Fraction)
             assert abs(float(exact_t) - _lp_distance(t)) <= 1e-12
             signaling = _move_bob_outcome(t, rng.uniform(0, 1) * t[0, 0, 1, 0])
-            assert abs(float(locality_distance(ConditionalBox(signaling))) - _lp_distance(signaling)) <= 1e-12
+            assert abs(float(locality_distance(signaling)) - _lp_distance(signaling)) <= 1e-12
 
     def test_lp_data_is_built_once_and_read_only(self):
         assert boxes._lp_data() is boxes._lp_data()

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from hypothesis import strategies as st
 import boxworld
 from boxworld import audit, boxes, cli, hybrid, protocol
 from boxworld.audit import effective_box
-from boxworld.boxes import MAX_CSV_BYTES, MAX_PAIR_ENTRIES, dumps_csv, pr_box
+from boxworld.boxes import MAX_CSV_BYTES, MAX_PAIR_ENTRIES, pr_box
 from boxworld.cli import main
+from boxworld.protocol import CHUNK_SHOTS, MAX_SHOTS, MIN_ROUNDS_MAX_COPIES
+from reference import dumps_csv
 
 
 def run(capsys, *argv):
@@ -417,9 +420,8 @@ class TestErrorExits:
             "-c",
             "import os, sys, threading\n"
             "from boxworld import cli\n"
-            "from boxworld.boxes import dumps_csv, pr_box\n"
             "r, w = os.pipe()\n"
-            "os.write(w, dumps_csv(pr_box()).encode())\n"
+            f"os.write(w, {dumps_csv(pr_box()).encode()!r})\n"
             "threading.Timer(0.2, os.close, (w,)).start()\n"
             "sys.exit(cli.main(['verify', '--box', f'/dev/fd/{r}']))",
         )
@@ -1128,6 +1130,20 @@ FLAG_VALUES = [
     "0", "1", "2", "33", str(cli.MAX_STEPS + 1), str(2**31), "-1", "0.0", "-0.0",
     "5e-324", "1e308", "-1e308", "nan", "inf", "1e999",
 ]
+# Values at and around the bounds the protocol commands check, and any int or
+# float as text.
+NUMBER_TEXTS = st.one_of(
+    st.sampled_from(
+        FLAG_VALUES
+        + ["0.3", "0.5", "0.75", "0.99", "0.9999999999999999", "1e-9", "4096", "4097"]
+        + [str(v + d) for v in (MIN_ROUNDS_MAX_COPIES, MAX_SHOTS, 2**64 - 1) for d in (0, 1)]
+    ),
+    st.integers().map(str),
+    st.floats().map(repr),
+)
+# --box sources: the builtins, and files that are no box; {missing} and
+# {directory} are filled in by the test.
+BOX_SOURCES = st.sampled_from(["pr", "uniform", "{missing}", "{directory}", "/dev/null"])
 
 
 def _subcommand_flags(command: str) -> list[argparse.Action]:
@@ -1138,9 +1154,10 @@ def _subcommand_flags(command: str) -> list[argparse.Action]:
 
 
 @st.composite
-def sweep_argvs(draw) -> list[str]:
-    """argv of ``scan``, ``audit`` or ``signal`` with flags drawn from the parser."""
-    command = draw(st.sampled_from(["scan", "audit", "signal"]))
+def argvs(draw, commands, values) -> list[str]:
+    """argv of one of ``commands`` with flags drawn from the parser, each
+    flag's value from the strategy ``values(option)``."""
+    command = draw(st.sampled_from(commands))
     actions = _subcommand_flags(command)
     required = [a for a in actions if a.required] if draw(st.booleans()) else []
     chosen = required + draw(st.lists(st.sampled_from(actions), max_size=len(actions)))
@@ -1150,9 +1167,9 @@ def sweep_argvs(draw) -> list[str]:
         if action.nargs == 0:  # --degrees
             flags.append([option])
         elif draw(st.booleans()):
-            flags.append([f"{option}={draw(st.sampled_from(FLAG_VALUES))}"])
+            flags.append([f"{option}={draw(values(option))}"])
         else:
-            flags.append([option, draw(st.sampled_from(FLAG_VALUES))])
+            flags.append([option, draw(values(option))])
     argv = [command, *(token for flag in flags for token in flag)]
     digits = draw(st.sampled_from([None, "0", "1", "17", "18"]))
     if digits is not None:
@@ -1161,17 +1178,65 @@ def sweep_argvs(draw) -> list[str]:
     return argv
 
 
+def _contract(argv: list[str]) -> tuple[int, str]:
+    """Run ``main(argv)`` and check the CLI's contract: exit code 0, 1 or 2;
+    on 1 or 2 an empty stdout and exactly one ``error:`` line; on 0 some
+    output and nothing on stderr. A defect raises here, with its traceback.
+    Returns the exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code:
+        assert out == "" and _one_error_line(err, "error: "), (argv, err)
+    else:
+        assert err == "" and out, argv
+    return code, out
+
+
 class TestGeneratedSweepArgv:
     @settings(max_examples=300, deadline=None)
-    @given(sweep_argvs())
+    @given(argvs(["scan", "audit", "signal"], lambda option: st.sampled_from(FLAG_VALUES)))
     def test_exit_code_and_one_error_line(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)  # a defect raises here, with its traceback
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2), argv
-        if code:
-            assert out == "" and _one_error_line(err, "error: "), (argv, err)
+        code, out = _contract(argv)
+        assert code or len(out.splitlines()) <= 101 or "signal" in argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs(["repeat", "simulate"], lambda option: NUMBER_TEXTS))
+    def test_protocol_commands(self, argv):
+        # Work is bounded by the flags, not by wall time: simulate samples
+        # its first chunk and only counts the shots of the others, and
+        # repeat evaluates the channel a logarithmic number of times.
+        chunks, channels = [], []
+        sample, channel = protocol._chunk_correct, protocol._channel
+
+        def first_chunk(theta, n, seed, chunk, m):
+            chunks.append(m)
+            return sample(theta, n, seed, chunk, m) if chunk == 0 else 0
+
+        def counted(a, n):
+            channels.append(n)
+            return channel(a, n)
+
+        with mock.patch.object(protocol, "_chunk_correct", first_chunk), mock.patch.object(
+            protocol, "_channel", counted
+        ):
+            code, out = _contract(argv)
+        assert all(1 <= n <= MIN_ROUNDS_MAX_COPIES for n in channels)
+        if "simulate" in argv:
+            assert len(channels) <= 1
+            if code == 0:
+                shots = int(out.splitlines()[1].split(",")[4])
+                assert sum(chunks) == shots and max(chunks) <= CHUNK_SHOTS
         else:
-            assert err == "" and out, argv
-            assert len(out.splitlines()) <= 101 or argv[0] == "signal"
+            # max_n, n0, n1, then at most 20 doublings and 20 bisection steps
+            assert len(channels) <= 43 and chunks == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs(["verify", "chsh", "local"], lambda o: BOX_SOURCES if o == "--box" else NUMBER_TEXTS))
+    def test_box_commands(self, tmp_path_factory, argv):
+        directory = tmp_path_factory.getbasetemp() / "box-sources"
+        directory.mkdir(exist_ok=True)
+        places = {"missing": directory / "missing.csv", "directory": directory}
+        _contract([token.format(**places) for token in argv])

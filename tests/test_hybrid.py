@@ -20,7 +20,6 @@ from boxworld.hybrid import (
     Scalar,
     Scaled,
     bob_state,
-    box_output_state,
     distribute,
     dumps,
     signaling_witness,
@@ -262,10 +261,10 @@ class TestPrExtendDensity:
             expected = pr_extend(state, max_branches=32).to_density()
             np.testing.assert_allclose(got, expected.matrix, rtol=0, atol=1e-15)
 
-    def test_box_output_state_is_bit_identical_to_expansion(self):
+    def test_chain_density_is_bit_identical_to_expansion(self):
         for theta in (0.0, 0.3, QUARTER_TURN, math.pi / 2, math.pi, -1.9):
             expected = pr_extend(_rotated_input(theta)).to_density().matrix
-            assert np.array_equal(box_output_state(theta).matrix, expected)
+            assert np.array_equal(hybrid._densities([theta])[0], expected)
 
     def test_empty_stack(self):
         rho = pr_extend_density(np.zeros((0, 4)))
@@ -391,8 +390,8 @@ class TestBobState:
 
     def test_alice_marginal_matches_bob(self):
         for theta in (0.2, 0.9, math.pi / 4):
-            joint = box_output_state(theta)
-            alice = partial_trace(joint.matrix, keep=0, dims=(2, 2))
+            joint = hybrid._densities([theta])[0]
+            alice = partial_trace(joint, keep=0, dims=(2, 2))
             np.testing.assert_allclose(alice, _expected_marginal(theta), atol=1e-12)
 
 

@@ -20,11 +20,10 @@ from boxworld.protocol import (
     _chunk_correct,
     copy_distance,
     exact_success,
-    exact_success_fraction,
     min_rounds,
     simulate,
 )
-from reference import helstrom
+from reference import exact_success_fraction, helstrom
 
 QUARTER = math.pi / 4
 
@@ -302,6 +301,57 @@ class TestWindowedDistance:
                 copy_distance(cs, 3)
 
 
+# Pythagorean (cos, sin) pairs: at theta = atan2(s, c) the float coherence
+# is within an ulp of the rational cs, and the exact sum over all counts at
+# that float stays cheap up to n = 200.
+PYTHAGOREAN_ANGLES = {
+    f"{a}-{b}-{h}": math.atan2(b, a) for a, b, h in ((3, 4, 5), (5, 12, 13), (7, 24, 25))
+}
+COPIES = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200)
+
+
+class TestExactAtTheFloatCoherence:
+    """The channel against :func:`reference.exact_success_fraction` at
+    ``Fraction(cs)`` of the coherence the program computes, so the only
+    error is the channel's own."""
+
+    # Relative errors over every n in [1, 200] at the three angles, worst
+    # measured: D_n 1.63e-15, the miss 3.0e-14, the success 7.4e-16. Each
+    # bound is about twice that.
+    D_BOUND, MISS_BOUND, SUCCESS_BOUND = 4e-15, 6e-14, 2e-15
+
+    def test_distance_miss_and_success(self):
+        for theta in PYTHAGOREAN_ANGLES.values():
+            cs = protocol._cs(theta)
+            for n in COPIES:
+                success = exact_success_fraction(Fraction(cs), n)
+                d = 2 * success - 1
+                got_d, got_miss = protocol._channel(abs(cs), n)
+                assert got_d == copy_distance(cs, n)
+                assert abs(Fraction(got_d) - d) <= self.D_BOUND * d, (theta, n)
+                assert abs(Fraction(got_miss) - (1 - d)) <= self.MISS_BOUND * (1 - d), (theta, n)
+                assert abs(Fraction(exact_success(theta, n)) - success) <= self.SUCCESS_BOUND * success
+
+    @pytest.mark.parametrize(
+        "triple, targets",
+        [
+            ("3-4-5", (0.6, 0.75, 0.9, 0.95, 0.99)),
+            ("5-12-13", (0.6, 0.75, 0.9, 0.95)),
+            ("7-24-25", (0.6, 0.75, 0.9)),
+        ],
+    )
+    def test_min_rounds_is_the_exact_threshold(self, triple, targets):
+        # Every n* here is at most 89, and the exact success at n* and at
+        # n* - 1 is 1.6e-4 or more from the target.
+        theta = PYTHAGOREAN_ANGLES[triple]
+        cs = Fraction(protocol._cs(theta))
+        for target in targets:
+            n = min_rounds(theta, target)
+            assert n <= 89
+            assert exact_success_fraction(cs, n) >= Fraction(target)
+            assert n == 1 or exact_success_fraction(cs, n - 1) < Fraction(target)
+
+
 class TestBracketedMinRounds:
     def test_equals_doubling_search_on_seeded_pairs(self):
         rng = random.Random(20261018)
@@ -365,8 +415,8 @@ def test_shot_ceiling_checked_before_any_work(monkeypatch):
 
 
 CAP = MIN_ROUNDS_MAX_COPIES
-# Each integer argument of the public functions: a call that takes it, its
-# name and its range.
+# Each integer argument of the public functions, and of the exact oracle in
+# tests/reference.py: a call that takes it, its name and its range.
 COUNT_ARGUMENTS = {
     "copy_distance n": (lambda v: copy_distance(1e-10, v), "n", 1, CAP),
     "exact_success n": (lambda v: exact_success(0.3, v), "n", 1, CAP),
