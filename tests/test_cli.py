@@ -1039,6 +1039,18 @@ def _sweep_corpus() -> dict[str, list[list[str]]]:
             [command, "--theta", "90", "--degrees"],
             ["--digits", "5", command, "--theta", "0.3"],
         ]
+    # Both orders of the witness's eigenvalues (cs > 0 and cs < 0), a zero
+    # shift, shifts that underflow, and angles whose reduction is inexact.
+    witness = [
+        "0", "-0.0", "5e-324", "-5e-324", "1e-310", "1e-300", "1e-160", "-1e-160", "3e-162",
+        "1e-16", "1e-8", "0.3", "-0.3", "0.7853981633974483", "-0.7853981633974483", "1",
+        half, f"-{half}", "2", "2.356194490192345", "2.5", "3", pi, f"-{pi}", "-2.9", "4",
+        "-4", "5.5", "1e6", "-1e6", "123456.789", "1e308", "-1e308",
+    ]
+    for digits in ("1", "5", "17"):
+        groups[f"signal witness digits={digits}"] = [
+            ["--digits", digits, "signal", f"--theta={t}"] for t in witness
+        ]
     return groups
 
 
@@ -1065,6 +1077,10 @@ SWEEP_BYTES = {
     "audit digits": "a0094dc74361e35c5c73c8de9c0e3b6499ff3303b0bb6047d631c021b5b68769",
     "audit theta": "a04e9b34ff0f84cb152ddd2f536907fcb3dd45991513ec9097dfa541916a9772",
     "signal theta": "fcf248bbf422b14f3885a2f9533aa0f1f807eac53f9b52e9d1b4732f0304742e",
+    # recorded while `signal` still read its own path, signaling_witness
+    "signal witness digits=1": "da26386f253db84b9c48664eba591471363c0400edc0331dd8d90bc9e30869be",
+    "signal witness digits=5": "e63f2b1346a35c8fd15d822094876d65ad24262fd5d26f9ffaddc49b407387e1",
+    "signal witness digits=17": "54505cbdc019d81750cf3faac1005e463a5aca76e159de157f3c403b53230e51",
 }
 
 
