@@ -75,9 +75,10 @@ def _load_box(source: str, tol: float) -> boxes.ConditionalBox:
 
 
 def _output_is_box(args) -> bool:
-    """Whether --output names the file --box reads, which opening it would empty."""
+    """Whether --output names the regular file --box reads, which opening it
+    would empty; a device such as /dev/null empties nothing."""
     box = getattr(args, "box", None)
-    if box in (None, *BUILTIN_BOXES) or not all(map(os.path.exists, (box, args.output))):
+    if box in (None, *BUILTIN_BOXES) or not os.path.isfile(box) or not args.output.exists():
         return False
     return os.path.samefile(box, args.output)
 
@@ -253,14 +254,12 @@ def cmd_local(args, out) -> int:
 
 def cmd_signal(args, out) -> int:
     theta = _angle(args.theta, args.degrees)
-    report = hybrid.signaling_witness(theta)
+    chunk = next(audit_mod.audit_sweep([theta]))
     print(f"theta = {_fmt(theta, args.digits)}", file=out)
-    print(f"a->b violation = {_fmt(report.a_to_b_violation, args.digits)}", file=out)
-    for name, ket in zip(("witness[0]", "witness[1]"), report.witness_basis):
-        amps = " ".join(
-            f"{z.real:.{args.digits}g}{z.imag:+.{args.digits}g}j" for z in ket.amplitudes
-        )
-        print(f"{name} = {amps}", file=out)
+    print(f"a->b violation = {_fmt(chunk.marginal_shift[0], args.digits)}", file=out)
+    for k, vector in enumerate(chunk.witness[0]):
+        amps = " ".join(f"{z.real:.{args.digits}g}{z.imag:+.{args.digits}g}j" for z in vector)
+        print(f"witness[{k}] = {amps}", file=out)
     return 0
 
 

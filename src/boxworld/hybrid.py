@@ -19,22 +19,14 @@ independently. An input with k nonzero components therefore expands into
 2^k output branches of relative weight 2^-k.
 
 The paper's chain, Alice's rotation of |01> by theta followed by the
-extended box, is `_densities`, evaluated on a stack of angles. The
-rotated input (0, cos theta, 0, sin theta) has two nonzero components, so
-its output density is a quadratic form in (c, s) = (cos theta, sin theta):
-three fixed terms with weights c^2, s^2 and cs, filled in straight from
-(c, s) without a rotation matrix or an expansion. Each density is checked
-by its own spectrum, which the form gives in closed form: (c^2 + s^2)/2,
-c^2/2, s^2/2 and 0, over c^2 + s^2. Every figure the package prints reads
-that stack: the audit's sweep a chunk at a time, and `signaling_witness`
-one row, as `bob_state` does. The theta = 0 row, which every signaling
-figure is measured against, is evaluated once per process by
-`_zero_densities`.
+extended box, is evaluated without expanding branches in
+:mod:`boxworld.audit`, which computes every figure that ``signal``,
+``scan`` and ``audit`` print; :func:`bob_state` reads Bob's marginal off
+that chain at one angle.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -42,8 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .quantum import DensityOperator, Ket, basis_ket, trace_distances
-from .tolerance import EIGEN_ROUNDING, ROUNDING
+from .quantum import DensityOperator, Ket, basis_ket
 
 __all__ = [
     "DEFAULT_BRANCH_CAP",
@@ -61,8 +52,6 @@ __all__ = [
     "HybridState",
     "distribute",
     "bob_state",
-    "SignalingReport",
-    "signaling_witness",
     "dumps",
 ]
 
@@ -376,138 +365,17 @@ def _pow2_times(m: np.ndarray, k: int | np.ndarray) -> np.ndarray:
     return np.ldexp(m.view(float), k).view(complex)
 
 
-# The entries of a sweep density, row major, as columns of (a, b, g, 0).
-_SWEEP_LAYOUT = [0, 2, 2, 3, 2, 1, 3, 2, 2, 3, 1, 2, 3, 2, 2, 0]
-
-
-def _densities(thetas) -> np.ndarray:
-    """The paper's chain for a whole stack of angles: the output densities
-    of the extended box, shape (T, 4, 4), for the inputs (U tensor 1)|01>
-    = (0, c, 0, s), with U = [[c, -s], [s, c]] the rotation by each angle.
-
-    The angles are checked finite and each U unitary, which it is exactly
-    when c^2 + s^2 = 1, as U^dagger U - I = (c^2 + s^2 - 1) I. The box
-    sends c|01> + s|11> to c(|00> (+) |11>) + s(|01> (+) |10>), whose
-    density is three fixed terms in (c, s), over its trace 2(a + b):
-
-        a (|00><00| + |11><11|) + b (|01><01| + |10><10|)
-            + g ((|00> + |11>)(<01| + <10|) + h.c.),
-
-    with a = c^2/8, b = s^2/8 and g = cs/16. a and b are formed as the
-    squared mean of the two pair choices plus their spread, (c/4)^2 +
-    c^2/16, and g as the product of the means, (c/4)(s/4), which is how
-    the branch expansion rounds them where they are subnormal; the trace
-    divides as a product by its reciprocal. Adding 0.0 turns the g of
-    s = -0.0 into +0.0. The matrix is real and symmetric, so Hermitian,
-    and finite, as its trace (c^2 + s^2)/4 is within ROUNDING of 1/4; its
-    spectrum is checked by :func:`_check_spectrum`.
-    """
-    if not all(map(math.isfinite, thetas)):
-        raise ValueError("rotation angle must be finite")
-    c = [math.cos(t) for t in thetas]
-    s = [math.sin(t) for t in thetas]
-    dev = max([abs(x * x + y * y - 1.0) for x, y in zip(c, s)], default=0.0)
-    if dev > ROUNDING:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
-    terms = []
-    for x, y in zip(c, s):
-        qc, qs = 0.25 * x, 0.25 * y
-        a, b, g = qc * qc + 0.0625 * (x * x), qs * qs + 0.0625 * (y * y), qc * qs
-        r = 1.0 / ((a + b) + (a + b))
-        terms.append((a * r, b * r, g * r + 0.0))
-    _check_spectrum(terms)
-    abg = np.zeros((len(terms), 4))
-    abg[:, :3] = np.reshape(terms, (-1, 3))
-    rho = np.zeros((len(terms), 16), dtype=complex)
-    rho.real = abg[:, _SWEEP_LAYOUT]
-    return rho.reshape(-1, 4, 4)
-
-
-def _check_spectrum(terms) -> None:
-    """Raise ValueError unless each (a, b, g) of ``terms`` fills a density
-    operator in the layout of :func:`_densities`.
-
-    That matrix's eigenvalues are a on Phi- = |00> - |11>, b on Psi- =
-    |01> - |10>, and (a + b)/2 +- hypot((a - b)/2, 2g) on the span of
-    Phi+ and Psi+, where it reads [[a, 2g], [2g, b]]: its spectrum exactly,
-    with no decomposition. The checks and messages are those of
-    :func:`~boxworld.quantum.check_densities`: a trace 2(a + b) within
-    ROUNDING of 1, and no eigenvalue below -EIGEN_ROUNDING, the lowest
-    being negative when 4g^2 > ab. In the chain 4g^2 = ab up to rounding,
-    so the lowest eigenvalue is 0 up to rounding.
-    """
-    trace = max([(a + b) + (a + b) for a, b, _ in terms], key=lambda t: abs(t - 1.0), default=1.0)
-    if abs(trace - 1.0) > ROUNDING:
-        raise ValueError(f"trace is {trace:.15g}, not 1")
-    lo = min(
-        [min(a, b, 0.5 * (a + b) - math.hypot(0.5 * (a - b), g + g)) for a, b, g in terms],
-        default=0.0,
-    )
-    if lo < -EIGEN_ROUNDING:
-        raise ValueError(f"negative eigenvalue {lo:.3g}")
-
-
-def _bob_marginals(rho: np.ndarray) -> np.ndarray:
-    """Second-register marginals of two-qubit densities, shape (..., 2, 2):
-    the sum of the two diagonal blocks."""
-    return rho[..., :2, :2] + rho[..., 2:, 2:]
-
-
-@functools.cache
-def _zero_densities() -> np.ndarray:
-    """The chain at theta = 0, shape (1, 4, 4), which every signaling figure
-    is measured against: checked and evaluated once per process, read-only."""
-    rho = _densities([0.0])
-    rho.setflags(write=False)
-    return rho
-
-
 def bob_state(theta: float) -> DensityOperator:
     """Second register of the box output; equals (1/2)[[1, cs], [cs, 1]].
 
     Here cs = cos(theta) sin(theta). At theta = 0 this is the maximally
     mixed state, so any dependence on theta is a marginal Bob can see
-    without ever hearing from Alice.
+    without ever hearing from Alice. It reads the sweep's chain, imported
+    here so that expressions alone do not load the audit layer.
     """
+    from .audit import _bob_marginals, _densities
+
     return DensityOperator(_bob_marginals(_densities([theta]))[0])
-
-
-@dataclass(frozen=True)
-class SignalingReport:
-    """How far Alice's rotation choice moves Bob's marginal, and what detects it.
-
-    ``a_to_b_violation`` is the trace distance between Bob's marginals with
-    and without the rotation, i.e. sin(2 theta)/4. ``witness_basis`` is the
-    measurement basis achieving that distance as a total-variation gap
-    (the eigenbasis of the marginal difference; the |+>/|-> pair whenever
-    the violation is nonzero).
-    """
-
-    theta: float
-    a_to_b_violation: float
-    witness_basis: tuple[Ket, Ket]
-
-
-def signaling_witness(theta: float) -> SignalingReport:
-    """Quantify the one-bit signal Alice's local rotation hands to Bob.
-
-    Bob's marginals without and with the rotation are those of
-    :func:`_zero_densities` and of the one row of :func:`_densities` at
-    ``theta``, as in a sweep, so the violation is bit for bit the sweep's
-    figure at ``theta``.
-    """
-    bob_zero = _bob_marginals(_zero_densities()[0])
-    bob_theta = _bob_marginals(_densities([theta])[0])
-    violation = float(trace_distances(bob_theta, bob_zero))
-    evals, evecs = np.linalg.eigh(bob_theta - bob_zero)
-    order = np.argsort(evals)[::-1]
-    vectors = []
-    for idx in order:
-        v = evecs[:, idx]
-        lead = np.argmax(np.abs(v))
-        phase = v[lead] / abs(v[lead]) if abs(v[lead]) > 0 else 1.0
-        vectors.append(Ket(v / phase))
-    return SignalingReport(theta, violation, (vectors[0], vectors[1]))
 
 
 def dumps(state: HybridState, digits: int = 17) -> str:

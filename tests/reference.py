@@ -17,10 +17,11 @@ package computes by a shorter path, or builds inputs for such a check:
   for a stack of any inputs, as mean plus spread of the pair choices.
   :func:`pr_extend` derives each admissible output from the relation
   a XOR b = A AND B itself, so the two are separate derivations; the
-  sweep's three-term density, :func:`boxworld.hybrid._densities`, is a
+  sweep's three-term density, :func:`boxworld.audit._densities`, is a
   third;
-- :func:`exact_chain`, the whole construction at an angle with rational
-  cosine and sine, in ``Fraction`` arithmetic, from the same relation;
+- :func:`exact_chain`, the whole construction at any rational (cos, sin)
+  pair, the float ones included, in ``Fraction`` arithmetic, from the
+  same relation;
 - a reader for :func:`boxworld.hybrid.dumps`;
 - :func:`exact_success_fraction`, the optimal n-copy success of the
   repetition channel as an exact sum over all n + 1 counts.
@@ -387,14 +388,6 @@ def exact_density(c: Fraction, s: Fraction) -> list[list[Fraction]]:
     return [[v / trace for v in row] for row in rho]
 
 
-def _exact_sqrt(q: Fraction) -> Fraction:
-    """The square root of a rational square; anything else is an error."""
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if Fraction(num, den) ** 2 != q:
-        raise ValueError(f"{q} is not the square of a rational")
-    return Fraction(num, den)
-
-
 def _max_gap(marginals: list[list[list[Fraction]]]) -> Fraction:
     """The largest total-variation gap between the marginals [r][i] (over
     outcomes) of two sender inputs i, over receiver inputs r."""
@@ -406,15 +399,18 @@ def exact_chain(c: Fraction, s: Fraction) -> ExactFigures:
 
     The inputs are c|01> + s|11> (x = 1) and |01> (x = 0), each sent
     through the extension branch by branch with the outputs of
-    a XOR b = A AND B. Alice reads her register in Z and Bob in Z (y = 0)
-    or in |+>/|-> (y = 1); the 1/sqrt(2) of that basis enters squared, so
-    every probability is rational. The marginal shift is the trace
-    distance of Bob's two marginals, whose difference is a traceless real
-    2x2 matrix [[d, e], [e, -d]] with eigenvalues +-sqrt(d^2 + e^2); the
-    square root must be rational, as it is whenever c^2 + s^2 = 1.
+    a XOR b = A AND B and divided by its trace, so (c, s) may be any
+    rational pair but (0, 0): the float cosine and sine of an angle, off
+    the unit circle by their rounding, give the figures the program's own
+    inputs have exactly. Alice reads her register in Z and Bob in Z
+    (y = 0) or in |+>/|-> (y = 1); the 1/sqrt(2) of that basis enters
+    squared, so every probability is rational. The marginal shift is the
+    trace distance of Bob's two marginals, whose difference is a traceless
+    real 2x2 matrix [[d, e], [e, -d]]; both marginals have diagonal 1/2,
+    so d = 0 and the shift is |e|.
     """
-    if c * c + s * s != 1:
-        raise ValueError(f"({c}, {s}) is not on the unit circle")
+    if c == 0 and s == 0:
+        raise ValueError("(0, 0) is no input: the state carries no mass")
     densities = (exact_density(Fraction(1), Fraction(0)), exact_density(c, s))
     # Bob's basis vectors, unnormalized, and their squared norms, by y.
     bob_bases = (((1, 0), (0, 1)), ((1, 1), (1, -1)))
@@ -430,7 +426,7 @@ def exact_chain(c: Fraction, s: Fraction) -> ExactFigures:
         [[sum(rho[2 * a + b][2 * a + b2] for a in (0, 1)) for b2 in (0, 1)] for b in (0, 1)]
         for rho in densities
     ]
-    d = bobs[1][0][0] - bobs[0][0][0]
+    assert bobs[1][0][0] == bobs[0][0][0] == Fraction(1, 2)  # d = 0
     e = bobs[1][0][1] - bobs[0][0][1]
     bits = (0, 1)
     bob_marg = [[[sum(table[a][b][x][y] for a in bits) for b in bits] for x in bits] for y in bits]
@@ -439,7 +435,7 @@ def exact_chain(c: Fraction, s: Fraction) -> ExactFigures:
         density=densities[1],
         table=table,
         bob=bobs[1],
-        marginal_shift=_exact_sqrt(d * d + e * e),
+        marginal_shift=abs(e),
         a_to_b_violation=_max_gap(bob_marg),
         b_to_a_violation=_max_gap(alice_marg),
     )

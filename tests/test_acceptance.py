@@ -27,7 +27,7 @@ from boxworld.boxes import (
 from boxworld.cli import main
 from boxworld.dsl import format as format_expr
 from boxworld.dsl import parse
-from boxworld.hybrid import HybridState, bob_state, distribute, signaling_witness
+from boxworld.hybrid import HybridState, bob_state, distribute
 from boxworld.protocol import (
     copy_distance,
     exact_success,
@@ -110,15 +110,10 @@ def test_criterion_3_rewrite_equivalence():
 def test_criterion_4_signaling_curve():
     c = Criterion("4 signaling curve")
     grid = np.linspace(0.0, math.pi / 2, 65)
-    values = []
-    curve_ok = True
-    for theta in grid:
-        rep = signaling_witness(float(theta))
-        values.append(rep.a_to_b_violation)
-        if abs(rep.a_to_b_violation - math.sin(2 * theta) / 4) > 1e-10:
-            curve_ok = False
+    # signal's figure at each angle: the marginal shift of a one-angle sweep
+    values = np.array([next(audit_sweep([float(t)])).marginal_shift[0] for t in grid])
+    curve_ok = bool(np.all(np.abs(values - np.sin(2 * grid) / 4) <= 1e-10))
     reverse_ok = all(chunk.b_to_a_violation.max() <= 1e-10 for chunk in audit_sweep(grid))
-    values = np.array(values)
     c.check(curve_ok, "matches sin(2 theta)/4 to 1e-10 on 65 points")
     c.check(
         abs(values.max() - 0.25) <= 1e-10 and abs(grid[values.argmax()] - QUARTER) <= 1e-12,

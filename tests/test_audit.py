@@ -6,13 +6,15 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxworld.audit as audit_mod
-from boxworld import boxes, cli, hybrid, quantum
+from boxworld import boxes, cli, quantum
 from boxworld.audit import SWEEP_CHUNK, audit_sweep, effective_box
 from boxworld.boxes import ConditionalBox, check_no_signaling
 from boxworld.cli import main
-from boxworld.hybrid import HybridState, bob_state, signaling_witness
+from boxworld.hybrid import HybridState, bob_state
 from boxworld.quantum import basis_ket, trace_distances
 from boxworld.tolerance import DEFAULT_TOL
 from reference import (
@@ -286,8 +288,11 @@ def _tables(thetas):
 
 
 def _rotation_family_densities(thetas):
-    """Output densities from input rows built one ``Unitary`` per angle."""
-    return pr_extend_density(rotated_inputs([rotation(t) for t in thetas]))
+    """Output densities from input rows built one ``Unitary`` per angle, real
+    like the chain's: their imaginary parts are all zero."""
+    rho = pr_extend_density(rotated_inputs([rotation(t) for t in thetas]))
+    assert not rho.imag.any()
+    return rho.real.copy()
 
 
 class TestDefaultRotationStack:
@@ -312,11 +317,11 @@ class TestDefaultRotationStack:
                 assert box.table.tobytes() == effective_box(theta).table.tobytes()
                 assert repr(row) == repr(_row(theta))
             expected = _rotation_family_densities([theta])[0]
-            assert hybrid._densities([theta])[0].tobytes() == expected.tobytes()
+            assert audit_mod._densities([theta])[0].tobytes() == expected.tobytes()
 
     def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):
         built, rows, settings = [], [], []
-        init, densities = quantum.Unitary.__post_init__, hybrid._densities
+        init, densities = quantum.Unitary.__post_init__, audit_mod._densities
         worst_setting = boxes._worst_setting
 
         def counting_init(self):
@@ -333,8 +338,7 @@ class TestDefaultRotationStack:
 
         audit_mod._zero_figures()  # the theta = 0 row, evaluated once per process
         monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
-        for module in (hybrid, audit_mod):  # every name the chain is looked up under
-            monkeypatch.setattr(module, "_densities", counting_densities)
+        monkeypatch.setattr(audit_mod, "_densities", counting_densities)
         monkeypatch.setattr(boxes, "_worst_setting", counting_setting)
         thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
         assert [len(chunk.theta) for chunk in audit_sweep(thetas)] == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
@@ -359,7 +363,7 @@ class TestDefaultRotationStack:
         for call in (
             lambda: next(audit_sweep([0.1, math.nan])),
             lambda: effective_box(math.inf),
-            lambda: signaling_witness(-math.inf),
+            lambda: next(audit_sweep([-math.inf])).witness,
         ):
             with pytest.raises(ValueError, match="^rotation angle must be finite$"):
                 call()
@@ -403,11 +407,11 @@ class TestThreeTermsExactly:
 
     @staticmethod
     def three_terms(c, s):
-        """The layout of :func:`hybrid._densities` filled with a = c^2/8,
+        """The layout of :func:`audit._densities` filled with a = c^2/8,
         b = s^2/8 and g = cs/16, over the trace 2(a + b)."""
         a, b, g = c * c / 8, s * s / 8, c * s / 16
         terms = (a / (2 * (a + b)), b / (2 * (a + b)), g / (2 * (a + b)), Fraction(0))
-        return [[terms[hybrid._SWEEP_LAYOUT[4 * j + k]] for k in range(4)] for j in range(4)]
+        return [[terms[audit_mod._SWEEP_LAYOUT[4 * j + k]] for k in range(4)] for j in range(4)]
 
     @staticmethod
     def closed_form(c, s):
@@ -489,7 +493,7 @@ class TestRationalOracle:
                 values.extend(getattr(chunk, name))
         got = {
             "density": pr_extend_density(rows),
-            "chain density": hybrid._densities(thetas),
+            "chain density": audit_mod._densities(thetas),
             **{name: np.array(values) for name, values in columns.items()},
         }
         want = {
@@ -505,6 +509,57 @@ class TestRationalOracle:
             assert error <= self.BOUND, (name, error)
 
 
+# Every finite float, subnormals included, and the neighbourhoods of the
+# angles where cos or sin is 0, where the figures are smallest against
+# their rounding: within 2^20 ulps, and within 1e-3.
+_CENTRES = (0.0, math.pi / 2, -math.pi / 2, math.pi)
+ANY_ANGLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda c, k: c + k * math.ulp(c), st.sampled_from(_CENTRES), st.integers(-2**20, 2**20)),
+    st.builds(lambda c, d: c + d, st.sampled_from(_CENTRES), st.floats(-1e-3, 1e-3)),
+)
+
+
+class TestExactFiguresAtEveryFloatAngle:
+    """Each column ``signal``, ``scan`` and ``audit`` print, at any finite
+    float angle, against the exact chain at that angle's float (cos, sin)."""
+
+    EPS = sys.float_info.epsilon
+    # The worst error seen on 60 000 angles, in units of EPS (one ulp of 1),
+    # plus a margin of one EPS each. The angles had uniform float bits, lay
+    # within 2^20 ulps or 1e-3 of each centre, were log-uniform down to
+    # 5e-324, or uniform in [-4, 4].
+    BOUNDS = {
+        "tables": (0.75 + 1) * EPS,
+        "scan ab_violation": (0.25 + 1) * EPS,  # marginal_shift
+        "audit ab_violation": (0.75 + 1) * EPS,  # a_to_b_violation
+        "ba_violation": (1 + 1) * EPS,
+        "witness": (0.5 + 1) * EPS,
+    }
+
+    @settings(max_examples=400, deadline=None)
+    @given(theta=ANY_ANGLE)
+    def test_every_printed_column_within_its_bound(self, theta):
+        fig = exact_chain(Fraction(math.cos(theta)), Fraction(math.sin(theta)))
+        chunk = next(audit_sweep([theta]))
+        assert chunk.positivity_ok[0] and chunk.normalization_ok[0]
+        errors = {
+            "tables": np.abs(chunk.tables[0] - np.array(fig.table, dtype=float)).max(),
+            "scan ab_violation": abs(chunk.marginal_shift[0] - float(fig.marginal_shift)),
+            "audit ab_violation": abs(chunk.a_to_b_violation[0] - float(fig.a_to_b_violation)),
+            "ba_violation": abs(chunk.b_to_a_violation[0] - float(fig.b_to_a_violation)),
+        }
+        # Bob's shift [[0, e], [e, 0]] is attained by |+> then |-> for e > 0,
+        # the other way round for e < 0. A shift below the smallest normal
+        # float prints as 0 or subnormal, and any basis attains that.
+        e = fig.bob[0][1]
+        if abs(e) >= sys.float_info.min:
+            r = math.sqrt(0.5)
+            basis = [[r, r], [r, -r]] if e > 0 else [[r, -r], [r, r]]
+            errors["witness"] = np.abs(chunk.witness[0] - basis).max()
+        assert all(errors[name] <= self.BOUNDS[name] for name in errors), errors
+
+
 class TestMovedChecks:
     """The checks of the rotation stack still run on every path to a density."""
 
@@ -513,11 +568,11 @@ class TestMovedChecks:
         "audit_sweep": lambda: next(audit_sweep([0.0, -0.0])),
         "effective_box": lambda: effective_box(0.0),
         "bob_state": lambda: bob_state(-0.0),
-        "signaling_witness": lambda: signaling_witness(0.0),
+        "signal": lambda: next(audit_sweep([0.0])).witness,
     }
 
     @pytest.mark.parametrize("call", CALLS, ids=str)
     def test_an_input_off_the_unit_circle_is_refused(self, monkeypatch, call):
-        monkeypatch.setattr(hybrid.math, "cos", lambda theta: 1.0 + 1e-9)
+        monkeypatch.setattr(audit_mod.math, "cos", lambda theta: 1.0 + 1e-9)
         with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 2e-09\)$"):
             self.CALLS[call]()

@@ -334,6 +334,12 @@ class TestOutputOptions:
         code, _, _ = run(capsys, "--output", str(tmp_path / "out.txt"), "verify", "--box", str(box))
         assert code == 0 and (tmp_path / "out.txt").read_text().startswith("no-signaling: OK")
 
+    @pytest.mark.skipif(not Path(os.devnull).exists(), reason=f"needs {os.devnull}")
+    def test_output_on_the_device_the_box_reads_reports_the_box(self, capsys):
+        # Writing to a device empties nothing, so the fault is the empty box file.
+        code, out, err = run(capsys, "--output", os.devnull, "verify", "--box", os.devnull)
+        assert (code, out, err) == (1, "", "error: expected header 'A,B,a,b,p'\n")
+
     def test_digits(self, capsys):
         _, out, _ = run(capsys, "--digits", "3", "signal", "--theta", "0.1")
         assert "a->b violation = 0.0497" in out
@@ -864,9 +870,9 @@ CHAINS = {
     "verify": {"boxes"},
     "chsh": {"boxes"},
     "local": {"boxes"},
-    "signal": {"quantum", "hybrid"},
-    "scan": {"quantum", "boxes", "hybrid", "audit"},
-    "audit": {"quantum", "boxes", "hybrid", "audit"},
+    "signal": {"quantum", "boxes", "audit"},
+    "scan": {"quantum", "boxes", "audit"},
+    "audit": {"quantum", "boxes", "audit"},
     "repeat": {"protocol"},
     "simulate": {"protocol"},
     "parse": {"quantum", "hybrid", "dsl"},
@@ -941,25 +947,25 @@ class TestLazyLayers:
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True True\n")
 
     def test_two_sweeps_evaluate_the_zero_row_once(self):
-        # Two sweeps and a witness, none of whose own angles is 0, send 45
-        # angles through the chain, under either name it is looked up by,
-        # theta = 0 among them once.
+        # Two sweeps and the one-angle sweep `signal` reads, none of whose own
+        # angles is 0, send 45 angles through the chain, theta = 0 among them once.
         proc = _fresh_python(
             "-W",
             "error",
             "-c",
             "import numpy as np\n"
-            "from boxworld import audit, hybrid\n"
+            "from boxworld import audit\n"
             "rows = []\n"
-            "densities = hybrid._densities\n"
+            "densities = audit._densities\n"
             "def counting(thetas):\n"
             "    rows.extend(thetas)\n"
             "    return densities(thetas)\n"
-            "hybrid._densities = audit._densities = counting\n"
+            "audit._densities = counting\n"
             "for grid in ([0.1, 0.2, 0.3], np.linspace(0.5, 3.0, 40)):\n"
             "    for chunk in audit.audit_sweep(grid):\n"
             "        chunk.tables, chunk.marginal_shift\n"
-            "hybrid.signaling_witness(0.7)\n"
+            "chunk = next(audit.audit_sweep([0.7]))\n"
+            "chunk.marginal_shift, chunk.witness\n"
             "print(len(rows), rows.count(0.0))\n",
         )
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "45 1\n")
@@ -1077,7 +1083,7 @@ SWEEP_BYTES = {
     "audit digits": "a0094dc74361e35c5c73c8de9c0e3b6499ff3303b0bb6047d631c021b5b68769",
     "audit theta": "a04e9b34ff0f84cb152ddd2f536907fcb3dd45991513ec9097dfa541916a9772",
     "signal theta": "fcf248bbf422b14f3885a2f9533aa0f1f807eac53f9b52e9d1b4732f0304742e",
-    # recorded while `signal` still read its own path, signaling_witness
+    # recorded before `signal` read its witness off a one-angle sweep
     "signal witness digits=1": "da26386f253db84b9c48664eba591471363c0400edc0331dd8d90bc9e30869be",
     "signal witness digits=5": "e63f2b1346a35c8fd15d822094876d65ad24262fd5d26f9ffaddc49b407387e1",
     "signal witness digits=17": "54505cbdc019d81750cf3faac1005e463a5aca76e159de157f3c403b53230e51",

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxworld.audit as audit_mod
-from boxworld import hybrid, quantum
+from boxworld import quantum
+from boxworld.audit import audit_sweep
 from boxworld.hybrid import (
     BasisKet,
     BranchLimitError,
@@ -22,7 +23,6 @@ from boxworld.hybrid import (
     bob_state,
     distribute,
     dumps,
-    signaling_witness,
 )
 from boxworld.quantum import Ket, basis_ket
 from reference import (
@@ -264,7 +264,7 @@ class TestPrExtendDensity:
     def test_chain_density_is_bit_identical_to_expansion(self):
         for theta in (0.0, 0.3, QUARTER_TURN, math.pi / 2, math.pi, -1.9):
             expected = pr_extend(_rotated_input(theta)).to_density().matrix
-            assert np.array_equal(hybrid._densities([theta])[0], expected)
+            assert np.array_equal(audit_mod._densities([theta])[0], expected)
 
     def test_empty_stack(self):
         rho = pr_extend_density(np.zeros((0, 4)))
@@ -308,7 +308,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 class TestSweepDensities:
-    """The sweep's three-term densities, :func:`hybrid._densities`, against the
+    """The sweep's three-term densities, :func:`audit._densities`, against the
     closed form of the extension for any input, and their spectrum check."""
 
     @staticmethod
@@ -319,11 +319,12 @@ class TestSweepDensities:
         rng = np.random.default_rng(21)
         specials = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi / 2, -math.pi / 2, math.pi]
         thetas = specials + [1e300, -1e300, 3e-162] + [float(t) for t in rng.uniform(-4, 4, 2000)]
-        got = hybrid._densities(thetas)
-        assert got.shape == (len(thetas), 4, 4) and got.dtype == complex
+        got, want = audit_mod._densities(thetas), self._closed_form(thetas)
+        assert got.shape == (len(thetas), 4, 4) and got.dtype == float
         assert got.flags.c_contiguous
         # np.array_equal would take -0.0 for +0.0; the bits do not.
-        assert np.array_equal(_bits(got), _bits(self._closed_form(thetas)))
+        assert np.array_equal(_bits(got), _bits(want.real))
+        assert not _bits(want.imag).any()  # the closed form is real, every zero +0.0
 
     def test_subnormal_sines_differ_only_where_the_closed_form_leaves_a_residue(self):
         # Where s^2/16 is subnormal, the closed form's mean and spread of
@@ -332,7 +333,9 @@ class TestSweepDensities:
         rng = np.random.default_rng(22)
         thetas = [float(t) for t in np.exp(rng.uniform(math.log(1e-163), math.log(1e-152), 3000))]
         thetas += [1e-160, -1e-160] + [k * 5e-324 for k in range(1, 300)]
-        got, want = hybrid._densities(thetas), self._closed_form(thetas)
+        got, want = audit_mod._densities(thetas), self._closed_form(thetas)
+        assert not _bits(want.imag).any()
+        want = want.real
         residue = np.zeros((4, 4), dtype=bool)
         residue[1, 2] = residue[2, 1] = True
         assert np.array_equal(_bits(got[:, ~residue]), _bits(want[:, ~residue]))
@@ -341,13 +344,13 @@ class TestSweepDensities:
         assert np.abs(want[:, residue]).max() > 0.0  # the corpus reaches the residue
 
     def test_empty_grid(self):
-        assert hybrid._densities([]).shape == (0, 4, 4)
-        hybrid._check_spectrum([])
+        assert audit_mod._densities([]).shape == (0, 4, 4)
+        audit_mod._check_spectrum([])
 
     def test_the_checked_spectrum_is_the_matrix_spectrum(self):
         thetas = [float(t) for t in np.random.default_rng(23).uniform(-4, 4, 200)]
-        rho = hybrid._densities(thetas)
-        a, b, g = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1].real
+        rho = audit_mod._densities(thetas)
+        a, b, g = rho[:, 0, 0], rho[:, 1, 1], rho[:, 0, 1]
         mid, half = 0.5 * (a + b), np.hypot(0.5 * (a - b), 2 * g)
         closed = np.sort(np.stack([a, b, mid - half, mid + half], axis=1), axis=1)
         np.testing.assert_allclose(closed, np.linalg.eigvalsh(rho), rtol=0, atol=1e-15)
@@ -365,7 +368,7 @@ class TestSweepDensities:
     def test_a_term_off_the_spectrum_is_refused(self, terms, message):
         # 4g^2 > ab puts an eigenvalue of the (Phi+, Psi+) block below 0.
         with pytest.raises(ValueError, match=message):
-            hybrid._check_spectrum(terms)
+            audit_mod._check_spectrum(terms)
 
 
 class TestBobState:
@@ -390,51 +393,47 @@ class TestBobState:
 
     def test_alice_marginal_matches_bob(self):
         for theta in (0.2, 0.9, math.pi / 4):
-            joint = hybrid._densities([theta])[0]
+            joint = audit_mod._densities([theta])[0]
             alice = partial_trace(joint, keep=0, dims=(2, 2))
             np.testing.assert_allclose(alice, _expected_marginal(theta), atol=1e-12)
 
 
+def _signal(theta):
+    """What ``signal`` prints at ``theta``: a one-angle sweep's marginal shift
+    and the witness basis that attains it."""
+    chunk = next(audit_sweep([theta]))
+    return chunk.marginal_shift[0], chunk.witness[0]
+
+
 class TestSignalingWitness:
     def test_zero_angle_silent(self):
-        assert signaling_witness(0.0).a_to_b_violation == 0.0
+        assert _signal(0.0)[0] == 0.0
 
     def test_quarter_angle_maximum(self):
-        rep = signaling_witness(math.pi / 4)
-        assert rep.a_to_b_violation == pytest.approx(0.25, abs=1e-12)
-        np.testing.assert_allclose(
-            rep.witness_basis[0].amplitudes, plus_ket().amplitudes, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            rep.witness_basis[1].amplitudes, minus_ket().amplitudes, atol=1e-12
-        )
+        violation, witness = _signal(math.pi / 4)
+        assert violation == pytest.approx(0.25, abs=1e-12)
+        np.testing.assert_allclose(witness[0], plus_ket().amplitudes, atol=1e-12)
+        np.testing.assert_allclose(witness[1], minus_ket().amplitudes, atol=1e-12)
 
     def test_small_angle_value(self):
-        rep = signaling_witness(0.1)
-        assert rep.a_to_b_violation == pytest.approx(math.sin(0.2) / 4, abs=1e-12)
-        assert rep.a_to_b_violation == pytest.approx(0.049667, abs=1e-6)
+        violation = _signal(0.1)[0]
+        assert violation == pytest.approx(math.sin(0.2) / 4, abs=1e-12)
+        assert violation == pytest.approx(0.049667, abs=1e-6)
 
     def test_closed_form_and_symmetry(self):
         for theta in np.linspace(0.0, math.pi / 2, 25):
-            rep = signaling_witness(float(theta))
-            assert rep.a_to_b_violation == pytest.approx(
-                math.sin(2 * theta) / 4, abs=1e-10
-            )
-            mirrored = signaling_witness(float(math.pi / 2 - theta))
-            assert rep.a_to_b_violation == pytest.approx(
-                mirrored.a_to_b_violation, abs=1e-12
-            )
+            violation = _signal(float(theta))[0]
+            assert violation == pytest.approx(math.sin(2 * theta) / 4, abs=1e-10)
+            mirrored = _signal(float(math.pi / 2 - theta))[0]
+            assert violation == pytest.approx(mirrored, abs=1e-12)
 
     def test_witness_basis_is_x_for_nonzero_cs(self):
         for theta in (0.1, 0.7, 1.3):
-            rep = signaling_witness(theta)
-            np.testing.assert_allclose(
-                rep.witness_basis[0].amplitudes, plus_ket().amplitudes, atol=1e-10
-            )
+            np.testing.assert_allclose(_signal(theta)[1][0], plus_ket().amplitudes, atol=1e-10)
 
     def test_one_stacked_chain_and_no_density_objects(self, monkeypatch):
         stacks, built = [], []
-        densities, init = hybrid._densities, quantum.DensityOperator.__post_init__
+        densities, init = audit_mod._densities, quantum.DensityOperator.__post_init__
 
         def counting_densities(thetas):
             stacks.append(len(thetas))
@@ -444,13 +443,12 @@ class TestSignalingWitness:
             built.append(self)
             init(self)
 
-        hybrid._zero_densities()  # the theta = 0 row, evaluated once per process
-        for module in (hybrid, audit_mod):  # every name the chain is looked up under
-            monkeypatch.setattr(module, "_densities", counting_densities)
+        audit_mod._zero_figures()  # the theta = 0 row, evaluated once per process
+        monkeypatch.setattr(audit_mod, "_densities", counting_densities)
         monkeypatch.setattr(quantum.DensityOperator, "__post_init__", counting_init)
-        rep = signaling_witness(0.7)
+        violation = _signal(0.7)[0]
         assert stacks == [1] and built == []
-        assert rep.a_to_b_violation == pytest.approx(math.sin(1.4) / 4, abs=1e-12)
+        assert violation == pytest.approx(math.sin(1.4) / 4, abs=1e-12)
 
 
 class TestHybridStateValidation:

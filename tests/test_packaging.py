@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import os
@@ -102,3 +103,43 @@ def test_commands_reach_every_public_function(tmp_path):
     codes, unreached = json.loads(proc.stdout)
     assert len(lines) >= 9 and codes == [0] * len(corpus)
     assert set(unreached) == UNREACHED_BY_COMMANDS
+
+
+# The underscore names one layer may import from another, each with the
+# reason it may. A key is (importer, layer, name), the importer being a
+# module or, for an import inside a function, module.function.
+PRIVATE_IMPORTS = {
+    ("audit", "boxes", "_a_to_b_gaps"): "the sweep reads the gaps of a whole stack of tables",
+    ("audit", "boxes", "_b_to_a_gaps"): "the sweep reads the gaps of a whole stack of tables",
+    ("hybrid.bob_state", "audit", "_densities"): "the chain at one angle, imported on call "
+    "so that parse does not load audit",
+    ("hybrid.bob_state", "audit", "_bob_marginals"): "Bob's marginal of that one row",
+}
+
+
+def _private_imports(path: Path) -> set[tuple[str, str, str]]:
+    """(importer, layer, name) for each underscore name ``path`` imports from
+    a sibling layer, the importer being the module or its enclosing function."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                layer = child.module if child.level == 1 else child.module.partition("boxworld.")[2]
+                found.update(
+                    (owner, layer, alias.name)
+                    for alias in child.names
+                    if layer and alias.name.startswith("_")
+                )
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_layers_import_only_the_allowed_private_names():
+    found = set().union(*map(_private_imports, PACKAGE.glob("*.py")))
+    assert found == set(PRIVATE_IMPORTS)
