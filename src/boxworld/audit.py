@@ -18,11 +18,15 @@ its closed-form spectrum; the x = 0 figures are formed once per process,
 by :func:`_zero_figures`. A sweep yields each chunk as columns, one array
 per figure, computed when first read: the chunk's tables in one
 C-contiguous array, positivity and normalization from
-:func:`~boxworld.boxes.table_deviations`, the two signaling directions
-from their no-signaling gaps, Bob's marginal shift, and the basis that
-attains it, so a caller pays only for the figures it prints. ``signal``
-reads the shift and that basis off a one-angle sweep, so it prints
-``scan``'s figure byte for byte. The figures are reported, never raised:
+:func:`table_deviations`, the two signaling directions from their
+no-signaling gap arrays, Bob's marginal shift, and the basis that attains
+it, so a caller pays only for the figures it prints. These stacked forms
+live here, with the sweep's arrays; :mod:`boxworld.boxes` computes the
+same figures of one table in plain Python, summing the same entries in
+the same order wherever numpy sums them one at a time (fewer than eight
+terms), so both report the same bits. ``signal`` reads the shift and
+that basis off a one-angle sweep, so it prints ``scan``'s figure byte for
+byte. The figures are reported, never raised:
 the audit's job is to say which property fails. A box is valid but
 signaling when ``positivity_ok`` and ``normalization_ok`` hold and
 ``a_to_b_violation`` exceeds :data:`~boxworld.tolerance.DEFAULT_TOL`, as
@@ -41,7 +45,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .boxes import ConditionalBox, _a_to_b_gaps, _b_to_a_gaps, table_deviations
+from .boxes import ConditionalBox
 from .quantum import trace_distances
 from .tolerance import EIGEN_ROUNDING, ROUNDING
 
@@ -50,6 +54,7 @@ __all__ = [
     "SweepChunk",
     "effective_box",
     "audit_sweep",
+    "table_deviations",
 ]
 
 # Angles evaluated together by a sweep: a grid of any length holds at most
@@ -124,6 +129,37 @@ def _check_spectrum(terms) -> None:
     )
     if lo < -EIGEN_ROUNDING:
         raise ValueError(f"negative eigenvalue {lo:.3g}")
+
+
+def table_deviations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest entry and worst setting-normalization error of each table.
+
+    ``t`` is one table or a stack, shape ``(..., a, b, A, B)``; both results
+    have shape ``t.shape[:-4]``. The normalization error is the largest
+    ``|sum over (a, b) - 1|`` over the settings (A, B).
+    """
+    t = np.ascontiguousarray(t)
+    return t.min(axis=(-4, -3, -2, -1)), np.abs(t.sum(axis=(-4, -3)) - 1.0).max(axis=(-2, -1))
+
+
+def _a_to_b_gaps(t: np.ndarray) -> np.ndarray:
+    """Gaps of Bob's marginals across Alice's inputs, indexed [..., B, A, A']."""
+    return _gaps(np.ascontiguousarray(t).sum(axis=-4).swapaxes(-3, -1))
+
+
+def _b_to_a_gaps(t: np.ndarray) -> np.ndarray:
+    """Gaps of Alice's marginals across Bob's inputs, indexed [..., A, B, B']."""
+    return _gaps(np.ascontiguousarray(t).sum(axis=-3).swapaxes(-3, -1).swapaxes(-3, -2))
+
+
+def _gaps(marg: np.ndarray) -> np.ndarray:
+    """Total-variation gaps [..., receiver, i, j] between the marginals of
+    sender inputs i and j, from marginals [..., receiver, sender, outcome].
+    """
+    # With the outcome axis last and contiguous, each gap is summed in the
+    # same order as the sum of one 1-D marginal difference.
+    marg = np.ascontiguousarray(marg)
+    return 0.5 * np.abs(marg[..., :, None, :] - marg[..., None, :, :]).sum(axis=-1)
 
 
 def _bob_marginals(rho: np.ndarray) -> np.ndarray:
@@ -225,8 +261,8 @@ def audit_sweep(thetas: Iterable[float]) -> Iterator[SweepChunk]:
     Each chunk's densities come from one call of the checked chain,
     :func:`_densities`; the x = 0 figures, from the
     process's one evaluation at theta = 0. A chunk's tables are one
-    C-contiguous array, read by :func:`~boxworld.boxes.table_deviations`
-    and the no-signaling gaps as a whole.
+    C-contiguous array, read by :func:`table_deviations` and the
+    no-signaling gaps as a whole.
     """
     angles = iter(thetas)
     while chunk := [float(t) for t in itertools.islice(angles, SWEEP_CHUNK)]:

@@ -35,14 +35,16 @@ and always ends.
 Violation magnitudes are total-variation distances (half L1) so they sit
 on the same scale as trace distances elsewhere in the package.
 
-Validity and no-signaling are computed by array functions:
-:func:`table_deviations` and the two directions' gap arrays,
-:func:`_a_to_b_gaps` and :func:`_b_to_a_gaps`. Each takes one table or a
-stack of tables, shape ``(..., a, b, A, B)``, and gives every table of a
-stack exactly the figures it gets on its own. The audit's sweep reads
-them on a stack; :class:`ConditionalBox` and :func:`check_no_signaling`
-are their one-table callers, and only the latter locates the worst
-setting.
+Everything here is plain Python on one table, stored as nested tuples of
+floats, so ``verify``, ``chsh`` and ``local`` load no numpy. Sums are
+formed in index order, one addition at a time, which is how the audit's
+stacked forms (:func:`boxworld.audit.table_deviations` and the gap arrays
+beside it) sum the same entries wherever a sum has fewer than eight
+terms; so an effective box and its sweep row report the same violations
+to the bit. :func:`check_no_signaling` compares every pair of sender
+inputs, at most :data:`MAX_PAIR_ENTRIES` entries per direction, and
+locates the worst setting; at that bound it takes about a second. The
+simplex runs on lists of rows, in floats or in Fractions alike.
 """
 
 from __future__ import annotations
@@ -51,10 +53,9 @@ import functools
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .tolerance import DEFAULT_TOL, ROUNDING
 
@@ -71,7 +72,6 @@ __all__ = [
     "NoSignalingReport",
     "pr_box",
     "uniform_box",
-    "table_deviations",
     "check_no_signaling",
     "chsh_value",
     "deterministic_vertices",
@@ -82,10 +82,11 @@ __all__ = [
 # The longest box CSV the command line reads; a binary box at 17 digits
 # takes under 500 bytes.
 MAX_CSV_BYTES = 1 << 20
-# The most gaps the no-signaling check may form in one direction, receiver
-# inputs x sender inputs^2 x receiver outputs (32 MiB of floats). loads_csv
-# refuses larger tables: within MAX_CSV_BYTES, 60000 inputs on one side
-# would ask for 28.8 GB.
+# The most entries the no-signaling check may compare in one direction,
+# counted as receiver inputs x sender inputs^2 x receiver outputs; it
+# compares each sender pair once, so about half of that, in about a second.
+# loads_csv refuses larger tables: within MAX_CSV_BYTES, 60000 inputs on
+# one side would ask for 1.8e9 comparisons.
 MAX_PAIR_ENTRIES = 1 << 22
 
 
@@ -97,27 +98,29 @@ class BoxFormatError(ValueError):
     """Box CSV text does not conform to the ``A,B,a,b,p`` layout."""
 
 
+def _sum(values) -> float:
+    """The sum of ``values`` from 0.0, one addition at a time in their order."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 @dataclass(frozen=True)
 class ConditionalBox:
-    """P(a, b | A, B) stored as a read-only float array indexed ``[a, b, A, B]``.
+    """P(a, b | A, B) stored as read-only nested tuples of floats, ``table[a][b][A][B]``.
 
-    Entries must be >= -tol and every input setting (A, B) must sum to 1
-    within tol. Canonical constructors use exact dyadic values, so equality
-    checks against them need no tolerance.
+    The table may be given as any nested sequence or as an array, which is
+    read through its ``tolist``. Entries must be >= -tol and every input
+    setting (A, B) must sum to 1 within tol. Canonical constructors use
+    exact dyadic values, so equality checks against them need no tolerance.
     """
 
-    table: np.ndarray
+    table: tuple
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        t = np.array(self.table, dtype=float)
-        if t.ndim != 4 or min(t.shape) < 1:
-            raise BoxValidationError(
-                f"box table must be 4-dimensional (a, b, A, B), got shape {t.shape}"
-            )
-        if not np.all(np.isfinite(t)):
+        t = _nested_floats(self.table)
+        if not all(map(math.isfinite, _entries(t))):
             raise BoxValidationError("box table contains non-finite entries")
-        lowest, worst = table_deviations(t)
+        lowest, worst = _deviations(t)
         if lowest < -self.tol:
             raise BoxValidationError(
                 f"negative probability {lowest:.3g} below -tol={-self.tol:.3g}"
@@ -126,8 +129,49 @@ class ConditionalBox:
             raise BoxValidationError(
                 f"setting normalization off by {worst:.3g} (tol {self.tol:.3g})"
             )
-        t.setflags(write=False)
         object.__setattr__(self, "table", t)
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        """The alphabet sizes (a, b, A, B)."""
+        t = self.table
+        return len(t), len(t[0]), len(t[0][0]), len(t[0][0][0])
+
+
+def _nested_floats(table) -> tuple:
+    """``table`` as nested tuples of floats, checked 4-dimensional, with
+    every axis nonempty and every row of an axis the same length."""
+    if hasattr(table, "tolist"):
+        table = table.tolist()
+    try:
+        t = tuple(tuple(tuple(tuple(map(float, c)) for c in b) for b in a) for a in table)
+    except TypeError:  # fewer or more than four levels
+        t = None
+    level = [t]
+    for _ in range(4):
+        if t is None or len({len(x) for x in level}) != 1 or not level[0]:
+            raise BoxValidationError(
+                "box table must be 4-dimensional (a, b, A, B), with nonempty, equal-length axes"
+            )
+        level = [y for x in level for y in x]
+    return t
+
+
+def _entries(t: tuple):
+    """Every entry of the table ``t``, in (a, b, A, B) row-major order."""
+    return (p for b_rows in t for settings in b_rows for row in settings for p in row)
+
+
+def _deviations(t: tuple) -> tuple[float, float]:
+    """Smallest entry of the table ``t``, and its worst setting-normalization
+    error: the largest ``|sum over (a, b) - 1|`` over the settings (A, B)."""
+    blocks = [settings for b_rows in t for settings in b_rows]  # [A][B] at each (a, b)
+    sums = [
+        _sum(block[A][B] for block in blocks)
+        for A in range(len(blocks[0]))
+        for B in range(len(blocks[0][0]))
+    ]
+    return min(_entries(t)), max(abs(s - 1.0) for s in sums)
 
 
 @dataclass(frozen=True)
@@ -154,61 +198,36 @@ class NoSignalingReport:
 
 def pr_box() -> ConditionalBox:
     """The binary box with P(a, b | A, B) = 1/2 when a XOR b = A AND B, else 0."""
-    t = np.zeros((2, 2, 2, 2))
-    for a, b, A, B in itertools.product(range(2), repeat=4):
-        if a ^ b == A & B:
-            t[a, b, A, B] = 0.5
-    return ConditionalBox(t)
+    return ConditionalBox(
+        [
+            [[[0.5 if a ^ b == A & B else 0.0 for B in (0, 1)] for A in (0, 1)] for b in (0, 1)]
+            for a in (0, 1)
+        ]
+    )
 
 
 def uniform_box() -> ConditionalBox:
     """The binary box with the uniform outcome distribution, 1/4, at every setting."""
-    return ConditionalBox(np.full((2, 2, 2, 2), 0.25))
+    return ConditionalBox([[[[0.25] * 2] * 2] * 2] * 2)
 
 
-def table_deviations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest entry and worst setting-normalization error of each table.
-
-    ``t`` is one table or a stack, shape ``(..., a, b, A, B)``; both results
-    have shape ``t.shape[:-4]``. The normalization error is the largest
-    ``|sum over (a, b) - 1|`` over the settings (A, B).
-    """
-    t = np.ascontiguousarray(t)
-    return t.min(axis=(-4, -3, -2, -1)), np.abs(t.sum(axis=(-4, -3)) - 1.0).max(axis=(-2, -1))
+def _gap(p, q) -> float:
+    """The total-variation distance between two outcome marginals."""
+    return 0.5 * _sum(map(abs, map(operator.sub, p, q)))
 
 
-def _a_to_b_gaps(t: np.ndarray) -> np.ndarray:
-    """Gaps of Bob's marginals across Alice's inputs, indexed [..., B, A, A']."""
-    return _gaps(np.ascontiguousarray(t).sum(axis=-4).swapaxes(-3, -1))
-
-
-def _b_to_a_gaps(t: np.ndarray) -> np.ndarray:
-    """Gaps of Alice's marginals across Bob's inputs, indexed [..., A, B, B']."""
-    return _gaps(np.ascontiguousarray(t).sum(axis=-3).swapaxes(-3, -1).swapaxes(-3, -2))
-
-
-def _gaps(marg: np.ndarray) -> np.ndarray:
-    """Total-variation gaps [..., receiver, i, j] between the marginals of
-    sender inputs i and j, from marginals [..., receiver, sender, outcome].
-    """
-    # With the outcome axis last and contiguous, each gap is summed in the
-    # same order as the sum of one 1-D marginal difference.
-    marg = np.ascontiguousarray(marg)
-    return 0.5 * np.abs(marg[..., :, None, :] - marg[..., None, :, :]).sum(axis=-1)
-
-
-def _worst_setting(a_to_b: np.ndarray, b_to_a: np.ndarray) -> tuple[str, int, tuple[int, int]]:
-    """Where one table's largest gap lies, from its two gap arrays.
-
-    The a-to-b direction wins a tie; within a direction the first maximum
-    in receiver-major order, sender pairs in :func:`itertools.combinations`
-    order, wins; when no gap is > 0 the place is receiver 0, pair (0, 0).
-    """
-    direction, gaps = ("a_to_b", a_to_b) if a_to_b.max() >= b_to_a.max() else ("b_to_a", b_to_a)
-    # A C-order scan of the symmetric [receiver, i, j] gaps meets the first
-    # maximum at i < j, in the order above, or at the zero at (0, 0, 0).
-    receiver, i, j = np.unravel_index(gaps.argmax(), gaps.shape)
-    return direction, int(receiver), (int(i), int(j))
+def _largest_gap(marginals) -> tuple[float, int, tuple[int, int]]:
+    """The largest gap between the marginals [receiver][sender][outcome] of
+    two sender inputs, and where it lies: the first maximum in receiver-major
+    order, sender pairs in :func:`itertools.combinations` order, or receiver
+    0, pair (0, 0) when no gap is > 0."""
+    worst, receiver, pair = 0.0, 0, (0, 0)
+    for r, rows in enumerate(marginals):
+        for (i, p), (j, q) in itertools.combinations(enumerate(rows), 2):
+            gap = _gap(p, q)
+            if gap > worst:
+                worst, receiver, pair = gap, r, (i, j)
+    return worst, receiver, pair
 
 
 def check_no_signaling(box: ConditionalBox, tol: float = DEFAULT_TOL) -> NoSignalingReport:
@@ -219,21 +238,25 @@ def check_no_signaling(box: ConditionalBox, tol: float = DEFAULT_TOL) -> NoSigna
     tolerance). A box satisfies the no-signaling condition exactly when
     both reported violations are zero.
     """
-    lowest, worst = table_deviations(box.table)
+    t = box.table
+    lowest, worst = _deviations(t)
     if lowest < -tol or worst > tol:
         raise BoxValidationError(
             "box table breaks positivity/normalization beyond the requested tolerance"
         )
-    a_to_b, b_to_a = _a_to_b_gaps(box.table), _b_to_a_gaps(box.table)
-    return NoSignalingReport(
-        float(a_to_b.max()), float(b_to_a.max()), _worst_setting(a_to_b, b_to_a), tol
-    )
-
-
-def _correlators(t: np.ndarray) -> np.ndarray:
-    """E(A, B) = P(a = b) - P(a != b) of a binary table, indexed [A, B]."""
-    sign = np.array([[1.0, -1.0], [-1.0, 1.0]])  # (-1)^(a xor b)
-    return np.einsum("ab,abAB->AB", sign, t)
+    n_a, n_b, n_x, n_y = box.shape
+    bob = [  # [B][A][b]
+        [[_sum(t[a][b][x][y] for a in range(n_a)) for b in range(n_b)] for x in range(n_x)]
+        for y in range(n_y)
+    ]
+    alice = [  # [A][B][a]
+        [[_sum(t[a][b][x][y] for b in range(n_b)) for a in range(n_a)] for y in range(n_y)]
+        for x in range(n_x)
+    ]
+    a_to_b, b_to_a = _largest_gap(bob), _largest_gap(alice)
+    # The worst setting is the a-to-b direction's on a tie.
+    worst = ("a_to_b", *a_to_b[1:]) if a_to_b[0] >= b_to_a[0] else ("b_to_a", *b_to_a[1:])
+    return NoSignalingReport(a_to_b[0], b_to_a[0], worst, tol)
 
 
 def chsh_value(box: ConditionalBox) -> float:
@@ -242,102 +265,118 @@ def chsh_value(box: ConditionalBox) -> float:
     Ranges over [-4, 4]; 2 bounds the local polytope, 4 is reached by the
     PR box and its relabelings.
     """
-    if box.table.shape != (2, 2, 2, 2):
-        raise ValueError(f"CHSH needs a binary 2x2x2x2 box, got shape {box.table.shape}")
-    corr = _correlators(box.table)
-    return float(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1])
+    if box.shape != (2, 2, 2, 2):
+        raise ValueError(f"CHSH needs a binary 2x2x2x2 box, got shape {box.shape}")
+    t = box.table
+    corr = [
+        [_sum((t[0][0][x][y], -t[0][1][x][y], -t[1][0][x][y], t[1][1][x][y])) for y in (0, 1)]
+        for x in (0, 1)
+    ]
+    return corr[0][0] + corr[0][1] + corr[1][0] - corr[1][1]
 
 
-def deterministic_vertices() -> np.ndarray:
-    """The 16 deterministic binary boxes, flattened, shape (16, 16).
+def deterministic_vertices() -> tuple[tuple[float, ...], ...]:
+    """The 16 deterministic binary boxes, flattened: 16 rows of 16 entries.
 
     Vertex v encodes the strategy (a(A=0), a(A=1), b(B=0), b(B=1)) read off
     the bits of v from most to least significant; row v is the table
     flattened in (a, b, A, B) row-major order.
     """
-    verts = np.zeros((16, 2, 2, 2, 2))
-    for a0, a1, b0, b1 in itertools.product(range(2), repeat=4):
-        v = 8 * a0 + 4 * a1 + 2 * b0 + b1
-        for A, B in itertools.product(range(2), repeat=2):
-            a = (a0, a1)[A]
-            b = (b0, b1)[B]
-            verts[v, a, b, A, B] = 1.0
-    return verts.reshape(16, 16)
+    return tuple(
+        tuple(
+            float((a0, a1)[A] == a and (b0, b1)[B] == b)
+            for a, b, A, B in itertools.product(range(2), repeat=4)
+        )
+        for a0, a1, b0, b1 in itertools.product(range(2), repeat=4)
+    )
 
 
 @functools.cache
-def _lp_data() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _lp_data() -> tuple[tuple, tuple, tuple, tuple]:
     """The locality LP's tableau and the index tables its certificates read.
 
-    None depends on the box, so all four are built once per process and
-    kept read-only:
+    None depends on the box, so all four are built once per process, as
+    tuples of tuples:
 
     - the 34 x 50 tableau with a zero right-hand side. Its columns are the
       16 vertex weights w, the deviation t, the slacks of the 16 rows
       ``V^T w - t <= p`` (rows 0-15) and of the 16 rows ``-V^T w - t <= -p``
       (rows 16-31), then the right-hand side. Row 32 is ``sum w = 1`` and
       row 33 the objective t;
-    - ``support``, shape (16, 4): the entries at which each vertex is 1;
-    - ``members``, shape (16, 4): the vertices that are 1 at each entry;
-    - ``bell``, shape (24, 16): the functionals g tried before any pivot,
-      the 8 CHSH variants and the 16 no-signaling gaps.
+    - ``support``, 16 x 4: the entries at which each vertex is 1;
+    - ``members``, 16 x 4: the vertices that are 1 at each entry;
+    - ``bell``, 24 x 16: the functionals g tried before any pivot, the 8
+      CHSH variants and the 16 no-signaling gaps.
     """
     verts = deterministic_vertices()
-    tableau = np.zeros((34, 50))
-    tableau[:16, :16], tableau[16:32, :16] = verts.T, -verts.T
-    tableau[:32, 16] = -1.0
-    tableau[:32, 17:49] = np.eye(32)
-    tableau[32, :16] = tableau[33, 16] = 1.0
-    support = np.nonzero(verts)[1].reshape(16, 4)
-    members = np.nonzero(verts.T)[1].reshape(16, 4)
-    a, b, A, B = np.indices((2, 2, 2, 2))
-    parity = 1.0 - 2.0 * (a ^ b)
+    columns = list(zip(*verts))  # the vertices' values at each entry
+    tableau = []
+    for row in range(32):
+        sign, values = (1.0, columns[row]) if row < 16 else (-1.0, columns[row - 16])
+        slack = [0.0] * 33  # and the right-hand side
+        slack[row] = 1.0
+        tableau.append((*(sign * v for v in values), -1.0, *slack))
+    tableau.append((*[1.0] * 16, *[0.0] * 34))
+    tableau.append((*[0.0] * 16, 1.0, *[0.0] * 33))
+    support = tuple(tuple(e for e, v in enumerate(row) if v) for row in verts)
+    members = tuple(tuple(v for v, x in enumerate(values) if x) for values in columns)
+    entries = list(itertools.product(range(2), repeat=4))  # (a, b, A, B)
     bell = [
-        sign * parity * np.where((A == x) & (B == y), -1.0, 1.0)
+        tuple(
+            sign * (1.0 - 2.0 * (a ^ b)) * (-1.0 if (A, B) == (x, y) else 1.0)
+            for a, b, A, B in entries
+        )
         for x, y, sign in itertools.product((0, 1), (0, 1), (1.0, -1.0))
     ]
     for setting, outcome, sign in itertools.product((0, 1), (0, 1), (1.0, -1.0)):
         # The shift of P(b = outcome | B = setting) with A, and its mirror image.
-        bell.append(sign * (1.0 - 2.0 * A) * ((B == setting) & (b == outcome)))
-        bell.append(sign * (1.0 - 2.0 * B) * ((A == setting) & (a == outcome)))
-    bell = np.reshape(bell, (24, 16))
-    for array in (tableau, support, members, bell):
-        array.setflags(write=False)
-    return tableau, support, members, bell
+        bell.append(
+            tuple(
+                sign * (1.0 - 2.0 * A) * float(B == setting and b == outcome)
+                for a, b, A, B in entries
+            )
+        )
+        bell.append(
+            tuple(
+                sign * (1.0 - 2.0 * B) * float(A == setting and a == outcome)
+                for a, b, A, B in entries
+            )
+        )
+    return tuple(tableau), support, members, tuple(bell)
 
 
-def _bell_bounds(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(g.p - max over vertices v of g.v) / |g|_1, for each functional g (last axis).
+def _local_maximum(g) -> float:
+    """max over vertices v of g.v, from the four entries at which v is 1."""
+    return max(g[i] + g[j] + g[k] + g[m] for i, j, k, m in _lp_data()[1])
 
-    A lower bound on the table p's distance t to the local polytope for
-    any nonzero g. Exact when g and p hold Fractions.
+
+def _bell_bound(g, p) -> float | Fraction:
+    """(g.p - max over vertices v of g.v) / |g|_1 for the functional g.
+
+    A lower bound on the flat table p's distance t to the local polytope
+    for any nonzero g. Exact when g and p hold Fractions.
     """
-    top = g[..., _lp_data()[1]].sum(axis=-1).max(axis=-1)
-    return (g @ p - top) / np.abs(g).sum(axis=-1)
+    return (sum(map(operator.mul, g, p)) - _local_maximum(g)) / sum(map(abs, g))
 
 
-def _bell_clears(g: np.ndarray, p: np.ndarray, tol: float) -> bool:
+def _bell_clears(g, p, tol: float) -> bool:
     """Whether a functional of the Bell family bounds t past tol, decided exactly.
 
     Its entries are -1, 0 or 1, its local maximum is an integer and |g|_1
     is 16 or 4, so g.p - max_v g.v - |g|_1 tol is a sum of floats, and the
     correctly rounded sum that math.fsum returns has the exact sum's sign.
     """
-    top = g[_lp_data()[1]].sum(axis=1).max()
-    return math.fsum([*(g * p).tolist(), -top, -np.abs(g).sum() * tol]) > 0.0
+    terms = [*map(operator.mul, g, p), -_local_maximum(g), -sum(map(abs, g)) * tol]
+    return math.fsum(terms) > 0.0
 
 
-def _fractions(a: np.ndarray) -> np.ndarray:
-    """The floats of ``a`` as exact Fractions, in an object array."""
+def _upper_bound(w, p) -> Fraction:
+    """|V^T w - p|_inf + |sum w - 1|, exactly: w / sum w is within it of p."""
     from fractions import Fraction  # only here, as only the locality verdict needs them
 
-    return np.frompyfunc(Fraction, 1, 1)(a)
-
-
-def _upper_bound(w: np.ndarray, p: np.ndarray) -> Fraction:
-    """|V^T w - p|_inf + |sum w - 1|, exactly: w / sum w is within it of p."""
-    w, p = _fractions(w), _fractions(p)
-    return np.abs(w[_lp_data()[2]].sum(axis=1) - p).max() + abs(w.sum() - 1)
+    w = [Fraction(v) for v in w]
+    off = max(abs(sum(w[v] for v in vs) - Fraction(x)) for vs, x in zip(_lp_data()[2], p))
+    return off + abs(sum(w) - 1)
 
 
 # Most pivots a float run may take before the exact run decides; the boxes
@@ -345,17 +384,21 @@ def _upper_bound(w: np.ndarray, p: np.ndarray) -> Fraction:
 _FLOAT_PIVOTS = 200
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(tableau: list[list], basis: list[int], row: int, col: int) -> None:
     """Make column ``col`` basic in ``row``, touching only nonzero entries."""
-    tableau[row] /= tableau[row, col]
-    rows = np.flatnonzero(tableau[:, col])
-    rows = rows[rows != row]
-    cols = np.flatnonzero(tableau[row])
-    tableau[np.ix_(rows, cols)] -= np.multiply.outer(tableau[rows, col], tableau[row, cols])
+    pivot_row = tableau[row]
+    scale = pivot_row[col]
+    pivot_row[:] = [x / scale for x in pivot_row]
+    cols = [c for c, x in enumerate(pivot_row) if x]
+    for r, other in enumerate(tableau):
+        factor = other[col]
+        if factor and r != row:
+            for c in cols:
+                other[c] -= factor * pivot_row[c]
     basis[row] = col
 
 
-def _simplex(p: np.ndarray, exact: bool) -> tuple[np.ndarray, float | Fraction, np.ndarray] | None:
+def _simplex(p, exact: bool) -> tuple[list, float | Fraction, list] | None:
     """Minimize t over the locality LP of the flat table p by Bland's rule.
 
     The run starts at vertex 0 with t = max |V_0 - p|, a feasible basis,
@@ -369,50 +412,63 @@ def _simplex(p: np.ndarray, exact: bool) -> tuple[np.ndarray, float | Fraction, 
 
     Returns the weights w, the optimum t and the dual functional g, the
     lower rows' slack reduced costs minus the upper rows': the LP dual
-    whose bound :func:`_bell_bounds` evaluates.
+    whose bound :func:`_bell_bound` evaluates.
     """
-    tableau = _lp_data()[0]
-    rhs = np.concatenate([p, -p, [1.0]])
+    rhs = [*p, *(-x for x in p), 1.0]
     if exact:
-        tableau, rhs, eps = _fractions(tableau), _fractions(rhs), 0
+        from fractions import Fraction
+
+        tableau = [[Fraction(x) for x in row] for row in _lp_data()[0]]
+        rhs, eps = map(Fraction, rhs), Fraction(0)
     else:
-        tableau, eps = tableau.copy(), ROUNDING
-    tableau[:33, -1] = rhs
-    basis = np.arange(17, 50)  # row 32 has no slack; its placeholder goes at once
+        tableau, eps = [list(row) for row in _lp_data()[0]], ROUNDING
+    for row, value in zip(tableau, rhs):
+        row[-1] = value
+    basis = list(range(17, 50))  # row 32 has no slack; its placeholder goes at once
     _pivot(tableau, basis, 32, 0)
-    _pivot(tableau, basis, int(np.argmin(tableau[:32, -1])), 16)
+    _pivot(tableau, basis, min(range(32), key=lambda r: tableau[r][-1]), 16)
+    objective = tableau[-1]
     for _ in itertools.count() if exact else range(_FLOAT_PIVOTS):
-        entering = np.flatnonzero(tableau[-1, :-1] < -eps)
-        if entering.size == 0:
-            x = np.zeros(49, dtype=tableau.dtype)
-            x[basis] = tableau[:-1, -1]
-            return x[:16], -tableau[-1, -1], tableau[-1, 33:49] - tableau[-1, 17:33]
-        col = entering[0]
-        rows = np.flatnonzero(tableau[:-1, col] > eps)
-        if rows.size == 0:  # unbounded: a float run's rounding, never an exact one
+        col = next((c for c in range(49) if objective[c] < -eps), None)
+        if col is None:
+            x = [eps * 0] * 49  # zeros of the run's number type
+            for row, b in zip(tableau, basis):
+                x[b] = row[-1]
+            g = list(map(operator.sub, objective[33:49], objective[17:33]))
+            return x[:16], -objective[-1], g
+        rows = [r for r in range(33) if tableau[r][col] > eps]
+        if not rows:  # unbounded: a float run's rounding, never an exact one
             return None
-        ratios = tableau[rows, -1] / tableau[rows, col]
-        tied = rows[ratios == ratios.min()]
-        _pivot(tableau, basis, int(tied[np.argmin(basis[tied])]), col)
+        ratios = [tableau[r][-1] / tableau[r][col] for r in rows]
+        least = min(ratios)
+        tied = [r for r, ratio in zip(rows, ratios) if ratio == least]
+        _pivot(tableau, basis, min(tied, key=basis.__getitem__), col)
     return None
 
 
-def _binary_table(box: ConditionalBox) -> np.ndarray:
-    if box.table.shape != (2, 2, 2, 2):
-        raise ValueError(f"locality LP needs a binary 2x2x2x2 box, got shape {box.table.shape}")
-    return box.table.reshape(16)
+def _binary_table(box: ConditionalBox) -> list[float]:
+    if box.shape != (2, 2, 2, 2):
+        raise ValueError(f"locality LP needs a binary 2x2x2x2 box, got shape {box.shape}")
+    return list(_entries(box.table))
 
 
-def _distance_lower_bound(p: np.ndarray) -> tuple[float, np.ndarray]:
+def _distance_lower_bound(p) -> tuple[float, tuple[float, ...]]:
     """The best float bound on the flat table p's t among the 24 functionals
     of :func:`_lp_data` (CHSH variants and no-signaling gaps), and its g."""
-    bell = _lp_data()[3]
-    bounds = _bell_bounds(bell, p)
-    best = int(np.argmax(bounds))
-    return float(bounds[best]), bell[best]
+    return max(((_bell_bound(g, p), g) for g in _lp_data()[3]), key=operator.itemgetter(0))
 
 
-def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.ndarray | None]:
+def _normalized(w: list[float]) -> list[float]:
+    """The weights w over their sum, formed as eight sums of pairs (w_k, w_k+8)
+    added as a balanced tree: the order in which numpy's pairwise sum adds
+    16 floats, so the weights equal an array's ``w / w.sum()`` to the bit.
+    + 0.0 turns signed zeros into 0.0."""
+    r = list(map(operator.add, w[:8], w[8:]))
+    total = 0.0 + (((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+    return [v / total + 0.0 for v in w]
+
+
+def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, list[float] | None]:
     """Decide local-polytope membership; return convex weights when inside.
 
     The box is local iff its L-infinity distance t to the local polytope
@@ -440,16 +496,18 @@ def is_local(box: ConditionalBox, tol: float = DEFAULT_TOL) -> tuple[bool, np.nd
     solved = _simplex(p, exact=False)
     if solved is not None:
         w, _, g = solved
-        w = np.maximum(w, 0.0)
-        w = w / w.sum() + 0.0  # + 0.0 turns signed zeros into 0.0
+        w = _normalized([max(v, 0.0) for v in w])
         if _upper_bound(w, p) <= tol:
             return True, w
-        if g.any() and _bell_bounds(_fractions(g), _fractions(p)) > tol:
-            return False, None
+        if any(g):
+            from fractions import Fraction
+
+            if _bell_bound([*map(Fraction, g)], [*map(Fraction, p)]) > tol:
+                return False, None
     w, t, _ = _simplex(p, exact=True)
     if t > tol:
         return False, None
-    return True, w.astype(float)
+    return True, [float(v) for v in w]
 
 
 def loads_csv(text: str, tol: float = DEFAULT_TOL) -> ConditionalBox:
@@ -494,7 +552,7 @@ def loads_csv(text: str, tol: float = DEFAULT_TOL) -> ConditionalBox:
             f"table with {nA_in}x{nB_in} inputs and {nA_out}x{nB_out} outputs is too large:"
             f" its no-signaling check compares more than {MAX_PAIR_ENTRIES} entries"
         )
-    t = np.zeros((nA_out, nB_out, nA_in, nB_in))
+    t = [[[[0.0] * nB_in for _ in range(nA_in)] for _ in range(nB_out)] for _ in range(nA_out)]
     for (A, B, a, b), p in entries.items():
-        t[a, b, A, B] = p
+        t[a][b][A][B] = p
     return ConditionalBox(t, tol=tol)

@@ -18,10 +18,9 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import audit as audit_mod
 from . import boxes, dsl, hybrid, protocol, quantum
@@ -74,13 +73,27 @@ def _load_box(source: str, tol: float) -> boxes.ConditionalBox:
     return boxes.loads_csv(data.decode(), tol=tol)
 
 
-def _output_is_box(args) -> bool:
-    """Whether --output names the regular file --box reads, which opening it
-    would empty; a device such as /dev/null empties nothing."""
+# Why --output may not name the file --box reads, by the kind of that file.
+# Opening a regular file for writing would empty it before it is read, and
+# opening a named pipe would wait for a reader, which only this command
+# could become; a device such as /dev/null does neither.
+_BOX_CLASHES = {
+    stat.S_IFREG: "file; writing would empty it",
+    stat.S_IFIFO: "named pipe; opening it would wait for a reader",
+}
+
+
+def _box_clash(args) -> str | None:
+    """The reason --output may not name the --box file, or None when it may."""
     box = getattr(args, "box", None)
-    if box in (None, *BUILTIN_BOXES) or not os.path.isfile(box) or not args.output.exists():
-        return False
-    return os.path.samefile(box, args.output)
+    if box in (None, *BUILTIN_BOXES):
+        return None
+    try:
+        same = os.path.samefile(box, args.output)
+        kind = stat.S_IFMT(os.stat(box).st_mode)
+    except OSError:  # one of them does not exist
+        return None
+    return _BOX_CLASHES.get(kind) if same else None
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -95,7 +108,7 @@ def _protocol_angle(args) -> float:
     return theta
 
 
-def _theta_grid(args) -> np.ndarray:
+def _theta_grid(args):
     """``np.linspace(theta_min, theta_max, steps)``, after checking the flags.
 
     --steps must lie in [1, MAX_STEPS], so the grid is at most 8 MB. One
@@ -109,6 +122,8 @@ def _theta_grid(args) -> np.ndarray:
         raise _UsageError(f"--steps must be at most {MAX_STEPS}")
     lo = _angle(args.theta_min, args.degrees)
     hi = _angle(args.theta_max, args.degrees)
+    import numpy as np  # only here, as only the sweep commands need arrays
+
     if args.steps == 1:
         return np.array([lo])
     if not math.isfinite(hi - lo):
@@ -222,7 +237,7 @@ def cmd_verify(args, out) -> int:
     report = boxes.check_no_signaling(box, tol=args.tol)
     ok = not report.signaling
     chsh_text = ""
-    if box.table.shape == (2, 2, 2, 2):
+    if box.shape == (2, 2, 2, 2):
         chsh_text = f"; CHSH = {_fmt(boxes.chsh_value(box), args.digits)}"
     status = "OK" if ok else "VIOLATED"
     print(f"no-signaling: {status}{chsh_text}", file=out)
@@ -347,21 +362,25 @@ _COMMANDS = {
 }
 
 
+# The verification errors, which exit 2, by module and name: reading them off
+# their layers would run a layer, protocol and numpy with it, that the
+# failed command may not have used.
+_VERIFICATION_ERRORS = {
+    (f"{__package__}.boxes", "BoxValidationError"),
+    (f"{__package__}.protocol", "ZeroSignalError"),
+}
+
+
 def _exit_code(exc: Exception) -> int | None:
     """Exit code of an error a command may raise, or None for any other error.
 
-    The first match wins, so the exit-2 verification errors come before
-    ValueError, their base class. The layers' classes are read only here,
-    once an error has happened, so a successful run loads no layer it
-    does not use.
+    The exit-2 verification errors are checked before ValueError, their
+    base class, which exits 1 like the usage errors: BoxFormatError,
+    ParseError, ExpressionError and out-of-range values are ValueErrors.
     """
-    exit_codes = (
-        (boxes.BoxValidationError, 2),
-        (protocol.ZeroSignalError, 2),
-        (_UsageError, 1),
-        (ValueError, 1),  # BoxFormatError, ParseError, ExpressionError, bad values
-    )
-    return next((code for kind, code in exit_codes if isinstance(exc, kind)), None)
+    if {(k.__module__, k.__qualname__) for k in type(exc).__mro__} & _VERIFICATION_ERRORS:
+        return 2
+    return 1 if isinstance(exc, (_UsageError, ValueError)) else None
 
 
 def _discard_stdout() -> None:
@@ -388,9 +407,9 @@ def main(argv=None) -> int:
             code = _COMMANDS[args.command](args, sys.stdout)
             sys.stdout.flush()  # here, so that a failed write is reported below
             return code
-        if _output_is_box(args):
-            name = str(args.output)
-            raise _UsageError(f"--output {name!r} is the --box file; writing would empty it")
+        clash = _box_clash(args)
+        if clash is not None:
+            raise _UsageError(f"--output {str(args.output)!r} is the --box {clash}")
         try:
             handle = open(args.output, "w")
         except OSError as exc:

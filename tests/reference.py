@@ -11,6 +11,8 @@ package computes by a shorter path, or builds inputs for such a check:
   densities by shorter paths;
 - local relabelings of a box, a symmetry of no-signaling and locality,
   and :func:`dumps_csv`, the ``A,B,a,b,p`` writer for box files;
+- :func:`array_simplex`, the locality LP's simplex on numpy arrays, float
+  or Fraction, the oracle of the plain-Python one the package runs;
 - :func:`pr_extend`, the linearly extended box applied branch by branch
   (2^k output branches for an input with k nonzero components), and
   :func:`pr_extend_density`, the density of that expansion in closed form
@@ -42,7 +44,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from boxworld.boxes import ConditionalBox
+from boxworld.boxes import _FLOAT_PIVOTS, ConditionalBox, deterministic_vertices
 from boxworld.hybrid import (
     DEFAULT_BRANCH_CAP,
     BranchLimitError,
@@ -52,6 +54,7 @@ from boxworld.hybrid import (
 )
 from boxworld.protocol import MIN_ROUNDS_MAX_COPIES, _count
 from boxworld.quantum import DensityOperator, Ket, Unitary, check_densities
+from boxworld.tolerance import ROUNDING
 
 # ---------------------------------------------------------------- quantum
 
@@ -189,7 +192,7 @@ def _inv_perm(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def relabel(box: ConditionalBox, r: Relabeling) -> ConditionalBox:
     """Apply a local relabeling; a symmetry of both no-signaling and locality."""
-    nA_out, nB_out, nA_in, nB_in = box.table.shape
+    nA_out, nB_out, nA_in, nB_in = box.shape
     if (
         len(r.a_in) != nA_in
         or len(r.b_in) != nB_in
@@ -197,10 +200,11 @@ def relabel(box: ConditionalBox, r: Relabeling) -> ConditionalBox:
         or any(len(p) != nB_out for p in r.b_out)
     ):
         raise ValueError("relabeling alphabets do not match the box")
-    out = np.zeros_like(box.table)
+    table = np.array(box.table)
+    out = np.zeros_like(table)
     for A in range(nA_in):
         for B in range(nB_in):
-            src = box.table[:, :, r.a_in[A], r.b_in[B]]
+            src = table[:, :, r.a_in[A], r.b_in[B]]
             for a0 in range(nA_out):
                 for b0 in range(nB_out):
                     out[r.a_out[A][a0], r.b_out[B][b0], A, B] = src[a0, b0]
@@ -209,15 +213,77 @@ def relabel(box: ConditionalBox, r: Relabeling) -> ConditionalBox:
 
 def dumps_csv(box: ConditionalBox, digits: int = 17) -> str:
     """Serialize to CSV with header ``A,B,a,b,p``, rows lexicographic in (A, B, a, b)."""
-    nA_out, nB_out, nA_in, nB_in = box.table.shape
+    nA_out, nB_out, nA_in, nB_in = box.shape
     buf = io.StringIO()
     buf.write("A,B,a,b,p\n")
     for A in range(nA_in):
         for B in range(nB_in):
             for a in range(nA_out):
                 for b in range(nB_out):
-                    buf.write(f"{A},{B},{a},{b},{box.table[a, b, A, B]:.{digits}g}\n")
+                    buf.write(f"{A},{B},{a},{b},{box.table[a][b][A][B]:.{digits}g}\n")
     return buf.getvalue()
+
+
+def _lp_data() -> tuple[np.ndarray]:
+    """The locality LP's 34 x 50 tableau, zero right-hand side, as the
+    float array :func:`array_simplex` reads, built with array operations."""
+    verts = np.array(deterministic_vertices())
+    tableau = np.zeros((34, 50))
+    tableau[:16, :16], tableau[16:32, :16] = verts.T, -verts.T
+    tableau[:32, 16] = -1.0
+    tableau[:32, 17:49] = np.eye(32)
+    tableau[32, :16] = tableau[33, 16] = 1.0
+    return (tableau,)
+
+
+def _fractions(a: np.ndarray) -> np.ndarray:
+    """The floats of ``a`` as exact Fractions, in an object array."""
+    return np.frompyfunc(Fraction, 1, 1)(a)
+
+
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Make column ``col`` basic in ``row``, touching only nonzero entries."""
+    tableau[row] /= tableau[row, col]
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    cols = np.flatnonzero(tableau[row])
+    tableau[np.ix_(rows, cols)] -= np.multiply.outer(tableau[rows, col], tableau[row, cols])
+    basis[row] = col
+
+
+def array_simplex(
+    p: np.ndarray, exact: bool
+) -> tuple[np.ndarray, float | Fraction, np.ndarray] | None:
+    """:func:`boxworld.boxes._simplex` on numpy arrays: the same Bland
+    pivots and sparse row updates, on a float or object (Fraction) array.
+
+    Returns the weights w, the optimum t and the dual functional g, or None
+    when a float run finds no pivot or runs past ``_FLOAT_PIVOTS`` pivots.
+    """
+    tableau = _lp_data()[0]
+    rhs = np.concatenate([p, -p, [1.0]])
+    if exact:
+        tableau, rhs, eps = _fractions(tableau), _fractions(rhs), 0
+    else:
+        tableau, eps = tableau.copy(), ROUNDING
+    tableau[:33, -1] = rhs
+    basis = np.arange(17, 50)  # row 32 has no slack; its placeholder goes at once
+    _pivot(tableau, basis, 32, 0)
+    _pivot(tableau, basis, int(np.argmin(tableau[:32, -1])), 16)
+    for _ in itertools.count() if exact else range(_FLOAT_PIVOTS):
+        entering = np.flatnonzero(tableau[-1, :-1] < -eps)
+        if entering.size == 0:
+            x = np.zeros(49, dtype=tableau.dtype)
+            x[basis] = tableau[:-1, -1]
+            return x[:16], -tableau[-1, -1], tableau[-1, 33:49] - tableau[-1, 17:33]
+        col = entering[0]
+        rows = np.flatnonzero(tableau[:-1, col] > eps)
+        if rows.size == 0:  # unbounded: a float run's rounding, never an exact one
+            return None
+        ratios = tableau[rows, -1] / tableau[rows, col]
+        tied = rows[ratios == ratios.min()]
+        _pivot(tableau, basis, int(tied[np.argmin(basis[tied])]), col)
+    return None
 
 
 # ---------------------------------------------------------------- hybrid

@@ -64,7 +64,7 @@ def test_criterion_1_pr_box_fidelity():
     c = Criterion("1 PR-box fidelity")
     box = pr_box()
     relation_ok = all(
-        box.table[a, b, A, B] == (0.5 if a ^ b == A & B else 0.0)
+        box.table[a][b][A][B] == (0.5 if a ^ b == A & B else 0.0)
         for a, b, A, B in itertools.product(range(2), repeat=4)
     )
     c.check(relation_ok, "table matches the defining relation entrywise")
@@ -140,10 +140,10 @@ def test_criterion_5_audit():
     c = Criterion("5 dynamics audit")
     for theta in (0.1, 0.3, QUARTER):
         pos_ok, norm_ok, ab, _ = _audit_row(theta)
-        box = effective_box(theta)
-        c.check(box.table.min() >= -1e-12, f"positivity at theta={theta:.4g}")
+        table = np.array(effective_box(theta).table)
+        c.check(table.min() >= -1e-12, f"positivity at theta={theta:.4g}")
         c.check(
-            np.abs(box.table.sum(axis=(0, 1)) - 1.0).max() <= 1e-12,
+            np.abs(table.sum(axis=(0, 1)) - 1.0).max() <= 1e-12,
             f"normalization at theta={theta:.4g}",
         )
         c.check(
@@ -341,22 +341,22 @@ def test_criterion_9_dsl_roundtrip():
 
 def test_criterion_10_locality_lp():
     c = Criterion("10 locality LP")
-    verts = deterministic_vertices()
+    verts = np.array(deterministic_vertices())
 
     local, weights = is_local(uniform_box())
     c.check(local, "uniform box accepted")
     if local:
-        recon = (weights @ verts).reshape(2, 2, 2, 2)
+        recon = (np.array(weights) @ verts).reshape(2, 2, 2, 2)
         c.check(
             np.abs(recon - uniform_box().table).max() <= 1e-9,
             "uniform weights reconstruct the box",
         )
 
-    mix = ConditionalBox(0.5 * pr_box().table + 0.5 * uniform_box().table)
+    mix = ConditionalBox(0.5 * np.array(pr_box().table) + 0.5 * np.array(uniform_box().table))
     local, weights = is_local(mix)
     c.check(local, "half PR + half uniform accepted")
     if local:
-        recon = (weights @ verts).reshape(2, 2, 2, 2)
+        recon = (np.array(weights) @ verts).reshape(2, 2, 2, 2)
         c.check(np.abs(recon - mix.table).max() <= 1e-9, "facet-point weights reconstruct the box")
 
     c.check(is_local(pr_box())[0] is False, "PR box rejected")

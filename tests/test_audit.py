@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 import boxworld.audit as audit_mod
 from boxworld import boxes, cli, quantum
 from boxworld.audit import SWEEP_CHUNK, audit_sweep, effective_box
-from boxworld.boxes import ConditionalBox, check_no_signaling
+from boxworld.boxes import BoxValidationError, ConditionalBox, check_no_signaling
 from boxworld.cli import main
 from boxworld.hybrid import HybridState, bob_state
 from boxworld.quantum import basis_ket, trace_distances
-from boxworld.tolerance import DEFAULT_TOL
+from boxworld.tolerance import DEFAULT_TOL, ROUNDING
 from reference import (
     _EXT_MEAN,
     _EXT_SPREAD,
@@ -74,12 +74,12 @@ ORACLE_ANGLES = tuple(np.random.default_rng(7).uniform(-4.0, 4.0, 36)) + (
 class TestEffectiveBox:
     def test_no_rotation_setting_reproduces_plain_statistics(self):
         box = effective_box(0.7)  # theta only enters at x = 1
-        joint = box.table[:, :, 0, 0]
+        joint = np.array(box.table)[:, :, 0, 0]
         np.testing.assert_allclose(joint, [[0.5, 0.0], [0.0, 0.5]], atol=1e-14)
 
     def test_rotated_x_measurement_marginal(self):
         box = effective_box(QUARTER)
-        bob = box.table[:, :, 1, 1].sum(axis=0)
+        bob = np.array(box.table)[:, :, 1, 1].sum(axis=0)
         np.testing.assert_allclose(bob, [0.75, 0.25], atol=1e-12)
 
     def test_zero_angle_box_does_not_signal(self):
@@ -107,16 +107,45 @@ class TestEffectiveBox:
         assert verdicts == {True, False}
 
     def test_z_measurement_never_sees_the_rotation(self):
-        box = effective_box(1.1)
-        bob_y0_x0 = box.table[:, :, 0, 0].sum(axis=0)
-        bob_y0_x1 = box.table[:, :, 1, 0].sum(axis=0)
+        table = np.array(effective_box(1.1).table)
+        bob_y0_x0 = table[:, :, 0, 0].sum(axis=0)
+        bob_y0_x1 = table[:, :, 1, 0].sum(axis=0)
         np.testing.assert_allclose(bob_y0_x0, bob_y0_x1, atol=1e-12)
 
     def test_well_formed_for_many_angles(self):
         for theta in np.linspace(0.0, math.pi / 2, 9):
-            box = effective_box(float(theta))
-            assert box.table.min() >= -1e-12
-            np.testing.assert_allclose(box.table.sum(axis=(0, 1)), 1.0, atol=1e-12)
+            table = np.array(effective_box(float(theta)).table)
+            assert table.min() >= -1e-12
+            np.testing.assert_allclose(table.sum(axis=(0, 1)), 1.0, atol=1e-12)
+
+
+class TestBoxCheckMatchesTheSweep:
+    """The plain-Python box check on each angle's table against the sweep's
+    stacked columns for that angle, bit for bit."""
+
+    def test_every_row_of_a_long_grid(self):
+        rng = np.random.default_rng(61)
+        edges = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 5e-324, -5e-324]
+        thetas = edges + rng.uniform(-4.0, 4.0, 2000 - len(edges)).tolist()
+        valid = 0
+        for chunk in audit_sweep(thetas):
+            lowest, normalization = audit_mod.table_deviations(chunk.tables)
+            for i, table in enumerate(chunk.tables):
+                ok = bool(chunk.positivity_ok[i] and chunk.normalization_ok[i])
+                try:
+                    box = ConditionalBox(table, tol=ROUNDING)  # the verdicts' own limits
+                except BoxValidationError:
+                    assert not ok, chunk.theta[i]
+                    continue
+                assert ok, chunk.theta[i]
+                valid += 1
+                report = check_no_signaling(box, tol=ROUNDING)
+                got = [report.a_to_b_violation, report.b_to_a_violation]
+                got += boxes._deviations(box.table)
+                want = [chunk.a_to_b_violation[i], chunk.b_to_a_violation[i]]
+                want += [lowest[i], normalization[i]]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert valid == len(thetas)
 
 
 class TestAuditDynamics:
@@ -314,15 +343,16 @@ class TestDefaultRotationStack:
             box, row = effective_box(theta), _row(theta)
             with monkeypatch.context() as patch:
                 patch.setattr(audit_mod, "_densities", _rotation_family_densities)
-                assert box.table.tobytes() == effective_box(theta).table.tobytes()
+                again = effective_box(theta).table
+                assert np.array(box.table).tobytes() == np.array(again).tobytes()
                 assert repr(row) == repr(_row(theta))
             expected = _rotation_family_densities([theta])[0]
             assert audit_mod._densities([theta])[0].tobytes() == expected.tobytes()
 
     def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):
-        built, rows, settings = [], [], []
+        built, rows, directions = [], [], []
         init, densities = quantum.Unitary.__post_init__, audit_mod._densities
-        worst_setting = boxes._worst_setting
+        largest_gap = boxes._largest_gap
 
         def counting_init(self):
             built.append(self)
@@ -332,14 +362,14 @@ class TestDefaultRotationStack:
             rows.append(len(thetas))
             return densities(thetas)
 
-        def counting_setting(*gaps):
-            settings.append(gaps)
-            return worst_setting(*gaps)
+        def counting_gaps(marginals):
+            directions.append(marginals)
+            return largest_gap(marginals)
 
         audit_mod._zero_figures()  # the theta = 0 row, evaluated once per process
         monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
         monkeypatch.setattr(audit_mod, "_densities", counting_densities)
-        monkeypatch.setattr(boxes, "_worst_setting", counting_setting)
+        monkeypatch.setattr(boxes, "_largest_gap", counting_gaps)
         thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
         assert [len(chunk.theta) for chunk in audit_sweep(thetas)] == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
         assert rows == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
@@ -351,11 +381,12 @@ class TestDefaultRotationStack:
         ):
             assert main(argv) == 0
         capsys.readouterr()
-        assert built == [] and settings == []
-        # The one-angle box still has its worst setting located by the box check.
+        assert built == [] and directions == []
+        # The one-angle box still has its worst setting located by the box
+        # check, which compares the marginals of each direction.
         report = check_no_signaling(effective_box(QUARTER))
         assert report.worst_settings == ("a_to_b", 1, (0, 1))
-        assert len(settings) == 1
+        assert len(directions) == 2
         rotation(0.1)  # the counter itself works
         assert len(built) == 1
 

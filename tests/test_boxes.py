@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxworld import boxes
-from boxworld.audit import effective_box
+from boxworld.audit import _a_to_b_gaps, _b_to_a_gaps, effective_box, table_deviations
 from boxworld.boxes import (
     DEFAULT_TOL,
     MAX_PAIR_ENTRIES,
@@ -20,10 +21,13 @@ from boxworld.boxes import (
     is_local,
     loads_csv,
     pr_box,
-    table_deviations,
     uniform_box,
 )
-from reference import Relabeling, dumps_csv, relabel
+from reference import Relabeling, array_simplex, dumps_csv, relabel
+from reference import _lp_data as array_lp_data
+
+# The deterministic boxes as a (16, 16) array, rows flattened in (a, b, A, B) order.
+VERTS = np.array(deterministic_vertices())
 
 
 def _random_relabeling(rng) -> Relabeling:
@@ -41,14 +45,14 @@ def _random_relabeling(rng) -> Relabeling:
 def _random_local_box(rng) -> tuple[ConditionalBox, np.ndarray]:
     w = rng.random(16)
     w /= w.sum()
-    table = (w @ deterministic_vertices()).reshape(2, 2, 2, 2)
+    table = (w @ VERTS).reshape(2, 2, 2, 2)
     return ConditionalBox(table), w
 
 
 def _all_chsh_values(box) -> np.ndarray:
     """All 8 sign variants of the CHSH functional."""
     sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    corr = np.einsum("ab,abAB->AB", sign, box.table)
+    corr = np.einsum("ab,abAB->AB", sign, np.array(box.table))
     values = []
     for flipped in range(4):
         s = 0.0
@@ -97,10 +101,9 @@ def _lp_distance(t: np.ndarray) -> float:
     """
     from scipy.optimize import linprog
 
-    verts = deterministic_vertices()
     p = t.reshape(16)
     c = np.r_[np.zeros(16), 1.0]
-    a_ub = np.block([[verts.T, -np.ones((16, 1))], [-verts.T, -np.ones((16, 1))]])
+    a_ub = np.block([[VERTS.T, -np.ones((16, 1))], [-VERTS.T, -np.ones((16, 1))]])
     a_eq = np.r_[np.ones(16), 0.0][None, :]
     res = linprog(
         c,
@@ -118,15 +121,14 @@ def _lp_distance(t: np.ndarray) -> float:
 def locality_distance(t: np.ndarray) -> Fraction:
     """The table's exact distance to the local polytope: the optimum of the
     simplex run in Fractions."""
-    return boxes._simplex(t.reshape(16), exact=True)[1]
+    return boxes._simplex(np.ravel(t).tolist(), exact=True)[1]
 
 
 def _rebuild_error(weights: np.ndarray, t: np.ndarray) -> Fraction:
     """max |sum_v w_v V_v - p| over the entries, in exact arithmetic."""
-    verts = deterministic_vertices()
     return max(
-        abs(sum(Fraction(w) for w, v in zip(weights, verts[:, e]) if v) - Fraction(p))
-        for e, p in enumerate(t.reshape(16))
+        abs(sum(Fraction(w) for w, v in zip(weights, VERTS[:, e]) if v) - Fraction(p))
+        for e, p in enumerate(np.ravel(t).tolist())
     )
 
 
@@ -147,7 +149,7 @@ class _SimplexRuns:
 def _local_table(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     w = w / w.sum() if w.sum() > 0 else np.full(16, 1 / 16)
-    return (w @ deterministic_vertices()).reshape(2, 2, 2, 2)
+    return (w @ VERTS).reshape(2, 2, 2, 2)
 
 
 def _move_bob_outcome(t: np.ndarray, delta: float) -> np.ndarray:
@@ -162,39 +164,39 @@ def _move_bob_outcome(t: np.ndarray, delta: float) -> np.ndarray:
 # distance to the local polytope is 1/12, and its best CHSH variant and
 # no-signaling gap bound it only by 1/16.
 _SIGNALING_PAST_ITS_BOUNDS = _move_bob_outcome(
-    0.5 * _pr_variant(0) + 0.5 * deterministic_vertices()[0].reshape(2, 2, 2, 2), 0.25
+    0.5 * _pr_variant(0) + 0.5 * VERTS[0].reshape(2, 2, 2, 2), 0.25
 )
 
 
 class TestPrBox:
     def test_defining_relation_entries(self):
         box = pr_box()
-        assert box.table[0, 0, 1, 1] == 0.0
-        assert box.table[0, 1, 1, 1] == 0.5
-        assert box.table[0, 0, 0, 0] == 0.5
-        assert box.table[0, 1, 0, 0] == 0.0
+        assert box.table[0][0][1][1] == 0.0
+        assert box.table[0][1][1][1] == 0.5
+        assert box.table[0][0][0][0] == 0.5
+        assert box.table[0][1][0][0] == 0.0
 
     def test_full_table_against_relation(self):
         box = pr_box()
         for a, b, A, B in itertools.product(range(2), repeat=4):
             expected = 0.5 if a ^ b == A & B else 0.0
-            assert box.table[a, b, A, B] == expected
+            assert box.table[a][b][A][B] == expected
 
     def test_uniform_marginals(self):
-        box = pr_box()
+        table = np.array(pr_box().table)
         for A in range(2):
             for B in range(2):
-                assert box.table[0, :, A, B].sum() == 0.5
-                assert box.table[:, 0, A, B].sum() == 0.5
+                assert table[0, :, A, B].sum() == 0.5
+                assert table[:, 0, A, B].sum() == 0.5
 
     def test_settings_sum_exactly(self):
-        sums = pr_box().table.sum(axis=(0, 1))
+        sums = np.array(pr_box().table).sum(axis=(0, 1))
         assert np.array_equal(sums, np.ones((2, 2)))
 
 
 class TestValidation:
     def test_negative_entry_rejected(self):
-        t = pr_box().table.copy()
+        t = np.array(pr_box().table)
         t[0, 0, 0, 0] = -0.1
         t[1, 1, 0, 0] = 0.6
         with pytest.raises(BoxValidationError):
@@ -213,8 +215,33 @@ class TestValidation:
 
     def test_table_is_read_only(self):
         box = pr_box()
-        with pytest.raises(ValueError):
-            box.table[0, 0, 0, 0] = 1.0
+        with pytest.raises(TypeError):
+            box.table[0][0][0][0] = 1.0
+        # An array argument is copied: writing to it later leaves the box as it was.
+        t = np.full((2, 2, 2, 2), 0.25)
+        box = ConditionalBox(t)
+        t[0, 0, 0, 0] = 1.0
+        assert box == uniform_box() and box.shape == (2, 2, 2, 2)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            np.zeros((2, 2, 2)),
+            np.zeros((1, 1, 1, 1, 1)),
+            np.zeros((2, 0, 2, 2)),
+            [[[[1.0]], [[1.0], [0.0]]]],
+        ],
+        ids=["3-d", "5-d", "empty axis", "ragged"],
+    )
+    def test_table_must_be_four_dimensional(self, table):
+        with pytest.raises(BoxValidationError, match="^box table must be 4-dimensional"):
+            ConditionalBox(table)
+
+    def test_non_finite_entry_rejected(self):
+        t = np.full((2, 2, 2, 2), 0.25)
+        t[1, 0, 1, 0] = np.nan
+        with pytest.raises(BoxValidationError, match="^box table contains non-finite entries$"):
+            ConditionalBox(t)
 
 
 class TestNoSignaling:
@@ -252,10 +279,14 @@ class TestNoSignaling:
 
 
 def _reference_no_signaling(t):
-    """The per-pair loops that computed no-signaling one box at a time."""
+    """The per-pair loops that computed no-signaling one box at a time, each
+    gap summed one outcome at a time in outcome order."""
 
     def tv(p, q):
-        return 0.5 * float(np.abs(p - q).sum())
+        total = 0.0
+        for d in np.abs(p - q).tolist():
+            total += d
+        return 0.5 * total
 
     marg_b = t.sum(axis=0)
     marg_a = t.sum(axis=1)
@@ -294,26 +325,81 @@ def _table_stacks():
 
 
 def no_signaling_violations(t):
-    """The a-to-b and b-to-a violations of each table of ``t``, from the gap
-    arrays, as the audit's sweep reduces them."""
-    return boxes._a_to_b_gaps(t).max(axis=(-3, -2, -1)), boxes._b_to_a_gaps(t).max(axis=(-3, -2, -1))
+    """The a-to-b and b-to-a violations of each table of ``t``, from the
+    audit's gap arrays, as its sweep reduces them."""
+    return _a_to_b_gaps(t).max(axis=(-3, -2, -1)), _b_to_a_gaps(t).max(axis=(-3, -2, -1))
 
+
+def _bits(values) -> list[int]:
+    """The float64 bit patterns of ``values``."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# Gaps and normalization sums of fewer terms than this are summed one term at
+# a time by numpy, as by the box check; from eight terms on numpy adds them
+# pairwise, so the two forms may differ in the last bits.
+_PAIRWISE_TERMS = 8
+
+
+def _fsum_gaps(marginals: np.ndarray, n_senders: int, n_receivers: int) -> list[float]:
+    """Every gap of the marginals [outcome, sender, receiver], each summed by math.fsum."""
+    return [
+        0.5 * math.fsum(np.abs(marginals[:, i, r] - marginals[:, j, r]).tolist())
+        for r in range(n_receivers)
+        for i, j in itertools.combinations(range(n_senders), 2)
+    ] or [0.0]
 
 class TestArrayChecks:
-    """``table_deviations`` and the no-signaling gap arrays on one table and on stacks."""
+    """The audit's ``table_deviations`` and no-signaling gap arrays on one
+    table and on stacks, and the box check on one table."""
 
     def test_match_the_reference_loops_exactly(self):
         for stack in _table_stacks():
             a_to_b, b_to_a = no_signaling_violations(stack)
             assert a_to_b.shape == b_to_a.shape == (len(stack),)
+            n_a, n_b = stack.shape[1:3]
             for i, t in enumerate(stack):
                 expected = _reference_no_signaling(t)
                 rep = check_no_signaling(ConditionalBox(t))
                 assert (rep.a_to_b_violation, rep.b_to_a_violation, rep.worst_settings) == expected
-                assert (a_to_b[i], b_to_a[i]) == expected[:2]
-                assert no_signaling_violations(t) == expected[:2]
+                if n_b < _PAIRWISE_TERMS:
+                    assert a_to_b[i] == expected[0]
+                if n_a < _PAIRWISE_TERMS:
+                    assert b_to_a[i] == expected[1]
+                assert no_signaling_violations(t) == (a_to_b[i], b_to_a[i])
                 _, receiver, senders = rep.worst_settings
                 assert all(type(k) is int for k in (receiver, *senders))
+
+    def test_one_table_forms_equal_the_stacked_ones(self):
+        # Bit for bit, but where numpy sums eight or more terms pairwise:
+        # there both forms are within one ulp of 1 of the sum math.fsum gives
+        # (the worst seen on these tables is 1 ulp, in the normalization
+        # error of 3x3-outcome tables).
+        eps = np.finfo(float).eps
+        shapes = set()
+        for stack in _table_stacks():
+            lowest, normalization = table_deviations(stack)
+            a_to_b, b_to_a = no_signaling_violations(stack)
+            n_a, n_b, n_x, n_y = stack.shape[1:]
+            for i, t in enumerate(stack):
+                box = ConditionalBox(t)
+                got_lowest, got_normalization = boxes._deviations(box.table)
+                report = check_no_signaling(box)
+                assert _bits(got_lowest) == _bits(lowest[i])
+                cells = itertools.product(range(n_x), range(n_y))
+                sums = [math.fsum(t[:, :, x, y].ravel().tolist()) for x, y in cells]
+                alice = t.sum(axis=1).swapaxes(1, 2)  # [a, B, A]: senders B
+                pairs = [
+                    (got_normalization, normalization[i], n_a * n_b, [abs(s - 1.0) for s in sums]),
+                    (report.a_to_b_violation, a_to_b[i], n_b, _fsum_gaps(t.sum(axis=0), n_x, n_y)),
+                    (report.b_to_a_violation, b_to_a[i], n_a, _fsum_gaps(alice, n_y, n_x)),
+                ]
+                for one, stacked, terms, exact in pairs:
+                    if _bits(one) != _bits(stacked):
+                        assert terms >= _PAIRWISE_TERMS, stack.shape[1:]
+                        shapes.add(stack.shape[1:])
+                        assert abs(one - max(exact)) <= eps and abs(stacked - max(exact)) <= eps
+        assert shapes  # the pairwise sums were met
 
     def test_tables_reach_every_kind_of_worst_setting(self):
         worst = [
@@ -449,7 +535,7 @@ class TestChsh:
         for _ in range(60):
             base, _ = _random_local_box(rng)
             lam = rng.uniform(0.0, 0.8)
-            mixed = ConditionalBox(lam * pr_box().table + (1 - lam) * base.table)
+            mixed = ConditionalBox(lam * _pr_variant(0) + (1 - lam) * np.array(base.table))
             local, _ = is_local(mixed)
             if local:
                 seen_local += 1
@@ -474,18 +560,18 @@ class TestIsLocal:
     def test_uniform_box_is_local_with_valid_weights(self):
         local, weights = is_local(uniform_box())
         assert local
-        assert weights.shape == (16,)
-        assert np.all(weights >= -1e-12)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-9)
-        recon = (weights @ deterministic_vertices()).reshape(2, 2, 2, 2)
+        assert len(weights) == 16 and all(type(w) is float for w in weights)
+        assert min(weights) >= -1e-12
+        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+        recon = (np.array(weights) @ VERTS).reshape(2, 2, 2, 2)
         np.testing.assert_allclose(recon, uniform_box().table, atol=1e-9)
 
     def test_half_pr_half_uniform_on_facet(self):
-        mix = ConditionalBox(0.5 * pr_box().table + 0.5 * uniform_box().table)
+        mix = ConditionalBox(0.5 * np.array(pr_box().table) + 0.5 * np.array(uniform_box().table))
         assert chsh_value(mix) == pytest.approx(2.0, abs=1e-12)
         local, weights = is_local(mix)
         assert local
-        recon = (weights @ deterministic_vertices()).reshape(2, 2, 2, 2)
+        recon = (np.array(weights) @ VERTS).reshape(2, 2, 2, 2)
         np.testing.assert_allclose(recon, mix.table, atol=1e-9)
 
     def test_random_mixtures_recognized(self):
@@ -494,7 +580,7 @@ class TestIsLocal:
             box, _ = _random_local_box(rng)
             local, weights = is_local(box)
             assert local
-            recon = (weights @ deterministic_vertices()).reshape(2, 2, 2, 2)
+            recon = (np.array(weights) @ VERTS).reshape(2, 2, 2, 2)
             np.testing.assert_allclose(recon, box.table, atol=1e-9)
 
     def test_sparse_table_near_the_facet_is_rebuilt_within_tol(self):
@@ -512,7 +598,7 @@ class TestIsLocal:
         ).reshape(2, 2, 2, 2)  # fmt: skip
         local, weights = is_local(ConditionalBox(t))
         assert local
-        recon = (weights @ deterministic_vertices()).reshape(2, 2, 2, 2)
+        recon = (np.array(weights) @ VERTS).reshape(2, 2, 2, 2)
         assert np.abs(recon - t).max() <= DEFAULT_TOL
 
     def test_deterministic_weights(self):
@@ -523,8 +609,8 @@ class TestIsLocal:
     def test_failed_float_run_falls_back_to_fractions(self, monkeypatch):
         # With no float pivots allowed, the float run gives no certificate.
         cases = [
-            (uniform_box().table, DEFAULT_TOL, True),
-            (0.5 * pr_box().table + 0.125, DEFAULT_TOL, True),
+            (np.array(uniform_box().table), DEFAULT_TOL, True),
+            (0.5 * np.array(pr_box().table) + 0.125, DEFAULT_TOL, True),
             # t = 1/12, past the best CHSH or no-signaling bound, 1/16.
             (_SIGNALING_PAST_ITS_BOUNDS, 0.07, False),
         ]
@@ -551,7 +637,7 @@ class TestIsLocal:
 
     def test_weights_rebuild_the_box_within_tol_in_fractions(self):
         rng = np.random.default_rng(41)
-        tables = [uniform_box().table, 0.5 * pr_box().table + 0.125]
+        tables = [np.array(uniform_box().table), 0.5 * np.array(pr_box().table) + 0.125]
         for _ in range(40):
             local = _local_table(rng.random(16) ** 3)
             k = int(rng.integers(8))
@@ -564,14 +650,14 @@ class TestIsLocal:
             local, weights = is_local(ConditionalBox(t))
             if local:
                 seen += 1
-                assert weights.min() >= 0.0
+                assert min(weights) >= 0.0
                 assert abs(sum(map(Fraction, weights)) - 1) <= Fraction(2) ** -50
                 assert _rebuild_error(weights, t) <= DEFAULT_TOL
         assert seen >= 60
 
     def test_exact_rerun_decides_only_within_rounding_of_tol(self, monkeypatch):
         rng = np.random.default_rng(43)
-        tables = [0.5 * pr_box().table + 0.125]
+        tables = [0.5 * np.array(pr_box().table) + 0.125]
         for _ in range(8):
             local = _local_table(rng.random(16) ** 3)
             lam = rng.uniform(0, 1)
@@ -597,7 +683,7 @@ class TestIsLocal:
         assert locality_distance(pr_box().table) == Fraction(1, 8)  # (4 - 2) / 16, all 16 entries off
         assert locality_distance(uniform_box().table) == 0
         assert locality_distance(_SIGNALING_PAST_ITS_BOUNDS) == Fraction(1, 12)
-        assert boxes._distance_lower_bound(_SIGNALING_PAST_ITS_BOUNDS.reshape(16))[0] == 1 / 16
+        assert boxes._distance_lower_bound(_SIGNALING_PAST_ITS_BOUNDS.ravel().tolist())[0] == 1 / 16
         rng = np.random.default_rng(47)
         for _ in range(15):
             local = _local_table(rng.random(16) ** 3)
@@ -611,18 +697,74 @@ class TestIsLocal:
 
     def test_lp_data_is_built_once_and_read_only(self):
         assert boxes._lp_data() is boxes._lp_data()
-        assert not any(a.flags.writeable for a in boxes._lp_data())
+        for table, shape in zip(boxes._lp_data(), [(34, 50), (16, 4), (16, 4), (24, 16)]):
+            assert type(table) is tuple and all(type(row) is tuple for row in table)
+            assert np.shape(table) == shape
 
     def test_vertex_ordering(self):
         # Vertex 0: all outputs 0. Vertex 15: all outputs 1.
-        verts = deterministic_vertices()
-        v0 = verts[0].reshape(2, 2, 2, 2)
+        v0 = VERTS[0].reshape(2, 2, 2, 2)
         assert v0[0, 0, 1, 1] == 1.0 and v0[1, 1, 0, 0] == 0.0
-        v15 = verts[15].reshape(2, 2, 2, 2)
+        v15 = VERTS[15].reshape(2, 2, 2, 2)
         assert v15[1, 1, 0, 1] == 1.0
         # Vertex 4 = strategy a(0)=0, a(1)=1, b(0)=0, b(1)=0.
-        v4 = verts[4].reshape(2, 2, 2, 2)
+        v4 = VERTS[4].reshape(2, 2, 2, 2)
         assert v4[1, 0, 1, 1] == 1.0 and v4[0, 0, 0, 0] == 1.0
+
+
+def _simplex_corpus() -> list[np.ndarray]:
+    """Seeded binary tables for the simplex oracle: the uniform box, local
+    mixtures, noisy PR boxes across the CHSH facet (v = 1/2) and at it
+    within 1e-12, and relabelings of both kinds."""
+    rng = np.random.default_rng(59)
+    tables = [np.array(uniform_box().table)]
+    for _ in range(200):
+        w = rng.random(16) ** rng.integers(1, 6)
+        w[rng.random(16) < 0.3] = 0.0
+        tables.append(_local_table(w))
+    noise = [*np.linspace(0.0, 1.0, 101), 0.5 - 1e-12, 0.5 + 1e-12, 0.5 - 1e-9, 0.5 + 1e-9]
+    tables += [v * _pr_variant(int(rng.integers(8))) + (1 - v) * 0.25 for v in noise]
+    for t in rng.choice(len(tables), 200, replace=False).tolist():
+        box = relabel(ConditionalBox(tables[t]), _random_relabeling(rng))
+        tables.append(np.array(box.table))
+    return tables
+
+
+class TestSimplexOracle:
+    """The plain-Python simplex against the same pivots on numpy arrays."""
+
+    def test_float_runs_are_bit_identical(self):
+        corpus = _simplex_corpus()
+        assert len(corpus) >= 500
+        solved = 0
+        for t in corpus:
+            p = t.ravel().tolist()
+            got, want = boxes._simplex(p, exact=False), array_simplex(np.array(p), exact=False)
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
+            solved += 1
+            w, t_opt, g = got
+            assert all(type(v) is float for v in (*w, t_opt, *g))
+            for x, y in zip(got, want):
+                assert _bits(x) == _bits(y)
+            # The weights `local` prints, clipped and normalized as numpy did.
+            clipped = np.maximum(want[0], 0.0)
+            assert _bits(boxes._normalized([max(v, 0.0) for v in got[0]])) == _bits(
+                clipped / clipped.sum() + 0.0
+            )
+        assert solved == len(corpus)
+
+    def test_exact_runs_are_equal(self):
+        for t in _simplex_corpus()[::8]:
+            p = t.ravel().tolist()
+            got, want = boxes._simplex(p, exact=True), array_simplex(np.array(p), exact=True)
+            assert got[1] == want[1] and isinstance(got[1], Fraction)
+            assert list(got[0]) == list(want[0]) and list(got[2]) == list(want[2])
+            assert all(type(v) is Fraction for v in (*got[0], *got[2]))
+
+    def test_tableau_is_the_array_one(self):
+        assert _bits(boxes._lp_data()[0]) == _bits(array_lp_data()[0])
 
 
 # Fine's theorem decides binary no-signaling boxes exactly; the LP verdict
@@ -657,7 +799,7 @@ class TestFineTheorem:
         local, weights = is_local(box)
         assert local == (best <= 2.0)
         if local:
-            recon = (weights @ deterministic_vertices()).reshape(2, 2, 2, 2)
+            recon = (np.array(weights) @ VERTS).reshape(2, 2, 2, 2)
             np.testing.assert_allclose(recon, t, atol=1e-9)
 
 
@@ -687,7 +829,7 @@ class TestDistanceBound:
     def test_never_exceeds_the_lp_optimum(self):
         near = 0
         for t in self._tables():
-            bound, lp = boxes._distance_lower_bound(t.reshape(16))[0], _lp_distance(t)
+            bound, lp = boxes._distance_lower_bound(t.ravel().tolist())[0], _lp_distance(t)
             assert bound <= lp + 1e-7
             near += abs(bound - DEFAULT_TOL) <= 10 * DEFAULT_TOL
         assert near >= 120
@@ -695,8 +837,8 @@ class TestDistanceBound:
     def test_fsum_decides_each_bell_bound_as_fractions_do(self):
         bell = boxes._lp_data()[3]
         for t in itertools.islice(self._tables(), 60):
-            p = t.reshape(16)
-            exact = boxes._bell_bounds(boxes._fractions(bell), boxes._fractions(p))
+            p = t.ravel().tolist()
+            exact = [boxes._bell_bound([*map(Fraction, g)], [*map(Fraction, p)]) for g in bell]
             for g, bound in zip(bell, exact):
                 # tol at the float nearest the bound and one ulp either side
                 for tol in (np.nextafter(float(bound), -1.0), float(bound), np.nextafter(float(bound), 1.0)):
@@ -757,7 +899,7 @@ class TestCsv:
     @pytest.mark.parametrize(
         "shape", [(2048, 1, 1, 1), (1, 2048, 1, 1), (1024, 1, 1, 4), (1, 1024, 4, 1)]
     )
-    def test_no_signaling_pairs_are_bounded(self, shape):
+    def test_no_signaling_pairs_are_bounded(self, shape, monkeypatch):
         # (A inputs, B inputs, a outputs, b outputs) with exactly MAX_PAIR_ENTRIES
         # receiver inputs x sender inputs^2 x receiver outputs; one more sender is refused.
         def text(nA_in, nB_in, nA_out, nB_out):
@@ -766,7 +908,23 @@ class TestCsv:
             return "A,B,a,b,p\n" + "".join(f"{A},{B},{a},{b},{p}\n" for A, B, a, b in cells)
 
         nA_in, nB_in, nA_out, nB_out = shape
-        assert loads_csv(text(*shape)).table.shape == (nA_out, nB_out, nA_in, nB_in)
+        box = loads_csv(text(*shape))
+        assert box.shape == (nA_out, nB_out, nA_in, nB_in)
+        # The check's work is its pair comparisons, one per outcome of each
+        # sender pair at each receiver input, in each direction.
+        compared = [0]
+        gap = boxes._gap
+
+        def counting(p, q):
+            compared[0] += len(p)
+            return gap(p, q)
+
+        monkeypatch.setattr(boxes, "_gap", counting)
+        report = check_no_signaling(box)
+        assert (report.a_to_b_violation, report.b_to_a_violation) == (0.0, 0.0)
+        a_to_b = nB_in * nA_in * (nA_in - 1) // 2 * nB_out
+        b_to_a = nA_in * nB_in * (nB_in - 1) // 2 * nA_out
+        assert compared[0] == a_to_b + b_to_a <= MAX_PAIR_ENTRIES
         wider = (nA_in + (nA_in > 1), nB_in + (nB_in > 1), nA_out, nB_out)
         with pytest.raises(BoxFormatError, match=f"compares more than {MAX_PAIR_ENTRIES} entries$"):
             loads_csv(text(*wider))

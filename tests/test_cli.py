@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxworld
@@ -334,6 +335,26 @@ class TestOutputOptions:
         code, _, _ = run(capsys, "--output", str(tmp_path / "out.txt"), "verify", "--box", str(box))
         assert code == 0 and (tmp_path / "out.txt").read_text().startswith("no-signaling: OK")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_output_naming_the_box_pipe_is_refused(self, tmp_path):
+        # Opening a named pipe for writing waits for a reader, which only the
+        # command itself could become, after that open: it once waited forever.
+        fifo = tmp_path / "box.fifo"
+        os.mkfifo(fifo)
+        argv = ["--output", str(fifo), "verify", "--box", str(fifo)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "boxworld", *argv],
+            env=_fresh_env(),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"error: --output {str(fifo)!r} is the --box named pipe;"
+            " opening it would wait for a reader\n"
+        )
+
     @pytest.mark.skipif(not Path(os.devnull).exists(), reason=f"needs {os.devnull}")
     def test_output_on_the_device_the_box_reads_reports_the_box(self, capsys):
         # Writing to a device empties nothing, so the fault is the empty box file.
@@ -543,10 +564,13 @@ class TestErrorExits:
 
 def _capped_cli(argv: list[str]) -> subprocess.CompletedProcess:
     """``cli.main(argv)`` in a child that may map only 256 MiB more than it
-    has after importing, so an unbounded allocation fails instead of growing."""
+    has after importing, so an unbounded allocation fails instead of growing.
+    numpy is imported before the cap, as its thread pools map memory that
+    no command's input asks for."""
     return _fresh_python(
         "-c",
         "import re, resource, sys\n"
+        "import numpy\n"
         "from boxworld import cli\n"
         "status = open('/proc/self/status').read()\n"
         "mapped = int(re.search(r'VmSize:\\s+(\\d+) kB', status)[1]) << 10\n"
@@ -773,6 +797,19 @@ class TestWriteErrors:
             proc.stderr.close()
 
 
+# The commands that work on one box table, in plain Python.
+BOX_COMMANDS = ("verify", "chsh", "local")
+
+# Runs cli.main(argv) with stdout as it is, then prints the exit code and
+# whether the run imported numpy.
+_NUMPY_PROBE = (
+    "import sys\n"
+    "from boxworld import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
 class TestColdImport:
     def test_package_and_cli_import_no_scipy(self):
         proc = _fresh_python(
@@ -801,18 +838,59 @@ class TestColdImport:
         # -X importtime lists every module the run imports on stderr
         proc = _fresh_python("-X", "importtime", "-m", "boxworld", "local", "--box", "pr")
         assert (proc.returncode, proc.stdout) == (0, "local: false\n")
-        assert "import time:" in proc.stderr and "numpy" in proc.stderr
+        assert "import time:" in proc.stderr and "numpy" not in proc.stderr
         assert "scipy" not in proc.stderr
 
     @pytest.mark.parametrize(
         "argv", [shlex.split(line, comments=True)[1:] for line in _readme_commands()], ids=" ".join
     )
     def test_readme_command_loads_no_scipy(self, argv):
-        # -X importtime lists every module the run imports on stderr
+        # -X importtime lists every module the run imports on stderr; the
+        # box commands work on one table in plain Python and load no numpy
         proc = _fresh_python("-X", "importtime", "-m", "boxworld", *argv)
         assert proc.returncode == 0 and proc.stdout
-        assert "import time:" in proc.stderr and "numpy" in proc.stderr
+        assert "import time:" in proc.stderr
+        assert ("numpy" in proc.stderr) == (argv[0] not in BOX_COMMANDS)
         assert "scipy" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            argv
+            for argv in (shlex.split(line, comments=True)[1:] for line in _readme_commands())
+            if argv[0] in BOX_COMMANDS
+        ]
+        + [["verify", "--box", "{csv}"]],
+        ids=" ".join,
+    )
+    def test_box_commands_load_no_numpy(self, capsys, tmp_path, argv):
+        box = tmp_path / "box.csv"
+        box.write_text(dumps_csv(effective_box(0.3)))  # a valid box that signals: exit 2
+        argv = [arg.format(csv=box) for arg in argv]
+        proc = _fresh_python("-c", _NUMPY_PROBE, *argv)
+        code, out, _ = run(capsys, *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == out + f"{code} False\n"
+
+    def test_box_command_errors_load_no_numpy(self, tmp_path):
+        # The exit code of an error was once read off every layer's error
+        # classes, which ran protocol, and numpy with it.
+        negative = tmp_path / "neg.csv"
+        text = dumps_csv(pr_box()).replace("0,0,0,0,0.5\n", "0,0,0,0,0.75\n")
+        negative.write_text(text.replace("0,0,0,1,0\n", "0,0,0,1,-0.25\n"))
+        three = tmp_path / "three.csv"
+        three.write_text(
+            "A,B,a,b,p\n0,0,0,0,0.3\n0,0,0,1,0.3\n0,0,1,0,0.4\n0,0,1,1,0\n0,0,2,0,0\n0,0,2,1,0\n"
+        )
+        cases = [
+            (["verify", "--box", str(tmp_path / "missing.csv")], 1),
+            (["chsh", "--box", str(three)], 1),
+            (["local", "--box", str(negative)], 2),
+        ]
+        for argv, code in cases:
+            proc = _fresh_python("-c", _NUMPY_PROBE, *argv)
+            assert proc.stdout == f"{code} False\n", argv
+            assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
     def test_repetition_at_large_n_loads_no_scipy(self, capsys):
         repeat = ["repeat", "--theta", "0.0081", "--target", "0.9"]
@@ -923,10 +1001,10 @@ class TestLazyLayers:
             "-c",
             "import sys, boxworld\n"
             "print('numpy' in sys.modules)\n"
-            "print(boxworld.boxes.pr_box().table.shape, 'numpy' in sys.modules)"
+            "print(boxworld.boxes.pr_box().shape, 'numpy' in sys.modules)"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n(2, 2, 2, 2) True\n"
+        assert proc.stdout == "False\n(2, 2, 2, 2) False\n"
 
     def test_every_layer_is_registered_once_the_cli_is_imported(self):
         # The benchmark's tracer reads sys.modules for each layer, then vars()
@@ -1163,9 +1241,15 @@ NUMBER_TEXTS = st.one_of(
     st.integers().map(str),
     st.floats().map(repr),
 )
-# --box sources: the builtins, and files that are no box; {missing} and
-# {directory} are filled in by the test.
-BOX_SOURCES = st.sampled_from(["pr", "uniform", "{missing}", "{directory}", "/dev/null"])
+# --box sources: the builtins, a box file, and files that are no box;
+# {file}, {missing}, {directory} and {fifo} (a named pipe with no writer)
+# are filled in by the test.
+BOX_SOURCES = st.sampled_from(
+    ["pr", "uniform", "{file}", "{missing}", "{directory}", "{fifo}", os.devnull]
+)
+# --output targets: none, a device, a path that does not exist yet, and
+# whatever --box names.
+OUTPUTS = st.sampled_from([None, os.devnull, "{fresh}", "{box}"])
 
 
 def _subcommand_flags(command: str) -> list[argparse.Action]:
@@ -1200,11 +1284,27 @@ def argvs(draw, commands, values) -> list[str]:
     return argv
 
 
-def _contract(argv: list[str]) -> tuple[int, str]:
+def _last_box(argv: list[str]) -> str | None:
+    """The --box value argparse reads from ``argv``: the last one, whole or split."""
+    box = None
+    for token, following in zip(argv, [*argv[1:], None]):
+        if token == "--box":
+            box = following
+        elif token.startswith("--box="):
+            box = token.removeprefix("--box=")
+    return box
+
+
+# Numbers for the fresh --output paths of generated argv.
+_FRESH = itertools.count()
+
+
+def _contract(argv: list[str], output: str | None = None) -> tuple[int, str]:
     """Run ``main(argv)`` and check the CLI's contract: exit code 0, 1 or 2;
     on 1 or 2 an empty stdout and exactly one ``error:`` line; on 0 some
     output and nothing on stderr. A defect raises here, with its traceback.
-    Returns the exit code and stdout."""
+    ``output`` is the --output of ``argv``, where a success writes its
+    output instead of to stdout. Returns the exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -1212,8 +1312,11 @@ def _contract(argv: list[str]) -> tuple[int, str]:
     assert code in (0, 1, 2), argv
     if code:
         assert out == "" and _one_error_line(err, "error: "), (argv, err)
-    else:
+    elif output is None:
         assert err == "" and out, argv
+    else:
+        assert err == "" and out == "", argv
+        assert output == os.devnull or Path(output).read_text(), argv
     return code, out
 
 
@@ -1256,9 +1359,40 @@ class TestGeneratedSweepArgv:
             assert len(channels) <= 43 and chunks == []
 
     @settings(max_examples=300, deadline=None)
-    @given(argvs(["verify", "chsh", "local"], lambda o: BOX_SOURCES if o == "--box" else NUMBER_TEXTS))
-    def test_box_commands(self, tmp_path_factory, argv):
+    @given(
+        argvs(["verify", "chsh", "local"], lambda o: BOX_SOURCES if o == "--box" else NUMBER_TEXTS),
+        OUTPUTS,
+    )
+    @example(["verify", "--box", "{fifo}"], "{box}")  # would wait for a reader
+    @example(["chsh", "--box={file}"], "{box}")  # would empty the box
+    @example(["local", "--box", "{fifo}"], None)
+    @example(["local", "--box", "{file}"], "{fresh}")
+    @example(["verify", "--box", "{missing}"], "{box}")
+    @example(["chsh", "--box", "{directory}"], "{box}")
+    @example(["verify", "--box", os.devnull], "{box}")
+    def test_box_commands(self, tmp_path_factory, argv, output):
         directory = tmp_path_factory.getbasetemp() / "box-sources"
-        directory.mkdir(exist_ok=True)
-        places = {"missing": directory / "missing.csv", "directory": directory}
-        _contract([token.format(**places) for token in argv])
+        if not directory.exists():
+            directory.mkdir()
+            (directory / "box.csv").write_text(dumps_csv(pr_box()))
+            if hasattr(os, "mkfifo"):
+                os.mkfifo(directory / "box.fifo")
+        places = {
+            "file": directory / "box.csv",
+            "missing": directory / "missing.csv",
+            "directory": directory,
+            "fifo": directory / "box.fifo" if hasattr(os, "mkfifo") else os.devnull,
+        }
+        argv = [token.format(**places) for token in argv]
+        if output is not None:
+            box = _last_box(argv)
+            fresh = str(directory / f"out-{next(_FRESH)}.txt")
+            if box in (None, *cli.BUILTIN_BOXES):
+                box = fresh  # --output naming a builtin would write a file of that name
+            output = output.format(fresh=fresh, box=box)
+            argv = ["--output", output, *argv]
+        try:
+            _contract(argv, output)
+        finally:
+            places["missing"].unlink(missing_ok=True)  # an --output of it creates it
+        assert places["file"].read_text() == dumps_csv(pr_box())

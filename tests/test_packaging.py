@@ -109,8 +109,6 @@ def test_commands_reach_every_public_function(tmp_path):
 # reason it may. A key is (importer, layer, name), the importer being a
 # module or, for an import inside a function, module.function.
 PRIVATE_IMPORTS = {
-    ("audit", "boxes", "_a_to_b_gaps"): "the sweep reads the gaps of a whole stack of tables",
-    ("audit", "boxes", "_b_to_a_gaps"): "the sweep reads the gaps of a whole stack of tables",
     ("hybrid.bob_state", "audit", "_densities"): "the chain at one angle, imported on call "
     "so that parse does not load audit",
     ("hybrid.bob_state", "audit", "_bob_marginals"): "Bob's marginal of that one row",
