@@ -233,12 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args, out) -> int:
-    box = _load_box(args.box, args.tol)
-    report = boxes.check_no_signaling(box, tol=args.tol)
+    report = boxes.check_no_signaling(args.box, tol=args.tol)
     ok = not report.signaling
     chsh_text = ""
-    if box.shape == (2, 2, 2, 2):
-        chsh_text = f"; CHSH = {_fmt(boxes.chsh_value(box), args.digits)}"
+    if args.box.shape == (2, 2, 2, 2):
+        chsh_text = f"; CHSH = {_fmt(boxes.chsh_value(args.box), args.digits)}"
     status = "OK" if ok else "VIOLATED"
     print(f"no-signaling: {status}{chsh_text}", file=out)
     print(
@@ -253,14 +252,12 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_chsh(args, out) -> int:
-    box = _load_box(args.box, args.tol)
-    print(_fmt(boxes.chsh_value(box), args.digits), file=out)
+    print(_fmt(boxes.chsh_value(args.box), args.digits), file=out)
     return 0
 
 
 def cmd_local(args, out) -> int:
-    box = _load_box(args.box, args.tol)
-    local, weights = boxes.is_local(box, tol=args.tol)
+    local, weights = boxes.is_local(args.box, tol=args.tol)
     print(f"local: {'true' if local else 'false'}", file=out)
     if local:
         print("weights: " + ",".join(_fmt(w, args.digits) for w in weights), file=out)
@@ -403,13 +400,15 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # --help and friends
             sys.stdout.flush()
             return int(exc.code or 0)
+        if args.output is not None and (clash := _box_clash(args)) is not None:
+            raise _UsageError(f"--output {str(args.output)!r} is the --box {clash}")
+        if getattr(args, "box", None) is not None:
+            # read before --output is opened, so that a bad box leaves no file behind
+            args.box = _load_box(args.box, args.tol)
         if args.output is None:
             code = _COMMANDS[args.command](args, sys.stdout)
             sys.stdout.flush()  # here, so that a failed write is reported below
             return code
-        clash = _box_clash(args)
-        if clash is not None:
-            raise _UsageError(f"--output {str(args.output)!r} is the --box {clash}")
         try:
             handle = open(args.output, "w")
         except OSError as exc:

@@ -16,17 +16,21 @@ odot is accepted as an input alias. ``+`` binds tighter than ``(+)``, so
 ``a + b (+) c + d`` groups as ``(a+b) (+) (c+d)``. A scalar must be
 followed by a ket or a parenthesized expression (there is no scalar-only
 state). Parentheses nest at most MAX_NESTING deep, and a number must fit
-in a float; its digits are ASCII 0-9 only. All reported offsets are byte
-offsets into the input. The parser pulls tokens one at a time, only as
-the grammar asks for them, so the first error in reading order is the one
-reported and a rejected input costs work only up to that error.
+in a float; its digits are ASCII 0-9 only.
+
+The parser reads the text in one pass, by recursive descent over the
+characters themselves, holding one token: the next token is read only
+when the current one has been checked and consumed, and a scalar's value
+is converted only then. So the first error in reading order is the one
+reported, and a rejected input costs work only up to that error. Every
+reported offset is a byte offset into the UTF-8 input; the parser keeps
+character positions and converts one to bytes only when it raises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+import re
 
 from .hybrid import (
     BasisKet,
@@ -39,13 +43,19 @@ from .hybrid import (
     SYM_S,
 )
 
-__all__ = ["MAX_NESTING", "Token", "ParseError", "tokenize", "parse", "format"]
+__all__ = ["MAX_NESTING", "ParseError", "parse", "format"]
 
 ODOT_GLYPH = "⊙"
 # Each level of parentheses costs a few stack frames here and in the
 # recursive evaluation and formatting of the tree; this keeps all of them
 # well inside Python's default recursion limit.
 MAX_NESTING = 100
+
+_SPACE = re.compile(r"\s*")  # \s is what str.isspace accepts
+_BITS = re.compile("[01]*")
+# digits, then "." and digits if a digit follows the point: it may match
+# nothing, or a fraction alone, as in the accepted sqrt(.5)
+_NUMBER = re.compile(r"[0-9]*(?:\.[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -56,238 +66,174 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # KET | SCALAR | SYMBOL_C | SYMBOL_S | PLUS | ODOT | LPAREN | RPAREN | STAR
-    lexeme: str
-    offset: int
-
-
-def tokenize(text: str) -> list[Token]:
-    """Split input into tokens; offsets are byte positions."""
-    return list(_tokens(text))
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
-
-
-def _tokens(text: str) -> Iterator[Token]:
-    """The tokens of ``text`` in order, read only as far as they are pulled.
-
-    Raises :class:`ParseError` at the first character that starts no token.
-    """
-    n = len(text)
-    i = 0  # the next character to read
-    mark, mark_byte = 0, 0  # the start of the latest token and its byte offset
-
-    def byte_at(j: int) -> int:
-        # byte offset of character j >= mark; only the characters since mark are encoded
-        return mark_byte + len(text[mark:j].encode("utf-8"))
-
-    def _number_end(j: int) -> int:
-        k = j
-        while k < n and _is_digit(text[k]):
-            k += 1
-        if k < n and text[k] == "." and k + 1 < n and _is_digit(text[k + 1]):
-            k += 1
-            while k < n and _is_digit(text[k]):
-                k += 1
-        return k
-
-    def _sqrt_end(j: int) -> int:
-        # expects text[j:] to start with "sqrt("
-        k = j + 5
-        end = _number_end(k)
-        if end == k:
-            raise ParseError("expected a number inside sqrt(...)", byte_at(min(k, n - 1)))
-        if end >= n or text[end] != ")":
-            raise ParseError("unterminated sqrt(...)", byte_at(j))
-        return end + 1
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        off = mark_byte = byte_at(i)
-        mark = i
-        if ch == ODOT_GLYPH:
-            yield Token("ODOT", ch, off)
-            i += 1
-        elif text.startswith("(+)", i):
-            yield Token("ODOT", "(+)", off)
-            i += 3
-        elif ch == "(":
-            yield Token("LPAREN", ch, off)
-            i += 1
-        elif ch == ")":
-            yield Token("RPAREN", ch, off)
-            i += 1
-        elif ch == "+":
-            yield Token("PLUS", ch, off)
-            i += 1
-        elif ch == "*":
-            yield Token("STAR", ch, off)
-            i += 1
-        elif ch == "|":
-            j = i + 1
-            while j < n and text[j] in "01":
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated ket", off)
-            if text[j] != ">":
-                if j == i + 1:
-                    raise ParseError(f"bad ket label character {text[j]!r}", byte_at(j))
-                raise ParseError("expected '>' to close the ket", byte_at(j))
-            if j == i + 1:
-                raise ParseError("empty ket label", byte_at(j))
-            yield Token("KET", text[i : j + 1], off)
-            i = j + 1
-        elif _is_digit(ch):
-            j = _number_end(i)
-            if j < n and text[j] == "/":
-                k = j + 1
-                if k < n and _is_digit(text[k]):
-                    k = _number_end(k)
-                elif text.startswith("sqrt(", k):
-                    if text[i:j] != "1":
-                        raise ParseError(
-                            "only 1/sqrt(...) is supported for square-root fractions", off
-                        )
-                    k = _sqrt_end(k)
-                else:
-                    raise ParseError(
-                        "expected digits or sqrt( after '/'", byte_at(k if k < n else j)
-                    )
-                j = k
-            yield Token("SCALAR", text[i:j], off)
-            i = j
-        elif text.startswith("sqrt(", i):
-            j = _sqrt_end(i)
-            yield Token("SCALAR", text[i:j], off)
-            i = j
-        elif ch == "c":
-            yield Token("SYMBOL_C", ch, off)
-            i += 1
-        elif ch == "s":
-            yield Token("SYMBOL_S", ch, off)
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", off)
-
-
-def _number(text: str, offset: int) -> float:
-    value = float(text)
-    if math.isinf(value):
-        raise ParseError("number too large for a float", offset)
-    return value
-
-
-def _scalar_from_token(tok: Token) -> Scalar:
-    if tok.kind == "SYMBOL_C":
-        return SYM_C
-    if tok.kind == "SYMBOL_S":
-        return SYM_S
-    lex, off = tok.lexeme, tok.offset  # an ASCII lexeme: its characters are bytes
-    if lex.startswith("1/sqrt("):
-        return Scalar("invsqrt", _number(lex[7:-1], off + 7))
-    if lex.startswith("sqrt("):
-        return Scalar("sqrt", _number(lex[5:-1], off + 5))
-    if "/" in lex:
-        num, den = lex.split("/")
-        numerator = _number(num, off)
-        denominator = _number(den, off + len(num) + 1)
-        if denominator == 0.0:
-            raise ParseError("fraction with zero denominator", off)
-        return Scalar("frac", numerator, denominator)
-    return Scalar("num", _number(lex, off))
-
-
 class _Parser:
+    """One parse of ``text``, holding the current token: ``text[start:pos]``.
+
+    Its ``kind`` is "" at the end of the input, "|" for a ket, "1" for a
+    scalar (a number, a fraction, a square-root form, "c" or "s"), "⊙" for
+    either spelling of the mixing operator, and otherwise the token's one
+    character: "(", ")", "+" or "*".
+    """
+
     def __init__(self, text: str):
-        self.tokens = _tokens(text)
-        self.next: Token | None = None
-        self.pulled = False  # whether self.next holds the token after the last one taken
-        self.end_offset = len(text.encode("utf-8"))
+        self.text = text
+        self.kind = ""
+        self.start = self.pos = 0
         self.width: int | None = None
         self.depth = 0
 
-    def peek(self) -> Token | None:
-        # a token is read only when the grammar asks for it, so the first error wins
-        if not self.pulled:
-            self.next, self.pulled = next(self.tokens, None), True
-        return self.next
+    def error(self, message: str, i: int) -> ParseError:
+        """The error at character ``i``, reported at its byte offset."""
+        return ParseError(message, len(self.text[:i].encode()))
 
-    def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end_offset)
-        self.pulled = False
-        return tok
+    def advance(self) -> None:
+        """Read the token after the current one."""
+        text = self.text
+        i = self.start = _SPACE.match(text, self.pos).end()
+        if i == len(text):
+            self.kind, self.pos = "", i
+            return
+        ch = text[i]
+        if text.startswith("(+)", i):
+            self.kind, self.pos = ODOT_GLYPH, i + 3
+        elif text.startswith("sqrt(", i):
+            self.kind, self.pos = "1", self._sqrt_end(i)
+        elif ch in "()+*" or ch == ODOT_GLYPH:
+            self.kind, self.pos = ch, i + 1
+        elif ch in "cs":
+            self.kind, self.pos = "1", i + 1
+        elif ch == "|":
+            self.kind, self.pos = "|", self._ket_end(i)
+        elif "0" <= ch <= "9":
+            self.kind, self.pos = "1", self._numeric_end(i)
+        else:
+            raise self.error(f"unexpected character {ch!r}", i)
+
+    def _ket_end(self, i: int) -> int:
+        text = self.text
+        j = _BITS.match(text, i + 1).end()
+        if j == len(text):
+            raise self.error("unterminated ket", i)
+        if text[j] != ">":
+            if j == i + 1:
+                raise self.error(f"bad ket label character {text[j]!r}", j)
+            raise self.error("expected '>' to close the ket", j)
+        if j == i + 1:
+            raise self.error("empty ket label", j)
+        return j + 1
+
+    def _numeric_end(self, i: int) -> int:
+        # a number, a fraction of two, or 1/sqrt(number), starting at a digit
+        text = self.text
+        j = _NUMBER.match(text, i).end()
+        if text[j : j + 1] != "/":
+            return j
+        k = j + 1
+        if "0" <= text[k : k + 1] <= "9":
+            return _NUMBER.match(text, k).end()
+        if text.startswith("sqrt(", k):
+            if text[i:j] != "1":
+                raise self.error("only 1/sqrt(...) is supported for square-root fractions", i)
+            return self._sqrt_end(k)
+        raise self.error("expected digits or sqrt( after '/'", k if k < len(text) else j)
+
+    def _sqrt_end(self, i: int) -> int:
+        # text[i:] starts with "sqrt("
+        text = self.text
+        k = i + 5
+        end = _NUMBER.match(text, k).end()
+        if end == k:
+            raise self.error("expected a number inside sqrt(...)", min(k, len(text) - 1))
+        if text[end : end + 1] != ")":
+            raise self.error("unterminated sqrt(...)", i)
+        return end + 1
+
+    def _number(self, lexeme: str, i: int) -> float:
+        value = float(lexeme)
+        if math.isinf(value):
+            raise self.error("number too large for a float", i)
+        return value
+
+    def _scalar(self) -> Scalar:
+        # the current token is a scalar, whose lexeme is ASCII
+        lex, i = self.text[self.start : self.pos], self.start
+        if lex == "c":
+            return SYM_C
+        if lex == "s":
+            return SYM_S
+        if lex.startswith("1/sqrt("):
+            return Scalar("invsqrt", self._number(lex[7:-1], i + 7))
+        if lex.startswith("sqrt("):
+            return Scalar("sqrt", self._number(lex[5:-1], i + 5))
+        num, slash, den = lex.partition("/")
+        if not slash:
+            return Scalar("num", self._number(lex, i))
+        numerator = self._number(num, i)
+        denominator = self._number(den, i + len(num) + 1)
+        if denominator == 0.0:
+            raise self.error("fraction with zero denominator", i)
+        return Scalar("frac", numerator, denominator)
 
     def parse(self) -> StateExpr:
+        self.advance()
         node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input starting at {tok.lexeme!r}", tok.offset)
+        if self.kind:
+            lexeme = self.text[self.start : self.pos]
+            raise self.error(f"trailing input starting at {lexeme!r}", self.start)
         return node
 
     def expr(self) -> StateExpr:
         parts = [self.term()]
-        while (tok := self.peek()) is not None and tok.kind == "ODOT":
-            self.take()
+        while self.kind == ODOT_GLYPH:
+            self.advance()
             parts.append(self.term())
         return parts[0] if len(parts) == 1 else IncoherentSum(tuple(parts))
 
     def term(self) -> StateExpr:
         parts = [self.factor()]
-        while (tok := self.peek()) is not None and tok.kind == "PLUS":
-            self.take()
+        while self.kind == "+":
+            self.advance()
             parts.append(self.factor())
         return parts[0] if len(parts) == 1 else CoherentSum(tuple(parts))
 
     def factor(self) -> StateExpr:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a ket, scalar, or '('", self.end_offset)
-        if tok.kind in ("SCALAR", "SYMBOL_C", "SYMBOL_S"):
-            self.take()
-            scalar = _scalar_from_token(tok)
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "STAR":
-                self.take()
-                nxt = self.peek()
-            if nxt is None or nxt.kind not in ("KET", "LPAREN"):
-                raise ParseError(
-                    "scalar must be followed by a ket or a parenthesized state", tok.offset
-                )
-            return Scaled(scalar, self.primary())
-        return self.primary()
+        if not self.kind:
+            raise self.error("expected a ket, scalar, or '('", len(self.text))
+        if self.kind != "1":
+            return self.primary()
+        start = self.start
+        scalar = self._scalar()
+        self.advance()
+        if self.kind == "*":
+            self.advance()
+        if self.kind not in ("|", "("):
+            raise self.error("scalar must be followed by a ket or a parenthesized state", start)
+        return Scaled(scalar, self.primary())
 
     def primary(self) -> StateExpr:
-        tok = self.take()
-        if tok.kind == "KET":
-            label = tok.lexeme[1:-1]
+        start = self.start
+        if self.kind == "|":
+            label = self.text[start + 1 : self.pos - 1]
             if self.width is None:
                 self.width = len(label)
             elif len(label) != self.width:
-                raise ParseError(
-                    f"ket width {len(label)} differs from {self.width} used earlier", tok.offset
+                raise self.error(
+                    f"ket width {len(label)} differs from {self.width} used earlier", start
                 )
+            self.advance()
             return BasisKet(label)
-        if tok.kind == "LPAREN":
+        if self.kind == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.offset)
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", start)
             self.depth += 1
+            self.advance()
             node = self.expr()
-            closing = self.peek()
-            if closing is None or closing.kind != "RPAREN":
-                raise ParseError("unbalanced parenthesis", tok.offset)
-            self.take()
+            if self.kind != ")":
+                raise self.error("unbalanced parenthesis", start)
             self.depth -= 1
+            self.advance()
             return node
-        raise ParseError(f"expected a ket or '(', got {tok.lexeme!r}", tok.offset)
+        raise self.error(f"expected a ket or '(', got {self.text[start : self.pos]!r}", start)
 
 
 def parse(text: str) -> StateExpr:

@@ -26,7 +26,10 @@ package computes by a shorter path, or builds inputs for such a check:
   same relation;
 - a reader for :func:`boxworld.hybrid.dumps`;
 - :func:`exact_success_fraction`, the optimal n-copy success of the
-  repetition channel as an exact sum over all n + 1 counts.
+  repetition channel as an exact sum over all n + 1 counts;
+- :func:`reference_parse`, the state-expression parser as a lexer and a
+  parser that pulls its tokens, the oracle of the one-pass
+  :func:`boxworld.dsl.parse`.
 
 pytest puts both ``tests/`` and ``bench/`` on ``sys.path`` and imports
 their modules by bare name, so this one must not share a name with
@@ -40,16 +43,25 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from boxworld.boxes import _FLOAT_PIVOTS, ConditionalBox, deterministic_vertices
+from boxworld.dsl import MAX_NESTING, ODOT_GLYPH, ParseError
 from boxworld.hybrid import (
     DEFAULT_BRANCH_CAP,
+    SYM_C,
+    SYM_S,
+    BasisKet,
     BranchLimitError,
+    CoherentSum,
     ExpressionError,
     HybridState,
+    IncoherentSum,
+    Scalar,
+    Scaled,
+    StateExpr,
     _pow2_times,
 )
 from boxworld.protocol import MIN_ROUNDS_MAX_COPIES, _count
@@ -551,3 +563,245 @@ def exact_success_fraction(cs: Fraction, n: int) -> Fraction:
         total += math.comb(n, k) * abs(lam_p**k * lam_m ** (n - k) - flat)
     # success = 1/2 + D_n/2 with D_n = total/2
     return Fraction(1, 2) + total / 4
+
+
+# ---------------------------------------------------------------- dsl
+#
+# The parser of state expressions as a lexer, ``_tokens``, whose tokens a
+# recursive-descent parser pulls one at a time; each token records its
+# byte offset as it is read.
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # KET | SCALAR | SYMBOL_C | SYMBOL_S | PLUS | ODOT | LPAREN | RPAREN | STAR
+    lexeme: str
+    offset: int
+
+
+def _is_digit(ch: str) -> bool:
+    return "0" <= ch <= "9"
+
+
+def _tokens(text: str) -> Iterator[Token]:
+    """The tokens of ``text`` in order, read only as far as they are pulled.
+
+    Raises :class:`ParseError` at the first character that starts no token.
+    """
+    n = len(text)
+    i = 0  # the next character to read
+    mark, mark_byte = 0, 0  # the start of the latest token and its byte offset
+
+    def byte_at(j: int) -> int:
+        # byte offset of character j >= mark; only the characters since mark are encoded
+        return mark_byte + len(text[mark:j].encode("utf-8"))
+
+    def _number_end(j: int) -> int:
+        k = j
+        while k < n and _is_digit(text[k]):
+            k += 1
+        if k < n and text[k] == "." and k + 1 < n and _is_digit(text[k + 1]):
+            k += 1
+            while k < n and _is_digit(text[k]):
+                k += 1
+        return k
+
+    def _sqrt_end(j: int) -> int:
+        # expects text[j:] to start with "sqrt("
+        k = j + 5
+        end = _number_end(k)
+        if end == k:
+            raise ParseError("expected a number inside sqrt(...)", byte_at(min(k, n - 1)))
+        if end >= n or text[end] != ")":
+            raise ParseError("unterminated sqrt(...)", byte_at(j))
+        return end + 1
+
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        off = mark_byte = byte_at(i)
+        mark = i
+        if ch == ODOT_GLYPH:
+            yield Token("ODOT", ch, off)
+            i += 1
+        elif text.startswith("(+)", i):
+            yield Token("ODOT", "(+)", off)
+            i += 3
+        elif ch == "(":
+            yield Token("LPAREN", ch, off)
+            i += 1
+        elif ch == ")":
+            yield Token("RPAREN", ch, off)
+            i += 1
+        elif ch == "+":
+            yield Token("PLUS", ch, off)
+            i += 1
+        elif ch == "*":
+            yield Token("STAR", ch, off)
+            i += 1
+        elif ch == "|":
+            j = i + 1
+            while j < n and text[j] in "01":
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated ket", off)
+            if text[j] != ">":
+                if j == i + 1:
+                    raise ParseError(f"bad ket label character {text[j]!r}", byte_at(j))
+                raise ParseError("expected '>' to close the ket", byte_at(j))
+            if j == i + 1:
+                raise ParseError("empty ket label", byte_at(j))
+            yield Token("KET", text[i : j + 1], off)
+            i = j + 1
+        elif _is_digit(ch):
+            j = _number_end(i)
+            if j < n and text[j] == "/":
+                k = j + 1
+                if k < n and _is_digit(text[k]):
+                    k = _number_end(k)
+                elif text.startswith("sqrt(", k):
+                    if text[i:j] != "1":
+                        raise ParseError(
+                            "only 1/sqrt(...) is supported for square-root fractions", off
+                        )
+                    k = _sqrt_end(k)
+                else:
+                    raise ParseError(
+                        "expected digits or sqrt( after '/'", byte_at(k if k < n else j)
+                    )
+                j = k
+            yield Token("SCALAR", text[i:j], off)
+            i = j
+        elif text.startswith("sqrt(", i):
+            j = _sqrt_end(i)
+            yield Token("SCALAR", text[i:j], off)
+            i = j
+        elif ch == "c":
+            yield Token("SYMBOL_C", ch, off)
+            i += 1
+        elif ch == "s":
+            yield Token("SYMBOL_S", ch, off)
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", off)
+
+
+def _number(text: str, offset: int) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ParseError("number too large for a float", offset)
+    return value
+
+
+def _scalar_from_token(tok: Token) -> Scalar:
+    if tok.kind == "SYMBOL_C":
+        return SYM_C
+    if tok.kind == "SYMBOL_S":
+        return SYM_S
+    lex, off = tok.lexeme, tok.offset  # an ASCII lexeme: its characters are bytes
+    if lex.startswith("1/sqrt("):
+        return Scalar("invsqrt", _number(lex[7:-1], off + 7))
+    if lex.startswith("sqrt("):
+        return Scalar("sqrt", _number(lex[5:-1], off + 5))
+    if "/" in lex:
+        num, den = lex.split("/")
+        numerator = _number(num, off)
+        denominator = _number(den, off + len(num) + 1)
+        if denominator == 0.0:
+            raise ParseError("fraction with zero denominator", off)
+        return Scalar("frac", numerator, denominator)
+    return Scalar("num", _number(lex, off))
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokens(text)
+        self.next: Token | None = None
+        self.pulled = False  # whether self.next holds the token after the last one taken
+        self.end_offset = len(text.encode("utf-8"))
+        self.width: int | None = None
+        self.depth = 0
+
+    def peek(self) -> Token | None:
+        # a token is read only when the grammar asks for it, so the first error wins
+        if not self.pulled:
+            self.next, self.pulled = next(self.tokens, None), True
+        return self.next
+
+    def take(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.end_offset)
+        self.pulled = False
+        return tok
+
+    def parse(self) -> StateExpr:
+        node = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input starting at {tok.lexeme!r}", tok.offset)
+        return node
+
+    def expr(self) -> StateExpr:
+        parts = [self.term()]
+        while (tok := self.peek()) is not None and tok.kind == "ODOT":
+            self.take()
+            parts.append(self.term())
+        return parts[0] if len(parts) == 1 else IncoherentSum(tuple(parts))
+
+    def term(self) -> StateExpr:
+        parts = [self.factor()]
+        while (tok := self.peek()) is not None and tok.kind == "PLUS":
+            self.take()
+            parts.append(self.factor())
+        return parts[0] if len(parts) == 1 else CoherentSum(tuple(parts))
+
+    def factor(self) -> StateExpr:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("expected a ket, scalar, or '('", self.end_offset)
+        if tok.kind in ("SCALAR", "SYMBOL_C", "SYMBOL_S"):
+            self.take()
+            scalar = _scalar_from_token(tok)
+            nxt = self.peek()
+            if nxt is not None and nxt.kind == "STAR":
+                self.take()
+                nxt = self.peek()
+            if nxt is None or nxt.kind not in ("KET", "LPAREN"):
+                raise ParseError(
+                    "scalar must be followed by a ket or a parenthesized state", tok.offset
+                )
+            return Scaled(scalar, self.primary())
+        return self.primary()
+
+    def primary(self) -> StateExpr:
+        tok = self.take()
+        if tok.kind == "KET":
+            label = tok.lexeme[1:-1]
+            if self.width is None:
+                self.width = len(label)
+            elif len(label) != self.width:
+                raise ParseError(
+                    f"ket width {len(label)} differs from {self.width} used earlier", tok.offset
+                )
+            return BasisKet(label)
+        if tok.kind == "LPAREN":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.offset)
+            self.depth += 1
+            node = self.expr()
+            closing = self.peek()
+            if closing is None or closing.kind != "RPAREN":
+                raise ParseError("unbalanced parenthesis", tok.offset)
+            self.take()
+            self.depth -= 1
+            return node
+        raise ParseError(f"expected a ket or '(', got {tok.lexeme!r}", tok.offset)
+
+
+
+def reference_parse(text: str) -> StateExpr:
+    """:func:`boxworld.dsl.parse` by the lexer and token-pulling parser above."""
+    return _Parser(text).parse()

@@ -355,6 +355,16 @@ class TestOutputOptions:
             " opening it would wait for a reader\n"
         )
 
+    def test_missing_box_leaves_no_output_file(self, capsys, tmp_path):
+        # --output was once opened before the box was read: that made an empty
+        # file, reported as a box without a header when --box named it too.
+        for box, output in (("nobox.csv", "nobox.csv"), ("missing.csv", "out.txt")):
+            box, output = tmp_path / box, tmp_path / output
+            code, out, err = run(capsys, "--output", str(output), "verify", "--box", str(box))
+            assert (code, out) == (1, "")
+            assert _one_error_line(err, f"error: unknown box {str(box)!r}")
+            assert not box.exists() and not output.exists()
+
     @pytest.mark.skipif(not Path(os.devnull).exists(), reason=f"needs {os.devnull}")
     def test_output_on_the_device_the_box_reads_reports_the_box(self, capsys):
         # Writing to a device empties nothing, so the fault is the empty box file.
@@ -1284,15 +1294,15 @@ def argvs(draw, commands, values) -> list[str]:
     return argv
 
 
-def _last_box(argv: list[str]) -> str | None:
-    """The --box value argparse reads from ``argv``: the last one, whole or split."""
-    box = None
+def _last_value(argv: list[str], flag: str) -> str | None:
+    """The value of ``flag`` argparse reads from ``argv``: the last one, whole or split."""
+    value = None
     for token, following in zip(argv, [*argv[1:], None]):
-        if token == "--box":
-            box = following
-        elif token.startswith("--box="):
-            box = token.removeprefix("--box=")
-    return box
+        if token == flag:
+            value = following
+        elif token.startswith(f"{flag}="):
+            value = token.removeprefix(f"{flag}=")
+    return value
 
 
 # Numbers for the fresh --output paths of generated argv.
@@ -1308,7 +1318,13 @@ def _contract(argv: list[str], output: str | None = None) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    out, err = out.getvalue(), err.getvalue()
+    return _check_contract(argv, output, code, out.getvalue(), err.getvalue())
+
+
+def _check_contract(
+    argv: list[str], output: str | None, code: int, out: str, err: str
+) -> tuple[int, str]:
+    """The checks of :func:`_contract` on one run's exit code, stdout and stderr."""
     assert code in (0, 1, 2), argv
     if code:
         assert out == "" and _one_error_line(err, "error: "), (argv, err)
@@ -1318,6 +1334,38 @@ def _contract(argv: list[str], output: str | None = None) -> tuple[int, str]:
         assert err == "" and out == "", argv
         assert output == os.devnull or Path(output).read_text(), argv
     return code, out
+
+
+@st.composite
+def expression_texts(draw) -> str:
+    """A state expression from the grammar, of kets up to one wider than the
+    CLI takes, with a bad piece spliced in half the time."""
+    width = draw(st.one_of(st.integers(1, 3), st.integers(1, hybrid.MAX_WIDTH + 1)))
+    kets = st.text("01", min_size=width, max_size=width).map(lambda label: f"|{label}>")
+    scalars = st.sampled_from(
+        ["2", "0.5", "7/8", "sqrt(2)", "1/sqrt(3)", "c", "s", "0", "1/0", "1" + "0" * 400]
+    )
+    text = draw(
+        st.recursive(
+            kets,
+            lambda children: st.one_of(
+                st.tuples(scalars, st.sampled_from(["", " ", " * "]), children).map(
+                    lambda t: f"{t[0]}{t[1]}({t[2]})"
+                ),
+                st.lists(children, min_size=2, max_size=3).map(" + ".join),
+                st.lists(children, min_size=2, max_size=3).map(
+                    lambda c: "(" + " (+) ".join(c) + ")"
+                ),
+            ),
+            max_leaves=6,
+        )
+    )
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        piece = draw(st.sampled_from(["", "@", "|", "(", ")", "2", "⊙", "\u00a0", "٣"]))
+        text = text[:i] + piece + text[i + cut :]
+    return text
 
 
 class TestGeneratedSweepArgv:
@@ -1358,6 +1406,20 @@ class TestGeneratedSweepArgv:
             # max_n, n0, n1, then at most 20 doublings and 20 bisection steps
             assert len(channels) <= 43 and chunks == []
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+    @settings(max_examples=150, deadline=None)
+    @given(argvs(["parse"], lambda o: expression_texts() if o == "--expr" else NUMBER_TEXTS))
+    @example(["parse", "--expr", "|" + "0" * (hybrid.MAX_WIDTH + 1) + ">", "--dump-rho"])
+    def test_parse_command(self, argv):
+        # A density of the widest kets takes 16 MiB and one wider would take
+        # 64 MiB, so those run in a child whose address space is capped.
+        expr = _last_value(argv, "--expr") or ""
+        if "--dump-rho" in argv and re.search(f"[01]{{{hybrid.MAX_WIDTH}}}", expr):
+            proc = _capped_cli(argv)
+            _check_contract(argv, None, proc.returncode, proc.stdout, proc.stderr)
+        else:
+            _contract(argv)
+
     @settings(max_examples=300, deadline=None)
     @given(
         argvs(["verify", "chsh", "local"], lambda o: BOX_SOURCES if o == "--box" else NUMBER_TEXTS),
@@ -1385,7 +1447,7 @@ class TestGeneratedSweepArgv:
         }
         argv = [token.format(**places) for token in argv]
         if output is not None:
-            box = _last_box(argv)
+            box = _last_value(argv, "--box")
             fresh = str(directory / f"out-{next(_FRESH)}.txt")
             if box in (None, *cli.BUILTIN_BOXES):
                 box = fresh  # --output naming a builtin would write a file of that name

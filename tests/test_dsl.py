@@ -1,11 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxworld.dsl import MAX_NESTING, ParseError, format, parse, tokenize
+from boxworld import dsl
+from boxworld.dsl import MAX_NESTING, ParseError, format, parse
 from boxworld.hybrid import (
     BasisKet,
     CoherentSum,
@@ -16,62 +18,70 @@ from boxworld.hybrid import (
     Scaled,
     distribute,
 )
+from reference import _tokens, reference_parse
 
 EQUAL_MIXTURE_TEXT = "1/2 (|00> (+) |11>)"
 SUPERPOSED_MIXTURE_TEXT = "c(|00> (+) |11>) + s(|01> (+) |10>)"
 PAIRED_SUPERPOSITIONS_TEXT = "1/sqrt(2) (|00> + |10>) (+) 1/sqrt(2) (|01> + |11>)"
+# Where a 401-digit number, too large for a float, goes, and its byte offset.
+OVERFLOWING_LITERALS = [
+    ("{} |0>", 0), ("sqrt({}) |0>", 5), ("|0> + 1/sqrt({}) |1>", 13), ("3/{} |0>", 2)
+]
 
 
 class TestTokenize:
+    """The tokens of the notation, as parse reads them."""
+
     def test_kinds_and_offsets(self):
-        toks = tokenize(EQUAL_MIXTURE_TEXT)
-        assert [t.kind for t in toks] == ["SCALAR", "LPAREN", "KET", "ODOT", "KET", "RPAREN"]
-        assert [t.offset for t in toks] == [0, 4, 5, 10, 14, 18]
-        assert toks[0].lexeme == "1/2"
-        assert toks[3].lexeme == "(+)"
+        assert parse(EQUAL_MIXTURE_TEXT) == Scaled(
+            Scalar("frac", 1.0, 2.0), IncoherentSum((BasisKet("00"), BasisKet("11")))
+        )
+        # each token starts where a bad character put in its place is reported
+        for offset in [0, 4, 5, 10, 14, 18]:
+            with pytest.raises(ParseError, match="unexpected character '@'") as err:
+                parse(EQUAL_MIXTURE_TEXT[:offset] + "@")
+            assert err.value.offset == offset
 
     def test_symbols_and_star(self):
-        toks = tokenize("c * |0> + s|1>")
-        assert [t.kind for t in toks] == [
-            "SYMBOL_C",
-            "STAR",
-            "KET",
-            "PLUS",
-            "SYMBOL_S",
-            "KET",
-        ]
+        assert parse("c * |0> + s|1>") == CoherentSum(
+            (Scaled(SYM_C, BasisKet("0")), Scaled(SYM_S, BasisKet("1")))
+        )
 
     def test_odot_glyph_alias_and_byte_offsets(self):
-        toks = tokenize("|0> ⊙ |1>")
-        assert [t.kind for t in toks] == ["KET", "ODOT", "KET"]
+        mixture = IncoherentSum((BasisKet("0"), BasisKet("1")))
+        assert parse("|0> ⊙ |1>") == parse("|0> (+) |1>") == mixture
         # the glyph occupies 3 bytes, so the second ket starts at byte 8
-        assert toks[1].offset == 4
-        assert toks[2].offset == 8
+        with pytest.raises(ParseError, match="differs") as err:
+            parse("|0> ⊙ |11>")
+        assert err.value.offset == 8
+        with pytest.raises(ParseError, match="got '⊙'") as err:
+            parse("|0> + ⊙ |1>")
+        assert err.value.offset == 6
 
     def test_sqrt_forms(self):
-        assert tokenize("sqrt(2)")[0].lexeme == "sqrt(2)"
-        assert tokenize("1/sqrt(2)")[0].lexeme == "1/sqrt(2)"
-        assert tokenize("3.5")[0].lexeme == "3.5"
-        assert tokenize("7/8")[0].lexeme == "7/8"
+        assert parse("sqrt(2) |0>") == Scaled(Scalar("sqrt", 2.0), BasisKet("0"))
+        assert parse("1/sqrt(2) |0>") == Scaled(Scalar("invsqrt", 2.0), BasisKet("0"))
+        assert parse("3.5 |0>") == Scaled(Scalar("num", 3.5), BasisKet("0"))
+        assert parse("7/8 |0>") == Scaled(Scalar("frac", 7.0, 8.0), BasisKet("0"))
 
     def test_unknown_character(self):
         with pytest.raises(ParseError) as err:
-            tokenize("|0> @ |1>")
+            parse("|0> @ |1>")
         assert err.value.offset == 4
 
     def test_bad_ket_label(self):
         with pytest.raises(ParseError) as err:
-            tokenize("|2>")
+            parse("|2>")
         assert err.value.offset == 1
 
     def test_unterminated_ket(self):
         with pytest.raises(ParseError) as err:
-            tokenize("|01")
+            parse("|01")
         assert err.value.offset == 0
 
     def test_empty_ket(self):
         with pytest.raises(ParseError) as err:
-            tokenize("|>")
+            parse("|>")
         assert err.value.offset == 1
 
     @pytest.mark.parametrize(
@@ -80,14 +90,20 @@ class TestTokenize:
     )
     def test_only_ascii_digits_make_numbers(self, text, offset):
         with pytest.raises(ParseError) as err:
-            tokenize(text)
-        assert err.value.offset == offset
-        with pytest.raises(ParseError):
             parse(text)
+        assert err.value.offset == offset
 
     def test_sqrt_fraction_requires_unit_numerator(self):
-        with pytest.raises(ParseError):
-            tokenize("2/sqrt(2)")
+        with pytest.raises(ParseError, match="only 1/sqrt") as err:
+            parse("2/sqrt(2) |0>")
+        assert err.value.offset == 0
+
+    def test_a_lone_surrogate_is_an_unexpected_character(self):
+        # an argv byte that is not UTF-8 arrives as a lone surrogate; the
+        # parser once encoded the whole input up front and raised a codec error
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse("|0> + \udcff |1>")
+        assert err.value.offset == 6
 
 
 class TestParse:
@@ -158,8 +174,8 @@ class TestParse:
             parse("|0> |1> @")
         assert err.value.offset == 4
         with pytest.raises(ParseError, match="unexpected character") as err:
-            tokenize("|0> |1> @")
-        assert err.value.offset == 8
+            parse("|0> + |1> @")
+        assert err.value.offset == 10
         for tail in ("@", "²", "|2>", ")" * 5, "(" * 10**5):
             with pytest.raises(ParseError, match="nested deeper") as err:
                 parse("(" * (MAX_NESTING + 1) + tail)
@@ -176,10 +192,7 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("1/0 |0>")
 
-    @pytest.mark.parametrize(
-        "template, offset",
-        [("{} |0>", 0), ("sqrt({}) |0>", 5), ("|0> + 1/sqrt({}) |1>", 13), ("3/{} |0>", 2)],
-    )
+    @pytest.mark.parametrize("template, offset", OVERFLOWING_LITERALS)
     def test_overflowing_literal_rejected_at_its_offset(self, template, offset):
         with pytest.raises(ParseError) as err:
             parse(template.format("1" + "0" * 400))
@@ -269,10 +282,74 @@ def test_parse_format_roundtrip(expr):
 
 @given(expressions)
 @settings(max_examples=50)
-def test_formatted_text_retokenizes_with_increasing_offsets(expr):
-    toks = tokenize(format(expr))
-    offsets = [t.offset for t in toks]
-    assert offsets == sorted(set(offsets))
+def test_error_offsets_count_the_bytes_of_formatted_text(expr):
+    text = format(expr).replace("(+)", "⊙")  # 3 bytes, 1 character
+    with pytest.raises(ParseError, match="unexpected character '@'") as err:
+        parse(text + " @")
+    assert err.value.offset == len(text.encode()) + 1
+
+
+# --- the parser against the lexer and token-pulling parser it replaced -------
+
+# Pieces of the grammar, and characters next to it that it rejects: a digit
+# no ket label takes, characters no token starts with, Unicode digits, and
+# spaces, a no-break and an em space among them.
+GRAMMAR_FRAGMENTS = [
+    "|", "0", "1", ">", "(", ")", "(+)", "⊙", "+", "*", "/", ".", "7", "42", "3.25",
+    "sqrt(", "1/sqrt(", "c", "s",
+]
+HAZARDS = ["2", "@", "e", "²", "٣", " ", "\u00a0", "\u2003"]
+
+
+def _outcome(parser, text: str):
+    """The tree ``parser`` returns, or the type, message and offset of its error."""
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+@given(st.lists(st.sampled_from(GRAMMAR_FRAGMENTS + HAZARDS), max_size=30).map("".join))
+@settings(max_examples=1000)
+def test_parse_agrees_with_the_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [template.format("1" + "0" * 400) for template, _ in OVERFLOWING_LITERALS]
+    + ["(" * 10**5, "|0> ⊙ (" + "(" * MAX_NESTING + "@", "|0> 1" + "0" * 400],
+    ids=["overflow", "overflow-in-sqrt", "overflow-in-invsqrt", "overflow-denominator",
+         "deep", "deep-after-glyph", "trailing-overflow"],
+)
+def test_parse_agrees_with_the_reference_parser_on_long_inputs(text):
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+
+
+# --- work bounded by the input, not by wall time -------------------------------
+
+
+def _token_reads(text: str) -> int:
+    """The number of tokens ``parse(text)`` reads, whether or not it succeeds."""
+    with mock.patch.object(
+        dsl._Parser, "advance", autospec=True, side_effect=dsl._Parser.advance
+    ) as advance:
+        try:
+            parse(text)
+        except ParseError:
+            pass
+    return advance.call_count
+
+
+def test_a_valid_input_reads_each_token_once():
+    text = "(|0> ⊙ c * |1>) + sqrt(2) |0>" + " + 7/8 * (|0> + s|1>)" * 1110
+    tokens = sum(1 for _ in _tokens(text))
+    assert tokens == 10_000 and isinstance(parse(text), CoherentSum)
+    assert _token_reads(text) <= tokens + 1  # the last read finds the end
+
+
+def test_deep_nesting_stops_reading_at_the_limit():
+    assert _token_reads("(" * 10**5 + "|0>") <= MAX_NESTING + 2
 
 
 def test_parsed_paper_expressions_evaluate():

@@ -50,7 +50,6 @@ UNREACHED_BY_COMMANDS = {
     "hybrid.bob_state",  # bench/test_oracles.py
     "protocol.copy_distance",  # bench/test_oracles.py
     "audit.effective_box",  # bench/test_oracles.py
-    "dsl.tokenize",  # tests/test_dsl.py, whose entry to the lexer it is
 }
 
 # Runs cli.main on each argv of the JSON list argv[1] under a profile hook,
