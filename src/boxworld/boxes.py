@@ -37,11 +37,10 @@ on the same scale as trace distances elsewhere in the package.
 
 Everything here is plain Python on one table, stored as nested tuples of
 floats, so ``verify``, ``chsh`` and ``local`` load no numpy. Sums are
-formed in index order, one addition at a time, which is how the audit's
-stacked forms (:func:`boxworld.audit.table_deviations` and the gap arrays
-beside it) sum the same entries wherever a sum has fewer than eight
-terms; so an effective box and its sweep row report the same violations
-to the bit. :func:`check_no_signaling` compares every pair of sender
+formed in index order, one addition at a time. On an effective box of
+:mod:`boxworld.audit`, whose entries are each rounded once, the gaps lie
+within 2^-53 of the audit's exact figures, with the same verdicts.
+:func:`check_no_signaling` compares every pair of sender
 inputs, at most :data:`MAX_PAIR_ENTRIES` entries per direction, and
 locates the worst setting; at that bound it takes about a second. The
 simplex runs on lists of rows, in floats or in Fractions alike.

@@ -21,8 +21,8 @@ independently. An input with k nonzero components therefore expands into
 The paper's chain, Alice's rotation of |01> by theta followed by the
 extended box, is evaluated without expanding branches in
 :mod:`boxworld.audit`, which computes every figure that ``signal``,
-``scan`` and ``audit`` print; :func:`bob_state` reads Bob's marginal off
-that chain at one angle.
+``scan`` and ``audit`` print in closed form, from integers; :func:`bob_state`
+forms Bob's marginal from the same integers at one angle.
 """
 
 from __future__ import annotations
@@ -370,12 +370,16 @@ def bob_state(theta: float) -> DensityOperator:
 
     Here cs = cos(theta) sin(theta). At theta = 0 this is the maximally
     mixed state, so any dependence on theta is a marginal Bob can see
-    without ever hearing from Alice. It reads the sweep's chain, imported
-    here so that expressions alone do not load the audit layer.
+    without ever hearing from Alice. The coherence is CS/(2n), from the
+    sweep's integers for the float (cos theta, sin theta), rounded once;
+    they are imported here so that expressions alone do not load the audit
+    layer.
     """
-    from .audit import _bob_marginals, _densities
+    from .audit import _numerators
 
-    return DensityOperator(_bob_marginals(_densities([theta]))[0])
+    C, S, n = _numerators(theta)
+    g = C * S / (2 * n)
+    return DensityOperator([[0.5, g], [g, 0.5]])
 
 
 def dumps(state: HybridState, digits: int = 17) -> str:

@@ -25,7 +25,6 @@ __all__ = [
     "check_densities",
     "check_unitaries",
     "basis_ket",
-    "trace_distances",
     "dumps_density_csv",
 ]
 
@@ -145,15 +144,6 @@ def basis_ket(label: str) -> Ket:
     amps = np.zeros(2 ** len(label), dtype=complex)
     amps[int(label, 2)] = 1.0
     return Ket(amps)
-
-
-def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Trace distance between matching Hermitian matrices of two stacks.
-
-    Shapes broadcast over the leading axes, (..., d, d); the result has
-    shape (...).
-    """
-    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
 def dumps_density_csv(rho: DensityOperator, digits: int = 17) -> str:

@@ -9,11 +9,10 @@ so the command line can read :data:`DEFAULT_TOL` without loading numpy.
 
 __all__ = ["ROUNDING", "EIGEN_ROUNDING", "DEFAULT_TOL"]
 
-# Rounding of an O(1) figure formed by a few float64 sums and products
-# (about 4.4e-16 in the audit's tables): the hermiticity, trace and
-# unitarity checks, the audit's positivity and normalization verdicts, the
-# coherence below which min_rounds treats an angle as signal-free, and the
-# least reduced cost or pivot entry the float locality simplex acts on.
+# Rounding of an O(1) figure formed by a few float64 sums and products:
+# the hermiticity, trace and unitarity checks, the coherence below which
+# min_rounds treats an angle as signal-free, and the least reduced cost or
+# pivot entry the float locality simplex acts on.
 ROUNDING = 1e-12
 # Rounding of an eigen-decomposition or a Gram matrix, a few hundred ulps:
 # the lowest eigenvalue a density may have is -EIGEN_ROUNDING, and a

@@ -6,11 +6,15 @@ package computes by a shorter path, or builds inputs for such a check:
 - single-qubit ``Unitary`` objects, kets and the tensor product, from
   which the tests build the construction's input (U tensor 1)|01> one
   angle at a time;
-- the partial trace, Helstrom discrimination and basis measurement on
-  plain matrices, the textbook forms of what the package reads off its
-  densities by shorter paths;
+- the partial trace, trace distances, Helstrom discrimination and basis
+  measurement on plain matrices, the textbook forms of what the package
+  computes in closed form;
 - local relabelings of a box, a symmetry of no-signaling and locality,
   and :func:`dumps_csv`, the ``A,B,a,b,p`` writer for box files;
+- :func:`table_deviations` and the no-signaling gap arrays, the checks
+  of :mod:`boxworld.boxes` on stacks of numpy tables, which the
+  plain-Python ones match bit for bit wherever numpy sums one term at a
+  time;
 - :func:`array_simplex`, the locality LP's simplex on numpy arrays, float
   or Fraction, the oracle of the plain-Python one the package runs;
 - :func:`pr_extend`, the linearly extended box applied branch by branch
@@ -18,12 +22,11 @@ package computes by a shorter path, or builds inputs for such a check:
   :func:`pr_extend_density`, the density of that expansion in closed form
   for a stack of any inputs, as mean plus spread of the pair choices.
   :func:`pr_extend` derives each admissible output from the relation
-  a XOR b = A AND B itself, so the two are separate derivations; the
-  sweep's three-term density, :func:`boxworld.audit._densities`, is a
-  third;
+  a XOR b = A AND B itself, so the two are separate derivations;
 - :func:`exact_chain`, the whole construction at any rational (cos, sin)
   pair, the float ones included, in ``Fraction`` arithmetic, from the
-  same relation;
+  same relation, and :func:`exact_sweep_row`, what ``signal``, ``scan``
+  and ``audit`` print of it at a float angle, rounded once;
 - a reader for :func:`boxworld.hybrid.dumps`;
 - :func:`exact_success_fraction`, the optimal n-copy success of the
   repetition channel as an exact sum over all n + 1 counts;
@@ -47,6 +50,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from boxworld.audit import SweepRow
 from boxworld.boxes import _FLOAT_PIVOTS, ConditionalBox, deterministic_vertices
 from boxworld.dsl import MAX_NESTING, ODOT_GLYPH, ParseError
 from boxworld.hybrid import (
@@ -134,6 +138,15 @@ def helstrom(rho0: np.ndarray, rho1: np.ndarray, prior0: float = 0.5) -> tuple[f
     evals, evecs = np.linalg.eigh((1.0 - prior0) * rho1 - prior0 * rho0)
     pos = evecs[:, evals > 0.0]
     return 0.5 + 0.5 * float(np.abs(evals).sum()), pos @ pos.conj().T
+
+
+def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace distance between matching Hermitian matrices of two stacks.
+
+    Shapes broadcast over the leading axes, (..., d, d); the result has
+    shape (...).
+    """
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
 
 
 def measure_probs(rho: np.ndarray, basis: Sequence[Ket]) -> np.ndarray:
@@ -298,6 +311,37 @@ def array_simplex(
     return None
 
 
+def table_deviations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest entry and worst setting-normalization error of each table.
+
+    ``t`` is one table or a stack, shape ``(..., a, b, A, B)``; both results
+    have shape ``t.shape[:-4]``. The normalization error is the largest
+    ``|sum over (a, b) - 1|`` over the settings (A, B).
+    """
+    t = np.ascontiguousarray(t)
+    return t.min(axis=(-4, -3, -2, -1)), np.abs(t.sum(axis=(-4, -3)) - 1.0).max(axis=(-2, -1))
+
+
+def _a_to_b_gaps(t: np.ndarray) -> np.ndarray:
+    """Gaps of Bob's marginals across Alice's inputs, indexed [..., B, A, A']."""
+    return _gaps(np.ascontiguousarray(t).sum(axis=-4).swapaxes(-3, -1))
+
+
+def _b_to_a_gaps(t: np.ndarray) -> np.ndarray:
+    """Gaps of Alice's marginals across Bob's inputs, indexed [..., A, B, B']."""
+    return _gaps(np.ascontiguousarray(t).sum(axis=-3).swapaxes(-3, -1).swapaxes(-3, -2))
+
+
+def _gaps(marg: np.ndarray) -> np.ndarray:
+    """Total-variation gaps [..., receiver, i, j] between the marginals of
+    sender inputs i and j, from marginals [..., receiver, sender, outcome].
+    """
+    # With the outcome axis last and contiguous, each gap is summed in the
+    # same order as the sum of one 1-D marginal difference.
+    marg = np.ascontiguousarray(marg)
+    return 0.5 * np.abs(marg[..., :, None, :] - marg[..., None, :, :]).sum(axis=-1)
+
+
 # ---------------------------------------------------------------- hybrid
 
 
@@ -438,8 +482,9 @@ class ExactFigures(NamedTuple):
 
     ``density`` is the output density [i][j] of the rotated input,
     ``table`` the effective box [a][b][x][y] and ``bob`` Bob's marginal
-    [b][b'] of ``density``; the rest are the :class:`~boxworld.audit.SweepChunk`
-    columns of the same names.
+    [b][b'] of ``density``; ``marginal_shift`` is the trace distance of
+    Bob's two marginals, and the violations are the
+    :class:`~boxworld.audit.SweepRow` fields of the same names.
     """
 
     density: list[list[Fraction]]
@@ -516,6 +561,34 @@ def exact_chain(c: Fraction, s: Fraction) -> ExactFigures:
         marginal_shift=abs(e),
         a_to_b_violation=_max_gap(bob_marg),
         b_to_a_violation=_max_gap(alice_marg),
+    )
+
+
+def exact_sweep_row(theta: float) -> SweepRow:
+    """The :class:`~boxworld.audit.SweepRow` of ``theta`` from
+    :func:`exact_chain` at the float (cos theta, sin theta), each figure
+    rounded once.
+
+    The verdicts read the exact table; the witness is Bob's basis that
+    attains his shift [[0, e], [e, 0]]: |+> then |-> for e > 0, the other
+    way round for e < 0, and at e = 0, where any basis does, |1> then |0>.
+    """
+    fig = exact_chain(Fraction(math.cos(theta)), Fraction(math.sin(theta)))
+    bits = (0, 1)
+    entries = [p for a in fig.table for b in a for x in b for p in x]
+    sums = [sum(fig.table[a][b][x][y] for a in bits for b in bits) for x in bits for y in bits]
+    e, r = fig.bob[0][1], math.sqrt(0.5)
+    witness = ((0.0, 1.0), (1.0, 0.0))
+    if e:
+        witness = ((r, r), (r, -r)) if e > 0 else ((r, -r), (r, r))
+    assert fig.marginal_shift == fig.a_to_b_violation
+    return SweepRow(
+        theta,
+        min(entries) >= 0,
+        all(v == 1 for v in sums),
+        float(fig.a_to_b_violation),
+        float(fig.b_to_a_violation),
+        witness,
     )
 
 

@@ -36,9 +36,15 @@ from boxworld.protocol import (
     _chunk_correct,
     CHUNK_SHOTS,
 )
-from boxworld.quantum import DensityOperator, Ket, basis_ket, trace_distances
+from boxworld.quantum import DensityOperator, Ket, basis_ket
 from boxworld.tolerance import DEFAULT_TOL
-from reference import exact_success_fraction, helstrom, measure_probs, partial_trace
+from reference import (
+    exact_success_fraction,
+    helstrom,
+    measure_probs,
+    partial_trace,
+    trace_distances,
+)
 
 QUARTER = math.pi / 4
 
@@ -111,9 +117,9 @@ def test_criterion_4_signaling_curve():
     c = Criterion("4 signaling curve")
     grid = np.linspace(0.0, math.pi / 2, 65)
     # signal's figure at each angle: the marginal shift of a one-angle sweep
-    values = np.array([next(audit_sweep([float(t)])).marginal_shift[0] for t in grid])
+    values = np.array([next(audit_sweep([float(t)])).a_to_b_violation for t in grid])
     curve_ok = bool(np.all(np.abs(values - np.sin(2 * grid) / 4) <= 1e-10))
-    reverse_ok = all(chunk.b_to_a_violation.max() <= 1e-10 for chunk in audit_sweep(grid))
+    reverse_ok = all(row.b_to_a_violation <= 1e-10 for row in audit_sweep(grid))
     c.check(curve_ok, "matches sin(2 theta)/4 to 1e-10 on 65 points")
     c.check(
         abs(values.max() - 0.25) <= 1e-10 and abs(grid[values.argmax()] - QUARTER) <= 1e-12,

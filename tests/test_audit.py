@@ -2,7 +2,6 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,11 +10,11 @@ from hypothesis import strategies as st
 
 import boxworld.audit as audit_mod
 from boxworld import boxes, cli, quantum
-from boxworld.audit import SWEEP_CHUNK, audit_sweep, effective_box
+from boxworld.audit import audit_sweep, effective_box
 from boxworld.boxes import BoxValidationError, ConditionalBox, check_no_signaling
 from boxworld.cli import main
 from boxworld.hybrid import HybridState, bob_state
-from boxworld.quantum import basis_ket, trace_distances
+from boxworld.quantum import basis_ket
 from boxworld.tolerance import DEFAULT_TOL, ROUNDING
 from reference import (
     _EXT_MEAN,
@@ -23,6 +22,7 @@ from reference import (
     apply,
     exact_chain,
     exact_density,
+    exact_sweep_row,
     identity,
     measure_probs,
     minus_ket,
@@ -33,6 +33,7 @@ from reference import (
     rotated_inputs,
     rotation,
     tensor,
+    trace_distances,
 )
 
 QUARTER = math.pi / 4
@@ -60,6 +61,18 @@ def _oracle_box(theta):
 def _oracle_shift(theta):
     bob = [partial_trace(_oracle_joint(t), keep=1, dims=(2, 2)) for t in (theta, 0.0)]
     return float(trace_distances(*bob))
+
+
+# The box check on an effective box against the audit's exact figures: each
+# X entry, in [1/8, 3/8], rounds by at most 2^-55, a marginal doubles it,
+# and the gap's sum and the row's own rounding add at most 2^-55 + 2^-56.
+# The worst seen on 22 000 angles is 2^-55.
+BOX_BOUND = 2.0**-53
+
+
+def _exact(theta):
+    """The exact chain at the float (cos theta, sin theta)."""
+    return exact_chain(Fraction(math.cos(theta)), Fraction(math.sin(theta)))
 
 
 ORACLE_ANGLES = tuple(np.random.default_rng(7).uniform(-4.0, 4.0, 36)) + (
@@ -93,14 +106,17 @@ class TestEffectiveBox:
 
     def test_audit_verdict_agrees_with_the_box_check(self):
         # The float images of the signal-free angles, and three angles whose
-        # sin(2 theta)/4 lies just below, near and above DEFAULT_TOL.
+        # sin(2 theta)/4 lies just below, near and above DEFAULT_TOL. The row
+        # is the exact chain rounded once; the box check, on the box's
+        # rounded entries, lies within BOX_BOUND of it, with the same verdict.
         special = [0.0, math.pi / 2, -math.pi / 2, math.pi, 1.9e-9, 2e-9, 2.1e-9]
         rng = np.random.default_rng(15)
         thetas = [*special, *rng.uniform(-4.0, 4.0, 200), *10.0 ** rng.uniform(-10.0, -7.0, 66)]
         verdicts = set()
         for row in _rows(thetas):
+            assert row == exact_sweep_row(row.theta)
             report = check_no_signaling(effective_box(row.theta))
-            assert row.a_to_b_violation == report.a_to_b_violation
+            assert abs(row.a_to_b_violation - report.a_to_b_violation) <= BOX_BOUND
             box_verdict = row.positivity_ok and row.normalization_ok and report.signaling
             assert _valid_but_signaling(row) == box_verdict
             verdicts.add(box_verdict)
@@ -120,36 +136,33 @@ class TestEffectiveBox:
 
 
 class TestBoxCheckMatchesTheSweep:
-    """The plain-Python box check on each angle's table against the sweep's
-    stacked columns for that angle, bit for bit."""
+    """The plain-Python box check on each angle's effective box against the
+    sweep's row for that angle: within BOX_BOUND of its exact figures."""
 
     def test_every_row_of_a_long_grid(self):
         rng = np.random.default_rng(61)
         edges = [0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, 5e-324, -5e-324]
         thetas = edges + rng.uniform(-4.0, 4.0, 2000 - len(edges)).tolist()
         valid = 0
-        for chunk in audit_sweep(thetas):
-            lowest, normalization = audit_mod.table_deviations(chunk.tables)
-            for i, table in enumerate(chunk.tables):
-                ok = bool(chunk.positivity_ok[i] and chunk.normalization_ok[i])
-                try:
-                    box = ConditionalBox(table, tol=ROUNDING)  # the verdicts' own limits
-                except BoxValidationError:
-                    assert not ok, chunk.theta[i]
-                    continue
-                assert ok, chunk.theta[i]
-                valid += 1
-                report = check_no_signaling(box, tol=ROUNDING)
-                got = [report.a_to_b_violation, report.b_to_a_violation]
-                got += boxes._deviations(box.table)
-                want = [chunk.a_to_b_violation[i], chunk.b_to_a_violation[i]]
-                want += [lowest[i], normalization[i]]
-                assert np.array(got).tobytes() == np.array(want).tobytes()
+        for row in audit_sweep(thetas):
+            ok = row.positivity_ok and row.normalization_ok
+            try:
+                box = ConditionalBox(effective_box(row.theta).table, tol=ROUNDING)
+            except BoxValidationError:
+                assert not ok, row.theta
+                continue
+            assert ok, row.theta
+            valid += 1
+            report = check_no_signaling(box, tol=ROUNDING)
+            lowest, normalization = boxes._deviations(box.table)
+            assert abs(report.a_to_b_violation - row.a_to_b_violation) <= BOX_BOUND
+            assert report.b_to_a_violation <= BOX_BOUND and row.b_to_a_violation == 0.0
+            assert lowest >= 0.0 and normalization <= BOX_BOUND
         assert valid == len(thetas)
 
 
 class TestAuditDynamics:
-    """The audit's figures at one angle, as its chunk columns hold them."""
+    """The audit's figures at one angle, as its row holds them."""
 
     def test_zero_angle_all_clear(self):
         row = _row(0.0)
@@ -185,10 +198,10 @@ class TestAuditDynamics:
 
     @pytest.mark.parametrize("shift", [0.0, 1e-16])
     def test_rounding_residue_is_reported_not_raised(self, shift):
-        # Normalization is off by ~4.4e-16 at most angles; the audit reports
-        # it, judged by its ROUNDING limits, instead of raising. A shift below
-        # that residue turns 0 into a tiny angle and moves the rest by an ulp
-        # at most.
+        # The float (cos, sin) lies off the unit circle by its rounding; the
+        # audit's exact table there is still valid, and its figures follow
+        # |sin 2 theta|/4. A shift of 1e-16 turns 0 into a tiny angle and
+        # moves the rest by an ulp at most.
         grid = [float(t) for t in np.linspace(0.0, math.pi, 33)] + [0.3, -math.pi / 2]
         assert {0.0, math.pi / 2, math.pi} <= set(grid)
         thetas = [t + shift for t in grid]
@@ -218,13 +231,18 @@ class TestSweepAgainstBranchExpansion:
             np.testing.assert_allclose(effective.table, box.table, rtol=0, atol=1e-15)
             assert abs(row.a_to_b_violation - oracle.a_to_b_violation) <= 1e-15
             assert abs(row.b_to_a_violation - oracle.b_to_a_violation) <= 1e-15
-            assert check_no_signaling(effective).worst_settings == oracle.worst_settings
-            assert abs(row.marginal_shift - _oracle_shift(row.theta)) <= 1e-15
+            # Below the oracle's rounding its worst setting is a residue's; the
+            # exact table's is Bob's X setting, or with no signal the sentinel.
+            worst = check_no_signaling(effective).worst_settings
+            if oracle.a_to_b_violation > 1e-15:
+                assert worst == oracle.worst_settings
+            else:
+                assert worst in (("a_to_b", 1, (0, 1)), ("a_to_b", 0, (0, 0)))
+            assert abs(row.a_to_b_violation - _oracle_shift(row.theta)) <= 1e-15
             assert row.positivity_ok and row.normalization_ok
 
     def test_default_rotation_across_chunks(self):
         thetas = ORACLE_ANGLES
-        assert len(thetas) > SWEEP_CHUNK
         self._assert_matches(_rows(thetas), thetas)
 
     @pytest.mark.parametrize("command", ["scan", "audit"])
@@ -245,7 +263,8 @@ class TestSweepAgainstBranchExpansion:
 
 
 class TestChunkColumns:
-    """The CLI writes a sweep a chunk of columns at a time."""
+    """The CLI writes a sweep one row at a time: each row is what its
+    angle's own sweep prints."""
 
     SPECIALS = (0.0, -0.0, math.pi / 2, math.pi, 5e-324, -5e-324)
 
@@ -259,7 +278,7 @@ class TestChunkColumns:
         for thetas, command in itertools.product(grids, ("scan", "audit")):
             flags = ["--theta-min", "0", "--theta-max", "1", "--steps", str(count)]
             with monkeypatch.context() as patch:
-                patch.setattr(cli, "_theta_grid", lambda args: np.array(thetas))
+                patch.setattr(cli, "_theta_grid", lambda args: iter(thetas))
                 assert main(["--digits", str(digits), command, *flags]) == 0
             header, *rows = capsys.readouterr().out.splitlines()
             assert len(rows) == count
@@ -281,24 +300,9 @@ def _grid(count, seed, specials=(0.0, math.pi / 2, math.pi)):
     return thetas
 
 
-class Row(NamedTuple):
-    """One angle's figures, named as the sweep's chunk columns."""
-
-    theta: float
-    positivity_ok: bool
-    normalization_ok: bool
-    a_to_b_violation: float
-    b_to_a_violation: float
-    marginal_shift: float
-
-
 def _rows(thetas):
-    """Every angle's :class:`Row`, read off the sweep's chunk columns in order."""
-    return [
-        Row(*row)
-        for chunk in audit_sweep(thetas)
-        for row in zip(chunk.theta, *(getattr(chunk, name).tolist() for name in Row._fields[1:]))
-    ]
+    """Every angle's :class:`~boxworld.audit.SweepRow`, in order."""
+    return list(audit_sweep(thetas))
 
 
 def _row(theta):
@@ -312,67 +316,71 @@ def _valid_but_signaling(row):
 
 
 def _tables(thetas):
-    """The bytes of every angle's effective-box table, chunk by chunk."""
-    return b"".join(chunk.tables.tobytes() for chunk in audit_sweep(thetas))
+    """The bytes of every angle's effective-box table, in order."""
+    return b"".join(np.array(effective_box(t).table).tobytes() for t in thetas)
 
 
-def _rotation_family_densities(thetas):
-    """Output densities from input rows built one ``Unitary`` per angle, real
-    like the chain's: their imaginary parts are all zero."""
-    rho = pr_extend_density(rotated_inputs([rotation(t) for t in thetas]))
-    assert not rho.imag.any()
-    return rho.real.copy()
+def _rotation_family_figures(thetas):
+    """The rows and table bytes of the exact chain at the inputs built one
+    ``Unitary`` per angle, (U tensor 1)|01>, each figure rounded once."""
+    psi = rotated_inputs([rotation(t) for t in thetas])
+    assert not psi.imag.any()
+    rows, tables = [], []
+    for theta, (_, c, _, s) in zip(thetas, psi.real.tolist()):
+        fig = exact_chain(Fraction(c), Fraction(s))
+        assert (c, s) == (math.cos(theta), math.sin(theta))
+        rows.append(exact_sweep_row(theta))
+        tables.append(np.array(fig.table, dtype=float).tobytes())
+    return rows, b"".join(tables)
 
 
 class TestDefaultRotationStack:
-    """The sweep's inputs, formed from cos and sin without a rotation matrix,
-    give the figures of the rotation family bit for bit."""
+    """The sweep's figures, formed from cos and sin without a rotation matrix,
+    are those of the rotation family's inputs, exactly, rounded once."""
 
     @pytest.mark.parametrize("count", [1, 31, 32, 33, 65])
-    def test_default_equals_explicit_rotation_family_bit_for_bit(self, count, monkeypatch):
+    def test_default_equals_explicit_rotation_family_bit_for_bit(self, count):
         for thetas in (_grid(count, count), [float(t) for t in np.linspace(0.0, math.pi, count)]):
             default, tables = _rows(thetas), _tables(thetas)
             assert len(default) == count
-            with monkeypatch.context() as patch:
-                patch.setattr(audit_mod, "_densities", _rotation_family_densities)
-                assert repr(default) == repr(_rows(thetas))
-                assert tables == _tables(thetas)
+            rows, family_tables = _rotation_family_figures(thetas)
+            assert repr(default) == repr(rows)
+            assert tables == family_tables
 
-    def test_one_angle_wrappers_equal_the_rotation_family(self, monkeypatch):
+    def test_one_angle_wrappers_equal_the_rotation_family(self):
         for theta in (0.0, -0.0, 0.3, QUARTER, math.pi / 2, math.pi, -1.9, 7.5):
-            box, row = effective_box(theta), _row(theta)
-            with monkeypatch.context() as patch:
-                patch.setattr(audit_mod, "_densities", _rotation_family_densities)
-                again = effective_box(theta).table
-                assert np.array(box.table).tobytes() == np.array(again).tobytes()
-                assert repr(row) == repr(_row(theta))
-            expected = _rotation_family_densities([theta])[0]
-            assert audit_mod._densities([theta])[0].tobytes() == expected.tobytes()
+            rows, table = _rotation_family_figures([theta])
+            assert np.array(effective_box(theta).table).tobytes() == table
+            assert repr(_row(theta)) == repr(rows[0])
+            C, S, n = audit_mod._numerators(theta)
+            g = Fraction(C * S, 2 * n)
+            assert bob_state(theta).matrix.tolist() == [[0.5, float(g)], [float(g), 0.5]]
 
-    def test_no_unitary_objects_and_one_density_call_per_chunk(self, monkeypatch, capsys):
+    def test_no_unitary_objects_and_one_evaluation_per_angle(self, monkeypatch, capsys):
         built, rows, directions = [], [], []
-        init, densities = quantum.Unitary.__post_init__, audit_mod._densities
+        init, row = quantum.Unitary.__post_init__, audit_mod._row
         largest_gap = boxes._largest_gap
 
         def counting_init(self):
             built.append(self)
             init(self)
 
-        def counting_densities(thetas):
-            rows.append(len(thetas))
-            return densities(thetas)
+        def counting_row(theta):
+            rows.append(theta)
+            return row(theta)
 
         def counting_gaps(marginals):
             directions.append(marginals)
             return largest_gap(marginals)
 
-        audit_mod._zero_figures()  # the theta = 0 row, evaluated once per process
         monkeypatch.setattr(quantum.Unitary, "__post_init__", counting_init)
-        monkeypatch.setattr(audit_mod, "_densities", counting_densities)
+        monkeypatch.setattr(audit_mod, "_row", counting_row)
         monkeypatch.setattr(boxes, "_largest_gap", counting_gaps)
-        thetas = _grid(2 * SWEEP_CHUNK + 1, 4)
-        assert [len(chunk.theta) for chunk in audit_sweep(thetas)] == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
-        assert rows == [SWEEP_CHUNK, SWEEP_CHUNK, 1]
+        thetas = _grid(65, 4)
+        sweep = audit_sweep(thetas)
+        assert rows == []  # nothing is evaluated before it is read
+        assert [r.theta for r in sweep] == thetas and rows == thetas
+        rows.clear()
         for argv in (
             ["scan", "--theta-min", "0", "--theta-max", "3.2", "--steps", "40"],
             ["audit", "--theta-min", "0", "--theta-max", "3.2", "--steps", "40"],
@@ -381,6 +389,7 @@ class TestDefaultRotationStack:
         ):
             assert main(argv) == 0
         capsys.readouterr()
+        assert len(rows) == 40 + 40 + 1 + 1
         assert built == [] and directions == []
         # The one-angle box still has its worst setting located by the box
         # check, which compares the marginals of each direction.
@@ -392,7 +401,7 @@ class TestDefaultRotationStack:
 
     def test_non_finite_angle_rejected_like_rotation(self):
         for call in (
-            lambda: next(audit_sweep([0.1, math.nan])),
+            lambda: list(audit_sweep([0.1, math.nan])),
             lambda: effective_box(math.inf),
             lambda: next(audit_sweep([-math.inf])).witness,
         ):
@@ -434,15 +443,22 @@ def _plus(*terms):
 
 class TestThreeTermsExactly:
     """At rational points of the unit circle, in ``Fraction`` arithmetic, the
-    sweep's three terms are the extension's density and its eigen-decomposition."""
+    three-term density is the extension's density and its
+    eigen-decomposition, whose eigenvalues 1/2, c^2/2, s^2/2 and 0 put the
+    sweep's table entries C^2/(2n), S^2/(2n) and (n +- CS)/(4n) at 0 or above."""
 
-    @staticmethod
-    def three_terms(c, s):
-        """The layout of :func:`audit._densities` filled with a = c^2/8,
-        b = s^2/8 and g = cs/16, over the trace 2(a + b)."""
+    # The entries of a (|00><00| + |11><11|) + b (|01><01| + |10><10|)
+    # + g ((|00> + |11>)(<01| + <10|) + h.c.), row major, as indices into
+    # (a, b, g, 0).
+    LAYOUT = [0, 2, 2, 3, 2, 1, 3, 2, 2, 3, 1, 2, 3, 2, 2, 0]
+
+    @classmethod
+    def three_terms(cls, c, s):
+        """The three terms a = c^2/8, b = s^2/8 and g = cs/16, over the trace
+        2(a + b)."""
         a, b, g = c * c / 8, s * s / 8, c * s / 16
         terms = (a / (2 * (a + b)), b / (2 * (a + b)), g / (2 * (a + b)), Fraction(0))
-        return [[terms[audit_mod._SWEEP_LAYOUT[4 * j + k]] for k in range(4)] for j in range(4)]
+        return [[terms[cls.LAYOUT[4 * j + k]] for k in range(4)] for j in range(4)]
 
     @staticmethod
     def closed_form(c, s):
@@ -517,19 +533,17 @@ class TestRationalOracle:
         thetas = [math.atan2(s, c) for c, s in PYTHAGOREAN]
         exact = [exact_chain(c, s) for c, s in PYTHAGOREAN]
         rows = np.array([[0.0, c, 0.0, s] for c, s in PYTHAGOREAN], dtype=float)
-        names = ("tables", "marginal_shift", "a_to_b_violation", "b_to_a_violation")
-        columns = {name: [] for name in names}
-        for chunk in audit_sweep(thetas):
-            for name, values in columns.items():
-                values.extend(getattr(chunk, name))
+        sweep = _rows(thetas)
         got = {
             "density": pr_extend_density(rows),
-            "chain density": audit_mod._densities(thetas),
-            **{name: np.array(values) for name, values in columns.items()},
+            "tables": np.array([effective_box(t).table for t in thetas]),
+            # what scan prints, Bob's marginal shift, and what audit prints
+            "marginal_shift": np.array([r.a_to_b_violation for r in sweep]),
+            "a_to_b_violation": np.array([r.a_to_b_violation for r in sweep]),
+            "b_to_a_violation": np.array([r.b_to_a_violation for r in sweep]),
         }
         want = {
             "density": [fig.density for fig in exact],
-            "chain density": [fig.density for fig in exact],
             "tables": [fig.table for fig in exact],
             "marginal_shift": [fig.marginal_shift for fig in exact],
             "a_to_b_violation": [fig.a_to_b_violation for fig in exact],
@@ -553,42 +567,23 @@ ANY_ANGLE = st.one_of(
 
 class TestExactFiguresAtEveryFloatAngle:
     """Each column ``signal``, ``scan`` and ``audit`` print, at any finite
-    float angle, against the exact chain at that angle's float (cos, sin)."""
+    float angle, against the exact chain at that angle's float (cos, sin).
 
-    EPS = sys.float_info.epsilon
-    # The worst error seen on 60 000 angles, in units of EPS (one ulp of 1),
-    # plus a margin of one EPS each. The angles had uniform float bits, lay
-    # within 2^20 ulps or 1e-3 of each centre, were log-uniform down to
-    # 5e-324, or uniform in [-4, 4].
-    BOUNDS = {
-        "tables": (0.75 + 1) * EPS,
-        "scan ab_violation": (0.25 + 1) * EPS,  # marginal_shift
-        "audit ab_violation": (0.75 + 1) * EPS,  # a_to_b_violation
-        "ba_violation": (1 + 1) * EPS,
-        "witness": (0.5 + 1) * EPS,
-    }
+    Every bound is 0: each figure, and each entry of the effective box, is
+    the exact value rounded once, compared by its bits, so that a signed
+    zero or a one-ulp change to any constant of the closed form fails.
+    The witness is Bob's basis that attains his shift [[0, e], [e, 0]]:
+    |+> then |-> for e > 0, the other way round for e < 0, and at e = 0,
+    where any basis does, |1> then |0>."""
 
     @settings(max_examples=400, deadline=None)
     @given(theta=ANY_ANGLE)
     def test_every_printed_column_within_its_bound(self, theta):
-        fig = exact_chain(Fraction(math.cos(theta)), Fraction(math.sin(theta)))
-        chunk = next(audit_sweep([theta]))
-        assert chunk.positivity_ok[0] and chunk.normalization_ok[0]
-        errors = {
-            "tables": np.abs(chunk.tables[0] - np.array(fig.table, dtype=float)).max(),
-            "scan ab_violation": abs(chunk.marginal_shift[0] - float(fig.marginal_shift)),
-            "audit ab_violation": abs(chunk.a_to_b_violation[0] - float(fig.a_to_b_violation)),
-            "ba_violation": abs(chunk.b_to_a_violation[0] - float(fig.b_to_a_violation)),
-        }
-        # Bob's shift [[0, e], [e, 0]] is attained by |+> then |-> for e > 0,
-        # the other way round for e < 0. A shift below the smallest normal
-        # float prints as 0 or subnormal, and any basis attains that.
-        e = fig.bob[0][1]
-        if abs(e) >= sys.float_info.min:
-            r = math.sqrt(0.5)
-            basis = [[r, r], [r, -r]] if e > 0 else [[r, -r], [r, r]]
-            errors["witness"] = np.abs(chunk.witness[0] - basis).max()
-        assert all(errors[name] <= self.BOUNDS[name] for name in errors), errors
+        row = next(audit_sweep([theta]))
+        assert repr(row) == repr(exact_sweep_row(theta))
+        assert row.positivity_ok and row.normalization_ok
+        want = np.array(_exact(theta).table, dtype=float)
+        assert np.array(effective_box(theta).table).tobytes() == want.tobytes()
 
 
 class TestMovedChecks:

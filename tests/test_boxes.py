@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxworld import boxes
-from boxworld.audit import _a_to_b_gaps, _b_to_a_gaps, effective_box, table_deviations
+from boxworld.audit import effective_box
 from boxworld.boxes import (
     DEFAULT_TOL,
     MAX_PAIR_ENTRIES,
@@ -23,7 +23,15 @@ from boxworld.boxes import (
     pr_box,
     uniform_box,
 )
-from reference import Relabeling, array_simplex, dumps_csv, relabel
+from reference import (
+    Relabeling,
+    _a_to_b_gaps,
+    _b_to_a_gaps,
+    array_simplex,
+    dumps_csv,
+    relabel,
+    table_deviations,
+)
 from reference import _lp_data as array_lp_data
 
 # The deterministic boxes as a (16, 16) array, rows flattened in (a, b, A, B) order.
@@ -326,7 +334,7 @@ def _table_stacks():
 
 def no_signaling_violations(t):
     """The a-to-b and b-to-a violations of each table of ``t``, from the
-    audit's gap arrays, as its sweep reduces them."""
+    numpy gap arrays of :mod:`reference`."""
     return _a_to_b_gaps(t).max(axis=(-3, -2, -1)), _b_to_a_gaps(t).max(axis=(-3, -2, -1))
 
 
@@ -350,8 +358,9 @@ def _fsum_gaps(marginals: np.ndarray, n_senders: int, n_receivers: int) -> list[
     ] or [0.0]
 
 class TestArrayChecks:
-    """The audit's ``table_deviations`` and no-signaling gap arrays on one
-    table and on stacks, and the box check on one table."""
+    """The numpy ``table_deviations`` and no-signaling gap arrays of
+    :mod:`reference` on one table and on stacks, the oracles of the
+    plain-Python box check on one table."""
 
     def test_match_the_reference_loops_exactly(self):
         for stack in _table_stacks():

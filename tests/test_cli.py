@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import warnings
@@ -24,7 +25,7 @@ from boxworld.audit import effective_box
 from boxworld.boxes import MAX_CSV_BYTES, MAX_PAIR_ENTRIES, pr_box
 from boxworld.cli import main
 from boxworld.protocol import CHUNK_SHOTS, MAX_SHOTS, MIN_ROUNDS_MAX_COPIES
-from reference import dumps_csv
+from reference import dumps_csv, exact_sweep_row
 
 
 def run(capsys, *argv):
@@ -355,6 +356,58 @@ class TestOutputOptions:
             " opening it would wait for a reader\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["parse", "--expr", "@"], "error: unexpected character '@' (byte 0)\n"),
+            (
+                ["scan", "--theta-min", "0", "--theta-max", "1", "--steps", "0"],
+                "error: --steps must be at least 1\n",
+            ),
+        ],
+        ids=["parse", "scan"],
+    )
+    def test_a_failed_command_leaves_the_output_file(self, capsys, tmp_path, argv, message):
+        # --output was once opened for writing before the command checked its
+        # input, so a typo emptied the previous output.
+        keep = tmp_path / "keep.txt"
+        keep.write_bytes(KEPT)
+        code, out, err = run(capsys, "--output", str(keep), *argv)
+        assert (code, out, err) == (1, "", message)
+        assert keep.read_bytes() == KEPT
+        assert list(tmp_path.iterdir()) == [keep]  # no temporary file is left behind
+
+    def test_output_holds_what_stdout_would(self, capsys, tmp_path):
+        signaling = tmp_path / "signaling.csv"
+        signaling.write_text(dumps_csv(effective_box(0.3)))
+        for argv in (
+            ["signal", "--theta", "0.3"],
+            ["--digits", "5", "scan", "--theta-min", "0", "--theta-max", "1", "--steps", "9"],
+            ["verify", "--box", str(signaling)],  # exit 2, a report all the same
+            ["parse", "--expr", "|0> + |1>", "--dump-rho"],
+        ):
+            code, want, _ = run(capsys, *argv)
+            path = tmp_path / "out.txt"
+            path.write_bytes(KEPT)
+            assert run(capsys, "--output", str(path), *argv) == (code, "", "")
+            assert path.read_text() == want and code in (0, 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "signaling.csv"]
+
+    def test_output_keeps_its_mode_and_its_symlink(self, capsys, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_bytes(KEPT)
+        target.chmod(0o640)
+        link.symlink_to(target.name)
+        argv = ["chsh", "--box", "pr"]
+        assert run(capsys, "--output", str(link), *argv) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == "4\n" and stat.S_IMODE(target.stat().st_mode) == 0o640
+        # A new file gets the bits open() gives one.
+        (tmp_path / "plain.txt").open("w").close()
+        assert run(capsys, "--output", str(tmp_path / "new.txt"), *argv) == (0, "", "")
+        plain, new = (stat.S_IMODE((tmp_path / f).stat().st_mode) for f in ("plain.txt", "new.txt"))
+        assert plain == new
+
     def test_missing_box_leaves_no_output_file(self, capsys, tmp_path):
         # --output was once opened before the box was read: that made an empty
         # file, reported as a box without a header when --box named it too.
@@ -564,7 +617,7 @@ class TestErrorExits:
         def no_work(*args):
             raise AssertionError("the sweep started before --steps was checked")
 
-        monkeypatch.setattr(audit, "_densities", no_work)
+        monkeypatch.setattr(audit, "_row", no_work)
         code, out, err = run(
             capsys, command, "--theta-min", "0", "--theta-max", "1", "--steps", str(steps)
         )
@@ -670,6 +723,20 @@ class TestFlagValues:
         code, out, _ = run(capsys, command, "--theta-min=-1e308", "--theta-max=1e308", "--steps", "1")
         assert code == 0 and out.splitlines()[1].startswith("-1e+308,")
 
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    def test_a_span_up_to_the_largest_float_warns_nothing(self, command):
+        # numpy's linspace forms i * step for the last angle too, before it
+        # puts theta_max there, and that product overflowed: a RuntimeWarning
+        # on stderr, and a traceback under -W error.
+        top = "1.7976931348623157e308"
+        argv = [command, "--theta-min", "0", "--theta-max", top, "--steps", "4"]
+        proc = _fresh_python("-W", "error", "-m", "boxworld", *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        with np.errstate(over="ignore"):
+            grid = np.linspace(0.0, 1.7976931348623157e308, 4)
+        rows = proc.stdout.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [f"{t:.17g}" for t in grid]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -695,6 +762,17 @@ def _grid_args(lo, hi, steps, degrees=False):
     return argparse.Namespace(theta_min=lo, theta_max=hi, steps=steps, degrees=degrees)
 
 
+# Grid ends: signed zeros, subnormals, normal floats around 1, and values
+# near the largest float, whose spans reach past 1e308.
+GRID_ENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0]),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-10.0, 10.0),
+    st.floats(8e307, 1.7976931348623157e308).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestThetaGrid:
     def test_bit_identical_to_linspace(self):
         rng = np.random.default_rng(5)
@@ -702,18 +780,91 @@ class TestThetaGrid:
         ranges += [tuple(rng.uniform(-4.0, 4.0, size=2)) for _ in range(4)]
         for steps in range(1, 201):
             for lo, hi in ranges:
-                got = cli._theta_grid(_grid_args(lo, hi, steps))
+                got = np.array(list(cli._theta_grid(_grid_args(lo, hi, steps))))
                 assert got.tobytes() == np.linspace(lo, hi, steps).tobytes(), (lo, hi, steps)
             lo_deg, hi_deg = -170.25, 95.5
-            got = cli._theta_grid(_grid_args(lo_deg, hi_deg, steps, True))
+            got = np.array(list(cli._theta_grid(_grid_args(lo_deg, hi_deg, steps, True))))
             want = np.linspace(math.radians(lo_deg), math.radians(hi_deg), steps)
             assert got.tobytes() == want.tobytes(), steps
 
+    @settings(max_examples=500, deadline=None)
+    @given(lo=GRID_ENDS, hi=GRID_ENDS, steps=st.integers(1, 300), degrees=st.booleans())
+    @example(lo=0.0, hi=5e-324, steps=3, degrees=False)  # (hi - lo)/2 underflows to 0
+    @example(lo=-0.0, hi=1e-323, steps=7, degrees=False)
+    @example(lo=-5e-324, hi=-0.0, steps=2, degrees=False)
+    @example(lo=-8.98846567431158e307, hi=8.98846567431158e307, steps=3, degrees=False)
+    @example(lo=1.7976931348623157e308, hi=-1e308, steps=300, degrees=True)
+    def test_every_grid_is_linspace_bit_for_bit(self, lo, hi, steps, degrees):
+        # numpy forms i * step + lo, or (i / div) * span + lo where the step
+        # is 0, and puts theta_max last; one step is [theta_min].
+        args = _grid_args(lo, hi, steps, degrees)
+        lo, hi = (math.radians(lo), math.radians(hi)) if degrees else (lo, hi)
+        if steps > 1 and not math.isfinite(hi - lo):
+            with pytest.raises(cli._UsageError, match="overflows a float"):
+                cli._theta_grid(args)
+            return
+        got = np.array(list(cli._theta_grid(args)), dtype=float)
+        if steps == 1:
+            want = np.array([lo])
+        else:
+            with np.errstate(over="ignore"):  # numpy forms the last angle, then replaces it
+                want = np.linspace(lo, hi, steps)
+        assert got.tobytes() == want.tobytes()
+
     def test_grid_at_the_bound(self):
-        # the largest grid is built whole (8 MB); its sweep is left out here
+        # The largest grid is formed one angle at a time: the grid object holds
+        # no list of angles, and its first and last ones are linspace's.
         grid = cli._theta_grid(_grid_args(0.0, 1.0, cli.MAX_STEPS))
-        assert grid.shape == (cli.MAX_STEPS,)
-        assert grid.tobytes() == np.linspace(0.0, 1.0, cli.MAX_STEPS).tobytes()
+        assert iter(grid) is grid
+        head = [next(grid) for _ in range(1000)]
+        want = np.linspace(0.0, 1.0, cli.MAX_STEPS)
+        assert np.array(head).tobytes() == want[:1000].tobytes()
+        tail = list(itertools.islice(grid, cli.MAX_STEPS - 2000, None))
+        assert np.array(tail).tobytes() == want[-1000:].tobytes()
+
+
+class TestSweepWork:
+    """A sweep's work is bounded by --steps: one evaluation of the figures
+    per angle, each row written before the next angle is formed."""
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    @pytest.mark.parametrize("steps", [1, 2, 33, 1000])
+    def test_one_evaluation_per_step(self, capsys, monkeypatch, command, steps):
+        angles, row = [], audit._row
+
+        def counting(theta):
+            angles.append(theta)
+            return row(theta)
+
+        monkeypatch.setattr(audit, "_row", counting)
+        grid = ["--theta-min=-1", "--theta-max", "2", "--steps", str(steps)]
+        code, out, _ = run(capsys, command, *grid)
+        assert code == 0 and len(angles) == steps == len(out.splitlines()) - 1
+
+    @pytest.mark.parametrize("command", ["scan", "audit"])
+    def test_each_row_is_written_before_the_next_angle_is_formed(self, monkeypatch, command):
+        formed, seen, grid = [], [], cli._theta_grid
+
+        def counting_grid(args):
+            for theta in grid(args):
+                formed.append(theta)
+                yield theta
+
+        class Out(io.StringIO):
+            def write(self, text):
+                seen.append(len(formed))  # the angles formed before this write
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "_theta_grid", counting_grid)
+        monkeypatch.setattr(sys, "stdout", Out())
+        assert main([command, "--theta-min", "0", "--theta-max", "1", "--steps", "500"]) == 0
+        assert seen == list(range(501))  # the header, then one row per angle formed
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+    def test_the_largest_grid_runs_in_the_capped_child(self):
+        argv = ["--output", os.devnull, "scan", "--theta-min", "0", "--theta-max", "1"]
+        proc = _capped_cli([*argv, "--steps", str(cli.MAX_STEPS)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 class TestParserReuse:
@@ -809,6 +960,8 @@ class TestWriteErrors:
 
 # The commands that work on one box table, in plain Python.
 BOX_COMMANDS = ("verify", "chsh", "local")
+# The commands that evaluate the sweep's closed form, in plain Python.
+SWEEP_COMMANDS = ("signal", "scan", "audit")
 
 # Runs cli.main(argv) with stdout as it is, then prints the exit code and
 # whether the run imported numpy.
@@ -856,11 +1009,11 @@ class TestColdImport:
     )
     def test_readme_command_loads_no_scipy(self, argv):
         # -X importtime lists every module the run imports on stderr; the
-        # box commands work on one table in plain Python and load no numpy
+        # box and sweep commands work in plain Python and load no numpy
         proc = _fresh_python("-X", "importtime", "-m", "boxworld", *argv)
         assert proc.returncode == 0 and proc.stdout
         assert "import time:" in proc.stderr
-        assert ("numpy" in proc.stderr) == (argv[0] not in BOX_COMMANDS)
+        assert ("numpy" in proc.stderr) == (argv[0] not in BOX_COMMANDS + SWEEP_COMMANDS)
         assert "scipy" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -901,6 +1054,28 @@ class TestColdImport:
             proc = _fresh_python("-c", _NUMPY_PROBE, *argv)
             assert proc.stdout == f"{code} False\n", argv
             assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["signal", "--theta", "0.7853981633974483"], 0),
+            (["--digits", "5", "signal", "--theta", "90", "--degrees"], 0),
+            (["scan", "--theta-min", "0", "--theta-max", "1.5707963", "--steps", "65"], 0),
+            (["audit", "--theta", "0.3"], 0),
+            (["audit", "--theta-min=-4", "--theta-max", "4", "--steps", "33", "--degrees"], 0),
+            (["signal", "--theta", "inf"], 1),
+            (["scan", "--theta-min", "0", "--theta-max", "1", "--steps", "0"], 1),
+            (["scan", "--theta-min=-1e308", "--theta-max", "1e308", "--steps", "3"], 1),
+            (["audit", "--theta", "0.3", "--steps", "5"], 1),
+            (["audit", "--theta-min", "0", "--theta-max", "1", "--steps", "1000001"], 1),
+        ],
+        ids=lambda a: " ".join(a) if isinstance(a, list) else str(a),
+    )
+    def test_sweep_commands_load_no_numpy(self, capsys, argv, code):
+        proc = _fresh_python("-c", _NUMPY_PROBE, *argv)
+        got, out, err = run(capsys, *argv)
+        assert got == code and proc.stdout == out + f"{code} False\n"
+        assert proc.stderr == err and (code == 0) == (err == "")
 
     def test_repetition_at_large_n_loads_no_scipy(self, capsys):
         repeat = ["repeat", "--theta", "0.0081", "--target", "0.9"]
@@ -958,9 +1133,9 @@ CHAINS = {
     "verify": {"boxes"},
     "chsh": {"boxes"},
     "local": {"boxes"},
-    "signal": {"quantum", "boxes", "audit"},
-    "scan": {"quantum", "boxes", "audit"},
-    "audit": {"quantum", "boxes", "audit"},
+    "signal": {"audit"},
+    "scan": {"audit"},
+    "audit": {"audit"},
     "repeat": {"protocol"},
     "simulate": {"protocol"},
     "parse": {"quantum", "hybrid", "dsl"},
@@ -1034,29 +1209,29 @@ class TestLazyLayers:
         proc = _fresh_python("-c", TRACER_ROUND_TRIP.format(bench=str(bench)))
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True True\n")
 
-    def test_two_sweeps_evaluate_the_zero_row_once(self):
+    def test_sweeps_evaluate_each_angle_once(self):
         # Two sweeps and the one-angle sweep `signal` reads, none of whose own
-        # angles is 0, send 45 angles through the chain, theta = 0 among them once.
+        # angles is 0, send 44 angles through the chain, each once: there is
+        # no theta = 0 row to form, and no numpy to load.
         proc = _fresh_python(
             "-W",
             "error",
             "-c",
-            "import numpy as np\n"
+            "import sys\n"
             "from boxworld import audit\n"
             "rows = []\n"
-            "densities = audit._densities\n"
-            "def counting(thetas):\n"
-            "    rows.extend(thetas)\n"
-            "    return densities(thetas)\n"
-            "audit._densities = counting\n"
-            "for grid in ([0.1, 0.2, 0.3], np.linspace(0.5, 3.0, 40)):\n"
-            "    for chunk in audit.audit_sweep(grid):\n"
-            "        chunk.tables, chunk.marginal_shift\n"
-            "chunk = next(audit.audit_sweep([0.7]))\n"
-            "chunk.marginal_shift, chunk.witness\n"
-            "print(len(rows), rows.count(0.0))\n",
+            "row = audit._row\n"
+            "def counting(theta):\n"
+            "    rows.append(theta)\n"
+            "    return row(theta)\n"
+            "audit._row = counting\n"
+            "for grid in ([0.1, 0.2, 0.3], [0.5 + k / 16 for k in range(40)]):\n"
+            "    for r in audit.audit_sweep(grid):\n"
+            "        r.a_to_b_violation, r.positivity_ok\n"
+            "next(audit.audit_sweep([0.7])).witness\n"
+            "print(len(rows), len(set(rows)), rows.count(0.0), 'numpy' in sys.modules)\n",
         )
-        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "45 1\n")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "44 44 0 False\n")
 
     @pytest.mark.parametrize(
         "prelude, argv, code, message",
@@ -1148,41 +1323,82 @@ def _sweep_corpus() -> dict[str, list[list[str]]]:
     return groups
 
 
-# sha256 of each group's stdouts, concatenated in order, as the sweep printed
-# them before its inputs were formed from cos and sin directly.
+# sha256 of each group's stdouts, concatenated in order, as _exact_stdout
+# renders them from reference.exact_chain, every figure rounded once.
 SWEEP_BYTES = {
-    "scan steps=1": "5cb76bde9b694156b02edcffa452a560f1b0c77e691bb97e6c5bcb77431fb962",
-    "scan steps=13": "b932e65e52a589dfd1664ada56a245fefcad4d5efab8ef3468b42802217e61d9",
-    "scan steps=31": "58b262ae0bc5320e27b90673bf45f0300a03a2c81b7c8561f022a733bf657ac9",
-    "scan steps=32": "2f6280e904c1d6c682eabf83e3a2bc547b3cabd4d5e09461df8f0e73b17d1272",
-    "scan steps=33": "6d1ae8c3a9f9e0ab74f27aa62843df71755582d69bbcb5f5b48f1779cbcf3e25",
-    "scan steps=65": "822dc20a16519158bf1690efcda57b4200067ed29f398815cca5e24bae6d5571",
-    "scan one step at 1e308": "8c728a0f33806bf5cb12cbe6cdded422569211dcecacd7b705d70e255f192b41",
-    "scan degrees": "5944af0d5bd12af474819a9920943587cf928d1e7d3e189975d26d3b771c448a",
-    "scan digits": "0e43c1ca119c649432a2892a68cadb044bf8b1b24dcd4185cf05c6a00df27849",
-    "audit steps=1": "f17968f73eed04f42de454005c5e51181a60364a9ef3189be70bdef87e658369",
-    "audit steps=13": "3918e9337ffc8d77f83c21dd97039cebc72798cb2a1f3c0d8b96c0c350688841",
-    "audit steps=31": "028b5a87222f91b632983e4bc37a5f4c6bd070239ba1c2ccf04b3f11629cc622",
-    "audit steps=32": "24666d33393f363bd8671c2906155aa456052bcb9835e98574b9905afec7fcaa",
-    "audit steps=33": "41f5114b299f718c55ed5091a8dcf395be9117701e9166821d6d541a7cfb5821",
-    "audit steps=65": "f8b201c45edfbd1e0d159f72b4d6fe41b0b95bb7abcb0db66b0f0511c1d97e4e",
-    "audit one step at 1e308": "df74e4fbdc37ef48244673f315bf8d648d1ab2290897d2fcc0d4c4fa16c6d018",
-    "audit degrees": "921bc4fdd98cb87046217d51eecf7e640e3f834cdc651242c20b356d2d9ab4d1",
-    "audit digits": "a0094dc74361e35c5c73c8de9c0e3b6499ff3303b0bb6047d631c021b5b68769",
-    "audit theta": "a04e9b34ff0f84cb152ddd2f536907fcb3dd45991513ec9097dfa541916a9772",
-    "signal theta": "fcf248bbf422b14f3885a2f9533aa0f1f807eac53f9b52e9d1b4732f0304742e",
-    # recorded before `signal` read its witness off a one-angle sweep
-    "signal witness digits=1": "da26386f253db84b9c48664eba591471363c0400edc0331dd8d90bc9e30869be",
-    "signal witness digits=5": "e63f2b1346a35c8fd15d822094876d65ad24262fd5d26f9ffaddc49b407387e1",
-    "signal witness digits=17": "54505cbdc019d81750cf3faac1005e463a5aca76e159de157f3c403b53230e51",
+    "scan steps=1": "c5de19d887b88aeefc0940caf47131a348638e551ec617d435cbf36ea99c5d09",
+    "scan steps=13": "82ad9649714102f76dbf2c9a5cd96d563c6012baa1394392fc8e755ea3e71930",
+    "scan steps=31": "95dfacda2f3fba7769a08f0fa4a0a92424f81fa2847b97e275d27a8403c71598",
+    "scan steps=32": "cd4936aa30ca7d09bb38217ec3f3c66d5dee9d12693a2a5d3dddefae1b4d5d15",
+    "scan steps=33": "2092a6cf370cfde365b3601322c9e870225e4d5e84620f9b09c97959d5b6c460",
+    "scan steps=65": "f328be5cb248b66cee433c6592f75ab7a2733376b0027793cf750906c77b8fe5",
+    "scan one step at 1e308": "fe88fe21f48637edd9fc2ba755238e7f438542197a6c33ff968ec200b2f082b8",
+    "scan degrees": "cf80fea671cbb6434977398f9ed7234844c9967a2b1d4fbfe5959ec9d2c2d8d0",
+    "scan digits": "14b8c6656400697ebf286e2d4df66b457934be0a0ced21c4f29d088d4c0591b1",
+    "audit steps=1": "c969741b786d51eb3ff76b1ec95089d25aaac850f53d7cc230e40b422b87ce5f",
+    "audit steps=13": "e36262fdd72f1878b1396487bb821401c6e6246e4f3bd805da5f699619903f4a",
+    "audit steps=31": "a4629401eb7fbbb980c7a4a01d7ce0b07083c4a59ea97ab1e647ed9d55c5043a",
+    "audit steps=32": "113c16c5ee27a5c758b3b0c2a1f5c0f6284501f8d34a43e82c149932a697ad83",
+    "audit steps=33": "9b409ab36915fbd7da0dd497683163fe3515786da548b12e89f0a0266a4a4417",
+    "audit steps=65": "3e3dcfb40be502d2ca4b551519dc01e82f2d2c8060d38faff0428958d3256a94",
+    "audit one step at 1e308": "c9fa004e69831313029d6a429cad80e04faba78ed9fb5b8c4f205b03735c34e5",
+    "audit degrees": "0f0502dae6d1e872072b3ca78014c4ba0adf814f551a5000c8d008fd05e08043",
+    "audit digits": "a1a73809c9c9660f76fcc660689da73faac93068f27c16f5e918683707ab5a3b",
+    "audit theta": "1dd039dee395aca42a265685c292bf66174cae3adacdb4df232e5792a09d1597",
+    "signal theta": "bb0edfd9c728d545adf57cb04c0bf07cfcf13ec8c748fff64d92f1967afb67b5",
+    "signal witness digits=1": "0def830edce6c80cfcc88369a15afb2b88c636956c4bac5db8b85bc85b0809fb",
+    "signal witness digits=5": "3f865b4db70fed259947ec816a7687365058f1f39e3aeb45ff2bf3c29c116ca7",
+    "signal witness digits=17": "1bdee7df3c30b102635c1ad87d2a0943dab660c291a92cbd4b0cbac04da508d1",
 }
 
 
+def _exact_stdout(argv: list[str]) -> str:
+    """What ``argv`` of the sweep corpus prints, rendered from
+    :func:`reference.exact_sweep_row` on the grid of ``np.linspace``."""
+    args = cli.build_parser().parse_args(argv)
+    fmt = f"{{:.{args.digits}g}}".format
+    angle = math.radians if args.degrees else float
+    if args.command == "signal":
+        row = exact_sweep_row(angle(args.theta))
+        lines = [f"theta = {fmt(row.theta)}", f"a->b violation = {fmt(row.a_to_b_violation)}"]
+        for k, vector in enumerate(row.witness):
+            lines.append(f"witness[{k}] = " + " ".join(f"{fmt(x)}+0j" for x in vector))
+        return "\n".join(lines) + "\n"
+    if getattr(args, "theta", None) is not None:
+        grid = [angle(args.theta)]
+    elif args.steps == 1:
+        grid = [angle(args.theta_min)]
+    else:
+        grid = np.linspace(angle(args.theta_min), angle(args.theta_max), args.steps).tolist()
+    verdict = {False: "false", True: "true"}
+    if args.command == "scan":
+        lines = ["theta,ab_violation,ba_violation"]
+        lines += [
+            f"{fmt(r.theta)},{fmt(r.a_to_b_violation)},{fmt(r.b_to_a_violation)}"
+            for r in map(exact_sweep_row, grid)
+        ]
+    else:
+        lines = ["theta,pos_ok,norm_ok,ab_violation,ba_violation"]
+        lines += [
+            f"{fmt(r.theta)},{verdict[r.positivity_ok]},{verdict[r.normalization_ok]},"
+            f"{fmt(r.a_to_b_violation)},{fmt(r.b_to_a_violation)}"
+            for r in map(exact_sweep_row, grid)
+        ]
+    return "\n".join(lines) + "\n"
+
+
 class TestSweepBytes:
-    """The sweep commands print the bytes they printed when these were recorded."""
+    """The sweep commands print the bytes the exact chain gives, rounded once."""
 
     def test_the_corpus_is_the_pinned_one(self):
         assert list(_sweep_corpus()) == list(SWEEP_BYTES)
+
+    @pytest.mark.parametrize("group", SWEEP_BYTES)
+    def test_the_pinned_bytes_are_the_exact_chains(self, group):
+        digest = hashlib.sha256()
+        for argv in _sweep_corpus()[group]:
+            digest.update(_exact_stdout(argv).encode())
+        assert digest.hexdigest() == SWEEP_BYTES[group]
 
     @pytest.mark.parametrize("group", SWEEP_BYTES)
     def test_stdout_is_unchanged(self, capsys, group):
@@ -1257,9 +1473,10 @@ NUMBER_TEXTS = st.one_of(
 BOX_SOURCES = st.sampled_from(
     ["pr", "uniform", "{file}", "{missing}", "{directory}", "{fifo}", os.devnull]
 )
-# --output targets: none, a device, a path that does not exist yet, and
-# whatever --box names.
-OUTPUTS = st.sampled_from([None, os.devnull, "{fresh}", "{box}"])
+# --output targets: none, a device, a path that does not exist yet, a file
+# that holds KEPT, and whatever --box names.
+OUTPUTS = st.sampled_from([None, os.devnull, "{fresh}", "{kept}", "{box}"])
+KEPT = b"123456789"
 
 
 def _subcommand_flags(command: str) -> list[argparse.Action]:
@@ -1272,7 +1489,8 @@ def _subcommand_flags(command: str) -> list[argparse.Action]:
 @st.composite
 def argvs(draw, commands, values) -> list[str]:
     """argv of one of ``commands`` with flags drawn from the parser, each
-    flag's value from the strategy ``values(option)``."""
+    flag's value from the strategy ``values(option)``, and --digits, a
+    global flag, where argparse takes it: before the subcommand."""
     command = draw(st.sampled_from(commands))
     actions = _subcommand_flags(command)
     required = [a for a in actions if a.required] if draw(st.booleans()) else []
@@ -1288,10 +1506,7 @@ def argvs(draw, commands, values) -> list[str]:
             flags.append([option, draw(values(option))])
     argv = [command, *(token for flag in flags for token in flag)]
     digits = draw(st.sampled_from([None, "0", "1", "17", "18"]))
-    if digits is not None:
-        before = draw(st.booleans())
-        argv = ["--digits", digits, *argv] if before else [*argv, "--digits", digits]
-    return argv
+    return argv if digits is None else ["--digits", digits, *argv]
 
 
 def _last_value(argv: list[str], flag: str) -> str | None:
@@ -1446,15 +1661,22 @@ class TestGeneratedSweepArgv:
             "fifo": directory / "box.fifo" if hasattr(os, "mkfifo") else os.devnull,
         }
         argv = [token.format(**places) for token in argv]
+        kept = directory / f"kept-{next(_FRESH)}.txt"
         if output is not None:
             box = _last_value(argv, "--box")
             fresh = str(directory / f"out-{next(_FRESH)}.txt")
             if box in (None, *cli.BUILTIN_BOXES):
                 box = fresh  # --output naming a builtin would write a file of that name
-            output = output.format(fresh=fresh, box=box)
+            output = output.format(fresh=fresh, box=box, kept=kept)
             argv = ["--output", output, *argv]
+            if output == str(kept):
+                kept.write_bytes(KEPT)
         try:
-            _contract(argv, output)
+            code, _ = _contract(argv, output)
         finally:
             places["missing"].unlink(missing_ok=True)  # an --output of it creates it
         assert places["file"].read_text() == dumps_csv(pr_box())
+        if output == str(kept):
+            # the command's output, or on an error the bytes it held before
+            assert (kept.read_bytes() == KEPT) == (code != 0), argv
+            kept.unlink()

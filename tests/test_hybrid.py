@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import boxworld.audit as audit_mod
 from boxworld import quantum
-from boxworld.audit import audit_sweep
+from boxworld.audit import audit_sweep, effective_box
 from boxworld.hybrid import (
     BasisKet,
     BranchLimitError,
@@ -27,6 +28,7 @@ from boxworld.hybrid import (
 from boxworld.quantum import Ket, basis_ket
 from reference import (
     apply,
+    exact_chain,
     extrapolated,
     identity,
     loads,
@@ -262,9 +264,16 @@ class TestPrExtendDensity:
             np.testing.assert_allclose(got, expected.matrix, rtol=0, atol=1e-15)
 
     def test_chain_density_is_bit_identical_to_expansion(self):
+        # The chain forms no density. What it reads off one, Bob's marginal,
+        # is the exact expansion's at the float (cos, sin), rounded once, and
+        # within 2^-54 of the marginal of the float expansion.
         for theta in (0.0, 0.3, QUARTER_TURN, math.pi / 2, math.pi, -1.9):
             expected = pr_extend(_rotated_input(theta)).to_density().matrix
-            assert np.array_equal(audit_mod._densities([theta])[0], expected)
+            exact = exact_chain(Fraction(math.cos(theta)), Fraction(math.sin(theta))).bob
+            got = bob_state(theta).matrix
+            assert got.tolist() == [[complex(float(v)) for v in row] for row in exact]
+            marginal = partial_trace(expected, keep=1, dims=(2, 2))
+            np.testing.assert_allclose(got, marginal, rtol=0, atol=2.0**-54)
 
     def test_empty_stack(self):
         rho = pr_extend_density(np.zeros((0, 4)))
@@ -308,54 +317,63 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 class TestSweepDensities:
-    """The sweep's three-term densities, :func:`audit._densities`, against the
-    closed form of the extension for any input, and their spectrum check."""
+    """The extension's densities at the sweep's inputs, which the sweep never
+    forms: its table, from integers, against the exact chain, and the
+    closed form of the extension for any input against its spectrum."""
+
+    # The entries of a density a (|00><00| + |11><11|) + b (|01><01| +
+    # |10><10|) + g ((|00> + |11>)(<01| + <10|) + h.c.), row major, as
+    # indices into (a, b, g, 0).
+    LAYOUT = [0, 2, 2, 3, 2, 1, 3, 2, 2, 3, 1, 2, 3, 2, 2, 0]
 
     @staticmethod
     def _closed_form(thetas):
         return pr_extend_density(rotated_inputs([rotation(t) for t in thetas]))
 
+    @staticmethod
+    def _assert_exact_tables(thetas):
+        """Each entry of each angle's effective box is the exact chain's at the
+        float (cos, sin), rounded once: bit for bit, signed zeros included."""
+        for theta in thetas:
+            fig = exact_chain(Fraction(math.cos(theta)), Fraction(math.sin(theta)))
+            got = np.array(effective_box(theta).table)
+            assert np.array_equal(_bits(got), _bits(np.array(fig.table, dtype=float))), theta
+
     def test_bit_for_bit_equal_to_the_closed_form(self):
         rng = np.random.default_rng(21)
         specials = [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi / 2, -math.pi / 2, math.pi]
-        thetas = specials + [1e300, -1e300, 3e-162] + [float(t) for t in rng.uniform(-4, 4, 2000)]
-        got, want = audit_mod._densities(thetas), self._closed_form(thetas)
-        assert got.shape == (len(thetas), 4, 4) and got.dtype == float
-        assert got.flags.c_contiguous
-        # np.array_equal would take -0.0 for +0.0; the bits do not.
-        assert np.array_equal(_bits(got), _bits(want.real))
-        assert not _bits(want.imag).any()  # the closed form is real, every zero +0.0
+        thetas = specials + [1e300, -1e300, 3e-162] + [float(t) for t in rng.uniform(-4, 4, 300)]
+        self._assert_exact_tables(thetas)
+        # The closed form of the extension is real, every zero +0.0.
+        assert not _bits(self._closed_form(thetas).imag).any()
 
     def test_subnormal_sines_differ_only_where_the_closed_form_leaves_a_residue(self):
         # Where s^2/16 is subnormal, the closed form's mean and spread of
-        # |01><10| round apart instead of cancelling; the three terms put
-        # there the exact 0, and every other entry has the same bits.
+        # |01><10| round apart instead of cancelling, a residue the exact
+        # density has not; the sweep's table is the exact one there too.
         rng = np.random.default_rng(22)
         thetas = [float(t) for t in np.exp(rng.uniform(math.log(1e-163), math.log(1e-152), 3000))]
         thetas += [1e-160, -1e-160] + [k * 5e-324 for k in range(1, 300)]
-        got, want = audit_mod._densities(thetas), self._closed_form(thetas)
+        want = self._closed_form(thetas)
         assert not _bits(want.imag).any()
-        want = want.real
-        residue = np.zeros((4, 4), dtype=bool)
-        residue[1, 2] = residue[2, 1] = True
-        assert np.array_equal(_bits(got[:, ~residue]), _bits(want[:, ~residue]))
-        assert not _bits(got[:, residue]).any()
-        assert np.abs(want[:, residue]).max() < np.finfo(float).tiny
-        assert np.abs(want[:, residue]).max() > 0.0  # the corpus reaches the residue
+        residue = np.abs(want.real[:, 1, 2])
+        assert residue.max() < np.finfo(float).tiny
+        assert residue.max() > 0.0  # the corpus reaches the residue
+        self._assert_exact_tables(thetas[::15] + thetas[-5:])
 
     def test_empty_grid(self):
-        assert audit_mod._densities([]).shape == (0, 4, 4)
-        audit_mod._check_spectrum([])
+        assert list(audit_sweep([])) == []
+        assert self._closed_form([]).shape == (0, 4, 4)
 
     def test_the_checked_spectrum_is_the_matrix_spectrum(self):
+        # On v = c|Phi+> + s|Psi+>, Phi-, Psi- and the complement of v the
+        # density has the eigenvalues 1/2, C^2/(2n), S^2/(2n) and 0, so the
+        # table the sweep reads off it is nonnegative.
         thetas = [float(t) for t in np.random.default_rng(23).uniform(-4, 4, 200)]
-        rho = audit_mod._densities(thetas)
-        a, b, g = rho[:, 0, 0], rho[:, 1, 1], rho[:, 0, 1]
-        mid, half = 0.5 * (a + b), np.hypot(0.5 * (a - b), 2 * g)
-        closed = np.sort(np.stack([a, b, mid - half, mid + half], axis=1), axis=1)
-        np.testing.assert_allclose(closed, np.linalg.eigvalsh(rho), rtol=0, atol=1e-15)
-        # ab = 4g^2, so the lowest is 0 up to rounding; the worst seen is 5.6e-17.
-        assert np.abs(mid - half).max() < 1e-16
+        for theta, rho in zip(thetas, self._closed_form(thetas)):
+            C, S, n = audit_mod._numerators(theta)
+            closed = sorted([0.0, C * C / (2 * n), S * S / (2 * n), 0.5])
+            np.testing.assert_allclose(closed, np.linalg.eigvalsh(rho), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
         "terms, message",
@@ -366,9 +384,11 @@ class TestSweepDensities:
         ],
     )
     def test_a_term_off_the_spectrum_is_refused(self, terms, message):
-        # 4g^2 > ab puts an eigenvalue of the (Phi+, Psi+) block below 0.
+        # 4g^2 > ab puts an eigenvalue of the (Phi+, Psi+) block below 0; the
+        # density checks refuse such terms, and a trace 2(a + b) off 1.
+        stack = np.array([[(a, b, g, 0.0)[k] for k in self.LAYOUT] for a, b, g in terms])
         with pytest.raises(ValueError, match=message):
-            audit_mod._check_spectrum(terms)
+            quantum.check_densities(stack.reshape(-1, 4, 4))
 
 
 class TestBobState:
@@ -393,7 +413,7 @@ class TestBobState:
 
     def test_alice_marginal_matches_bob(self):
         for theta in (0.2, 0.9, math.pi / 4):
-            joint = audit_mod._densities([theta])[0]
+            joint = pr_extend_density(rotated_inputs([rotation(theta)]))[0]
             alice = partial_trace(joint, keep=0, dims=(2, 2))
             np.testing.assert_allclose(alice, _expected_marginal(theta), atol=1e-12)
 
@@ -401,8 +421,8 @@ class TestBobState:
 def _signal(theta):
     """What ``signal`` prints at ``theta``: a one-angle sweep's marginal shift
     and the witness basis that attains it."""
-    chunk = next(audit_sweep([theta]))
-    return chunk.marginal_shift[0], chunk.witness[0]
+    row = next(audit_sweep([theta]))
+    return row.a_to_b_violation, row.witness
 
 
 class TestSignalingWitness:
@@ -431,23 +451,22 @@ class TestSignalingWitness:
         for theta in (0.1, 0.7, 1.3):
             np.testing.assert_allclose(_signal(theta)[1][0], plus_ket().amplitudes, atol=1e-10)
 
-    def test_one_stacked_chain_and_no_density_objects(self, monkeypatch):
-        stacks, built = [], []
-        densities, init = audit_mod._densities, quantum.DensityOperator.__post_init__
+    def test_one_evaluation_and_no_density_objects(self, monkeypatch):
+        rows, built = [], []
+        row, init = audit_mod._row, quantum.DensityOperator.__post_init__
 
-        def counting_densities(thetas):
-            stacks.append(len(thetas))
-            return densities(thetas)
+        def counting_row(theta):
+            rows.append(theta)
+            return row(theta)
 
         def counting_init(self):
             built.append(self)
             init(self)
 
-        audit_mod._zero_figures()  # the theta = 0 row, evaluated once per process
-        monkeypatch.setattr(audit_mod, "_densities", counting_densities)
+        monkeypatch.setattr(audit_mod, "_row", counting_row)
         monkeypatch.setattr(quantum.DensityOperator, "__post_init__", counting_init)
         violation = _signal(0.7)[0]
-        assert stacks == [1] and built == []
+        assert rows == [0.7] and built == []
         assert violation == pytest.approx(math.sin(1.4) / 4, abs=1e-12)
 
 

@@ -108,9 +108,8 @@ def test_commands_reach_every_public_function(tmp_path):
 # reason it may. A key is (importer, layer, name), the importer being a
 # module or, for an import inside a function, module.function.
 PRIVATE_IMPORTS = {
-    ("hybrid.bob_state", "audit", "_densities"): "the chain at one angle, imported on call "
-    "so that parse does not load audit",
-    ("hybrid.bob_state", "audit", "_bob_marginals"): "Bob's marginal of that one row",
+    ("hybrid.bob_state", "audit", "_numerators"): "the chain's integers at one angle, "
+    "imported on call so that parse does not load audit",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from boxworld.quantum import (
     Unitary,
     basis_ket,
     dumps_density_csv,
-    trace_distances,
 )
 from reference import (
     apply,
@@ -24,10 +24,10 @@ from reference import (
     minus_ket,
     partial_trace,
     plus_ket,
-    pr_extend_density,
     rotated_inputs,
     rotation,
     tensor,
+    trace_distances,
 )
 
 
@@ -84,25 +84,28 @@ class TestRotationStack:
     THETAS = (0.0, 0.37, -1.9, math.pi / 2, math.pi, -math.pi, 1e-300, 7.5, 123456.789)
 
     def test_rows_are_the_rotation_matrices_bit_for_bit(self):
-        # The chain forms no input rows; its densities are, bit for bit, the
-        # closed form's on the rows (U tensor 1)|01> of each rotation matrix.
-        got = audit._densities(self.THETAS)
-        empty = audit._densities([])
+        # The chain forms no input rows; its integers (C, S) are, up to one
+        # power of two, the rows (U tensor 1)|01> of each rotation matrix,
+        # bit for bit.
         stack = _rotation_stack(self.THETAS)
         assert stack.shape == (len(self.THETAS), 2, 2) and stack.dtype == complex
         expected = rotated_inputs([rotation(t) for t in self.THETAS])
         assert np.array_equal(expected[:, 1::2], stack[:, :, 0])
-        want = pr_extend_density(expected)
-        assert not want.imag.view(np.uint64).any()  # real, every zero +0.0
-        assert got.dtype == float and got.tobytes() == want.real.tobytes()
-        assert empty.shape == (0, 4, 4)
+        assert not expected.imag.view(np.uint64).any()  # real, every zero +0.0
+        for theta, row in zip(self.THETAS, expected.real.tolist()):
+            c, s = Fraction(row[1]), Fraction(row[3])
+            C, S, n = audit._numerators(theta)
+            scale = Fraction(C) / c if c else Fraction(S) / s
+            assert scale.denominator == 1 and scale.numerator & (scale.numerator - 1) == 0
+            assert (C, S, n) == (scale * c, scale * s, C * C + S * S)
+        assert list(audit.audit_sweep([])) == []
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_like_rotation(self, bad):
         with pytest.raises(ValueError, match="^rotation angle must be finite$"):
             rotation(bad)
         with pytest.raises(ValueError, match="^rotation angle must be finite$"):
-            audit._densities([0.1, bad, 0.2])
+            list(audit.audit_sweep([0.1, bad, 0.2]))
 
 
 class TestCheckUnitaries:
@@ -286,7 +289,8 @@ class TestPartialTrace:
 
 
 class TestTraceDistance:
-    """``trace_distances`` on single matrices, the one trace distance the package computes."""
+    """:func:`reference.trace_distances` on single matrices, the oracle of the
+    sweep's closed-form marginal shift."""
 
     def test_identical_states(self):
         rho = _random_density(np.random.default_rng(6), 4).matrix
