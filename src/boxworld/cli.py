@@ -10,6 +10,9 @@ reader that closed the pipe early, which ends the run without a message.
 Angles are radians unless --degrees is given. Numeric output uses 17
 significant digits unless --digits asks for fewer. The default Monte Carlo
 seed comes from the BOXWORLD_SEED environment variable.
+
+An argv that starts with a subcommand is parsed by that subcommand's
+parser alone, in one argparse pass; any other argv by the top-level one.
 """
 
 from __future__ import annotations
@@ -234,13 +237,15 @@ def _tolerance(text: str) -> float:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: ``parse_args`` keeps no state in it."""
+    """The CLI's parser, built once per process: ``parse_args`` keeps no state
+    in it. Its ``commands`` maps each subcommand to that command's parser."""
     parser = _ArgumentParser(prog="boxworld", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--digits", type=_digits, default=MAX_DIGITS, help="significant digits in output"
     )
     parser.add_argument("--output", type=Path, default=None, help="write output to a file")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_theta(p, required=True):
         p.add_argument("--theta", type=_finite_float, required=required, help="angle (radians)")
@@ -455,11 +460,33 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one pass where argv starts
+    with a subcommand.
+
+    Then argparse's top-level pass would only classify every token before
+    handing all of argv[1:] to that command's parser, so that parser reads
+    them itself, into a namespace holding the command and the top-level
+    defaults. Any other argv, such as one with --digits first, goes through
+    the top-level parser. The one difference is the message for a token
+    ``--=...`` after the subcommand: it is ambiguous among the command's
+    options, where the top-level pass listed its own.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    namespace = argparse.Namespace(
+        command=argv[0], digits=parser.get_default("digits"), output=parser.get_default("output")
+    )
+    return command.parse_args(argv[1:], namespace)
+
+
 def main(argv=None) -> int:
     args = None
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         except SystemExit as exc:  # --help and friends
             sys.stdout.flush()
             return int(exc.code or 0)

@@ -27,10 +27,12 @@ W sqrt(n)/2 above n p, with W = ``_WINDOW_SIGMAS`` = 12, so it drops
 less than 2 exp(-72) < 2e-31 of D_n. log B(k) comes from the ratio
 C(n, k+1) / C(n, k) = (n-k) / (k+1) by a cumulative sum, normalised so
 that the window holds unit mass of Bin(n, 1/2). What remains is
-rounding: against 40-digit arithmetic the relative error is below 1e-14
-for n <= 200 and about 1e-13 up to n = 10^6. The window is O(sqrt(n))
-terms because it is needed only while n cs^2 < 320, which keeps the two
-means within 18 sqrt(n)/2 of each other. Beyond that the same
+rounding. Against 40-digit sums the relative error of D_n is below
+1e-14 for n <= 200 and 3e-14 up to n = 10^6; that of the miss below
+1e-13 for n <= 200 and up to 4.4e-13 near n = 10^6 (the worst of 160
+random channels with n cs^2 < 320), so below 1e-12. The window is
+O(sqrt(n)) terms because it is needed only while n cs^2 < 320, which
+keeps the two means within 18 sqrt(n)/2 of each other. Beyond that the same
 inequality at the midpoint gives 1 - D_n <= 2 exp(-n cs^2/8) < 2^-54,
 and 1.0 is D_n correctly rounded.
 
@@ -174,9 +176,13 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     2 (1 - target); both sides are compared as computed, the miss summed
     termwise and the budget exact in floats, so the decision stays sharp
     near target 1, where the absolute error of about 1e-13 in D_n is a
-    sizable part of the miss. The miss is nonincreasing in n, so one
-    evaluation at ``max_n`` decides whether the target is reachable. The
-    search then starts from the normal estimate n0 = ceil((2 z / |cs|)^2),
+    sizable part of the miss. The miss is nonincreasing in n, so the
+    target is reachable exactly when it is reached at ``max_n``. Where the
+    tail bound at the midpoint, miss <= 2 exp(-max_n cs^2 / 8), is at most
+    half the budget, that holds without evaluating the miss there: the
+    other half covers the computed miss's relative rounding, below 1e-12.
+    Elsewhere one evaluation at ``max_n`` decides. The search then starts
+    from the normal estimate n0 = ceil((2 z / |cs|)^2),
     z the standard normal quantile of ``target``, and takes one secant
     step on that quantile,
     n1 = ceil(n0 (z / z(s(n0)))^2), with z(s) = -z(miss / 2). From n1,
@@ -203,8 +209,9 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
     def reached(n: int) -> bool:
         return miss(n) <= budget
 
-    if not reached(max_n):
-        raise ValueError(f"target {target} not reached within {max_n} copies at theta = {theta}")
+    unreachable = ValueError(f"target {target} not reached within {max_n} copies at theta = {theta}")
+    if 2.0 * math.exp(-0.125 * max_n * a * a) > 0.5 * budget and not reached(max_n):
+        raise unreachable
     from statistics import NormalDist  # only here, so importing the package does not load it
 
     z_of = NormalDist().inv_cdf
@@ -220,11 +227,13 @@ def min_rounds(theta: float, target: float, *, max_n: int = MIN_ROUNDS_MAX_COPIE
         while lo > 0 and reached(lo):
             step *= 2
             lo, hi = max(0, lo - step), lo
-    else:  # reached(max_n) holds, so the loop stops there at the latest
-        lo, hi = n1, n1 + step
+    else:  # the loop stops at max_n at the latest
+        lo = hi = n1
         while not reached(hi):
-            step *= 2
+            if hi == max_n:  # only if the computed miss broke the tail bound
+                raise unreachable
             lo, hi = hi, min(max_n, hi + step)
+            step *= 2
     bracket = range(lo + 1, hi + 1)
     return bracket[bisect.bisect_left(bracket, True, key=reached)]
 

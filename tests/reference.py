@@ -45,6 +45,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -636,6 +637,34 @@ def exact_success_fraction(cs: Fraction, n: int) -> Fraction:
         total += math.comb(n, k) * abs(lam_p**k * lam_m ** (n - k) - flat)
     # success = 1/2 + D_n/2 with D_n = total/2
     return Fraction(1, 2) + total / 4
+
+
+def decimal_channel(a: float, n: int) -> tuple[Decimal, Decimal]:
+    """(D_n, miss) for |cs| = a in [0, 1), summed in 40-digit decimals.
+
+    The counts k run over a window 40 sqrt(n)/2 beyond both means, which
+    by Hoeffding's inequality drops less than 2 exp(-800) of either
+    binomial's mass: nothing at 40 digits. B(k) and the rotated
+    C(n, k) ((1 + a)/2)^k ((1 - a)/2)^(n-k) = B(k) e^llr_k follow from
+    their first terms by the ratio of consecutive binomial coefficients,
+    and both are scaled so that the window holds unit mass of B. Then
+    miss = sum min(B, B e^llr) and D_n = sum |B e^llr - B| / 2.
+    """
+    with localcontext(prec=40):
+        half = 20 * math.sqrt(n)
+        lo = max(0, math.ceil(0.5 * n - half))
+        hi = min(n, math.floor(0.5 * n * (1 + a) + half))
+        up, down = 1 + Decimal(a), 1 - Decimal(a)
+        flat, rotated = Decimal(1), (lo * up.ln() + (n - lo) * down.ln()).exp()
+        total = miss = distance = Decimal(0)
+        for k in range(lo, hi + 1):
+            total += flat
+            miss += min(flat, rotated)
+            distance += abs(rotated - flat)
+            ratio = Decimal(n - k) / (k + 1)
+            flat *= ratio
+            rotated *= ratio * up / down
+        return distance / 2 / total, miss / total
 
 
 # ---------------------------------------------------------------- dsl

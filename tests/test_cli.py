@@ -1596,8 +1596,8 @@ class TestGeneratedSweepArgv:
         # Work is bounded by the flags, not by wall time: simulate samples
         # its first chunk and only counts the shots of the others, and
         # repeat evaluates the channel a logarithmic number of times.
-        chunks, channels = [], []
-        sample, channel = protocol._chunk_correct, protocol._channel
+        chunks, channels, windows = [], [], []
+        sample, channel, window = protocol._chunk_correct, protocol._channel, protocol._window
 
         def first_chunk(theta, n, seed, chunk, m):
             chunks.append(m)
@@ -1607,11 +1607,21 @@ class TestGeneratedSweepArgv:
             channels.append(n)
             return channel(a, n)
 
+        def sized(a, n):
+            counts = window(a, n)
+            windows.append((n, len(counts[0])))
+            return counts
+
         with mock.patch.object(protocol, "_chunk_correct", first_chunk), mock.patch.object(
             protocol, "_channel", counted
-        ):
+        ), mock.patch.object(protocol, "_window", sized):
             code, out = _contract(argv)
         assert all(1 <= n <= MIN_ROUNDS_MAX_COPIES for n in channels)
+        if windows:
+            # 12 sqrt(n)/2 counts beyond both means, which lie n |cs|/2 apart
+            theta = float(_last_value(argv, "--theta"))
+            cs = 0.5 * math.sin(2.0 * (math.radians(theta) if "--degrees" in argv else theta))
+            assert all(size <= 12 * math.sqrt(n) + n * abs(cs) / 2 + 2 for n, size in windows)
         if "simulate" in argv:
             assert len(channels) <= 1
             if code == 0:
@@ -1680,3 +1690,128 @@ class TestGeneratedSweepArgv:
             # the command's output, or on an error the bytes it held before
             assert (kept.read_bytes() == KEPT) == (code != 0), argv
             kept.unlink()
+
+
+# Tokens that argparse reads in its own way, spliced into generated argv:
+# help, the end of options, global flags after the subcommand, abbreviations,
+# an empty option name, negative numbers and the subcommand names.
+PARSE_TOKENS = st.sampled_from(
+    [
+        "-h", "--help", "--", "-", "--digits", "--digits=5", "--output", "--output=o.txt",
+        "--d", "--o", "--th", "--theta-m", "--t=1", "--deg", "--st", "--b", "--tol=1e-3",
+        "--=x", "-x", "--x=1", "-1", "-1e3", "-0.5", "0.3", "5", "pr", *cli._COMMANDS,
+    ]
+)
+
+
+@st.composite
+def parse_argvs(draw) -> list[str]:
+    """argv of any subcommand with special tokens spliced in, or token soup."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(PARSE_TOKENS | NUMBER_TEXTS, max_size=8))
+    argv = draw(argvs(list(cli._COMMANDS), lambda option: NUMBER_TEXTS | PARSE_TOKENS))
+    if argv[0] == "--digits" and draw(st.booleans()):
+        argv = argv[2:]
+    for token in draw(st.lists(PARSE_TOKENS, max_size=3)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _parse_outcome(parse, argv: list[str]) -> tuple:
+    """What ``parse(argv)`` gives: the namespace, the exit of --help with
+    what it printed, or the usage error."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = parse(argv)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    except cli._UsageError as exc:
+        return "error", str(exc)
+    return "namespace", repr(sorted(vars(args).items()))  # repr, as nan != nan
+
+
+def _ambiguous_at_the_top(argv: list[str]) -> bool:
+    """Whether argparse's top-level pass finds a token ``--=...`` after the
+    subcommand, and before any ``--``: it matches every top-level option."""
+    rest = argv[1 : argv.index("--")] if "--" in argv else argv[1:]
+    return bool(argv) and argv[0] in cli._COMMANDS and any(t.startswith("--=") for t in rest)
+
+
+class TestOneParsePass:
+    """An argv that starts with a subcommand is read by that command's
+    parser alone, with the result of the top-level parser's two passes."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(parse_argvs())
+    @example(["scan", "--theta-min", "-1", "--theta-max", "1", "--steps", "2", "--digits", "5"])
+    @example(["audit", "--", "--theta", "0.3"])
+    @example(["repeat", "--th=0.3", "--target", "0.9"])
+    @example(["scan", "--help", "--output", "o.txt"])
+    @example(["parse", "--expr", "--=x", "--=y"])
+    def test_both_parses_agree(self, argv):
+        ours = _parse_outcome(cli._parse_args, argv)
+        theirs = _parse_outcome(cli.build_parser().parse_args, argv)
+        if _ambiguous_at_the_top(argv):
+            assert ours[0] == theirs[0] == "error" and ours[1].startswith("ambiguous option: ")
+        else:
+            assert ours == theirs, argv
+
+    def test_an_empty_option_name_is_ambiguous_among_the_commands_options(self, capsys):
+        argv = ["scan", "--theta-min", "0", "--theta-max", "1", "--steps", "2", "--=x"]
+        assert _parse_outcome(cli.build_parser().parse_args, argv) == (
+            "error",
+            "ambiguous option: --=x could match --help, --digits, --output",
+        )
+        message = "ambiguous option: --=x could match --help, --theta-min, --theta-max, --steps, --degrees"
+        assert _parse_outcome(cli._parse_args, argv) == ("error", message)
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_every_command_has_its_parser(self):
+        assert list(cli.build_parser().commands) == list(cli._COMMANDS)
+        assert len(cli._COMMANDS) == 9
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["signal", "--theta", "0.1"],
+            ["scan", "--theta-min", "0", "--theta-max", "1", "--steps", "3"],
+            ["chsh", "--box", "pr"],
+            ["verify", "--frobnicate"],
+            ["repeat", "--theta", "0.3", "--target", "0.9"],
+            ["audit", "--help"],
+        ],
+    )
+    def test_one_pass_for_an_argv_that_starts_with_a_command(self, capsys, monkeypatch, argv):
+        passes = self._passes(monkeypatch, argv)
+        assert passes == [cli.build_parser().commands[argv[0]]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--digits", "5", "signal", "--theta", "0.1"],
+            ["--output", os.devnull, "chsh", "--box", "pr"],
+            ["--help"],
+            [],
+            ["frobnicate"],
+        ],
+    )
+    def test_the_top_level_parser_reads_any_other_argv(self, capsys, monkeypatch, argv):
+        parser = cli.build_parser()
+        passes = self._passes(monkeypatch, argv)
+        command = next((a for a in argv if a in parser.commands), None)
+        assert passes == [parser] + ([parser.commands[command]] if command else [])
+
+    @staticmethod
+    def _passes(monkeypatch, argv: list[str]) -> list[argparse.ArgumentParser]:
+        """The parsers whose parse_known_args ``main(argv)`` runs, in order."""
+        passes = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, args=None, namespace=None):
+            passes.append(self)
+            return parse_known_args(self, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        main(argv)
+        return passes

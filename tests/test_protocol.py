@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from boxworld.protocol import (
     min_rounds,
     simulate,
 )
-from reference import exact_success_fraction, helstrom
+from reference import decimal_channel, exact_success_fraction, helstrom
 
 QUARTER = math.pi / 4
 
@@ -295,6 +296,19 @@ class TestWindowedDistance:
             assert copy_distance(cs, n) == 1.0
             assert copy_distance(cs, n - 1) == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6])
+    def test_relative_error_against_decimal_oracle(self, n):
+        # The module docstring's accuracy up to n = 10^6, where the rational
+        # oracle is too slow: D_n within 1e-13 and the miss within 1e-12 of
+        # 40-digit sums, across n cs^2 from 0.3 (D_n small) to 319 (miss
+        # near 1e-19). Worst measured on 160 random draws: 2.3e-14 and 4.4e-13.
+        for ncs2 in (0.3, 3.0, 30.0, 150.0, 319.0):
+            a = math.sqrt(ncs2 / n)
+            d, miss = decimal_channel(a, n)
+            got_d, got_miss = protocol._channel(a, n)
+            assert abs(Decimal(got_d) - d) <= Decimal(1e-13) * d, (n, ncs2)
+            assert abs(Decimal(got_miss) - miss) <= Decimal(1e-12) * miss, (n, ncs2)
+
     def test_rejects_coherence_outside_the_disc(self):
         for cs in (1.0, -1.5, float("nan")):
             with pytest.raises(ValueError, match="coherence"):
@@ -386,6 +400,43 @@ class TestBracketedMinRounds:
         with pytest.raises(ValueError, match="not reached within 100 copies"):
             min_rounds(0.001, 0.999, max_n=100)
         assert calls == [100]
+
+    def test_reachable_target_the_tail_bound_cannot_settle(self, monkeypatch):
+        # At n* = 216497 the bound 2 exp(-n* cs^2 / 8) is 0.86, far above
+        # the budget 0.02: with max_n = n* the miss there is evaluated, and
+        # the answer is the one the default cap gives.
+        theta, target = 0.01, 0.99
+        cs = protocol._cs(theta)
+        n = min_rounds(theta, target)
+        assert n == 216497 and 2.0 * math.exp(-n * cs * cs / 8.0) > 0.5 * 2.0 * (1.0 - target)
+        calls = []
+        channel = protocol._channel
+
+        def counted(a, m):
+            calls.append(m)
+            return channel(a, m)
+
+        monkeypatch.setattr(protocol, "_channel", counted)
+        assert min_rounds(theta, target, max_n=n) == n
+        assert calls[0] == n
+        calls.clear()
+        with pytest.raises(ValueError, match=f"not reached within {n - 1} copies"):
+            min_rounds(theta, target, max_n=n - 1)
+        assert calls == [n - 1]
+
+    def test_a_miss_that_breaks_the_tail_bound_raises_at_max_n(self, monkeypatch):
+        # The bound settles reachability without evaluating max_n; a miss
+        # that never reaches the budget ends the search there, not in a loop.
+        calls = []
+
+        def stuck(a, n):
+            calls.append(n)
+            return 0.0, 1.0
+
+        monkeypatch.setattr(protocol, "_channel", stuck)
+        with pytest.raises(ValueError, match="^target 0.9 not reached within 1000 copies at theta = 0.3$"):
+            min_rounds(0.3, 0.9, max_n=1000)
+        assert calls[-1] == 1000 and len(calls) <= 13
 
     def test_max_n_ceiling_checked_before_any_work(self, monkeypatch):
         def no_work(*args):
@@ -602,7 +653,8 @@ class TestSecantMinRounds:
                         break
                 calls.clear()
                 assert min_rounds(theta, 0.5 * (lo + hi)) == goal
-                assert len(calls) <= 6, (goal, calls)
+                # the tail bound settles reachability, so max_n is never evaluated
+                assert len(calls) <= 5 and MIN_ROUNDS_MAX_COPIES not in calls, (goal, calls)
 
     def test_one_flip_near_target_one(self, monkeypatch):
         # 1/2 + D_n/2 rounds the miss away here; the miss itself flips once.
