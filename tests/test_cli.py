@@ -1412,28 +1412,58 @@ class TestSweepBytes:
 
 def _dump_rho_corpus() -> dict[str, list[list[str]]]:
     """``parse --dump-rho`` argv whose stdout is pinned: the README example and
-    one mixed, superposed state of each width 1 to 6, per ``--digits``."""
+    one mixed, superposed state of each width 1 to 6, per ``--digits``; then
+    the edge cases, at 17 digits: negative c and s, whose zero components
+    print -0 in branch lines, amplitudes far from unit scale (written
+    positionally, as the grammar has no exponent), the same mixed state at
+    widths 7 and 8, and expressions of 16 branches."""
+
+    def mixed(w: int) -> str:
+        zeros, ones, alt, tla = "0" * w, "1" * w, ("01" * w)[:w], ("10" * w)[:w]
+        return (
+            f"1/sqrt(3) (|{zeros}> + c |{alt}> + s |{ones}>) (+) 2/7 (|{ones}> + s |{tla}>)"
+            f" (+) 0.3 |{alt}>"
+        )
+
     readme = ["parse", "--expr", "c(|00> (+) |11>) + s(|01> (+) |10>)", "--theta", "0.4"]
     groups = {}
     for digits in ("17", "5", "1"):
         argvs = [["--digits", digits, *readme, "--dump-rho"]]
         for w in range(1, 7):
-            zeros, ones, alt, tla = "0" * w, "1" * w, ("01" * w)[:w], ("10" * w)[:w]
-            expr = (
-                f"1/sqrt(3) (|{zeros}> + c |{alt}> + s |{ones}>) (+) 2/7 (|{ones}> + s |{tla}>)"
-                f" (+) 0.3 |{alt}>"
-            )
-            argvs.append(["--digits", digits, "parse", "--expr", expr, "--theta", "2.5", "--dump-rho"])
+            argvs.append(["--digits", digits, "parse", "--expr", mixed(w), "--theta", "2.5", "--dump-rho"])
         groups[f"digits={digits}"] = argvs
+    tiny, huge, far = "0." + "0" * 159 + "1", "1" + "0" * 300, str(2**600)
+    sixteen = "(|000> (+) |001>) + (|010> (+) |011>) + c (|100> (+) |101>) + s (|110> (+) |111>)"
+    cases = [
+        ("c(|0> (+) |1>)", "2.5"),
+        ("c |0> + s |1>", "-0.5"),
+        ("c(|00> (+) |11>) + s(|01> (+) |10>)", "4"),
+        ("s (|01> + c |10>) (+) c |11> (+) 0 |00>", "-2"),
+        (f"{tiny} ({tiny} |0> + |1>)", None),
+        (f"{huge} |0> + |1>", None),
+        (f"{tiny} |0> + 0 (|0> + {huge} |0>)", None),
+        (f"{far} ({far} |0> + |1>)", None),
+        (f"1/{far} (1/{far} |0> + |1>)", None),
+        (mixed(7), "2.5"),
+        (mixed(8), "-0.7"),
+        (sixteen, "0.4"),
+        (sixteen, "2.5"),
+    ]
+    groups["edge cases"] = [
+        ["parse", "--expr", expr, *(["--theta", theta] if theta else []), "--dump-rho"]
+        for expr, theta in cases
+    ]
     return groups
 
 
 # sha256 of each group's stdouts, concatenated in order, as `parse --dump-rho`
-# printed them when each entry of rho was formatted on its own.
+# printed them when each entry of rho was formatted on its own; the edge
+# cases as it printed them when states and densities were numpy arrays.
 DUMP_RHO_BYTES = {
     "digits=17": "f4f1cb4056544d72444978003cfee0f7a7c2b44ca5aff20800f77e32c802d572",
     "digits=5": "87af130bb3a31f184f7f1fea041f303b3ae58a980538fb031e3109c8ecef4e62",
     "digits=1": "e4c55b6773b65a80de40982e4f95c1518d5f8f3022eaf45fc04e1fa8c182588f",
+    "edge cases": "116a263a263b31b98cae7280f5a0aa86e9ea1659c5cc1e095257c3b4dd14ff77",
 }
 
 
