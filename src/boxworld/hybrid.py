@@ -30,11 +30,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Union
+from operator import add
+from typing import Sequence, Union
 
-import numpy as np
-
-from .quantum import DensityOperator, Ket, basis_ket
+from .quantum import DensityOperator, Ket, _trace, basis_ket
 
 __all__ = [
     "DEFAULT_BRANCH_CAP",
@@ -57,11 +56,9 @@ __all__ = [
 
 DEFAULT_BRANCH_CAP = 16
 # The widest register a basis ket may name: a state has 2^w amplitudes and
-# its density 4^w entries, 16 MiB of complex numbers at w = 10.
+# its density 4^w entries, which at w = 10 take 40 MiB as Python complex
+# objects and the list slots that hold them.
 MAX_WIDTH = 10
-# The most density entries a state's branch terms take up at once: a term
-# has 4^w entries, so at w >= 8 the terms are formed one at a time.
-_TERM_ENTRIES = 2**16
 
 
 class ExpressionError(ValueError):
@@ -210,7 +207,7 @@ class HybridState:
                 raise ExpressionError(
                     f"branch dimension {ket.dim} does not match width {self.width}"
                 )
-            massive = massive or (w > 0.0 and bool(np.any(ket.amplitudes)))
+            massive = massive or (w > 0.0 and any(ket.amplitudes))
         if not massive:
             raise ExpressionError("state carries no mass")
 
@@ -221,26 +218,65 @@ class HybridState:
         or imaginary part, and its term scaled into the frame of the
         largest term; powers of two scale exactly, so no square overflows
         or underflows, and inputs that did neither give the bits of the
-        plain sum. The terms are summed in branch order, at most
-        ``_TERM_ENTRIES`` entries of them at a time.
+        plain sum. The terms are added in branch order, each formed from
+        the nonzero amplitudes of its branch alone (see :func:`_add_term`),
+        so the products formed are at most the sum over the branches of
+        their nonzero amplitudes squared: the sum starts at +0 and so never
+        holds -0, and the zeros a zero amplitude would add leave its bits as
+        they are. Where every amplitude is real, every term is real and
+        symmetric, so only the upper triangle is summed, and mirrored. The
+        trace and the division by it round as numpy's ``trace`` and complex
+        division do.
         """
-        amps = np.array([ket.amplitudes for _, ket in self.branches])
-        a_exps = np.frexp(np.abs(amps.view(float)).max(axis=1))[1]
-        v = _pow2_times(amps, -a_exps[:, None])
-        frames = []  # per branch: its term's exponent, and its mantissa or 0 without mass
-        for (w, _), a_exp, nonzero in zip(self.branches, a_exps.tolist(), v.any(axis=1).tolist()):
+        frames = []  # per branch: its scaled amplitudes, its term's exponent and mantissa (0 without mass)
+        for w, ket in self.branches:
+            a_exp = math.frexp(max(abs(x) for z in ket.amplitudes for x in (z.real, z.imag)))[1]
+            v = _times_pow2(ket.amplitudes, -a_exp)
             w_frac, w_exp = math.frexp(w)
-            frames.append((w_exp + 2 * a_exp, w_frac if nonzero else 0.0))
-        top = max(exp for exp, frac in frames if frac)  # a branch has mass, by the constructor
-        coefs = np.array([math.ldexp(frac, exp - top) for exp, frac in frames])
-        dim = v.shape[1]
-        step = max(1, _TERM_ENTRIES // dim**2)
-        acc = np.zeros((dim, dim), dtype=complex)
-        for lo in range(0, len(v), step):
-            u = v[lo : lo + step]
-            for term in coefs[lo : lo + step, None, None] * (u[:, :, None] * u[:, None, :].conj()):
-                acc += term
-        return DensityOperator(acc / float(acc.trace().real))
+            frames.append((v, w_exp + 2 * a_exp, w_frac if any(v) else 0.0))
+        top = max(exp for _, exp, frac in frames if frac)  # a branch has mass, by the constructor
+        # Real terms are summed in floats: the real parts of the complex products, bit for bit.
+        real = not any(z.imag for v, _, _ in frames for z in v)
+        dim = 2**self.width
+        acc = [[0.0 if real else 0j] * dim for _ in range(dim)]
+        for v, exp, frac in frames:
+            coef = math.ldexp(frac, exp - top)
+            if coef:
+                _add_term(acc, [z.real for z in v] if real else v, coef if real else complex(coef), real)
+        inv = 1.0 / _trace(acc).real
+        rows = [
+            [complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv) if z else 0j for z in row]
+            for row in acc
+        ]
+        if real:
+            cols = list(zip(*rows))
+            rows = [cols[i][:i] + tuple(row[i:]) for i, row in enumerate(rows)]
+        return DensityOperator(rows)
+
+
+def _add_term(acc: list[list], v: Sequence[complex | float], coef: complex | float, real: bool) -> None:
+    """acc += coef v v^dagger, entry (i, j) as coef (v_i conj(v_j)), for the
+    nonzero v_i and v_j only, and only j >= i if ``real``.
+
+    Each row is updated one run of consecutive nonzero amplitudes at a time.
+    """
+    runs: list[list[int]] = []
+    for i, z in enumerate(v):
+        if z:
+            if runs and runs[-1][1] == i:
+                runs[-1][1] += 1
+            else:
+                runs.append([i, i + 1])
+    conj = [z.conjugate() for z in v]
+    for lo, hi in runs:
+        for i in range(lo, hi):
+            ui, row = v[i], acc[i]
+            for a, b in runs:
+                if real:
+                    if b <= i:
+                        continue
+                    a = max(a, i)
+                row[a:b] = [x + coef * (ui * y) for x, y in zip(row[a:b], conj[a:b])]
 
 
 def distribute(expr: StateExpr, theta: float | None = None) -> HybridState:
@@ -273,19 +309,15 @@ def distribute(expr: StateExpr, theta: float | None = None) -> HybridState:
     full precision.
     """
     width, raw = _eval_expr(expr, theta)
-    amps = np.array([m for _, m, _ in raw])
-    exps = np.array([[e] for _, _, e in raw])
-    frac, tops = np.frexp(amps.view(float))
-    tops = (tops + exps)[frac != 0.0].tolist()
+    tops = [math.frexp(x)[1] + e for _, m, e in raw for z in m if z for x in (z.real, z.imag) if x]
     fl = sys.float_info
-    normal = not tops or (min(tops) >= fl.min_exp and max(tops) <= fl.max_exp)
-    scaled = _pow2_times(amps, exps if normal else exps - max(tops))
-    return HybridState(width, tuple((w, Ket(m)) for (w, _, _), m in zip(raw, scaled)))
+    shift = 0 if not tops or (min(tops) >= fl.min_exp and max(tops) <= fl.max_exp) else max(tops)
+    return HybridState(width, tuple((w, Ket(_times_pow2(m, e - shift))) for w, m, e in raw))
 
 
 def _eval_expr(
     node: StateExpr, theta: float | None
-) -> tuple[int, list[tuple[float, np.ndarray, int]]]:
+) -> tuple[int, list[tuple[float, tuple[complex, ...], int]]]:
     """Width and branches (weight, m, e) of an expression, the amplitudes
     of a branch being m 2^e: each scalar's power of two goes to e and only
     its mantissa, in [1/2, 1), multiplies m.
@@ -302,11 +334,11 @@ def _eval_expr(
         k = math.frexp(max(abs(factor.real), abs(factor.imag)))[1]
         factor = complex(math.ldexp(factor.real, -k), math.ldexp(factor.imag, -k))
         width, branches = _eval_expr(node.child, theta)
-        return width, [(w, factor * m, e + k) for w, m, e in branches]
+        return width, [(w, tuple(map(factor.__mul__, m)), e + k) for w, m, e in branches]
     if isinstance(node, IncoherentSum):
         share = 1.0 / len(node.children)
         width = None
-        out: list[tuple[float, np.ndarray, int]] = []
+        out: list[tuple[float, tuple[complex, ...], int]] = []
         for child in node.children:
             w_child, branches = _eval_expr(child, theta)
             if width is None:
@@ -323,7 +355,7 @@ def _eval_expr(
         return width, out
     if isinstance(node, CoherentSum):
         width = None
-        acc: list[tuple[float, np.ndarray, int]] | None = None
+        acc: list[tuple[float, tuple[complex, ...], int]] | None = None
         for child in node.children:
             w_child, branches = _eval_expr(child, theta)
             if width is None:
@@ -345,24 +377,22 @@ def _eval_expr(
     raise ExpressionError(f"not a state expression node: {node!r}")
 
 
-def _add(ml: np.ndarray, el: int, mr: np.ndarray, er: int) -> tuple[np.ndarray, int]:
+def _add(
+    ml: tuple[complex, ...], el: int, mr: tuple[complex, ...], er: int
+) -> tuple[tuple[complex, ...], int]:
     """ml 2^el + mr 2^er as (m, e), in the frame of the larger exponent,
     unless that operand is zero (as after a prefactor 0): a zero sets no
     scale, lest it flush the other operand.
     """
-    if el == er:
-        return ml + mr, el
-    e = max(el, er) if (ml if el > er else mr).any() else min(el, er)
-    if el != e:
-        ml = _pow2_times(ml, el - e)
-    if er != e:
-        mr = _pow2_times(mr, er - e)
-    return ml + mr, e
+    e = el if el == er else max(el, er) if any(ml if el > er else mr) else min(el, er)
+    return tuple(map(add, _times_pow2(ml, el - e), _times_pow2(mr, er - e))), e
 
 
-def _pow2_times(m: np.ndarray, k: int | np.ndarray) -> np.ndarray:
-    """m 2^k, exactly wherever the result is a normal float."""
-    return np.ldexp(m.view(float), k).view(complex)
+def _times_pow2(m: tuple[complex, ...], k: int) -> tuple[complex, ...]:
+    """m 2^k, exactly wherever the result is a normal float; a zero keeps its signs."""
+    if not k:
+        return m
+    return tuple([complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) if z else z for z in m])
 
 
 def bob_state(theta: float) -> DensityOperator:

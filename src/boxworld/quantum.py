@@ -1,9 +1,14 @@
-"""Dense complex linear algebra for few-qubit states.
+"""Kets, unitaries and density operators of a few qubits, in plain Python.
 
 Kets are column vectors over a labeled computational basis; the leftmost
 label character is the most significant bit, so ``basis_ket("01")`` puts
 amplitude 1 at index 1 of 4. No global-phase convention is enforced;
 anything observable is compared at the density-operator level.
+
+Amplitudes and matrix rows are read-only tuples of Python ``complex``; an
+array given to a constructor or a check is read through its ``tolist()``.
+numpy is imported only by :func:`check_densities`, inside itself, for a
+matrix whose positivity its plain-Python certificate cannot establish.
 
 Everything here is a pure function of immutable values, so instances are
 safe to share across threads.
@@ -11,10 +16,11 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import math
+from cmath import isfinite
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
-
-import numpy as np
 
 from .tolerance import EIGEN_ROUNDING, ROUNDING
 
@@ -29,35 +35,67 @@ __all__ = [
 ]
 
 
-def _frozen_complex(value: np.ndarray | Sequence, ndim: int) -> np.ndarray:
-    arr = np.array(value, dtype=complex)
-    if arr.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("non-finite amplitudes")
-    arr.setflags(write=False)
-    return arr
+def _nested(value) -> tuple[Sequence, tuple[int, ...]]:
+    """``value``, read through ``tolist()`` if it has one, and its shape,
+    read down the first entries."""
+    value = value.tolist() if hasattr(value, "tolist") else value
+    shape, probe = [], value
+    while isinstance(probe, (list, tuple)):
+        shape.append(len(probe))
+        if not probe:
+            break
+        probe = probe[0]
+    return value, tuple(shape)
+
+
+def _frozen(value: Sequence, shape: tuple[int, ...], non_finite: str) -> tuple:
+    """The vector or matrix ``value`` of ``shape`` as tuples of complex, every entry finite."""
+    if len(shape) == 1:
+        out = tuple(map(complex, value))
+        entries = out
+    else:
+        if any(not isinstance(row, (list, tuple)) or len(row) != shape[1] for row in value):
+            raise ValueError(f"rows of unequal length in a matrix of shape {shape}")
+        out = tuple(tuple(map(complex, row)) for row in value)
+        entries = chain.from_iterable(out)
+    if not all(map(isfinite, entries)):
+        raise ValueError(non_finite)
+    return out
+
+
+def _frozen_complex(value, ndim: int) -> tuple:
+    value, shape = _nested(value)
+    if len(shape) != ndim:
+        raise ValueError(f"expected a {ndim}-dimensional array, got shape {shape}")
+    return _frozen(value, shape, "non-finite amplitudes")
+
+
+def _square(value, what: str, non_finite: str) -> tuple[tuple[complex, ...], ...]:
+    value, shape = _nested(value)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"{what} must be square, got shape {shape}")
+    return _frozen(value, shape, non_finite)
 
 
 @dataclass(frozen=True)
 class Ket:
     """Complex amplitude vector; not necessarily normalized."""
 
-    amplitudes: np.ndarray
+    amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amplitudes", _frozen_complex(self.amplitudes, 1))
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return len(self.amplitudes)
 
 
 @dataclass(frozen=True)
 class Unitary:
     """Square matrix with U^dagger U = I within :data:`~boxworld.tolerance.ROUNDING`."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
         m = _frozen_complex(self.matrix, 2)
@@ -66,14 +104,14 @@ class Unitary:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite matrix (small tolerances)."""
 
-    matrix: np.ndarray
+    matrix: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
         m = _frozen_complex(self.matrix, 2)
@@ -82,35 +120,115 @@ class DensityOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.matrix)
 
 
-def check_densities(m: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of ``m`` is a density operator.
+_SQRT2 = math.sqrt(2.0)
 
-    ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
-    stack is checked in one pass: finite entries, Hermitian and of unit
-    trace within :data:`~boxworld.tolerance.ROUNDING`, no eigenvalue below
-    -:data:`~boxworld.tolerance.EIGEN_ROUNDING`. The message names the
-    worst matrix's deviation.
 
-    The eigenvalue bound is first certified by a Cholesky factorization of
-    m + EIGEN_ROUNDING I, which exists when no eigenvalue of m lies below
-    -EIGEN_ROUNDING; only a stack it fails on is decomposed, and judged by
-    its lowest eigenvalue. Both decide the bound to within the same
-    O(d u |m|) rounding.
+def _pairwise(xs: Sequence[float]) -> float:
+    """numpy's pairwise sum of ``xs``: in order below 4 terms, in four
+    accumulators over the index mod 4 up to 64, split in halves whose
+    length is a multiple of 4 above."""
+    n = len(xs)
+    if n < 4:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 64:
+        r0, r1, r2, r3 = xs[:4]
+        for i in range(4, n - n % 4, 4):
+            r0 += xs[i]
+            r1 += xs[i + 1]
+            r2 += xs[i + 2]
+            r3 += xs[i + 3]
+        total = (r0 + r1) + (r2 + r3)
+        for x in xs[n - n % 4 :]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 4
+    return _pairwise(xs[:half]) + _pairwise(xs[half:])
+
+
+def _trace(rows: Sequence[Sequence[complex]]) -> complex:
+    """The trace as numpy's ``trace`` sums it: each part pairwise, added to 0.0."""
+    diag = [row[i] for i, row in enumerate(rows)]
+    return complex(0.0 + _pairwise([z.real for z in diag]), 0.0 + _pairwise([z.imag for z in diag]))
+
+
+def _pivots(rows: Sequence[Sequence[complex]]) -> int | None:
+    """The pivots after which a diagonally pivoted Cholesky factorization of
+    the Hermitian ``rows`` leaves a Schur complement S with ||S||_F below
+    EIGEN_ROUNDING, or None if a pivot is not positive first.
+
+    Then rows = L L^dagger + (0 (+) S), so no eigenvalue lies below
+    -||S||_F (Higham 1990; Haynsworth's inertia additivity). Each pivot
+    costs O(d^2), and a matrix of rank r stops after r pivots, up to
+    rounding. S is updated on and above its diagonal only, and in floats
+    where every entry is real; since ||S||_F is at least its largest
+    diagonal entry, it is summed only once no diagonal entry reaches
+    EIGEN_ROUNDING.
     """
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"density operator must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite entries")
-    herm = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)
+    if any(z.imag for row in rows for z in row):
+        s = [list(row) for row in rows]
+    else:
+        s = [[z.real for z in row] for row in rows]
+    pivots = 0
+    while True:
+        diag = [row[i].real for i, row in enumerate(s)]
+        if max(map(abs, diag), default=0.0) < EIGEN_ROUNDING:
+            frobenius = math.hypot(
+                *(math.hypot(abs(row[i]), _SQRT2 * math.hypot(*map(abs, row[i + 1 :]))) for i, row in enumerate(s))
+            )
+            if frobenius < EIGEN_ROUNDING:
+                return pivots
+        pivot = max(diag, default=0.0)
+        if not pivot > 0.0:
+            return None
+        p = diag.index(pivot)
+        # column p on and above the diagonal is row i's entry p, below it
+        # the conjugate of row p's entry i
+        col = [row[p] for row in s[:p]] + [z.conjugate() for z in s[p][p:]]
+        for row in s:
+            del row[p]
+        del s[p], col[p]
+        scaled = [z.conjugate() / pivot for z in col]
+        for i, (row, c) in enumerate(zip(s, col)):
+            row[i:] = [x - c * y for x, y in zip(row[i:], scaled[i:])]
+        pivots += 1
+
+
+def check_densities(m) -> None:
+    """Raise ValueError unless the matrix ``m`` is a density operator.
+
+    ``m`` is an array or nested sequences, shape (d, d): finite entries,
+    Hermitian and of unit trace within :data:`~boxworld.tolerance.ROUNDING`,
+    no eigenvalue below -:data:`~boxworld.tolerance.EIGEN_ROUNDING`. The
+    message names the deviation.
+
+    The eigenvalue bound is first certified by :func:`_pivots`, in plain
+    Python. Only a matrix it cannot certify is handed to numpy: a Cholesky
+    factorization of m + EIGEN_ROUNDING I, which exists when no eigenvalue
+    of m lies below -EIGEN_ROUNDING, and where that fails, the lowest
+    eigenvalue. All three decide the bound to within the same O(d u |m|)
+    rounding.
+    """
+    rows = _square(m, "density operator", "non-finite entries")
+    herm = max(
+        (abs(row[j] - rows[j][i].conjugate()) for i, row in enumerate(rows) for j in range(i, len(row))),
+        default=0.0,
+    )
     if herm > ROUNDING:
         raise ValueError(f"not Hermitian (deviation {herm:.3g})")
-    tr = np.trace(m, axis1=-2, axis2=-1).ravel()
-    off = np.abs(tr - 1.0)
-    if np.max(off, initial=0.0) > ROUNDING:
-        raise ValueError(f"trace is {tr[np.argmax(off)]:.15g}, not 1")
+    tr = _trace(rows)
+    if abs(tr - 1.0) > ROUNDING:
+        raise ValueError(f"trace is {tr:.15g}, not 1")
+    if _pivots(rows) is not None:
+        return
+    import numpy as np
+
+    m = np.array(rows)
     try:
         np.linalg.cholesky(m + EIGEN_ROUNDING * np.eye(m.shape[-1]))
     except np.linalg.LinAlgError:
@@ -119,20 +237,23 @@ def check_densities(m: np.ndarray) -> None:
             raise ValueError(f"negative eigenvalue {lo:.3g}") from None
 
 
-def check_unitaries(m: np.ndarray) -> None:
-    """Raise ValueError unless every matrix of ``m`` is unitary.
+def check_unitaries(m) -> None:
+    """Raise ValueError unless the matrix ``m`` is unitary.
 
-    ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
-    stack is checked in one pass: finite entries and max|U^dagger U - I|
-    within :data:`~boxworld.tolerance.ROUNDING`. The message names the
-    worst matrix's deviation.
+    ``m`` is an array or nested sequences, shape (d, d): finite entries and
+    max|U^dagger U - I| within :data:`~boxworld.tolerance.ROUNDING`. The
+    message names the deviation.
     """
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"unitary must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite amplitudes")
-    gram = np.swapaxes(m, -1, -2).conj() @ m
-    dev = np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0)
+    rows = _square(m, "unitary", "non-finite amplitudes")
+    cols = list(zip(*rows))
+    dev = max(
+        (
+            abs(sum(a.conjugate() * b for a, b in zip(ci, cj)) - (i == j))
+            for i, ci in enumerate(cols)
+            for j, cj in enumerate(cols)
+        ),
+        default=0.0,
+    )
     if dev > ROUNDING:
         raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
 
@@ -141,8 +262,8 @@ def basis_ket(label: str) -> Ket:
     """Computational-basis ket for a binary label, e.g. ``basis_ket("01")``."""
     if not label or any(ch not in "01" for ch in label):
         raise ValueError(f"basis label must be a nonempty string over 0/1, got {label!r}")
-    amps = np.zeros(2 ** len(label), dtype=complex)
-    amps[int(label, 2)] = 1.0
+    amps = [0j] * 2 ** len(label)
+    amps[int(label, 2)] = 1 + 0j
     return Ket(amps)
 
 
@@ -150,7 +271,9 @@ def dumps_density_csv(rho: DensityOperator, digits: int = 17) -> str:
     """CSV dump, one line per matrix row, entries as re,im pairs.
 
     Each row is formatted by one ``%`` pattern from its real and imaginary
-    parts in order, the float view of the row.
+    parts in order.
     """
     row = ",".join([f"%.{digits}g"] * (2 * rho.dim)) + "\n"
-    return "".join([row % tuple(parts) for parts in rho.matrix.view(float).tolist()])
+    return "".join(
+        [row % tuple([x for z in entries for x in (z.real, z.imag)]) for entries in rho.matrix]
+    )

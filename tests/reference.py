@@ -3,6 +3,14 @@
 No command runs any of this. Each definition reaches a quantity the
 package computes by a shorter path, or builds inputs for such a check:
 
+- :class:`Ket`, :class:`Unitary` and :class:`DensityOperator` on numpy
+  arrays, with :func:`check_densities` and :func:`check_unitaries` for
+  whole stacks of matrices, :func:`basis_ket` and
+  :func:`dumps_density_csv`: the numpy forms of :mod:`boxworld.quantum`,
+  whose plain-Python ones print the same bytes;
+- :class:`HybridState` and :func:`distribute` on numpy arrays, the numpy
+  forms of those of :mod:`boxworld.hybrid`, the oracle of a differential
+  property on the branches and densities of expressions;
 - single-qubit ``Unitary`` objects, kets and the tensor product, from
   which the tests build the construction's input (U tensor 1)|01> one
   angle at a time;
@@ -44,6 +52,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -56,22 +65,339 @@ from boxworld.boxes import _FLOAT_PIVOTS, ConditionalBox, deterministic_vertices
 from boxworld.dsl import MAX_NESTING, ODOT_GLYPH, ParseError
 from boxworld.hybrid import (
     DEFAULT_BRANCH_CAP,
+    MAX_WIDTH,
     SYM_C,
     SYM_S,
     BasisKet,
     BranchLimitError,
     CoherentSum,
     ExpressionError,
-    HybridState,
     IncoherentSum,
     Scalar,
     Scaled,
     StateExpr,
-    _pow2_times,
 )
 from boxworld.protocol import MIN_ROUNDS_MAX_COPIES, _count
-from boxworld.quantum import DensityOperator, Ket, Unitary, check_densities
-from boxworld.tolerance import ROUNDING
+from boxworld.tolerance import EIGEN_ROUNDING, ROUNDING
+
+# ---------------------------------------------------------------- quantum, on numpy arrays
+
+
+def _frozen_complex(value: np.ndarray | Sequence, ndim: int) -> np.ndarray:
+    arr = np.array(value, dtype=complex)
+    if arr.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr.view(float))):
+        raise ValueError("non-finite amplitudes")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class Ket:
+    """Complex amplitude vector; not necessarily normalized."""
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "amplitudes", _frozen_complex(self.amplitudes, 1))
+
+    @property
+    def dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+
+@dataclass(frozen=True)
+class Unitary:
+    """Square matrix with U^dagger U = I within :data:`~boxworld.tolerance.ROUNDING`."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = _frozen_complex(self.matrix, 2)
+        check_unitaries(m)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class DensityOperator:
+    """Hermitian, unit-trace, positive-semidefinite matrix (small tolerances)."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        m = _frozen_complex(self.matrix, 2)
+        check_densities(m)
+        object.__setattr__(self, "matrix", m)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def check_densities(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of ``m`` is a density operator.
+
+    ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
+    stack is checked in one pass: finite entries, Hermitian and of unit
+    trace within :data:`~boxworld.tolerance.ROUNDING`, no eigenvalue below
+    -:data:`~boxworld.tolerance.EIGEN_ROUNDING`. The message names the
+    worst matrix's deviation.
+
+    The eigenvalue bound is first certified by a Cholesky factorization of
+    m + EIGEN_ROUNDING I, which exists when no eigenvalue of m lies below
+    -EIGEN_ROUNDING; only a stack it fails on is decomposed, and judged by
+    its lowest eigenvalue. Both decide the bound to within the same
+    O(d u |m|) rounding.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"density operator must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite entries")
+    herm = np.max(np.abs(m - np.swapaxes(m, -1, -2).conj()), initial=0.0)
+    if herm > ROUNDING:
+        raise ValueError(f"not Hermitian (deviation {herm:.3g})")
+    tr = np.trace(m, axis1=-2, axis2=-1).ravel()
+    off = np.abs(tr - 1.0)
+    if np.max(off, initial=0.0) > ROUNDING:
+        raise ValueError(f"trace is {tr[np.argmax(off)]:.15g}, not 1")
+    try:
+        np.linalg.cholesky(m + EIGEN_ROUNDING * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        lo = float(np.linalg.eigvalsh(m).min(initial=np.inf))
+        if lo < -EIGEN_ROUNDING:
+            raise ValueError(f"negative eigenvalue {lo:.3g}") from None
+
+
+def check_unitaries(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of ``m`` is unitary.
+
+    ``m`` is one matrix or a stack of them, shape (..., d, d); the whole
+    stack is checked in one pass: finite entries and max|U^dagger U - I|
+    within :data:`~boxworld.tolerance.ROUNDING`. The message names the
+    worst matrix's deviation.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"unitary must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite amplitudes")
+    gram = np.swapaxes(m, -1, -2).conj() @ m
+    dev = np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0)
+    if dev > ROUNDING:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
+
+
+def basis_ket(label: str) -> Ket:
+    """Computational-basis ket for a binary label, e.g. ``basis_ket("01")``."""
+    if not label or any(ch not in "01" for ch in label):
+        raise ValueError(f"basis label must be a nonempty string over 0/1, got {label!r}")
+    amps = np.zeros(2 ** len(label), dtype=complex)
+    amps[int(label, 2)] = 1.0
+    return Ket(amps)
+
+
+def dumps_density_csv(rho: DensityOperator, digits: int = 17) -> str:
+    """CSV dump, one line per matrix row, entries as re,im pairs.
+
+    Each row is formatted by one ``%`` pattern from its real and imaginary
+    parts in order, the float view of the row.
+    """
+    row = ",".join([f"%.{digits}g"] * (2 * rho.dim)) + "\n"
+    return "".join([row % tuple(parts) for parts in rho.matrix.view(float).tolist()])
+
+
+# ---------------------------------------------------------------- hybrid, on numpy arrays
+
+# The most density entries a state's branch terms take up at once: a term
+# has 4^w entries, so at w >= 8 the terms are formed one at a time.
+_TERM_ENTRIES = 2**16
+
+
+@dataclass(frozen=True)
+class HybridState:
+    """Weighted list of coherent branches over ``width`` qubits.
+
+    Branch kets may be unnormalized; :meth:`to_density` trace-normalizes,
+    so only relative weight times squared amplitude matters.
+    """
+
+    width: int
+    branches: tuple[tuple[float, Ket], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "branches", tuple((float(w), k) for w, k in self.branches))
+        if self.width < 1:
+            raise ExpressionError(f"register width must be positive, got {self.width}")
+        if not self.branches:
+            raise ExpressionError("a hybrid state needs at least one branch")
+        dim = 2**self.width
+        massive = False
+        for w, ket in self.branches:
+            if not math.isfinite(w) or w < 0.0:
+                raise ExpressionError(f"branch weight must be finite and >= 0, got {w}")
+            if ket.dim != dim:
+                raise ExpressionError(
+                    f"branch dimension {ket.dim} does not match width {self.width}"
+                )
+            massive = massive or (w > 0.0 and bool(np.any(ket.amplitudes)))
+        if not massive:
+            raise ExpressionError("state carries no mass")
+
+    def to_density(self) -> DensityOperator:
+        """The branches' sum of w |psi><psi|, divided by its trace.
+
+        Each ket is first divided by the power of two of its largest real
+        or imaginary part, and its term scaled into the frame of the
+        largest term; powers of two scale exactly, so no square overflows
+        or underflows, and inputs that did neither give the bits of the
+        plain sum. The terms are summed in branch order, at most
+        ``_TERM_ENTRIES`` entries of them at a time.
+        """
+        amps = np.array([ket.amplitudes for _, ket in self.branches])
+        a_exps = np.frexp(np.abs(amps.view(float)).max(axis=1))[1]
+        v = _pow2_times(amps, -a_exps[:, None])
+        frames = []  # per branch: its term's exponent, and its mantissa or 0 without mass
+        for (w, _), a_exp, nonzero in zip(self.branches, a_exps.tolist(), v.any(axis=1).tolist()):
+            w_frac, w_exp = math.frexp(w)
+            frames.append((w_exp + 2 * a_exp, w_frac if nonzero else 0.0))
+        top = max(exp for exp, frac in frames if frac)  # a branch has mass, by the constructor
+        coefs = np.array([math.ldexp(frac, exp - top) for exp, frac in frames])
+        dim = v.shape[1]
+        step = max(1, _TERM_ENTRIES // dim**2)
+        acc = np.zeros((dim, dim), dtype=complex)
+        for lo in range(0, len(v), step):
+            u = v[lo : lo + step]
+            for term in coefs[lo : lo + step, None, None] * (u[:, :, None] * u[:, None, :].conj()):
+                acc += term
+        return DensityOperator(acc / float(acc.trace().real))
+
+
+def distribute(expr: StateExpr, theta: float | None = None) -> HybridState:
+    """Normal-form an expression into a weighted list of coherent branches.
+
+    Semantics, expanded left to right:
+
+    * a basis ket is a single branch of weight 1;
+    * a scalar multiplies every branch amplitude of its child (weights
+      untouched; trace normalization later absorbs the difference between
+      reading a prefactor as a probability or as an amplitude);
+    * an incoherent sum of n operands concatenates their branches with
+      each operand's weights divided by n;
+    * a coherent sum combines branches pairwise, multiplying weights and
+      adding amplitudes.
+
+    ``theta`` binds the named symbols c and s. Past ``DEFAULT_BRANCH_CAP``
+    branches it raises :class:`BranchLimitError`. A scalar that itself
+    overflows a float (10^300/10^-300) is an error. Each branch carries a
+    power of two besides its amplitudes, so nested prefactors of 10^200 or
+    10^-200, or branches 2^600 apart, neither overflow nor underflow. Where
+    every amplitude is a normal float the branches come out at the scale
+    written, with the bits of the plain products and sums (powers of two
+    scale exactly), save that an amplitude about 2^1021 or more below the
+    largest of its branch may lose bits: it enters the density only below
+    the smallest normal float. Otherwise every branch is divided by the
+    power of two that brings the largest amplitude into [1/2, 1): the
+    density is the same, and an amplitude that the plain products would
+    leave subnormal, as 10^-320 in ``1e-160 (1e-160 |0> + |1>)``, keeps its
+    full precision.
+    """
+    width, raw = _eval_expr(expr, theta)
+    amps = np.array([m for _, m, _ in raw])
+    exps = np.array([[e] for _, _, e in raw])
+    frac, tops = np.frexp(amps.view(float))
+    tops = (tops + exps)[frac != 0.0].tolist()
+    fl = sys.float_info
+    normal = not tops or (min(tops) >= fl.min_exp and max(tops) <= fl.max_exp)
+    scaled = _pow2_times(amps, exps if normal else exps - max(tops))
+    return HybridState(width, tuple((w, Ket(m)) for (w, _, _), m in zip(raw, scaled)))
+
+
+def _eval_expr(
+    node: StateExpr, theta: float | None
+) -> tuple[int, list[tuple[float, np.ndarray, int]]]:
+    """Width and branches (weight, m, e) of an expression, the amplitudes
+    of a branch being m 2^e: each scalar's power of two goes to e and only
+    its mantissa, in [1/2, 1), multiplies m.
+    """
+    if isinstance(node, BasisKet):
+        if len(node.label) > MAX_WIDTH:
+            raise ExpressionError(f"ket width {len(node.label)} exceeds the largest, {MAX_WIDTH}")
+        ket = basis_ket(node.label)
+        return len(node.label), [(1.0, ket.amplitudes, 0)]
+    if isinstance(node, Scaled):
+        factor = node.scalar.value(theta)
+        if not (math.isfinite(factor.real) and math.isfinite(factor.imag)):
+            raise ExpressionError("a prefactor overflows a float")
+        k = math.frexp(max(abs(factor.real), abs(factor.imag)))[1]
+        factor = complex(math.ldexp(factor.real, -k), math.ldexp(factor.imag, -k))
+        width, branches = _eval_expr(node.child, theta)
+        return width, [(w, factor * m, e + k) for w, m, e in branches]
+    if isinstance(node, IncoherentSum):
+        share = 1.0 / len(node.children)
+        width = None
+        out: list[tuple[float, np.ndarray, int]] = []
+        for child in node.children:
+            w_child, branches = _eval_expr(child, theta)
+            if width is None:
+                width = w_child
+            elif w_child != width:
+                raise ExpressionError(
+                    f"mixed register widths ({width} and {w_child}) in one expression"
+                )
+            out.extend((share * w, m, e) for w, m, e in branches)
+            if len(out) > DEFAULT_BRANCH_CAP:
+                raise BranchLimitError(
+                    f"expression expands past the cap of {DEFAULT_BRANCH_CAP} branches"
+                )
+        return width, out
+    if isinstance(node, CoherentSum):
+        width = None
+        acc: list[tuple[float, np.ndarray, int]] | None = None
+        for child in node.children:
+            w_child, branches = _eval_expr(child, theta)
+            if width is None:
+                width, acc = w_child, branches
+                continue
+            if w_child != width:
+                raise ExpressionError(
+                    f"mixed register widths ({width} and {w_child}) in one expression"
+                )
+            combined = [
+                (wl * wr, *_add(ml, el, mr, er)) for wl, ml, el in acc for wr, mr, er in branches
+            ]
+            if len(combined) > DEFAULT_BRANCH_CAP:
+                raise BranchLimitError(
+                    f"expression expands past the cap of {DEFAULT_BRANCH_CAP} branches"
+                )
+            acc = combined
+        return width, acc
+    raise ExpressionError(f"not a state expression node: {node!r}")
+
+
+def _add(ml: np.ndarray, el: int, mr: np.ndarray, er: int) -> tuple[np.ndarray, int]:
+    """ml 2^el + mr 2^er as (m, e), in the frame of the larger exponent,
+    unless that operand is zero (as after a prefactor 0): a zero sets no
+    scale, lest it flush the other operand.
+    """
+    if el == er:
+        return ml + mr, el
+    e = max(el, er) if (ml if el > er else mr).any() else min(el, er)
+    if el != e:
+        ml = _pow2_times(ml, el - e)
+    if er != e:
+        mr = _pow2_times(mr, er - e)
+    return ml + mr, e
+
+
+def _pow2_times(m: np.ndarray, k: int | np.ndarray) -> np.ndarray:
+    """m 2^k, exactly wherever the result is a normal float."""
+    return np.ldexp(m.view(float), k).view(complex)
+
+
 
 # ---------------------------------------------------------------- quantum
 
@@ -136,6 +462,7 @@ def helstrom(rho0: np.ndarray, rho1: np.ndarray, prior0: float = 0.5) -> tuple[f
     eigenspace of p1 rho1 - p0 rho0, on which the answer is "rho1"."""
     if not 0.0 <= prior0 <= 1.0:
         raise ValueError(f"prior must lie in [0, 1], got {prior0}")
+    rho0, rho1 = np.asarray(rho0), np.asarray(rho1)
     evals, evecs = np.linalg.eigh((1.0 - prior0) * rho1 - prior0 * rho0)
     pos = evecs[:, evals > 0.0]
     return 0.5 + 0.5 * float(np.abs(evals).sum()), pos @ pos.conj().T
@@ -147,7 +474,7 @@ def trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Shapes broadcast over the leading axes, (..., d, d); the result has
     shape (...).
     """
-    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    return 0.5 * np.abs(np.linalg.eigvalsh(np.subtract(a, b))).sum(axis=-1)
 
 
 def measure_probs(rho: np.ndarray, basis: Sequence[Ket]) -> np.ndarray:

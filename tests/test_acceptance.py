@@ -108,7 +108,7 @@ def test_criterion_3_rewrite_equivalence():
     for theta in np.linspace(0.0, math.pi / 2, 33):
         rho_a = distribute(compact, float(theta)).to_density()
         rho_b = distribute(expanded, float(theta)).to_density()
-        worst = max(worst, float(np.abs(rho_a.matrix - rho_b.matrix).max()))
+        worst = max(worst, float(np.abs(np.subtract(rho_a.matrix, rho_b.matrix)).max()))
     c.check(worst <= 1e-12, f"pre/post-distribution densities agree (worst dev {worst:.2e})")
     c.finish()
 
@@ -247,7 +247,7 @@ def test_criterion_8_helstrom_identity():
     def random_density(dim):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = g @ g.conj().T
-        return DensityOperator(m / m.trace()).matrix
+        return np.array(DensityOperator(m / m.trace()).matrix)
 
     worst_gap = 0.0
     worst_tv = 0.0

@@ -553,6 +553,20 @@ class TestErrorExits:
         assert len(rows) == 1024
         assert rows[15].split(",")[30:33] == ["0.0625", "0", "0"]
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
+    def test_density_of_the_widest_dense_state_is_summed_within_the_cap(self):
+        # 16 branches of width 10, each nonzero on 1020 of its 1024
+        # amplitudes: four 2-way mixtures added coherently to the other 1016
+        # basis kets. It prints 26 MB, the bytes numpy's density printed.
+        mixtures = [f"(|{k:010b}> (+) |{k + 1:010b}>)" for k in range(0, 8, 2)]
+        expr = " + ".join(mixtures + [f"|{k:010b}>" for k in range(8, 1024)])
+        proc = _capped_cli(["parse", "--expr", expr, "--dump-rho"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.split("rho:\n", 1)[1].splitlines()) == 1024
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "515811922ce01ff450047d67f4b2f05e6122e5e783d7afac50b5959a35e9462b"
+        )
+
     @pytest.mark.parametrize("command", ["verify", "chsh", "local"])
     def test_invalid_box_exits_two(self, capsys, tmp_path, command):
         # BoxValidationError is a ValueError, which alone would give exit 1.
@@ -962,6 +976,8 @@ class TestWriteErrors:
 BOX_COMMANDS = ("verify", "chsh", "local")
 # The commands that evaluate the sweep's closed form, in plain Python.
 SWEEP_COMMANDS = ("signal", "scan", "audit")
+# The commands that load numpy: its Philox stream and its float window.
+NUMPY_COMMANDS = ("repeat", "simulate")
 
 # Runs cli.main(argv) with stdout as it is, then prints the exit code and
 # whether the run imported numpy.
@@ -1008,12 +1024,12 @@ class TestColdImport:
         "argv", [shlex.split(line, comments=True)[1:] for line in _readme_commands()], ids=" ".join
     )
     def test_readme_command_loads_no_scipy(self, argv):
-        # -X importtime lists every module the run imports on stderr; the
-        # box and sweep commands work in plain Python and load no numpy
+        # -X importtime lists every module the run imports on stderr; all
+        # but the protocol commands work in plain Python and load no numpy
         proc = _fresh_python("-X", "importtime", "-m", "boxworld", *argv)
         assert proc.returncode == 0 and proc.stdout
         assert "import time:" in proc.stderr
-        assert ("numpy" in proc.stderr) == (argv[0] not in BOX_COMMANDS + SWEEP_COMMANDS)
+        assert ("numpy" in proc.stderr) == (argv[0] in NUMPY_COMMANDS)
         assert "scipy" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -1072,6 +1088,28 @@ class TestColdImport:
         ids=lambda a: " ".join(a) if isinstance(a, list) else str(a),
     )
     def test_sweep_commands_load_no_numpy(self, capsys, argv, code):
+        proc = _fresh_python("-c", _NUMPY_PROBE, *argv)
+        got, out, err = run(capsys, *argv)
+        assert got == code and proc.stdout == out + f"{code} False\n"
+        assert proc.stderr == err and (code == 0) == (err == "")
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            *[
+                (argv, 0)
+                for argv in (shlex.split(line, comments=True)[1:] for line in _readme_commands())
+                if argv[0] == "parse"
+            ],
+            (["parse", "--expr", "1/sqrt(2) (|00> + c |11>) (+) 0.3 |01>", "--theta", "-2"], 0),
+            (["parse", "--expr", "|0> @ |1>", "--dump-rho"], 1),
+            (["parse", "--expr", "|0> + |11>", "--dump-rho"], 1),
+            (["parse", "--expr", " (+) ".join(["|0>"] * 17), "--dump-rho"], 1),
+            (["parse", "--expr", "0 |0> (+) 0 |1>", "--dump-rho"], 1),
+        ],
+        ids=["readme", "no-dump-rho", "unexpected-character", "mixed-widths", "branch-cap", "no-mass"],
+    )
+    def test_parse_loads_no_numpy(self, capsys, argv, code):
         proc = _fresh_python("-c", _NUMPY_PROBE, *argv)
         got, out, err = run(capsys, *argv)
         assert got == code and proc.stdout == out + f"{code} False\n"

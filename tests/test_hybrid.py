@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxworld.audit as audit_mod
-from boxworld import quantum
+import reference
+from boxworld import cli, dsl, hybrid, quantum
 from boxworld.audit import audit_sweep, effective_box
 from boxworld.hybrid import (
     BasisKet,
@@ -26,6 +30,9 @@ from boxworld.hybrid import (
     dumps,
 )
 from boxworld.quantum import Ket, basis_ket
+from reference import HybridState as ArrayState
+from reference import basis_ket as array_basis_ket
+from reference import check_densities as check_density_stacks
 from reference import (
     apply,
     exact_chain,
@@ -60,9 +67,9 @@ def _expected_marginal(theta: float) -> np.ndarray:
     return 0.5 * np.array([[1.0, cs], [cs, 1.0]], dtype=complex)
 
 
-def _rotated_input(theta: float) -> HybridState:
-    ket = apply(tensor(rotation(theta), identity(2)), basis_ket("01"))
-    return HybridState(2, ((1.0, ket),))
+def _rotated_input(theta: float) -> ArrayState:
+    ket = apply(tensor(rotation(theta), identity(2)), array_basis_ket("01"))
+    return ArrayState(2, ((1.0, ket),))
 
 
 class TestDistribute:
@@ -144,7 +151,7 @@ class TestDistribute:
         big = Scalar("num", 2.0**k)
         near = CoherentSum((Scaled(big, BasisKet("0")), BasisKet("1")))
         far = Scaled(big, near)
-        rho = distribute(far).to_density().matrix
+        rho = np.array(distribute(far).to_density().matrix)
         assert np.array_equal(rho, distribute(near).to_density().matrix)
         assert rho[0, 1] == rho[1, 0] == 2.0 ** -abs(k)
         assert (rho[0, 0], rho[1, 1]) == ((1.0, 2.0**-1200) if k > 0 else (2.0**-1200, 1.0))
@@ -153,7 +160,7 @@ class TestDistribute:
         # 10^300 |0> + |1>: the branch lists the amplitudes as written.
         expr = CoherentSum((Scaled(Scalar("num", 1e300), BasisKet("0")), BasisKet("1")))
         (weight, ket), = distribute(expr).branches
-        assert weight == 1.0 and ket.amplitudes.tolist() == [1e300, 1.0]
+        assert weight == 1.0 and ket.amplitudes == (1e300, 1.0)
 
     def test_zero_prefactor_sets_no_scale(self):
         # 10^-160 |0> + 0 (|0> + 10^300 |0>): the zero operand must not
@@ -163,7 +170,7 @@ class TestDistribute:
             Scalar("num", 0.0),
             CoherentSum((BasisKet("0"), Scaled(Scalar("num", 1e300), BasisKet("0")))),
         )
-        rho = distribute(CoherentSum((tiny, zero))).to_density().matrix
+        rho = np.array(distribute(CoherentSum((tiny, zero))).to_density().matrix)
         assert np.array_equal(rho, distribute(tiny).to_density().matrix)
         assert rho[0, 0] == pytest.approx(1.0) and rho[1, 1] == 0.0
 
@@ -194,7 +201,7 @@ class TestPrExtend:
     def test_reproduces_box_statistics_exactly(self, label):
         A, B = int(label[0]), int(label[1])
         out = pr_extend(HybridState(2, ((1.0, basis_ket(label)),)))
-        z2 = [tensor(basis_ket(a), basis_ket(b)) for a in "01" for b in "01"]
+        z2 = [tensor(array_basis_ket(a), array_basis_ket(b)) for a in "01" for b in "01"]
         probs = measure_probs(out.to_density().matrix, z2)
         expected = np.array(
             [0.5 if (a ^ b) == (A & B) else 0.0 for a in (0, 1) for b in (0, 1)]
@@ -271,7 +278,7 @@ class TestPrExtendDensity:
             expected = pr_extend(_rotated_input(theta)).to_density().matrix
             exact = exact_chain(Fraction(math.cos(theta)), Fraction(math.sin(theta))).bob
             got = bob_state(theta).matrix
-            assert got.tolist() == [[complex(float(v)) for v in row] for row in exact]
+            assert got == tuple(tuple(complex(float(v)) for v in row) for row in exact)
             marginal = partial_trace(expected, keep=1, dims=(2, 2))
             np.testing.assert_allclose(got, marginal, rtol=0, atol=2.0**-54)
 
@@ -387,8 +394,19 @@ class TestSweepDensities:
         # 4g^2 > ab puts an eigenvalue of the (Phi+, Psi+) block below 0; the
         # density checks refuse such terms, and a trace 2(a + b) off 1.
         stack = np.array([[(a, b, g, 0.0)[k] for k in self.LAYOUT] for a, b, g in terms])
+        stack = stack.reshape(-1, 4, 4)
         with pytest.raises(ValueError, match=message):
-            quantum.check_densities(stack.reshape(-1, 4, 4))
+            check_density_stacks(stack)
+        # The package checks one matrix at a time; exactly one is refused,
+        # with the stack's message, its trace printed as the complex it is.
+        refused = []
+        for one in stack:
+            try:
+                quantum.check_densities(one)
+            except ValueError as err:
+                refused.append(str(err))
+        assert len(refused) == 1
+        assert re.match(message.replace(", not 1$", r"\+0j, not 1$"), refused[0])
 
 
 class TestBobState:
@@ -509,3 +527,134 @@ class TestSerialization:
             loads("0.5; 1 0 0\n")
         with pytest.raises(ExpressionError):
             loads("")
+
+
+# ---------------------------------------------------------------- against the numpy forms
+
+_PREFACTORS = st.one_of(
+    st.integers(0, 9).map(float),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+_SCALARS = st.one_of(
+    _PREFACTORS.map(lambda x: Scalar("num", x)),
+    st.tuples(_PREFACTORS, _PREFACTORS.filter(bool)).map(lambda ab: Scalar("frac", *ab)),
+    _PREFACTORS.map(lambda x: Scalar("sqrt", x)),
+    _PREFACTORS.map(lambda x: Scalar("invsqrt", x)),
+    st.just(SYM_C),
+    st.just(SYM_S),
+)
+
+
+def _expressions(width: int):
+    kets = st.integers(0, 2**width - 1).map(lambda k: BasisKet(format(k, f"0{width}b")))
+    return st.recursive(
+        kets,
+        lambda children: st.one_of(
+            st.tuples(_SCALARS, children).map(lambda t: Scaled(*t)),
+            st.lists(children, min_size=2, max_size=3).map(lambda c: CoherentSum(tuple(c))),
+            st.lists(children, min_size=2, max_size=3).map(lambda c: IncoherentSum(tuple(c))),
+        ),
+        max_leaves=10,
+    )
+
+
+def _reference_stdout(expr, theta: float) -> tuple[str, str]:
+    """What ``parse --dump-rho`` printed with numpy's states and densities:
+    (stdout, the error message or "")."""
+    try:
+        state = reference.distribute(expr, theta)
+        rho = state.to_density()
+    except ExpressionError as err:
+        return "", str(err)
+    head = f"canonical: {dsl.format(expr)}\nbranches ({len(state.branches)}):\n"
+    return head + dumps(state) + "rho:\n" + reference.dumps_density_csv(rho), ""
+
+
+class TestAgainstNumpyForms:
+    """The plain-Python states and densities against their numpy forms in
+    :mod:`reference`: the same branches, weights and amplitudes to the bit
+    (signed zeros included), the same density and the same printed bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        expr=st.integers(1, 8).flatmap(_expressions),
+        theta=st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_branches_densities_and_stdout(self, expr, theta):
+        want, error = _reference_stdout(expr, theta)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["parse", "--expr", dsl.format(expr), f"--theta={theta!r}", "--dump-rho"])
+        assert (code, out.getvalue(), err.getvalue()) == ((1, "", f"error: {error}\n") if error else (0, want, ""))
+        if error:
+            with pytest.raises(ExpressionError, match=f"^{re.escape(error)}$"):
+                distribute(expr, theta).to_density()
+            return
+        got, ref = distribute(expr, theta), reference.distribute(expr, theta)
+        assert [(repr(w), list(map(repr, k.amplitudes))) for w, k in got.branches] == [
+            (repr(w), [repr(complex(z)) for z in k.amplitudes]) for w, k in ref.branches
+        ]
+        assert np.array(got.to_density().matrix).tobytes() == ref.to_density().matrix.tobytes()
+
+
+class TestDensityWork:
+    """``to_density`` forms a product only of two nonzero amplitudes of one
+    branch, and its certificate pivots at most once per branch."""
+
+    CASES = [
+        ("c(|00> (+) |11>) + s(|01> (+) |10>)", 0.4),
+        ("(|000> (+) |001>) + (|010> (+) |011>) + c (|100> (+) |101>) + s (|110> (+) |111>)", 2.5),
+        ("1/sqrt(3) (|0000000> + c |0101010> + s |1111111>) (+) 2/7 (|1111111> + s |1010101>)", -0.7),
+        (" (+) ".join(f"|{k:09b}>" for k in range(16)), None),
+        (" + ".join(f"|{k:08b}>" for k in range(0, 256, 3)) + " (+) |11111111>", None),
+    ]
+
+    @staticmethod
+    def _count(monkeypatch, state):
+        products, pivots = [], []
+        add_term, find_pivots = hybrid._add_term, quantum._pivots
+
+        def counting_term(acc, v, coef, real):
+            kind = type(coef)
+
+            class Counted(kind):
+                def __mul__(self, other):
+                    products.append(1)
+                    return kind.__mul__(self, other)
+
+            add_term(acc, v, Counted(coef), real)
+
+        def counting_pivots(rows):
+            pivots.append(find_pivots(rows))
+            return pivots[-1]
+
+        monkeypatch.setattr(hybrid, "_add_term", counting_term)
+        monkeypatch.setattr(quantum, "_pivots", counting_pivots)
+        rho = state.to_density()
+        monkeypatch.undo()
+        assert rho.matrix == state.to_density().matrix  # counting changes nothing
+        return len(products), pivots
+
+    @pytest.mark.parametrize(
+        "text, theta", CASES, ids=["readme", "16-branches", "width-7", "16-kets-width-9", "86-kets"]
+    )
+    def test_real_amplitudes(self, monkeypatch, text, theta):
+        state = distribute(dsl.parse(text), theta)
+        nnz = [sum(map(bool, ket.amplitudes)) for w, ket in state.branches if w]
+        products, pivots = self._count(monkeypatch, state)
+        assert products <= sum(n * n for n in nnz)
+        assert products == sum(n * (n + 1) // 2 for n in nnz)  # the upper triangle
+        assert len(pivots) == 1 and pivots[0] <= len(state.branches)
+
+    def test_complex_amplitudes(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        branches = []
+        for _ in range(6):
+            amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+            amps[rng.random(16) < 0.5] = 0.0
+            amps[0] = 1j
+            branches.append((float(rng.uniform(0.1, 1.0)), Ket(amps)))
+        state = HybridState(4, tuple(branches))
+        products, pivots = self._count(monkeypatch, state)
+        assert products == sum(sum(map(bool, ket.amplitudes)) ** 2 for _, ket in branches)
+        assert len(pivots) == 1 and pivots[0] <= len(branches)

@@ -110,6 +110,8 @@ def test_commands_reach_every_public_function(tmp_path):
 PRIVATE_IMPORTS = {
     ("hybrid.bob_state", "audit", "_numerators"): "the chain's integers at one angle, "
     "imported on call so that parse does not load audit",
+    ("hybrid", "quantum", "_trace"): "numpy's summation order of a trace, which a density "
+    "and its check both divide or compare by",
 }
 
 

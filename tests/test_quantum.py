@@ -16,6 +16,10 @@ from boxworld.quantum import (
     basis_ket,
     dumps_density_csv,
 )
+from reference import DensityOperator as ArrayDensity
+from reference import basis_ket as array_basis_ket
+from reference import check_densities as check_density_stacks
+from reference import check_unitaries as check_unitary_stacks
 from reference import (
     apply,
     helstrom,
@@ -31,18 +35,18 @@ from reference import (
 )
 
 
-def _random_density(rng, dim: int) -> DensityOperator:
+def _random_density(rng, dim: int) -> ArrayDensity:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return DensityOperator(m / m.trace())
+    return ArrayDensity(m / m.trace())
 
 
-def _rho_with_coherence(theta: float) -> DensityOperator:
+def _rho_with_coherence(theta: float) -> ArrayDensity:
     cs = math.cos(theta) * math.sin(theta)
-    return DensityOperator(0.5 * np.array([[1.0, cs], [cs, 1.0]]))
+    return ArrayDensity(0.5 * np.array([[1.0, cs], [cs, 1.0]]))
 
 
-MAXMIX = DensityOperator(np.eye(2) / 2)
+MAXMIX = ArrayDensity(np.eye(2) / 2)
 
 
 def density_from_mixture(branches) -> DensityOperator:
@@ -52,19 +56,24 @@ def density_from_mixture(branches) -> DensityOperator:
     return HybridState(width, branches).to_density()
 
 
+def density_array(branches) -> np.ndarray:
+    """:func:`density_from_mixture` as an array, for the reference functions."""
+    return np.array(density_from_mixture(branches).matrix)
+
+
 class TestRotation:
     def test_zero_angle_is_identity(self):
         assert np.array_equal(rotation(0.0).matrix, np.eye(2))
 
     def test_action_on_zero_ket(self):
         theta = 0.37
-        out = apply(rotation(theta), basis_ket("0"))
+        out = apply(rotation(theta), array_basis_ket("0"))
         np.testing.assert_allclose(
             out.amplitudes, [math.cos(theta), math.sin(theta)], atol=1e-15
         )
 
     def test_quarter_turn_up_to_sign(self):
-        out = apply(rotation(math.pi / 2), basis_ket("0"))
+        out = apply(rotation(math.pi / 2), array_basis_ket("0"))
         assert abs(out.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
         assert abs(out.amplitudes[0]) < 1e-12
 
@@ -111,18 +120,24 @@ class TestRotationStack:
 class TestCheckUnitaries:
     def test_accepts_one_matrix_and_stacks(self):
         stack = _rotation_stack([0.1, 0.2, 0.3, 0.4])
-        check_unitaries(stack[0])
-        check_unitaries(stack)
-        check_unitaries(stack.reshape(2, 2, 2, 2))
-        check_unitaries(np.eye(4)[None])
+        for one in stack:
+            check_unitaries(one)
+            check_unitaries(one.tolist())
+        check_unitaries(np.eye(4))
+        check_unitary_stacks(stack)
+        check_unitary_stacks(stack.reshape(2, 2, 2, 2))
+        check_unitary_stacks(np.eye(4)[None])
 
     def test_names_the_worst_deviation(self):
         good = _rotation_stack([0.1, 0.2])
         bad = np.stack([good[0] * (1 + 1e-9), good[1], good[0] * (1 + 1e-6), good[1]])
+        check_unitaries(bad[1])
         with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 2e-06\)$"):
-            check_unitaries(bad)
+            check_unitaries(bad[2])
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 2e-06\)$"):
+            check_unitary_stacks(bad)
         with pytest.raises(ValueError, match=r"\(deviation 2e-06\)$"):
-            check_unitaries(bad.reshape(2, 2, 2, 2))
+            check_unitary_stacks(bad.reshape(2, 2, 2, 2))
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -134,8 +149,12 @@ class TestCheckUnitaries:
         ],
     )
     def test_rejects_non_square_and_non_finite(self, bad, message):
+        # the package checks one matrix, the reference a stack
+        for one in (bad[-1],) if bad.ndim == 3 and bad.shape[-1] == bad.shape[-2] else (bad,):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check_unitaries(one)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            check_unitaries(bad)
+            check_unitary_stacks(bad)
 
     def test_unitary_gives_the_same_messages(self):
         for bad, message in (
@@ -149,8 +168,8 @@ class TestCheckUnitaries:
 
 class TestTensor:
     def test_basis_kets_concatenate_labels(self):
-        prod = tensor(basis_ket("0"), basis_ket("1"))
-        assert np.array_equal(prod.amplitudes, basis_ket("01").amplitudes)
+        prod = tensor(array_basis_ket("0"), array_basis_ket("1"))
+        assert np.array_equal(prod.amplitudes, array_basis_ket("01").amplitudes)
 
     def test_identity_factors(self):
         assert np.array_equal(tensor(identity(2), identity(2)).matrix, np.eye(4))
@@ -161,13 +180,13 @@ class TestTensor:
         c, s = math.cos(theta), math.sin(theta)
         big = np.kron(np.array([[c, -s], [s, c]]), np.eye(2))
         expected = big @ np.array([0.0, 1.0, 0.0, 0.0])
-        out = apply(tensor(rotation(theta), identity(2)), basis_ket("01"))
+        out = apply(tensor(rotation(theta), identity(2)), array_basis_ket("01"))
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
         np.testing.assert_allclose(out.amplitudes, [0.0, c, 0.0, s], atol=1e-15)
 
     def test_kind_mismatch(self):
         with pytest.raises(TypeError):
-            tensor(basis_ket("0"), identity(2))
+            tensor(array_basis_ket("0"), identity(2))
 
 
 class TestDensityFromMixture:
@@ -207,8 +226,14 @@ class TestDensityFromMixture:
 
     @staticmethod
     def _plain_sum(branches):
-        """The unscaled sum, as computed before scaling: the reference for ordinary inputs."""
-        acc = sum(w * np.outer(k.amplitudes, k.amplitudes.conj()) for w, k in branches)
+        """The unscaled sum, as computed before scaling: the reference for ordinary inputs.
+
+        Each product is formed in Python's complex arithmetic: numpy's may
+        fuse a multiply and an add, which changes the bits of products of
+        complex numbers, though not of the real ones expressions produce.
+        """
+        terms = [[[complex(w) * (a * b.conjugate()) for b in k.amplitudes] for a in k.amplitudes] for w, k in branches]
+        acc = sum(np.array(term) for term in terms)
         return acc / float(acc.trace().real)
 
     def test_ordinary_inputs_give_the_plain_sum_bit_for_bit(self):
@@ -223,7 +248,7 @@ class TestDensityFromMixture:
                 amps *= 10.0 ** rng.uniform(-3, 3)
                 branches.append((float(rng.uniform(0.0, 2.0)), Ket(amps)))
             branches.append((1.0, Ket(np.eye(dim)[0])))
-            got = density_from_mixture(branches).matrix
+            got = density_array(branches)
             assert got.tobytes() == self._plain_sum(branches).tobytes()
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300, 5e-324, 1.7e308])
@@ -235,10 +260,10 @@ class TestDensityFromMixture:
             ([(1.0, [1.0, 1.0])], np.full((2, 2), 0.5)),
             ([(0.5, [1.0, 0.0]), (0.5, [0.0, 1j])], np.diag([0.5, 0.5])),
         ):
-            got = density_from_mixture([(w, Ket(np.multiply(a, scale))) for w, a in branches])
-            ref = density_from_mixture([(w, Ket(np.multiply(a, unit))) for w, a in branches])
-            assert got.matrix.tobytes() == ref.matrix.tobytes()
-            np.testing.assert_allclose(got.matrix, expected, rtol=0, atol=2e-16)
+            got = density_array([(w, Ket(np.multiply(a, scale))) for w, a in branches])
+            ref = density_array([(w, Ket(np.multiply(a, unit))) for w, a in branches])
+            assert got.tobytes() == ref.tobytes()
+            np.testing.assert_allclose(got, expected, rtol=0, atol=2e-16)
 
     def test_weight_scale_drops_out_and_tiny_branches_vanish(self):
         for w in (5e-324, 1e-300, 1e300, 1.7e308):
@@ -297,8 +322,8 @@ class TestTraceDistance:
         assert trace_distances(rho, rho) == 0.0
 
     def test_orthogonal_pure_states(self):
-        rho0 = density_from_mixture([(1.0, basis_ket("0"))]).matrix
-        rho1 = density_from_mixture([(1.0, basis_ket("1"))]).matrix
+        rho0 = density_array([(1.0, basis_ket("0"))])
+        rho1 = density_array([(1.0, basis_ket("1"))])
         assert trace_distances(rho0, rho1) == pytest.approx(1.0, abs=1e-15)
 
     def test_coherence_against_maximally_mixed(self):
@@ -335,9 +360,9 @@ class TestHelstrom:
         assert success == pytest.approx(0.625, abs=1e-15)
 
     def test_orthogonal_pure_states(self):
-        rho0 = density_from_mixture([(1.0, basis_ket("0"))])
-        rho1 = density_from_mixture([(1.0, basis_ket("1"))])
-        success, witness = helstrom(rho0.matrix, rho1.matrix, 0.5)
+        rho0 = density_array([(1.0, basis_ket("0"))])
+        rho1 = density_array([(1.0, basis_ket("1"))])
+        success, witness = helstrom(rho0, rho1, 0.5)
         assert success == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(witness, np.diag([0.0, 1.0]), atol=1e-12)
 
@@ -422,14 +447,18 @@ class TestTypesValidation:
 
     def test_stack_check_finds_the_bad_matrix(self):
         good = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
-        check_densities(good)
+        for one in good:
+            check_densities(one)
+        check_density_stacks(good)
         for bad, message in (
             (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
             (np.eye(2) * 0.6, "trace is 1.2"),
             (np.diag([1.1, -0.1]), "negative eigenvalue"),
         ):
             with pytest.raises(ValueError, match=message):
-                check_densities(np.concatenate([good, bad[None]]))
+                check_densities(bad)
+            with pytest.raises(ValueError, match=message):
+                check_density_stacks(np.concatenate([good, bad[None]]))
 
     @pytest.mark.parametrize(
         "lowest", [-EIGEN_ROUNDING * (1 + 1e-3), -EIGEN_ROUNDING * (1 - 1e-3), 0.0, -1e-16]
@@ -450,13 +479,15 @@ class TestTypesValidation:
             stack = np.stack([good, one, good])
             if ok:  # decided by the certificate alone
                 check_densities(one)
-                check_densities(stack)
+                check_density_stacks(stack)
                 assert decomposed == []
             else:
-                for bad in (one, stack):
-                    with pytest.raises(ValueError, match="^negative eigenvalue -1e-10$"):
-                        check_densities(bad)
-                    assert decomposed.pop() is bad
+                with pytest.raises(ValueError, match="^negative eigenvalue -1e-10$"):
+                    check_densities(one)
+                assert np.array_equal(decomposed.pop(), one)  # the package's own copy of it
+                with pytest.raises(ValueError, match="^negative eigenvalue -1e-10$"):
+                    check_density_stacks(stack)
+                assert decomposed.pop() is stack
 
     @pytest.mark.parametrize(
         "bad",
@@ -470,12 +501,14 @@ class TestTypesValidation:
     def test_stack_check_rejects_non_finite_entries(self, bad):
         # NaN once passed: every comparison with it is false
         with pytest.raises(ValueError, match="^non-finite entries$"):
-            check_densities(bad)
+            check_densities(bad.reshape(-1, *bad.shape[-2:])[-1])
+        with pytest.raises(ValueError, match="^non-finite entries$"):
+            check_density_stacks(bad)
 
     def test_stack_check_accepts_an_empty_stack(self):
         for empty in (np.zeros((0, 2, 2)), np.zeros((0, 3, 4, 4), dtype=complex)):
-            check_densities(empty)
-        check_unitaries(np.zeros((0, 2, 2)))
+            check_density_stacks(empty)
+        check_unitary_stacks(np.zeros((0, 2, 2)))
 
     def test_ket_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -489,5 +522,5 @@ class TestTypesValidation:
 
 
 def test_density_csv_dump():
-    text = dumps_density_csv(MAXMIX)
+    text = dumps_density_csv(DensityOperator(np.eye(2) / 2))
     assert text == "0.5,0,0,0\n0,0,0.5,0\n"
