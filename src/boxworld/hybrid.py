@@ -56,8 +56,9 @@ __all__ = [
 
 DEFAULT_BRANCH_CAP = 16
 # The widest register a basis ket may name: a state has 2^w amplitudes and
-# its density 4^w entries, which at w = 10 take 40 MiB as Python complex
-# objects and the list slots that hold them.
+# its density 4^w entries. At w = 10 a dense density holds 24 MiB of Python
+# complex objects (the mirrored entries shared) and tuple slots, and forming
+# it takes about 100 MiB at its peak.
 MAX_WIDTH = 10
 
 
@@ -219,33 +220,37 @@ class HybridState:
         largest term; powers of two scale exactly, so no square overflows
         or underflows, and inputs that did neither give the bits of the
         plain sum. The terms are added in branch order, each formed from
-        the nonzero amplitudes of its branch alone (see :func:`_add_term`),
-        so the products formed are at most the sum over the branches of
-        their nonzero amplitudes squared: the sum starts at +0 and so never
-        holds -0, and the zeros a zero amplitude would add leave its bits as
-        they are. Where every amplitude is real, every term is real and
-        symmetric, so only the upper triangle is summed, and mirrored. The
-        trace and the division by it round as numpy's ``trace`` and complex
-        division do.
+        the nonzero amplitudes of its branch alone (:func:`_add_term`): the
+        products formed number at most the sum over the branches of their
+        nonzero amplitudes squared. Leaving the others out changes no bit,
+        since the sum starts at +0, so never holds -0, and adding a zero
+        leaves it as it is. Where every amplitude is real, so is every
+        term, and symmetric: the real parts are summed in floats, on and
+        above the diagonal only, and mirrored. The trace and the division
+        by it round as numpy's ``trace`` and complex division do.
         """
-        frames = []  # per branch: its scaled amplitudes, its term's exponent and mantissa (0 without mass)
+        frames = []  # per branch: its scaled amplitudes, its term's exponent and mantissa
         for w, ket in self.branches:
             a_exp = math.frexp(max(abs(x) for z in ket.amplitudes for x in (z.real, z.imag)))[1]
             v = _times_pow2(ket.amplitudes, -a_exp)
             w_frac, w_exp = math.frexp(w)
-            frames.append((v, w_exp + 2 * a_exp, w_frac if any(v) else 0.0))
+            frames.append((v, w_exp + 2 * a_exp, w_frac if any(v) else 0.0))  # 0 without mass
         top = max(exp for _, exp, frac in frames if frac)  # a branch has mass, by the constructor
-        # Real terms are summed in floats: the real parts of the complex products, bit for bit.
         real = not any(z.imag for v, _, _ in frames for z in v)
         dim = 2**self.width
         acc = [[0.0 if real else 0j] * dim for _ in range(dim)]
         for v, exp, frac in frames:
             coef = math.ldexp(frac, exp - top)
-            if coef:
-                _add_term(acc, [z.real for z in v] if real else v, coef if real else complex(coef), real)
+            if coef and real:
+                _add_term(acc, [z.real for z in v], coef, upper=True)
+            elif coef:
+                _add_term(acc, v, complex(coef), upper=False)
         inv = 1.0 / _trace(acc).real
-        rows = [
-            [complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv) if z else 0j for z in row]
+        rows = [  # numpy's z / t, by 1/t
+            [
+                complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv) if z else 0j
+                for z in row
+            ]
             for row in acc
         ]
         if real:
@@ -254,9 +259,9 @@ class HybridState:
         return DensityOperator(rows)
 
 
-def _add_term(acc: list[list], v: Sequence[complex | float], coef: complex | float, real: bool) -> None:
+def _add_term(acc: list[list], v: Sequence, coef: complex | float, upper: bool) -> None:
     """acc += coef v v^dagger, entry (i, j) as coef (v_i conj(v_j)), for the
-    nonzero v_i and v_j only, and only j >= i if ``real``.
+    nonzero v_i and v_j only, and only j >= i if ``upper``.
 
     Each row is updated one run of consecutive nonzero amplitudes at a time.
     """
@@ -272,7 +277,7 @@ def _add_term(acc: list[list], v: Sequence[complex | float], coef: complex | flo
         for i in range(lo, hi):
             ui, row = v[i], acc[i]
             for a, b in runs:
-                if real:
+                if upper:
                     if b <= i:
                         continue
                     a = max(a, i)
@@ -299,17 +304,20 @@ def distribute(expr: StateExpr, theta: float | None = None) -> HybridState:
     power of two besides its amplitudes, so nested prefactors of 10^200 or
     10^-200, or branches 2^600 apart, neither overflow nor underflow. Where
     every amplitude is a normal float the branches come out at the scale
-    written, with the bits of the plain products and sums (powers of two
-    scale exactly), save that an amplitude about 2^1021 or more below the
-    largest of its branch may lose bits: it enters the density only below
-    the smallest normal float. Otherwise every branch is divided by the
-    power of two that brings the largest amplitude into [1/2, 1): the
-    density is the same, and an amplitude that the plain products would
-    leave subnormal, as 10^-320 in ``1e-160 (1e-160 |0> + |1>)``, keeps its
-    full precision.
+    written, with the bits of the plain products and sums, Python's complex
+    ones entry by entry, signed zeros included (powers of two scale exactly
+    and keep the sign of a zero), save that an amplitude about 2^1021 or
+    more below the largest of its branch may lose bits: it enters the
+    density only below the smallest normal float. Otherwise every branch is
+    divided by the power of two that brings the largest amplitude into
+    [1/2, 1): the density is the same, and an amplitude that the plain
+    products would leave subnormal, as 10^-320 in
+    ``1e-160 (1e-160 |0> + |1>)``, keeps its full precision.
     """
     width, raw = _eval_expr(expr, theta)
-    tops = [math.frexp(x)[1] + e for _, m, e in raw for z in m if z for x in (z.real, z.imag) if x]
+    tops = [
+        math.frexp(x)[1] + e for _, m, e in raw for z in m if z for x in (z.real, z.imag) if x
+    ]
     fl = sys.float_info
     shift = 0 if not tops or (min(tops) >= fl.min_exp and max(tops) <= fl.max_exp) else max(tops)
     return HybridState(width, tuple((w, Ket(_times_pow2(m, e - shift))) for w, m, e in raw))

@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from cmath import isfinite
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Sequence
 
 from .tolerance import EIGEN_ROUNDING, ROUNDING
@@ -123,32 +125,19 @@ class DensityOperator:
         return len(self.matrix)
 
 
-_SQRT2 = math.sqrt(2.0)
-
-
 def _pairwise(xs: Sequence[float]) -> float:
-    """numpy's pairwise sum of ``xs``: in order below 4 terms, in four
-    accumulators over the index mod 4 up to 64, split in halves whose
-    length is a multiple of 4 above."""
+    """numpy's pairwise sum of ``xs``: in order below 4 terms; up to 64, in
+    four accumulators over the index mod 4, then the rest in order; above,
+    the sums of two halves, the first a multiple of 4 long."""
     n = len(xs)
+    if n > 64:
+        half = n // 2 - n // 2 % 4
+        return _pairwise(xs[:half]) + _pairwise(xs[half:])
     if n < 4:
-        total = 0.0
-        for x in xs:
-            total += x
-        return total
-    if n <= 64:
-        r0, r1, r2, r3 = xs[:4]
-        for i in range(4, n - n % 4, 4):
-            r0 += xs[i]
-            r1 += xs[i + 1]
-            r2 += xs[i + 2]
-            r3 += xs[i + 3]
-        total = (r0 + r1) + (r2 + r3)
-        for x in xs[n - n % 4 :]:
-            total += x
-        return total
-    half = n // 2 - n // 2 % 4
-    return _pairwise(xs[:half]) + _pairwise(xs[half:])
+        return reduce(add, xs, 0.0)
+    m = n - n % 4
+    r0, r1, r2, r3 = (reduce(add, xs[k + 4 : m : 4], xs[k]) for k in range(4))
+    return reduce(add, xs[m:], (r0 + r1) + (r2 + r3))
 
 
 def _trace(rows: Sequence[Sequence[complex]]) -> complex:
@@ -178,9 +167,9 @@ def _pivots(rows: Sequence[Sequence[complex]]) -> int | None:
     while True:
         diag = [row[i].real for i, row in enumerate(s)]
         if max(map(abs, diag), default=0.0) < EIGEN_ROUNDING:
-            frobenius = math.hypot(
-                *(math.hypot(abs(row[i]), _SQRT2 * math.hypot(*map(abs, row[i + 1 :]))) for i, row in enumerate(s))
-            )
+            # an entry above the diagonal stands for itself and its mirror image
+            upper = [math.hypot(*map(abs, row[i + 1 :])) for i, row in enumerate(s)]
+            frobenius = math.hypot(*(abs(row[i]) for i, row in enumerate(s)), *upper, *upper)
             if frobenius < EIGEN_ROUNDING:
                 return pivots
         pivot = max(diag, default=0.0)
@@ -215,8 +204,9 @@ def check_densities(m) -> None:
     rounding.
     """
     rows = _square(m, "density operator", "non-finite entries")
-    herm = max(
-        (abs(row[j] - rows[j][i].conjugate()) for i, row in enumerate(rows) for j in range(i, len(row))),
+    d = len(rows)
+    herm = max(  # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|: on and above the diagonal
+        (abs(row[j] - rows[j][i].conjugate()) for i, row in enumerate(rows) for j in range(i, d)),
         default=0.0,
     )
     if herm > ROUNDING:

@@ -535,7 +535,7 @@ class TestErrorExits:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
     @pytest.mark.parametrize("width", [hybrid.MAX_WIDTH + 1, 40])
     def test_wide_ket_is_refused_before_its_amplitudes(self, capsys, width):
-        # Its density has 4^width entries: 64 MiB at MAX_WIDTH + 1, 2^80 at 40.
+        # Its density has 4^width entries: 4^11 at MAX_WIDTH + 1, 2^80 at 40.
         proc = _capped_cli(["parse", "--expr", "|" + "0" * width + ">", "--dump-rho"])
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: ket width {width} exceeds the largest, {hybrid.MAX_WIDTH}\n"
@@ -642,12 +642,11 @@ class TestErrorExits:
 def _capped_cli(argv: list[str]) -> subprocess.CompletedProcess:
     """``cli.main(argv)`` in a child that may map only 256 MiB more than it
     has after importing, so an unbounded allocation fails instead of growing.
-    numpy is imported before the cap, as its thread pools map memory that
-    no command's input asks for."""
+    The commands run here load no numpy, whose thread pools would map memory
+    that no command's input asks for."""
     return _fresh_python(
         "-c",
         "import re, resource, sys\n"
-        "import numpy\n"
         "from boxworld import cli\n"
         "status = open('/proc/self/status').read()\n"
         "mapped = int(re.search(r'VmSize:\\s+(\\d+) kB', status)[1]) << 10\n"
@@ -1704,8 +1703,9 @@ class TestGeneratedSweepArgv:
     @given(argvs(["parse"], lambda o: expression_texts() if o == "--expr" else NUMBER_TEXTS))
     @example(["parse", "--expr", "|" + "0" * (hybrid.MAX_WIDTH + 1) + ">", "--dump-rho"])
     def test_parse_command(self, argv):
-        # A density of the widest kets takes 16 MiB and one wider would take
-        # 64 MiB, so those run in a child whose address space is capped.
+        # A density of the widest kets takes up to 40 MiB of Python complex
+        # objects and one wider would take four times that, so those run in
+        # a child whose address space is capped.
         expr = _last_value(argv, "--expr") or ""
         if "--dump-rho" in argv and re.search(f"[01]{{{hybrid.MAX_WIDTH}}}", expr):
             proc = _capped_cli(argv)

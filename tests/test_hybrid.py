@@ -614,7 +614,7 @@ class TestDensityWork:
         products, pivots = [], []
         add_term, find_pivots = hybrid._add_term, quantum._pivots
 
-        def counting_term(acc, v, coef, real):
+        def counting_term(acc, v, coef, upper):
             kind = type(coef)
 
             class Counted(kind):
@@ -622,7 +622,7 @@ class TestDensityWork:
                     products.append(1)
                     return kind.__mul__(self, other)
 
-            add_term(acc, v, Counted(coef), real)
+            add_term(acc, v, Counted(coef), upper)
 
         def counting_pivots(rows):
             pivots.append(find_pivots(rows))

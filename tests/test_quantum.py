@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxworld import audit
+from boxworld import audit, quantum
 from boxworld.hybrid import HybridState
 from boxworld.tolerance import EIGEN_ROUNDING
 from boxworld.quantum import (
@@ -489,6 +489,18 @@ class TestTypesValidation:
                     check_density_stacks(stack)
                 assert decomposed.pop() is stack
 
+    @pytest.mark.parametrize("lowest, ok", [(-0.9 * EIGEN_ROUNDING, True), (-1.1 * EIGEN_ROUNDING, False)])
+    def test_what_the_certificate_cannot_decide_goes_to_numpy(self, lowest, ok):
+        # Three eigenvalues just above or below -EIGEN_ROUNDING leave a Schur
+        # complement too large to certify, and no positive pivot.
+        m = np.diag([1.0 - 3 * lowest, lowest, lowest, lowest])
+        assert quantum._pivots(m.tolist()) is None
+        if ok:
+            check_densities(m)
+        else:
+            with pytest.raises(ValueError, match="^negative eigenvalue -1.1e-10$"):
+                check_densities(m)
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -524,3 +536,16 @@ class TestTypesValidation:
 def test_density_csv_dump():
     text = dumps_density_csv(DensityOperator(np.eye(2) / 2))
     assert text == "0.5,0,0,0\n0,0,0.5,0\n"
+
+
+def test_trace_sums_as_numpy_does():
+    # numpy sums a trace pairwise, in an order its length fixes; to_density
+    # divides by that sum and check_densities compares it with 1.
+    for dim in [*range(1, 70), 127, 128, 129, 255, 256, 257, 1000, 1024]:
+        rng = np.random.default_rng(dim)
+        diag = rng.normal(size=(2, dim)) * 10.0 ** rng.uniform(-20, 5, size=(2, dim))
+        diag[rng.random(size=(2, dim)) < 0.2] = 0.0
+        for parts in (diag, np.full((2, dim), -0.0)):
+            m = np.diag(parts[0] + 1j * parts[1])
+            got = quantum._trace(m.tolist())
+            assert np.array([got]).tobytes() == np.array([np.trace(m)]).tobytes(), dim
