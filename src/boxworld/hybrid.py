@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import compress
 from operator import add
 from typing import Sequence, Union
 
@@ -58,7 +59,7 @@ DEFAULT_BRANCH_CAP = 16
 # The widest register a basis ket may name: a state has 2^w amplitudes and
 # its density 4^w entries. At w = 10 a dense density holds 24 MiB of Python
 # complex objects (the mirrored entries shared) and tuple slots, and forming
-# it takes about 100 MiB at its peak.
+# it takes about 95 MiB at its peak.
 MAX_WIDTH = 10
 
 
@@ -246,16 +247,20 @@ class HybridState:
             elif coef:
                 _add_term(acc, v, complex(coef), upper=False)
         inv = 1.0 / _trace(acc).real
-        rows = [  # numpy's z / t, by 1/t
-            [
-                complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv) if z else 0j
-                for z in row
-            ]
-            for row in acc
-        ]
-        if real:
+        if real:  # numpy's x / t is complex(x (1/t)) for a real x that is not -0
+            rows = [[0j] * i + [complex(x * inv) for x in row[i:]] for i, row in enumerate(acc)]
             cols = list(zip(*rows))
             rows = [cols[i][:i] + tuple(row[i:]) for i, row in enumerate(rows)]
+        else:  # numpy's z / t, by 1/t
+            rows = [
+                [
+                    complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv)
+                    if z
+                    else 0j
+                    for z in row
+                ]
+                for row in acc
+            ]
         return DensityOperator(rows)
 
 
@@ -316,25 +321,29 @@ def distribute(expr: StateExpr, theta: float | None = None) -> HybridState:
     """
     width, raw = _eval_expr(expr, theta)
     tops = [
-        math.frexp(x)[1] + e for _, m, e in raw for z in m if z for x in (z.real, z.imag) if x
+        math.frexp(x)[1] + e for _, m, e, _ in raw for z in m if z for x in (z.real, z.imag) if x
     ]
     fl = sys.float_info
     shift = 0 if not tops or (min(tops) >= fl.min_exp and max(tops) <= fl.max_exp) else max(tops)
-    return HybridState(width, tuple((w, Ket(_times_pow2(m, e - shift))) for w, m, e in raw))
+    return HybridState(width, tuple((w, Ket(_times_pow2(m, e - shift))) for w, m, e, _ in raw))
 
 
-def _eval_expr(
-    node: StateExpr, theta: float | None
-) -> tuple[int, list[tuple[float, tuple[complex, ...], int]]]:
-    """Width and branches (weight, m, e) of an expression, the amplitudes
-    of a branch being m 2^e: each scalar's power of two goes to e and only
-    its mantissa, in [1/2, 1), multiplies m.
+_Branch = tuple[float, tuple[complex, ...], int, bool]
+
+
+def _eval_expr(node: StateExpr, theta: float | None) -> tuple[int, list[_Branch]]:
+    """Width and branches (weight, m, e, clean) of an expression, the
+    amplitudes of a branch being m 2^e: each scalar's power of two goes to e
+    and only its mantissa, in [1/2, 1), multiplies m. ``clean`` marks an m
+    with no part -0, as a basis ket's: adding any zero to it changes no bit.
+    A prefactor clears the mark, since a negative or zero one, or an
+    underflow, can make a -0.
     """
     if isinstance(node, BasisKet):
         if len(node.label) > MAX_WIDTH:
             raise ExpressionError(f"ket width {len(node.label)} exceeds the largest, {MAX_WIDTH}")
         ket = basis_ket(node.label)
-        return len(node.label), [(1.0, ket.amplitudes, 0)]
+        return len(node.label), [(1.0, ket.amplitudes, 0, True)]
     if isinstance(node, Scaled):
         factor = node.scalar.value(theta)
         if not (math.isfinite(factor.real) and math.isfinite(factor.imag)):
@@ -342,11 +351,11 @@ def _eval_expr(
         k = math.frexp(max(abs(factor.real), abs(factor.imag)))[1]
         factor = complex(math.ldexp(factor.real, -k), math.ldexp(factor.imag, -k))
         width, branches = _eval_expr(node.child, theta)
-        return width, [(w, tuple(map(factor.__mul__, m)), e + k) for w, m, e in branches]
+        return width, [(w, tuple(map(factor.__mul__, m)), e + k, False) for w, m, e, _ in branches]
     if isinstance(node, IncoherentSum):
         share = 1.0 / len(node.children)
         width = None
-        out: list[tuple[float, tuple[complex, ...], int]] = []
+        out: list[_Branch] = []
         for child in node.children:
             w_child, branches = _eval_expr(child, theta)
             if width is None:
@@ -355,7 +364,7 @@ def _eval_expr(
                 raise ExpressionError(
                     f"mixed register widths ({width} and {w_child}) in one expression"
                 )
-            out.extend((share * w, m, e) for w, m, e in branches)
+            out.extend((share * w, *rest) for w, *rest in branches)
             if len(out) > DEFAULT_BRANCH_CAP:
                 raise BranchLimitError(
                     f"expression expands past the cap of {DEFAULT_BRANCH_CAP} branches"
@@ -363,7 +372,7 @@ def _eval_expr(
         return width, out
     if isinstance(node, CoherentSum):
         width = None
-        acc: list[tuple[float, tuple[complex, ...], int]] | None = None
+        acc: list[_Branch] | None = None
         for child in node.children:
             w_child, branches = _eval_expr(child, theta)
             if width is None:
@@ -373,8 +382,11 @@ def _eval_expr(
                 raise ExpressionError(
                     f"mixed register widths ({width} and {w_child}) in one expression"
                 )
+            right = [(w, m, e, c, [*compress(range(len(m)), m)]) for w, m, e, c in branches]
             combined = [
-                (wl * wr, *_add(ml, el, mr, er)) for wl, ml, el in acc for wr, mr, er in branches
+                (wl * wr, *_add(ml, el, cl, mr, er, cr, nonzero))
+                for wl, ml, el, cl in acc
+                for wr, mr, er, cr, nonzero in right
             ]
             if len(combined) > DEFAULT_BRANCH_CAP:
                 raise BranchLimitError(
@@ -386,14 +398,31 @@ def _eval_expr(
 
 
 def _add(
-    ml: tuple[complex, ...], el: int, mr: tuple[complex, ...], er: int
-) -> tuple[tuple[complex, ...], int]:
-    """ml 2^el + mr 2^er as (m, e), in the frame of the larger exponent,
-    unless that operand is zero (as after a prefactor 0): a zero sets no
-    scale, lest it flush the other operand.
+    ml: tuple[complex, ...],
+    el: int,
+    cl: bool,
+    mr: tuple[complex, ...],
+    er: int,
+    cr: bool,
+    nonzero: list[int],
+) -> tuple[tuple[complex, ...], int, bool]:
+    """ml 2^el + mr 2^er as (m, e, clean), in the frame of the larger
+    exponent, unless that operand is zero (as after a prefactor 0): a zero
+    sets no scale, lest it flush the other operand. ``nonzero`` lists the
+    indices of mr's nonzero entries.
+
+    A sum of two parts is -0 only if both are, so a sum with a clean operand
+    is clean; where ml is clean and in the same frame, only the entries at
+    ``nonzero`` are added, the others being ml's own.
     """
+    if el == er and cl:
+        out = list(ml)
+        for j in nonzero:
+            out[j] += mr[j]
+        return tuple(out), el, True
     e = el if el == er else max(el, er) if any(ml if el > er else mr) else min(el, er)
-    return tuple(map(add, _times_pow2(ml, el - e), _times_pow2(mr, er - e))), e
+    m = tuple(map(add, _times_pow2(ml, el - e), _times_pow2(mr, er - e)))
+    return m, e, el == er and (cl or cr)
 
 
 def _times_pow2(m: tuple[complex, ...], k: int) -> tuple[complex, ...]:

@@ -21,7 +21,7 @@ from cmath import isfinite
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
-from operator import add
+from operator import add, attrgetter
 from typing import Sequence
 
 from .tolerance import EIGEN_ROUNDING, ROUNDING
@@ -50,6 +50,11 @@ def _nested(value) -> tuple[Sequence, tuple[int, ...]]:
     return value, tuple(shape)
 
 
+class _Rows(tuple):
+    """A matrix as :func:`_frozen` returns it, equal rows of finite complex,
+    which :func:`_square` therefore need not read again."""
+
+
 def _frozen(value: Sequence, shape: tuple[int, ...], non_finite: str) -> tuple:
     """The vector or matrix ``value`` of ``shape`` as tuples of complex, every entry finite."""
     if len(shape) == 1:
@@ -58,7 +63,7 @@ def _frozen(value: Sequence, shape: tuple[int, ...], non_finite: str) -> tuple:
     else:
         if any(not isinstance(row, (list, tuple)) or len(row) != shape[1] for row in value):
             raise ValueError(f"rows of unequal length in a matrix of shape {shape}")
-        out = tuple(tuple(map(complex, row)) for row in value)
+        out = _Rows(tuple(map(complex, row)) for row in value)
         entries = chain.from_iterable(out)
     if not all(map(isfinite, entries)):
         raise ValueError(non_finite)
@@ -73,6 +78,8 @@ def _frozen_complex(value, ndim: int) -> tuple:
 
 
 def _square(value, what: str, non_finite: str) -> tuple[tuple[complex, ...], ...]:
+    if isinstance(value, _Rows) and len(value) == len(value[0]):
+        return value
     value, shape = _nested(value)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"{what} must be square, got shape {shape}")
@@ -159,7 +166,7 @@ def _pivots(rows: Sequence[Sequence[complex]]) -> int | None:
     diagonal entry, it is summed only once no diagonal entry reaches
     EIGEN_ROUNDING.
     """
-    if any(z.imag for row in rows for z in row):
+    if any(map(attrgetter("imag"), chain.from_iterable(rows))):
         s = [list(row) for row in rows]
     else:
         s = [[z.real for z in row] for row in rows]

@@ -179,6 +179,41 @@ class TestDistribute:
         with pytest.raises(ExpressionError, match="overflows a float"):
             distribute(Scaled(huge, BasisKet("0")))
 
+    @pytest.mark.parametrize(
+        "text, theta, plain_adds",
+        [
+            (
+                " + ".join(["(|00000000> (+) |00000001>)"] + [f"|{k:08b}>" for k in range(2, 256)]),
+                None,
+                0,
+            ),
+            ("|0> + c |1> + |1>", 2.5, 0),  # c |1> has -0 + 0j at |0>
+            ("c (|0> + |1>) + |1> + |0>", 2.5, 2),  # c (...) has -0 parts: one plain sum
+            ("|0> + (|0> (+) s |1>)", 2.5, 0),
+        ],
+        ids=["254-kets", "negative-c-right", "negative-c-left", "mixture-right"],
+    )
+    def test_a_sum_with_a_clean_operand_adds_only_the_others_nonzero_entries(
+        self, monkeypatch, text, theta, plain_adds
+    ):
+        # Adding a zero to a part that is not -0 changes no bit, so a
+        # coherent sum of basis kets adds one entry per ket, not 2^w.
+        adds = []
+
+        def counting_add(x, y):
+            adds.append(1)
+            return x + y
+
+        expr = dsl.parse(text)
+        monkeypatch.setattr(hybrid, "add", counting_add)
+        got = distribute(expr, theta)
+        monkeypatch.undo()
+        assert len(adds) == plain_adds
+        assert [(repr(w), list(map(repr, k.amplitudes))) for w, k in got.branches] == [
+            (repr(w), [repr(complex(z)) for z in k.amplitudes])
+            for w, k in reference.distribute(expr, theta).branches
+        ]
+
 
 class TestPrExtend:
     def test_basis_input_01(self):
