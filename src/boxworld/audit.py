@@ -67,7 +67,7 @@ def _numerators(theta: float) -> tuple[int, int, int]:
 
     The angle is checked finite, and the rotation [[c, -s], [s, c]]
     unitary within ROUNDING, with the message of
-    :func:`~boxworld.quantum.check_unitaries`: U^dagger U - I is
+    :class:`~boxworld.quantum.Unitary`: U^dagger U - I is
     (c^2 + s^2 - 1) I exactly.
     """
     if not math.isfinite(theta):

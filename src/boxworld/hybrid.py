@@ -34,7 +34,7 @@ from itertools import compress
 from operator import add
 from typing import Sequence, Union
 
-from .quantum import DensityOperator, Ket, _trace, basis_ket
+from .quantum import DensityOperator, Ket, _trace
 
 __all__ = [
     "DEFAULT_BRANCH_CAP",
@@ -145,7 +145,8 @@ SYM_S = Scalar("s")
 
 @dataclass(frozen=True)
 class BasisKet:
-    """Leaf node: a computational-basis ket labeled over {0, 1}."""
+    """Leaf node: a computational-basis ket labeled over {0, 1}, the leftmost
+    character the most significant bit; :func:`distribute` checks the label."""
 
     label: str
 
@@ -328,7 +329,7 @@ def distribute(expr: StateExpr, theta: float | None = None) -> HybridState:
     return HybridState(width, tuple((w, Ket(_times_pow2(m, e - shift))) for w, m, e, _ in raw))
 
 
-_Branch = tuple[float, tuple[complex, ...], int, bool]
+_Branch = tuple[float, list[complex], int, bool]
 
 
 def _eval_expr(node: StateExpr, theta: float | None) -> tuple[int, list[_Branch]]:
@@ -337,13 +338,19 @@ def _eval_expr(node: StateExpr, theta: float | None) -> tuple[int, list[_Branch]
     and only its mantissa, in [1/2, 1), multiplies m. ``clean`` marks an m
     with no part -0, as a basis ket's: adding any zero to it changes no bit.
     A prefactor clears the mark, since a negative or zero one, or an
-    underflow, can make a -0.
+    underflow, can make a -0. Branches may share an m (a mixture's
+    operands, a rescale by 2^0), so only a fresh copy is ever written to.
     """
     if isinstance(node, BasisKet):
         if len(node.label) > MAX_WIDTH:
             raise ExpressionError(f"ket width {len(node.label)} exceeds the largest, {MAX_WIDTH}")
-        ket = basis_ket(node.label)
-        return len(node.label), [(1.0, ket.amplitudes, 0, True)]
+        if not node.label or any(ch not in "01" for ch in node.label):
+            raise ExpressionError(
+                f"basis label must be a nonempty string over 0/1, got {node.label!r}"
+            )
+        m = [0j] * 2 ** len(node.label)
+        m[int(node.label, 2)] = 1 + 0j
+        return len(node.label), [(1.0, m, 0, True)]
     if isinstance(node, Scaled):
         factor = node.scalar.value(theta)
         if not (math.isfinite(factor.real) and math.isfinite(factor.imag)):
@@ -351,7 +358,7 @@ def _eval_expr(node: StateExpr, theta: float | None) -> tuple[int, list[_Branch]
         k = math.frexp(max(abs(factor.real), abs(factor.imag)))[1]
         factor = complex(math.ldexp(factor.real, -k), math.ldexp(factor.imag, -k))
         width, branches = _eval_expr(node.child, theta)
-        return width, [(w, tuple(map(factor.__mul__, m)), e + k, False) for w, m, e, _ in branches]
+        return width, [(w, list(map(factor.__mul__, m)), e + k, False) for w, m, e, _ in branches]
     if isinstance(node, IncoherentSum):
         share = 1.0 / len(node.children)
         width = None
@@ -398,14 +405,14 @@ def _eval_expr(node: StateExpr, theta: float | None) -> tuple[int, list[_Branch]
 
 
 def _add(
-    ml: tuple[complex, ...],
+    ml: list[complex],
     el: int,
     cl: bool,
-    mr: tuple[complex, ...],
+    mr: list[complex],
     er: int,
     cr: bool,
     nonzero: list[int],
-) -> tuple[tuple[complex, ...], int, bool]:
+) -> tuple[list[complex], int, bool]:
     """ml 2^el + mr 2^er as (m, e, clean), in the frame of the larger
     exponent, unless that operand is zero (as after a prefactor 0): a zero
     sets no scale, lest it flush the other operand. ``nonzero`` lists the
@@ -419,17 +426,18 @@ def _add(
         out = list(ml)
         for j in nonzero:
             out[j] += mr[j]
-        return tuple(out), el, True
+        return out, el, True
     e = el if el == er else max(el, er) if any(ml if el > er else mr) else min(el, er)
-    m = tuple(map(add, _times_pow2(ml, el - e), _times_pow2(mr, er - e)))
+    m = list(map(add, _times_pow2(ml, el - e), _times_pow2(mr, er - e)))
     return m, e, el == er and (cl or cr)
 
 
-def _times_pow2(m: tuple[complex, ...], k: int) -> tuple[complex, ...]:
-    """m 2^k, exactly wherever the result is a normal float; a zero keeps its signs."""
+def _times_pow2(m: Sequence[complex], k: int) -> Sequence[complex]:
+    """m 2^k, exactly wherever the result is a normal float; a zero keeps its
+    signs. At k = 0 this is m itself, else a new list."""
     if not k:
         return m
-    return tuple([complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) if z else z for z in m])
+    return [complex(math.ldexp(z.real, k), math.ldexp(z.imag, k)) if z else z for z in m]
 
 
 def bob_state(theta: float) -> DensityOperator:

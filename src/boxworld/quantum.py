@@ -1,14 +1,17 @@
 """Kets, unitaries and density operators of a few qubits, in plain Python.
 
-Kets are column vectors over a labeled computational basis; the leftmost
-label character is the most significant bit, so ``basis_ket("01")`` puts
-amplitude 1 at index 1 of 4. No global-phase convention is enforced;
-anything observable is compared at the density-operator level.
+Kets are column vectors over the computational basis: index k holds the
+amplitude of the basis ket whose binary label reads k, the leftmost label
+character the most significant bit (so |01> is index 1 of 4). No
+global-phase convention is enforced; anything observable is compared at
+the density-operator level.
 
 Amplitudes and matrix rows are read-only tuples of Python ``complex``; an
-array given to a constructor or a check is read through its ``tolist()``.
-numpy is imported only by :func:`check_densities`, inside itself, for a
-matrix whose positivity its plain-Python certificate cannot establish.
+array given to a constructor is read through its ``tolist()``. Each type
+checks its value in its constructor, so an instance is its own proof of
+validity. numpy is imported only by :class:`DensityOperator`, inside its
+check, whose ``eigvalsh`` decides a matrix that the plain-Python
+certificate cannot.
 
 Everything here is a pure function of immutable values, so instances are
 safe to share across threads.
@@ -26,15 +29,7 @@ from typing import Sequence
 
 from .tolerance import EIGEN_ROUNDING, ROUNDING
 
-__all__ = [
-    "Ket",
-    "Unitary",
-    "DensityOperator",
-    "check_densities",
-    "check_unitaries",
-    "basis_ket",
-    "dumps_density_csv",
-]
+__all__ = ["Ket", "Unitary", "DensityOperator", "dumps_density_csv"]
 
 
 def _nested(value) -> tuple[Sequence, tuple[int, ...]]:
@@ -50,40 +45,17 @@ def _nested(value) -> tuple[Sequence, tuple[int, ...]]:
     return value, tuple(shape)
 
 
-class _Rows(tuple):
-    """A matrix as :func:`_frozen` returns it, equal rows of finite complex,
-    which :func:`_square` therefore need not read again."""
-
-
-def _frozen(value: Sequence, shape: tuple[int, ...], non_finite: str) -> tuple:
-    """The vector or matrix ``value`` of ``shape`` as tuples of complex, every entry finite."""
-    if len(shape) == 1:
-        out = tuple(map(complex, value))
-        entries = out
-    else:
-        if any(not isinstance(row, (list, tuple)) or len(row) != shape[1] for row in value):
-            raise ValueError(f"rows of unequal length in a matrix of shape {shape}")
-        out = _Rows(tuple(map(complex, row)) for row in value)
-        entries = chain.from_iterable(out)
-    if not all(map(isfinite, entries)):
-        raise ValueError(non_finite)
-    return out
-
-
-def _frozen_complex(value, ndim: int) -> tuple:
-    value, shape = _nested(value)
-    if len(shape) != ndim:
-        raise ValueError(f"expected a {ndim}-dimensional array, got shape {shape}")
-    return _frozen(value, shape, "non-finite amplitudes")
-
-
 def _square(value, what: str, non_finite: str) -> tuple[tuple[complex, ...], ...]:
-    if isinstance(value, _Rows) and len(value) == len(value[0]):
-        return value
+    """The square matrix ``value`` as rows of complex, every entry finite."""
     value, shape = _nested(value)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError(f"{what} must be square, got shape {shape}")
-    return _frozen(value, shape, non_finite)
+    if any(not isinstance(row, (list, tuple)) or len(row) != shape[1] for row in value):
+        raise ValueError(f"rows of unequal length in a matrix of shape {shape}")
+    rows = tuple([tuple(map(complex, row)) for row in value])
+    if not all(map(isfinite, chain.from_iterable(rows))):
+        raise ValueError(non_finite)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -93,7 +65,13 @@ class Ket:
     amplitudes: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "amplitudes", _frozen_complex(self.amplitudes, 1))
+        value, shape = _nested(self.amplitudes)
+        if len(shape) != 1:
+            raise ValueError(f"expected a 1-dimensional array, got shape {shape}")
+        amplitudes = tuple(map(complex, value))
+        if not all(map(isfinite, amplitudes)):
+            raise ValueError("non-finite amplitudes")
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     @property
     def dim(self) -> int:
@@ -102,14 +80,27 @@ class Ket:
 
 @dataclass(frozen=True)
 class Unitary:
-    """Square matrix with U^dagger U = I within :data:`~boxworld.tolerance.ROUNDING`."""
+    """Square matrix with U^dagger U = I.
+
+    The matrix is an array or nested sequences, shape (d, d): finite
+    entries and max|U^dagger U - I| within
+    :data:`~boxworld.tolerance.ROUNDING`, or ValueError, whose message
+    names the deviation.
+    """
 
     matrix: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
-        m = _frozen_complex(self.matrix, 2)
-        check_unitaries(m)
-        object.__setattr__(self, "matrix", m)
+        rows = _square(self.matrix, "unitary", "non-finite amplitudes")
+        cols = list(zip(*rows))
+        dev = max(
+            abs(sum(a.conjugate() * b for a, b in zip(ci, cj)) - (i == j))
+            for i, ci in enumerate(cols)
+            for j, cj in enumerate(cols)
+        )
+        if dev > ROUNDING:
+            raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
+        object.__setattr__(self, "matrix", rows)
 
     @property
     def dim(self) -> int:
@@ -118,14 +109,40 @@ class Unitary:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite matrix (small tolerances)."""
+    """Hermitian, unit-trace, positive-semidefinite matrix.
+
+    The matrix is an array or nested sequences, shape (d, d): finite
+    entries, Hermitian and of unit trace within
+    :data:`~boxworld.tolerance.ROUNDING`, no eigenvalue below
+    -:data:`~boxworld.tolerance.EIGEN_ROUNDING`, or ValueError, whose
+    message names the deviation.
+
+    The eigenvalue bound is first certified by :func:`_pivots`, in plain
+    Python. Only a matrix it cannot certify is handed to numpy, whose
+    lowest eigenvalue decides; both decide the bound to within the same
+    O(d u |m|) rounding.
+    """
 
     matrix: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self) -> None:
-        m = _frozen_complex(self.matrix, 2)
-        check_densities(m)
-        object.__setattr__(self, "matrix", m)
+        rows = _square(self.matrix, "density operator", "non-finite entries")
+        d = len(rows)
+        herm = max(  # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|: on and above the diagonal
+            abs(row[j] - rows[j][i].conjugate()) for i, row in enumerate(rows) for j in range(i, d)
+        )
+        if herm > ROUNDING:
+            raise ValueError(f"not Hermitian (deviation {herm:.3g})")
+        tr = _trace(rows)
+        if abs(tr - 1.0) > ROUNDING:
+            raise ValueError(f"trace is {tr:.15g}, not 1")
+        if _pivots(rows) is None:
+            import numpy as np
+
+            lo = float(np.linalg.eigvalsh(np.array(rows)).min())
+            if lo < -EIGEN_ROUNDING:
+                raise ValueError(f"negative eigenvalue {lo:.3g}")
+        object.__setattr__(self, "matrix", rows)
 
     @property
     def dim(self) -> int:
@@ -193,75 +210,6 @@ def _pivots(rows: Sequence[Sequence[complex]]) -> int | None:
         for i, (row, c) in enumerate(zip(s, col)):
             row[i:] = [x - c * y for x, y in zip(row[i:], scaled[i:])]
         pivots += 1
-
-
-def check_densities(m) -> None:
-    """Raise ValueError unless the matrix ``m`` is a density operator.
-
-    ``m`` is an array or nested sequences, shape (d, d): finite entries,
-    Hermitian and of unit trace within :data:`~boxworld.tolerance.ROUNDING`,
-    no eigenvalue below -:data:`~boxworld.tolerance.EIGEN_ROUNDING`. The
-    message names the deviation.
-
-    The eigenvalue bound is first certified by :func:`_pivots`, in plain
-    Python. Only a matrix it cannot certify is handed to numpy: a Cholesky
-    factorization of m + EIGEN_ROUNDING I, which exists when no eigenvalue
-    of m lies below -EIGEN_ROUNDING, and where that fails, the lowest
-    eigenvalue. All three decide the bound to within the same O(d u |m|)
-    rounding.
-    """
-    rows = _square(m, "density operator", "non-finite entries")
-    d = len(rows)
-    herm = max(  # |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)|: on and above the diagonal
-        (abs(row[j] - rows[j][i].conjugate()) for i, row in enumerate(rows) for j in range(i, d)),
-        default=0.0,
-    )
-    if herm > ROUNDING:
-        raise ValueError(f"not Hermitian (deviation {herm:.3g})")
-    tr = _trace(rows)
-    if abs(tr - 1.0) > ROUNDING:
-        raise ValueError(f"trace is {tr:.15g}, not 1")
-    if _pivots(rows) is not None:
-        return
-    import numpy as np
-
-    m = np.array(rows)
-    try:
-        np.linalg.cholesky(m + EIGEN_ROUNDING * np.eye(m.shape[-1]))
-    except np.linalg.LinAlgError:
-        lo = float(np.linalg.eigvalsh(m).min(initial=np.inf))
-        if lo < -EIGEN_ROUNDING:
-            raise ValueError(f"negative eigenvalue {lo:.3g}") from None
-
-
-def check_unitaries(m) -> None:
-    """Raise ValueError unless the matrix ``m`` is unitary.
-
-    ``m`` is an array or nested sequences, shape (d, d): finite entries and
-    max|U^dagger U - I| within :data:`~boxworld.tolerance.ROUNDING`. The
-    message names the deviation.
-    """
-    rows = _square(m, "unitary", "non-finite amplitudes")
-    cols = list(zip(*rows))
-    dev = max(
-        (
-            abs(sum(a.conjugate() * b for a, b in zip(ci, cj)) - (i == j))
-            for i, ci in enumerate(cols)
-            for j, cj in enumerate(cols)
-        ),
-        default=0.0,
-    )
-    if dev > ROUNDING:
-        raise ValueError(f"matrix is not unitary (deviation {dev:.3g})")
-
-
-def basis_ket(label: str) -> Ket:
-    """Computational-basis ket for a binary label, e.g. ``basis_ket("01")``."""
-    if not label or any(ch not in "01" for ch in label):
-        raise ValueError(f"basis label must be a nonempty string over 0/1, got {label!r}")
-    amps = [0j] * 2 ** len(label)
-    amps[int(label, 2)] = 1 + 0j
-    return Ket(amps)
 
 
 def dumps_density_csv(rho: DensityOperator, digits: int = 17) -> str:

@@ -14,9 +14,8 @@ __all__ = ["ROUNDING", "EIGEN_ROUNDING", "DEFAULT_TOL"]
 # min_rounds treats an angle as signal-free, and the least reduced cost or
 # pivot entry the float locality simplex acts on.
 ROUNDING = 1e-12
-# Rounding of an eigen-decomposition or a Gram matrix, a few hundred ulps:
-# the lowest eigenvalue a density may have is -EIGEN_ROUNDING, and a
-# measurement basis must be orthonormal within it.
+# Rounding of an eigen-decomposition, a few hundred ulps: the lowest
+# eigenvalue a density may have is -EIGEN_ROUNDING.
 EIGEN_ROUNDING = 1e-10
 # The default --tol: box validity, the no-signaling verdicts, the audit's
 # valid-but-signaling verdict and the largest locality-LP t that is local.

@@ -5,9 +5,11 @@ package computes by a shorter path, or builds inputs for such a check:
 
 - :class:`Ket`, :class:`Unitary` and :class:`DensityOperator` on numpy
   arrays, with :func:`check_densities` and :func:`check_unitaries` for
-  whole stacks of matrices, :func:`basis_ket` and
-  :func:`dumps_density_csv`: the numpy forms of :mod:`boxworld.quantum`,
-  whose plain-Python ones print the same bytes;
+  whole stacks of matrices, and :func:`dumps_density_csv`: the numpy
+  forms of :mod:`boxworld.quantum`, whose plain-Python types check one
+  matrix each and print the same bytes; :func:`basis_ket`, the numpy form
+  of a basis-ket leaf of :func:`boxworld.hybrid.distribute`, and
+  :func:`plain_basis_ket`, the package ket that leaf gives;
 - :class:`HybridState` and :func:`distribute` on numpy arrays, the numpy
   forms of those of :mod:`boxworld.hybrid`, the oracle of a differential
   property on the branches and densities of expressions;
@@ -77,6 +79,7 @@ from boxworld.hybrid import (
     Scaled,
     StateExpr,
 )
+from boxworld.hybrid import distribute as package_distribute
 from boxworld.protocol import MIN_ROUNDS_MAX_COPIES, _count
 from boxworld.tolerance import EIGEN_ROUNDING, ROUNDING
 
@@ -198,6 +201,12 @@ def basis_ket(label: str) -> Ket:
     amps = np.zeros(2 ** len(label), dtype=complex)
     amps[int(label, 2)] = 1.0
     return Ket(amps)
+
+
+def plain_basis_ket(label: str):
+    """The package's plain-Python ket of a basis label: the one branch
+    that :func:`boxworld.hybrid.distribute` makes of that leaf."""
+    return package_distribute(BasisKet(label)).branches[0][1]
 
 
 def dumps_density_csv(rho: DensityOperator, digits: int = 17) -> str:

@@ -36,7 +36,7 @@ from boxworld.protocol import (
     _chunk_correct,
     CHUNK_SHOTS,
 )
-from boxworld.quantum import DensityOperator, Ket, basis_ket
+from boxworld.quantum import DensityOperator, Ket
 from boxworld.tolerance import DEFAULT_TOL
 from reference import (
     exact_success_fraction,
@@ -45,6 +45,7 @@ from reference import (
     partial_trace,
     trace_distances,
 )
+from reference import plain_basis_ket as basis_ket
 
 QUARTER = math.pi / 4
 

@@ -29,10 +29,11 @@ from boxworld.hybrid import (
     distribute,
     dumps,
 )
-from boxworld.quantum import Ket, basis_ket
+from boxworld.quantum import Ket
 from reference import HybridState as ArrayState
 from reference import basis_ket as array_basis_ket
 from reference import check_densities as check_density_stacks
+from reference import plain_basis_ket as basis_ket
 from reference import (
     apply,
     exact_chain,
@@ -123,6 +124,17 @@ class TestDistribute:
     def test_unknown_symbol(self):
         with pytest.raises(ExpressionError):
             distribute(Scaled("q", BasisKet("0")), 0.1)
+
+    @pytest.mark.parametrize("label", ["02", "", "0 1", "1_0"])
+    def test_bad_basis_label(self, label):
+        # a BasisKet built through the API may carry any label; its leaf checks it
+        message = f"basis label must be a nonempty string over 0/1, got {label!r}"
+        with pytest.raises(ExpressionError) as err:
+            distribute(BasisKet(label))
+        assert str(err.value) == message
+        with pytest.raises(ExpressionError) as err:
+            distribute(CoherentSum((BasisKet("0"), Scaled(SYM_C, BasisKet(label)))), 0.3)
+        assert str(err.value) == message
 
     def test_width_mismatch(self):
         with pytest.raises(ExpressionError):
@@ -437,7 +449,7 @@ class TestSweepDensities:
         refused = []
         for one in stack:
             try:
-                quantum.check_densities(one)
+                quantum.DensityOperator(one)
             except ValueError as err:
                 refused.append(str(err))
         assert len(refused) == 1

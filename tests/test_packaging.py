@@ -46,7 +46,6 @@ def test_every_name_in_all_resolves(module):
 # Public functions that no command reaches, each kept for what names it
 # outside the package.
 UNREACHED_BY_COMMANDS = {
-    "quantum.check_unitaries",  # bench/tracer.py wraps Unitary.__post_init__, its one caller
     "hybrid.bob_state",  # bench/test_oracles.py
     "protocol.copy_distance",  # bench/test_oracles.py
     "audit.effective_box",  # bench/test_oracles.py

@@ -123,6 +123,21 @@ class TestMinRounds:
             if n > 1:
                 assert exact_success(theta, n - 1) < target
 
+    # A tie: the target is the success exact_success reports at n = 98, and
+    # the exact sum reaches it there, but the float miss answers 99.
+    TIE = (0.7318686727434452, 0.9952590429526448, 98)
+
+    def test_the_tie_is_exact_at_its_n(self):
+        theta, target, n = self.TIE
+        assert exact_success(theta, n) == target
+        cs = Fraction(protocol._cs(theta))
+        assert exact_success_fraction(cs, n) >= Fraction(target) > exact_success_fraction(cs, n - 1)
+
+    @pytest.mark.xfail(strict=True, reason="min_rounds decides a tie by the float miss alone")
+    def test_a_target_at_a_success_is_reached_there(self):
+        theta, target, n = self.TIE
+        assert min_rounds(theta, target) == n
+
     def test_small_angle_frozen_value(self):
         # frozen from the binomial-TV oracle sweep
         assert min_rounds(0.05, 0.99) == 8680

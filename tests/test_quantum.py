@@ -7,19 +7,12 @@ import pytest
 from boxworld import audit, quantum
 from boxworld.hybrid import HybridState
 from boxworld.tolerance import EIGEN_ROUNDING
-from boxworld.quantum import (
-    check_densities,
-    check_unitaries,
-    DensityOperator,
-    Ket,
-    Unitary,
-    basis_ket,
-    dumps_density_csv,
-)
+from boxworld.quantum import DensityOperator, Ket, Unitary, dumps_density_csv
 from reference import DensityOperator as ArrayDensity
 from reference import basis_ket as array_basis_ket
 from reference import check_densities as check_density_stacks
 from reference import check_unitaries as check_unitary_stacks
+from reference import plain_basis_ket as basis_ket
 from reference import (
     apply,
     helstrom,
@@ -121,9 +114,9 @@ class TestCheckUnitaries:
     def test_accepts_one_matrix_and_stacks(self):
         stack = _rotation_stack([0.1, 0.2, 0.3, 0.4])
         for one in stack:
-            check_unitaries(one)
-            check_unitaries(one.tolist())
-        check_unitaries(np.eye(4))
+            Unitary(one)
+            Unitary(one.tolist())
+        Unitary(np.eye(4))
         check_unitary_stacks(stack)
         check_unitary_stacks(stack.reshape(2, 2, 2, 2))
         check_unitary_stacks(np.eye(4)[None])
@@ -131,9 +124,9 @@ class TestCheckUnitaries:
     def test_names_the_worst_deviation(self):
         good = _rotation_stack([0.1, 0.2])
         bad = np.stack([good[0] * (1 + 1e-9), good[1], good[0] * (1 + 1e-6), good[1]])
-        check_unitaries(bad[1])
+        Unitary(bad[1])
         with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 2e-06\)$"):
-            check_unitaries(bad[2])
+            Unitary(bad[2])
         with pytest.raises(ValueError, match=r"^matrix is not unitary \(deviation 2e-06\)$"):
             check_unitary_stacks(bad)
         with pytest.raises(ValueError, match=r"\(deviation 2e-06\)$"):
@@ -152,7 +145,7 @@ class TestCheckUnitaries:
         # the package checks one matrix, the reference a stack
         for one in (bad[-1],) if bad.ndim == 3 and bad.shape[-1] == bad.shape[-2] else (bad,):
             with pytest.raises(ValueError, match=f"^{message}$"):
-                check_unitaries(one)
+                Unitary(one)
         with pytest.raises(ValueError, match=f"^{message}$"):
             check_unitary_stacks(bad)
 
@@ -164,6 +157,35 @@ class TestCheckUnitaries:
         ):
             with pytest.raises(ValueError, match=message):
                 Unitary(bad)
+
+
+MALFORMED = {
+    "1-D": (np.ones(2), "{what} must be square, got shape (2,)"),
+    "3-D": (np.ones((2, 2, 2)), "{what} must be square, got shape (2, 2, 2)"),
+    "ragged": ([[1.0, 0.0], [0.0]], "rows of unequal length in a matrix of shape (2, 2)"),
+    "empty": ([], "{what} must be square, got shape (0,)"),
+    "nan": ([[1.0, float("nan")], [0.0, 1.0]], "{non_finite}"),
+    "inf-j": ([[1.0, 0.0], [0.0, complex(0.0, float("inf"))]], "{non_finite}"),
+    "minus-inf-j": ([[1.0, 0.0], [0.0, complex(0.0, -float("inf"))]], "{non_finite}"),
+    "non-square": (np.ones((2, 3)), "{what} must be square, got shape (2, 3)"),
+}
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize(
+    "kind, what, non_finite",
+    [
+        (Unitary, "unitary", "non-finite amplitudes"),
+        (DensityOperator, "density operator", "non-finite entries"),
+    ],
+    ids=["unitary", "density"],
+)
+def test_one_message_per_malformed_matrix(kind, what, non_finite, bad, message):
+    # one message for each malformation, with the type's noun for a matrix
+    # and its word for a non-finite entry
+    with pytest.raises(ValueError) as err:
+        kind(bad)
+    assert str(err.value) == message.format(what=what, non_finite=non_finite)
 
 
 class TestTensor:
@@ -448,7 +470,7 @@ class TestTypesValidation:
     def test_stack_check_finds_the_bad_matrix(self):
         good = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
         for one in good:
-            check_densities(one)
+            DensityOperator(one)
         check_density_stacks(good)
         for bad, message in (
             (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
@@ -456,7 +478,7 @@ class TestTypesValidation:
             (np.diag([1.1, -0.1]), "negative eigenvalue"),
         ):
             with pytest.raises(ValueError, match=message):
-                check_densities(bad)
+                DensityOperator(bad)
             with pytest.raises(ValueError, match=message):
                 check_density_stacks(np.concatenate([good, bad[None]]))
 
@@ -477,13 +499,19 @@ class TestTypesValidation:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: decomposed.append(a) or eigvalsh(a))
         for one, ok in zip(m, passes.tolist()):
             stack = np.stack([good, one, good])
-            if ok:  # decided by the certificate alone
-                check_densities(one)
+            # within EIGEN_ROUNDING / 2 of 0 the certificate decides; nearer
+            # the bound it leaves the verdict to eigvalsh
+            certified = quantum._pivots(one.tolist()) is not None
+            assert certified == (lowest > -EIGEN_ROUNDING / 2)
+            if ok:
+                DensityOperator(one)
+                if not certified:
+                    assert np.array_equal(decomposed.pop(), one)
                 check_density_stacks(stack)
                 assert decomposed == []
             else:
                 with pytest.raises(ValueError, match="^negative eigenvalue -1e-10$"):
-                    check_densities(one)
+                    DensityOperator(one)
                 assert np.array_equal(decomposed.pop(), one)  # the package's own copy of it
                 with pytest.raises(ValueError, match="^negative eigenvalue -1e-10$"):
                     check_density_stacks(stack)
@@ -496,10 +524,10 @@ class TestTypesValidation:
         m = np.diag([1.0 - 3 * lowest, lowest, lowest, lowest])
         assert quantum._pivots(m.tolist()) is None
         if ok:
-            check_densities(m)
+            DensityOperator(m)
         else:
             with pytest.raises(ValueError, match="^negative eigenvalue -1.1e-10$"):
-                check_densities(m)
+                DensityOperator(m)
 
     @pytest.mark.parametrize(
         "bad",
@@ -513,7 +541,7 @@ class TestTypesValidation:
     def test_stack_check_rejects_non_finite_entries(self, bad):
         # NaN once passed: every comparison with it is false
         with pytest.raises(ValueError, match="^non-finite entries$"):
-            check_densities(bad.reshape(-1, *bad.shape[-2:])[-1])
+            DensityOperator(bad.reshape(-1, *bad.shape[-2:])[-1])
         with pytest.raises(ValueError, match="^non-finite entries$"):
             check_density_stacks(bad)
 
@@ -527,9 +555,9 @@ class TestTypesValidation:
             Ket([float("nan"), 0.0])
 
     def test_bad_basis_label(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^basis label must be a nonempty string over 0/1, got '02'$"):
             basis_ket("02")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^basis label must be a nonempty string over 0/1, got ''$"):
             basis_ket("")
 
 
@@ -540,7 +568,7 @@ def test_density_csv_dump():
 
 def test_trace_sums_as_numpy_does():
     # numpy sums a trace pairwise, in an order its length fixes; to_density
-    # divides by that sum and check_densities compares it with 1.
+    # divides by that sum and DensityOperator compares it with 1.
     for dim in [*range(1, 70), 127, 128, 129, 255, 256, 257, 1000, 1024]:
         rng = np.random.default_rng(dim)
         diag = rng.normal(size=(2, dim)) * 10.0 ** rng.uniform(-20, 5, size=(2, dim))
