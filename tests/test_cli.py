@@ -1517,6 +1517,208 @@ class TestDumpRhoBytes:
         assert digest.hexdigest() == DUMP_RHO_BYTES[group]
 
 
+def _report_boxes(directory: Path) -> dict[str, str]:
+    """Box files for the report corpus, written into ``directory``: the
+    signaling effective box at theta = 0.3, a 3-output product box (no
+    CHSH clause; a 1e-17 b->a residue) and a local mixture of three
+    deterministic boxes with weights 0.3, 0.5 and 0.2."""
+    vertices = boxes.deterministic_vertices()
+    weights = {1: 0.3, 6: 0.5, 11: 0.2}
+    flat = [sum(w * vertices[v][i] for v, w in weights.items()) for i in range(16)]
+    q, r = ((0.2, 0.3, 0.5), (0.1, 0.6, 0.3)), ((0.7, 0.3), (0.4, 0.6))
+    three = [
+        [[[q[A][a] * r[B][b] for B in range(2)] for A in range(2)] for b in range(2)]
+        for a in range(3)
+    ]
+    tables = {
+        "signaling": effective_box(0.3),
+        "three": boxes.ConditionalBox(three),
+        "mixture": boxes.ConditionalBox(np.reshape(flat, (2, 2, 2, 2))),
+    }
+    paths = {}
+    for name, box in tables.items():
+        paths[name] = str(directory / f"{name}.csv")
+        Path(paths[name]).write_text(dumps_csv(box))
+    return paths
+
+
+def _report_corpus() -> dict[str, list[list[str]]]:
+    """Groups of ``verify``, ``chsh``, ``local``, ``repeat`` and ``simulate``
+    argv whose stdout is pinned, each at --digits 1, 5 and 17; {signaling},
+    {three} and {mixture} name the box files of :func:`_report_boxes`."""
+    commands = {
+        "verify": [["verify", "--box", box] for box in ("pr", "uniform", "{signaling}", "{three}")],
+        "chsh": [["chsh", "--box", box] for box in ("pr", "uniform")],
+        "local": [["local", "--box", box] for box in ("uniform", "pr", "{mixture}")],
+        "repeat": [
+            ["repeat", "--theta", "0.7853982", "--target", "0.65"],
+            ["repeat", "--theta", "30", "--degrees", "--target", "0.99"],
+        ],
+        "simulate": [
+            ["simulate", "--theta", "0.7853982", "--n", "1", "--shots", "100000", "--seed", "42"],
+            ["simulate", "--theta", "0.3", "--n", "300", "--shots", "2000", "--seed", "7"],
+            ["simulate", "--theta", "30", "--degrees", "--n", "3", "--shots", "500", "--seed", "5"],
+        ],
+    }
+    return {
+        command: [["--digits", digits, *argv] for digits in ("1", "5", "17") for argv in argvs]
+        for command, argvs in commands.items()
+    }
+
+
+# sha256 of each group's stdouts, concatenated in order, as the commands
+# printed them when each figure was formatted on its own.
+REPORT_BYTES = {
+    "verify": "bd8943736fc801717ab496e71366acdd10e13542c61ece2121cef59eb00a4714",
+    "chsh": "5dcc5b04eaf8e3c3b3b267622cb57078616ddb4bd13d4616cd8603a88b8910c0",
+    "local": "fea37419d50b8781d946e4ad1e22c8ce025e4f2b5c131393b578c9e464f8f356",
+    "repeat": "43836c7829affacf29e237b3f7cbbc9eee4eeb79f35066165c646dd4a9078610",
+    "simulate": "8a777a65c09a2caab5e2ce5f6f538e9a25eb39236686eb68d077be49194c77a3",
+}
+
+
+class TestReportBytes:
+    """The report commands print the bytes they printed when these were recorded."""
+
+    @pytest.mark.parametrize("group", REPORT_BYTES)
+    def test_stdout_is_unchanged(self, capsys, tmp_path, group):
+        paths = _report_boxes(tmp_path)
+        digest = hashlib.sha256()
+        for argv in _report_corpus()[group]:
+            code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+            assert (code, err) == (2 if "{signaling}" in argv else 0, ""), argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == REPORT_BYTES[group]
+
+    def test_the_corpus_is_the_pinned_one(self):
+        assert list(_report_corpus()) == list(REPORT_BYTES)
+
+
+# Each parser's actions as build_parser() declares them, in order: option
+# strings, dest, default, required, the name of the type and the action class.
+_HELP = (["-h", "--help"], "help", "==SUPPRESS==", False, None, "_HelpAction")
+_BOX = [
+    _HELP,
+    (["--box"], "box", "pr", False, None, "_StoreAction"),
+    (["--tol"], "tol", 1e-09, False, "_tolerance", "_StoreAction"),
+]
+_THETA = (["--theta"], "theta", None, True, "_finite_float", "_StoreAction")
+_DEGREES = (["--degrees"], "degrees", False, False, None, "_StoreTrueAction")
+PARSER_TABLE = {
+    "": [
+        _HELP,
+        (["--digits"], "digits", 17, False, "_digits", "_StoreAction"),
+        (["--output"], "output", None, False, "Path", "_StoreAction"),
+        ([], "command", None, True, None, "_SubParsersAction"),
+    ],
+    "verify": _BOX,
+    "chsh": _BOX,
+    "local": _BOX,
+    "signal": [_HELP, _THETA, _DEGREES],
+    "scan": [
+        _HELP,
+        (["--theta-min"], "theta_min", None, True, "_finite_float", "_StoreAction"),
+        (["--theta-max"], "theta_max", None, True, "_finite_float", "_StoreAction"),
+        (["--steps"], "steps", None, True, "int", "_StoreAction"),
+        _DEGREES,
+    ],
+    "repeat": [
+        _HELP,
+        _THETA,
+        _DEGREES,
+        (["--target"], "target", None, True, "float", "_StoreAction"),
+        (["--max-n"], "max_n", None, False, "int", "_StoreAction"),
+    ],
+    "simulate": [
+        _HELP,
+        _THETA,
+        _DEGREES,
+        (["--n"], "n", None, True, "int", "_StoreAction"),
+        (["--shots"], "shots", None, True, "int", "_StoreAction"),
+        (["--seed"], "seed", None, False, "int", "_StoreAction"),
+    ],
+    "audit": [
+        _HELP,
+        (["--theta"], "theta", None, False, "_finite_float", "_StoreAction"),
+        (["--theta-min"], "theta_min", None, False, "_finite_float", "_StoreAction"),
+        (["--theta-max"], "theta_max", None, False, "_finite_float", "_StoreAction"),
+        (["--steps"], "steps", None, False, "int", "_StoreAction"),
+        _DEGREES,
+    ],
+    "parse": [
+        _HELP,
+        (["--expr"], "expr", None, True, None, "_StoreAction"),
+        (["--theta"], "theta", None, False, "_finite_float", "_StoreAction"),
+        _DEGREES,
+        (["--dump-rho"], "dump_rho", False, False, None, "_StoreTrueAction"),
+    ],
+}
+
+# Each help string the parser gave when the table was recorded, by (command,
+# option), "" naming the top-level parser, whose entry for a subcommand is
+# that command's help line.
+PARSER_HELP = {
+    **{(command, "--help"): "show this help message and exit" for command in PARSER_TABLE},
+    ("", "--digits"): "significant digits in output",
+    ("", "--output"): "write output to a file",
+    ("", "verify"): "box invariants and the marginal-independence check",
+    ("", "chsh"): "CHSH functional of a binary box",
+    ("", "local"): "local-polytope membership by LP",
+    ("", "signal"): "marginal shift and witness basis at one angle",
+    ("", "scan"): "sweep angles; CSV of signaling magnitudes",
+    ("", "repeat"): "rounds needed to reach a target success",
+    ("", "simulate"): "seeded Monte Carlo of the repetition protocol",
+    ("", "audit"): "positivity/normalization/signaling of the effective box",
+    ("", "parse"): "parse a state expression and evaluate it",
+    ("verify", "--box"): "builtin name (pr, uniform) or CSV path",
+    ("signal", "--theta"): "angle (radians)",
+    ("signal", "--degrees"): "interpret angles as degrees",
+    ("repeat", "--theta"): "angle (radians)",
+    ("repeat", "--degrees"): "interpret angles as degrees",
+    ("simulate", "--theta"): "angle (radians)",
+    ("simulate", "--degrees"): "interpret angles as degrees",
+    ("simulate", "--n"): "channel uses per shot",
+    ("simulate", "--seed"): "default: $BOXWORLD_SEED or 0",
+    ("parse", "--dump-rho"): "emit the density operator as CSV",
+}
+
+
+def _parser_table() -> tuple[dict, dict]:
+    """What PARSER_TABLE and PARSER_HELP record, read off build_parser()."""
+    parser = cli.build_parser()
+    table, helps = {}, {}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps.update({("", a.dest): a.help for a in sub._choices_actions if a.help})
+    for command, p in [("", parser), *parser.commands.items()]:
+        table[command] = [
+            (
+                a.option_strings,
+                a.dest,
+                a.default,
+                a.required,
+                getattr(a.type, "__name__", a.type),
+                type(a).__name__,
+            )
+            for a in p._actions
+        ]
+        helps.update(
+            {(command, a.option_strings[-1]): a.help for a in p._actions if a.option_strings and a.help}
+        )
+    return table, helps
+
+
+class TestParserTable:
+    """The parser declares the options it declared when these were recorded;
+    it may gain a help string, but loses and changes none."""
+
+    def test_every_action_is_declared_as_pinned(self):
+        assert _parser_table()[0] == PARSER_TABLE
+
+    def test_no_help_string_is_lost(self):
+        helps = _parser_table()[1]
+        assert {key: helps.get(key) for key in PARSER_HELP} == PARSER_HELP
+
+
 # Flag values at and around the bounds the sweep commands check. No accepted
 # --steps exceeds 33, so no drawn grid is long.
 FLAG_VALUES = [
