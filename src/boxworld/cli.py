@@ -8,8 +8,11 @@ out-of-range values), for output that cannot be written, and for a
 reader that closed the pipe early, which ends the run without a message.
 
 Angles are radians unless --degrees is given. Numeric output uses 17
-significant digits unless --digits asks for fewer. The default Monte Carlo
-seed comes from the BOXWORLD_SEED environment variable.
+significant digits unless --digits asks for fewer. This module is the
+only one that formats a printed figure: every one goes through the ``%``
+pattern of ``_floats``, built once per command, and each line of figures
+is one ``%``. The default Monte Carlo seed comes from the BOXWORLD_SEED
+environment variable.
 
 An argv that starts with a subcommand is parsed by that subcommand's
 parser alone, in one argparse pass; any other argv by the top-level one.
@@ -27,7 +30,7 @@ import sys
 from pathlib import Path
 
 from . import audit as audit_mod
-from . import boxes, dsl, hybrid, protocol, quantum
+from . import boxes, dsl, hybrid, protocol
 from .tolerance import DEFAULT_TOL
 
 SEED_ENV_VAR = "BOXWORLD_SEED"
@@ -51,8 +54,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value: float, digits: int) -> str:
-    return f"{value:.{digits}g}"
+def _floats(digits: int, n: int = 1, sep: str = ",") -> str:
+    """The ``%`` pattern of ``n`` floats at ``digits`` significant digits,
+    joined by ``sep``: the one form of every figure the commands print."""
+    return sep.join([f"%.{digits}g"] * n)
 
 
 def _load_box(source: str, tol: float) -> boxes.ConditionalBox:
@@ -247,71 +252,66 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def add_theta(p, required=True):
-        p.add_argument("--theta", type=_finite_float, required=required, help="angle (radians)")
+    theta = [("--theta", _finite_float, "angle (radians)")]
+    grid = [
+        ("--theta-min", _finite_float, "first angle of the grid (radians)"),
+        ("--theta-max", _finite_float, "last angle of the grid (radians)"),
+        ("--steps", int, "angles in the grid"),
+    ]
+
+    def add_angles(p, flags, required=True):
+        """The angle flags ``flags`` of one command, then its --degrees."""
+        for flag, kind, text in flags:
+            p.add_argument(flag, type=kind, required=required, help=text)
         p.add_argument("--degrees", action="store_true", help="interpret angles as degrees")
 
-    p = sub.add_parser("verify", help="box invariants and the marginal-independence check")
-    p.add_argument("--box", default="pr", help="builtin name (pr, uniform) or CSV path")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-
-    p = sub.add_parser("chsh", help="CHSH functional of a binary box")
-    p.add_argument("--box", default="pr")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-
-    p = sub.add_parser("local", help="local-polytope membership by LP")
-    p.add_argument("--box", default="pr")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    for name, text in (
+        ("verify", "box invariants and the marginal-independence check"),
+        ("chsh", "CHSH functional of a binary box"),
+        ("local", "local-polytope membership by LP"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--box", default="pr", help="builtin name (pr, uniform) or CSV path")
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("signal", help="marginal shift and witness basis at one angle")
-    add_theta(p)
+    add_angles(p, theta)
 
     p = sub.add_parser("scan", help="sweep angles; CSV of signaling magnitudes")
-    p.add_argument("--theta-min", type=_finite_float, required=True)
-    p.add_argument("--theta-max", type=_finite_float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--degrees", action="store_true")
+    add_angles(p, grid)
 
     p = sub.add_parser("repeat", help="rounds needed to reach a target success")
-    add_theta(p)
+    add_angles(p, theta)
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--max-n", type=int, default=None)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo of the repetition protocol")
-    add_theta(p)
+    add_angles(p, theta)
     p.add_argument("--n", type=int, required=True, help="channel uses per shot")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help=f"default: ${SEED_ENV_VAR} or 0")
 
     p = sub.add_parser("audit", help="positivity/normalization/signaling of the effective box")
-    p.add_argument("--theta", type=_finite_float, default=None)
-    p.add_argument("--theta-min", type=_finite_float, default=None)
-    p.add_argument("--theta-max", type=_finite_float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--degrees", action="store_true")
+    add_angles(p, theta + grid, required=False)
 
     p = sub.add_parser("parse", help="parse a state expression and evaluate it")
     p.add_argument("--expr", required=True)
-    p.add_argument("--theta", type=_finite_float, default=None)
-    p.add_argument("--degrees", action="store_true")
+    add_angles(p, theta, required=False)
     p.add_argument("--dump-rho", action="store_true", help="emit the density operator as CSV")
 
     return parser
 
 
 def cmd_verify(args, out) -> int:
+    g = _floats(args.digits)
     report = boxes.check_no_signaling(args.box, tol=args.tol)
     ok = not report.signaling
-    chsh_text = ""
+    status = "no-signaling: " + ("OK" if ok else "VIOLATED")
     if args.box.shape == (2, 2, 2, 2):
-        chsh_text = f"; CHSH = {_fmt(boxes.chsh_value(args.box), args.digits)}"
-    status = "OK" if ok else "VIOLATED"
-    print(f"no-signaling: {status}{chsh_text}", file=out)
-    print(
-        f"a->b violation = {_fmt(report.a_to_b_violation, args.digits)}; "
-        f"b->a violation = {_fmt(report.b_to_a_violation, args.digits)}",
-        file=out,
-    )
+        status += f"; CHSH = {g}" % boxes.chsh_value(args.box)
+    print(status, file=out)
+    violations = (report.a_to_b_violation, report.b_to_a_violation)
+    print(f"a->b violation = {g}; b->a violation = {g}" % violations, file=out)
     if not ok:
         direction, receiver, senders = report.worst_settings
         print(f"worst: {direction} at receiver input {receiver}, sender pair {senders}", file=out)
@@ -319,7 +319,7 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_chsh(args, out) -> int:
-    print(_fmt(boxes.chsh_value(args.box), args.digits), file=out)
+    print(_floats(args.digits) % boxes.chsh_value(args.box), file=out)
     return 0
 
 
@@ -327,24 +327,24 @@ def cmd_local(args, out) -> int:
     local, weights = boxes.is_local(args.box, tol=args.tol)
     print(f"local: {'true' if local else 'false'}", file=out)
     if local:
-        print("weights: " + ",".join(_fmt(w, args.digits) for w in weights), file=out)
+        print("weights: " + _floats(args.digits, len(weights)) % tuple(weights), file=out)
     return 0
 
 
 def cmd_signal(args, out) -> int:
+    g = _floats(args.digits)
     theta = _angle(args.theta, args.degrees)
     row = next(audit_mod.audit_sweep([theta]))
-    print(f"theta = {_fmt(theta, args.digits)}", file=out)
-    print(f"a->b violation = {_fmt(row.a_to_b_violation, args.digits)}", file=out)
+    print(f"theta = {g}" % theta, file=out)
+    print(f"a->b violation = {g}" % row.a_to_b_violation, file=out)
     for k, vector in enumerate(row.witness):
-        amps = " ".join(f"{_fmt(x, args.digits)}+0j" for x in vector)
-        print(f"witness[{k}] = {amps}", file=out)
+        print(f"witness[%d] = {g}+0j {g}+0j" % (k, *vector), file=out)
     return 0
 
 
 def cmd_scan(args, out) -> int:
     thetas = _theta_grid(args)
-    row = "%.{0}g,%.{0}g,%.{0}g\n".format(args.digits)
+    row = _floats(args.digits, 3) + "\n"
     out.write("theta,ab_violation,ba_violation\n")
     out.writelines(
         row % (r.theta, r.a_to_b_violation, r.b_to_a_violation)
@@ -364,14 +364,11 @@ def cmd_repeat(args, out) -> int:
 def cmd_simulate(args, out) -> int:
     theta = _protocol_angle(args)
     seed = args.seed if args.seed is not None else _default_seed()
-    result = protocol.simulate(theta, args.n, args.shots, seed)
+    r = protocol.simulate(theta, args.n, args.shots, seed)
+    g = _floats(args.digits)
     print("theta,n,exact,empirical,shots,seed", file=out)
-    print(
-        f"{_fmt(result.theta, args.digits)},{result.n},"
-        f"{_fmt(result.exact_success, args.digits)},"
-        f"{_fmt(result.empirical_success, args.digits)},{result.shots},{result.seed}",
-        file=out,
-    )
+    row = (r.theta, r.n, r.exact_success, r.empirical_success, r.shots, r.seed)
+    print(f"{g},%s,{g},{g},%s,%s" % row, file=out)
     return 0
 
 
@@ -383,7 +380,8 @@ def cmd_audit(args, out) -> int:
         thetas = _theta_grid(args)
     else:
         raise _UsageError("audit needs --theta alone or all of --theta-min/--theta-max/--steps")
-    row = "%.{0}g,%s,%s,%.{0}g,%.{0}g\n".format(args.digits)
+    g = _floats(args.digits)
+    row = f"{g},%s,%s,{g},{g}\n"
     verdict = ("false", "true")
     out.write("theta,pos_ok,norm_ok,ab_violation,ba_violation\n")
     out.writelines(
@@ -400,6 +398,11 @@ def cmd_audit(args, out) -> int:
     return 0
 
 
+def _re_im(values) -> list[float]:
+    """The real and imaginary parts of complex ``values``, in order."""
+    return [x for z in values for x in (z.real, z.imag)]
+
+
 def cmd_parse(args, out) -> int:
     expr = dsl.parse(args.expr)
     theta = _angle(args.theta, args.degrees) if args.theta is not None else None
@@ -407,10 +410,14 @@ def cmd_parse(args, out) -> int:
     rho = state.to_density() if args.dump_rho else None
     print(f"canonical: {dsl.format(expr)}", file=out)
     print(f"branches ({len(state.branches)}):", file=out)
-    out.write(hybrid.dumps(state, digits=args.digits))
+    # a branch line is "weight; re im re im ...", a rho row "re,im,re,im,..."
+    parts = 2 << state.width
+    branch = _floats(args.digits) + "; " + _floats(args.digits, parts, " ") + "\n"
+    out.writelines(branch % (w, *_re_im(ket.amplitudes)) for w, ket in state.branches)
     if rho is not None:
         print("rho:", file=out)
-        out.write(quantum.dumps_density_csv(rho, digits=args.digits))
+        row = _floats(args.digits, parts) + "\n"
+        out.writelines(row % tuple(_re_im(entries)) for entries in rho.matrix)
     return 0
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "HybridState",
     "distribute",
     "bob_state",
-    "dumps",
 ]
 
 DEFAULT_BRANCH_CAP = 16
@@ -455,13 +454,3 @@ def bob_state(theta: float) -> DensityOperator:
     C, S, n = _numerators(theta)
     g = C * S / (2 * n)
     return DensityOperator([[0.5, g], [g, 0.5]])
-
-
-def dumps(state: HybridState, digits: int = 17) -> str:
-    """One branch per line: ``weight; amp_re amp_im amp_re amp_im ...``."""
-    lines = []
-    for w, ket in state.branches:
-        amps = " ".join(f"{z.real:.{digits}g} {z.imag:.{digits}g}" for z in ket.amplitudes)
-        lines.append(f"{w:.{digits}g}; {amps}")
-    return "\n".join(lines) + "\n"
-

@@ -13,8 +13,9 @@ validity. numpy is imported only by :class:`DensityOperator`, inside its
 check, whose ``eigvalsh`` decides a matrix that the plain-Python
 certificate cannot.
 
-Everything here is a pure function of immutable values, so instances are
-safe to share across threads.
+Nothing here formats text: ``parse --dump-rho`` prints a density's rows
+from :mod:`boxworld.cli`. Everything here is a pure function of immutable
+values, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from .tolerance import EIGEN_ROUNDING, ROUNDING
 
-__all__ = ["Ket", "Unitary", "DensityOperator", "dumps_density_csv"]
+__all__ = ["Ket", "Unitary", "DensityOperator"]
 
 
 def _nested(value) -> tuple[Sequence, tuple[int, ...]]:
@@ -210,15 +211,3 @@ def _pivots(rows: Sequence[Sequence[complex]]) -> int | None:
         for i, (row, c) in enumerate(zip(s, col)):
             row[i:] = [x - c * y for x, y in zip(row[i:], scaled[i:])]
         pivots += 1
-
-
-def dumps_density_csv(rho: DensityOperator, digits: int = 17) -> str:
-    """CSV dump, one line per matrix row, entries as re,im pairs.
-
-    Each row is formatted by one ``%`` pattern from its real and imaginary
-    parts in order.
-    """
-    row = ",".join([f"%.{digits}g"] * (2 * rho.dim)) + "\n"
-    return "".join(
-        [row % tuple([x for z in entries for x in (z.real, z.imag)]) for entries in rho.matrix]
-    )

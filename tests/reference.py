@@ -5,9 +5,10 @@ package computes by a shorter path, or builds inputs for such a check:
 
 - :class:`Ket`, :class:`Unitary` and :class:`DensityOperator` on numpy
   arrays, with :func:`check_densities` and :func:`check_unitaries` for
-  whole stacks of matrices, and :func:`dumps_density_csv`: the numpy
-  forms of :mod:`boxworld.quantum`, whose plain-Python types check one
-  matrix each and print the same bytes; :func:`basis_ket`, the numpy form
+  whole stacks of matrices: the numpy forms of :mod:`boxworld.quantum`,
+  whose plain-Python types check one matrix each; :func:`dumps_density_csv`,
+  the ``rho:`` rows that ``parse --dump-rho`` prints, from a numpy
+  density; :func:`basis_ket`, the numpy form
   of a basis-ket leaf of :func:`boxworld.hybrid.distribute`, and
   :func:`plain_basis_ket`, the package ket that leaf gives;
 - :class:`HybridState` and :func:`distribute` on numpy arrays, the numpy
@@ -37,7 +38,8 @@ package computes by a shorter path, or builds inputs for such a check:
   pair, the float ones included, in ``Fraction`` arithmetic, from the
   same relation, and :func:`exact_sweep_row`, what ``signal``, ``scan``
   and ``audit`` print of it at a float angle, rounded once;
-- a reader for :func:`boxworld.hybrid.dumps`;
+- :func:`dumps` and :func:`loads`, a writer of the branch lines
+  ``parse`` prints, each figure formatted on its own, and their reader;
 - :func:`exact_success_fraction`, the optimal n-copy success of the
   repetition channel as an exact sum over all n + 1 counts;
 - :func:`reference_parse`, the state-expression parser as a lexer and a
@@ -929,8 +931,18 @@ def exact_sweep_row(theta: float) -> SweepRow:
     )
 
 
+def dumps(state, digits: int = 17) -> str:
+    """The branch lines ``parse`` prints for ``state``, a package or a numpy
+    one: ``weight; amp_re amp_im amp_re amp_im ...``, one per branch."""
+    lines = []
+    for w, ket in state.branches:
+        amps = " ".join(f"{z.real:.{digits}g} {z.imag:.{digits}g}" for z in ket.amplitudes)
+        lines.append(f"{w:.{digits}g}; {amps}")
+    return "\n".join(lines) + "\n"
+
+
 def loads(text: str) -> HybridState:
-    """Inverse of :func:`boxworld.hybrid.dumps`."""
+    """Inverse of :func:`dumps`: a numpy state from branch lines."""
     branches = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -27,7 +27,6 @@ from boxworld.hybrid import (
     Scaled,
     bob_state,
     distribute,
-    dumps,
 )
 from boxworld.quantum import Ket
 from reference import HybridState as ArrayState
@@ -36,6 +35,7 @@ from reference import check_densities as check_density_stacks
 from reference import plain_basis_ket as basis_ket
 from reference import (
     apply,
+    dumps,
     exact_chain,
     extrapolated,
     identity,
@@ -553,10 +553,20 @@ class TestHybridStateValidation:
             HybridState(2, ((1.0, basis_ket("0")),))
 
 
+def _branch_lines(*argv: str) -> str:
+    """The branch lines that ``parse`` prints for ``argv``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["parse", *argv]) == 0
+    head, branches = out.getvalue().split("\n", 2)[1:]
+    assert head.startswith("branches (")
+    return branches.partition("rho:\n")[0]
+
+
 class TestSerialization:
     def test_roundtrip(self):
         state = distribute(SUPERPOSED_MIXTURE, 0.3)
-        again = loads(dumps(state))
+        again = loads(_branch_lines("--expr", dsl.format(SUPERPOSED_MIXTURE), "--theta", "0.3"))
         assert again.width == state.width
         assert len(again.branches) == len(state.branches)
         for (w1, k1), (w2, k2) in zip(state.branches, again.branches):
@@ -564,8 +574,8 @@ class TestSerialization:
             assert np.array_equal(k1.amplitudes, k2.amplitudes)
 
     def test_golden_line_format(self):
-        state = HybridState(1, ((0.5, Ket([1.0, 0.0])), (0.5, Ket([0.0, 1j]))))
-        assert dumps(state) == "0.5; 1 0 0 0\n0.5; 0 0 0 1\n"
+        assert _branch_lines("--expr", "|0> (+) |1>") == "0.5; 1 0 0 0\n0.5; 0 0 1 0\n"
+        assert _branch_lines("--expr", "|0> (+) |1>", "--dump-rho") == "0.5; 1 0 0 0\n0.5; 0 0 1 0\n"
 
     def test_loads_rejects_garbage(self):
         with pytest.raises(ExpressionError):

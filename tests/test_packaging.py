@@ -140,3 +140,27 @@ def _private_imports(path: Path) -> set[tuple[str, str, str]]:
 def test_layers_import_only_the_allowed_private_names():
     found = set().union(*map(_private_imports, PACKAGE.glob("*.py")))
     assert found == set(PRIVATE_IMPORTS)
+
+
+# The functions that take a ``digits`` parameter, each with the reason it
+# may: only cli decides how a printed figure looks, so every key is in cli.
+DIGITS_PARAMETERS = {
+    "cli._floats": "the %-pattern of every figure a command prints",
+}
+
+
+def _digits_parameters(path: Path) -> set[str]:
+    """module.function for each function in ``path`` with a ``digits`` parameter."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            if "digits" in {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}:
+                found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_only_the_cli_formats_printed_figures():
+    found = set().union(*map(_digits_parameters, PACKAGE.glob("*.py")))
+    assert found == set(DIGITS_PARAMETERS)
+    assert all(name.startswith("cli.") for name in DIGITS_PARAMETERS)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxworld import audit, quantum
+from boxworld import audit, cli, quantum
 from boxworld.hybrid import HybridState
 from boxworld.tolerance import EIGEN_ROUNDING
-from boxworld.quantum import DensityOperator, Ket, Unitary, dumps_density_csv
+from boxworld.quantum import DensityOperator, Ket, Unitary
 from reference import DensityOperator as ArrayDensity
 from reference import basis_ket as array_basis_ket
 from reference import check_densities as check_density_stacks
@@ -561,9 +561,9 @@ class TestTypesValidation:
             basis_ket("")
 
 
-def test_density_csv_dump():
-    text = dumps_density_csv(DensityOperator(np.eye(2) / 2))
-    assert text == "0.5,0,0,0\n0,0,0.5,0\n"
+def test_density_csv_dump(capsys):
+    assert cli.main(["parse", "--expr", "|0> (+) |1>", "--dump-rho"]) == 0
+    assert capsys.readouterr().out.partition("rho:\n")[2] == "0.5,0,0,0\n0,0,0.5,0\n"
 
 
 def test_trace_sums_as_numpy_does():
