@@ -931,13 +931,14 @@ def exact_sweep_row(theta: float) -> SweepRow:
     )
 
 
-def dumps(state, digits: int = 17) -> str:
+def dumps(state) -> str:
     """The branch lines ``parse`` prints for ``state``, a package or a numpy
-    one: ``weight; amp_re amp_im amp_re amp_im ...``, one per branch."""
+    one, at 17 digits: ``weight; amp_re amp_im amp_re amp_im ...``, one per
+    branch."""
     lines = []
     for w, ket in state.branches:
-        amps = " ".join(f"{z.real:.{digits}g} {z.imag:.{digits}g}" for z in ket.amplitudes)
-        lines.append(f"{w:.{digits}g}; {amps}")
+        amps = " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in ket.amplitudes)
+        lines.append(f"{w:.17g}; {amps}")
     return "\n".join(lines) + "\n"
 
 
