@@ -252,10 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    theta = [("--theta", _finite_float, "angle (radians)")]
+    unit = "radians; degrees with --degrees"
+    theta = [("--theta", _finite_float, f"angle ({unit})")]
     grid = [
-        ("--theta-min", _finite_float, "first angle of the grid (radians)"),
-        ("--theta-max", _finite_float, "last angle of the grid (radians)"),
+        ("--theta-min", _finite_float, f"first angle of the grid ({unit})"),
+        ("--theta-max", _finite_float, f"last angle of the grid ({unit})"),
         ("--steps", int, "angles in the grid"),
     ]
 

@@ -6,11 +6,18 @@ package computes by a shorter path, or builds inputs for such a check:
 - :class:`Ket`, :class:`Unitary` and :class:`DensityOperator` on numpy
   arrays, with :func:`check_densities` and :func:`check_unitaries` for
   whole stacks of matrices: the numpy forms of :mod:`boxworld.quantum`,
-  whose plain-Python types check one matrix each; :func:`dumps_density_csv`,
+  whose plain-Python ket and unitary check one value each and whose
+  density, valid by construction, checks nothing; :func:`dumps_density_csv`,
   the ``rho:`` rows that ``parse --dump-rho`` prints, from a numpy
   density; :func:`basis_ket`, the numpy form
   of a basis-ket leaf of :func:`boxworld.hybrid.distribute`, and
   :func:`plain_basis_ket`, the package ket that leaf gives;
+- :func:`_pivots`, a diagonally pivoted Cholesky factorization in plain
+  Python that certifies a density's lowest eigenvalue, and
+  :func:`complex_density`, the density of a package state in Python's
+  complex arithmetic, each term formed whole: the oracles that
+  ``parse``'s density, formed from real amplitudes on and above the
+  diagonal, is positive and has the bits of the whole complex sum;
 - :class:`HybridState` and :func:`distribute` on numpy arrays, the numpy
   forms of those of :mod:`boxworld.hybrid`, the oracle of a differential
   property on the branches and densities of expressions;
@@ -60,6 +67,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -81,8 +89,10 @@ from boxworld.hybrid import (
     Scaled,
     StateExpr,
 )
+from boxworld.hybrid import _times_pow2
 from boxworld.hybrid import distribute as package_distribute
 from boxworld.protocol import MIN_ROUNDS_MAX_COPIES, _count
+from boxworld.quantum import _trace
 from boxworld.tolerance import EIGEN_ROUNDING, ROUNDING
 
 # ---------------------------------------------------------------- quantum, on numpy arrays
@@ -219,6 +229,103 @@ def dumps_density_csv(rho: DensityOperator, digits: int = 17) -> str:
     """
     row = ",".join([f"%.{digits}g"] * (2 * rho.dim)) + "\n"
     return "".join([row % tuple(parts) for parts in rho.matrix.view(float).tolist()])
+
+
+def _pivots(rows: Sequence[Sequence[complex]]) -> int | None:
+    """The pivots after which a diagonally pivoted Cholesky factorization of
+    the Hermitian ``rows`` leaves a Schur complement S with ||S||_F below
+    EIGEN_ROUNDING, or None if a pivot is not positive first.
+
+    Then rows = L L^dagger + (0 (+) S), so no eigenvalue lies below
+    -||S||_F (Higham 1990; Haynsworth's inertia additivity). Each pivot
+    costs O(d^2), and a matrix of rank r stops after r pivots, up to
+    rounding. S is updated on and above its diagonal only, and in floats
+    where every entry is real; since ||S||_F is at least its largest
+    diagonal entry, it is summed only once no diagonal entry reaches
+    EIGEN_ROUNDING.
+    """
+    if any(map(attrgetter("imag"), itertools.chain.from_iterable(rows))):
+        s = [list(row) for row in rows]
+    else:
+        s = [[z.real for z in row] for row in rows]
+    pivots = 0
+    while True:
+        diag = [row[i].real for i, row in enumerate(s)]
+        if max(map(abs, diag), default=0.0) < EIGEN_ROUNDING:
+            # an entry above the diagonal stands for itself and its mirror image
+            upper = [math.hypot(*map(abs, row[i + 1 :])) for i, row in enumerate(s)]
+            frobenius = math.hypot(*(abs(row[i]) for i, row in enumerate(s)), *upper, *upper)
+            if frobenius < EIGEN_ROUNDING:
+                return pivots
+        pivot = max(diag, default=0.0)
+        if not pivot > 0.0:
+            return None
+        p = diag.index(pivot)
+        # column p on and above the diagonal is row i's entry p, below it
+        # the conjugate of row p's entry i
+        col = [row[p] for row in s[:p]] + [z.conjugate() for z in s[p][p:]]
+        for row in s:
+            del row[p]
+        del s[p], col[p]
+        scaled = [z.conjugate() / pivot for z in col]
+        for i, (row, c) in enumerate(zip(s, col)):
+            row[i:] = [x - c * y for x, y in zip(row[i:], scaled[i:])]
+        pivots += 1
+
+
+def complex_density(state) -> list[list[complex]]:
+    """The density of a package :class:`boxworld.hybrid.HybridState` whose
+    amplitudes may be complex, as ``to_density`` scales and sums it, but with
+    every entry of every term formed in Python's complex arithmetic.
+
+    On real amplitudes the real parts are the same products and sums and
+    every imaginary part is +0, so it gives the bits of ``to_density``.
+    """
+    frames = []  # per branch: its scaled amplitudes, its term's exponent and mantissa
+    for w, ket in state.branches:
+        a_exp = math.frexp(max(abs(x) for z in ket.amplitudes for x in (z.real, z.imag)))[1]
+        v = _times_pow2(ket.amplitudes, -a_exp)
+        w_frac, w_exp = math.frexp(w)
+        frames.append((v, w_exp + 2 * a_exp, w_frac if any(v) else 0.0))  # 0 without mass
+    top = max(exp for _, exp, frac in frames if frac)  # a branch has mass, by the constructor
+    dim = 2**state.width
+    acc = [[0j] * dim for _ in range(dim)]
+    for v, exp, frac in frames:
+        coef = math.ldexp(frac, exp - top)
+        if coef:
+            _add_complex_term(acc, v, complex(coef))
+    inv = 1.0 / _trace(acc).real
+    # numpy's z / t, by 1/t
+    return [
+        [
+            complex((z.real + z.imag * 0.0) * inv, (z.imag - z.real * 0.0) * inv)
+            if z
+            else 0j
+            for z in row
+        ]
+        for row in acc
+    ]
+
+
+def _add_complex_term(acc: list[list[complex]], v: Sequence[complex], coef: complex) -> None:
+    """acc += coef v v^dagger, entry (i, j) as coef (v_i conj(v_j)), for the
+    nonzero v_i and v_j only.
+
+    Each row is updated one run of consecutive nonzero amplitudes at a time.
+    """
+    runs: list[list[int]] = []
+    for i, z in enumerate(v):
+        if z:
+            if runs and runs[-1][1] == i:
+                runs[-1][1] += 1
+            else:
+                runs.append([i, i + 1])
+    conj = [z.conjugate() for z in v]
+    for lo, hi in runs:
+        for i in range(lo, hi):
+            ui, row = v[i], acc[i]
+            for a, b in runs:
+                row[a:b] = [x + coef * (ui * y) for x, y in zip(row[a:b], conj[a:b])]
 
 
 # ---------------------------------------------------------------- hybrid, on numpy arrays

@@ -36,7 +36,7 @@ from boxworld.protocol import (
     _chunk_correct,
     CHUNK_SHOTS,
 )
-from boxworld.quantum import DensityOperator, Ket
+from boxworld.quantum import Ket
 from boxworld.tolerance import DEFAULT_TOL
 from reference import (
     exact_success_fraction,
@@ -45,6 +45,7 @@ from reference import (
     partial_trace,
     trace_distances,
 )
+from reference import DensityOperator as ArrayDensity
 from reference import plain_basis_ket as basis_ket
 
 QUARTER = math.pi / 4
@@ -248,7 +249,7 @@ def test_criterion_8_helstrom_identity():
     def random_density(dim):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = g @ g.conj().T
-        return np.array(DensityOperator(m / m.trace()).matrix)
+        return ArrayDensity(m / m.trace()).matrix
 
     worst_gap = 0.0
     worst_tv = 0.0

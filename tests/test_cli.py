@@ -1671,14 +1671,20 @@ PARSER_HELP = {
     ("", "audit"): "positivity/normalization/signaling of the effective box",
     ("", "parse"): "parse a state expression and evaluate it",
     ("verify", "--box"): "builtin name (pr, uniform) or CSV path",
-    ("signal", "--theta"): "angle (radians)",
+    ("signal", "--theta"): "angle (radians; degrees with --degrees)",
     ("signal", "--degrees"): "interpret angles as degrees",
-    ("repeat", "--theta"): "angle (radians)",
+    ("scan", "--theta-min"): "first angle of the grid (radians; degrees with --degrees)",
+    ("scan", "--theta-max"): "last angle of the grid (radians; degrees with --degrees)",
+    ("repeat", "--theta"): "angle (radians; degrees with --degrees)",
     ("repeat", "--degrees"): "interpret angles as degrees",
-    ("simulate", "--theta"): "angle (radians)",
+    ("simulate", "--theta"): "angle (radians; degrees with --degrees)",
     ("simulate", "--degrees"): "interpret angles as degrees",
     ("simulate", "--n"): "channel uses per shot",
     ("simulate", "--seed"): "default: $BOXWORLD_SEED or 0",
+    ("audit", "--theta"): "angle (radians; degrees with --degrees)",
+    ("audit", "--theta-min"): "first angle of the grid (radians; degrees with --degrees)",
+    ("audit", "--theta-max"): "last angle of the grid (radians; degrees with --degrees)",
+    ("parse", "--theta"): "angle (radians; degrees with --degrees)",
     ("parse", "--dump-rho"): "emit the density operator as CSV",
 }
 

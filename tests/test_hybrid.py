@@ -29,6 +29,7 @@ from boxworld.hybrid import (
     distribute,
 )
 from boxworld.quantum import Ket
+from boxworld.tolerance import EIGEN_ROUNDING, ROUNDING
 from reference import HybridState as ArrayState
 from reference import basis_ket as array_basis_ket
 from reference import check_densities as check_density_stacks
@@ -444,12 +445,13 @@ class TestSweepDensities:
         stack = stack.reshape(-1, 4, 4)
         with pytest.raises(ValueError, match=message):
             check_density_stacks(stack)
-        # The package checks one matrix at a time; exactly one is refused,
-        # with the stack's message, its trace printed as the complex it is.
+        # The numpy density checks one matrix at a time; exactly one is
+        # refused, with the stack's message, its trace printed as the complex
+        # it is.
         refused = []
         for one in stack:
             try:
-                quantum.DensityOperator(one)
+                reference.DensityOperator(one)
             except ValueError as err:
                 refused.append(str(err))
         assert len(refused) == 1
@@ -656,7 +658,7 @@ class TestAgainstNumpyForms:
 
 class TestDensityWork:
     """``to_density`` forms a product only of two nonzero amplitudes of one
-    branch, and its certificate pivots at most once per branch."""
+    branch (its certificate: :class:`TestDensityIsValidByConstruction`)."""
 
     CASES = [
         ("c(|00> (+) |11>) + s(|01> (+) |10>)", 0.4),
@@ -667,11 +669,13 @@ class TestDensityWork:
     ]
 
     @staticmethod
-    def _count(monkeypatch, state):
-        products, pivots = [], []
-        add_term, find_pivots = hybrid._add_term, quantum._pivots
+    def _count(monkeypatch, module, name, form):
+        """The products ``module.name``, the term adder, forms while ``form()``
+        runs, and what ``form()`` returns."""
+        products = []
+        add_term = getattr(module, name)
 
-        def counting_term(acc, v, coef, upper):
+        def counting_term(acc, v, coef):
             kind = type(coef)
 
             class Counted(kind):
@@ -679,18 +683,13 @@ class TestDensityWork:
                     products.append(1)
                     return kind.__mul__(self, other)
 
-            add_term(acc, v, Counted(coef), upper)
+            add_term(acc, v, Counted(coef))
 
-        def counting_pivots(rows):
-            pivots.append(find_pivots(rows))
-            return pivots[-1]
-
-        monkeypatch.setattr(hybrid, "_add_term", counting_term)
-        monkeypatch.setattr(quantum, "_pivots", counting_pivots)
-        rho = state.to_density()
+        monkeypatch.setattr(module, name, counting_term)
+        counted = form()
         monkeypatch.undo()
-        assert rho.matrix == state.to_density().matrix  # counting changes nothing
-        return len(products), pivots
+        assert counted == form()  # counting changes nothing
+        return len(products), counted
 
     @pytest.mark.parametrize(
         "text, theta", CASES, ids=["readme", "16-branches", "width-7", "16-kets-width-9", "86-kets"]
@@ -698,12 +697,13 @@ class TestDensityWork:
     def test_real_amplitudes(self, monkeypatch, text, theta):
         state = distribute(dsl.parse(text), theta)
         nnz = [sum(map(bool, ket.amplitudes)) for w, ket in state.branches if w]
-        products, pivots = self._count(monkeypatch, state)
+        products, _ = self._count(monkeypatch, hybrid, "_add_term", state.to_density)
         assert products <= sum(n * n for n in nnz)
         assert products == sum(n * (n + 1) // 2 for n in nnz)  # the upper triangle
-        assert len(pivots) == 1 and pivots[0] <= len(state.branches)
 
     def test_complex_amplitudes(self, monkeypatch):
+        # The package refuses them; the complex path of the reference forms
+        # every entry, from the nonzero amplitudes alone.
         rng = np.random.default_rng(5)
         branches = []
         for _ in range(6):
@@ -712,6 +712,58 @@ class TestDensityWork:
             amps[0] = 1j
             branches.append((float(rng.uniform(0.1, 1.0)), Ket(amps)))
         state = HybridState(4, tuple(branches))
-        products, pivots = self._count(monkeypatch, state)
+        with pytest.raises(ValueError, match="^a density is formed from real amplitudes only$"):
+            state.to_density()
+        products, rho = self._count(
+            monkeypatch, reference, "_add_complex_term", lambda: reference.complex_density(state)
+        )
         assert products == sum(sum(map(bool, ket.amplitudes)) ** 2 for _, ket in branches)
-        assert len(pivots) == 1 and pivots[0] <= len(branches)
+        pivots = reference._pivots(rho)
+        assert pivots is not None and pivots <= len(branches)
+
+
+# The widest dense expression: 16 branches of width 10, each nonzero on 1020
+# of its 1024 amplitudes (tests/test_cli.py prints it within a memory cap).
+WIDEST = " + ".join(
+    [f"(|{k:010b}> (+) |{k + 1:010b}>)" for k in range(0, 8, 2)]
+    + [f"|{k:010b}>" for k in range(8, 1024)]
+)
+
+
+def _assert_valid_by_construction(state: HybridState) -> None:
+    """``state``'s density is a density operator within the bound that
+    ``to_density`` states: its entries mirrored exactly, its trace within
+    ROUNDING of 1, no eigenvalue below -EIGEN_ROUNDING, and positivity
+    certified by :func:`reference._pivots` after at most one pivot per branch."""
+    rows = state.to_density().matrix
+    rho = np.array(rows)
+    assert rho.tobytes() == rho.T.copy().tobytes() and not _bits(rho.imag).any()
+    assert abs(np.trace(rho) - 1.0) <= ROUNDING
+    assert np.linalg.eigvalsh(rho.real).min() >= -EIGEN_ROUNDING
+    pivots = reference._pivots(rows)
+    assert pivots is not None and pivots <= len(state.branches)
+
+
+class TestDensityIsValidByConstruction:
+    """``parse``'s density needs no check of its own: on every expression it
+    is Hermitian, of unit trace and positive semidefinite, within rounding."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        expr=st.integers(1, 8).flatmap(_expressions),
+        theta=st.floats(min_value=-4.0, max_value=4.0),
+    )
+    def test_drawn_expressions(self, expr, theta):
+        try:
+            state = distribute(expr, theta)
+        except ExpressionError:
+            return
+        _assert_valid_by_construction(state)
+
+    @pytest.mark.parametrize(
+        "text, theta",
+        [*TestDensityWork.CASES, (WIDEST, None)],
+        ids=["readme", "16-branches", "width-7", "16-kets-width-9", "86-kets", "widest"],
+    )
+    def test_cases_and_the_widest_input(self, text, theta):
+        _assert_valid_by_construction(distribute(dsl.parse(text), theta))

@@ -110,7 +110,7 @@ PRIVATE_IMPORTS = {
     ("hybrid.bob_state", "audit", "_numerators"): "the chain's integers at one angle, "
     "imported on call so that parse does not load audit",
     ("hybrid", "quantum", "_trace"): "numpy's summation order of a trace, which a density "
-    "and its check both divide or compare by",
+    "is divided by",
 }
 
 
@@ -164,3 +164,21 @@ def test_only_the_cli_formats_printed_figures():
     found = set().union(*map(_digits_parameters, PACKAGE.glob("*.py")))
     assert found == set(DIGITS_PARAMETERS)
     assert all(name.startswith("cli.") for name in DIGITS_PARAMETERS)
+
+
+# The modules that ``parse`` runs: none imports numpy, even inside a function.
+PARSE_CHAIN = ("dsl", "hybrid", "quantum", "tolerance")
+
+
+@pytest.mark.parametrize("module", PARSE_CHAIN)
+def test_parse_chain_never_imports_numpy(module):
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.partition(".")[0] == "numpy"]
+    assert found == []

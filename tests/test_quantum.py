@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference
 from boxworld import audit, cli, quantum
 from boxworld.hybrid import HybridState
 from boxworld.tolerance import EIGEN_ROUNDING
-from boxworld.quantum import DensityOperator, Ket, Unitary
+from boxworld.quantum import Ket, Unitary
 from reference import DensityOperator as ArrayDensity
 from reference import basis_ket as array_basis_ket
 from reference import check_densities as check_density_stacks
@@ -42,16 +43,26 @@ def _rho_with_coherence(theta: float) -> ArrayDensity:
 MAXMIX = ArrayDensity(np.eye(2) / 2)
 
 
-def density_from_mixture(branches) -> DensityOperator:
-    """The density of (weight, Ket) branches, as ``HybridState.to_density`` forms it."""
+def _mixture(branches) -> HybridState:
     branches = tuple(branches)
     width = branches[0][1].dim.bit_length() - 1 if branches else 1
-    return HybridState(width, branches).to_density()
+    return HybridState(width, branches)
+
+
+def density_from_mixture(branches) -> quantum.DensityOperator:
+    """The density of (weight, Ket) branches, as ``HybridState.to_density`` forms it."""
+    return _mixture(branches).to_density()
 
 
 def density_array(branches) -> np.ndarray:
     """:func:`density_from_mixture` as an array, for the reference functions."""
     return np.array(density_from_mixture(branches).matrix)
+
+
+def complex_density_array(branches) -> np.ndarray:
+    """The density of branches whose amplitudes may be complex, by
+    :func:`reference.complex_density`, as an array."""
+    return np.array(reference.complex_density(_mixture(branches)))
 
 
 class TestRotation:
@@ -173,16 +184,11 @@ MALFORMED = {
 
 @pytest.mark.parametrize("bad, message", MALFORMED.values(), ids=MALFORMED.keys())
 @pytest.mark.parametrize(
-    "kind, what, non_finite",
-    [
-        (Unitary, "unitary", "non-finite amplitudes"),
-        (DensityOperator, "density operator", "non-finite entries"),
-    ],
-    ids=["unitary", "density"],
+    "kind, what, non_finite", [(Unitary, "unitary", "non-finite amplitudes")], ids=["unitary"]
 )
 def test_one_message_per_malformed_matrix(kind, what, non_finite, bad, message):
-    # one message for each malformation, with the type's noun for a matrix
-    # and its word for a non-finite entry
+    # one message for each malformation; a density operator is valid by
+    # construction and checks nothing
     with pytest.raises(ValueError) as err:
         kind(bad)
     assert str(err.value) == message.format(what=what, non_finite=non_finite)
@@ -259,31 +265,44 @@ class TestDensityFromMixture:
         return acc / float(acc.trace().real)
 
     def test_ordinary_inputs_give_the_plain_sum_bit_for_bit(self):
+        # the package on real amplitudes, the complex path of the reference
+        # on complex ones
         rng = np.random.default_rng(3)
         for _ in range(300):
             dim = int(rng.choice([2, 4, 8]))
             count = int(rng.integers(1, 6))
-            branches = []
+            real, complex_ = [], []
             for _ in range(count):
-                amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                amps[rng.random(dim) < 0.3] = 0.0
-                amps *= 10.0 ** rng.uniform(-3, 3)
-                branches.append((float(rng.uniform(0.0, 2.0)), Ket(amps)))
-            branches.append((1.0, Ket(np.eye(dim)[0])))
-            got = density_array(branches)
-            assert got.tobytes() == self._plain_sum(branches).tobytes()
+                re, im = rng.normal(size=(2, dim))
+                zero = rng.random(dim) < 0.3
+                re[zero], im[zero] = 0.0, 0.0
+                scale, w = 10.0 ** rng.uniform(-3, 3), float(rng.uniform(0.0, 2.0))
+                real.append((w, Ket(re * scale)))
+                complex_.append((w, Ket((re + 1j * im) * scale)))
+            for branches, density in ((real, density_array), (complex_, complex_density_array)):
+                branches.append((1.0, Ket(np.eye(dim)[0])))
+                got = density(branches)
+                assert got.tobytes() == self._plain_sum(branches).tobytes()
+
+    def test_complex_amplitudes_are_refused(self):
+        # no expression has an imaginary unit; only a direct caller can build one
+        for amps in ([0.0, 1j], [1.0, complex(0.0, 5e-324)], [complex(1.0, -2.0), 0.0]):
+            with pytest.raises(ValueError, match="^a density is formed from real amplitudes only$"):
+                density_from_mixture([(0.5, basis_ket("0")), (0.5, Ket(amps))])
+        density_from_mixture([(1.0, Ket([complex(1.0, -0.0), 0.0]))])  # -0 is no imaginary part
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300, 5e-324, 1.7e308])
     def test_amplitude_scale_drops_out(self, scale):
         # scale and its mantissa differ by a power of two: the same bits, whatever the size
         unit = math.frexp(scale)[0]
-        for branches, expected in (
-            ([(1.0, [1.0, 0.0])], np.diag([1.0, 0.0])),
-            ([(1.0, [1.0, 1.0])], np.full((2, 2), 0.5)),
-            ([(0.5, [1.0, 0.0]), (0.5, [0.0, 1j])], np.diag([0.5, 0.5])),
+        for branches, expected, density in (
+            ([(1.0, [1.0, 0.0])], np.diag([1.0, 0.0]), density_array),
+            ([(1.0, [1.0, 1.0])], np.full((2, 2), 0.5), density_array),
+            ([(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])], np.diag([0.5, 0.5]), density_array),
+            ([(0.5, [1.0, 0.0]), (0.5, [0.0, 1j])], np.diag([0.5, 0.5]), complex_density_array),
         ):
-            got = density_array([(w, Ket(np.multiply(a, scale))) for w, a in branches])
-            ref = density_array([(w, Ket(np.multiply(a, unit))) for w, a in branches])
+            got = density([(w, Ket(np.multiply(a, scale))) for w, a in branches])
+            ref = density([(w, Ket(np.multiply(a, unit))) for w, a in branches])
             assert got.tobytes() == ref.tobytes()
             np.testing.assert_allclose(got, expected, rtol=0, atol=2e-16)
 
@@ -455,22 +474,27 @@ class TestTypesValidation:
         with pytest.raises(ValueError):
             Unitary(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
+    # A density operator is valid by construction and checks nothing; the
+    # checks below are those of the numpy form in :mod:`reference` and of its
+    # certificate, the oracles that tests/test_hybrid.py holds parse's
+    # densities to.
+
     def test_density_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
+            ArrayDensity(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_density_rejects_wrong_trace(self):
         with pytest.raises(ValueError):
-            DensityOperator(np.eye(2))
+            ArrayDensity(np.eye(2))
 
     def test_density_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError):
-            DensityOperator(np.diag([1.1, -0.1]))
+            ArrayDensity(np.diag([1.1, -0.1]))
 
     def test_stack_check_finds_the_bad_matrix(self):
         good = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]).astype(complex)
         for one in good:
-            DensityOperator(one)
+            ArrayDensity(one)
         check_density_stacks(good)
         for bad, message in (
             (np.array([[0.5, 0.5], [0.0, 0.5]]), "not Hermitian"),
@@ -478,7 +502,7 @@ class TestTypesValidation:
             (np.diag([1.1, -0.1]), "negative eigenvalue"),
         ):
             with pytest.raises(ValueError, match=message):
-                DensityOperator(bad)
+                ArrayDensity(bad)
             with pytest.raises(ValueError, match=message):
                 check_density_stacks(np.concatenate([good, bad[None]]))
 
@@ -499,20 +523,18 @@ class TestTypesValidation:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: decomposed.append(a) or eigvalsh(a))
         for one, ok in zip(m, passes.tolist()):
             stack = np.stack([good, one, good])
-            # within EIGEN_ROUNDING / 2 of 0 the certificate decides; nearer
-            # the bound it leaves the verdict to eigvalsh
-            certified = quantum._pivots(one.tolist()) is not None
+            # within EIGEN_ROUNDING / 2 of 0 the certificate decides, and
+            # only matrices that pass; nearer the bound it decides none
+            certified = reference._pivots(one.tolist()) is not None
             assert certified == (lowest > -EIGEN_ROUNDING / 2)
+            assert ok or not certified
             if ok:
-                DensityOperator(one)
-                if not certified:
-                    assert np.array_equal(decomposed.pop(), one)
                 check_density_stacks(stack)
                 assert decomposed == []
             else:
                 with pytest.raises(ValueError, match="^negative eigenvalue -1e-10$"):
-                    DensityOperator(one)
-                assert np.array_equal(decomposed.pop(), one)  # the package's own copy of it
+                    ArrayDensity(one)
+                assert np.array_equal(decomposed.pop(), one)
                 with pytest.raises(ValueError, match="^negative eigenvalue -1e-10$"):
                     check_density_stacks(stack)
                 assert decomposed.pop() is stack
@@ -522,12 +544,12 @@ class TestTypesValidation:
         # Three eigenvalues just above or below -EIGEN_ROUNDING leave a Schur
         # complement too large to certify, and no positive pivot.
         m = np.diag([1.0 - 3 * lowest, lowest, lowest, lowest])
-        assert quantum._pivots(m.tolist()) is None
+        assert reference._pivots(m.tolist()) is None
         if ok:
-            DensityOperator(m)
+            ArrayDensity(m)
         else:
             with pytest.raises(ValueError, match="^negative eigenvalue -1.1e-10$"):
-                DensityOperator(m)
+                ArrayDensity(m)
 
     @pytest.mark.parametrize(
         "bad",
@@ -541,7 +563,7 @@ class TestTypesValidation:
     def test_stack_check_rejects_non_finite_entries(self, bad):
         # NaN once passed: every comparison with it is false
         with pytest.raises(ValueError, match="^non-finite entries$"):
-            DensityOperator(bad.reshape(-1, *bad.shape[-2:])[-1])
+            check_density_stacks(bad.reshape(-1, *bad.shape[-2:])[-1])
         with pytest.raises(ValueError, match="^non-finite entries$"):
             check_density_stacks(bad)
 
@@ -568,7 +590,7 @@ def test_density_csv_dump(capsys):
 
 def test_trace_sums_as_numpy_does():
     # numpy sums a trace pairwise, in an order its length fixes; to_density
-    # divides by that sum and DensityOperator compares it with 1.
+    # divides by that sum.
     for dim in [*range(1, 70), 127, 128, 129, 255, 256, 257, 1000, 1024]:
         rng = np.random.default_rng(dim)
         diag = rng.normal(size=(2, dim)) * 10.0 ** rng.uniform(-20, 5, size=(2, dim))
