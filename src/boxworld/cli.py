@@ -408,17 +408,17 @@ def cmd_parse(args, out) -> int:
     expr = dsl.parse(args.expr)
     theta = _angle(args.theta, args.degrees) if args.theta is not None else None
     state = hybrid.distribute(expr, theta)
-    rho = state.to_density() if args.dump_rho else None
+    rows = state.density_rows() if args.dump_rho else None
     print(f"canonical: {dsl.format(expr)}", file=out)
     print(f"branches ({len(state.branches)}):", file=out)
     # a branch line is "weight; re im re im ...", a rho row "re,im,re,im,..."
-    parts = 2 << state.width
-    branch = _floats(args.digits) + "; " + _floats(args.digits, parts, " ") + "\n"
+    branch = _floats(args.digits) + "; " + _floats(args.digits, 2 << state.width, " ") + "\n"
     out.writelines(branch % (w, *_re_im(ket.amplitudes)) for w, ket in state.branches)
-    if rho is not None:
+    if rows is not None:
         print("rho:", file=out)
-        row = _floats(args.digits, parts) + "\n"
-        out.writelines(row % tuple(_re_im(entries)) for entries in rho.matrix)
+        # rho is real: each imaginary part is +0, which %g prints as 0
+        row = _floats(args.digits, 2**state.width, ",0,") + ",0\n"
+        out.writelines(row % tuple(entries) for entries in rows)
     return 0
 
 

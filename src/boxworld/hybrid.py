@@ -32,9 +32,9 @@ import sys
 from dataclasses import dataclass
 from itertools import compress
 from operator import add
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .quantum import DensityOperator, Ket, _trace
+from .quantum import DensityOperator, Ket, _pairwise
 
 __all__ = [
     "DEFAULT_BRANCH_CAP",
@@ -56,9 +56,9 @@ __all__ = [
 
 DEFAULT_BRANCH_CAP = 16
 # The widest register a basis ket may name: a state has 2^w amplitudes and
-# its density 4^w entries. At w = 10 a dense density holds 24 MiB of Python
-# complex objects (the mirrored entries shared) and tuple slots, and forming
-# it takes about 95 MiB at its peak.
+# its density 4^w entries. parse --dump-rho forms and prints those a row at a
+# time, from at most DEFAULT_BRANCH_CAP branches of 2^w amplitudes, so its
+# memory grows as 2^w, not 4^w; to_density holds all 4^w entries at once.
 MAX_WIDTH = 10
 
 
@@ -187,7 +187,7 @@ StateExpr = Union[BasisKet, Scaled, CoherentSum, IncoherentSum]
 class HybridState:
     """Weighted list of coherent branches over ``width`` qubits.
 
-    Branch kets may be unnormalized; :meth:`to_density` trace-normalizes,
+    Branch kets may be unnormalized; :meth:`density_rows` trace-normalizes,
     so only relative weight times squared amplitude matters.
     """
 
@@ -214,32 +214,40 @@ class HybridState:
             raise ExpressionError("state carries no mass")
 
     def to_density(self) -> DensityOperator:
-        """The branches' sum of w |psi><psi|, divided by its trace.
+        """The density operator whose rows :meth:`density_rows` yields."""
+        return DensityOperator(list(self.density_rows()))
+
+    def density_rows(self) -> Iterator[list[float]]:
+        """The rows of the branches' sum of w |psi><psi|, divided by its
+        trace, one at a time: no more than the branch factors and one row
+        is held at once.
 
         Each ket is first divided by the power of two of its largest
         amplitude, and its term scaled into the frame of the largest term;
         powers of two scale exactly, so no square overflows or underflows,
-        and inputs that did neither give the bits of the plain sum. The
-        terms are added in branch order, each formed from the nonzero
-        amplitudes of its branch alone (:func:`_add_term`): the products
-        formed number at most the sum over the branches of their nonzero
-        amplitudes squared. Leaving the others out changes no bit, since
-        the sum starts at +0, so never holds -0, and adding a zero leaves
-        it as it is. The trace and the division by it round as numpy's
-        ``trace`` and complex division do.
+        and inputs that did neither give the bits of the plain sum. Entry
+        (i, j) is inv (sum over the branches of c (v_i v_j)), c and v being
+        a branch's scaled weight and amplitudes, the terms added in branch
+        order from +0, each formed only where v_i and v_j are both nonzero
+        (:func:`_add_row`): the rows' products number the sum over the
+        branches of their nonzero amplitudes squared. Leaving the others
+        out changes no bit, since the sum starts at +0, so never holds -0,
+        and adding a zero leaves it as it is. The diagonal is formed first,
+        the same way, and inv = 1/trace, the trace and the division by it
+        rounding as numpy's ``trace`` and complex division do.
 
         Amplitudes must be real, as every expression's are (no scalar kind
         has an imaginary unit); a branch with an imaginary part raises
-        ValueError. Each term w v v^T is then real and symmetric, so only
-        the entries on and above the diagonal are summed, in floats, and
-        mirrored. That makes the result valid by construction, within
-        float rounding u = 2^-53 (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, ch. 3-4): its entries are mirrored exactly;
-        its trace is within :data:`~boxworld.tolerance.ROUNDING` of 1; and
-        it is a nonnegative sum of rank-one terms up to a relative error of
-        O(d u) per entry, so its lowest eigenvalue is at least -O(d u),
-        about 1e-13 at the widest d = 1024, far inside
-        :data:`~boxworld.tolerance.EIGEN_ROUNDING`.
+        ValueError here, not at the first row. The imaginary part of every
+        entry is then +0, so a row holds the real parts alone. That makes
+        the result valid by construction, within float rounding u = 2^-53
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3-4):
+        it is exactly symmetric, since float products commute, so
+        c (v_i v_j) and c (v_j v_i) are the same bits; its trace is within
+        :data:`~boxworld.tolerance.ROUNDING` of 1; and it is a nonnegative
+        sum of rank-one terms up to a relative error of O(d u) per entry,
+        so its lowest eigenvalue is at least -O(d u), about 1e-13 at the
+        widest d = 1024, far inside :data:`~boxworld.tolerance.EIGEN_ROUNDING`.
         """
         if any(z.imag for _, ket in self.branches for z in ket.amplitudes):
             raise ValueError("a density is formed from real amplitudes only")
@@ -250,39 +258,28 @@ class HybridState:
             w_frac, w_exp = math.frexp(w)
             frames.append((v, w_exp + 2 * a_exp, w_frac if any(v) else 0.0))  # 0 without mass
         top = max(exp for _, exp, frac in frames if frac)  # a branch has mass, by the constructor
+        terms = [(v, c) for v, exp, frac in frames if (c := math.ldexp(frac, exp - top))]
         dim = 2**self.width
-        acc = [[0.0] * dim for _ in range(dim)]
-        for v, exp, frac in frames:
-            coef = math.ldexp(frac, exp - top)
-            if coef:
-                _add_term(acc, v, coef)
-        inv = 1.0 / _trace(acc).real
-        # numpy's x / t is complex(x (1/t)) for a real x that is not -0
-        rows = [[0j] * i + [complex(x * inv) for x in row[i:]] for i, row in enumerate(acc)]
-        cols = list(zip(*rows))
-        return DensityOperator([cols[i][:i] + tuple(row[i:]) for i, row in enumerate(rows)])
+        diag = [0.0] * dim
+        for v, coef in terms:
+            diag = [x + coef * (y * y) if y else x for x, y in zip(diag, v)]
+        # numpy's x / t is x (1/t) for a real x that is not -0
+        inv = 1.0 / (0.0 + _pairwise(diag))
+
+        def rows() -> Iterator[list[float]]:
+            for i in range(dim):
+                row = [0.0] * dim
+                for v, coef in terms:
+                    if v[i]:
+                        row = _add_row(row, v[i], v, coef)
+                yield list(map(inv.__mul__, row))
+
+        return rows()
 
 
-def _add_term(acc: list[list[float]], v: Sequence[float], coef: float) -> None:
-    """acc += coef v v^T on and above the diagonal, entry (i, j) as
-    coef (v_i v_j), for the nonzero v_i and v_j only.
-
-    Each row is updated one run of consecutive nonzero amplitudes at a time.
-    """
-    runs: list[list[int]] = []
-    for i, z in enumerate(v):
-        if z:
-            if runs and runs[-1][1] == i:
-                runs[-1][1] += 1
-            else:
-                runs.append([i, i + 1])
-    for lo, hi in runs:
-        for i in range(lo, hi):
-            ui, row = v[i], acc[i]
-            for a, b in runs:
-                if b > i:
-                    a = max(a, i)
-                    row[a:b] = [x + coef * (ui * y) for x, y in zip(row[a:b], v[a:b])]
+def _add_row(row: list[float], ui: float, v: list[float], coef: float) -> list[float]:
+    """row + coef (ui v), entry j as coef (ui v_j), formed only where v_j is nonzero."""
+    return [x + coef * (ui * y) if y else x for x, y in zip(row, v)]
 
 
 def distribute(expr: StateExpr, theta: float | None = None) -> HybridState:

@@ -10,13 +10,16 @@ Amplitudes and matrix rows are read-only tuples of Python ``complex``; an
 array given to a ket or a unitary is read through its ``tolist()``. Each
 of the two checks its value in its constructor, so an instance is its
 own proof of validity. A density operator is valid by construction: the
-package forms one only in :meth:`boxworld.hybrid.HybridState.to_density`
-and :func:`boxworld.hybrid.bob_state`, whose docstrings state why, so its
+package forms one only from the rows of
+:meth:`boxworld.hybrid.HybridState.density_rows` and in
+:func:`boxworld.hybrid.bob_state`, whose docstrings state why, so its
 constructor freezes the matrix and checks nothing. No code here imports
-numpy.
+numpy. :func:`_pairwise` is numpy's order of a sum, the order in which
+``density_rows`` sums a density's trace.
 
-Nothing here formats text: ``parse --dump-rho`` prints a density's rows
-from :mod:`boxworld.cli`. Everything here is a pure function of immutable
+Nothing here formats text: ``parse --dump-rho`` prints the rows of
+``density_rows`` as they are formed, from :mod:`boxworld.cli`, and builds no
+:class:`DensityOperator`. Everything here is a pure function of immutable
 values, so instances are safe to share across threads.
 """
 
@@ -109,7 +112,7 @@ class DensityOperator:
 
     The constructor only freezes the matrix to rows of complex: the
     package's own constructions are valid by construction, within the
-    bound :meth:`boxworld.hybrid.HybridState.to_density` states.
+    bound :meth:`boxworld.hybrid.HybridState.density_rows` states.
     """
 
     matrix: tuple[tuple[complex, ...], ...]
@@ -137,8 +140,3 @@ def _pairwise(xs: Sequence[float]) -> float:
     r0, r1, r2, r3 = (reduce(add, xs[k + 4 : m : 4], xs[k]) for k in range(4))
     return reduce(add, xs[m:], (r0 + r1) + (r2 + r3))
 
-
-def _trace(rows: Sequence[Sequence[complex]]) -> complex:
-    """The trace as numpy's ``trace`` sums it: each part pairwise, added to 0.0."""
-    diag = [row[i] for i, row in enumerate(rows)]
-    return complex(0.0 + _pairwise([z.real for z in diag]), 0.0 + _pairwise([z.imag for z in diag]))

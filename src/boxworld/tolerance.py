@@ -17,7 +17,7 @@ __all__ = ["ROUNDING", "EIGEN_ROUNDING", "DEFAULT_TOL"]
 ROUNDING = 1e-12
 # Rounding of an eigen-decomposition, a few hundred ulps: the lowest
 # eigenvalue a density may have is -EIGEN_ROUNDING. The package checks it
-# nowhere: HybridState.to_density forms a density valid by construction, to
+# nowhere: HybridState.density_rows forms a density valid by construction, to
 # within O(d u) of positive, and the tests hold that density to this bound.
 EIGEN_ROUNDING = 1e-10
 # The default --tol: box validity, the no-signaling verdicts, the audit's

@@ -92,7 +92,7 @@ from boxworld.hybrid import (
 from boxworld.hybrid import _times_pow2
 from boxworld.hybrid import distribute as package_distribute
 from boxworld.protocol import MIN_ROUNDS_MAX_COPIES, _count
-from boxworld.quantum import _trace
+from boxworld.quantum import _pairwise
 from boxworld.tolerance import EIGEN_ROUNDING, ROUNDING
 
 # ---------------------------------------------------------------- quantum, on numpy arrays
@@ -271,6 +271,12 @@ def _pivots(rows: Sequence[Sequence[complex]]) -> int | None:
         for i, (row, c) in enumerate(zip(s, col)):
             row[i:] = [x - c * y for x, y in zip(row[i:], scaled[i:])]
         pivots += 1
+
+
+def _trace(rows: Sequence[Sequence[complex]]) -> complex:
+    """The trace as numpy's ``trace`` sums it: each part pairwise, added to 0.0."""
+    diag = [row[i] for i, row in enumerate(rows)]
+    return complex(0.0 + _pairwise([z.real for z in diag]), 0.0 + _pairwise([z.imag for z in diag]))
 
 
 def complex_density(state) -> list[list[complex]]:

@@ -545,9 +545,10 @@ class TestErrorExits:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux /proc")
     def test_density_of_many_wide_branches_is_summed_within_the_cap(self):
         # 16 branches of width 10 once formed all their 16 MiB terms at once, and
-        # the peak memory of --dump-rho grew with the branch count.
+        # the peak memory of --dump-rho grew with the branch count. Its rows
+        # are formed one at a time, from the branches' amplitudes.
         expr = " (+) ".join(f"|{k:010b}>" for k in range(16))
-        proc = _capped_cli(["parse", "--expr", expr, "--dump-rho"])
+        proc = _capped_cli(["parse", "--expr", expr, "--dump-rho"], headroom_mib=32)
         assert (proc.returncode, proc.stderr) == (0, "")
         rows = proc.stdout.split("rho:\n", 1)[1].splitlines()
         assert len(rows) == 1024
@@ -557,10 +558,12 @@ class TestErrorExits:
     def test_density_of_the_widest_dense_state_is_summed_within_the_cap(self):
         # 16 branches of width 10, each nonzero on 1020 of its 1024
         # amplitudes: four 2-way mixtures added coherently to the other 1016
-        # basis kets. It prints 26 MB, the bytes numpy's density printed.
+        # basis kets. It prints 26 MB, the bytes numpy's density printed,
+        # one row at a time: holding its 2^20 entries at once takes more
+        # than 64 MiB above what the child has after importing.
         mixtures = [f"(|{k:010b}> (+) |{k + 1:010b}>)" for k in range(0, 8, 2)]
         expr = " + ".join(mixtures + [f"|{k:010b}>" for k in range(8, 1024)])
-        proc = _capped_cli(["parse", "--expr", expr, "--dump-rho"])
+        proc = _capped_cli(["parse", "--expr", expr, "--dump-rho"], headroom_mib=32)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert len(proc.stdout.split("rho:\n", 1)[1].splitlines()) == 1024
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
@@ -639,11 +642,11 @@ class TestErrorExits:
         assert err == f"error: --steps must be at most {cli.MAX_STEPS}\n"
 
 
-def _capped_cli(argv: list[str]) -> subprocess.CompletedProcess:
-    """``cli.main(argv)`` in a child that may map only 256 MiB more than it
-    has after importing, so an unbounded allocation fails instead of growing.
-    The commands run here load no numpy, whose thread pools would map memory
-    that no command's input asks for."""
+def _capped_cli(argv: list[str], headroom_mib: int = 256) -> subprocess.CompletedProcess:
+    """``cli.main(argv)`` in a child that may map only ``headroom_mib`` MiB
+    more than it has after importing, so an unbounded allocation fails
+    instead of growing. The commands run here load no numpy, whose thread
+    pools would map memory that no command's input asks for."""
     return _fresh_python(
         "-c",
         "import re, resource, sys\n"
@@ -651,7 +654,7 @@ def _capped_cli(argv: list[str]) -> subprocess.CompletedProcess:
         "status = open('/proc/self/status').read()\n"
         "mapped = int(re.search(r'VmSize:\\s+(\\d+) kB', status)[1]) << 10\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-        "soft = mapped + (256 << 20)\n"
+        f"soft = mapped + ({headroom_mib} << 20)\n"
         "if hard != resource.RLIM_INFINITY:\n"
         "    soft = min(soft, hard)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
@@ -1911,9 +1914,9 @@ class TestGeneratedSweepArgv:
     @given(argvs(["parse"], lambda o: expression_texts() if o == "--expr" else NUMBER_TEXTS))
     @example(["parse", "--expr", "|" + "0" * (hybrid.MAX_WIDTH + 1) + ">", "--dump-rho"])
     def test_parse_command(self, argv):
-        # A density of the widest kets takes up to 40 MiB of Python complex
-        # objects and one wider would take four times that, so those run in
-        # a child whose address space is capped.
+        # --dump-rho of the widest kets prints up to 26 MB, a row at a time,
+        # and a wider ket is refused before its amplitudes are formed; those
+        # run in a child whose address space is capped, lest either grow.
         expr = _last_value(argv, "--expr") or ""
         if "--dump-rho" in argv and re.search(f"[01]{{{hybrid.MAX_WIDTH}}}", expr):
             proc = _capped_cli(argv)

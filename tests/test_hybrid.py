@@ -657,8 +657,8 @@ class TestAgainstNumpyForms:
 
 
 class TestDensityWork:
-    """``to_density`` forms a product only of two nonzero amplitudes of one
-    branch (its certificate: :class:`TestDensityIsValidByConstruction`)."""
+    """``density_rows`` forms a row's product only of two nonzero amplitudes
+    of one branch (its certificate: :class:`TestDensityIsValidByConstruction`)."""
 
     CASES = [
         ("c(|00> (+) |11>) + s(|01> (+) |10>)", 0.4),
@@ -670,12 +670,13 @@ class TestDensityWork:
 
     @staticmethod
     def _count(monkeypatch, module, name, form):
-        """The products ``module.name``, the term adder, forms while ``form()``
-        runs, and what ``form()`` returns."""
+        """The products ``module.name``, the adder whose last argument is the
+        coefficient, forms while ``form()`` runs, and what ``form()`` returns."""
         products = []
         add_term = getattr(module, name)
 
-        def counting_term(acc, v, coef):
+        def counting_term(*args):
+            coef = args[-1]
             kind = type(coef)
 
             class Counted(kind):
@@ -683,7 +684,7 @@ class TestDensityWork:
                     products.append(1)
                     return kind.__mul__(self, other)
 
-            add_term(acc, v, Counted(coef))
+            return add_term(*args[:-1], Counted(coef))
 
         monkeypatch.setattr(module, name, counting_term)
         counted = form()
@@ -697,9 +698,11 @@ class TestDensityWork:
     def test_real_amplitudes(self, monkeypatch, text, theta):
         state = distribute(dsl.parse(text), theta)
         nnz = [sum(map(bool, ket.amplitudes)) for w, ket in state.branches if w]
-        products, _ = self._count(monkeypatch, hybrid, "_add_term", state.to_density)
+        products, _ = self._count(
+            monkeypatch, hybrid, "_add_row", lambda: list(state.density_rows())
+        )
         assert products <= sum(n * n for n in nnz)
-        assert products == sum(n * (n + 1) // 2 for n in nnz)  # the upper triangle
+        assert products == sum(n * n for n in nnz)  # every entry, once
 
     def test_complex_amplitudes(self, monkeypatch):
         # The package refuses them; the complex path of the reference forms
@@ -721,6 +724,16 @@ class TestDensityWork:
         pivots = reference._pivots(rho)
         assert pivots is not None and pivots <= len(branches)
 
+    def test_the_call_raises_and_sums_the_trace_before_any_row(self, monkeypatch):
+        # parse calls density_rows before it prints, so a failure prints nothing
+        with pytest.raises(ValueError, match="^a density is formed from real amplitudes only$"):
+            HybridState(1, ((1.0, Ket([1.0, 1j])),)).density_rows()
+        sums = []
+        monkeypatch.setattr(hybrid, "_pairwise", lambda xs: sums.append(xs) or quantum._pairwise(xs))
+        rows = HybridState(1, ((1.0, Ket([1.0, 1.0])),)).density_rows()
+        assert sums == [[0.125, 0.125]]  # w (v_i v_i) in the frame 2^-3, v = (1/2, 1/2)
+        assert list(rows) == [[0.5, 0.5], [0.5, 0.5]] and len(sums) == 1
+
 
 # The widest dense expression: 16 branches of width 10, each nonzero on 1020
 # of its 1024 amplitudes (tests/test_cli.py prints it within a memory cap).
@@ -731,13 +744,14 @@ WIDEST = " + ".join(
 
 
 def _assert_valid_by_construction(state: HybridState) -> None:
-    """``state``'s density is a density operator within the bound that
-    ``to_density`` states: its entries mirrored exactly, its trace within
-    ROUNDING of 1, no eigenvalue below -EIGEN_ROUNDING, and positivity
-    certified by :func:`reference._pivots` after at most one pivot per branch."""
-    rows = state.to_density().matrix
+    """The rows ``density_rows`` yields for ``state``, which ``parse`` prints,
+    are a density operator within the bound it states: real and exactly
+    symmetric, its trace within ROUNDING of 1, no eigenvalue below
+    -EIGEN_ROUNDING, and positivity certified by :func:`reference._pivots`
+    after at most one pivot per branch."""
+    rows = list(state.density_rows())
     rho = np.array(rows)
-    assert rho.tobytes() == rho.T.copy().tobytes() and not _bits(rho.imag).any()
+    assert rho.dtype == float and rho.tobytes() == rho.T.copy().tobytes()
     assert abs(np.trace(rho) - 1.0) <= ROUNDING
     assert np.linalg.eigvalsh(rho.real).min() >= -EIGEN_ROUNDING
     pivots = reference._pivots(rows)
